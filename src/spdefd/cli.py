@@ -49,7 +49,9 @@ def _add_common(parser, config_required=True):
     parser.add_argument("--seeds", default=None,
                         help="comma-separated seed list (overrides the config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (overrides the config)")
+                        help="accepted for compatibility and validated (>= 1), "
+                        "but has no effect: a study steps all its seeds "
+                        "together in one thread (overrides the config)")
     parser.add_argument("--format", choices=("csv", "binary"), default=None,
                         help="trajectory output format (overrides the config)")
 

@@ -19,20 +19,26 @@ key has a documented default.  The full schema:
                     order_tolerance = 0.25, out = out, format = csv | binary,
                     threads = 1
 
-Errors are measured pathwise against the reference time-scheme solution
-driven by the same Wiener increments, as max over time of the sup over grid
-points; squared errors are averaged over the seed set before order fitting,
-so the reported quantity realizes the expected squared sup norm.
+Keys are case-insensitive; the horizon may be written ``T`` or ``t``.
+``threads`` is accepted, validated (>= 1) and saved, but has no effect: a
+study steps all its seeds together in one thread.
+
+Each seed's Wiener increments are sampled once and drive every rung and the
+reference time-scheme solution.  All seeds of all rungs and the reference
+march in lock-step over the time index, and at each index the
+(extrapolated) errors are reduced into running per-seed maxima, so no
+trajectory is stored.  Errors are measured pathwise, as max over time of the
+sup over grid points; squared errors are averaged over the seed set before
+order fitting, so the reported quantity realizes the expected squared sup
+norm.
 
 Outputs: ``report.csv`` with columns (h, sup_error, l2h_error,
 pairwise_order, ls_order, expected_order, pass); one ``rung_<points>.csv``
 per mesh with per-seed errors; and ``plot.gp``, a self-contained gnuplot
 script (log-log error against h with a reference-slope guide line).  All
-output bytes are determined by the spec and seeds alone, regardless of the
-thread count.
+output bytes are determined by the spec and seeds alone.
 """
 
-import concurrent.futures
 import configparser
 import io
 import math
@@ -41,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import grid_norms, make_torus_grid
+from .grids import _norms, _restricted, make_torus_grid
 from .problems import (
     DifferentialProblem,
     ProblemError,
@@ -51,13 +57,16 @@ from .problems import (
 )
 from .richardson import (
     ConvergenceReport,
+    _combine,
     estimate_order,
-    richardson_combine,
     vandermonde_weights,
 )
 from .stepper import (
+    FiniteDifferenceOperators,
+    Marcher,
     SolveFailure,
-    run_reference_time_scheme,
+    increment_columns,
+    reference_marcher,
     run_space_time_scheme,
 )
 from .wiener import sample_increments
@@ -164,7 +173,8 @@ def load_config(path) -> ExperimentSpec:
             continue
         raw = parser.get("problem", key).strip()
         try:
-            params.append((key, float(raw)))
+            # option names arrive lowercased; the horizon keyword is T
+            params.append(("T" if key == "t" else key, float(raw)))
         except ValueError as exc:
             raise ConfigError(f"[problem] {key}: expected a number, got "
                               f"{raw!r}") from exc
@@ -340,43 +350,23 @@ class ExperimentResult:
         return (not self.failed) and self.report is not None and self.report.passed
 
 
-def _max_error(traj, ref) -> tuple[float, float]:
-    """max over time of (sup, l2h) norms of the difference."""
-    sup = 0.0
-    l2h = 0.0
-    for a, b in zip(traj.fields, ref.fields):
-        s, l = grid_norms(a - b)
-        sup = max(sup, s)
-        l2h = max(l2h, l)
-    return sup, l2h
-
-
-def run_convergence_experiment(spec: ExperimentSpec, accelerate: bool = False,
-                               synthetic_order: float | None = None) -> ExperimentResult:
+def run_convergence_experiment(spec: ExperimentSpec,
+                               accelerate: bool = False) -> ExperimentResult:
     """Measure the convergence order of the plain or extrapolated scheme.
 
-    For every seed the same increments drive every rung; the reference
-    solution (same time grid, same increments) is computed once per seed on
-    the finest mesh and restricted to each rung's grid.  ``synthetic_order``
-    short-circuits the solver and injects an exact power law; it exists to
-    validate the harness plumbing end to end.
+    Every seed's Wiener increments are sampled once and drive every rung and
+    the reference (same time grid), which is computed on the finest mesh and
+    restricted to each rung's grid.  All seeds of all rungs and the reference
+    march in lock-step; at each time index the extrapolated candidates and
+    their errors are formed and folded into running per-seed maxima, so no
+    trajectory is stored.
+
+    A failed solve is reported for the first (seed, mesh) pair in seed-major
+    order, and reference failures only when every rung succeeded.
     """
     kind = "accelerate" if accelerate else "converge"
     if spec.rungs < 2:
         raise ConfigError("convergence experiments need rungs >= 2")
-
-    if synthetic_order is not None:
-        hs = [spec.period / (spec.points0 * 2 ** j) for j in range(spec.rungs)]
-        errors = [0.5 * h ** synthetic_order for h in hs]
-        report = estimate_order(hs, errors, spec.expected_order,
-                                spec.order_tolerance, l2h_errors=errors)
-        per_rung = {j: [(s, errors[j], errors[j]) for s in spec.seeds]
-                    for j in range(spec.rungs)}
-        return ExperimentResult(kind=kind, spec=spec, report=report,
-                                rung_points=[spec.points0 * 2 ** j
-                                             for j in range(spec.rungs)],
-                                per_rung_errors=per_rung,
-                                extras={"synthetic_order": synthetic_order})
 
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
@@ -386,82 +376,77 @@ def run_convergence_experiment(spec: ExperimentSpec, accelerate: bool = False,
     ref_mode = _resolve_reference_mode(spec, problem)
     grids = ladder_grids(spec, problem, extra=level)
     tau = problem.T / spec.n
+    dim = problem.d
 
-    # one increments object per seed, shared read-only by every rung (all
-    # meshes ride the same Wiener path at the fixed time grid)
-    increments_by_seed = {
-        seed: (sample_increments(spec.n, problem.d1, tau, seed)
-               if problem.d1 > 0 else None)
-        for seed in spec.seeds}
+    xi = increment_columns(problem, spec.n, [
+        sample_increments(spec.n, problem.d1, tau, seed) if problem.d1 > 0
+        else None for seed in spec.seeds])
+    rungs = [Marcher(problem, g, xi,
+                     FiniteDifferenceOperators(problem, g, tau, scheme))
+             for g in grids]
+    reference, ref_factor = reference_marcher(problem, grids[-1], xi,
+                                              ref_mode, spec.refine)
 
-    def solve_task(seed, mesh_index):
-        return run_space_time_scheme(problem, scheme, grids[mesh_index],
-                                     spec.n, increments_by_seed[seed])
+    nseeds = len(spec.seeds)
+    sup = np.zeros((spec.rungs, nseeds))
+    l2h = np.zeros((spec.rungs, nseeds))
 
-    tasks = [(seed, j) for seed in spec.seeds for j in range(len(grids))]
-    solutions = {}
-    failures = {}
-    if spec.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(spec.threads) as pool:
-            futures = {pool.submit(solve_task, seed, j): (seed, j)
-                       for seed, j in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                key = futures[fut]
-                try:
-                    solutions[key] = fut.result()
-                except SolveFailure as exc:
-                    failures[key] = str(exc)
-    else:
-        for seed, j in tasks:
-            try:
-                solutions[(seed, j)] = solve_task(seed, j)
-            except SolveFailure as exc:
-                failures[(seed, j)] = str(exc)
-                break
-    # report the first failure in task order so output bytes do not depend
-    # on the thread schedule
-    failure = None
-    for key in tasks:
-        if key in failures:
-            failure = f"seed {key[0]}, mesh {key[1]}: {failures[key]}"
-            break
+    def measure():
+        # the seeds whose reference is still live
+        live = reference.columns
+        if not live.size:
+            return
+        cols = slice(None) if live.size == nseeds else live
+        ref = _restricted(reference.v, ref_factor, dim)
+        for j in range(spec.rungs):
+            if accelerate:
+                candidate = _combine([rungs[j + m].v for m in range(level + 1)],
+                                     weights.beta, dim)
+            else:
+                candidate = rungs[j].v
+            err = candidate[..., cols] - _restricted(
+                ref, grids[-1].shape[0] // grids[j].shape[0], dim)
+            # one contiguous row per seed, as _norms needs
+            s, l = _norms(np.ascontiguousarray(err.reshape(-1, live.size).T),
+                          grids[j].h ** dim)
+            sup[j, cols] = np.maximum(sup[j, cols], s)
+            l2h[j, cols] = np.maximum(l2h[j, cols], l)
+
+    measure()
+    for _ in range(spec.n):
+        for marcher in rungs:
+            marcher.advance()
+        # once a rung failed, the study reports that failure: the rungs march
+        # on only to find the first failing pair
+        if not any(marcher.failures for marcher in rungs):
+            reference.advance()
+            measure()
 
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
     per_rung = {j: [] for j in range(spec.rungs)}
-    if failure is not None:
+
+    def failed(message):
         return ExperimentResult(kind=kind, spec=spec, report=None,
                                 rung_points=rung_points, per_rung_errors=per_rung,
-                                failed=True, failure=failure)
+                                failed=True, failure=message)
+
+    for k, seed in enumerate(spec.seeds):
+        for j, marcher in enumerate(rungs):
+            if k in marcher.failures:
+                return failed(f"seed {seed}, mesh {j}: {marcher.failures[k]}")
 
     hs = [g.h for g in grids[:spec.rungs]]
     sup_sq = np.zeros(spec.rungs)
     l2h_sq = np.zeros(spec.rungs)
-    for seed in spec.seeds:
-        increments = (sample_increments(spec.n, problem.d1, tau, seed)
-                      if problem.d1 > 0 else None)
-        try:
-            reference = run_reference_time_scheme(
-                problem, grids[-1], spec.n, increments, mode=ref_mode,
-                refine=spec.refine)
-        except SolveFailure as exc:
-            return ExperimentResult(kind=kind, spec=spec, report=None,
-                                    rung_points=rung_points,
-                                    per_rung_errors=per_rung, failed=True,
-                                    failure=f"reference, seed {seed}: {exc}")
+    for k, seed in enumerate(spec.seeds):
+        if k in reference.failures:
+            return failed(f"reference, seed {seed}: {reference.failures[k]}")
         for j in range(spec.rungs):
-            if accelerate:
-                window = [solutions[(seed, j + m)] for m in range(level + 1)]
-                candidate = richardson_combine(window, weights)
-            else:
-                candidate = solutions[(seed, j)]
-            ref_j = reference.restricted(grids[-1].shape[0]
-                                         // candidate.grid.shape[0])
-            sup, l2h = _max_error(candidate, ref_j)
-            per_rung[j].append((seed, sup, l2h))
-            sup_sq[j] += sup ** 2
-            l2h_sq[j] += l2h ** 2
+            s, l = float(sup[j, k]), float(l2h[j, k])
+            per_rung[j].append((seed, s, l))
+            sup_sq[j] += s ** 2
+            l2h_sq[j] += l ** 2
 
-    nseeds = len(spec.seeds)
     sup_errors = list(np.sqrt(sup_sq / nseeds))
     l2h_errors = list(np.sqrt(l2h_sq / nseeds))
     report = estimate_order(hs, sup_errors, spec.expected_order,

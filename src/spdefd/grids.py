@@ -221,14 +221,39 @@ def _as_int_vector(lam, dim: int) -> tuple[int, ...]:
     return out
 
 
+def _shifted(values: np.ndarray, lam, s: int, dim: int) -> np.ndarray:
+    """Values translated by ``s*h*lam`` over the first ``dim`` axes; trailing
+    axes (one column per seed) ride along."""
+    return np.roll(values, tuple(-s * c for c in lam), axis=tuple(range(dim)))
+
+
+def _forward_values(values: np.ndarray, lam, h: float, sign: int,
+                    dim: int) -> np.ndarray:
+    if not any(lam):
+        return values
+    return (_shifted(values, lam, sign, dim) - values) / (sign * h)
+
+
+def _symmetric_values(values: np.ndarray, lam, h: float, dim: int) -> np.ndarray:
+    if not any(lam):
+        return values
+    return (_shifted(values, lam, 1, dim) - _shifted(values, lam, -1, dim)) \
+        / (2.0 * h)
+
+
+def _restricted(values: np.ndarray, factor: int, dim: int) -> np.ndarray:
+    """View keeping every ``factor``-th point on the first ``dim`` axes."""
+    if factor == 1:
+        return values
+    return values[tuple(slice(None, None, factor) for _ in range(dim))]
+
+
 def shift(phi: GridField, lam, s: int = 1) -> GridField:
     """Translate by ``s*h*lam`` with periodic wraparound: value permutation."""
     lam = _as_int_vector(lam, phi.grid.dim)
     if not any(lam):
         return phi
-    moves = tuple(-s * c for c in lam)
-    return GridField(phi.grid, np.roll(phi.values, moves,
-                                       axis=tuple(range(phi.grid.dim))))
+    return GridField(phi.grid, _shifted(phi.values, lam, s, phi.grid.dim))
 
 
 def forward_difference(phi: GridField, lam, h: float,
@@ -245,8 +270,8 @@ def forward_difference(phi: GridField, lam, h: float,
     lam = _as_int_vector(lam, phi.grid.dim)
     if not any(lam):
         return phi
-    shifted = shift(phi, lam, sign)
-    return GridField(phi.grid, (shifted.values - phi.values) / (sign * h))
+    return GridField(phi.grid,
+                     _forward_values(phi.values, lam, h, sign, phi.grid.dim))
 
 
 def symmetric_difference(phi: GridField, lam, h: float) -> GridField:
@@ -256,9 +281,8 @@ def symmetric_difference(phi: GridField, lam, h: float) -> GridField:
     lam = _as_int_vector(lam, phi.grid.dim)
     if not any(lam):
         return phi
-    fwd = shift(phi, lam, 1)
-    bwd = shift(phi, lam, -1)
-    return GridField(phi.grid, (fwd.values - bwd.values) / (2.0 * h))
+    return GridField(phi.grid,
+                     _symmetric_values(phi.values, lam, h, phi.grid.dim))
 
 
 def composed_difference(phi: GridField, lams, h: float) -> GridField:
@@ -279,12 +303,21 @@ def composed_difference(phi: GridField, lams, h: float) -> GridField:
     return out
 
 
+def _norms(columns: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(sup, l2h)`` of a C-contiguous ``(S, npoints)`` array.
+
+    Each row is summed along the contiguous last axis, which gives the same
+    bits as summing that row alone as a flat array.
+    """
+    sup = np.max(np.abs(columns), axis=1)
+    l2h = np.sqrt(weight * np.sum(columns ** 2, axis=1))
+    return sup, l2h
+
+
 def grid_norms(phi: GridField) -> tuple[float, float]:
     """Return ``(sup, l2h)``: max absolute value and sqrt(h^d * sum of squares)."""
-    sup = float(np.max(np.abs(phi.values))) if phi.values.size else 0.0
-    weight = phi.grid.h ** phi.grid.dim
-    l2h = float(np.sqrt(weight * np.sum(phi.values ** 2)))
-    return sup, l2h
+    sup, l2h = _norms(phi.values.reshape(1, -1), phi.grid.h ** phi.grid.dim)
+    return float(sup[0]), float(l2h[0])
 
 
 def sup_norm(phi: GridField) -> float:
@@ -307,8 +340,7 @@ def subsample(phi: GridField, factor: int) -> GridField:
         raise GridError(f"points per axis {grid.shape} not divisible by {factor}")
     coarse = TorusGrid(grid.dim, grid.h * factor,
                        tuple(n // factor for n in grid.shape))
-    slices = tuple(slice(None, None, factor) for _ in range(grid.dim))
-    return GridField(coarse, phi.values[slices].copy())
+    return GridField(coarse, _restricted(phi.values, factor, grid.dim).copy())
 
 
 def discrete_sobolev_norm(phi: GridField, stencil: Stencil, r: int,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, composed_difference, grid_norms, subsample
+from .grids import GridField, _restricted, composed_difference, subsample
 from .stepper import Trajectory
 
 MAX_LEVEL = 12
@@ -91,17 +91,24 @@ def _check_ladder(solutions, weights):
                 f"ladder rung {j} has shape {traj.grid.shape}, expected {expect}")
 
 
+def _combine(ladder, beta, dim: int) -> np.ndarray:
+    """sum_j beta_j v_j with rung j (mesh h/2^j) restricted onto the coarsest
+    lattice; trailing axes beyond ``dim`` (one column per path) ride along."""
+    acc = np.zeros(ladder[0].shape)
+    for j, values in enumerate(ladder):
+        acc += beta[j] * _restricted(values, 2 ** j, dim)
+    return acc
+
+
 def richardson_combine(solutions, weights: RichardsonWeights) -> Trajectory:
     """Combine trajectories at meshes h, h/2, ..., h/2^k into one trajectory
     on the coarsest grid, per time step."""
     _check_ladder(solutions, weights)
     coarse = solutions[0]
-    fields = []
-    for i in range(coarse.n + 1):
-        acc = np.zeros(coarse.grid.shape)
-        for j, traj in enumerate(solutions):
-            acc += weights.beta[j] * restrict_to_coarse(traj[i], j).values
-        fields.append(GridField(coarse.grid, acc))
+    fields = [GridField(coarse.grid,
+                        _combine([traj[i].values for traj in solutions],
+                                 weights.beta, coarse.grid.dim))
+              for i in range(coarse.n + 1)]
     meta = dict(coarse.meta)
     meta.update(kind="extrapolated", level=weights.level, base=weights.base)
     return Trajectory(grid=coarse.grid, tau=coarse.tau, fields=fields, meta=meta)

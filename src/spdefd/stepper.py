@@ -1,19 +1,30 @@
 """Discrete operators, the implicit Euler step, and the scheme runners.
 
-``apply_L`` and ``apply_M`` evaluate the lattice operators matrix-free.  The
-implicit step solves ``(I - tau L) v_i = rhs`` where the stochastic and free
-terms on the right-hand side are taken explicitly at the previous index:
+The implicit step solves ``(I - tau L) v_i = rhs`` where the stochastic and
+free terms on the right-hand side are taken explicitly at the previous index:
 
     v_i = v_{i-1} + (L v_i + f_i) tau + sum_rho (M^rho v_{i-1} + g^rho_{i-1}) xi^rho_i
 
-The linear solve is a sparse LU factorization below a size threshold and a
-diagonally preconditioned GMRES above it; failures surface as
-:class:`SolveFailure` (the scheme is only solvable for small enough tau) and
-are never papered over by regularization.
+There is one implementation of that step, :class:`Marcher`, and it steps
+``S`` Wiener paths at once: its state is one ``grid.shape + (S,)`` array
+with a column per path.  The operator kernels (``_apply_L_values``,
+``_apply_M_values``, the lattice and spectral solves) act on the spatial
+axes and carry the trailing column axis along, so every column gets the
+same bits as a run of that path alone.  ``apply_L``, ``apply_M``,
+``implicit_step``, ``run_space_time_scheme`` and
+``run_reference_time_scheme`` are one-column wrappers over the same kernels;
+apart from the initial data, only they build :class:`GridField` objects.
 
-``run_reference_time_scheme`` realizes the reference solution of the
-time-discretized PDE: exactly per Fourier mode when the coefficients are
-constant in space, or on a finer lattice as a surrogate otherwise.
+The lattice solve is a sparse LU factorization below a size threshold, one
+factorized solve for all columns, and a diagonally preconditioned GMRES
+above it, column by column.  Failures surface as :class:`SolveFailure` (the
+scheme is only solvable for small enough tau), including a step whose result
+holds a NaN or inf, and are never papered over by regularization.
+
+The reference solution of the time-discretized PDE is realized exactly per
+Fourier mode when the coefficients are constant in space (an FFT over the
+spatial axes of every column), or by the centred scheme on a finer lattice,
+restricted at every step, otherwise.
 """
 
 import struct
@@ -27,12 +38,13 @@ from .grids import (
     GridError,
     GridField,
     TorusGrid,
-    forward_difference,
+    _forward_values,
+    _restricted,
+    _symmetric_values,
     subsample,
-    symmetric_difference,
 )
 from .problems import DifferenceScheme, DifferentialProblem, build_scheme_example1
-from .wiener import BrownianIncrements, sample_increments
+from .wiener import BrownianIncrements
 
 DIRECT_SOLVE_MAX_UNKNOWNS = 4096
 ITERATIVE_RTOL = 1e-11
@@ -108,6 +120,34 @@ class SchemeSampler:
         return got
 
 
+def _apply_L_values(arrays: dict, values: np.ndarray, h: float,
+                    dim: int) -> np.ndarray:
+    """L^h over the first ``dim`` axes of ``values``, one column per trailing
+    index."""
+    out = np.zeros(values.shape)
+    inner = {}
+    for (lam, mu), coef in arrays["a"].items():
+        dmu = inner.get(mu)
+        if dmu is None:
+            dmu = inner[mu] = _symmetric_values(values, mu, h, dim)
+        out += coef[..., None] * _symmetric_values(dmu, lam, h, dim)
+    for lam, coef in arrays["p"].items():
+        out += coef[..., None] * _forward_values(values, lam, h, 1, dim)
+    for lam, coef in arrays["q"].items():
+        out -= coef[..., None] * _forward_values(values, lam, h, -1, dim)
+    return out
+
+
+def _apply_M_values(arrays: dict, values: np.ndarray, h: float, rho: int,
+                    dim: int) -> np.ndarray:
+    """M^{h,rho} over the first ``dim`` axes of ``values``, per column."""
+    out = np.zeros(values.shape)
+    for (lam, r), coef in arrays["b"].items():
+        if r == rho:
+            out += coef[..., None] * _symmetric_values(values, lam, h, dim)
+    return out
+
+
 def apply_L(scheme: DifferenceScheme, phi: GridField, h: float, i: int,
             sampler: SchemeSampler | None = None) -> GridField:
     """Second-order difference operator:
@@ -122,20 +162,9 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, h: float, i: int,
         raise GridError("apply_L needs h != 0")
     if sampler is None:
         sampler = SchemeSampler(scheme, phi.grid)
-    arrays = sampler.arrays(i)
-    out = np.zeros(phi.grid.shape)
-    inner = {}
-    for (lam, mu), coef in arrays["a"].items():
-        dmu = inner.get(mu)
-        if dmu is None:
-            dmu = symmetric_difference(phi, mu, h)
-            inner[mu] = dmu
-        out += coef * symmetric_difference(dmu, lam, h).values
-    for lam, coef in arrays["p"].items():
-        out += coef * forward_difference(phi, lam, h, 1).values
-    for lam, coef in arrays["q"].items():
-        out -= coef * forward_difference(phi, lam, h, -1).values
-    return GridField(phi.grid, out)
+    out = _apply_L_values(sampler.arrays(i), phi.values[..., None], h,
+                          phi.grid.dim)
+    return GridField(phi.grid, out[..., 0])
 
 
 def apply_M(scheme: DifferenceScheme, phi: GridField, h: float, rho: int,
@@ -147,13 +176,9 @@ def apply_M(scheme: DifferenceScheme, phi: GridField, h: float, rho: int,
         raise GridError(f"driver index {rho} out of range 1..{scheme.d1}")
     if sampler is None:
         sampler = SchemeSampler(scheme, phi.grid)
-    arrays = sampler.arrays(i)
-    out = np.zeros(phi.grid.shape)
-    for (lam, r), coef in arrays["b"].items():
-        if r != rho:
-            continue
-        out += coef * symmetric_difference(phi, lam, h).values
-    return GridField(phi.grid, out)
+    out = _apply_M_values(sampler.arrays(i), phi.values[..., None], h, rho,
+                          phi.grid.dim)
+    return GridField(phi.grid, out[..., 0])
 
 
 def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
@@ -187,11 +212,23 @@ def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
     return terms
 
 
+def _nonfinite_columns(x: np.ndarray, dim: int, what: str, step: int) -> dict:
+    """Failures keyed by the columns of ``x`` that hold a NaN or inf."""
+    if np.isfinite(x).all():
+        return {}
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(dim))))
+    return {int(k): SolveFailure(f"{what} produced non-finite values; "
+                                 "tau may not be small enough", step=step)
+            for k in bad}
+
+
 class ImplicitOperator:
     """Action and solve for (I - tau L^h_i) on one grid.
 
-    Direct mode assembles the sparse matrix and factorizes it; iterative mode
-    applies the operator matrix-free inside a diagonally preconditioned GMRES.
+    Direct mode assembles the sparse matrix and factorizes it, and one
+    factorized solve serves every column; iterative mode applies the operator
+    matrix-free inside a diagonally preconditioned GMRES, one column at a
+    time.
     """
 
     def __init__(self, scheme, grid, tau, h, i, mode="auto",
@@ -247,34 +284,57 @@ class ImplicitOperator:
                 diag = diag - self.tau * np.broadcast_to(w, self.grid.shape)
         return diag
 
+    def _apply_values(self, values: np.ndarray) -> np.ndarray:
+        lphi = _apply_L_values(self.sampler.arrays(self.i), values, self.h,
+                               self.grid.dim)
+        return values - self.tau * lphi
+
     def apply(self, phi: GridField) -> GridField:
         """Forward action (I - tau L) phi."""
-        lphi = apply_L(self.scheme, phi, self.h, self.i, self.sampler)
-        return GridField(self.grid, phi.values - self.tau * lphi.values)
+        return GridField(self.grid, self._apply_values(phi.values[..., None])[..., 0])
 
     def solve(self, rhs: GridField) -> GridField:
         if rhs.grid != self.grid:
             raise GridError("right-hand side lives on a different grid")
-        if self.tau == 0.0:
-            return rhs
-        if self.mode == "direct":
-            x = self._lu.solve(rhs.values.ravel())
-            if not np.all(np.isfinite(x)):
-                raise SolveFailure("factorized solve produced non-finite values; "
-                                   "tau may not be small enough", step=self.i)
-            return GridField(self.grid, x.reshape(self.grid.shape))
-        return self._solve_iterative(rhs)
+        x, failed = self.solve_columns(rhs.values[..., None])
+        if failed:
+            raise failed[0]
+        return GridField(self.grid, x[..., 0])
 
-    def _solve_iterative(self, rhs: GridField) -> GridField:
+    def solve_columns(self, rhs: np.ndarray,
+                      step: int | None = None) -> tuple[np.ndarray, dict]:
+        """Solve for every column of a ``grid.shape + (S,)`` right-hand side.
+
+        Returns the solution and the failures, which name ``step`` (default:
+        the operator's own index), keyed by column; the entries of a failed
+        column are meaningless.
+        """
+        step = self.i if step is None else step
+        if self.tau == 0.0:
+            return rhs, {}
+        if self.mode == "direct":
+            x = self._lu.solve(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
+            return x, _nonfinite_columns(x, self.grid.dim, "factorized solve",
+                                         step)
+        x = np.zeros(rhs.shape)
+        failed = {}
+        for k in range(rhs.shape[-1]):
+            try:
+                x[..., k] = self._solve_iterative(rhs[..., k].ravel(), step) \
+                    .reshape(self.grid.shape)
+            except SolveFailure as exc:
+                failed[k] = exc
+        return x, failed
+
+    def _solve_iterative(self, b: np.ndarray, step: int) -> np.ndarray:
         n = self.grid.npoints
-        shape = self.grid.shape
+        column = self.grid.shape + (1,)
 
         def matvec(x):
-            return self.apply(GridField(self.grid, x.reshape(shape))).values.ravel()
+            return self._apply_values(x.reshape(column)).ravel()
 
         A = spla.LinearOperator((n, n), matvec=matvec)
         M = spla.LinearOperator((n, n), matvec=lambda x: x / self._diag.ravel())
-        b = rhs.values.ravel()
         restart = min(50, n)
         maxiter = max(1, (10 * n) // restart)
         x, info = spla.gmres(A, b, x0=b.copy(), M=M, rtol=ITERATIVE_RTOL,
@@ -285,8 +345,8 @@ class ImplicitOperator:
                 resid > ITERATIVE_RTOL * max(bnorm, 1e-300):
             raise SolveFailure(
                 f"iteration stalled (relative residual {resid / max(bnorm, 1e-300):.2e}); "
-                "tau may not be small enough", step=self.i)
-        return GridField(self.grid, x.reshape(shape))
+                "tau may not be small enough", step=step)
+        return x
 
 
 def assemble_implicit_operator(scheme, grid, tau, h, i,
@@ -294,19 +354,39 @@ def assemble_implicit_operator(scheme, grid, tau, h, i,
     return ImplicitOperator(scheme, grid, tau, h, i, mode=mode)
 
 
+def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
+                  xi: np.ndarray, apply_M) -> np.ndarray:
+    """v + tau f + sum_rho (M^rho v + g^rho) xi^rho for the columns of ``v``.
+
+    ``xi`` holds one row per driver and one entry per column; where an
+    increment is zero its term is skipped, so that column matches a run that
+    never saw the driver.
+    """
+    rhs = v + tau * f[..., None]
+    for rho, xi_rho in enumerate(xi, start=1):
+        nonzero = xi_rho != 0.0
+        if not nonzero.any():
+            continue
+        term = apply_M(v, rho) + g[rho - 1][..., None]
+        if nonzero.all():
+            rhs = rhs + term * xi_rho
+        else:
+            rhs[..., nonzero] += term[..., nonzero] * xi_rho[nonzero]
+    return rhs
+
+
 def implicit_step(op: ImplicitOperator, v_prev: GridField, f_i: GridField,
                   g_prev, xi_i, scheme: DifferenceScheme, h: float,
                   i: int) -> GridField:
     """One implicit Euler step: L and f enter implicitly at index i, the
     stochastic terms explicitly at index i-1."""
-    rhs = v_prev.values + op.tau * f_i.values
-    for rho in range(1, scheme.d1 + 1):
-        xi = xi_i[rho - 1]
-        if xi == 0.0:
-            continue
-        mv = apply_M(scheme, v_prev, h, rho, i - 1, op.sampler)
-        rhs = rhs + (mv.values + g_prev[rho - 1].values) * xi
-    return op.solve(GridField(v_prev.grid, rhs))
+    rhs = _explicit_rhs(
+        v_prev.values[..., None], op.tau, f_i.values,
+        [g.values for g in g_prev],
+        np.asarray(xi_i, dtype=float)[:scheme.d1, None],
+        lambda v, rho: _apply_M_values(op.sampler.arrays(i - 1), v, h, rho,
+                                       v_prev.grid.dim))
+    return op.solve(GridField(v_prev.grid, rhs[..., 0]))
 
 
 def _empty_increments(n: int, tau: float) -> BrownianIncrements:
@@ -322,6 +402,90 @@ def _check_increments(increments, n, tau, d1):
         raise ValueError(f"increments carry {increments.d1} drivers, need {d1}")
 
 
+def increment_columns(problem: DifferentialProblem, n: int, paths) -> np.ndarray:
+    """The ``(n, d1, S)`` increments of ``S`` Wiener paths, one column per
+    path; ``None`` stands for the empty path of a deterministic problem."""
+    tau = problem.T / n
+    columns = []
+    for increments in paths:
+        if increments is None:
+            if problem.d1 > 0:
+                raise ValueError("stochastic problem needs Wiener increments")
+            increments = _empty_increments(n, tau)
+        _check_increments(increments, n, tau, problem.d1)
+        columns.append(increments.xi[:, :problem.d1])
+    return np.stack(columns, axis=-1)
+
+
+class Marcher:
+    """The implicit Euler recursion for ``S`` Wiener paths in lock-step.
+
+    The state ``v`` is one ``grid.shape + (S,)`` array, a column per path.
+    ``operators`` supplies M^rho and the implicit solve (lattice or
+    spectral); the right-hand side is assembled here for both.  A failure of
+    the whole step (a singular operator) fails every column; a column whose
+    own solve fails is recorded in ``failures`` under its path index and
+    dropped, while the others march on.  ``columns`` lists the path indices
+    still in ``v``.
+    """
+
+    def __init__(self, problem: DifferentialProblem, grid: TorusGrid,
+                 xi: np.ndarray, operators):
+        self.problem = problem
+        self.grid = grid
+        self.tau = problem.T / xi.shape[0]
+        self.xi = xi
+        self.operators = operators
+        self.columns = np.arange(xi.shape[-1])
+        self.v = np.repeat(grid.sample(problem.u0).values[..., None],
+                           xi.shape[-1], axis=-1)
+        self.failures = {}
+        self.i = 0
+
+    def advance(self) -> None:
+        """Step every live column from index i to i + 1."""
+        i = self.i = self.i + 1
+        if not self.columns.size:
+            return
+        p, x, shape = self.problem, self.grid.coordinates, self.grid.shape
+        rhs = _explicit_rhs(
+            self.v, self.tau, p.f(i, x) * np.ones(shape),
+            [p.g_at(rho, i - 1, x) * np.ones(shape) for rho in range(1, p.d1 + 1)],
+            self.xi[i - 1][:, self.columns],
+            lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
+        try:
+            v, failed = self.operators.solve_values(rhs, i)
+        except SolveFailure as exc:
+            v, failed = rhs, dict.fromkeys(range(self.columns.size), exc)
+        else:
+            failed = {k: SolveFailure(f"scheme run aborted: {exc}")
+                      for k, exc in failed.items()}
+        if failed:
+            for k, exc in failed.items():
+                self.failures[int(self.columns[k])] = exc
+            keep = np.ones(self.columns.size, dtype=bool)
+            keep[list(failed)] = False
+            self.columns, v = self.columns[keep], v[..., keep]
+        self.v = v
+
+
+def _single_path(marcher: Marcher, n: int, grid: TorusGrid,
+                 factor: int = 1) -> list:
+    """Fields 0..n of a one-column marcher, restricted onto ``grid`` by
+    ``factor`` per axis; the first failure is raised."""
+    def current():
+        values = _restricted(marcher.v[..., 0], factor, grid.dim)
+        return GridField(grid, values.copy() if factor > 1 else values)
+
+    fields = [current()]
+    for _ in range(n):
+        marcher.advance()
+        if marcher.failures:
+            raise marcher.failures[0]
+        fields.append(current())
+    return fields
+
+
 def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme,
                           grid: TorusGrid, n: int,
                           increments: BrownianIncrements | None = None,
@@ -330,37 +494,12 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     if n < 1:
         raise ValueError("need at least one time step")
     tau = problem.T / n
-    if increments is None:
-        if problem.d1 > 0:
-            raise ValueError("stochastic problem needs Wiener increments")
-        increments = _empty_increments(n, tau)
-    _check_increments(increments, n, tau, problem.d1)
-
-    x = grid.coordinates
-    sampler = SchemeSampler(scheme, grid)
-    v = grid.sample(problem.u0)
-    fields = [v]
-    op = None
-
-    for i in range(1, n + 1):
-        if op is None or not scheme.time_independent:
-            op = ImplicitOperator(scheme, grid, tau, grid.h, i,
-                                  mode=solver_mode, sampler=sampler)
-        f_i = GridField(grid, problem.f(i, x) * np.ones(grid.shape))
-        if problem.d1 > 0:
-            g_prev = [GridField(grid, problem.g_at(rho, i - 1, x) * np.ones(grid.shape))
-                      for rho in range(1, problem.d1 + 1)]
-            xi_i = increments.step(i)
-        else:
-            g_prev = []
-            xi_i = np.zeros(0)
-        try:
-            v = implicit_step(op, v, f_i, g_prev, xi_i, scheme, grid.h, i)
-        except SolveFailure as exc:
-            raise SolveFailure(f"scheme run aborted: {exc}") from exc
-        fields.append(v)
-    return Trajectory(grid=grid, tau=tau, fields=fields,
-                      meta={"problem": problem.name, "seed": increments.seed,
+    ops = FiniteDifferenceOperators(problem, grid, tau, scheme, solver_mode)
+    marcher = Marcher(problem, grid, increment_columns(problem, n, [increments]),
+                      ops)
+    seed = increments.seed if increments is not None else 0
+    return Trajectory(grid=grid, tau=tau, fields=_single_path(marcher, n, grid),
+                      meta={"problem": problem.name, "seed": seed,
                             "n": n, "h": grid.h, "kind": "space-time"})
 
 
@@ -392,6 +531,8 @@ class SpectralOperators:
 
     Only valid for coefficients constant in space (checked); serves both the
     reference time-scheme run and the corrector system's implicit solves.
+    The ``*_values`` methods act on the first ``d`` axes of an array with one
+    column per trailing index.
     """
 
     def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float):
@@ -399,6 +540,7 @@ class SpectralOperators:
         self.grid = grid
         self.tau = float(tau)
         self._freq = _frequency_mesh(grid)
+        self._axes = tuple(range(grid.dim))
         self._cache = {}
 
     def symbols(self, i: int):
@@ -434,36 +576,50 @@ class SpectralOperators:
             self._cache[key] = got
         return got
 
-    def solve_implicit(self, phi: GridField, i: int) -> GridField:
-        """(I - tau L)^{-1} phi, exactly per Fourier mode."""
+    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
+        """(I - tau L)^{-1} per column, exactly per Fourier mode; returns the
+        solution and the failures keyed by column."""
         symL, _ = self.symbols(i)
         denom = 1.0 - self.tau * symL
         if float(np.min(np.abs(denom))) < 1e-12:
             raise SolveFailure("spectral implicit operator is singular; "
                                "tau may not be small enough", step=i)
-        out = np.fft.ifftn(np.fft.fftn(phi.values) / denom)
-        return GridField(self.grid, np.real(out))
+        hat = np.fft.fftn(rhs, axes=self._axes) / denom[..., None]
+        x = np.real(np.fft.ifftn(hat, axes=self._axes))
+        return x, _nonfinite_columns(x, self.grid.dim, "spectral solve", i)
+
+    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        _, symM = self.symbols(i)
+        hat = np.fft.fftn(values, axes=self._axes)
+        return np.real(np.fft.ifftn(symM[rho - 1][..., None] * hat,
+                                    axes=self._axes))
+
+    def solve_implicit(self, phi: GridField, i: int) -> GridField:
+        """(I - tau L)^{-1} phi, exactly per Fourier mode."""
+        x, failed = self.solve_values(phi.values[..., None], i)
+        if failed:
+            raise failed[0]
+        return GridField(self.grid, x[..., 0])
 
     def apply_M(self, phi: GridField, rho: int, i: int) -> GridField:
-        _, symM = self.symbols(i)
-        out = np.fft.ifftn(symM[rho - 1] * np.fft.fftn(phi.values))
-        return GridField(self.grid, np.real(out))
-
-    def apply_L(self, phi: GridField, i: int) -> GridField:
-        symL, _ = self.symbols(i)
-        out = np.fft.ifftn(symL * np.fft.fftn(phi.values))
-        return GridField(self.grid, np.real(out))
+        return GridField(self.grid,
+                         self.apply_M_values(phi.values[..., None], rho, i)[..., 0])
 
 
 class FiniteDifferenceOperators:
-    """Fine-grid surrogate for the continuous operators: the centred scheme
-    at the grid's own (fine) mesh stands in for L and M^rho."""
+    """Lattice operators of a difference scheme on one grid: M^rho, and the
+    implicit solve by sparse LU or GMRES.  Without a scheme, the centred
+    scheme at the grid's own (fine) mesh stands in for the continuous L and
+    M^rho.  The ``*_values`` methods act on the first ``d`` axes of an array
+    with one column per trailing index."""
 
-    def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float):
+    def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float,
+                 scheme: DifferenceScheme | None = None, mode: str = "auto"):
         self.problem = problem
         self.grid = grid
         self.tau = float(tau)
-        self.scheme = build_scheme_example1(problem)
+        self.scheme = build_scheme_example1(problem) if scheme is None else scheme
+        self.mode = mode
         self.sampler = SchemeSampler(self.scheme, grid)
         self._op = None
         self._op_index = None
@@ -472,9 +628,17 @@ class FiniteDifferenceOperators:
         if self._op is None or (not self.scheme.time_independent
                                 and self._op_index != i):
             self._op = ImplicitOperator(self.scheme, self.grid, self.tau,
-                                        self.grid.h, i, sampler=self.sampler)
+                                        self.grid.h, i, mode=self.mode,
+                                        sampler=self.sampler)
             self._op_index = i
         return self._op
+
+    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
+        return self._operator(i).solve_columns(rhs, i)
+
+    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        return _apply_M_values(self.sampler.arrays(i), values, self.grid.h, rho,
+                               self.grid.dim)
 
     def solve_implicit(self, phi: GridField, i: int) -> GridField:
         return self._operator(i).solve(phi)
@@ -482,11 +646,28 @@ class FiniteDifferenceOperators:
     def apply_M(self, phi: GridField, rho: int, i: int) -> GridField:
         return apply_M(self.scheme, phi, self.grid.h, rho, i, self.sampler)
 
-    def apply_L(self, phi: GridField, i: int) -> GridField:
-        return apply_L(self.scheme, phi, self.grid.h, i, self.sampler)
-
 
 REFERENCE_MODES = ("spectral-const-coef", "fine-grid")
+
+
+def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
+                      xi: np.ndarray, mode: str = "spectral-const-coef",
+                      refine: int = 3) -> tuple[Marcher, int]:
+    """Marcher of the reference time scheme for ``grid`` and the restriction
+    factor that maps its state onto ``grid``.
+
+    spectral-const-coef marches on ``grid`` itself, exactly per mode;
+    fine-grid marches the centred scheme on a 2**refine times finer lattice.
+    """
+    if mode not in REFERENCE_MODES:
+        raise ValueError(f"unknown reference mode {mode!r}; "
+                         f"choose from {REFERENCE_MODES}")
+    tau = problem.T / xi.shape[0]
+    if mode == "fine-grid":
+        fine = grid.refined(2 ** refine)
+        return Marcher(problem, fine, xi,
+                       FiniteDifferenceOperators(problem, fine, tau)), 2 ** refine
+    return Marcher(problem, grid, xi, SpectralOperators(problem, grid, tau)), 1
 
 
 def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
@@ -500,45 +681,17 @@ def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
     spatially constant coefficients; free terms may vary).  fine-grid: runs
     the centred scheme on a 2**refine times finer lattice and restricts back.
     """
-    if mode not in REFERENCE_MODES:
-        raise ValueError(f"unknown reference mode {mode!r}; "
-                         f"choose from {REFERENCE_MODES}")
     if n < 1:
         raise ValueError("need at least one time step")
-    tau = problem.T / n
-    if increments is None:
-        if problem.d1 > 0:
-            raise ValueError("stochastic problem needs Wiener increments")
-        increments = _empty_increments(n, tau)
-    _check_increments(increments, n, tau, problem.d1)
-
+    marcher, factor = reference_marcher(
+        problem, grid, increment_columns(problem, n, [increments]), mode, refine)
+    meta = {"problem": problem.name,
+            "seed": increments.seed if increments is not None else 0,
+            "n": n, "h": marcher.grid.h, "kind": "reference", "mode": mode}
     if mode == "fine-grid":
-        fine = grid.refined(2 ** refine)
-        scheme = build_scheme_example1(problem)
-        traj = run_space_time_scheme(problem, scheme, fine, n, increments)
-        out = traj.restricted(2 ** refine)
-        out.meta.update(kind="reference", mode=mode, refine=refine)
-        return out
-
-    ops = SpectralOperators(problem, grid, tau)
-    x = grid.coordinates
-    v = grid.sample(problem.u0)
-    fields = [v]
-    for i in range(1, n + 1):
-        rhs = v.values + tau * (problem.f(i, x) * np.ones(grid.shape))
-        for rho in range(1, problem.d1 + 1):
-            xi = increments.step(i)[rho - 1]
-            if xi == 0.0:
-                continue
-            mv = ops.apply_M(v, rho, i - 1)
-            g = problem.g_at(rho, i - 1, x) * np.ones(grid.shape)
-            rhs = rhs + (mv.values + g) * xi
-        v = ops.solve_implicit(GridField(grid, rhs), i)
-        fields.append(v)
-    return Trajectory(grid=grid, tau=tau, fields=fields,
-                      meta={"problem": problem.name, "seed": increments.seed,
-                            "n": n, "h": grid.h, "kind": "reference",
-                            "mode": mode})
+        meta.update(refine=refine)
+    return Trajectory(grid=grid, tau=problem.T / n,
+                      fields=_single_path(marcher, n, grid, factor), meta=meta)
 
 
 # ---------------------------------------------------------------------------

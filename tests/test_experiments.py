@@ -4,6 +4,7 @@ import pytest
 from spdefd.cli import main
 from spdefd.experiments import (
     ConfigError,
+    ExperimentResult,
     ExperimentSpec,
     build_problem,
     emit_outputs,
@@ -13,6 +14,8 @@ from spdefd.experiments import (
     save_config,
     selfcheck,
 )
+from spdefd.richardson import estimate_order
+from spdefd.wiener import sample_increments
 
 MINIMAL = """\
 [problem]
@@ -58,6 +61,19 @@ def write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def power_law_result(spec, order):
+    """A converge result whose rungs carry the exact errors 0.5 h^order."""
+    points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
+    hs = [spec.period / p for p in points]
+    errors = [0.5 * h ** order for h in hs]
+    report = estimate_order(hs, errors, spec.expected_order,
+                            spec.order_tolerance, l2h_errors=errors)
+    per_rung = {j: [(s, errors[j], errors[j]) for s in spec.seeds]
+                for j in range(spec.rungs)}
+    return ExperimentResult(kind="converge", spec=spec, report=report,
+                            rung_points=points, per_rung_errors=per_rung)
 
 
 class TestLoadConfig:
@@ -108,6 +124,20 @@ class TestLoadConfig:
         save_config(spec, out)
         assert load_config(out) == spec
 
+    @pytest.mark.parametrize("name", ["custom", "heat1d"])
+    def test_horizon_key(self, tmp_path, name):
+        spec = load_config(write(tmp_path, f"[problem]\nname = {name}\n"
+                                 "T = 0.25\n"))
+        assert spec.params_dict() == {"T": 0.25}
+        assert build_problem(spec).T == 0.25
+
+    def test_round_trip_horizon(self, tmp_path):
+        spec = ExperimentSpec(problem="custom",
+                              problem_params=(("T", 0.25), ("a11", 0.2)))
+        out = tmp_path / "echo.ini"
+        save_config(spec, out)
+        assert load_config(out) == spec
+
     def test_round_trip_minimal(self, tmp_path):
         spec = load_config(write(tmp_path, MINIMAL))
         out = tmp_path / "echo.ini"
@@ -146,7 +176,7 @@ class TestBuildProblem:
 class TestSyntheticSelfTest:
     def test_injected_power_law_recovered(self):
         spec = ExperimentSpec(problem="heat1d", rungs=4)
-        result = run_convergence_experiment(spec, synthetic_order=3.0)
+        result = power_law_result(spec, 3.0)
         assert result.report.ls_order == pytest.approx(3.0, abs=1e-10)
 
     def test_rungs_validation(self):
@@ -185,6 +215,20 @@ class TestConvergenceExperiment:
         # pathwise spatial error: order ~2 even at modest n
         assert 1.5 <= result.report.ls_order <= 2.5
 
+    def test_increments_sampled_once_per_seed(self, monkeypatch):
+        from spdefd import experiments
+        calls = []
+
+        def counting(n, d1, tau, seed):
+            calls.append(seed)
+            return sample_increments(n, d1, tau, seed)
+
+        monkeypatch.setattr(experiments, "sample_increments", counting)
+        spec = ExperimentSpec(problem="degenerate1d", n=16, rungs=3, level=1,
+                              seeds=(4, 5, 6))
+        run_convergence_experiment(spec, accelerate=True)
+        assert calls == [4, 5, 6]
+
     def test_threads_do_not_change_errors(self):
         base = ExperimentSpec(problem="degenerate1d", n=16, rungs=2,
                               seeds=(1, 2))
@@ -198,7 +242,7 @@ class TestConvergenceExperiment:
 class TestEmitOutputs:
     def _result(self, **kw):
         spec = ExperimentSpec(problem="heat1d", rungs=3, expected_order=2.0, **kw)
-        return run_convergence_experiment(spec, synthetic_order=2.0), spec
+        return power_law_result(spec, 2.0), spec
 
     def test_report_schema(self, tmp_path):
         result, _ = self._result()
@@ -325,6 +369,27 @@ class TestCli:
                     f"order_tolerance = 0.6\nout = {tmp_path / 'out'}\n")
         assert main(["correctors", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "corrector_order2.csv").exists()
+
+    @pytest.mark.parametrize("extra, row", [
+        ("", "FAILED,seed 1, mesh 0: step 1: factorization failed (Factor is "
+             "exactly singular); tau may not be small enough"),
+        ("a11 = 0.05\n", "FAILED,reference, seed 1: step 1: spectral implicit "
+                         "operator is singular; tau may not be small enough"),
+    ])
+    def test_solver_failure_rows(self, tmp_path, capsys, extra, row):
+        body = ("[problem]\nname = custom\na00 = 16\nb11 = 0.1\n" + extra
+                + "[time]\nn = 8\n[space]\npoints0 = 16\nrungs = 3\n"
+                "[run]\nseeds = 1, 2\n")
+        for threads in ("1", "4"):
+            out = tmp_path / f"o{threads}"
+            cfg = write(tmp_path, body + f"out = {out}\n", f"c{threads}.ini")
+            assert main(["converge", "--config", str(cfg),
+                         "--threads", threads]) == 2
+            assert (out / "report.csv").read_text().splitlines()[-1] == row
+            for points in (16, 32, 64):
+                assert (out / f"rung_{points}.csv").read_text() == \
+                    "seed,sup_error,l2h_error\nFAILED,,\n"
+        assert "solver failure" in capsys.readouterr().err
 
     def test_threads_byte_identical_csv(self, tmp_path):
         body = ("[problem]\nname = degenerate1d\nbeta = 0.3\n"

@@ -12,6 +12,7 @@ from spdefd.problems import (
 from spdefd.stepper import (
     FiniteDifferenceOperators,
     ImplicitOperator,
+    Marcher,
     SolveFailure,
     SpectralModeError,
     SpectralOperators,
@@ -22,7 +23,9 @@ from spdefd.stepper import (
     export_trajectory_binary,
     export_trajectory_csv,
     implicit_step,
+    increment_columns,
     load_trajectory_binary,
+    reference_marcher,
     run_reference_time_scheme,
     run_space_time_scheme,
 )
@@ -445,6 +448,159 @@ class TestReferenceTimeScheme:
         g = make_torus_grid(1, [1.0], [16])
         with pytest.raises(ValueError):
             run_reference_time_scheme(p, g, 4, mode="nope")
+
+
+def march_columns(marcher, n, factor=1):
+    """States 0..n of a batched marcher, restricted by ``factor`` per axis."""
+    dim = marcher.grid.dim
+    cut = tuple(slice(None, None, factor) for _ in range(dim))
+    states = [marcher.v[cut].copy()]
+    for _ in range(n):
+        marcher.advance()
+        assert not marcher.failures
+        states.append(marcher.v[cut].copy())
+    return states
+
+
+def assert_columns_match(states, trajectories):
+    """Column k of every batched state has the bytes of path k run alone."""
+    for k, traj in enumerate(trajectories):
+        assert traj.n == len(states) - 1
+        for i, fld in enumerate(traj.fields):
+            column = np.ascontiguousarray(states[i][..., k])
+            assert column.tobytes() == np.ascontiguousarray(fld.values).tobytes(), \
+                f"path {k} differs at step {i}"
+
+
+def time_dependent_problem():
+    return DifferentialProblem(
+        d=1, d1=1, T=0.5,
+        a={(1, 1): lambda i, x: 0.08 + 0.04 * np.cos(0.3 * i) + 0.0 * x[..., 0]},
+        b={(1, 1): lambda i, x: 0.2 + 0.1 * np.sin(0.2 * i) + 0.0 * x[..., 0]},
+        f=lambda i, x: 0.1 * np.sin(2 * np.pi * x[..., 0]) * np.cos(0.5 * i),
+        g={1: lambda i, x: 0.05 * np.cos(2 * np.pi * x[..., 0])},
+        u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+        time_independent=False, constant_coefficients=True)
+
+
+class TestBatchedMarcher:
+    """Stepping S paths as the columns of one array gives every path the
+    same bits as running it alone."""
+
+    def _lattice(self, problem, scheme, grid, n, paths, mode="auto"):
+        xi = increment_columns(problem, n, paths)
+        ops = FiniteDifferenceOperators(problem, grid, problem.T / n, scheme, mode)
+        states = march_columns(Marcher(problem, grid, xi, ops), n)
+        alone = [run_space_time_scheme(problem, scheme, grid, n, inc,
+                                       solver_mode=mode) for inc in paths]
+        assert_columns_match(states, alone)
+
+    def test_direct_1d_stoch_transport(self):
+        p = make_problem("stoch-transport", beta=0.3, gamma=0.2,
+                         extra_diffusion=0.05)
+        g = make_torus_grid(1, [1.0], [32])
+        n = 16
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (3, 4, 5, 6)]
+        self._lattice(p, build_scheme_example1(p), g, n, paths)
+
+    def test_gmres_2d(self):
+        p = DifferentialProblem(
+            d=2, d1=1, T=0.25,
+            a={(1, 1): 0.05, (2, 2): 0.05, (1, 2): 0.01, (2, 1): 0.01},
+            b={(1, 1): 0.2, (2, 1): 0.1},
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]),
+            constant_coefficients=True)
+        g = make_torus_grid(2, [1.0, 1.0], [12, 12])
+        n = 3
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
+        self._lattice(p, build_scheme_example1(p), g, n, paths, mode="iterative")
+
+    def test_time_dependent_scheme(self):
+        p = time_dependent_problem()
+        g = make_torus_grid(1, [1.0], [16])
+        n = 8
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (7, 8, 9)]
+        self._lattice(p, build_scheme_example2(p), g, n, paths)
+
+    def test_two_drivers_with_zero_increment_column(self):
+        p = DifferentialProblem(
+            d=1, d1=2, T=0.5, a={(1, 1): 0.1},
+            b={(1, 1): 0.2, (0, 2): 0.3}, g={2: 0.1},
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            constant_coefficients=True)
+        g = make_torus_grid(1, [1.0], [16])
+        n = 6
+        paths = []
+        for seed in (1, 2, 3):
+            xi = sample_increments(n, 2, p.T / n, seed).xi.copy()
+            xi[:, 1] = 0.0            # driver 2 never moves
+            if seed == 2:
+                xi[::2, 0] = 0.0      # and this path skips driver 1 at times
+            paths.append(BrownianIncrements(n=n, d1=2, tau=p.T / n, seed=seed,
+                                            xi=xi))
+        self._lattice(p, build_scheme_example1(p), g, n, paths)
+
+    @pytest.mark.parametrize("mode", ["spectral-const-coef", "fine-grid"])
+    def test_reference(self, mode):
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        g = make_torus_grid(1, [1.0], [16])
+        n = 8
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
+        marcher, factor = reference_marcher(p, g, increment_columns(p, n, paths),
+                                            mode, refine=2)
+        states = march_columns(marcher, n, factor)
+        alone = [run_reference_time_scheme(p, g, n, inc, mode=mode, refine=2)
+                 for inc in paths]
+        assert_columns_match(states, alone)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_column_fails_alone(self):
+        p = make_problem("degenerate1d")
+        g = make_torus_grid(1, [1.0], [16])
+        n = 5
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
+        xi = increment_columns(p, n, paths)
+        xi[2, 0, 1] = np.inf           # path 1 breaks at step 3
+        marcher = Marcher(p, g, xi, FiniteDifferenceOperators(
+            p, g, p.T / n, build_scheme_example1(p)))
+        for _ in range(n):
+            marcher.advance()
+        assert list(marcher.failures) == [1]
+        assert str(marcher.failures[1]).startswith(
+            "scheme run aborted: step 3: factorized solve produced non-finite")
+        assert list(marcher.columns) == [0, 2]
+        final = run_space_time_scheme(p, build_scheme_example1(p), g, n,
+                                      paths[2]).fields[-1].values
+        assert marcher.v[..., 1].tobytes() == final.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteStep:
+    """A step whose result holds a NaN or inf raises SolveFailure naming the
+    step, in every solver."""
+
+    @staticmethod
+    def problem():
+        return DifferentialProblem(
+            d=1, d1=0, T=0.5, a={(1, 1): 0.1},
+            f=lambda i, x: np.full(x.shape[:-1], np.inf if i == 3 else 0.0),
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            constant_coefficients=True)
+
+    @pytest.mark.parametrize("mode", ["direct", "iterative"])
+    def test_lattice(self, mode):
+        p = self.problem()
+        g = make_torus_grid(1, [1.0], [16])
+        with pytest.raises(SolveFailure, match="step 3: "):
+            run_space_time_scheme(p, build_scheme_example1(p), g, 5,
+                                  solver_mode=mode)
+
+    def test_spectral_reference(self):
+        p = self.problem()
+        g = make_torus_grid(1, [1.0], [16])
+        with pytest.raises(SolveFailure, match="step 3: spectral solve "
+                                               "produced non-finite values"):
+            run_reference_time_scheme(p, g, 5)
 
 
 class TestTrajectoryExport:
