@@ -43,7 +43,6 @@ from .stepper import (
     Trajectory,
     apply_L,
     apply_M,
-    assemble_implicit_operator,
     implicit_step,
     run_reference_time_scheme,
     run_space_time_scheme,

@@ -357,7 +357,8 @@ def run_convergence_experiment(spec: ExperimentSpec,
     Every seed's Wiener increments are sampled once and drive every rung and
     the reference (same time grid), which is computed on the finest mesh and
     restricted to each rung's grid.  All seeds of all rungs and the reference
-    march in lock-step; at each time index the extrapolated candidates and
+    march in lock-step (a deterministic problem marches one path for all
+    seeds); at each time index the extrapolated candidates and
     their errors are formed and folded into running per-seed maxima, so no
     trajectory is stored.
 
@@ -378,25 +379,29 @@ def run_convergence_experiment(spec: ExperimentSpec,
     tau = problem.T / spec.n
     dim = problem.d
 
+    # a deterministic problem has one path whatever the seeds: march it once
+    # and give every seed its row; column[k] is seed k's path
+    nseeds = len(spec.seeds)
+    paths = spec.seeds if problem.d1 > 0 else spec.seeds[:1]
+    column = [k if problem.d1 > 0 else 0 for k in range(nseeds)]
     xi = increment_columns(problem, spec.n, [
         sample_increments(spec.n, problem.d1, tau, seed) if problem.d1 > 0
-        else None for seed in spec.seeds])
+        else None for seed in paths])
     rungs = [Marcher(problem, g, xi,
                      FiniteDifferenceOperators(problem, g, tau, scheme))
              for g in grids]
     reference, ref_factor = reference_marcher(problem, grids[-1], xi,
                                               ref_mode, spec.refine)
 
-    nseeds = len(spec.seeds)
-    sup = np.zeros((spec.rungs, nseeds))
-    l2h = np.zeros((spec.rungs, nseeds))
+    sup = np.zeros((spec.rungs, len(paths)))
+    l2h = np.zeros((spec.rungs, len(paths)))
 
     def measure():
-        # the seeds whose reference is still live
+        # the paths whose reference is still live
         live = reference.columns
         if not live.size:
             return
-        cols = slice(None) if live.size == nseeds else live
+        cols = slice(None) if live.size == len(paths) else live
         ref = _restricted(reference.v, ref_factor, dim)
         for j in range(spec.rungs):
             if accelerate:
@@ -406,7 +411,7 @@ def run_convergence_experiment(spec: ExperimentSpec,
                 candidate = rungs[j].v
             err = candidate[..., cols] - _restricted(
                 ref, grids[-1].shape[0] // grids[j].shape[0], dim)
-            # one contiguous row per seed, as _norms needs
+            # one contiguous row per path, as _norms needs
             s, l = _norms(np.ascontiguousarray(err.reshape(-1, live.size).T),
                           grids[j].h ** dim)
             sup[j, cols] = np.maximum(sup[j, cols], s)
@@ -430,7 +435,7 @@ def run_convergence_experiment(spec: ExperimentSpec,
                                 rung_points=rung_points, per_rung_errors=per_rung,
                                 failed=True, failure=message)
 
-    for k, seed in enumerate(spec.seeds):
+    for k, seed in zip(column, spec.seeds):
         for j, marcher in enumerate(rungs):
             if k in marcher.failures:
                 return failed(f"seed {seed}, mesh {j}: {marcher.failures[k]}")
@@ -438,7 +443,7 @@ def run_convergence_experiment(spec: ExperimentSpec,
     hs = [g.h for g in grids[:spec.rungs]]
     sup_sq = np.zeros(spec.rungs)
     l2h_sq = np.zeros(spec.rungs)
-    for k, seed in enumerate(spec.seeds):
+    for k, seed in zip(column, spec.seeds):
         if k in reference.failures:
             return failed(f"reference, seed {seed}: {reference.failures[k]}")
         for j in range(spec.rungs):
@@ -604,7 +609,7 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     from .grids import forward_difference
     from .problems import DifferenceScheme
     from .grids import basis_stencil
-    from .stepper import assemble_implicit_operator
+    from .stepper import ImplicitOperator
 
     results = []
 
@@ -635,7 +640,7 @@ def selfcheck() -> list[tuple[str, bool, str]]:
         a={((1,), (1,)): lambda i, x: 1.0 + 0.4 * np.sin(2 * np.pi * x[..., 0])},
         p={(1,): 0.3})
     tau = 0.05
-    op = assemble_implicit_operator(scheme, g1, tau, g1.h, 0)
+    op = ImplicitOperator(scheme, g1, tau, g1.h, 0)
     # dense oracle: shift matrices composed with plain matrix algebra
     N = 8
     x = g1.coordinates

@@ -7,19 +7,24 @@ free terms on the right-hand side are taken explicitly at the previous index:
 
 There is one implementation of that step, :class:`Marcher`, and it steps
 ``S`` Wiener paths at once: its state is one ``grid.shape + (S,)`` array
-with a column per path.  The operator kernels (``_apply_L_values``,
-``_apply_M_values``, the lattice and spectral solves) act on the spatial
-axes and carry the trailing column axis along, so every column gets the
-same bits as a run of that path alone.  ``apply_L``, ``apply_M``,
-``implicit_step``, ``run_space_time_scheme`` and
-``run_reference_time_scheme`` are one-column wrappers over the same kernels;
-apart from the initial data, only they build :class:`GridField` objects.
+with a column per path.  The operator kernels (``_apply_M_values``, the
+lattice and spectral solves) act on the spatial axes and carry the trailing
+column axis along, so every column gets the same bits as a run of that path
+alone.  ``apply_L``, ``apply_M``, ``implicit_step``, ``run_space_time_scheme``
+and ``run_reference_time_scheme`` are one-column wrappers over the same
+kernels; apart from the initial data, only they build :class:`GridField`
+objects.
 
-The lattice solve is a sparse LU factorization below a size threshold, one
-factorized solve for all columns, and a diagonally preconditioned GMRES
-above it, column by column.  Failures surface as :class:`SolveFailure` (the
-scheme is only solvable for small enough tau), including a step whose result
-holds a NaN or inf, and are never papered over by regularization.
+L^h has one form: its expansion into weighted shifts
+(``_expansion_terms``), assembled once per operator into the sparse matrix
+of ``I - tau L^h``.  That matrix gives the forward action, the sparse LU
+factorization below a size threshold (one factorized solve for all
+columns), and the matrix-vector product of GMRES above it (column by
+column).  GMRES is preconditioned by the FFT inverse of the circulant with
+the mean weights, which is exact when the coefficients are constant.
+Failures surface as :class:`SolveFailure` (the scheme is only solvable for
+small enough tau), including a step whose result holds a NaN or inf, and
+are never papered over by regularization.
 
 The reference solution of the time-discretized PDE is realized exactly per
 Fourier mode when the coefficients are constant in space (an FFT over the
@@ -27,6 +32,7 @@ spatial axes of every column), or by the centred scheme on a finer lattice,
 restricted at every step, otherwise.
 """
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -38,7 +44,6 @@ from .grids import (
     GridError,
     GridField,
     TorusGrid,
-    _forward_values,
     _restricted,
     _symmetric_values,
     subsample,
@@ -120,24 +125,6 @@ class SchemeSampler:
         return got
 
 
-def _apply_L_values(arrays: dict, values: np.ndarray, h: float,
-                    dim: int) -> np.ndarray:
-    """L^h over the first ``dim`` axes of ``values``, one column per trailing
-    index."""
-    out = np.zeros(values.shape)
-    inner = {}
-    for (lam, mu), coef in arrays["a"].items():
-        dmu = inner.get(mu)
-        if dmu is None:
-            dmu = inner[mu] = _symmetric_values(values, mu, h, dim)
-        out += coef[..., None] * _symmetric_values(dmu, lam, h, dim)
-    for lam, coef in arrays["p"].items():
-        out += coef[..., None] * _forward_values(values, lam, h, 1, dim)
-    for lam, coef in arrays["q"].items():
-        out -= coef[..., None] * _forward_values(values, lam, h, -1, dim)
-    return out
-
-
 def _apply_M_values(arrays: dict, values: np.ndarray, h: float, rho: int,
                     dim: int) -> np.ndarray:
     """M^{h,rho} over the first ``dim`` axes of ``values``, per column."""
@@ -162,9 +149,9 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, h: float, i: int,
         raise GridError("apply_L needs h != 0")
     if sampler is None:
         sampler = SchemeSampler(scheme, phi.grid)
-    out = _apply_L_values(sampler.arrays(i), phi.values[..., None], h,
-                          phi.grid.dim)
-    return GridField(phi.grid, out[..., 0])
+    L = _assemble(_expansion_terms(sampler.arrays(i), h, phi.grid.dim),
+                  phi.grid.shape)
+    return GridField(phi.grid, (L @ phi.values.ravel()).reshape(phi.grid.shape))
 
 
 def apply_M(scheme: DifferenceScheme, phi: GridField, h: float, rho: int,
@@ -184,8 +171,9 @@ def apply_M(scheme: DifferenceScheme, phi: GridField, h: float, rho: int,
 def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
     """Expand L into pointwise-weighted shifts: L phi(x) = sum w(x) phi(x+h*v).
 
-    Returns (weight_array, displacement) pairs; used for sparse assembly and
-    for the exact operator diagonal.
+    Returns (weight_array, displacement) pairs, the one description of L^h:
+    :func:`_assemble` turns them into its sparse matrix and
+    :func:`_circulant_symbol` into the symbol of its mean-weight circulant.
     """
     origin = tuple([0] * dim)
     terms = []
@@ -222,13 +210,75 @@ def _nonfinite_columns(x: np.ndarray, dim: int, what: str, step: int) -> dict:
             for k in bad}
 
 
+def _assemble(terms: list, shape: tuple, tau: float | None = None):
+    """CSR matrix of ``I - tau L^h``, or of ``L^h`` itself when ``tau`` is
+    None, on a lattice of ``shape`` from the expansion terms of L^h.
+
+    Terms whose displacements meet on the lattice share one entry per row,
+    their weights summed in term order (the identity last), so the matrix
+    has no duplicate entries and its bits do not depend on a sort.
+    """
+    dim = len(shape)
+    scale = 1.0 if tau is None else -tau
+    weights = {}
+    for w, v in terms:
+        key = tuple(c % N for c, N in zip(v, shape))
+        part = np.broadcast_to(w, shape) * scale
+        weights[key] = weights[key] + part if key in weights else part
+    if tau is not None:
+        origin = (0,) * dim
+        weights[origin] = weights[origin] + 1.0 if origin in weights \
+            else np.ones(shape)
+    n, width = int(np.prod(shape)), len(weights)
+    idx = np.arange(n).reshape(shape)
+    axes = tuple(range(dim))
+    cols = np.stack([np.roll(idx, tuple(-c for c in v), axis=axes).ravel()
+                     for v in weights], axis=1)
+    data = np.stack([w.ravel() for w in weights.values()], axis=1)
+    return sp.csr_matrix((data.ravel(), cols.ravel(),
+                          np.arange(0, n * width + 1, width)),
+                         shape=(n, n))
+
+
+def _circulant_symbol(terms: list, shape: tuple, tau: float) -> np.ndarray:
+    """Eigenvalues of ``I - tau C`` on the ``rfftn`` half-spectrum of a
+    lattice of ``shape``, where C is L^h with every weight replaced by its
+    mean: C is a circulant, diagonal in the discrete Fourier basis.
+
+    Where L^h has constant coefficients, C = L^h and the symbol inverts
+    ``I - tau L^h`` exactly.
+    """
+    kernel = np.zeros(shape)
+    for w, v in terms:
+        kernel[tuple(c % N for c, N in zip(v, shape))] += np.mean(w)
+    # (C phi)[j] = sum_v kernel[v] phi[j + v]: the conjugate DFT of the kernel
+    symbol = 1.0 - tau * np.conj(np.fft.rfftn(kernel))
+    # a vanishing mode is left unpreconditioned rather than divided by ~0
+    symbol[np.abs(symbol) < 1e-12] = 1.0
+    return symbol
+
+
+def _circulant_solve(symbol: np.ndarray, shape: tuple, x: np.ndarray) -> np.ndarray:
+    """``x`` divided by ``symbol`` in the discrete Fourier basis of ``shape``."""
+    axes = tuple(range(len(shape)))
+    hat = np.fft.rfftn(x.reshape(shape), axes=axes)
+    return np.fft.irfftn(hat / symbol, s=shape, axes=axes).ravel()
+
+
 class ImplicitOperator:
     """Action and solve for (I - tau L^h_i) on one grid.
 
-    Direct mode assembles the sparse matrix and factorizes it, and one
-    factorized solve serves every column; iterative mode applies the operator
-    matrix-free inside a diagonally preconditioned GMRES, one column at a
-    time.
+    The operator is assembled once as a sparse matrix from the expansion
+    terms of L^h; that matrix gives the forward action.  Direct mode
+    factorizes it, and one factorized solve serves every column.  Iterative
+    mode runs GMRES on it, one column at a time, preconditioned by the FFT
+    inverse of the circulant with the mean weights (T. Chan's circulant
+    preconditioner) and started from zero; with constant coefficients the
+    preconditioner is the exact inverse and one iteration reaches the
+    solution.
+    A GMRES solution must pass ``|b - A x| <= ITERATIVE_RTOL |b|`` and a
+    factorized one must be finite, else the solve fails with
+    :class:`SolveFailure`.
     """
 
     def __init__(self, scheme, grid, tau, h, i, mode="auto",
@@ -248,50 +298,28 @@ class ImplicitOperator:
         self.i = i
         self.mode = mode
         self.sampler = sampler or SchemeSampler(scheme, grid)
-        self._terms = _expansion_terms(self.sampler.arrays(i), h, grid.dim)
+        terms = _expansion_terms(self.sampler.arrays(i), h, grid.dim)
+        self.matrix = _assemble(terms, grid.shape, self.tau)
         if mode == "direct":
-            self._lu = self._factorize()
+            try:
+                self._lu = spla.splu(self.matrix.tocsc())
+            except RuntimeError as exc:
+                raise SolveFailure(f"factorization failed ({exc}); "
+                                   "tau may not be small enough", step=i) from exc
         else:
-            self._diag = self._operator_diagonal()
-
-    def _factorize(self):
-        n = self.grid.npoints
-        idx = np.arange(n).reshape(self.grid.shape)
-        rows = np.arange(n)
-        row_list, col_list, data = [], [], []
-        for w, v in self._terms:
-            cols = np.roll(idx, tuple(-c for c in v),
-                           axis=tuple(range(self.grid.dim))).ravel()
-            row_list.append(rows)
-            col_list.append(cols)
-            data.append(np.broadcast_to(w, self.grid.shape).ravel() * -self.tau)
-        row_list.append(rows)
-        col_list.append(rows)
-        data.append(np.ones(n))
-        A = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(row_list), np.concatenate(col_list))),
-                          shape=(n, n)).tocsc()
-        try:
-            return spla.splu(A)
-        except RuntimeError as exc:
-            raise SolveFailure(f"factorization failed ({exc}); "
-                               "tau may not be small enough", step=self.i) from exc
-
-    def _operator_diagonal(self):
-        diag = np.ones(self.grid.shape)
-        for w, v in self._terms:
-            if all(c % n == 0 for c, n in zip(v, self.grid.shape)):
-                diag = diag - self.tau * np.broadcast_to(w, self.grid.shape)
-        return diag
-
-    def _apply_values(self, values: np.ndarray) -> np.ndarray:
-        lphi = _apply_L_values(self.sampler.arrays(self.i), values, self.h,
-                               self.grid.dim)
-        return values - self.tau * lphi
+            n = grid.npoints
+            symbol = _circulant_symbol(terms, grid.shape, self.tau)
+            self._A = spla.aslinearoperator(self.matrix)
+            # no reference back to self: a cycle would keep every step's
+            # matrix alive until the cyclic garbage collector runs
+            self._M = spla.LinearOperator(
+                (n, n), matvec=functools.partial(_circulant_solve, symbol, grid.shape),
+                dtype=float)
 
     def apply(self, phi: GridField) -> GridField:
         """Forward action (I - tau L) phi."""
-        return GridField(self.grid, self._apply_values(phi.values[..., None])[..., 0])
+        return GridField(self.grid, (self.matrix @ phi.values.ravel())
+                         .reshape(self.grid.shape))
 
     def solve(self, rhs: GridField) -> GridField:
         if rhs.grid != self.grid:
@@ -327,31 +355,25 @@ class ImplicitOperator:
         return x, failed
 
     def _solve_iterative(self, b: np.ndarray, step: int) -> np.ndarray:
+        if not np.isfinite(b).all():
+            # GMRES would run all its iterations on NaN before giving up
+            raise SolveFailure("right-hand side holds non-finite values; "
+                               "tau may not be small enough", step=step)
         n = self.grid.npoints
-        column = self.grid.shape + (1,)
-
-        def matvec(x):
-            return self._apply_values(x.reshape(column)).ravel()
-
-        A = spla.LinearOperator((n, n), matvec=matvec)
-        M = spla.LinearOperator((n, n), matvec=lambda x: x / self._diag.ravel())
         restart = min(50, n)
         maxiter = max(1, (10 * n) // restart)
-        x, info = spla.gmres(A, b, x0=b.copy(), M=M, rtol=ITERATIVE_RTOL,
+        # started from zero: the first Krylov vector is already M^-1 b, so a
+        # start of M^-1 b would save one iteration at most
+        x, info = spla.gmres(self._A, b, M=self._M, rtol=ITERATIVE_RTOL,
                              atol=0.0, restart=restart, maxiter=maxiter)
         bnorm = np.linalg.norm(b)
-        resid = np.linalg.norm(matvec(x) - b)
+        resid = np.linalg.norm(self.matrix @ x - b)
         if info != 0 or not np.all(np.isfinite(x)) or \
                 resid > ITERATIVE_RTOL * max(bnorm, 1e-300):
             raise SolveFailure(
                 f"iteration stalled (relative residual {resid / max(bnorm, 1e-300):.2e}); "
                 "tau may not be small enough", step=step)
         return x
-
-
-def assemble_implicit_operator(scheme, grid, tau, h, i,
-                               mode="auto") -> ImplicitOperator:
-    return ImplicitOperator(scheme, grid, tau, h, i, mode=mode)
 
 
 def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,

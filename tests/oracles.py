@@ -38,6 +38,35 @@ def dense_L_1d(scheme, grid, h, i):
     return L
 
 
+def dense_L_2d(scheme, grid, h, i):
+    """Dense matrix of L^h on a 2-d lattice: 2-d shifts are Kronecker
+    products of 1-d shift matrices (row-major raveling), the weights are
+    diagonal matrices."""
+    N1, N2 = grid.shape
+    x = grid.coordinates
+    I = np.eye(N1 * N2)
+
+    def shift(v):
+        return np.kron(shift_matrix_1d(N1, v[0]), shift_matrix_1d(N2, v[1]))
+
+    def sym(v):
+        if not any(v):
+            return I
+        return (shift(v) - shift(tuple(-c for c in v))) / (2 * h)
+
+    def weight(ev):
+        return np.diag((ev(i, x) * np.ones(grid.shape)).ravel())
+
+    L = np.zeros((N1 * N2, N1 * N2))
+    for (lam, mu), ev in scheme.a.items():
+        L += weight(ev) @ sym(lam) @ sym(mu)
+    for lam, ev in scheme.p.items():
+        L += weight(ev) @ (shift(lam) - I) / h
+    for lam, ev in scheme.q.items():
+        L -= weight(ev) @ (shift(tuple(-c for c in lam)) - I) / (-h)
+    return L
+
+
 def dense_M_1d(scheme, grid, h, rho, i):
     N = grid.npoints
     x = grid.coordinates

@@ -56,6 +56,51 @@ format = csv
 threads = 2
 """
 
+# outputs of a 3-seed heat1d accelerate study (n = 32, points0 = 8, rungs = 3,
+# level = 1), as written when every seed marched its own column
+HEAT_ACCELERATE_OUTPUTS = {
+    "report.csv": b"""\
+h,sup_error,l2h_error,pairwise_order,ls_order,expected_order,pass
+0.125,0.0015589540865835749,0.0011023470061816531,,3.9747488307837768,,1
+0.0625,0.00010039368729675145,7.0989057075752403e-05,3.9568379779056659,3.9747488307837768,,1
+0.03125,6.3066114970034004e-06,4.4594477553964255e-06,3.9926596836618833,3.9747488307837768,,1
+""",
+    "rung_8.csv": b"""\
+seed,sup_error,l2h_error
+1,0.0015589540865835749,0.0011023470061816531
+2,0.0015589540865835749,0.0011023470061816531
+3,0.0015589540865835749,0.0011023470061816531
+""",
+    "rung_16.csv": b"""\
+seed,sup_error,l2h_error
+1,0.00010039368729675147,7.0989057075752403e-05
+2,0.00010039368729675147,7.0989057075752403e-05
+3,0.00010039368729675147,7.0989057075752403e-05
+""",
+    "rung_32.csv": b"""\
+seed,sup_error,l2h_error
+1,6.3066114970034004e-06,4.4594477553964255e-06
+2,6.3066114970034004e-06,4.4594477553964255e-06
+3,6.3066114970034004e-06,4.4594477553964255e-06
+""",
+    "plot.gp": b"""\
+# accelerate study: sup/l2h error against mesh width
+set logscale xy
+set xlabel 'h'
+set ylabel 'error'
+set key left top
+set grid
+$data << EOD
+0.125 0.0015589540865835749 0.0011023470061816531
+0.0625 0.00010039368729675145 7.0989057075752403e-05
+0.03125 6.3066114970034004e-06 4.4594477553964255e-06
+EOD
+plot $data using 1:2 with linespoints title 'sup error', \\
+     $data using 1:3 with linespoints title 'l2h error', \\
+     6.3854759386463229*x**4 with lines dashtype 2 title 'order 4 guide'
+""",
+}
+
 
 def write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
@@ -228,6 +273,24 @@ class TestConvergenceExperiment:
                               seeds=(4, 5, 6))
         run_convergence_experiment(spec, accelerate=True)
         assert calls == [4, 5, 6]
+
+    def test_deterministic_study_marches_one_path(self, tmp_path, monkeypatch):
+        from spdefd import experiments, stepper
+        widths = []
+
+        class Recording(stepper.Marcher):
+            def __init__(self, problem, grid, xi, operators):
+                widths.append(xi.shape[-1])
+                super().__init__(problem, grid, xi, operators)
+
+        monkeypatch.setattr(experiments, "Marcher", Recording)
+        monkeypatch.setattr(stepper, "Marcher", Recording)
+        spec = ExperimentSpec(problem="heat1d", n=32, points0=8, rungs=3,
+                              level=1, seeds=(1, 2, 3))
+        paths = emit_outputs(run_convergence_experiment(spec, accelerate=True),
+                             tmp_path)
+        assert widths == [1] * 5           # four rungs and the reference
+        assert {p.name: p.read_bytes() for p in paths} == HEAT_ACCELERATE_OUTPUTS
 
     def test_threads_do_not_change_errors(self):
         base = ExperimentSpec(problem="degenerate1d", n=16, rungs=2,

@@ -19,7 +19,6 @@ from spdefd.stepper import (
     Trajectory,
     apply_L,
     apply_M,
-    assemble_implicit_operator,
     export_trajectory_binary,
     export_trajectory_csv,
     implicit_step,
@@ -52,7 +51,23 @@ def manual_increments(xi, tau):
     return BrownianIncrements(n=xi.shape[0], d1=xi.shape[1], tau=tau, seed=0, xi=xi)
 
 
-from oracles import dense_L_1d, dense_M_1d  # noqa: E402  (shared test oracles)
+from oracles import dense_L_1d, dense_L_2d, dense_M_1d  # noqa: E402  (shared test oracles)
+
+
+def varcoef_scheme_2d():
+    """2-d scheme whose weights all vary in space: a cross term, a
+    zero-order term and one-sided first-order terms."""
+    x1 = lambda x: 2 * np.pi * x[..., 0]
+    x2 = lambda x: 2 * np.pi * x[..., 1] / 1.5
+    return DifferenceScheme(
+        stencil=basis_stencil(2), d1=0,
+        a={((1, 0), (1, 0)): lambda i, x: 0.5 + 0.2 * np.sin(x1(x)),
+           ((0, 1), (0, 1)): lambda i, x: 0.3 + 0.1 * np.cos(x2(x)),
+           ((1, 0), (0, 1)): lambda i, x: 0.05 * np.cos(x1(x) + x2(x)),
+           ((0, 0), (0, 0)): lambda i, x: -0.2 * np.sin(x2(x)) ** 2},
+        p={(1, 0): lambda i, x: 0.4 + 0.3 * np.cos(x1(x)),
+           (0, 1): 0.1},
+        q={(0, 1): lambda i, x: 0.2 + 0.1 * np.sin(x1(x) - x2(x))})
 
 
 class TestApplyL:
@@ -97,6 +112,14 @@ class TestApplyL:
         oracle = dense_L_1d(s, g, g.h, 0) @ phi.values
         np.testing.assert_allclose(ours.values, oracle, atol=1e-12)
 
+    def test_matches_dense_oracle_2d_variable_coefficients(self):
+        g = make_torus_grid(2, [1.0, 1.5], [8, 12])
+        s = varcoef_scheme_2d()
+        phi = g.field(np.random.default_rng(10).standard_normal(g.shape))
+        ours = apply_L(s, phi, g.h, 0)
+        oracle = dense_L_2d(s, g, g.h, 0) @ phi.values.ravel()
+        np.testing.assert_allclose(ours.values.ravel(), oracle, rtol=0, atol=1e-11)
+
 
 class TestApplyM:
     def test_zero_order_multiplication(self):
@@ -138,7 +161,7 @@ class TestImplicitOperator:
     def test_tau_zero_identity(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=1.0)
-        op = assemble_implicit_operator(s, g, 0.0, g.h, 0)
+        op = ImplicitOperator(s, g, 0.0, g.h, 0)
         rng = np.random.default_rng(1)
         rhs = g.field(rng.standard_normal(16))
         np.testing.assert_array_equal(op.solve(rhs).values, rhs.values)
@@ -148,7 +171,7 @@ class TestImplicitOperator:
         g = make_torus_grid(1, [1.0], [64])
         a, tau = 0.3, 0.01
         s = scheme_1d(a11=a)
-        op = assemble_implicit_operator(s, g, tau, g.h, 0)
+        op = ImplicitOperator(s, g, tau, g.h, 0)
         P = g.periods[0]
         phi = g.sample(lambda x: np.cos(2 * np.pi * k * x[..., 0] / P))
         sol = op.solve(phi)
@@ -162,7 +185,7 @@ class TestImplicitOperator:
             a={((1,), (1,)): lambda i, x: 0.8 + 0.2 * np.cos(2 * np.pi * x[..., 0])},
             p={(1,): 0.4})
         tau = 0.05
-        op = assemble_implicit_operator(s, g, tau, g.h, 0)
+        op = ImplicitOperator(s, g, tau, g.h, 0)
         A = np.eye(4) - tau * dense_L_1d(s, g, g.h, 0)
         rng = np.random.default_rng(3)
         rhs = rng.standard_normal(4)
@@ -173,7 +196,7 @@ class TestImplicitOperator:
     def test_apply_solve_round_trip_direct(self):
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, p1=0.2)
-        op = assemble_implicit_operator(s, g, 0.02, g.h, 0, mode="direct")
+        op = ImplicitOperator(s, g, 0.02, g.h, 0, mode="direct")
         rng = np.random.default_rng(5)
         rhs = g.field(rng.standard_normal(64))
         back = op.apply(op.solve(rhs))
@@ -182,7 +205,7 @@ class TestImplicitOperator:
     def test_iterative_residual_contract(self):
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, p1=0.2)
-        op = assemble_implicit_operator(s, g, 0.02, g.h, 0, mode="iterative")
+        op = ImplicitOperator(s, g, 0.02, g.h, 0, mode="iterative")
         rng = np.random.default_rng(5)
         rhs = g.field(rng.standard_normal(64))
         back = op.apply(op.solve(rhs))
@@ -196,12 +219,127 @@ class TestImplicitOperator:
             a={((1, 0), (1, 0)): 0.5, ((0, 1), (0, 1)): 0.25,
                ((1, 0), (0, 1)): 0.1})
         tau = 0.01
-        op = assemble_implicit_operator(s, g, tau, g.h, 0)
+        op = ImplicitOperator(s, g, tau, g.h, 0)
         rng = np.random.default_rng(6)
         phi = g.field(rng.standard_normal((8, 8)))
         expect = phi.values - tau * apply_L(s, phi, g.h, 0).values
         np.testing.assert_allclose(op.apply(phi).values, expect,
                                    rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("mode", ["direct", "iterative"])
+    def test_2d_variable_coefficients_match_dense_oracle(self, mode):
+        g = make_torus_grid(2, [1.0, 1.5], [8, 12])
+        s, tau = varcoef_scheme_2d(), 0.01
+        A = np.eye(g.npoints) - tau * dense_L_2d(s, g, g.h, 0)
+        op = ImplicitOperator(s, g, tau, g.h, 0, mode=mode)
+        rng = np.random.default_rng(11)
+        phi = g.field(rng.standard_normal(g.shape))
+        np.testing.assert_allclose(op.apply(phi).values.ravel(),
+                                   A @ phi.values.ravel(), rtol=0, atol=1e-11)
+        rhs = g.field(rng.standard_normal(g.shape))
+        np.testing.assert_allclose(op.solve(rhs).values.ravel(),
+                                   np.linalg.solve(A, rhs.values.ravel()),
+                                   rtol=0, atol=1e-9)
+
+
+def cross_scheme_2d():
+    """Constant-coefficient 2-d scheme with a cross term and a one-sided
+    first-order term, so its symbol is complex."""
+    return DifferenceScheme(
+        stencil=basis_stencil(2), d1=0,
+        a={((1, 0), (1, 0)): 0.5, ((0, 1), (0, 1)): 0.25,
+           ((1, 0), (0, 1)): 0.1, ((0, 0), (0, 0)): -0.2},
+        p={(1, 0): 0.3}, constant_coefficients=True)
+
+
+def vanishing_diffusion_problem(time_independent=True):
+    """2-d problem whose diffusion in x1 vanishes on the line x1 = 1/2; with
+    ``time_independent=False`` the coefficients also move with the index."""
+    bump = lambda x: 1.0 + np.cos(2 * np.pi * x[..., 0])
+    return DifferentialProblem(
+        d=2, d1=1, T=0.25,
+        a={(1, 1): lambda i, x: (0.1 + 0.01 * np.sin(0.5 * i)) * bump(x),
+           (1, 2): lambda i, x: 0.02 * bump(x),
+           (2, 1): lambda i, x: 0.02 * bump(x),
+           (2, 2): lambda i, x: 0.05 + 0.0 * x[..., 0]},
+        b={(2, 1): 0.2},
+        u0=lambda x: np.cos(2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]),
+        time_independent=time_independent)
+
+
+class TestIterativeSolve:
+    """GMRES preconditioned by the FFT inverse of the mean-weight circulant."""
+
+    def test_circulant_symbol_is_the_matrix_eigenvalue(self):
+        from spdefd.stepper import SchemeSampler, _circulant_symbol, _expansion_terms
+        g = make_torus_grid(2, [1.0, 1.5], [8, 12])
+        s, tau = cross_scheme_2d(), 0.01
+        terms = _expansion_terms(SchemeSampler(s, g).arrays(0), g.h, 2)
+        symbol = _circulant_symbol(terms, g.shape, tau)
+        A = ImplicitOperator(s, g, tau, g.h, 0, mode="direct").matrix
+        j1, j2 = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
+        for k in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 4), (7, 6)]:
+            phi = np.exp(2j * np.pi * (k[0] * j1 / 8 + k[1] * j2 / 12)).ravel()
+            np.testing.assert_allclose(A @ phi, symbol[k] * phi, rtol=0, atol=1e-12)
+
+    def test_constant_coefficients_take_one_iteration(self, monkeypatch):
+        from spdefd import stepper
+        iterations, original = [], stepper.spla.gmres
+
+        def counting(*args, **kwargs):
+            kwargs.update(callback=lambda _norm: iterations.append(1),
+                          callback_type="pr_norm")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stepper.spla, "gmres", counting)
+        g = make_torus_grid(2, [1.0, 1.0], [16, 16])
+        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, g.h, 0, mode="iterative")
+        rhs = g.field(np.random.default_rng(7).standard_normal(g.shape))
+        back = op.apply(op.solve(rhs))
+        # the circulant inverse is exact, so the first Krylov vector spans
+        # the solution
+        assert len(iterations) <= 1
+        assert np.linalg.norm(back.values - rhs.values) \
+            <= 1e-11 * np.linalg.norm(rhs.values)
+
+    def test_vanishing_diffusion_iterative_matches_direct(self):
+        p = vanishing_diffusion_problem()
+        s = build_scheme_example1(p)
+        g = make_torus_grid(2, [1.0, 1.0], [16, 16])
+        rhs = g.field(np.random.default_rng(8).standard_normal(g.shape))
+        direct = ImplicitOperator(s, g, 0.02, g.h, 0, mode="direct").solve(rhs)
+        iterative = ImplicitOperator(s, g, 0.02, g.h, 0, mode="iterative").solve(rhs)
+        np.testing.assert_allclose(iterative.values, direct.values, rtol=0, atol=1e-9)
+
+    def test_nonfinite_column_fails_without_iterating(self, monkeypatch):
+        from spdefd import stepper
+        calls, original = [], stepper.spla.gmres
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stepper.spla, "gmres", counting)
+        g = make_torus_grid(2, [1.0, 1.0], [32, 32])
+        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, g.h, 0, mode="iterative")
+        rhs = np.ones(g.shape + (2,))
+        rhs[3, 4, 1] = np.inf
+        _, failed = op.solve_columns(rhs, step=5)
+        assert list(failed) == [1]
+        assert str(failed[1]).startswith(
+            "step 5: right-hand side holds non-finite values")
+        assert len(calls) == 1              # the finite column only
+
+    def test_time_dependent_iterative_matches_direct(self):
+        p = vanishing_diffusion_problem(time_independent=False)
+        s = build_scheme_example1(p)
+        g = make_torus_grid(2, [1.0, 1.0], [12, 12])
+        n = 4
+        inc = sample_increments(n, 1, p.T / n, seed=9)
+        direct = run_space_time_scheme(p, s, g, n, inc, solver_mode="direct")
+        iterative = run_space_time_scheme(p, s, g, n, inc, solver_mode="iterative")
+        for a, b in zip(direct.fields, iterative.fields):
+            np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-9)
 
 
 class TestImplicitStep:
@@ -209,7 +347,7 @@ class TestImplicitStep:
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=0.5)
         tau = 0.1
-        op = assemble_implicit_operator(s, g, tau, g.h, 1)
+        op = ImplicitOperator(s, g, tau, g.h, 1)
         c = g.constant(2.0)
         out = implicit_step(op, c, g.zeros(), [], np.zeros(0), s, g.h, 1)
         np.testing.assert_allclose(out.values, 2.0, atol=1e-12)
@@ -220,7 +358,7 @@ class TestImplicitStep:
         beta = 0.7
         s = scheme_1d(b01=beta, d1=1)
         tau = 0.1
-        op = assemble_implicit_operator(s, g, tau, g.h, 1)
+        op = ImplicitOperator(s, g, tau, g.h, 1)
         rng = np.random.default_rng(2)
         v_prev = g.field(rng.standard_normal(8))
         xi = np.array([0.23])
@@ -232,7 +370,7 @@ class TestImplicitStep:
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=0.4, b11=0.2, d1=1)
         tau = 0.05
-        op = assemble_implicit_operator(s, g, tau, g.h, 1)
+        op = ImplicitOperator(s, g, tau, g.h, 1)
         rng = np.random.default_rng(4)
         v1, v2 = g.field(rng.standard_normal(16)), g.field(rng.standard_normal(16))
         f1, f2 = g.field(rng.standard_normal(16)), g.field(rng.standard_normal(16))
