@@ -6,6 +6,7 @@ Subcommands:
     converge    unaccelerated convergence study over the mesh ladder
     accelerate  extrapolated convergence study (weights chosen by base/level)
     correctors  corrector system, odd-corrector check, expansion-residual decay
+                (on the first seed only)
     selfcheck   weight identities, summation by parts, dense-solve oracle
 
 Exit codes: 0 pass, 1 acceptance fail, 2 solver failure, 3 config error.
@@ -175,7 +176,11 @@ def main(argv=None) -> int:
     _add_common(p_conv)
     p_acc = sub.add_parser("accelerate", help="extrapolated convergence study")
     _add_common(p_acc)
-    p_corr = sub.add_parser("correctors", help="corrector and residual study")
+    p_corr = sub.add_parser(
+        "correctors", help="corrector and residual study (first seed only)",
+        description="Corrector system, odd-corrector check and expansion-"
+                    "residual decay on the Wiener path of the first seed; "
+                    "any further seeds are ignored.")
     _add_common(p_corr)
     p_self = sub.add_parser("selfcheck", help="run built-in structural checks")
     _add_common(p_self, config_required=False)

@@ -15,29 +15,45 @@ that is what makes base-4 extrapolation possible.
 Spatial derivatives here act on smooth reference-grid fields and are realized
 by Fourier spectral differentiation, which is exact for band-limited data; a
 mode-energy check rejects fields the reference grid cannot resolve.
+
+Every trajectory is kept as one ``(n + 1,) + grid.shape`` array, a row per
+time index.  Corrector p is marched by :class:`stepper.Marcher` from a zero
+state, with its forcing in place of the free terms.  The forcing of
+FORCING_BLOCK_ROWS consecutive steps is computed together: the rows of each
+lower-order trajectory that the block reads are transformed by one FFT over
+the spatial axes, the resolution check reads each row's mode energy from
+that spectrum, and every derivative term is one inverse FFT of the block
+times the coefficient arrays of its rows.  The block kernels sit behind
+:func:`corrector_operator_L` and :func:`corrector_operator_M`, which also
+take a single field.  The expansion residual subtracts strided views of the
+stacks and reduces the remainder row by row.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridField, TorusGrid, grid_norms
+from .grids import GridField, TorusGrid, _norms, _require_finite
 from .problems import DifferenceScheme, DifferentialProblem
 from .stepper import (
     FiniteDifferenceOperators,
+    Marcher,
     SchemeSampler,
-    SpectralModeError,
+    SolveFailure,
     SpectralOperators,
     Trajectory,
-    _check_increments,
-    _empty_increments,
     _frequency_mesh,
-    run_reference_time_scheme,
+    _march_path,
+    increment_columns,
+    reference_marcher,
 )
 
 RESOLUTION_ENERGY_TOL = 1e-10
+# time steps whose forcing is computed together: large enough to batch the
+# FFTs, small enough that the blocks add little to the resident set
+FORCING_BLOCK_ROWS = 16
 
 
 class ResolutionError(ValueError):
@@ -67,39 +83,58 @@ def binomial(p: int, j: int) -> int:
     return math.comb(p, j)
 
 
-def _mode_energy_fraction(values: np.ndarray) -> float:
-    """Energy fraction carried by the highest retained modes per axis."""
-    hat = np.fft.fftn(values)
+def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
+    """Energy fraction carried by the highest retained modes per axis, for
+    each row of a ``(rows,) + shape`` stack of spectra."""
     power = np.abs(hat) ** 2
-    total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    mask = np.zeros(values.shape, dtype=bool)
-    for axis, n in enumerate(values.shape):
+    shape = hat.shape[1:]
+    mask = np.zeros(shape, dtype=bool)
+    for axis, n in enumerate(shape):
         k = np.abs(np.fft.fftfreq(n) * n)
         top = k >= (n // 2 - 1)
-        shape = [1] * values.ndim
-        shape[axis] = n
-        mask |= top.reshape(shape)
-    return float(power[mask].sum()) / total
+        dims = [1] * len(shape)
+        dims[axis] = n
+        mask |= top.reshape(dims)
+    # each row is summed along a contiguous axis, which gives the bits of
+    # that row summed alone (a boolean index returns Fortran order)
+    total = power.reshape(len(power), -1).sum(axis=1)
+    high = np.ascontiguousarray(power[:, mask]).sum(axis=1)
+    return np.divide(high, total, out=np.zeros(len(power)), where=total != 0.0)
+
+
+def _require_resolved(fractions: np.ndarray, tol: float) -> None:
+    """Raise :class:`ResolutionError` for the first row over ``tol``."""
+    bad = np.flatnonzero(fractions > tol)
+    if bad.size:
+        raise ResolutionError(
+            f"highest retained modes carry {fractions[bad[0]]:.2e} of the field "
+            f"energy (limit {tol:g}); refine the reference grid")
 
 
 def check_resolution(phi: GridField, tol: float = RESOLUTION_ENERGY_TOL) -> None:
-    frac = _mode_energy_fraction(phi.values)
-    if frac > tol:
-        raise ResolutionError(
-            f"highest retained modes carry {frac:.2e} of the field energy "
-            f"(limit {tol:g}); refine the reference grid")
+    _require_resolved(_top_mode_fractions(np.fft.fftn(phi.values)[None]), tol)
 
 
-class _SpectralDerivatives:
-    """Repeated directional derivatives of one field via the FFT."""
+@dataclass
+class _Spectra:
+    """A stack of fields on one grid, one row per time index, with their
+    Fourier transforms over the spatial axes; derivatives of every row come
+    from one inverse FFT of the stack."""
 
-    def __init__(self, phi: GridField):
-        check_resolution(phi)
-        self.grid = phi.grid
-        self.hat = np.fft.fftn(phi.values)
-        self.freq = _frequency_mesh(phi.grid)
+    grid: TorusGrid
+    values: np.ndarray   # (rows,) + grid.shape
+    hat: np.ndarray
+    freq: list
+
+    @property
+    def axes(self) -> tuple:
+        return tuple(range(1, self.grid.dim + 1))
+
+    def rows(self, window: slice) -> "_Spectra":
+        return replace(self, values=self.values[window], hat=self.hat[window])
+
+    def check_resolution(self) -> None:
+        _require_resolved(_top_mode_fractions(self.hat), RESOLUTION_ENERGY_TOL)
 
     def _factor(self, lam) -> np.ndarray:
         acc = np.zeros(self.grid.shape)
@@ -109,30 +144,60 @@ class _SpectralDerivatives:
         return 1j * acc
 
     def directional(self, lam, order: int) -> np.ndarray:
-        if order == 0:
-            return np.real(np.fft.ifftn(self.hat))
-        return np.real(np.fft.ifftn(self._factor(lam) ** order * self.hat))
+        return np.real(np.fft.ifftn(self._factor(lam) ** order * self.hat,
+                                    axes=self.axes))
 
     def mixed(self, lam, order_lam: int, mu, order_mu: int) -> np.ndarray:
         mult = self._factor(lam) ** order_lam * self._factor(mu) ** order_mu
-        return np.real(np.fft.ifftn(mult * self.hat))
+        return np.real(np.fft.ifftn(mult * self.hat, axes=self.axes))
 
 
-def corrector_operator_L(p: int, scheme: DifferenceScheme, phi: GridField,
-                         i: int, sampler: SchemeSampler | None = None) -> GridField:
+def _spectra(grid: TorusGrid, values: np.ndarray, freq=None) -> _Spectra:
+    """Spectra of a ``(rows,) + grid.shape`` stack: one forward FFT."""
+    return _Spectra(grid, values,
+                    np.fft.fftn(values, axes=tuple(range(1, grid.dim + 1))),
+                    _frequency_mesh(grid) if freq is None else freq)
+
+
+def _operand(phi, i) -> tuple[_Spectra, list]:
+    """Spectra and time indices of an operator's input: one field at index
+    ``i``, or a block of rows whose indices ``i`` lists."""
+    if isinstance(phi, GridField):
+        return _spectra(phi.grid, phi.values[None]), [i]
+    return phi, i
+
+
+def _coefficients(sampler: SchemeSampler, steps) -> dict:
+    """The scheme's coefficient arrays at the time indices ``steps``: those
+    of one index when the scheme is time-independent, else each stacked to
+    ``(len(steps),) + grid.shape``."""
+    if sampler.scheme.time_independent:
+        return sampler.arrays(0)
+    at = [sampler.arrays(i) for i in steps]
+    return {kind: {key: np.stack([a[kind][key] for a in at]) for key in at[0][kind]}
+            for kind in at[0]}
+
+
+def corrector_operator_L(p: int, scheme: DifferenceScheme, phi, i,
+                         sampler: SchemeSampler | None = None):
     """p-th h-derivative of the discrete operator L^h at h = 0, applied to a
     smooth field with spectral accuracy.
 
+    ``phi`` is one :class:`GridField` at time index ``i``, and the result
+    is a GridField; or the spectra of a block of rows of one trajectory,
+    ``i`` listing their time indices, and the result is one array per row.
+    Every row is checked for resolution first.
     p = 0 is the continuous operator itself (by the consistency identities);
     odd p vanishes identically for schemes without one-sided terms.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
+    der, steps = _operand(phi, i)
     if sampler is None:
-        sampler = SchemeSampler(scheme, phi.grid)
-    arrays = sampler.arrays(i)
-    der = _SpectralDerivatives(phi)
-    out = np.zeros(phi.grid.shape)
+        sampler = SchemeSampler(scheme, der.grid)
+    arrays = _coefficients(sampler, steps)
+    der.check_resolution()
+    out = np.zeros(der.values.shape)
     B_p, _ = expansion_constants(p, 0)
 
     if p == 0:
@@ -143,12 +208,12 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, phi: GridField,
             elif lam_nz != mu_nz:
                 out += coef * der.directional(lam if lam_nz else mu, 1)
             else:
-                out += coef * phi.values
+                out += coef * der.values
         for lam, coef in arrays["p"].items():
             out += coef * der.directional(lam, 1)
         for lam, coef in arrays["q"].items():
             out -= coef * der.directional(lam, 1)
-        return GridField(phi.grid, out)
+        return GridField(phi.grid, out[0]) if isinstance(phi, GridField) else out
 
     for (lam, mu), coef in arrays["a"].items():
         lam_nz, mu_nz = any(lam), any(mu)
@@ -167,44 +232,61 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, phi: GridField,
         out += coef / (p + 1) * der.directional(lam, p + 1)
     for lam, coef in arrays["q"].items():
         out += ((-1) ** (p + 1) / (p + 1)) * coef * der.directional(lam, p + 1)
-    return GridField(phi.grid, out)
+    return GridField(phi.grid, out[0]) if isinstance(phi, GridField) else out
 
 
-def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
-                         phi: GridField, i: int,
-                         sampler: SchemeSampler | None = None) -> GridField:
-    """p-th h-derivative of M^{h,rho} at h = 0; identically zero for odd p."""
+def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme, phi, i,
+                         sampler: SchemeSampler | None = None):
+    """p-th h-derivative of M^{h,rho} at h = 0; identically zero for odd p.
+
+    ``phi`` and ``i`` are one field and its time index or a block of rows
+    and their indices, as for :func:`corrector_operator_L`.
+    """
     if p < 0:
         raise ValueError("operator order must be >= 0")
     if not 1 <= rho <= scheme.d1:
         raise ValueError(f"driver index {rho} out of range 1..{scheme.d1}")
     B_p, _ = expansion_constants(p, 0)
     if B_p == 0.0:
-        return phi.grid.zeros()
+        if isinstance(phi, GridField):
+            return phi.grid.zeros()
+        return np.zeros(phi.values.shape)
+    der, steps = _operand(phi, i)
     if sampler is None:
-        sampler = SchemeSampler(scheme, phi.grid)
-    arrays = sampler.arrays(i)
-    der = _SpectralDerivatives(phi)
-    out = np.zeros(phi.grid.shape)
+        sampler = SchemeSampler(scheme, der.grid)
+    arrays = _coefficients(sampler, steps)
+    der.check_resolution()
+    out = np.zeros(der.values.shape)
     for (lam, r), coef in arrays["b"].items():
         if r != rho:
             continue
         if any(lam):
             out += (1.0 / (p + 1)) * coef * der.directional(lam, p + 1)
         elif p == 0:
-            out += coef * phi.values
+            out += coef * der.values
         # the zero-vector term is h-independent: nothing for p >= 1
-    return GridField(phi.grid, out)
+    return GridField(phi.grid, out[0]) if isinstance(phi, GridField) else out
 
 
 @dataclass
 class CorrectorSet:
-    """Reference trajectory v^(0) and corrector trajectories v^(1..k)."""
+    """Reference trajectory v^(0) and corrector trajectories v^(1..k).
+
+    ``stacks`` holds each trajectory as one ``(n + 1,) + grid.shape`` array;
+    it is stacked from ``trajectories`` when not given.  The fields of the
+    trajectories that :func:`run_corrector_system` returns are its rows.
+    """
 
     grid: TorusGrid
     tau: float
     k: int
     trajectories: list
+    stacks: list | None = None
+
+    def __post_init__(self):
+        if self.stacks is None:
+            self.stacks = [np.stack([f.values for f in t.fields])
+                           for t in self.trajectories]
 
     def __getitem__(self, j: int) -> Trajectory:
         return self.trajectories[j]
@@ -219,6 +301,47 @@ def minimum_resolution(k: int) -> int:
     return 8 * (3 * k + 2)
 
 
+def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
+                       stacks: list, xi: np.ndarray):
+    """Yield, for each step i = 1..n of corrector p, the ``(f, g)`` that
+    stand in for the free terms in :meth:`Marcher.advance`:
+
+        f_i          = sum_{j=1..p} C(p,j) L_j v^(p-j)_i
+        g^rho_{i-1}  = the terms C(p,j) M_{j,rho} v^(p-j)_{i-1}, even j
+
+    (M_j vanishes for odd j; the terms are added to M^rho v one by one).
+    ``xi`` holds the ``(n, d1)`` increments.  The forcing is computed
+    FORCING_BLOCK_ROWS steps at a time: the rows of every lower-order
+    trajectory that the block reads are transformed by one FFT, and each
+    derivative term is one inverse FFT of the block.
+    """
+    grid = sampler.grid
+    n = len(stacks[0]) - 1
+    freq = _frequency_mesh(grid)
+    now, before = slice(1, None), slice(None, -1)
+    for start in range(1, n + 1, FORCING_BLOCK_ROWS):
+        steps = range(start, min(start + FORCING_BLOCK_ROWS, n + 1))
+        spectra = [_spectra(grid, stack[start - 1:steps.stop], freq)
+                   for stack in stacks[:p]]
+        f = np.zeros((len(steps),) + grid.shape)
+        for j in range(1, p + 1):
+            f += binomial(p, j) * corrector_operator_L(
+                j, scheme, spectra[p - j].rows(now), steps, sampler)
+        g = []
+        for rho in range(1, xi.shape[1] + 1):
+            if not xi[start - 1:steps.stop - 1, rho - 1].any():
+                g.append(())
+                continue
+            g.append([binomial(p, j) * corrector_operator_M(
+                j, rho, scheme, spectra[p - j].rows(before),
+                range(start - 1, steps.stop - 1), sampler)
+                for j in range(2, p + 1, 2)])
+        for values in (f, *(part for parts in g for part in parts)):
+            _require_finite(values)
+        for r in range(len(steps)):
+            yield f[r], [tuple(part[r] for part in parts) for parts in g]
+
+
 def run_corrector_system(k: int, problem: DifferentialProblem,
                          scheme: DifferenceScheme, refgrid: TorusGrid, n: int,
                          increments=None, reference_mode: str = "spectral-const-coef",
@@ -228,12 +351,16 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     Each corrector satisfies the implicit recursion driven by the operators
     of lower order applied to the already-known correctors: the L-side forcing
     enters at the new index i, the M-side forcing at i-1, both weighted by
-    binomial coefficients; initial data are zero.  The implicit solve reuses
-    the reference realization of (I - tau L): exact per mode for constant
-    coefficients, the fine-lattice surrogate otherwise.
+    binomial coefficients; initial data are zero.  The recursion is the
+    reference's own :class:`Marcher` started from zero, with that forcing
+    in place of the free terms, so the implicit solve is the reference
+    realization of (I - tau L): exact per mode for constant coefficients,
+    the centred lattice on the reference grid otherwise.
     """
     if k < 0:
         raise ValueError("expansion order k must be >= 0")
+    if n < 1:
+        raise ValueError("need at least one time step")
     if min(refgrid.shape) < minimum_resolution(k):
         warnings.warn(
             f"reference grid has {min(refgrid.shape)} points per axis; "
@@ -241,48 +368,35 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
             "(corrector derivatives may be under-resolved)",
             RuntimeWarning, stacklevel=2)
     tau = problem.T / n
-    if increments is None:
-        if problem.d1 > 0:
-            raise ValueError("stochastic problem needs Wiener increments")
-        increments = _empty_increments(n, tau)
-    _check_increments(increments, n, tau, problem.d1)
+    xi = increment_columns(problem, n, [increments])
 
-    v0 = run_reference_time_scheme(problem, refgrid, n, increments,
-                                   mode=reference_mode, refine=refine)
-    trajectories = [v0]
+    marcher, factor = reference_marcher(problem, refgrid, xi, reference_mode,
+                                        refine)
+    stacks = [_march_path(marcher, n, refgrid, factor)]
     if reference_mode == "spectral-const-coef":
         ops = SpectralOperators(problem, refgrid, tau)
     else:
         ops = FiniteDifferenceOperators(problem, refgrid, tau)
     sampler = SchemeSampler(scheme, refgrid)
-
     for p in range(1, k + 1):
-        v = refgrid.zeros()
-        fields = [v]
-        for i in range(1, n + 1):
-            forcing = np.zeros(refgrid.shape)
-            for j in range(1, p + 1):
-                C = binomial(p, j)
-                forcing += C * corrector_operator_L(
-                    j, scheme, trajectories[p - j][i], i, sampler).values
-            rhs = v.values + tau * forcing
-            for rho in range(1, problem.d1 + 1):
-                xi = increments.step(i)[rho - 1]
-                if xi == 0.0:
-                    continue
-                stoch = ops.apply_M(v, rho, i - 1).values
-                for j in range(1, p + 1):
-                    C = binomial(p, j)
-                    stoch = stoch + C * corrector_operator_M(
-                        j, rho, scheme, trajectories[p - j][i - 1], i - 1,
-                        sampler).values
-                rhs = rhs + stoch * xi
-            v = ops.solve_implicit(GridField(refgrid, rhs), i)
-            fields.append(v)
-        trajectories.append(Trajectory(
-            grid=refgrid, tau=tau, fields=fields,
-            meta={"kind": "corrector", "order": p, "problem": problem.name}))
-    return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=trajectories)
+        marcher = Marcher(problem, refgrid, xi, ops, zero_start=True)
+        forcing = _corrector_forcing(p, scheme, sampler, stacks, xi[..., 0])
+        try:
+            stacks.append(_march_path(marcher, n, refgrid, forcing=forcing))
+        except SolveFailure as exc:
+            # report a failed solve in the solver's own words, not as an
+            # aborted column of a path
+            if isinstance(exc.__cause__, SolveFailure):
+                raise exc.__cause__ from None
+            raise
+    trajectories = [
+        Trajectory(grid=refgrid, tau=tau,
+                   fields=[GridField(refgrid, row) for row in stack],
+                   meta={"kind": "corrector" if p else "reference",
+                         "order": p, "problem": problem.name})
+        for p, stack in enumerate(stacks)]
+    return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=trajectories,
+                        stacks=stacks)
 
 
 @dataclass
@@ -307,7 +421,8 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
 
     The corrector fields live on the reference grid, which must refine the
     trajectory's grid by one common integer factor per axis; restriction is
-    exact sub-sampling.
+    exact sub-sampling.  The trajectory and the correctors must share the
+    time grid: the same number of steps and the same step size.
     """
     if k is None:
         k = cs.k
@@ -317,6 +432,9 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
         h = vh.grid.h
     if vh.n != cs.n:
         raise ValueError("trajectory and correctors use different time grids")
+    if abs(vh.tau - cs.tau) > 1e-12 * max(abs(vh.tau), abs(cs.tau)):
+        raise ValueError(f"trajectory step size {vh.tau!r} differs from the "
+                         f"correctors' {cs.tau!r}")
     factors = set()
     for a, b in zip(cs.grid.shape, vh.grid.shape):
         if a % b:
@@ -327,19 +445,12 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
     if len(factors) != 1:
         raise ValueError("reference grid uses different refinement factors "
                          "per axis")
-    factor = factors.pop()
+    coarse = (slice(None),) + (slice(None, None, factors.pop()),) * vh.grid.dim
 
-    restricted = [cs[j].restricted(factor) if factor > 1 else cs[j]
-                  for j in range(k + 1)]
-    sups = np.zeros(vh.n + 1)
-    l2hs = np.zeros(vh.n + 1)
-    for i in range(vh.n + 1):
-        acc = vh[i].values.copy()
-        for j in range(k + 1):
-            acc -= (h ** j / math.factorial(j)) * restricted[j][i].values
-        sup, l2h = grid_norms(GridField(vh.grid, acc))
-        sups[i] = sup
-        l2hs[i] = l2h
+    acc = np.stack([fld.values for fld in vh.fields])
+    for j in range(k + 1):
+        acc -= (h ** j / math.factorial(j)) * cs.stacks[j][coarse]
+    sups, l2hs = _norms(acc.reshape(len(acc), -1), vh.grid.h ** vh.grid.dim)
     return ResidualReport(sup_per_step=sups, l2h_per_step=l2hs)
 
 

@@ -103,6 +103,11 @@ def make_torus_grid(d: int, periods, points) -> TorusGrid:
     return TorusGrid(d, h, tuple(points))
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise GridError("grid field contains non-finite values")
+
+
 class GridField:
     """Real-valued function sampled on a :class:`TorusGrid` (row-major values)."""
 
@@ -113,8 +118,7 @@ class GridField:
         if values.shape != grid.shape:
             raise GridError(f"values shape {values.shape} does not match grid "
                             f"shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise GridError("grid field contains non-finite values")
+        _require_finite(values)
         self.grid = grid
         self.values = values
 

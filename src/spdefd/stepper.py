@@ -13,7 +13,8 @@ column axis along, so every column gets the same bits as a run of that path
 alone.  ``apply_L``, ``apply_M``, ``implicit_step``, ``run_space_time_scheme``
 and ``run_reference_time_scheme`` are one-column wrappers over the same
 kernels; apart from the initial data, only they build :class:`GridField`
-objects.
+objects.  The corrector system marches on the same class, from a zero state
+and with its own forcing in place of the free terms f and g.
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled once per operator into the sparse matrix
@@ -380,16 +381,20 @@ def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
                   xi: np.ndarray, apply_M) -> np.ndarray:
     """v + tau f + sum_rho (M^rho v + g^rho) xi^rho for the columns of ``v``.
 
-    ``xi`` holds one row per driver and one entry per column; where an
-    increment is zero its term is skipped, so that column matches a run that
-    never saw the driver.
+    ``g`` holds, per driver, the arrays that make up g^rho; they are added
+    to M^rho v one after another, which fixes the bits of a sum of several
+    terms.  ``xi`` holds one row per driver and one entry per column; where
+    an increment is zero its term is skipped, so that column matches a run
+    that never saw the driver.
     """
     rhs = v + tau * f[..., None]
     for rho, xi_rho in enumerate(xi, start=1):
         nonzero = xi_rho != 0.0
         if not nonzero.any():
             continue
-        term = apply_M(v, rho) + g[rho - 1][..., None]
+        term = apply_M(v, rho)
+        for part in g[rho - 1]:
+            term = term + part[..., None]
         if nonzero.all():
             rhs = rhs + term * xi_rho
         else:
@@ -404,7 +409,7 @@ def implicit_step(op: ImplicitOperator, v_prev: GridField, f_i: GridField,
     stochastic terms explicitly at index i-1."""
     rhs = _explicit_rhs(
         v_prev.values[..., None], op.tau, f_i.values,
-        [g.values for g in g_prev],
+        [(g.values,) for g in g_prev],
         np.asarray(xi_i, dtype=float)[:scheme.d1, None],
         lambda v, rho: _apply_M_values(op.sampler.arrays(i - 1), v, h, rho,
                                        v_prev.grid.dim))
@@ -439,10 +444,19 @@ def increment_columns(problem: DifferentialProblem, n: int, paths) -> np.ndarray
     return np.stack(columns, axis=-1)
 
 
+def _aborted(exc: SolveFailure) -> SolveFailure:
+    """The failure a marcher records for a column whose own solve raised
+    ``exc``; ``exc`` is kept as its cause."""
+    failure = SolveFailure(f"scheme run aborted: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
 class Marcher:
     """The implicit Euler recursion for ``S`` Wiener paths in lock-step.
 
-    The state ``v`` is one ``grid.shape + (S,)`` array, a column per path.
+    The state ``v`` is one ``grid.shape + (S,)`` array, a column per path,
+    starting from the problem's u0, or from zero with ``zero_start``.
     ``operators`` supplies M^rho and the implicit solve (lattice or
     spectral); the right-hand side is assembled here for both.  A failure of
     the whole step (a singular operator) fails every column; a column whose
@@ -452,36 +466,46 @@ class Marcher:
     """
 
     def __init__(self, problem: DifferentialProblem, grid: TorusGrid,
-                 xi: np.ndarray, operators):
+                 xi: np.ndarray, operators, zero_start: bool = False):
         self.problem = problem
         self.grid = grid
         self.tau = problem.T / xi.shape[0]
         self.xi = xi
         self.operators = operators
         self.columns = np.arange(xi.shape[-1])
-        self.v = np.repeat(grid.sample(problem.u0).values[..., None],
-                           xi.shape[-1], axis=-1)
+        if zero_start:
+            self.v = np.zeros(grid.shape + (xi.shape[-1],))
+        else:
+            self.v = np.repeat(grid.sample(problem.u0).values[..., None],
+                               xi.shape[-1], axis=-1)
         self.failures = {}
         self.i = 0
 
-    def advance(self) -> None:
-        """Step every live column from index i to i + 1."""
+    def advance(self, f: np.ndarray | None = None, g: list | None = None) -> None:
+        """Step every live column from index i to i + 1.
+
+        ``f`` (a ``grid.shape`` array) and ``g`` (per driver, the arrays
+        that make up g^rho) stand in for the problem's free terms f_{i+1}
+        and g^rho_i; each is the same for every column.
+        """
         i = self.i = self.i + 1
         if not self.columns.size:
             return
         p, x, shape = self.problem, self.grid.coordinates, self.grid.shape
+        if f is None:
+            f = p.f(i, x) * np.ones(shape)
+        if g is None:
+            g = [(p.g_at(rho, i - 1, x) * np.ones(shape),)
+                 for rho in range(1, p.d1 + 1)]
         rhs = _explicit_rhs(
-            self.v, self.tau, p.f(i, x) * np.ones(shape),
-            [p.g_at(rho, i - 1, x) * np.ones(shape) for rho in range(1, p.d1 + 1)],
-            self.xi[i - 1][:, self.columns],
+            self.v, self.tau, f, g, self.xi[i - 1][:, self.columns],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
         try:
             v, failed = self.operators.solve_values(rhs, i)
         except SolveFailure as exc:
             v, failed = rhs, dict.fromkeys(range(self.columns.size), exc)
         else:
-            failed = {k: SolveFailure(f"scheme run aborted: {exc}")
-                      for k, exc in failed.items()}
+            failed = {k: _aborted(exc) for k, exc in failed.items()}
         if failed:
             for k, exc in failed.items():
                 self.failures[int(self.columns[k])] = exc
@@ -491,21 +515,26 @@ class Marcher:
         self.v = v
 
 
-def _single_path(marcher: Marcher, n: int, grid: TorusGrid,
-                 factor: int = 1) -> list:
-    """Fields 0..n of a one-column marcher, restricted onto ``grid`` by
-    ``factor`` per axis; the first failure is raised."""
-    def current():
-        values = _restricted(marcher.v[..., 0], factor, grid.dim)
-        return GridField(grid, values.copy() if factor > 1 else values)
-
-    fields = [current()]
-    for _ in range(n):
-        marcher.advance()
+def _march_path(marcher: Marcher, n: int, grid: TorusGrid, factor: int = 1,
+                forcing=None) -> np.ndarray:
+    """States 0..n of a one-column marcher as one ``(n + 1,) + grid.shape``
+    array, restricted onto ``grid`` by ``factor`` per axis; the first
+    failure is raised.  ``forcing``, if given, yields the ``(f, g)`` of
+    :meth:`Marcher.advance` for each step."""
+    states = np.empty((n + 1,) + grid.shape)
+    states[0] = _restricted(marcher.v[..., 0], factor, grid.dim)
+    for i in range(1, n + 1):
+        marcher.advance(*(next(forcing) if forcing is not None else ()))
         if marcher.failures:
             raise marcher.failures[0]
-        fields.append(current())
-    return fields
+        states[i] = _restricted(marcher.v[..., 0], factor, grid.dim)
+    return states
+
+
+def _single_path(marcher: Marcher, n: int, grid: TorusGrid,
+                 factor: int = 1) -> list:
+    """Fields 0..n of a one-column marcher (see :func:`_march_path`)."""
+    return [GridField(grid, row) for row in _march_path(marcher, n, grid, factor)]
 
 
 def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme,

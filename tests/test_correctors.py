@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from spdefd.correctors import (
     CorrectorSet,
     ResolutionError,
+    _spectra,
+    _top_mode_fractions,
     binomial,
     check_resolution,
     corrector_operator_L,
@@ -16,11 +20,24 @@ from spdefd.correctors import (
     minimum_resolution,
     run_corrector_system,
 )
-from spdefd.grids import basis_stencil, make_torus_grid
-from spdefd.problems import DifferenceScheme, make_problem, build_scheme_example1
+from spdefd.grids import GridField, basis_stencil, make_torus_grid
+from spdefd.problems import (
+    DifferenceScheme,
+    DifferentialProblem,
+    build_scheme_example1,
+    build_scheme_example2,
+    make_problem,
+)
 from spdefd.richardson import estimate_order
-from spdefd.stepper import run_reference_time_scheme, run_space_time_scheme
-from spdefd.wiener import sample_increments
+from spdefd.stepper import (
+    ImplicitOperator,
+    SchemeSampler,
+    SolveFailure,
+    SpectralOperators,
+    run_reference_time_scheme,
+    run_space_time_scheme,
+)
+from spdefd.wiener import BrownianIncrements, sample_increments
 
 
 def scheme_1d(a11=0.0, a00=0.0, a10=0.0, p1=0.0, q1=0.0, b11=0.0, b01=0.0, d1=0):
@@ -330,7 +347,293 @@ class TestResolutionCheck:
         g = make_torus_grid(1, [1.0], [32])
         check_resolution(g.zeros())
 
+    @pytest.mark.parametrize("shape", [(1024,), (12, 20), (16, 16), (8, 8, 8)])
+    def test_block_fractions_match_each_row_alone(self, shape):
+        # the batched energy fractions keep the bits of a field's own
+        # fraction: full sum over the power, sum over the top-mode mask
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((3,) + shape)
+        stack[1] = 0.0
+        hat = np.fft.fftn(stack, axes=tuple(range(1, len(shape) + 1)))
+        got = _top_mode_fractions(hat)
+        mask = np.zeros(shape, dtype=bool)
+        for axis, n in enumerate(shape):
+            k = np.abs(np.fft.fftfreq(n) * n)
+            mask |= np.expand_dims(k >= n // 2 - 1, tuple(
+                a for a in range(len(shape)) if a != axis))
+        for r, values in enumerate(stack):
+            power = np.abs(np.fft.fftn(values)) ** 2
+            total = power.sum()
+            want = power[mask].sum() / total if total else 0.0
+            assert got[r] == want
+
     def test_nyquist_rejected(self):
         g = make_torus_grid(1, [1.0], [32])
         with pytest.raises(ResolutionError):
             check_resolution(g.sample(lambda x: np.cos(2 * np.pi * 15 * x[..., 0])))
+
+
+def time_dependent_problem():
+    """Constant in space, moving with the time index, with a drift term so
+    that example2 has one-sided terms and the odd correctors live."""
+    return DifferentialProblem(
+        d=1, d1=1, T=0.5,
+        a={(1, 1): lambda i, x: 0.08 + 0.04 * np.cos(0.3 * i) + 0.0 * x[..., 0],
+           (0, 1): lambda i, x: 0.1 + 0.05 * np.sin(0.4 * i) + 0.0 * x[..., 0]},
+        b={(1, 1): lambda i, x: 0.2 + 0.1 * np.sin(0.2 * i) + 0.0 * x[..., 0]},
+        f=lambda i, x: 0.1 * np.sin(2 * np.pi * x[..., 0]) * np.cos(0.5 * i),
+        g={1: lambda i, x: 0.05 * np.cos(2 * np.pi * x[..., 0])},
+        u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+        time_independent=False, constant_coefficients=True)
+
+
+def two_driver_increments(p, n, seed):
+    """Driver 2 never moves; driver 1 skips every third step."""
+    xi = sample_increments(n, 2, p.T / n, seed).xi.copy()
+    xi[:, 1] = 0.0
+    xi[::3, 0] = 0.0
+    return BrownianIncrements(n=n, d1=2, tau=p.T / n, seed=seed, xi=xi)
+
+
+def pinned_config(name):
+    """Arguments of run_corrector_system for one configuration whose stacked
+    fields are pinned below."""
+    g64 = make_torus_grid(1, [1.0], [64])
+    if name == "fine-grid-varcoef-k2":
+        p = make_problem("var-coef1d")
+        return (2, p, build_scheme_example1(p), make_torus_grid(1, [1.0], [32]),
+                16, None), dict(reference_mode="fine-grid", refine=1)
+    if name == "time-dependent-k2":
+        p = time_dependent_problem()
+        return (2, p, build_scheme_example2(p), g64, 16,
+                sample_increments(16, 1, p.T / 16, 7)), {}
+    if name == "two-drivers-k2":
+        p = DifferentialProblem(d=1, d1=2, T=0.5, a={(1, 1): 0.1},
+                                b={(1, 1): 0.2, (0, 2): 0.3}, g={2: 0.1},
+                                u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+                                constant_coefficients=True)
+        return (2, p, build_scheme_example1(p), g64, 12,
+                two_driver_increments(p, 12, 5)), {}
+    if name == "stoch-transport-k4":
+        p = make_problem("stoch-transport", beta=0.3, gamma=0.2,
+                         extra_diffusion=0.05)
+        return (4, p, build_scheme_example1(p), g64, 16,
+                sample_increments(16, 1, p.T / 16, 3)), {}
+    if name == "2d-k2":
+        p = DifferentialProblem(
+            d=2, d1=1, T=0.25,
+            a={(1, 1): 0.05, (2, 2): 0.05, (1, 2): 0.01, (2, 1): 0.01},
+            b={(1, 1): 0.2, (2, 1): 0.1},
+            u0=lambda x: (np.cos(2.0 * np.pi * x[..., 0])
+                          * np.cos(2.0 * np.pi * (x[..., 0] + x[..., 1]))),
+            constant_coefficients=True)
+        return (2, p, build_scheme_example1(p),
+                make_torus_grid(2, [1.0, 1.0], [16, 16]), 4,
+                sample_increments(4, 1, p.T / 4, 2)), {}
+    assert name == "heat1d-k3"
+    p = make_problem("heat1d")
+    return (3, p, build_scheme_example2(p), g64, 16, None), {}
+
+
+# sha256 prefixes of each order's (n + 1, *grid) float64 stack, recorded
+# with the per-step corrector recursion this module used to carry
+PINNED_DIGESTS = {
+    "fine-grid-varcoef-k2": ["6cb5749b5a3eedf7", "6fc74890c52aef57",
+                             "3f75792f47efa89b"],
+    "time-dependent-k2": ["ad364f41e709450a", "2149e99acea127f4",
+                          "05dced82c99f668f"],
+    "two-drivers-k2": ["6efc6706bf90dfe0", "16cc39e093d21650",
+                       "f1a26016987ed60a"],
+    "stoch-transport-k4": ["701749fb310b55da", "e8b31e302d11fbf7",
+                           "4cd4e84f25cf992d", "e8b31e302d11fbf7",
+                           "9e0a862f37505fc0"],
+    "2d-k2": ["ccdfedda9f139981", "84ff92691f909a05", "069b69fc5be08f07"],
+    "heat1d-k3": ["6489e3f354efd92e", "e8b31e302d11fbf7", "962ae2af3db43e49",
+                  "e8b31e302d11fbf7"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCorrectorSystemBits:
+    """The block-batched corrector system keeps the bits of the per-step
+    recursion on configurations the other tests do not reach: fine-grid
+    reference, a time-dependent scheme (coefficients stacked per row), two
+    drivers of which one never moves, k = 4 (two M-forcing terms, whose
+    summation order matters), a 2-d grid, and a deterministic problem."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_stacks_match_pinned_digests(self, name):
+        args, kwargs = pinned_config(name)
+        cs = run_corrector_system(*args, **kwargs)
+        digests = [hashlib.sha256(np.stack([f.values for f in t.fields])
+                                  .tobytes()).hexdigest()[:16]
+                   for t in cs.trajectories]
+        assert digests == PINNED_DIGESTS[name]
+        for stack, traj in zip(cs.stacks, cs.trajectories):
+            assert stack.tobytes() == np.stack(
+                [f.values for f in traj.fields]).tobytes()
+
+    @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
+                                           build_scheme_example2])
+    def test_block_call_matches_single_fields(self, scheme_of):
+        # every row of a block gets the bits of the one-field call
+        p = time_dependent_problem()
+        scheme = scheme_of(p)
+        g = make_torus_grid(1, [1.0], [32])
+        x = g.coordinates[..., 0]
+        steps = range(3, 8)
+        stack = np.stack([np.cos(2 * np.pi * x) * (1 + 0.1 * i)
+                          + 0.3 * np.sin(4 * np.pi * x + i) for i in steps])
+        block = _spectra(g, stack)
+        for j in range(4):
+            got = corrector_operator_L(j, scheme, block, steps,
+                                       SchemeSampler(scheme, g))
+            for r, i in enumerate(steps):
+                one = corrector_operator_L(j, scheme, GridField(g, stack[r]), i)
+                assert got[r].tobytes() == one.values.tobytes()
+            got = corrector_operator_M(j, 1, scheme, block, steps,
+                                       SchemeSampler(scheme, g))
+            for r, i in enumerate(steps):
+                one = corrector_operator_M(j, 1, scheme, GridField(g, stack[r]), i)
+                assert got[r].tobytes() == one.values.tobytes()
+
+
+def _second_instance_patch(monkeypatch, cls, name, wrap):
+    """Replace ``cls.name`` by ``wrap(original, self, *args)`` for the
+    second instance that calls it (the corrector march; the reference march
+    calls through the first) and leave the first alone."""
+    original = getattr(cls, name)
+    seen = []
+
+    def method(self, *args):
+        if not any(self is s for s in seen):
+            seen.append(self)
+        if len(seen) > 1 and self is seen[1]:
+            return wrap(original, self, *args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, method)
+
+
+def _poison_step(step):
+    """A spectral solve whose right-hand side turns NaN at ``step``."""
+    def wrap(original, self, rhs, i):
+        return original(self, rhs * np.nan if i == step else rhs, i)
+    return wrap
+
+
+def _singular_at(step):
+    """Spectral symbols whose implicit operator is singular at ``step``."""
+    def wrap(original, self, i):
+        symL, symM = original(self, i)
+        if i == step:
+            symL = np.full_like(symL, 1.0 / self.tau)
+        return symL, symM
+    return wrap
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCorrectorFailures:
+    """A solve that fails inside the corrector march reports the solver's
+    own message and step, and an unresolved field stops the system."""
+
+    @staticmethod
+    def _stoch(k=2):
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        n = 8
+        return (k, p, build_scheme_example1(p), make_torus_grid(1, [1.0], [64]),
+                n, sample_increments(n, 1, p.T / n, 4))
+
+    def test_spectral_column_failure(self, monkeypatch):
+        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
+                               _poison_step(3))
+        with pytest.raises(SolveFailure) as info:
+            run_corrector_system(*self._stoch())
+        assert str(info.value) == ("step 3: spectral solve produced non-finite "
+                                   "values; tau may not be small enough")
+        assert info.value.step == 3
+
+    def test_spectral_singular_step(self, monkeypatch):
+        _second_instance_patch(monkeypatch, SpectralOperators, "symbols",
+                               _singular_at(3))
+        with pytest.raises(SolveFailure) as info:
+            run_corrector_system(*self._stoch())
+        assert str(info.value) == ("step 3: spectral implicit operator is "
+                                   "singular; tau may not be small enough")
+
+    def test_lattice_column_failure_names_its_step(self, monkeypatch):
+        p = make_problem("var-coef1d")
+        g = make_torus_grid(1, [1.0], [32])
+        original = ImplicitOperator.solve_columns
+        calls = []
+
+        def solve_columns(self, rhs, step=None):
+            if self.grid == g:       # the corrector march; the reference is finer
+                calls.append(step)
+                if len(calls) == 3:
+                    rhs = rhs * np.nan
+            return original(self, rhs, step)
+
+        monkeypatch.setattr(ImplicitOperator, "solve_columns", solve_columns)
+        with pytest.raises(SolveFailure) as info:
+            run_corrector_system(1, p, build_scheme_example1(p), g, 6,
+                                 reference_mode="fine-grid", refine=1)
+        assert str(info.value) == ("step 3: factorized solve produced "
+                                   "non-finite values; tau may not be small "
+                                   "enough")
+
+    def test_lattice_factorization_failure(self, monkeypatch):
+        p = make_problem("var-coef1d")
+        g = make_torus_grid(1, [1.0], [32])
+        splu = spla.splu
+
+        def failing_splu(matrix, *args, **kwargs):
+            if matrix.shape[0] == g.npoints:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", failing_splu)
+        with pytest.raises(SolveFailure) as info:
+            run_corrector_system(1, p, build_scheme_example1(p), g, 6,
+                                 reference_mode="fine-grid", refine=1)
+        assert str(info.value) == ("step 1: factorization failed (Factor is "
+                                   "exactly singular); tau may not be small "
+                                   "enough")
+
+    def test_study_writes_failure_row(self, monkeypatch, tmp_path):
+        from spdefd.experiments import (ExperimentSpec, emit_outputs,
+                                        run_corrector_experiment)
+        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
+                               _poison_step(3))
+        spec = ExperimentSpec(problem="stoch-transport",
+                              problem_params={"beta": 0.3,
+                                              "extra_diffusion": 0.05},
+                              n=8, points0=16, rungs=2, refine=1,
+                              correctors_k=2, seeds=(4,))
+        result = run_corrector_experiment(spec)
+        assert result.failed
+        emit_outputs(result, tmp_path)
+        assert (tmp_path / "report.csv").read_text().splitlines()[-1] == (
+            "FAILED,step 3: spectral solve produced non-finite values; tau "
+            "may not be small enough")
+
+    def test_unresolved_field_raises(self):
+        p = DifferentialProblem(d=1, d1=0, T=0.5, a={(1, 1): 0.1},
+                                u0=lambda x: np.cos(2 * np.pi * 15 * x[..., 0]),
+                                constant_coefficients=True)
+        g = make_torus_grid(1, [1.0], [32])
+        run_corrector_system(0, p, build_scheme_example1(p), g, 4)
+        with pytest.raises(ResolutionError, match="highest retained modes"):
+            run_corrector_system(1, p, build_scheme_example1(p), g, 4)
+
+
+class TestResidualTimeGrid:
+    def test_rejects_other_horizon(self):
+        # same number of steps, different T: a different time grid
+        s = build_scheme_example1(make_problem("heat1d"))
+        vh = run_space_time_scheme(make_problem("heat1d", T=0.5), s,
+                                   make_torus_grid(1, [1.0], [16]), 8)
+        cs = run_corrector_system(0, make_problem("heat1d", T=0.25), s,
+                                  make_torus_grid(1, [1.0], [64]), 8)
+        with pytest.raises(ValueError, match="step size"):
+            expansion_residual(vh, cs)

@@ -365,6 +365,19 @@ class TestCorrectorExperiment:
         assert result.report.ls_order >= 3.6
         assert result.extras["odd_corrector_ratios"][1] <= 1e-9
 
+    def test_uses_first_seed_only(self, tmp_path):
+        base = dict(problem="stoch-transport",
+                    problem_params={"beta": 0.3, "extra_diffusion": 0.05},
+                    n=8, points0=16, rungs=2, refine=1, correctors_k=2)
+        for name, seeds in (("first", (3,)), ("more", (3, 5, 7))):
+            emit_outputs(run_corrector_experiment(ExperimentSpec(
+                seeds=seeds, **base)), tmp_path / name)
+        for name in ("report.csv", "rung_16.csv", "rung_32.csv", "plot.gp"):
+            assert (tmp_path / "first" / name).read_bytes() == \
+                (tmp_path / "more" / name).read_bytes()
+        rows = (tmp_path / "more" / "rung_16.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["3"]
+
 
 class TestSelfcheck:
     def test_all_pass(self):

@@ -691,6 +691,31 @@ class TestBatchedMarcher:
                  for inc in paths]
         assert_columns_match(states, alone)
 
+    def test_zero_start_with_forcing_is_a_problem_with_free_terms(self):
+        # free terms handed to advance() give the bits of the same terms
+        # declared on a problem that starts from zero
+        F = lambda i, x: 0.1 * np.sin(2 * np.pi * x[..., 0]) * np.cos(0.5 * i)
+        G = lambda i, x: 0.05 * np.cos(2 * np.pi * x[..., 0]) + 0.01 * i
+        common = dict(d=1, d1=1, T=0.5, a={(1, 1): 0.1}, b={(1, 1): 0.2},
+                      constant_coefficients=True)
+        forced = DifferentialProblem(f=F, g={1: G}, u0=0.0, **common)
+        free = DifferentialProblem(u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+                                   **common)
+        g = make_torus_grid(1, [1.0], [16])
+        n = 6
+        paths = [sample_increments(n, 1, 0.5 / n, seed) for seed in (1, 2)]
+        xi = increment_columns(forced, n, paths)
+        x, tau = g.coordinates, 0.5 / n
+        for ops in (lambda p: SpectralOperators(p, g, tau),
+                    lambda p: FiniteDifferenceOperators(p, g, tau)):
+            want = Marcher(forced, g, xi, ops(forced))
+            got = Marcher(free, g, xi, ops(free), zero_start=True)
+            assert not got.v.any()
+            for i in range(1, n + 1):
+                want.advance()
+                got.advance(f=F(i, x), g=[(G(i - 1, x),)])
+                assert got.v.tobytes() == want.v.tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_column_fails_alone(self):
         p = make_problem("degenerate1d")
