@@ -16,17 +16,18 @@ Spatial derivatives here act on smooth reference-grid fields and are realized
 by Fourier spectral differentiation, which is exact for band-limited data; a
 mode-energy check rejects fields the reference grid cannot resolve.
 
-Every trajectory is kept as one ``(n + 1,) + grid.shape`` array, a row per
-time index.  Corrector p is marched by :class:`stepper.Marcher` from a zero
-state, with its forcing in place of the free terms.  The forcing of
-FORCING_BLOCK_ROWS consecutive steps is computed together: the rows of each
-lower-order trajectory that the block reads are transformed by one FFT over
-the spatial axes, the resolution check reads each row's mode energy from
-that spectrum, and every derivative term is one inverse FFT of the block
-times the coefficient arrays of its rows.  The block kernels sit behind
-:func:`corrector_operator_L` and :func:`corrector_operator_M`, which also
-take a single field.  The expansion residual subtracts strided views of the
-stacks and reduces the remainder row by row.
+Every trajectory is a :class:`stepper.Trajectory`, one ``(n + 1,) +
+grid.shape`` array with a row per time index.  Corrector p is marched by
+:class:`stepper.Marcher` from a zero state, with its forcing in place of the
+free terms.  The forcing of FORCING_BLOCK_ROWS consecutive steps is computed
+together: the rows of each lower-order trajectory that the block reads are
+transformed by one FFT over the spatial axes, the resolution check reads
+each row's mode energy from that spectrum, and every derivative term is one
+inverse FFT of the block times the coefficient arrays of its rows.  The
+block kernels sit behind :func:`corrector_operator_L` and
+:func:`corrector_operator_M`, which also take a single field.  The expansion
+residual subtracts strided views of the corrector arrays and reduces the
+remainder row by row.
 """
 
 import math
@@ -270,23 +271,13 @@ def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme, phi, i,
 
 @dataclass
 class CorrectorSet:
-    """Reference trajectory v^(0) and corrector trajectories v^(1..k).
-
-    ``stacks`` holds each trajectory as one ``(n + 1,) + grid.shape`` array;
-    it is stacked from ``trajectories`` when not given.  The fields of the
-    trajectories that :func:`run_corrector_system` returns are its rows.
-    """
+    """Reference trajectory v^(0) and corrector trajectories v^(1..k), all
+    on ``grid`` with step ``tau``; ``cs[j]`` is v^(j)."""
 
     grid: TorusGrid
     tau: float
     k: int
     trajectories: list
-    stacks: list | None = None
-
-    def __post_init__(self):
-        if self.stacks is None:
-            self.stacks = [np.stack([f.values for f in t.fields])
-                           for t in self.trajectories]
 
     def __getitem__(self, j: int) -> Trajectory:
         return self.trajectories[j]
@@ -302,7 +293,7 @@ def minimum_resolution(k: int) -> int:
 
 
 def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
-                       stacks: list, xi: np.ndarray):
+                       trajectories: list, xi: np.ndarray):
     """Yield, for each step i = 1..n of corrector p, the ``(f, g)`` that
     stand in for the free terms in :meth:`Marcher.advance`:
 
@@ -310,19 +301,20 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
         g^rho_{i-1}  = the terms C(p,j) M_{j,rho} v^(p-j)_{i-1}, even j
 
     (M_j vanishes for odd j; the terms are added to M^rho v one by one).
-    ``xi`` holds the ``(n, d1)`` increments.  The forcing is computed
-    FORCING_BLOCK_ROWS steps at a time: the rows of every lower-order
-    trajectory that the block reads are transformed by one FFT, and each
-    derivative term is one inverse FFT of the block.
+    ``trajectories`` holds v^(0..p-1) and ``xi`` the ``(n, d1)``
+    increments.  The forcing is computed FORCING_BLOCK_ROWS steps at a
+    time: the rows of every lower-order trajectory that the block reads are
+    transformed by one FFT, and each derivative term is one inverse FFT of
+    the block.
     """
     grid = sampler.grid
-    n = len(stacks[0]) - 1
+    n = trajectories[0].n
     freq = _frequency_mesh(grid)
     now, before = slice(1, None), slice(None, -1)
     for start in range(1, n + 1, FORCING_BLOCK_ROWS):
         steps = range(start, min(start + FORCING_BLOCK_ROWS, n + 1))
-        spectra = [_spectra(grid, stack[start - 1:steps.stop], freq)
-                   for stack in stacks[:p]]
+        spectra = [_spectra(grid, traj.values[start - 1:steps.stop], freq)
+                   for traj in trajectories[:p]]
         f = np.zeros((len(steps),) + grid.shape)
         for j in range(1, p + 1):
             f += binomial(p, j) * corrector_operator_L(
@@ -372,7 +364,8 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
 
     marcher, factor = reference_marcher(problem, refgrid, xi, reference_mode,
                                         refine)
-    stacks = [_march_path(marcher, n, refgrid, factor)]
+    trajectories = [Trajectory(grid=refgrid, tau=tau,
+                               values=_march_path(marcher, n, refgrid, factor))]
     if reference_mode == "spectral-const-coef":
         ops = SpectralOperators(problem, refgrid, tau)
     else:
@@ -380,23 +373,18 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     sampler = SchemeSampler(scheme, refgrid)
     for p in range(1, k + 1):
         marcher = Marcher(problem, refgrid, xi, ops, zero_start=True)
-        forcing = _corrector_forcing(p, scheme, sampler, stacks, xi[..., 0])
+        forcing = _corrector_forcing(p, scheme, sampler, trajectories,
+                                     xi[..., 0])
         try:
-            stacks.append(_march_path(marcher, n, refgrid, forcing=forcing))
+            values = _march_path(marcher, n, refgrid, forcing=forcing)
         except SolveFailure as exc:
             # report a failed solve in the solver's own words, not as an
             # aborted column of a path
             if isinstance(exc.__cause__, SolveFailure):
                 raise exc.__cause__ from None
             raise
-    trajectories = [
-        Trajectory(grid=refgrid, tau=tau,
-                   fields=[GridField(refgrid, row) for row in stack],
-                   meta={"kind": "corrector" if p else "reference",
-                         "order": p, "problem": problem.name})
-        for p, stack in enumerate(stacks)]
-    return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=trajectories,
-                        stacks=stacks)
+        trajectories.append(Trajectory(grid=refgrid, tau=tau, values=values))
+    return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=trajectories)
 
 
 @dataclass
@@ -447,9 +435,9 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
                          "per axis")
     coarse = (slice(None),) + (slice(None, None, factors.pop()),) * vh.grid.dim
 
-    acc = np.stack([fld.values for fld in vh.fields])
+    acc = vh.values.copy()
     for j in range(k + 1):
-        acc -= (h ** j / math.factorial(j)) * cs.stacks[j][coarse]
+        acc -= (h ** j / math.factorial(j)) * cs[j].values[coarse]
     sups, l2hs = _norms(acc.reshape(len(acc), -1), vh.grid.h ** vh.grid.dim)
     return ResidualReport(sup_per_step=sups, l2h_per_step=l2hs)
 

@@ -219,6 +219,8 @@ def _validate_spec(spec: ExperimentSpec):
         raise ConfigError(f"unknown output format {spec.format!r}")
     if spec.n < 1:
         raise ConfigError("need at least one time step")
+    if not 0 < spec.period < math.inf:
+        raise ConfigError("period must be positive and finite")
     if spec.points0 < 2:
         raise ConfigError("points0 must be >= 2")
     if spec.rungs < 1:
@@ -298,10 +300,13 @@ def build_problem(spec: ExperimentSpec) -> DifferentialProblem:
         for key, idx in (("b01", (0, 1)), ("b11", (1, 1))):
             if params.get(key):
                 b[idx] = params[key]
-        return DifferentialProblem(
-            d=1, d1=1 if b else 0, T=params.get("T", 0.5), a=a, b=b,
-            u0=lambda x: np.cos(2.0 * np.pi * x[..., 0]),
-            constant_coefficients=True, name="custom")
+        try:
+            return DifferentialProblem(
+                d=1, d1=1 if b else 0, T=params.get("T", 0.5), a=a, b=b,
+                u0=lambda x: np.cos(2.0 * np.pi * x[..., 0]),
+                constant_coefficients=True, name="custom")
+        except ProblemError as exc:
+            raise ConfigError(str(exc)) from exc
     try:
         return make_problem(spec.problem, **params)
     except ProblemError as exc:
@@ -407,8 +412,8 @@ def run_convergence_experiment(spec: ExperimentSpec,
         ref = _restricted(reference.v, ref_factor, dim)
         for j in range(spec.rungs):
             if accelerate:
-                candidate = _combine([rungs[j + m].v for m in range(level + 1)],
-                                     weights.beta, dim)
+                candidate = _combine([_restricted(rungs[j + m].v, 2 ** m, dim)
+                                      for m in range(level + 1)], weights.beta)
             else:
                 candidate = rungs[j].v
             err = candidate[..., cols] - _restricted(
@@ -592,8 +597,8 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     report = estimate_order(hs, sups, spec.expected_residual_order,
                             spec.order_tolerance, l2h_errors=l2hs)
-    scale = max(np.max(np.abs(cs.stacks[0])), 1e-300)
-    odd_ratios = {j: np.max(np.abs(cs.stacks[j])) / scale
+    scale = max(np.max(np.abs(cs[0].values)), 1e-300)
+    odd_ratios = {j: np.max(np.abs(cs[j].values)) / scale
                   for j in range(1, spec.correctors_k + 1, 2)}
     return ExperimentResult(kind="correctors", spec=spec, report=report,
                             rung_points=[g.shape[0] for g in grids],

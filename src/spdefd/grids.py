@@ -122,9 +122,6 @@ class GridField:
         self.grid = grid
         self.values = values
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
     def _check_same_grid(self, other: "GridField"):
         if other.grid is not self.grid and other.grid != self.grid:
             raise GridError("fields live on different grids")
@@ -197,12 +194,6 @@ class Stencil:
     @property
     def nonzero(self) -> tuple[tuple[int, ...], ...]:
         return tuple(v for v in self.vectors if any(v))
-
-    def __contains__(self, v) -> bool:
-        return tuple(int(c) for c in v) in self.vectors
-
-    def __iter__(self):
-        return iter(self.vectors)
 
 
 def basis_stencil(d: int) -> Stencil:
@@ -324,27 +315,27 @@ def grid_norms(phi: GridField) -> tuple[float, float]:
     return float(sup[0]), float(l2h[0])
 
 
-def sup_norm(phi: GridField) -> float:
-    return grid_norms(phi)[0]
-
-
 def l2h_norm(phi: GridField) -> float:
     return grid_norms(phi)[1]
+
+
+def _coarse_grid(grid: TorusGrid, factor: int) -> TorusGrid:
+    """The grid keeping every ``factor``-th point of ``grid`` per axis."""
+    if factor < 1:
+        raise GridError("subsample factor must be >= 1")
+    if any(n % factor for n in grid.shape):
+        raise GridError(f"points per axis {grid.shape} not divisible by {factor}")
+    return TorusGrid(grid.dim, grid.h * factor,
+                     tuple(n // factor for n in grid.shape))
 
 
 def subsample(phi: GridField, factor: int) -> GridField:
     """Exact restriction onto the coarser grid keeping every ``factor``-th
     point per axis (index 0 kept, so lattice points coincide)."""
-    if factor < 1:
-        raise GridError("subsample factor must be >= 1")
+    coarse = _coarse_grid(phi.grid, factor)
     if factor == 1:
         return phi
-    grid = phi.grid
-    if any(n % factor for n in grid.shape):
-        raise GridError(f"points per axis {grid.shape} not divisible by {factor}")
-    coarse = TorusGrid(grid.dim, grid.h * factor,
-                       tuple(n // factor for n in grid.shape))
-    return GridField(coarse, _restricted(phi.values, factor, grid.dim).copy())
+    return GridField(coarse, _restricted(phi.values, factor, coarse.dim).copy())
 
 
 def discrete_sobolev_norm(phi: GridField, stencil: Stencil, r: int,

@@ -104,8 +104,8 @@ class DifferenceScheme:
     """Lattice coefficients for the difference operators L^h and M^{h,rho}.
 
     ``a`` is keyed by pairs of stencil vectors, ``b`` by (vector, driver),
-    ``p``/``q`` by nonzero stencil vectors (both must evaluate nonnegative),
-    and the optional ``sigma`` by (vector, column) for columns 1..d2.
+    and ``p``/``q`` by nonzero stencil vectors (both must evaluate
+    nonnegative).
     """
 
     stencil: Stencil
@@ -114,8 +114,6 @@ class DifferenceScheme:
     b: dict = field(default_factory=dict)
     p: dict = field(default_factory=dict)
     q: dict = field(default_factory=dict)
-    sigma: dict | None = None
-    d2: int = 0
     time_independent: bool = True
     constant_coefficients: bool = False
 
@@ -138,8 +136,6 @@ class DifferenceScheme:
         self.b = _normalize(self.b)
         self.p = _normalize(self.p)
         self.q = _normalize(self.q)
-        if self.sigma is not None:
-            self.sigma = _normalize(self.sigma)
 
     @property
     def is_symmetric(self) -> bool:
@@ -162,14 +158,6 @@ class DifferenceScheme:
     def q_at(self, lam, i, x):
         ev = self.q.get(tuple(lam))
         return ev(i, x) if ev else np.zeros(np.shape(x)[:-1])
-
-    def sigma_at(self, lam, r, i, x):
-        if self.sigma is None:
-            return np.zeros(np.shape(x)[:-1])
-        ev = self.sigma.get((tuple(lam), r))
-        if ev is None:
-            return np.zeros(np.shape(x)[:-1])
-        return _as_evaluator(ev)(i, x)
 
 
 def _unit(d: int, alpha: int) -> tuple[int, ...]:
@@ -341,7 +329,6 @@ def factorize_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     A = M.copy()
     L = np.zeros((n, n))
     piv = np.arange(n)
-    rank = 0
     for k in range(n):
         diag = np.diag(A)[k:]
         j = int(np.argmax(diag)) + k
@@ -358,34 +345,11 @@ def factorize_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         L[k, k] = math.sqrt(A[k, k])
         L[k + 1:, k] = A[k + 1:, k] / L[k, k]
         A[k + 1:, k + 1:] -= np.outer(L[k + 1:, k], L[k + 1:, k])
-        rank = k + 1
     sigma = np.zeros((n, n))
     sigma[piv, :] = L
     if np.max(np.abs(sigma @ sigma.T - M), initial=0.0) > tol * (1.0 + scale):
         raise FactorizationError("matrix is indefinite beyond tolerance")
     return sigma
-
-
-def check_sigma_factorization(scheme: DifferenceScheme, sample,
-                              tol: float = 1e-10) -> float:
-    """Max residual of 2a^{lm} - sum_r b^{lr} b^{mr} = sum_k s^{lk} s^{mk}
-    over the sample points; only meaningful when the scheme carries sigma."""
-    if scheme.sigma is None:
-        raise ProblemError("scheme has no sigma factor")
-    nz = scheme.stencil.nonzero
-    worst = 0.0
-    for i, x in sample:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        for lam in nz:
-            for mu in nz:
-                lhs = 2.0 * scheme.a_at(lam, mu, i, x)
-                for rho in range(1, scheme.d1 + 1):
-                    lhs = lhs - scheme.b_at(lam, rho, i, x) * scheme.b_at(mu, rho, i, x)
-                rhs = 0.0
-                for r in range(1, scheme.d2 + 1):
-                    rhs = rhs + scheme.sigma_at(lam, r, i, x) * scheme.sigma_at(mu, r, i, x)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, _restricted, composed_difference, subsample
+from .grids import GridField, composed_difference, subsample
 from .stepper import Trajectory
 
 MAX_LEVEL = 12
@@ -91,27 +91,23 @@ def _check_ladder(solutions, weights):
                 f"ladder rung {j} has shape {traj.grid.shape}, expected {expect}")
 
 
-def _combine(ladder, beta, dim: int) -> np.ndarray:
-    """sum_j beta_j v_j with rung j (mesh h/2^j) restricted onto the coarsest
-    lattice; trailing axes beyond ``dim`` (one column per path) ride along."""
+def _combine(ladder, beta) -> np.ndarray:
+    """sum_j beta_j v_j over the rungs of a ladder, each (mesh h/2^j)
+    already restricted onto the coarsest lattice."""
     acc = np.zeros(ladder[0].shape)
-    for j, values in enumerate(ladder):
-        acc += beta[j] * _restricted(values, 2 ** j, dim)
+    for b, values in zip(beta, ladder):
+        acc += b * values
     return acc
 
 
 def richardson_combine(solutions, weights: RichardsonWeights) -> Trajectory:
     """Combine trajectories at meshes h, h/2, ..., h/2^k into one trajectory
-    on the coarsest grid, per time step."""
+    on the coarsest grid, every time step at once."""
     _check_ladder(solutions, weights)
     coarse = solutions[0]
-    fields = [GridField(coarse.grid,
-                        _combine([traj[i].values for traj in solutions],
-                                 weights.beta, coarse.grid.dim))
-              for i in range(coarse.n + 1)]
-    meta = dict(coarse.meta)
-    meta.update(kind="extrapolated", level=weights.level, base=weights.base)
-    return Trajectory(grid=coarse.grid, tau=coarse.tau, fields=fields, meta=meta)
+    values = _combine([traj.restricted(2 ** j).values
+                       for j, traj in enumerate(solutions)], weights.beta)
+    return Trajectory(grid=coarse.grid, tau=coarse.tau, values=values)
 
 
 def extrapolate_derivative(solutions, lams, weights: RichardsonWeights) -> Trajectory:
@@ -120,12 +116,10 @@ def extrapolate_derivative(solutions, lams, weights: RichardsonWeights) -> Traje
     combined = richardson_combine(solutions, weights)
     if not lams:
         return combined
-    h = combined.grid.h
-    fields = [composed_difference(f, lams, h) for f in combined.fields]
-    meta = dict(combined.meta)
-    meta.update(derivative=[tuple(int(c) for c in lam) for lam in lams])
-    return Trajectory(grid=combined.grid, tau=combined.tau, fields=fields,
-                      meta=meta)
+    values = np.empty(combined.values.shape)
+    for i, fld in enumerate(combined.fields):
+        values[i] = composed_difference(fld, lams, combined.grid.h).values
+    return Trajectory(grid=combined.grid, tau=combined.tau, values=values)
 
 
 EXACT_FLOOR = 1e-14

@@ -10,11 +10,12 @@ There is one implementation of that step, :class:`Marcher`, and it steps
 with a column per path.  The operator kernels (``_apply_M_values``, the
 lattice and spectral solves) act on the spatial axes and carry the trailing
 column axis along, so every column gets the same bits as a run of that path
-alone.  ``apply_L``, ``apply_M``, ``implicit_step``, ``run_space_time_scheme``
-and ``run_reference_time_scheme`` are one-column wrappers over the same
-kernels; apart from the initial data, only they build :class:`GridField`
-objects.  The corrector system marches on the same class, from a zero state
-and with its own forcing in place of the free terms f and g.
+alone.  ``apply_L``, ``apply_M`` and ``implicit_step`` are one-field
+wrappers over the same kernels.  ``run_space_time_scheme`` and
+``run_reference_time_scheme`` march one column and return its states as a
+:class:`Trajectory`, one ``(n + 1,) + grid.shape`` array.  The corrector
+system marches on the same class, from a zero state and with its own
+forcing in place of the free terms f and g.
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled once per operator into the sparse matrix
@@ -35,7 +36,7 @@ restricted at every step, otherwise.
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,9 +46,10 @@ from .grids import (
     GridError,
     GridField,
     TorusGrid,
+    _coarse_grid,
+    _require_finite,
     _restricted,
     _symmetric_values,
-    subsample,
 )
 from .problems import DifferenceScheme, DifferentialProblem, build_scheme_example1
 from .wiener import BrownianIncrements
@@ -72,25 +74,46 @@ class SpectralModeError(ValueError):
 
 @dataclass
 class Trajectory:
-    """Time-indexed grid fields v_0..v_n produced by one scheme run."""
+    """States v_0..v_n of one scheme run on ``grid``, with step ``tau``.
+
+    ``values`` holds them as one ``(n + 1,) + grid.shape`` array, a row per
+    time index; its shape and finiteness are checked once, here, and it is
+    kept read-only.  ``traj[i]`` and ``fields`` are :class:`GridField`
+    views of the rows.
+    """
 
     grid: TorusGrid
     tau: float
-    fields: list
-    meta: dict = field(default_factory=dict)
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != self.grid.dim + 1 or len(values) < 1 \
+                or values.shape[1:] != self.grid.shape:
+            raise GridError(f"trajectory shape {values.shape} is not (n + 1,) "
+                            f"+ grid shape {self.grid.shape}")
+        _require_finite(values)
+        # a read-only view: the caller's array stays writable
+        self.values = values.view()
+        self.values.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.fields) - 1
+        return len(self.values) - 1
 
     def __getitem__(self, i: int) -> GridField:
-        return self.fields[i]
+        return GridField(self.grid, self.values[i])
+
+    @property
+    def fields(self) -> list:
+        return [self[i] for i in range(self.n + 1)]
 
     def restricted(self, factor: int) -> "Trajectory":
-        return Trajectory(grid=subsample(self.fields[0], factor).grid,
-                          tau=self.tau,
-                          fields=[subsample(v, factor) for v in self.fields],
-                          meta=dict(self.meta))
+        """The trajectory on the grid keeping every ``factor``-th point per
+        axis: a strided view of the rows."""
+        coarse = (slice(None),) + (slice(None, None, factor),) * self.grid.dim
+        return Trajectory(grid=_coarse_grid(self.grid, factor), tau=self.tau,
+                          values=self.values[coarse])
 
 
 class SchemeSampler:
@@ -531,12 +554,6 @@ def _march_path(marcher: Marcher, n: int, grid: TorusGrid, factor: int = 1,
     return states
 
 
-def _single_path(marcher: Marcher, n: int, grid: TorusGrid,
-                 factor: int = 1) -> list:
-    """Fields 0..n of a one-column marcher (see :func:`_march_path`)."""
-    return [GridField(grid, row) for row in _march_path(marcher, n, grid, factor)]
-
-
 def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme,
                           grid: TorusGrid, n: int,
                           increments: BrownianIncrements | None = None,
@@ -548,10 +565,7 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     ops = FiniteDifferenceOperators(problem, grid, tau, scheme, solver_mode)
     marcher = Marcher(problem, grid, increment_columns(problem, n, [increments]),
                       ops)
-    seed = increments.seed if increments is not None else 0
-    return Trajectory(grid=grid, tau=tau, fields=_single_path(marcher, n, grid),
-                      meta={"problem": problem.name, "seed": seed,
-                            "n": n, "h": grid.h, "kind": "space-time"})
+    return Trajectory(grid=grid, tau=tau, values=_march_path(marcher, n, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +659,6 @@ class SpectralOperators:
         return np.real(np.fft.ifftn(symM[rho - 1][..., None] * hat,
                                     axes=self._axes))
 
-    def solve_implicit(self, phi: GridField, i: int) -> GridField:
-        """(I - tau L)^{-1} phi, exactly per Fourier mode."""
-        x, failed = self.solve_values(phi.values[..., None], i)
-        if failed:
-            raise failed[0]
-        return GridField(self.grid, x[..., 0])
-
-    def apply_M(self, phi: GridField, rho: int, i: int) -> GridField:
-        return GridField(self.grid,
-                         self.apply_M_values(phi.values[..., None], rho, i)[..., 0])
 
 
 class FiniteDifferenceOperators:
@@ -690,12 +694,6 @@ class FiniteDifferenceOperators:
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         return _apply_M_values(self.sampler.arrays(i), values, self.grid.h, rho,
                                self.grid.dim)
-
-    def solve_implicit(self, phi: GridField, i: int) -> GridField:
-        return self._operator(i).solve(phi)
-
-    def apply_M(self, phi: GridField, rho: int, i: int) -> GridField:
-        return apply_M(self.scheme, phi, self.grid.h, rho, i, self.sampler)
 
 
 REFERENCE_MODES = ("spectral-const-coef", "fine-grid")
@@ -736,13 +734,8 @@ def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
         raise ValueError("need at least one time step")
     marcher, factor = reference_marcher(
         problem, grid, increment_columns(problem, n, [increments]), mode, refine)
-    meta = {"problem": problem.name,
-            "seed": increments.seed if increments is not None else 0,
-            "n": n, "h": marcher.grid.h, "kind": "reference", "mode": mode}
-    if mode == "fine-grid":
-        meta.update(refine=refine)
     return Trajectory(grid=grid, tau=problem.T / n,
-                      fields=_single_path(marcher, n, grid, factor), meta=meta)
+                      values=_march_path(marcher, n, grid, factor))
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +752,9 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
     header = "i,t," + "index," + ",".join(f"x{a}" for a in range(d)) + ",value"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i, fld in enumerate(traj.fields):
+        for i, row in enumerate(traj.values):
             t = i * traj.tau
-            vals = fld.values.ravel()
+            vals = row.ravel()
             for j in range(coords.shape[0]):
                 xs = ",".join(format(c, ".17g") for c in coords[j])
                 fh.write(f"{i},{format(t, '.17g')},{j},{xs},"
@@ -775,23 +768,28 @@ def export_trajectory_binary(traj: Trajectory, path) -> None:
         fh.write(_TRAJ_MAGIC)
         fh.write(struct.pack("<QQdd", grid.dim, traj.n, grid.h, traj.tau))
         fh.write(struct.pack(f"<{grid.dim}Q", *grid.shape))
-        for fld in traj.fields:
-            fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
 
 
 def load_trajectory_binary(path) -> Trajectory:
+    """Read a dump of :func:`export_trajectory_binary`.  A file that is cut
+    short or too long raises ``ValueError``; a non-finite payload raises
+    :class:`GridError`."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_TRAJ_MAGIC))
         if magic != _TRAJ_MAGIC:
             raise ValueError(f"not a trajectory dump: {path}")
-        dim, n, h, tau = struct.unpack("<QQdd", fh.read(32))
-        shape = struct.unpack(f"<{dim}Q", fh.read(8 * dim))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ValueError(f"truncated trajectory dump: {path}")
+        dim, n, h, tau = struct.unpack("<QQdd", header)
+        shape = fh.read(8 * dim)
+        if len(shape) != 8 * dim:
+            raise ValueError(f"truncated trajectory dump: {path}")
         payload = fh.read()
-    grid = TorusGrid(int(dim), float(h), tuple(int(s) for s in shape))
-    per = grid.npoints
-    arr = np.frombuffer(payload, dtype="<f8").astype(float)
-    if arr.size != (n + 1) * per:
+    grid = TorusGrid(int(dim), float(h), struct.unpack(f"<{dim}Q", shape))
+    if len(payload) != 8 * (n + 1) * grid.npoints:
         raise ValueError(f"truncated trajectory dump: {path}")
-    fields = [GridField(grid, arr[k * per:(k + 1) * per].reshape(grid.shape))
-              for k in range(n + 1)]
-    return Trajectory(grid=grid, tau=float(tau), fields=fields)
+    values = np.frombuffer(payload, dtype="<f8").astype(float)
+    return Trajectory(grid=grid, tau=float(tau),
+                      values=values.reshape((n + 1,) + grid.shape))

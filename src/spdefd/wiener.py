@@ -143,7 +143,10 @@ def load_increments(path) -> BrownianIncrements:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise IncrementError(f"not an increment dump: {path}")
-        n, d1, tau, seed = struct.unpack("<QQdQ", fh.read(32))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise IncrementError(f"truncated increment dump: {path}")
+        n, d1, tau, seed = struct.unpack("<QQdQ", header)
         payload = fh.read()
     expected = n * d1 * 8
     if len(payload) != expected:

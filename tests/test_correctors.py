@@ -469,8 +469,8 @@ class TestCorrectorSystemBits:
                                   .tobytes()).hexdigest()[:16]
                    for t in cs.trajectories]
         assert digests == PINNED_DIGESTS[name]
-        for stack, traj in zip(cs.stacks, cs.trajectories):
-            assert stack.tobytes() == np.stack(
+        for traj in cs.trajectories:
+            assert traj.values.tobytes() == np.stack(
                 [f.values for f in traj.fields]).tobytes()
 
     @pytest.mark.parametrize("scheme_of", [build_scheme_example1,

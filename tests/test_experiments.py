@@ -430,6 +430,20 @@ class TestCli:
         assert main(["converge", "--config", str(cfg)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        ("[problem]\nname = heat1d\n[space]\nperiod = -1\n",
+         "period must be positive"),
+        ("[problem]\nname = custom\na11 = 0.1\nT = 0\n",
+         "horizon T must be positive"),
+    ], ids=["negative-period", "custom-zero-horizon"])
+    def test_invalid_values_exit_three(self, tmp_path, capsys, body, message):
+        cfg = write(tmp_path, body)
+        for command in ("solve", "converge", "correctors"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert "config error" in err and message in err
+
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 3
 

@@ -9,7 +9,6 @@ from spdefd.problems import (
     build_scheme_example2,
     check_consistency,
     check_degenerate_parabolicity,
-    check_sigma_factorization,
     factorize_psd,
     make_problem,
 )
@@ -198,23 +197,6 @@ class TestFactorizePsd:
     def test_nonsymmetric_rejected(self):
         with pytest.raises(ProblemError):
             factorize_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-class TestSigmaCheck:
-    def test_degenerate_scheme_sigma_zero(self):
-        beta = 0.4
-        p = problem_1d(a11=0.5 * beta * beta, b11=beta)
-        s = build_scheme_example1(p)
-        s.sigma = {((1,), 1): 0.0}
-        s.d2 = 1
-        assert check_sigma_factorization(s, SAMPLE_1D) <= 1e-12
-
-    def test_mismatch_detected(self):
-        p = problem_1d(a11=1.0, b11=0.0)
-        s = build_scheme_example1(p)
-        s.sigma = {((1,), 1): 1.0}  # sigma^2 = 1 but 2a = 2
-        s.d2 = 1
-        assert check_sigma_factorization(s, SAMPLE_1D) == pytest.approx(1.0)
 
 
 class TestLibrary:

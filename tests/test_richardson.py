@@ -21,7 +21,8 @@ def synthetic_ladder(coarse_points, levels, make_values, n_steps=2, tau=0.5):
     for j in range(levels + 1):
         g = make_torus_grid(1, [1.0], [coarse_points * 2 ** j])
         fields = [g.field(make_values(g, i)) for i in range(n_steps + 1)]
-        out.append(Trajectory(grid=g, tau=tau, fields=fields))
+        out.append(Trajectory(grid=g, tau=tau,
+                              values=np.stack([f.values for f in fields])))
     return out
 
 

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from spdefd.grids import GridField, make_torus_grid
+from spdefd.grids import GridError, GridField, make_torus_grid, subsample
 from spdefd.problems import (
     DifferentialProblem,
     DifferenceScheme,
@@ -766,6 +768,58 @@ class TestNonFiniteStep:
             run_reference_time_scheme(p, g, 5)
 
 
+class TestTrajectory:
+    def _traj(self):
+        p = make_problem("heat1d")
+        g = make_torus_grid(1, [1.0], [8])
+        return run_space_time_scheme(p, build_scheme_example1(p), g, 3)
+
+    def test_rows_are_read_only_views(self):
+        traj = self._traj()
+        assert traj.values.shape == (4, 8)
+        for i, fld in enumerate(traj.fields):
+            assert np.shares_memory(fld.values, traj.values)
+            np.testing.assert_array_equal(traj[i].values, traj.values[i])
+        with pytest.raises(ValueError):
+            traj[1].values[0] = 0.0
+        with pytest.raises(ValueError):
+            traj.values[0, 0] = 0.0
+
+    def test_caller_array_stays_writable(self):
+        g = make_torus_grid(1, [1.0], [4])
+        values = np.zeros((2, 4))
+        Trajectory(grid=g, tau=0.5, values=values)
+        assert values.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 5), (4,), (0, 4), (2, 4, 1)])
+    def test_rejects_wrong_shape(self, shape):
+        g = make_torus_grid(1, [1.0], [4])
+        with pytest.raises(GridError, match="trajectory shape"):
+            Trajectory(grid=g, tau=0.5, values=np.zeros(shape))
+
+    def test_rejects_non_finite(self):
+        g = make_torus_grid(1, [1.0], [4])
+        values = np.zeros((3, 4))
+        values[2, 1] = np.inf
+        with pytest.raises(GridError, match="non-finite"):
+            Trajectory(grid=g, tau=0.5, values=values)
+
+    def test_restricted_is_strided_view(self):
+        traj = self._traj()
+        coarse = traj.restricted(2)
+        assert np.shares_memory(coarse.values, traj.values)
+        assert (coarse.n, coarse.tau) == (traj.n, traj.tau)
+        for fine, got in zip(traj.fields, coarse.fields):
+            want = subsample(fine, 2)
+            assert got.grid == want.grid
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("factor", [0, 3])
+    def test_restricted_checks_factor(self, factor):
+        with pytest.raises(GridError):
+            self._traj().restricted(factor)
+
+
 class TestTrajectoryExport:
     def _traj(self):
         p = make_problem("heat1d")
@@ -792,3 +846,22 @@ class TestTrajectoryExport:
         assert loaded.grid == traj.grid
         for a, b in zip(loaded.fields, traj.fields):
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        path = tmp_path / "traj.bin"
+        export_trajectory_binary(self._traj(), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            message = ("truncated trajectory dump" if cut >= 8
+                       else "not a trajectory dump")
+            with pytest.raises(ValueError, match=message):
+                load_trajectory_binary(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        path = tmp_path / "traj.bin"
+        export_trajectory_binary(self._traj(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
+        with pytest.raises(GridError, match="non-finite"):
+            load_trajectory_binary(path)

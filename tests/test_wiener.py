@@ -125,3 +125,14 @@ class TestDumpRoundTrip:
         path.write_bytes(data[:-8])
         with pytest.raises(IncrementError):
             load_increments(path)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        path = tmp_path / "xi.bin"
+        save_increments(sample_increments(3, 2, 0.1, seed=7), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            message = ("truncated increment dump" if cut >= 8
+                       else "not an increment dump")
+            with pytest.raises(IncrementError, match=message):
+                load_increments(path)
