@@ -19,15 +19,18 @@ mode-energy check rejects fields the reference grid cannot resolve.
 Every trajectory is a :class:`stepper.Trajectory`, one ``(n + 1,) +
 grid.shape`` array with a row per time index.  Corrector p is marched by
 :class:`stepper.Marcher` from a zero state, with its forcing in place of the
-free terms.  The forcing of FORCING_BLOCK_ROWS consecutive steps is computed
-together: the rows of each lower-order trajectory that the block reads are
-transformed by one FFT over the spatial axes, the resolution check reads
-each row's mode energy from that spectrum, and every derivative term is one
-inverse FFT of the block times the coefficient arrays of its rows.  The
-block kernels sit behind :func:`corrector_operator_L` and
-:func:`corrector_operator_M`, which also take a single field.  The expansion
-residual subtracts strided views of the corrector arrays and reduces the
-remainder row by row.
+free terms; the marcher skips the steps whose forcing is zero while its
+state is still zero, so a vanishing corrector (every odd one of a symmetric
+scheme) costs its forcing but no solve.  The forcing of FORCING_BLOCK_ROWS
+consecutive steps is computed together: the rows of each lower-order
+trajectory that the block reads are transformed by one FFT over the spatial
+axes (``stepper._fft``, the transforms of ``np.fft.fftn``), the resolution
+check reads each row's mode energy from that spectrum, and every derivative
+term is one inverse FFT of the block times the coefficient arrays of its
+rows.  The block kernels sit behind :func:`corrector_operator_L` and
+:func:`corrector_operator_M`, which also take a single field.  The
+expansion residual subtracts strided views of the corrector arrays and
+reduces the remainder row by row.
 """
 
 import math
@@ -45,6 +48,7 @@ from .stepper import (
     SolveFailure,
     SpectralOperators,
     Trajectory,
+    _fft,
     _frequency_mesh,
     _march_path,
     increment_columns,
@@ -113,7 +117,8 @@ def _require_resolved(fractions: np.ndarray, tol: float) -> None:
 
 
 def check_resolution(phi: GridField, tol: float = RESOLUTION_ENERGY_TOL) -> None:
-    _require_resolved(_top_mode_fractions(np.fft.fftn(phi.values)[None]), tol)
+    _require_resolved(_top_mode_fractions(
+        _fft(phi.values, tuple(range(phi.grid.dim)))[None]), tol)
 
 
 @dataclass
@@ -145,18 +150,17 @@ class _Spectra:
         return 1j * acc
 
     def directional(self, lam, order: int) -> np.ndarray:
-        return np.real(np.fft.ifftn(self._factor(lam) ** order * self.hat,
-                                    axes=self.axes))
+        return np.real(_fft(self._factor(lam) ** order * self.hat, self.axes,
+                            inverse=True))
 
     def mixed(self, lam, order_lam: int, mu, order_mu: int) -> np.ndarray:
         mult = self._factor(lam) ** order_lam * self._factor(mu) ** order_mu
-        return np.real(np.fft.ifftn(mult * self.hat, axes=self.axes))
+        return np.real(_fft(mult * self.hat, self.axes, inverse=True))
 
 
 def _spectra(grid: TorusGrid, values: np.ndarray, freq=None) -> _Spectra:
     """Spectra of a ``(rows,) + grid.shape`` stack: one forward FFT."""
-    return _Spectra(grid, values,
-                    np.fft.fftn(values, axes=tuple(range(1, grid.dim + 1))),
+    return _Spectra(grid, values, _fft(values, tuple(range(1, grid.dim + 1))),
                     _frequency_mesh(grid) if freq is None else freq)
 
 
@@ -348,6 +352,15 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     in place of the free terms, so the implicit solve is the reference
     realization of (I - tau L): exact per mode for constant coefficients,
     the centred lattice on the reference grid otherwise.
+
+    While a corrector's forcing is zero and its state has never left zero,
+    its steps are skipped: no right-hand side, no M^rho, no solve.  The
+    state stays the +0.0 array those steps would return; the operators'
+    ``keeps_zero`` checks, once per operator, that their solve does return
+    +0.0, and where it leaves -0.0 entries the steps run as before.  The
+    forcing is still computed, and checked, block by block.  So a vanishing
+    corrector marches no solve, and a corrector whose forcing starts late
+    starts solving when it does.
     """
     if k < 0:
         raise ValueError("expansion order k must be >= 0")

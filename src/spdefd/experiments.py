@@ -59,6 +59,7 @@ from .problems import (
 )
 from .richardson import (
     ConvergenceReport,
+    ExtrapolationError,
     _combine,
     estimate_order,
     vandermonde_weights,
@@ -379,8 +380,12 @@ def run_convergence_experiment(spec: ExperimentSpec,
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
     level = spec.level if accelerate else 0
-    weights = vandermonde_weights(level, _resolve_base(spec, scheme)) \
-        if accelerate else None
+    weights = None
+    if accelerate:
+        try:
+            weights = vandermonde_weights(level, _resolve_base(spec, scheme))
+        except ExtrapolationError as exc:
+            raise ConfigError(f"[extrapolation] {exc}") from exc
     ref_mode = _resolve_reference_mode(spec, problem)
     grids = ladder_grids(spec, problem, extra=level)
     tau = problem.T / spec.n

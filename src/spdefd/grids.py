@@ -16,7 +16,7 @@ Conventions:
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -216,10 +216,30 @@ def _as_int_vector(lam, dim: int) -> tuple[int, ...]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _wrap_index(points: int, shift: int) -> np.ndarray:
+    """Gather index ``(j + shift) mod points`` of one periodic axis; it is
+    read-only because every caller gets the same cached array."""
+    index = (np.arange(points) + shift) % points
+    index.flags.writeable = False
+    return index
+
+
 def _shifted(values: np.ndarray, lam, s: int, dim: int) -> np.ndarray:
     """Values translated by ``s*h*lam`` over the first ``dim`` axes; trailing
-    axes (one column per seed) ride along."""
-    return np.roll(values, tuple(-s * c for c in lam), axis=tuple(range(dim)))
+    axes (one column per seed) ride along.
+
+    Each moved axis is one gather through a cached wrap index, which gives
+    the bits of ``np.roll`` without its per-call slicing; the result is
+    always a new array.
+    """
+    out = values
+    for axis in range(dim):
+        if lam[axis]:
+            points = values.shape[axis]
+            out = np.take(out, _wrap_index(points, s * lam[axis] % points),
+                          axis=axis)
+    return out.copy() if out is values else out
 
 
 def _forward_values(values: np.ndarray, lam, h: float, sign: int,

@@ -15,7 +15,12 @@ wrappers over the same kernels.  ``run_space_time_scheme`` and
 ``run_reference_time_scheme`` march one column and return its states as a
 :class:`Trajectory`, one ``(n + 1,) + grid.shape`` array.  The corrector
 system marches on the same class, from a zero state and with its own
-forcing in place of the free terms f and g.
+forcing in place of the free terms f and g.  Such a marcher skips the
+steps whose forcing is zero while its state is still the +0.0 it started
+from, where the operators' solve maps a zero right-hand side to +0.0: the
+step would leave the state as it is, so the bits are those of the step.
+The lattice shifts inside ``_apply_M_values`` are gathers through cached
+wrap indices (``grids._shifted``).
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled once per operator into the sparse matrix
@@ -31,7 +36,9 @@ are never papered over by regularization.
 The reference solution of the time-discretized PDE is realized exactly per
 Fourier mode when the coefficients are constant in space (an FFT over the
 spatial axes of every column), or by the centred scheme on a finer lattice,
-restricted at every step, otherwise.
+restricted at every step, otherwise.  Every FFT over the spatial axes goes
+through ``_fft``, the one-axis transforms that ``np.fft.fftn`` runs, in its
+order, without its per-call argument handling.
 """
 
 import functools
@@ -49,6 +56,7 @@ from .grids import (
     _coarse_grid,
     _require_finite,
     _restricted,
+    _shifted,
     _symmetric_values,
 )
 from .problems import DifferenceScheme, DifferentialProblem, build_scheme_example1
@@ -255,9 +263,7 @@ def _assemble(terms: list, shape: tuple, tau: float | None = None):
             else np.ones(shape)
     n, width = int(np.prod(shape)), len(weights)
     idx = np.arange(n).reshape(shape)
-    axes = tuple(range(dim))
-    cols = np.stack([np.roll(idx, tuple(-c for c in v), axis=axes).ravel()
-                     for v in weights], axis=1)
+    cols = np.stack([_shifted(idx, v, 1, dim).ravel() for v in weights], axis=1)
     data = np.stack([w.ravel() for w in weights.values()], axis=1)
     return sp.csr_matrix((data.ravel(), cols.ravel(),
                           np.arange(0, n * width + 1, width)),
@@ -339,6 +345,15 @@ class ImplicitOperator:
             self._M = spla.LinearOperator(
                 (n, n), matvec=functools.partial(_circulant_solve, symbol, grid.shape),
                 dtype=float)
+
+    @functools.cached_property
+    def keeps_zero(self) -> bool:
+        """Whether a solve maps a +0.0 right-hand side to +0.0.  GMRES
+        returns a zero right-hand side as it is; a negative pivot of the LU
+        factors turns +0.0 into -0.0."""
+        if self.mode != "direct" or self.tau == 0.0:
+            return True
+        return not np.signbit(self._lu.solve(np.zeros(self.grid.npoints))).any()
 
     def apply(self, phi: GridField) -> GridField:
         """Forward action (I - tau L) phi."""
@@ -486,6 +501,13 @@ class Marcher:
     own solve fails is recorded in ``failures`` under its path index and
     dropped, while the others march on.  ``columns`` lists the path indices
     still in ``v``.
+
+    A marcher started from zero skips every step whose forcing (``f`` and
+    every part of ``g``) is zero for as long as its state has never left
+    zero: such a step's right-hand side is +0.0, and where
+    ``operators.keeps_zero`` says the solve maps that to +0.0, the state
+    it would compute is the one it has.  A state that returns to zero
+    later is stepped as usual, since its zeros may carry a sign.
     """
 
     def __init__(self, problem: DifferentialProblem, grid: TorusGrid,
@@ -496,6 +518,7 @@ class Marcher:
         self.xi = xi
         self.operators = operators
         self.columns = np.arange(xi.shape[-1])
+        self._at_zero = zero_start
         if zero_start:
             self.v = np.zeros(grid.shape + (xi.shape[-1],))
         else:
@@ -520,6 +543,11 @@ class Marcher:
         if g is None:
             g = [(p.g_at(rho, i - 1, x) * np.ones(shape),)
                  for rho in range(1, p.d1 + 1)]
+        if self._at_zero and not f.any() \
+                and not any(part.any() for parts in g for part in parts) \
+                and self.operators.keeps_zero(i):
+            return
+        self._at_zero = False
         rhs = _explicit_rhs(
             self.v, self.tau, f, g, self.xi[i - 1][:, self.columns],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
@@ -572,6 +600,19 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
 # Reference realization of the time scheme (exact in space)
 # ---------------------------------------------------------------------------
 
+def _fft(values: np.ndarray, axes: tuple, inverse: bool = False) -> np.ndarray:
+    """``np.fft.fftn`` (or ``ifftn``) of ``values`` over ``axes``.
+
+    The one-axis transforms run last axis first, the loop that ``fftn``
+    runs, so the bits are the same; what is skipped is ``fftn``'s argument
+    handling on every call.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in reversed(axes):
+        values = transform(values, axis=axis)
+    return values
+
+
 def _frequency_mesh(grid: TorusGrid):
     """Angular frequencies xi_a = 2 pi k_a / P_a as d mesh arrays."""
     axes = []
@@ -607,6 +648,7 @@ class SpectralOperators:
         self._freq = _frequency_mesh(grid)
         self._axes = tuple(range(grid.dim))
         self._cache = {}
+        self._keeps_zero = {}
 
     def symbols(self, i: int):
         key = 0 if self.problem.time_independent else i
@@ -641,23 +683,40 @@ class SpectralOperators:
             self._cache[key] = got
         return got
 
-    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
-        """(I - tau L)^{-1} per column, exactly per Fourier mode; returns the
-        solution and the failures keyed by column."""
+    def _solve(self, rhs: np.ndarray, i: int) -> np.ndarray:
         symL, _ = self.symbols(i)
         denom = 1.0 - self.tau * symL
         if float(np.min(np.abs(denom))) < 1e-12:
             raise SolveFailure("spectral implicit operator is singular; "
                                "tau may not be small enough", step=i)
-        hat = np.fft.fftn(rhs, axes=self._axes) / denom[..., None]
-        x = np.real(np.fft.ifftn(hat, axes=self._axes))
+        hat = _fft(rhs, self._axes) / denom[..., None]
+        return np.real(_fft(hat, self._axes, inverse=True))
+
+    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
+        """(I - tau L)^{-1} per column, exactly per Fourier mode; returns the
+        solution and the failures keyed by column."""
+        x = self._solve(rhs, i)
         return x, _nonfinite_columns(x, self.grid.dim, "spectral solve", i)
+
+    def keeps_zero(self, i: int) -> bool:
+        """Whether the solve at step i maps a +0.0 right-hand side to +0.0,
+        found by solving one zero column once per set of symbols.  It does
+        not for every grid: FFT lengths that pocketfft transforms by
+        Bluestein's algorithm (89 points, say) leave -0.0 entries."""
+        key = 0 if self.problem.time_independent else i
+        if key not in self._keeps_zero:
+            try:
+                x = self._solve(np.zeros(self.grid.shape + (1,)), i)
+            except SolveFailure:
+                return False
+            self._keeps_zero[key] = not np.signbit(x).any()
+        return self._keeps_zero[key]
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         _, symM = self.symbols(i)
-        hat = np.fft.fftn(values, axes=self._axes)
-        return np.real(np.fft.ifftn(symM[rho - 1][..., None] * hat,
-                                    axes=self._axes))
+        hat = _fft(values, self._axes)
+        return np.real(_fft(symM[rho - 1][..., None] * hat, self._axes,
+                            inverse=True))
 
 
 
@@ -690,6 +749,13 @@ class FiniteDifferenceOperators:
 
     def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
         return self._operator(i).solve_columns(rhs, i)
+
+    def keeps_zero(self, i: int) -> bool:
+        """Whether the solve at step i maps a +0.0 right-hand side to +0.0."""
+        try:
+            return self._operator(i).keeps_zero
+        except SolveFailure:
+            return False
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         return _apply_M_values(self.sampler.arrays(i), values, self.grid.h, rho,

@@ -8,7 +8,6 @@ to later calibration.
 import time
 
 import numpy as np
-import pytest
 
 from oracles import dense_trajectory_1d, discrete_symbols_1d, spectral_trajectory_1d
 from spdefd.cli import main
@@ -24,7 +23,6 @@ from spdefd.problems import (
 from spdefd.richardson import (
     estimate_order,
     extrapolate_derivative,
-    richardson_combine,
     vandermonde_weights,
 )
 from spdefd.stepper import run_reference_time_scheme, run_space_time_scheme

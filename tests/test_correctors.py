@@ -575,8 +575,10 @@ class TestCorrectorFailures:
             return original(self, rhs, step)
 
         monkeypatch.setattr(ImplicitOperator, "solve_columns", solve_columns)
+        # k = 2: example1's odd corrector vanishes and is never solved, so
+        # the failing solves are those of v^(2)
         with pytest.raises(SolveFailure) as info:
-            run_corrector_system(1, p, build_scheme_example1(p), g, 6,
+            run_corrector_system(2, p, build_scheme_example1(p), g, 6,
                                  reference_mode="fine-grid", refine=1)
         assert str(info.value) == ("step 3: factorized solve produced "
                                    "non-finite values; tau may not be small "
@@ -593,8 +595,9 @@ class TestCorrectorFailures:
             return splu(matrix, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", failing_splu)
+        # k = 2, as above: v^(2) is the first corrector that solves
         with pytest.raises(SolveFailure) as info:
-            run_corrector_system(1, p, build_scheme_example1(p), g, 6,
+            run_corrector_system(2, p, build_scheme_example1(p), g, 6,
                                  reference_mode="fine-grid", refine=1)
         assert str(info.value) == ("step 1: factorization failed (Factor is "
                                    "exactly singular); tau may not be small "
@@ -625,6 +628,88 @@ class TestCorrectorFailures:
         run_corrector_system(0, p, build_scheme_example1(p), g, 4)
         with pytest.raises(ResolutionError, match="highest retained modes"):
             run_corrector_system(1, p, build_scheme_example1(p), g, 4)
+
+
+def late_forcing_problem():
+    """Zero initial data and a free term that switches on at step 4, with a
+    drift term so that example2 has one-sided terms: v^(0) and the forcing
+    of v^(1) are zero for the first steps only."""
+    return DifferentialProblem(
+        d=1, d1=1, T=0.5, a={(1, 1): 0.1, (0, 1): 0.2}, b={(1, 1): 0.2},
+        f=lambda i, x: (i >= 4) * np.sin(2 * np.pi * x[..., 0]),
+        constant_coefficients=True)
+
+
+def _count_calls(calls):
+    """A wrap for :func:`_second_instance_patch` that records the step of
+    every call and passes it on."""
+    def wrap(original, self, rhs, i):
+        calls.append(i)
+        return original(self, rhs, i)
+    return wrap
+
+
+def _digests(cs):
+    return [hashlib.sha256(t.values.tobytes()).hexdigest()[:16]
+            for t in cs.trajectories]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestZeroForcingSkip:
+    """A corrector march skips the steps whose forcing is zero while its
+    state is still the +0.0 it started from, and keeps every bit of the
+    recursion that solves them."""
+
+    def test_vanishing_correctors_do_no_solves(self, monkeypatch):
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        n, g = 16, make_torus_grid(1, [1.0], [64])
+        calls = []
+        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
+                               _count_calls(calls))
+        cs = run_corrector_system(3, p, build_scheme_example1(p), g, n,
+                                  sample_increments(n, 1, p.T / n, 3))
+        assert calls == list(range(1, n + 1))      # v^(2) alone
+        for j in (1, 3):
+            assert cs[j].values.tobytes() == np.zeros((n + 1, 64)).tobytes()
+
+    def test_late_starting_forcing(self, monkeypatch):
+        p = late_forcing_problem()
+        n = 10
+        calls = []
+        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
+                               _count_calls(calls))
+        cs = run_corrector_system(3, p, build_scheme_example2(p),
+                                  make_torus_grid(1, [1.0], [64]), n,
+                                  sample_increments(n, 1, p.T / n, 3))
+        # recorded with the recursion that solved every step
+        assert _digests(cs) == ["c943574a9f00a983", "57e7cae72eaf429e",
+                                "afbb80c6694227cf", "4da0d2672155af30"]
+        assert not cs[0].values[:4].any() and cs[0].values[4].any()
+        assert not cs[1].values[:4].any() and cs[1].values[4].any()
+        # every corrector starts solving at step 4, once its forcing is on
+        assert calls == 3 * list(range(4, n + 1))
+
+    def test_nonvanishing_odd_correctors_still_march(self, monkeypatch):
+        args, kwargs = pinned_config("time-dependent-k2")
+        n = args[4]
+        calls = []
+        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
+                               _count_calls(calls))
+        run_corrector_system(*args, **kwargs)
+        assert calls == 2 * list(range(1, n + 1))
+
+    def test_signed_zero_solve_is_not_skipped(self):
+        # pocketfft transforms 89 points by Bluestein's algorithm, and the
+        # solve of a zero right-hand side holds -0.0 entries: the vanishing
+        # correctors are solved as before, signed zeros and all
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        g = make_torus_grid(1, [1.0], [89])
+        assert not SpectralOperators(p, g, p.T / 8).keeps_zero(1)
+        cs = run_corrector_system(3, p, build_scheme_example1(p), g, 8,
+                                  sample_increments(8, 1, p.T / 8, 4))
+        assert np.signbit(cs[1].values).any()
+        assert _digests(cs) == ["e30b4725b920c49e", "a90d5c97ad0efa36",
+                                "bababe4500d66ac5", "a90d5c97ad0efa36"]
 
 
 class TestResidualTimeGrid:

@@ -444,6 +444,18 @@ class TestCli:
             err = capsys.readouterr().err
             assert "config error" in err and message in err
 
+    def test_level_above_guard(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINIMAL + "\n[time]\nn = 8\n[space]\n"
+                    "points0 = 8\n[extrapolation]\nlevel = 13\n[run]\n"
+                    f"out = {tmp_path / 'out'}\n")
+        assert main(["accelerate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "level 13" in err
+        # the plain and corrector studies do not extrapolate: no level check
+        for command in ("converge", "correctors"):
+            assert main([command, "--config", str(cfg)]) == 0
+            assert "config error" not in capsys.readouterr().err
+
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 3
 

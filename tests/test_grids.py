@@ -1,11 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from spdefd.grids import (
     GridError,
-    GridField,
     Stencil,
     basis_stencil,
     composed_difference,

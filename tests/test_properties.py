@@ -1,4 +1,5 @@
-"""Property tests: configuration and trajectory-dump round trips."""
+"""Property tests: configuration and trajectory-dump round trips, and the
+shift and FFT kernels against the numpy calls they stand in for."""
 
 import numpy as np
 from hypothesis import given
@@ -6,8 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spdefd.experiments import ExperimentSpec, load_config, save_config
-from spdefd.grids import TorusGrid
-from spdefd.stepper import Trajectory, export_trajectory_binary, load_trajectory_binary
+from spdefd.grids import TorusGrid, _shifted
+from spdefd.stepper import (
+    Trajectory,
+    _fft,
+    export_trajectory_binary,
+    load_trajectory_binary,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -68,3 +74,36 @@ def test_trajectory_dump_round_trip(tmp_path_factory, traj):
     assert loaded.grid == traj.grid
     assert loaded.tau == traj.tau
     assert loaded.values.tobytes() == traj.values.tobytes()
+
+
+@st.composite
+def column_arrays(draw):
+    """Values on a 1- to 3-d lattice with a trailing column axis."""
+    shape = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
+    return draw(arrays(np.float64, shape + (draw(st.integers(1, 3)),),
+                       elements=st.floats(-1e6, 1e6)))
+
+
+@given(values=column_arrays(), data=st.data())
+def test_shifted_matches_roll(values, data):
+    dim = values.ndim - 1
+    # shifts reach beyond +-N on every axis
+    lam = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=dim,
+                                   max_size=dim)))
+    s = data.draw(st.sampled_from([1, -1]))
+    got = _shifted(values, lam, s, dim)
+    want = np.roll(values, tuple(-s * c for c in lam), axis=tuple(range(dim)))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, values)
+
+
+@given(values=column_arrays(), leading=st.booleans())
+def test_fft_matches_fftn(values, leading):
+    # the spatial axes lead (a state with its columns) or follow a row axis
+    # (a stack of time steps)
+    axes = tuple(range(1, values.ndim)) if leading else tuple(range(values.ndim - 1))
+    hat = _fft(values, axes)
+    assert hat.tobytes() == np.fft.fftn(values, axes=axes).tobytes()
+    assert _fft(hat, axes, inverse=True).tobytes() == \
+        np.fft.ifftn(hat, axes=axes).tobytes()

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from spdefd.grids import GridField, make_torus_grid, symmetric_difference
+from spdefd.grids import make_torus_grid
 from spdefd.problems import make_problem, build_scheme_example1
 from spdefd.richardson import (
-    ConvergenceReport,
     ExtrapolationError,
     estimate_order,
     extrapolate_derivative,

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from spdefd.grids import GridError, GridField, make_torus_grid, subsample
+from spdefd.grids import GridError, make_torus_grid, subsample
 from spdefd.problems import (
     DifferentialProblem,
     DifferenceScheme,
@@ -242,6 +242,21 @@ class TestImplicitOperator:
         np.testing.assert_allclose(op.solve(rhs).values.ravel(),
                                    np.linalg.solve(A, rhs.values.ravel()),
                                    rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("a00, mode, keeps", [
+        (-1.0, "direct", True), (20.0, "direct", False),
+        (20.0, "iterative", True)])
+    def test_keeps_zero_matches_the_zero_solve(self, a00, mode, keeps):
+        # I - tau a00 has negative pivots for a00 = 20: the factorized solve
+        # of a zero right-hand side gives -0.0, while GMRES returns it as is
+        g = make_torus_grid(1, [1.0], [16])
+        s = DifferenceScheme(stencil=basis_stencil(1), d1=0,
+                             a={((1,), (1,)): 0.01, ((0,), (0,)): a00})
+        op = ImplicitOperator(s, g, 1.0, g.h, 0, mode=mode)
+        x, failed = op.solve_columns(np.zeros((16, 1)))
+        assert not failed
+        assert op.keeps_zero is keeps
+        assert bool(np.signbit(x).any()) is not keeps
 
 
 def cross_scheme_2d():
