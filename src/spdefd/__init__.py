@@ -42,8 +42,6 @@ from .stepper import (
     SpectralModeError,
     Trajectory,
     apply_L,
-    apply_M,
-    implicit_step,
     run_reference_time_scheme,
     run_space_time_scheme,
 )

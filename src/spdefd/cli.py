@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .correctors import export_corrector_set
 from .experiments import (
     ConfigError,
     build_problem,
@@ -101,12 +102,22 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def _run_study(args, accelerate: bool) -> int:
+def _run_study(args) -> int:
     spec = _load_spec(args)
-    result = run_convergence_experiment(spec, accelerate=accelerate)
+    if args.command == "correctors":
+        result = run_corrector_experiment(spec)
+    else:
+        result = run_convergence_experiment(
+            spec, accelerate=args.command == "accelerate")
     paths = emit_outputs(result, spec.out)
+    cs = result.extras.pop("corrector_set", None)
+    if cs is not None:
+        paths += export_corrector_set(cs, spec.out, "corrector", spec.format)
     for line in _summary_lines(result):
         print(line)
+    ratios = result.extras.get("odd_corrector_ratios", {})
+    for order, ratio in sorted(ratios.items()):
+        print(f"  odd corrector {order}: sup ratio {ratio:.3e}")
     print(f"wrote {', '.join(str(p) for p in paths)}")
     if result.failed:
         print(f"solver failure: {result.failure}", file=sys.stderr)
@@ -133,26 +144,6 @@ def _summary_lines(result):
             lines.append(f"  note: {note}")
         lines.append(f"  result: {'PASS' if result.passed else 'FAIL'}")
     return lines
-
-
-def _cmd_correctors(args) -> int:
-    spec = _load_spec(args)
-    result = run_corrector_experiment(spec)
-    paths = emit_outputs(result, spec.out)
-    cs = result.extras.pop("corrector_set", None)
-    if cs is not None:
-        from .correctors import export_corrector_set
-        paths += export_corrector_set(cs, spec.out, "corrector", spec.format)
-    for line in _summary_lines(result):
-        print(line)
-    ratios = result.extras.get("odd_corrector_ratios", {})
-    for order, ratio in sorted(ratios.items()):
-        print(f"  odd corrector {order}: sup ratio {ratio:.3e}")
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    if result.failed:
-        print(f"solver failure: {result.failure}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_PASS if result.passed else EXIT_FAIL
 
 
 def _cmd_selfcheck(_args) -> int:
@@ -189,13 +180,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "solve":
             return _cmd_solve(args)
-        if args.command == "converge":
-            return _run_study(args, accelerate=False)
-        if args.command == "accelerate":
-            return _run_study(args, accelerate=True)
-        if args.command == "correctors":
-            return _cmd_correctors(args)
-        return _cmd_selfcheck(args)
+        if args.command == "selfcheck":
+            return _cmd_selfcheck(args)
+        return _run_study(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -416,6 +416,20 @@ class ResidualReport:
         return float(np.max(self.l2h_per_step))
 
 
+def _weighted(terms: list, h: float) -> list:
+    """The expansion terms (h^m/m!) terms[m]; the first, weight 1, as is."""
+    return [term if m == 0 else (h ** m / math.factorial(m)) * term
+            for m, term in enumerate(terms)]
+
+
+def _remainder(v: np.ndarray, weighted: list) -> np.ndarray:
+    """v less the weighted expansion terms, subtracted in order: the
+    remainder of :func:`expansion_residual` and of the studies' rungs."""
+    for term in weighted:
+        v = v - term
+    return v
+
+
 def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
                        k: int | None = None) -> ResidualReport:
     """Remainder v^h_i - sum_{j<=k} (h^j/j!) v^(j)_i on the trajectory's grid.
@@ -448,9 +462,8 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
                          "per axis")
     coarse = (slice(None),) + (slice(None, None, factors.pop()),) * vh.grid.dim
 
-    acc = vh.values.copy()
-    for j in range(k + 1):
-        acc -= (h ** j / math.factorial(j)) * cs[j].values[coarse]
+    acc = _remainder(vh.values, _weighted([cs[j].values[coarse]
+                                           for j in range(k + 1)], h))
     sups, l2hs = _norms(acc.reshape(len(acc), -1), vh.grid.h ** vh.grid.dim)
     return ResidualReport(sup_per_step=sups, l2h_per_step=l2hs)
 

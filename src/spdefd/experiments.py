@@ -26,10 +26,13 @@ Keys are case-insensitive; the horizon may be written ``T`` or ``t``.
 study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
-reference time-scheme solution.  All seeds of all rungs and the reference
-march in lock-step over the time index, and at each index the
-(extrapolated) errors are reduced into running per-seed maxima, so no
-trajectory is stored.  Errors are measured pathwise, as max over time of the
+study's target.  All seeds of all rungs march in lock-step with the target
+over the time index, and at each index the errors are reduced into running
+per-seed maxima, so no rung trajectory is stored.  The target is all that
+tells the studies apart: the reference time-scheme solution for
+``converge``/``accelerate`` (whose rungs may be extrapolated), and the
+expansion sum_{m<=k} (h^m/m!) v^(m) of the corrector system for
+``correctors``.  Errors are measured pathwise, as max over time of the
 sup over grid points; squared errors are averaged over the seed set before
 order fitting, so the reported quantity realizes the expected squared sup
 norm.
@@ -49,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .correctors import _remainder, _weighted, run_corrector_system
 from .grids import _norms, _restricted, make_torus_grid
 from .problems import (
     DifferentialProblem,
@@ -68,9 +72,10 @@ from .stepper import (
     FiniteDifferenceOperators,
     Marcher,
     SolveFailure,
+    SpectralModeError,
     increment_columns,
     reference_marcher,
-    run_space_time_scheme,
+    run_space_time_scheme,  # unused: perfbench/check_bench.py reads it here
 )
 from .wiener import sample_increments
 
@@ -358,86 +363,75 @@ class ExperimentResult:
         return (not self.failed) and self.report is not None and self.report.passed
 
 
-def run_convergence_experiment(spec: ExperimentSpec,
-                               accelerate: bool = False) -> ExperimentResult:
-    """Measure the convergence order of the plain or extrapolated scheme.
+class _Replay:
+    """The corrector set of one path, replayed index by index like a
+    one-column :class:`Marcher`; its terms are weighted once per rung."""
 
-    Every seed's Wiener increments are sampled once and drive every rung and
-    the reference (same time grid), which is computed on the finest mesh and
-    restricted to each rung's grid.  All seeds of all rungs and the reference
-    march in lock-step (a deterministic problem marches one path for all
-    seeds); at each time index the extrapolated candidates and
-    their errors are formed and folded into running per-seed maxima, so no
-    trajectory is stored.
+    def __init__(self, cs, grids):
+        self.cs, self.i, self.columns, self.failures = cs, 0, np.arange(1), {}
+        self.weighted = {g.shape: _weighted(
+            [traj.restricted(cs.grid.shape[0] // g.shape[0]).values[..., None]
+             for traj in cs.trajectories], g.h) for g in grids}
 
-    A failed solve is reported for the first (seed, mesh) pair in seed-major
-    order, and reference failures only when every rung succeeded.
+    def advance(self) -> None:
+        self.i += 1
+
+    def terms(self, grid) -> list:
+        return [term[self.i] for term in self.weighted[grid.shape]]
+
+
+def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
+                  weights, expected_order, make_target):
+    """The rung loop of both studies; returns the result and the target.
+
+    ``make_target(grids, xi, increments)`` gives the target, which steps
+    like a :class:`Marcher` (``advance``, ``columns``, ``failures``), and a
+    callable giving its weighted expansion terms (h^m/m!) v^(m) at the
+    current index on a rung's grid.  Rungs and target march in lock-step;
+    at each index every rung's candidate (the rung, or its extrapolation by
+    ``weights``) less those terms (:func:`correctors._remainder`) is folded
+    into running per-seed maxima.  The first failing (seed, mesh)
+    pair in seed-major order is reported, target failures only when every
+    rung succeeded, and a failure the target raises while it is built as
+    itself.  A spectral target on variable coefficients is a configuration
+    error.
     """
-    kind = "accelerate" if accelerate else "converge"
-    if spec.rungs < 2:
-        raise ConfigError("convergence experiments need rungs >= 2")
-
-    problem = build_problem(spec)
-    scheme = build_scheme(spec, problem)
-    level = spec.level if accelerate else 0
-    weights = None
-    if accelerate:
-        try:
-            weights = vandermonde_weights(level, _resolve_base(spec, scheme))
-        except ExtrapolationError as exc:
-            raise ConfigError(f"[extrapolation] {exc}") from exc
-    ref_mode = _resolve_reference_mode(spec, problem)
+    level = 0 if weights is None else weights.level
     grids = ladder_grids(spec, problem, extra=level)
     tau = problem.T / spec.n
-    dim = problem.d
 
     # a deterministic problem has one path whatever the seeds: march it once
     # and give every seed its row; column[k] is seed k's path
-    nseeds = len(spec.seeds)
-    paths = spec.seeds if problem.d1 > 0 else spec.seeds[:1]
-    column = [k if problem.d1 > 0 else 0 for k in range(nseeds)]
-    xi = increment_columns(problem, spec.n, [
-        sample_increments(spec.n, problem.d1, tau, seed) if problem.d1 > 0
-        else None for seed in paths])
+    paths = seeds if problem.d1 > 0 else seeds[:1]
+    column = [k if problem.d1 > 0 else 0 for k in range(len(seeds))]
+    increments = [sample_increments(spec.n, problem.d1, tau, seed)
+                  if problem.d1 > 0 else None for seed in paths]
+    xi = increment_columns(problem, spec.n, increments)
     rungs = [Marcher(problem, g, xi,
                      FiniteDifferenceOperators(problem, g, tau, scheme))
              for g in grids]
-    reference, ref_factor = reference_marcher(problem, grids[-1], xi,
-                                              ref_mode, spec.refine)
 
-    sup = np.zeros((spec.rungs, len(paths)))
-    l2h = np.zeros((spec.rungs, len(paths)))
+    sup, l2h = np.zeros((2, spec.rungs, len(paths)))
 
     def measure():
-        # the paths whose reference is still live
-        live = reference.columns
+        # the paths whose target is still live
+        live = target.columns
         if not live.size:
             return
         cols = slice(None) if live.size == len(paths) else live
-        ref = _restricted(reference.v, ref_factor, dim)
-        for j in range(spec.rungs):
-            if accelerate:
-                candidate = _combine([_restricted(rungs[j + m].v, 2 ** m, dim)
+        for j, grid in enumerate(grids[:spec.rungs]):
+            if weights is not None:
+                candidate = _combine([_restricted(rungs[j + m].v, 2 ** m,
+                                                  grid.dim)
                                       for m in range(level + 1)], weights.beta)
             else:
                 candidate = rungs[j].v
-            err = candidate[..., cols] - _restricted(
-                ref, grids[-1].shape[0] // grids[j].shape[0], dim)
+            err = _remainder(candidate[..., cols], terms(grid))
             # one contiguous row per path, as _norms needs
             s, l = _norms(np.ascontiguousarray(err.reshape(-1, live.size).T),
-                          grids[j].h ** dim)
+                          grid.h ** grid.dim)
             sup[j, cols] = np.maximum(sup[j, cols], s)
             l2h[j, cols] = np.maximum(l2h[j, cols], l)
-
-    measure()
-    for _ in range(spec.n):
-        for marcher in rungs:
-            marcher.advance()
-        # once a rung failed, the study reports that failure: the rungs march
-        # on only to find the first failing pair
-        if not any(marcher.failures for marcher in rungs):
-            reference.advance()
-            measure()
 
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
     per_rung = {j: [] for j in range(spec.rungs)}
@@ -447,33 +441,79 @@ def run_convergence_experiment(spec: ExperimentSpec,
                                 rung_points=rung_points, per_rung_errors=per_rung,
                                 failed=True, failure=message)
 
-    for k, seed in zip(column, spec.seeds):
+    try:
+        target, terms = make_target(grids, xi, increments)
+        measure()
+        for _ in range(spec.n):
+            for marcher in rungs:
+                marcher.advance()
+            # once a rung failed, the study reports that failure: the rungs
+            # march on only to find the first failing pair
+            if not any(marcher.failures for marcher in rungs):
+                target.advance()
+                measure()
+    except SpectralModeError as exc:
+        raise ConfigError(f"[reference] {exc}") from exc
+    except SolveFailure as exc:
+        return failed(str(exc)), None
+
+    for k, seed in zip(column, seeds):
         for j, marcher in enumerate(rungs):
             if k in marcher.failures:
-                return failed(f"seed {seed}, mesh {j}: {marcher.failures[k]}")
+                return (failed(f"seed {seed}, mesh {j}: {marcher.failures[k]}"),
+                        target)
 
-    hs = [g.h for g in grids[:spec.rungs]]
-    sup_sq = np.zeros(spec.rungs)
-    l2h_sq = np.zeros(spec.rungs)
-    for k, seed in zip(column, spec.seeds):
-        if k in reference.failures:
-            return failed(f"reference, seed {seed}: {reference.failures[k]}")
+    sup_sq, l2h_sq = np.zeros((2, spec.rungs))
+    for k, seed in zip(column, seeds):
+        if k in target.failures:
+            return failed(f"reference, seed {seed}: {target.failures[k]}"), target
         for j in range(spec.rungs):
             s, l = float(sup[j, k]), float(l2h[j, k])
             per_rung[j].append((seed, s, l))
             sup_sq[j] += s ** 2
             l2h_sq[j] += l ** 2
 
-    sup_errors = list(np.sqrt(sup_sq / nseeds))
-    l2h_errors = list(np.sqrt(l2h_sq / nseeds))
-    report = estimate_order(hs, sup_errors, spec.expected_order,
-                            spec.order_tolerance, l2h_errors=l2h_errors)
-    extras = {"reference_mode": ref_mode}
-    if accelerate:
-        extras.update(base=weights.base, level=level)
+    report = estimate_order([g.h for g in grids[:spec.rungs]],
+                            list(np.sqrt(sup_sq / len(seeds))), expected_order,
+                            spec.order_tolerance,
+                            l2h_errors=list(np.sqrt(l2h_sq / len(seeds))))
     return ExperimentResult(kind=kind, spec=spec, report=report,
-                            rung_points=rung_points, per_rung_errors=per_rung,
-                            extras=extras)
+                            rung_points=rung_points,
+                            per_rung_errors=per_rung), target
+
+
+def run_convergence_experiment(spec: ExperimentSpec,
+                               accelerate: bool = False) -> ExperimentResult:
+    """Measure the convergence order of the plain or extrapolated scheme
+    against the reference time-scheme solution, computed on the finest mesh
+    and restricted to each rung (see :func:`_march_ladder`)."""
+    kind = "accelerate" if accelerate else "converge"
+    if spec.rungs < 2:
+        raise ConfigError("convergence experiments need rungs >= 2")
+
+    problem = build_problem(spec)
+    scheme = build_scheme(spec, problem)
+    weights = None
+    if accelerate:
+        try:
+            weights = vandermonde_weights(spec.level, _resolve_base(spec, scheme))
+        except ExtrapolationError as exc:
+            raise ConfigError(f"[extrapolation] {exc}") from exc
+    ref_mode = _resolve_reference_mode(spec, problem)
+
+    def reference(grids, xi, _):
+        marcher = reference_marcher(problem, grids[-1], xi, ref_mode,
+                                    spec.refine)[0]
+        return marcher, lambda grid: [_restricted(
+            marcher.v, marcher.grid.shape[0] // grid.shape[0], grid.dim)]
+
+    result, _ = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
+                              spec.expected_order, reference)
+    if not result.failed:
+        result.extras["reference_mode"] = ref_mode
+        if accelerate:
+            result.extras.update(base=weights.base, level=weights.level)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -566,60 +606,46 @@ def _emit_plot_script(result: ExperimentResult, path: Path) -> Path:
 def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Expansion-residual decay over the mesh ladder plus the odd-corrector
     vanishing check for symmetric schemes, on the path of the first seed
-    (``spec.seeds[0]``); further seeds are ignored."""
-    from .correctors import expansion_residual, run_corrector_system
+    (``spec.seeds[0]``); further seeds are ignored.
 
+    The corrector system is solved first, on the finest mesh refined
+    2**refine times; the rungs march in lock-step against its expansion
+    sum_{m<=k} (h^m/m!) v^(m) (see :func:`_march_ladder`), and a rung's
+    error is the remainder :func:`correctors.expansion_residual` reports.
+    """
     if spec.rungs < 2:
         raise ConfigError("corrector experiments need rungs >= 2")
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
     ref_mode = _resolve_reference_mode(spec, problem)
-    grids = ladder_grids(spec, problem)
-    refgrid = grids[-1].refined(2 ** spec.refine)
-    tau = problem.T / spec.n
-    seed = spec.seeds[0]
-    increments = (sample_increments(spec.n, problem.d1, tau, seed)
-                  if problem.d1 > 0 else None)
 
-    try:
-        cs = run_corrector_system(spec.correctors_k, problem, scheme, refgrid,
-                                  spec.n, increments, reference_mode=ref_mode,
-                                  refine=spec.refine)
-        hs, sups, l2hs = [], [], []
-        per_rung = {}
-        for j, g in enumerate(grids):
-            traj = run_space_time_scheme(problem, scheme, g, spec.n, increments)
-            rep = expansion_residual(traj, cs)
-            hs.append(g.h)
-            sups.append(rep.max_sup)
-            l2hs.append(rep.max_l2h)
-            per_rung[j] = [(seed, rep.max_sup, rep.max_l2h)]
-    except SolveFailure as exc:
-        return ExperimentResult(kind="correctors", spec=spec, report=None,
-                                rung_points=[g.shape[0] for g in grids],
-                                per_rung_errors={}, failed=True,
-                                failure=str(exc))
+    def expansion(grids, _, increments):
+        replay = _Replay(run_corrector_system(
+            spec.correctors_k, problem, scheme,
+            grids[-1].refined(2 ** spec.refine), spec.n, increments[0],
+            reference_mode=ref_mode, refine=spec.refine), grids)
+        return replay, replay.terms
 
-    report = estimate_order(hs, sups, spec.expected_residual_order,
-                            spec.order_tolerance, l2h_errors=l2hs)
+    result, target = _march_ladder(spec, "correctors", problem, scheme,
+                                   spec.seeds[:1], None,
+                                   spec.expected_residual_order, expansion)
+    if result.failed:
+        return result
+    cs = target.cs
     scale = max(np.max(np.abs(cs[0].values)), 1e-300)
-    odd_ratios = {j: np.max(np.abs(cs[j].values)) / scale
-                  for j in range(1, spec.correctors_k + 1, 2)}
-    return ExperimentResult(kind="correctors", spec=spec, report=report,
-                            rung_points=[g.shape[0] for g in grids],
-                            per_rung_errors=per_rung,
-                            extras={"odd_corrector_ratios": odd_ratios,
-                                    "reference_mode": ref_mode,
-                                    "corrector_set": cs})
+    result.extras.update(
+        odd_corrector_ratios={j: np.max(np.abs(cs[j].values)) / scale
+                              for j in range(1, spec.correctors_k + 1, 2)},
+        reference_mode=ref_mode, corrector_set=cs)
+    return result
 
 
 def selfcheck() -> list[tuple[str, bool, str]]:
     """Fast structural checks: weight identities, summation by parts, and a
     dense-elimination oracle for the implicit solve.  Returns (name, ok,
     detail) triples."""
-    from .grids import forward_difference
+    from .grids import basis_stencil, forward_difference
     from .problems import DifferenceScheme
-    from .grids import basis_stencil
     from .stepper import ImplicitOperator
 
     results = []

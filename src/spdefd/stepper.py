@@ -10,10 +10,10 @@ There is one implementation of that step, :class:`Marcher`, and it steps
 with a column per path.  The operator kernels (``_apply_M_values``, the
 lattice and spectral solves) act on the spatial axes and carry the trailing
 column axis along, so every column gets the same bits as a run of that path
-alone.  ``apply_L``, ``apply_M`` and ``implicit_step`` are one-field
-wrappers over the same kernels.  ``run_space_time_scheme`` and
-``run_reference_time_scheme`` march one column and return its states as a
-:class:`Trajectory`, one ``(n + 1,) + grid.shape`` array.  The corrector
+alone.  ``apply_L`` is a one-field wrapper over the lattice operator.
+``run_space_time_scheme`` and ``run_reference_time_scheme`` march one
+column and return its states as a :class:`Trajectory`, one
+``(n + 1,) + grid.shape`` array.  The corrector
 system marches on the same class, from a zero state and with its own
 forcing in place of the free terms f and g.  Such a marcher skips the
 steps whose forcing is zero while its state is still the +0.0 it started
@@ -184,20 +184,6 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, h: float, i: int,
     L = _assemble(_expansion_terms(sampler.arrays(i), h, phi.grid.dim),
                   phi.grid.shape)
     return GridField(phi.grid, (L @ phi.values.ravel()).reshape(phi.grid.shape))
-
-
-def apply_M(scheme: DifferenceScheme, phi: GridField, h: float, rho: int,
-            i: int, sampler: SchemeSampler | None = None) -> GridField:
-    """First-order difference operator M^rho phi = sum_lam b^{lam rho} d_lam phi."""
-    if h == 0:
-        raise GridError("apply_M needs h != 0")
-    if not 1 <= rho <= scheme.d1:
-        raise GridError(f"driver index {rho} out of range 1..{scheme.d1}")
-    if sampler is None:
-        sampler = SchemeSampler(scheme, phi.grid)
-    out = _apply_M_values(sampler.arrays(i), phi.values[..., None], h, rho,
-                          phi.grid.dim)
-    return GridField(phi.grid, out[..., 0])
 
 
 def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
@@ -438,20 +424,6 @@ def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
         else:
             rhs[..., nonzero] += term[..., nonzero] * xi_rho[nonzero]
     return rhs
-
-
-def implicit_step(op: ImplicitOperator, v_prev: GridField, f_i: GridField,
-                  g_prev, xi_i, scheme: DifferenceScheme, h: float,
-                  i: int) -> GridField:
-    """One implicit Euler step: L and f enter implicitly at index i, the
-    stochastic terms explicitly at index i-1."""
-    rhs = _explicit_rhs(
-        v_prev.values[..., None], op.tau, f_i.values,
-        [(g.values,) for g in g_prev],
-        np.asarray(xi_i, dtype=float)[:scheme.d1, None],
-        lambda v, rho: _apply_M_values(op.sampler.arrays(i - 1), v, h, rho,
-                                       v_prev.grid.dim))
-    return op.solve(GridField(v_prev.grid, rhs[..., 0]))
 
 
 def _empty_increments(n: int, tau: float) -> BrownianIncrements:
@@ -758,6 +730,8 @@ class FiniteDifferenceOperators:
             return False
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        if not 1 <= rho <= self.scheme.d1:
+            raise GridError(f"driver index {rho} out of range 1..{self.scheme.d1}")
         return _apply_M_values(self.sampler.arrays(i), values, self.grid.h, rho,
                                self.grid.dim)
 

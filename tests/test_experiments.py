@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from spdefd.experiments import (
     selfcheck,
 )
 from spdefd.richardson import estimate_order
+from spdefd.stepper import FiniteDifferenceOperators
 from spdefd.wiener import sample_increments
 
 MINIMAL = """\
@@ -355,6 +358,27 @@ class TestEmitOutputs:
         assert "plot $data" in script
 
 
+# report.csv, rung_*.csv and plot.gp of two small corrector studies, as the
+# per-rung run of the expansion residual wrote them: a spectral reference
+# with k = 3 and a fine-grid reference with k = 2
+PINNED_STUDIES = {
+    "spectral-stoch-transport-k3": (
+        ExperimentSpec(problem="stoch-transport",
+                       problem_params=(("beta", 0.3), ("extra_diffusion", 0.05)),
+                       n=16, points0=16, rungs=3, correctors_k=3,
+                       reference_mode="spectral", seeds=(1001,)),
+        {"report.csv": "7997436c425cdd1a", "rung_16.csv": "71c44cc43fe9cda0",
+         "rung_32.csv": "770c06cf21da4129", "rung_64.csv": "b8bc132f4cc000d5",
+         "plot.gp": "c5a0061591b25b7e"}),
+    "fine-grid-var-coef1d-k2": (
+        ExperimentSpec(problem="var-coef1d", n=16, points0=8, rungs=3,
+                       correctors_k=2, seeds=(2001,)),
+        {"report.csv": "01cd77fb7bc263e3", "rung_8.csv": "5404858d755d893b",
+         "rung_16.csv": "427d682e0da289d5", "rung_32.csv": "52109c431ad8c6ae",
+         "plot.gp": "0514a51e98c15d22"}),
+}
+
+
 class TestCorrectorExperiment:
     def test_heat_residual_study(self):
         spec = ExperimentSpec(problem="heat1d", n=32, points0=16, rungs=3,
@@ -377,6 +401,40 @@ class TestCorrectorExperiment:
                 (tmp_path / "more" / name).read_bytes()
         rows = (tmp_path / "more" / "rung_16.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["3"]
+
+    def test_rung_failure_row(self, monkeypatch, tmp_path):
+        # a rung's solve fails at step 3 of mesh 1; the corrector system
+        # (spectral reference) solves on other operators and succeeds
+        original = FiniteDifferenceOperators.solve_values
+
+        def solve_values(self, rhs, i):
+            if self.grid.shape == (32,) and i == 3:
+                rhs = rhs * np.nan
+            return original(self, rhs, i)
+
+        monkeypatch.setattr(FiniteDifferenceOperators, "solve_values",
+                            solve_values)
+        spec = ExperimentSpec(problem="stoch-transport",
+                              problem_params={"beta": 0.3,
+                                              "extra_diffusion": 0.05},
+                              n=8, points0=16, rungs=2, refine=1,
+                              correctors_k=2, seeds=(4, 5))
+        result = run_corrector_experiment(spec)
+        assert result.failed
+        emit_outputs(result, tmp_path)
+        assert (tmp_path / "report.csv").read_text().splitlines()[-1] == (
+            "FAILED,seed 4, mesh 1: scheme run aborted: step 3: factorized "
+            "solve produced non-finite values; tau may not be small enough")
+        for points in (16, 32):
+            assert (tmp_path / f"rung_{points}.csv").read_text() == \
+                "seed,sup_error,l2h_error\nFAILED,,\n"
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STUDIES))
+    def test_outputs_match_pinned_digests(self, name, tmp_path):
+        spec, digests = PINNED_STUDIES[name]
+        paths = emit_outputs(run_corrector_experiment(spec), tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                for p in paths} == digests
 
 
 class TestSelfcheck:
@@ -455,6 +513,16 @@ class TestCli:
         for command in ("converge", "correctors"):
             assert main([command, "--config", str(cfg)]) == 0
             assert "config error" not in capsys.readouterr().err
+
+    def test_spectral_reference_on_variable_coefficients(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[problem]\nname = var-coef1d\n[time]\nn = 8\n"
+                    "[space]\nrungs = 2\n[reference]\nmode = spectral\n[run]\n"
+                    f"out = {tmp_path / 'out'}\n")
+        for command in ("converge", "accelerate", "correctors"):
+            assert main([command, "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [reference] ") \
+                and "varies in space" in err
 
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 3

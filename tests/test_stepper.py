@@ -20,10 +20,8 @@ from spdefd.stepper import (
     SpectralOperators,
     Trajectory,
     apply_L,
-    apply_M,
     export_trajectory_binary,
     export_trajectory_csv,
-    implicit_step,
     increment_columns,
     load_trajectory_binary,
     reference_marcher,
@@ -123,19 +121,26 @@ class TestApplyL:
         np.testing.assert_allclose(ours.values.ravel(), oracle, rtol=0, atol=1e-11)
 
 
+def apply_M_values(scheme, phi, rho, i):
+    """M^rho of one field through the lattice operators' column kernel."""
+    p = DifferentialProblem(d=phi.grid.dim, d1=scheme.d1, T=1.0)
+    ops = FiniteDifferenceOperators(p, phi.grid, 0.1, scheme)
+    return ops.apply_M_values(phi.values[..., None], rho, i)[..., 0]
+
+
 class TestApplyM:
     def test_zero_order_multiplication(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(b01=1.5, d1=1)
         phi = g.sample(lambda x: np.sin(2 * np.pi * x[..., 0]))
-        out = apply_M(s, phi, g.h, 1, 0)
-        np.testing.assert_allclose(out.values, 1.5 * phi.values, atol=1e-14)
+        out = apply_M_values(s, phi, 1, 0)
+        np.testing.assert_allclose(out, 1.5 * phi.values, atol=1e-14)
 
     def test_constant_field_no_zero_order(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(b11=0.8, d1=1)
-        out = apply_M(s, g.constant(4.0), g.h, 1, 0)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
+        out = apply_M_values(s, g.constant(4.0), 1, 0)
+        np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
     def test_mode_symbol_via_dft(self):
         g = make_torus_grid(1, [1.0], [32])
@@ -144,19 +149,19 @@ class TestApplyM:
         s = scheme_1d(b11=b, d1=1)
         P = g.periods[0]
         phi = g.sample(lambda x: np.cos(2 * np.pi * k * x[..., 0] / P))
-        out = apply_M(s, phi, g.h, 1, 0)
+        out = apply_M_values(s, phi, 1, 0)
         # symbol of the centred difference, i b sin(xi h)/h, acts on the
         # conjugate mode pair +-k with opposite signs
         freq = 2 * np.pi * np.fft.fftfreq(32) * 32 / P
         sym = 1j * b * np.sin(freq * g.h) / g.h
-        np.testing.assert_allclose(np.fft.fft(out.values),
+        np.testing.assert_allclose(np.fft.fft(out),
                                    sym * np.fft.fft(phi.values), atol=1e-10)
 
     def test_rejects_driver_out_of_range(self):
         g = make_torus_grid(1, [1.0], [8])
         s = scheme_1d(b11=1.0, d1=1)
         with pytest.raises(Exception):
-            apply_M(s, g.zeros(), g.h, 2, 0)
+            apply_M_values(s, g.zeros(), 2, 0)
 
 
 class TestImplicitOperator:
@@ -359,14 +364,24 @@ class TestIterativeSolve:
             np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-9)
 
 
+def marched_step(scheme, grid, tau, v_prev, f, g_prev, xi):
+    """v_1 of a one-column :class:`Marcher` on ``scheme`` started from
+    ``v_prev``, with the free terms ``f`` and ``g_prev`` (one array per
+    driver) and the increments ``xi`` of its one step."""
+    p = DifferentialProblem(d=grid.dim, d1=len(xi), T=tau, u0=lambda x: v_prev)
+    marcher = Marcher(p, grid, np.reshape(xi, (1, -1, 1)),
+                      FiniteDifferenceOperators(p, grid, tau, scheme))
+    marcher.advance(f, [(part,) for part in g_prev])
+    assert not marcher.failures
+    return marcher.v[..., 0]
+
+
 class TestImplicitStep:
     def test_constant_fixed_point(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=0.5)
-        tau = 0.1
-        op = ImplicitOperator(s, g, tau, g.h, 1)
-        c = g.constant(2.0)
-        out = implicit_step(op, c, g.zeros(), [], np.zeros(0), s, g.h, 1)
+        p = DifferentialProblem(d=1, d1=0, T=0.1, u0=2.0)
+        out = run_space_time_scheme(p, s, g, 1)[1]
         np.testing.assert_allclose(out.values, 2.0, atol=1e-12)
 
     def test_scalar_multiplicative_recursion(self):
@@ -375,29 +390,26 @@ class TestImplicitStep:
         beta = 0.7
         s = scheme_1d(b01=beta, d1=1)
         tau = 0.1
-        op = ImplicitOperator(s, g, tau, g.h, 1)
         rng = np.random.default_rng(2)
-        v_prev = g.field(rng.standard_normal(8))
+        v_prev = rng.standard_normal(8)
         xi = np.array([0.23])
-        out = implicit_step(op, v_prev, g.zeros(), [g.zeros()], xi, s, g.h, 1)
-        np.testing.assert_allclose(out.values, v_prev.values * (1 + beta * xi[0]),
-                                   atol=1e-13)
+        out = marched_step(s, g, tau, v_prev, np.zeros(8), [np.zeros(8)], xi)
+        np.testing.assert_allclose(out, v_prev * (1 + beta * xi[0]), atol=1e-13)
 
     def test_superposition(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=0.4, b11=0.2, d1=1)
         tau = 0.05
-        op = ImplicitOperator(s, g, tau, g.h, 1)
         rng = np.random.default_rng(4)
-        v1, v2 = g.field(rng.standard_normal(16)), g.field(rng.standard_normal(16))
-        f1, f2 = g.field(rng.standard_normal(16)), g.field(rng.standard_normal(16))
-        g1, g2 = g.field(rng.standard_normal(16)), g.field(rng.standard_normal(16))
+        v1, v2 = rng.standard_normal(16), rng.standard_normal(16)
+        f1, f2 = rng.standard_normal(16), rng.standard_normal(16)
+        g1, g2 = rng.standard_normal(16), rng.standard_normal(16)
         xi = np.array([-0.4])
-        lhs = implicit_step(op, v1 + v2, f1 + f2, [g1 + g2], xi, s, g.h, 1)
-        rhs = (implicit_step(op, v1, f1, [g1], xi, s, g.h, 1)
-               + implicit_step(op, v2, f2, [g2], xi, s, g.h, 1))
-        scale = max(np.max(np.abs(rhs.values)), 1.0)
-        np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-12 * scale)
+        lhs = marched_step(s, g, tau, v1 + v2, f1 + f2, [g1 + g2], xi)
+        rhs = (marched_step(s, g, tau, v1, f1, [g1], xi)
+               + marched_step(s, g, tau, v2, f2, [g2], xi))
+        scale = max(np.max(np.abs(rhs)), 1.0)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12 * scale)
 
 
 class TestRunSpaceTimeScheme:
