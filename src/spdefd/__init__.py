@@ -13,9 +13,7 @@ from .grids import (
     forward_difference,
     grid_norms,
     make_torus_grid,
-    shift,
     subsample,
-    symmetric_difference,
 )
 from .problems import (
     DifferenceScheme,
@@ -32,7 +30,6 @@ from .problems import (
 from .wiener import (
     BrownianIncrements,
     load_increments,
-    path_sum,
     sample_increments,
     save_increments,
 )
@@ -60,7 +57,6 @@ from .richardson import (
     RichardsonWeights,
     estimate_order,
     extrapolate_derivative,
-    restrict_to_coarse,
     richardson_combine,
     vandermonde_weights,
 )

@@ -20,6 +20,8 @@ from pathlib import Path
 from .correctors import export_corrector_set
 from .experiments import (
     ConfigError,
+    _parse_seeds,
+    _validate_spec,
     build_problem,
     build_scheme,
     emit_outputs,
@@ -59,20 +61,18 @@ def _add_common(parser, config_required=True):
 
 
 def _load_spec(args):
+    """The config file's spec with the command-line overrides, validated."""
     spec = load_config(args.config)
     overrides = {}
     if args.out is not None:
         overrides["out"] = args.out
     if args.seeds is not None:
-        from .experiments import _parse_seeds
         overrides["seeds"] = _parse_seeds(args.seeds)
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("threads must be >= 1")
         overrides["threads"] = args.threads
     if args.format is not None:
         overrides["format"] = args.format
-    return replace(spec, **overrides) if overrides else spec
+    return _validate_spec(replace(spec, **overrides))
 
 
 def _cmd_solve(args) -> int:

@@ -84,10 +84,6 @@ def expansion_constants(p: int, r: int) -> tuple[float, float]:
     return B, A
 
 
-def binomial(p: int, j: int) -> int:
-    return math.comb(p, j)
-
-
 def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
     """Energy fraction carried by the highest retained modes per axis, for
     each row of a ``(rows,) + shape`` stack of spectra."""
@@ -114,11 +110,6 @@ def _require_resolved(fractions: np.ndarray, tol: float) -> None:
         raise ResolutionError(
             f"highest retained modes carry {fractions[bad[0]]:.2e} of the field "
             f"energy (limit {tol:g}); refine the reference grid")
-
-
-def check_resolution(phi: GridField, tol: float = RESOLUTION_ENERGY_TOL) -> None:
-    _require_resolved(_top_mode_fractions(
-        _fft(phi.values, tuple(range(phi.grid.dim)))[None]), tol)
 
 
 @dataclass
@@ -192,8 +183,10 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, phi, i,
     is a GridField; or the spectra of a block of rows of one trajectory,
     ``i`` listing their time indices, and the result is one array per row.
     Every row is checked for resolution first.
-    p = 0 is the continuous operator itself (by the consistency identities);
-    odd p vanishes identically for schemes without one-sided terms.
+    p = 0 is the first case of the general formula: with A_{0,0} = B_0 = 1
+    it is the continuous operator itself (by the consistency identities),
+    and the zero-zero term, which does not depend on h, enters only there.
+    Odd p vanishes identically for schemes without one-sided terms.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
@@ -204,21 +197,6 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, phi, i,
     der.check_resolution()
     out = np.zeros(der.values.shape)
     B_p, _ = expansion_constants(p, 0)
-
-    if p == 0:
-        for (lam, mu), coef in arrays["a"].items():
-            lam_nz, mu_nz = any(lam), any(mu)
-            if lam_nz and mu_nz:
-                out += coef * der.mixed(lam, 1, mu, 1)
-            elif lam_nz != mu_nz:
-                out += coef * der.directional(lam if lam_nz else mu, 1)
-            else:
-                out += coef * der.values
-        for lam, coef in arrays["p"].items():
-            out += coef * der.directional(lam, 1)
-        for lam, coef in arrays["q"].items():
-            out -= coef * der.directional(lam, 1)
-        return GridField(phi.grid, out[0]) if isinstance(phi, GridField) else out
 
     for (lam, mu), coef in arrays["a"].items():
         lam_nz, mu_nz = any(lam), any(mu)
@@ -232,7 +210,8 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, phi, i,
             if B_p:
                 vec = lam if lam_nz else mu
                 out += (B_p / (p + 1)) * coef * der.directional(vec, p + 1)
-        # the zero-zero term is h-independent: no contribution for p >= 1
+        elif p == 0:
+            out += coef * der.values
     for lam, coef in arrays["p"].items():
         out += coef / (p + 1) * der.directional(lam, p + 1)
     for lam, coef in arrays["q"].items():
@@ -321,14 +300,14 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
                    for traj in trajectories[:p]]
         f = np.zeros((len(steps),) + grid.shape)
         for j in range(1, p + 1):
-            f += binomial(p, j) * corrector_operator_L(
+            f += math.comb(p, j) * corrector_operator_L(
                 j, scheme, spectra[p - j].rows(now), steps, sampler)
         g = []
         for rho in range(1, xi.shape[1] + 1):
             if not xi[start - 1:steps.stop - 1, rho - 1].any():
                 g.append(())
                 continue
-            g.append([binomial(p, j) * corrector_operator_M(
+            g.append([math.comb(p, j) * corrector_operator_M(
                 j, rho, scheme, spectra[p - j].rows(before),
                 range(start - 1, steps.stop - 1), sampler)
                 for j in range(2, p + 1, 2)])
@@ -347,7 +326,7 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     Each corrector satisfies the implicit recursion driven by the operators
     of lower order applied to the already-known correctors: the L-side forcing
     enters at the new index i, the M-side forcing at i-1, both weighted by
-    binomial coefficients; initial data are zero.  The recursion is the
+    C(p, j); initial data are zero.  The recursion is the
     reference's own :class:`Marcher` started from zero, with that forcing
     in place of the free terms, so the implicit solve is the reference
     realization of (I - tau L): exact per mode for constant coefficients,

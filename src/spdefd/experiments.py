@@ -59,6 +59,7 @@ from .problems import (
     ProblemError,
     build_scheme_example1,
     build_scheme_example2,
+    check_degenerate_parabolicity,
     make_problem,
 )
 from .richardson import (
@@ -187,7 +188,7 @@ def load_config(path) -> ExperimentSpec:
             raise ConfigError(f"[problem] {key}: expected a number, got "
                               f"{raw!r}") from exc
 
-    spec = ExperimentSpec(
+    return _validate_spec(ExperimentSpec(
         problem=name,
         problem_params=tuple(sorted(params)),
         scheme=get("scheme", "constructor", str, "example1"),
@@ -208,12 +209,10 @@ def load_config(path) -> ExperimentSpec:
         out=get("run", "out", str, "out"),
         format=get("run", "format", str, "csv"),
         threads=get("run", "threads", int, 1),
-    )
-    _validate_spec(spec)
-    return spec
+    ))
 
 
-def _validate_spec(spec: ExperimentSpec):
+def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     if spec.scheme not in ("example1", "example2"):
         raise ConfigError(f"unknown scheme constructor {spec.scheme!r}")
     if spec.base not in ("auto", "2", "4"):
@@ -239,6 +238,7 @@ def _validate_spec(spec: ExperimentSpec):
         raise ConfigError("threads must be >= 1")
     if spec.correctors_k < 0:
         raise ConfigError("correctors k must be >= 0")
+    return spec
 
 
 def save_config(spec: ExperimentSpec, path) -> None:
@@ -290,33 +290,43 @@ def save_config(spec: ExperimentSpec, path) -> None:
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
-def build_problem(spec: ExperimentSpec) -> DifferentialProblem:
+def _named_problem(spec: ExperimentSpec) -> DifferentialProblem:
     params = spec.params_dict()
-    if spec.problem == "custom":
-        unknown = set(params) - set(_INLINE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown inline coefficient keys {sorted(unknown)}; "
-                              f"allowed: {_INLINE_KEYS}")
-        a = {}
-        for key, idx in (("a00", (0, 0)), ("a01", (0, 1)), ("a10", (1, 0)),
-                         ("a11", (1, 1))):
-            if params.get(key):
-                a[idx] = params[key]
-        b = {}
-        for key, idx in (("b01", (0, 1)), ("b11", (1, 1))):
-            if params.get(key):
-                b[idx] = params[key]
-        try:
-            return DifferentialProblem(
-                d=1, d1=1 if b else 0, T=params.get("T", 0.5), a=a, b=b,
-                u0=lambda x: np.cos(2.0 * np.pi * x[..., 0]),
-                constant_coefficients=True, name="custom")
-        except ProblemError as exc:
-            raise ConfigError(str(exc)) from exc
-    try:
+    if spec.problem != "custom":
         return make_problem(spec.problem, **params)
+    unknown = set(params) - set(_INLINE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown inline coefficient keys {sorted(unknown)}; "
+                          f"allowed: {_INLINE_KEYS}")
+    a = {}
+    for key, idx in (("a00", (0, 0)), ("a01", (0, 1)), ("a10", (1, 0)),
+                     ("a11", (1, 1))):
+        if params.get(key):
+            a[idx] = params[key]
+    b = {}
+    for key, idx in (("b01", (0, 1)), ("b11", (1, 1))):
+        if params.get(key):
+            b[idx] = params[key]
+    return DifferentialProblem(
+        d=1, d1=1 if b else 0, T=params.get("T", 0.5), a=a, b=b,
+        u0=lambda x: np.cos(2.0 * np.pi * x[..., 0]),
+        constant_coefficients=True, name="custom")
+
+
+def build_problem(spec: ExperimentSpec) -> DifferentialProblem:
+    """The spec's problem.  It must be degenerate parabolic (2a - bb^T
+    positive semidefinite) at the points of the coarsest ladder grid at
+    time index 0, else the spec is a config error."""
+    try:
+        problem = _named_problem(spec)
     except ProblemError as exc:
         raise ConfigError(str(exc)) from exc
+    points = ladder_grids(spec, problem)[0].coordinates.reshape(-1, problem.d)
+    report = check_degenerate_parabolicity(problem, [(0, x) for x in points])
+    if not report.passed:
+        raise ConfigError("problem is not degenerate parabolic: the smallest "
+                          f"eigenvalue of 2a - bb^T is {report.min_eigenvalue:.6g}")
+    return problem
 
 
 def build_scheme(spec: ExperimentSpec, problem: DifferentialProblem):

@@ -8,9 +8,12 @@ of centred differences) holds exactly, with no boundary treatment.
 
 Conventions:
 
-* ``forward_difference`` is ``(T_{h,lam} - I)/h``; with ``sign=-1`` it is the
-  backward-form ``(T_{-h,lam} - I)/(-h)``.
-* ``symmetric_difference`` is ``(T_{h,lam} - T_{-h,lam})/(2h)``.
+* ``forward_difference`` (array kernel ``_forward_values``) is
+  ``(T_{h,lam} - I)/h``; with ``sign=-1`` it is the backward-form
+  ``(T_{-h,lam} - I)/(-h)``.
+* ``_symmetric_values`` is the centred difference
+  ``(T_{h,lam} - T_{-h,lam})/(2h)`` on arrays; the lattice operator in
+  ``stepper`` is assembled from it and ``_forward_values``.
 * The zero stencil vector maps to the identity operator in all of the above.
 """
 
@@ -126,39 +129,11 @@ class GridField:
         if other.grid is not self.grid and other.grid != self.grid:
             raise GridError("fields live on different grids")
 
-    def __add__(self, other):
-        if isinstance(other, GridField):
-            self._check_same_grid(other)
-            return GridField(self.grid, self.values + other.values)
-        return GridField(self.grid, self.values + other)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, GridField):
             self._check_same_grid(other)
             return GridField(self.grid, self.values - other.values)
         return GridField(self.grid, self.values - other)
-
-    def __rsub__(self, other):
-        return GridField(self.grid, other - self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, GridField):
-            self._check_same_grid(other)
-            return GridField(self.grid, self.values * other.values)
-        return GridField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, GridField):
-            self._check_same_grid(other)
-            return GridField(self.grid, self.values / other.values)
-        return GridField(self.grid, self.values / other)
-
-    def __neg__(self):
-        return GridField(self.grid, -self.values)
 
     def __repr__(self):
         return f"GridField(shape={self.grid.shape}, h={self.grid.h})"
@@ -217,10 +192,10 @@ def _as_int_vector(lam, dim: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _wrap_index(points: int, shift: int) -> np.ndarray:
-    """Gather index ``(j + shift) mod points`` of one periodic axis; it is
+def _wrap_index(points: int, offset: int) -> np.ndarray:
+    """Gather index ``(j + offset) mod points`` of one periodic axis; it is
     read-only because every caller gets the same cached array."""
-    index = (np.arange(points) + shift) % points
+    index = (np.arange(points) + offset) % points
     index.flags.writeable = False
     return index
 
@@ -263,14 +238,6 @@ def _restricted(values: np.ndarray, factor: int, dim: int) -> np.ndarray:
     return values[tuple(slice(None, None, factor) for _ in range(dim))]
 
 
-def shift(phi: GridField, lam, s: int = 1) -> GridField:
-    """Translate by ``s*h*lam`` with periodic wraparound: value permutation."""
-    lam = _as_int_vector(lam, phi.grid.dim)
-    if not any(lam):
-        return phi
-    return GridField(phi.grid, _shifted(phi.values, lam, s, phi.grid.dim))
-
-
 def forward_difference(phi: GridField, lam, h: float,
                        sign: int = 1) -> GridField:
     """One-sided difference ``(phi(x + sign*h*lam) - phi(x)) / (sign*h)``.
@@ -287,17 +254,6 @@ def forward_difference(phi: GridField, lam, h: float,
         return phi
     return GridField(phi.grid,
                      _forward_values(phi.values, lam, h, sign, phi.grid.dim))
-
-
-def symmetric_difference(phi: GridField, lam, h: float) -> GridField:
-    """Centred difference ``(phi(x + h*lam) - phi(x - h*lam)) / (2h)``."""
-    if h == 0:
-        raise GridError("difference operators need h != 0")
-    lam = _as_int_vector(lam, phi.grid.dim)
-    if not any(lam):
-        return phi
-    return GridField(phi.grid,
-                     _symmetric_values(phi.values, lam, h, phi.grid.dim))
 
 
 def composed_difference(phi: GridField, lams, h: float) -> GridField:
@@ -333,10 +289,6 @@ def grid_norms(phi: GridField) -> tuple[float, float]:
     """Return ``(sup, l2h)``: max absolute value and sqrt(h^d * sum of squares)."""
     sup, l2h = _norms(phi.values.reshape(1, -1), phi.grid.h ** phi.grid.dim)
     return float(sup[0]), float(l2h[0])
-
-
-def l2h_norm(phi: GridField) -> float:
-    return grid_norms(phi)[1]
 
 
 def _coarse_grid(grid: TorusGrid, factor: int) -> TorusGrid:

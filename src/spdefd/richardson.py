@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, composed_difference, subsample
+from .grids import composed_difference
 from .stepper import Trajectory
 
 MAX_LEVEL = 12
@@ -66,14 +66,6 @@ def vandermonde_weights(k: int, base: int) -> RichardsonWeights:
     if w.identity_residual() > 1e-12:
         raise ExtrapolationError("weight identities violated after solve")
     return w
-
-
-def restrict_to_coarse(phi: GridField, j: int) -> GridField:
-    """Restrict a field on mesh h/2^j back onto mesh h by exact sub-sampling
-    at the coincident lattice points (no interpolation)."""
-    if j < 0:
-        raise ExtrapolationError("refinement exponent must be >= 0")
-    return subsample(phi, 2 ** j)
 
 
 def _check_ladder(solutions, weights):

@@ -282,10 +282,10 @@ def _circulant_solve(symbol: np.ndarray, shape: tuple, x: np.ndarray) -> np.ndar
 
 
 class ImplicitOperator:
-    """Action and solve for (I - tau L^h_i) on one grid.
+    """Solve for (I - tau L^h_i) on one grid.
 
     The operator is assembled once as a sparse matrix from the expansion
-    terms of L^h; that matrix gives the forward action.  Direct mode
+    terms of L^h; that matrix, ``matrix``, is the forward action.  Direct mode
     factorizes it, and one factorized solve serves every column.  Iterative
     mode runs GMRES on it, one column at a time, preconditioned by the FFT
     inverse of the circulant with the mean weights (T. Chan's circulant
@@ -340,11 +340,6 @@ class ImplicitOperator:
         if self.mode != "direct" or self.tau == 0.0:
             return True
         return not np.signbit(self._lu.solve(np.zeros(self.grid.npoints))).any()
-
-    def apply(self, phi: GridField) -> GridField:
-        """Forward action (I - tau L) phi."""
-        return GridField(self.grid, (self.matrix @ phi.values.ravel())
-                         .reshape(self.grid.shape))
 
     def solve(self, rhs: GridField) -> GridField:
         if rhs.grid != self.grid:

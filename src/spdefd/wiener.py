@@ -125,11 +125,6 @@ def sample_increments(n: int, d1: int, tau: float, seed: int) -> BrownianIncreme
     return BrownianIncrements(n=n, d1=d1, tau=float(tau), seed=int(seed), xi=xi)
 
 
-def path_sum(b: BrownianIncrements) -> np.ndarray:
-    """Terminal value W_T per driver: column sums of the increment matrix."""
-    return b.xi.sum(axis=0)
-
-
 def save_increments(b: BrownianIncrements, path) -> None:
     """Binary dump: magic, (n, d1, tau, seed) header, little-endian float64."""
     with open(path, "wb") as fh:

@@ -10,8 +10,6 @@ from spdefd.correctors import (
     ResolutionError,
     _spectra,
     _top_mode_fractions,
-    binomial,
-    check_resolution,
     corrector_operator_L,
     corrector_operator_M,
     expansion_constants,
@@ -90,9 +88,6 @@ class TestExpansionConstants:
             expansion_constants(1, 2)
         with pytest.raises(ValueError):
             expansion_constants(-1, 0)
-
-    def test_binomial(self):
-        assert [binomial(3, j) for j in range(4)] == [1, 3, 3, 1]
 
 
 class TestCorrectorOperatorL:
@@ -341,11 +336,12 @@ class TestExport:
 class TestResolutionCheck:
     def test_smooth_passes(self):
         g = make_torus_grid(1, [1.0], [32])
-        check_resolution(g.sample(lambda x: np.cos(2 * np.pi * x[..., 0])))
+        _spectra(g, g.sample(lambda x: np.cos(2 * np.pi * x[..., 0])).values[None]) \
+            .check_resolution()
 
     def test_zero_field_passes(self):
         g = make_torus_grid(1, [1.0], [32])
-        check_resolution(g.zeros())
+        _spectra(g, g.zeros().values[None]).check_resolution()
 
     @pytest.mark.parametrize("shape", [(1024,), (12, 20), (16, 16), (8, 8, 8)])
     def test_block_fractions_match_each_row_alone(self, shape):
@@ -370,7 +366,8 @@ class TestResolutionCheck:
     def test_nyquist_rejected(self):
         g = make_torus_grid(1, [1.0], [32])
         with pytest.raises(ResolutionError):
-            check_resolution(g.sample(lambda x: np.cos(2 * np.pi * 15 * x[..., 0])))
+            _spectra(g, g.sample(lambda x: np.cos(2 * np.pi * 15 * x[..., 0]))
+                     .values[None]).check_resolution()
 
 
 def time_dependent_problem():

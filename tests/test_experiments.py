@@ -524,6 +524,22 @@ class TestCli:
             assert err.startswith("config error: [reference] ") \
                 and "varies in space" in err
 
+    def test_non_parabolic_exit_three(self, tmp_path, capsys):
+        # 2a - b^2 = 0.02 - 0.25 < 0
+        cfg = write(tmp_path, "[problem]\nname = custom\na11 = 0.01\nb11 = 0.5\n"
+                    f"[time]\nn = 8\n[run]\nout = {tmp_path / 'out'}\n")
+        for command in ("solve", "converge", "accelerate", "correctors"):
+            assert main([command, "--config", str(cfg)]) == 3
+            assert capsys.readouterr().err == (
+                "config error: problem is not degenerate parabolic: the "
+                "smallest eigenvalue of 2a - bb^T is -0.23\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_override_validated(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINIMAL + f"\n[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["converge", "--config", str(cfg), "--threads", "0"]) == 3
+        assert capsys.readouterr().err == "config error: threads must be >= 1\n"
+
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 3
 
@@ -541,13 +557,14 @@ class TestCli:
         assert (tmp_path / "out" / "corrector_order2.csv").exists()
 
     @pytest.mark.parametrize("extra, row", [
+        # deterministic, 2a - b^2 = 0: parabolic, yet I - tau L^h is singular
         ("", "FAILED,seed 1, mesh 0: step 1: factorization failed (Factor is "
              "exactly singular); tau may not be small enough"),
-        ("a11 = 0.05\n", "FAILED,reference, seed 1: step 1: spectral implicit "
-                         "operator is singular; tau may not be small enough"),
+        ("a11 = 0.05\nb11 = 0.1\n", "FAILED,reference, seed 1: step 1: "
+         "spectral implicit operator is singular; tau may not be small enough"),
     ])
     def test_solver_failure_rows(self, tmp_path, capsys, extra, row):
-        body = ("[problem]\nname = custom\na00 = 16\nb11 = 0.1\n" + extra
+        body = ("[problem]\nname = custom\na00 = 16\n" + extra
                 + "[time]\nn = 8\n[space]\npoints0 = 16\nrungs = 3\n"
                 "[run]\nseeds = 1, 2\n")
         for threads in ("1", "4"):

@@ -1,5 +1,6 @@
-"""Property tests: configuration and trajectory-dump round trips, and the
-shift and FFT kernels against the numpy calls they stand in for."""
+"""Property tests: configuration, trajectory-dump and increment-dump round
+trips, the shift and FFT kernels against the numpy calls they stand in for,
+and the summation-by-parts identities of the difference kernels."""
 
 import numpy as np
 from hypothesis import given
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spdefd.experiments import ExperimentSpec, load_config, save_config
-from spdefd.grids import TorusGrid, _shifted
+from spdefd.grids import TorusGrid, _forward_values, _shifted, _symmetric_values
 from spdefd.stepper import (
     Trajectory,
     _fft,
     export_trajectory_binary,
     load_trajectory_binary,
 )
+from spdefd.wiener import load_increments, sample_increments, save_increments
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -107,3 +109,49 @@ def test_fft_matches_fftn(values, leading):
     assert hat.tobytes() == np.fft.fftn(values, axes=axes).tobytes()
     assert _fft(hat, axes, inverse=True).tobytes() == \
         np.fft.ifftn(hat, axes=axes).tobytes()
+
+
+@given(n=st.integers(1, 64), d1=st.integers(0, 4), tau=positive,
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_increment_dump_round_trip(tmp_path_factory, n, d1, tau, seed):
+    b = sample_increments(n, d1, tau, seed)
+    path = tmp_path_factory.mktemp("increments") / "xi.bin"
+    save_increments(b, path)
+    loaded = load_increments(path)
+    assert (loaded.n, loaded.d1, loaded.tau, loaded.seed) == (n, d1, tau, seed)
+    assert loaded.xi.tobytes() == b.xi.tobytes()
+
+
+@st.composite
+def paired_fields(draw):
+    """Two fields on one 1- to 3-d lattice, a nonzero integer stencil
+    vector (the zero vector is the identity, not a difference) and h."""
+    shape = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
+    f, w = (draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+            for _ in range(2))
+    lam = tuple(draw(st.lists(st.integers(-3, 3), min_size=len(shape),
+                              max_size=len(shape)).filter(any)))
+    return f, w, lam, draw(st.floats(1e-3, 10.0))
+
+
+def _adjoint_pair(f, w, af, bw, h) -> bool:
+    """Whether sum (A f) w = -sum f (B w) to rounding, relative to the size
+    of the summed terms."""
+    scale = (np.abs(f).sum() * np.abs(w).max()
+             + np.abs(w).sum() * np.abs(f).max()) / h
+    return abs(np.sum(af * w) + np.sum(f * bw)) <= 4e-12 * scale
+
+
+@given(fields=paired_fields(), sign=st.sampled_from([1, -1]))
+def test_forward_values_summation_by_parts(fields, sign):
+    # the adjoint of the forward difference is minus the opposite one
+    f, w, lam, h = fields
+    assert _adjoint_pair(f, w, _forward_values(f, lam, h, sign, f.ndim),
+                         _forward_values(w, lam, h, -sign, f.ndim), h)
+
+
+@given(fields=paired_fields())
+def test_symmetric_values_skew_adjoint(fields):
+    f, w, lam, h = fields
+    assert _adjoint_pair(f, w, _symmetric_values(f, lam, h, f.ndim),
+                         _symmetric_values(w, lam, h, f.ndim), h)

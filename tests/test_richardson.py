@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from spdefd.grids import make_torus_grid
+from spdefd.grids import make_torus_grid, subsample
 from spdefd.problems import make_problem, build_scheme_example1
 from spdefd.richardson import (
     ExtrapolationError,
     estimate_order,
     extrapolate_derivative,
-    restrict_to_coarse,
     richardson_combine,
     vandermonde_weights,
 )
@@ -62,24 +61,24 @@ class TestRestrictToCoarse:
     def test_identity_at_level_zero(self):
         g = make_torus_grid(1, [1.0], [8])
         phi = g.field(np.arange(8.0))
-        assert restrict_to_coarse(phi, 0) is phi
+        assert subsample(phi, 2 ** 0) is phi
 
     def test_constant(self):
         g = make_torus_grid(1, [1.0], [8])
-        out = restrict_to_coarse(g.constant(2.0), 1)
+        out = subsample(g.constant(2.0), 2 ** 1)
         np.testing.assert_array_equal(out.values, np.full(4, 2.0))
         assert out.grid.h == 0.25
 
     def test_subsampling_indices(self):
         g = make_torus_grid(1, [1.0], [8])
         phi = g.field(np.arange(8.0))
-        out = restrict_to_coarse(phi, 1)
+        out = subsample(phi, 2 ** 1)
         np.testing.assert_array_equal(out.values, [0.0, 2.0, 4.0, 6.0])
 
     def test_rejects_indivisible(self):
         g = make_torus_grid(1, [1.0], [6])
         with pytest.raises(Exception):
-            restrict_to_coarse(g.field(np.arange(6.0)), 2)
+            subsample(g.field(np.arange(6.0)), 2 ** 2)
 
 
 class TestRichardsonCombine:

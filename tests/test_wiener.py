@@ -6,7 +6,6 @@ from spdefd.wiener import (
     IncrementError,
     load_increments,
     normal_inverse_cdf,
-    path_sum,
     sample_increments,
     save_increments,
 )
@@ -82,22 +81,13 @@ class TestNormalInverseCdf:
 
 
 class TestPathSum:
-    def test_zero_matrix(self):
-        b = sample_increments(3, 2, 0.1, seed=0)
-        zero = type(b)(n=3, d1=2, tau=0.1, seed=0, xi=np.zeros((3, 2)))
-        np.testing.assert_array_equal(path_sum(zero), [0.0, 0.0])
-
-    def test_small_arithmetic(self):
-        b = sample_increments(2, 1, 0.1, seed=0)
-        manual = type(b)(n=2, d1=1, tau=0.1, seed=0,
-                         xi=np.array([[0.3], [-0.1]]))
-        np.testing.assert_allclose(path_sum(manual), [0.2])
+    """The terminal value W_T: the sum of a path's increments."""
 
     def test_terminal_variance(self):
         # Var(W_T) = T, Monte Carlo over seeds
         n, tau = 64, 1.0 / 64.0
         T = n * tau
-        sums = [path_sum(sample_increments(n, 1, tau, seed=s))[0]
+        sums = [sample_increments(n, 1, tau, seed=s).xi.sum(axis=0)[0]
                 for s in range(1000)]
         assert abs(np.var(sums) - T) <= 0.15 * T
 
