@@ -56,8 +56,9 @@ from .stepper import (
 )
 
 RESOLUTION_ENERGY_TOL = 1e-10
-# time steps whose forcing is computed together: large enough to batch the
-# FFTs, small enough that the blocks add little to the resident set
+# time steps whose forcing is computed together (and whose errors a study
+# measures together): large enough to batch the FFTs and the norms, small
+# enough that the blocks add little to the resident set
 FORCING_BLOCK_ROWS = 16
 
 

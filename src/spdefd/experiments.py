@@ -27,8 +27,10 @@ study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
 study's target.  All seeds of all rungs march in lock-step with the target
-over the time index, and at each index the errors are reduced into running
-per-seed maxima, so no rung trajectory is stored.  The target is all that
+over the time index.  Their states are kept for a block of 16 indices
+(``correctors.FORCING_BLOCK_ROWS``), and the errors are reduced per block
+of steps into running per-seed maxima, so no rung trajectory is stored;
+each norm has the bits of measuring its index alone.  The target is all that
 tells the studies apart: the reference time-scheme solution for
 ``converge``/``accelerate`` (whose rungs may be extrapolated), and the
 expansion sum_{m<=k} (h^m/m!) v^(m) of the corrector system for
@@ -52,8 +54,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .correctors import _remainder, _weighted, run_corrector_system
-from .grids import _norms, _restricted, make_torus_grid
+from .correctors import (
+    FORCING_BLOCK_ROWS,
+    _remainder,
+    _weighted,
+    run_corrector_system,
+)
+from .grids import _coarse_grid, _norms, _restricted, make_torus_grid
 from .problems import (
     DifferentialProblem,
     ProblemError,
@@ -375,36 +382,87 @@ class ExperimentResult:
 
 class _Replay:
     """The corrector set of one path, replayed index by index like a
-    one-column :class:`Marcher`; its terms are weighted once per rung."""
+    one-column :class:`Marcher`.  Its terms are weighted once per rung and
+    laid out ``grid.shape + (n + 1, 1)``, so the terms of a block of
+    consecutive indices are slices."""
 
     def __init__(self, cs, grids):
         self.cs, self.i, self.columns, self.failures = cs, 0, np.arange(1), {}
+        self.first = 0
         self.weighted = {g.shape: _weighted(
-            [traj.restricted(cs.grid.shape[0] // g.shape[0]).values[..., None]
+            [np.moveaxis(traj.restricted(cs.grid.shape[0] // g.shape[0]).values,
+                         0, -1)[..., None]
              for traj in cs.trajectories], g.h) for g in grids}
 
     def advance(self) -> None:
         self.i += 1
 
-    def terms(self, grid) -> list:
-        return [term[self.i] for term in self.weighted[grid.shape]]
+    def record(self, slot: int) -> None:
+        if not slot:
+            self.first = self.i
+
+    def terms(self, grid, rows: int) -> list:
+        return [term[..., self.first:self.first + rows, :]
+                for term in self.weighted[grid.shape]]
+
+
+class _Reference:
+    """The reference marcher of a convergence study as a study target.  At
+    each recorded index its state, restricted onto ``grid`` (the finest
+    rung measured), is copied into a slot of a ``grid.shape + (B, S)``
+    block; every coarser rung reads a strided view of that block."""
+
+    def __init__(self, marcher: Marcher, grid):
+        self.marcher, self.grid, self.failures = marcher, grid, marcher.failures
+        self.factor = marcher.grid.shape[0] // grid.shape[0]
+        self.width = marcher.columns.size
+        self.block = np.empty(grid.shape + (FORCING_BLOCK_ROWS, self.width))
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self.marcher.columns
+
+    def advance(self) -> None:
+        self.marcher.advance()
+
+    def record(self, slot: int) -> None:
+        # the live columns of the block's indices, which a column that
+        # fails at the next index does not change
+        self.width = self.columns.size
+        self.block[..., slot, :self.width] = _restricted(
+            self.marcher.v, self.factor, self.grid.dim)
+
+    def terms(self, grid, rows: int) -> list:
+        return [_restricted(self.block[..., :rows, :self.width],
+                            self.grid.shape[0] // grid.shape[0], grid.dim)]
 
 
 def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                   weights, expected_order, make_target):
     """The rung loop of both studies; returns the result and the target.
 
-    ``make_target(grids, xi, increments)`` gives the target, which steps
-    like a :class:`Marcher` (``advance``, ``columns``, ``failures``), and a
-    callable giving its weighted expansion terms (h^m/m!) v^(m) at the
-    current index on a rung's grid.  Rungs and target march in lock-step;
-    at each index every rung's candidate (the rung, or its extrapolation by
-    ``weights``) less those terms (:func:`correctors._remainder`) is folded
-    into running per-seed maxima.  The first failing (seed, mesh)
-    pair in seed-major order is reported, target failures only when every
-    rung succeeded, and a failure the target raises while it is built as
-    itself.  A spectral target on variable coefficients is a configuration
-    error.
+    ``make_target(grids, xi, increments)`` gives the target.  It steps like
+    a :class:`Marcher` (``advance``, ``columns``, ``failures``);
+    ``record(slot)`` keeps its current index in a slot of the block, and
+    ``terms(grid, rows)`` gives the weighted expansion terms (h^m/m!) v^(m)
+    of the first ``rows`` slots on a rung's grid, each ``grid.shape +
+    (rows, live columns)``.
+
+    Rungs and target march in lock-step, and the errors are reduced per
+    block of steps.  The rungs' states are copied into ``grid.shape + (B,
+    S)`` blocks (B = :data:`correctors.FORCING_BLOCK_ROWS`).  A block is
+    measured when it is full, before the target's live columns change, and
+    at the end of the march: every rung's candidate (the rung, or its
+    extrapolation by ``weights``) less the target's terms
+    (:func:`correctors._remainder`) goes through one :func:`grids._norms`
+    call, and the maxima over the block are folded into running per-seed
+    maxima.  Each (index, path) is one contiguous row of that call, so
+    every norm has the bits of measuring its index alone.
+
+    The first failing (seed, mesh) pair in seed-major order is reported,
+    target failures only when every rung succeeded, and a failure the
+    target raises while it is built as itself.  A spectral target on
+    variable coefficients is a configuration error.
     """
     level = 0 if weights is None else weights.level
     grids = ladder_grids(spec, problem, extra=level)
@@ -422,26 +480,50 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
              for g in grids]
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
+    # rung g is kept restricted by keep[g]: no candidate reads a lattice
+    # finer than the finest rung measured
+    keep = [2 ** max(0, g - spec.rungs + 1) for g in range(len(grids))]
+    blocks = [np.empty(_coarse_grid(g, f).shape + (FORCING_BLOCK_ROWS,
+                                                   len(paths)))
+              for g, f in zip(grids, keep)]
+    filled, live = 0, None
 
-    def measure():
-        # the paths whose target is still live
-        live = target.columns
-        if not live.size:
+    def flush():
+        nonlocal filled
+        rows, filled = filled, 0
+        if not rows:
             return
         cols = slice(None) if live.size == len(paths) else live
         for j, grid in enumerate(grids[:spec.rungs]):
-            if weights is not None:
-                candidate = _combine([_restricted(rungs[j + m].v, 2 ** m,
-                                                  grid.dim)
-                                      for m in range(level + 1)], weights.beta)
-            else:
-                candidate = rungs[j].v
-            err = _remainder(candidate[..., cols], terms(grid))
-            # one contiguous row per path, as _norms needs
-            s, l = _norms(np.ascontiguousarray(err.reshape(-1, live.size).T),
-                          grid.h ** grid.dim)
-            sup[j, cols] = np.maximum(sup[j, cols], s)
-            l2h[j, cols] = np.maximum(l2h[j, cols], l)
+            views = [_restricted(blocks[j + m][..., :rows, :],
+                                 2 ** m // keep[j + m], grid.dim)
+                     for m in range(level + 1)]
+            candidate = (views[0] if weights is None
+                         else _combine(views, weights.beta))
+            err = _remainder(candidate[..., cols], target.terms(grid, rows))
+            # one contiguous row per (index, path), as _norms needs
+            s, l = _norms(np.ascontiguousarray(
+                err.reshape(-1, rows * live.size).T), grid.h ** grid.dim)
+            sup[j, cols] = np.maximum(sup[j, cols],
+                                      s.reshape(rows, -1).max(axis=0))
+            l2h[j, cols] = np.maximum(l2h[j, cols],
+                                      l.reshape(rows, -1).max(axis=0))
+
+    def record():
+        nonlocal filled, live
+        # a block holds indices with the same live target columns
+        if filled and target.columns.size != live.size:
+            flush()
+        live = target.columns
+        if not live.size:
+            return
+        for block, marcher, factor in zip(blocks, rungs, keep):
+            block[..., filled, :] = _restricted(marcher.v, factor,
+                                                marcher.grid.dim)
+        target.record(filled)
+        filled += 1
+        if filled == FORCING_BLOCK_ROWS:
+            flush()
 
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
     per_rung = {j: [] for j in range(spec.rungs)}
@@ -452,8 +534,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                                 failed=True, failure=message)
 
     try:
-        target, terms = make_target(grids, xi, increments)
-        measure()
+        target = make_target(grids, xi, increments)
+        record()
         for _ in range(spec.n):
             for marcher in rungs:
                 marcher.advance()
@@ -461,7 +543,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
             # march on only to find the first failing pair
             if not any(marcher.failures for marcher in rungs):
                 target.advance()
-                measure()
+                record()
+        flush()
     except SpectralModeError as exc:
         raise ConfigError(f"[reference] {exc}") from exc
     except SolveFailure as exc:
@@ -497,6 +580,7 @@ def run_convergence_experiment(spec: ExperimentSpec,
     """Measure the convergence order of the plain or extrapolated scheme
     against the reference time-scheme solution, computed on the finest mesh
     and restricted to each rung (see :func:`_march_ladder`)."""
+    _validate_spec(spec)
     kind = "accelerate" if accelerate else "converge"
     if spec.rungs < 2:
         raise ConfigError("convergence experiments need rungs >= 2")
@@ -512,10 +596,9 @@ def run_convergence_experiment(spec: ExperimentSpec,
     ref_mode = _resolve_reference_mode(spec, problem)
 
     def reference(grids, xi, _):
-        marcher = reference_marcher(problem, grids[-1], xi, ref_mode,
-                                    spec.refine)[0]
-        return marcher, lambda grid: [_restricted(
-            marcher.v, marcher.grid.shape[0] // grid.shape[0], grid.dim)]
+        return _Reference(reference_marcher(problem, grids[-1], xi, ref_mode,
+                                            spec.refine)[0],
+                          grids[spec.rungs - 1])
 
     result, _ = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
                               spec.expected_order, reference)
@@ -623,6 +706,7 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     sum_{m<=k} (h^m/m!) v^(m) (see :func:`_march_ladder`), and a rung's
     error is the remainder :func:`correctors.expansion_residual` reports.
     """
+    _validate_spec(spec)
     if spec.rungs < 2:
         raise ConfigError("corrector experiments need rungs >= 2")
     problem = build_problem(spec)
@@ -630,11 +714,10 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     ref_mode = _resolve_reference_mode(spec, problem)
 
     def expansion(grids, _, increments):
-        replay = _Replay(run_corrector_system(
+        return _Replay(run_corrector_system(
             spec.correctors_k, problem, scheme,
             grids[-1].refined(2 ** spec.refine), spec.n, increments[0],
             reference_mode=ref_mode, refine=spec.refine), grids)
-        return replay, replay.terms
 
     result, target = _march_ladder(spec, "correctors", problem, scheme,
                                    spec.seeds[:1], None,

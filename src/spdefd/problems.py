@@ -31,15 +31,19 @@ class FactorizationError(ValueError):
     """Matrix is indefinite beyond tolerance; no PSD factor exists."""
 
 
+class _Constant:
+    """The evaluator of a plain-number coefficient or free term; it carries
+    its value, so a caller can tell it will not change."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __call__(self, i, x) -> np.ndarray:
+        return np.full(np.shape(x)[:-1], self.value)
+
+
 def _as_evaluator(c):
-    if callable(c):
-        return c
-    v = float(c)
-
-    def const(i, x, _v=v):
-        return np.full(np.shape(x)[:-1], _v)
-
-    return const
+    return c if callable(c) else _Constant(float(c))
 
 
 def _normalize(mapping):

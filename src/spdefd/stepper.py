@@ -59,7 +59,12 @@ from .grids import (
     _shifted,
     _symmetric_values,
 )
-from .problems import DifferenceScheme, DifferentialProblem, build_scheme_example1
+from .problems import (
+    DifferenceScheme,
+    DifferentialProblem,
+    _Constant,
+    build_scheme_example1,
+)
 from .wiener import BrownianIncrements
 
 DIRECT_SOLVE_MAX_UNKNOWNS = 4096
@@ -475,6 +480,10 @@ class Marcher:
     ``operators.keeps_zero`` says the solve maps that to +0.0, the state
     it would compute is the one it has.  A state that returns to zero
     later is stepped as usual, since its zeros may carry a sign.
+
+    When the problem's f and every g^rho are plain numbers (or g^rho is
+    absent), the free-term arrays are built once and serve every step; a
+    callable free term is evaluated at every step.
     """
 
     def __init__(self, problem: DifferentialProblem, grid: TorusGrid,
@@ -493,6 +502,17 @@ class Marcher:
                                xi.shape[-1], axis=-1)
         self.failures = {}
         self.i = 0
+        self._free = None
+        if isinstance(problem.f, _Constant) and all(
+                isinstance(ev, _Constant) for ev in problem.g.values()):
+            self._free = self._free_terms(1)
+
+    def _free_terms(self, i: int) -> tuple:
+        """The problem's f_i and, per driver, the parts of g^rho_{i-1}."""
+        p, x, shape = self.problem, self.grid.coordinates, self.grid.shape
+        return (p.f(i, x) * np.ones(shape),
+                [(p.g_at(rho, i - 1, x) * np.ones(shape),)
+                 for rho in range(1, p.d1 + 1)])
 
     def advance(self, f: np.ndarray | None = None, g: list | None = None) -> None:
         """Step every live column from index i to i + 1.
@@ -504,12 +524,10 @@ class Marcher:
         i = self.i = self.i + 1
         if not self.columns.size:
             return
-        p, x, shape = self.problem, self.grid.coordinates, self.grid.shape
-        if f is None:
-            f = p.f(i, x) * np.ones(shape)
-        if g is None:
-            g = [(p.g_at(rho, i - 1, x) * np.ones(shape),)
-                 for rho in range(1, p.d1 + 1)]
+        if f is None or g is None:
+            free_f, free_g = self._free or self._free_terms(i)
+            f = free_f if f is None else f
+            g = free_g if g is None else g
         if self._at_zero and not f.any() \
                 and not any(part.any() for parts in g for part in parts) \
                 and self.operators.keeps_zero(i):

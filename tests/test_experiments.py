@@ -17,7 +17,7 @@ from spdefd.experiments import (
     selfcheck,
 )
 from spdefd.richardson import estimate_order
-from spdefd.stepper import FiniteDifferenceOperators
+from spdefd.stepper import FiniteDifferenceOperators, SpectralOperators
 from spdefd.wiener import sample_increments
 
 MINIMAL = """\
@@ -435,6 +435,106 @@ class TestCorrectorExperiment:
         paths = emit_outputs(run_corrector_experiment(spec), tmp_path)
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                 for p in paths} == digests
+
+
+STOCH = {"beta": 0.3, "extra_diffusion": 0.05}
+
+
+def _digests(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in paths}
+
+
+def _poison(monkeypatch, cls, column, shape=None, step=21):
+    """Make ``cls.solve_values`` turn one column of its right-hand side NaN
+    at ``step`` (on grids of ``shape`` only, if given)."""
+    original = cls.solve_values
+
+    def solve_values(self, rhs, i):
+        if i == step and shape in (None, self.grid.shape):
+            rhs = rhs.copy()
+            rhs[..., column] = np.nan
+        return original(self, rhs, i)
+
+    monkeypatch.setattr(cls, "solve_values", solve_values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlockedMeasurement:
+    """The studies measure their errors a block of 16 time indices at a
+    time.  A failure inside a block (step 21 of 40) writes the bytes
+    recorded when every index was measured on its own."""
+
+    SPEC = ExperimentSpec(problem="stoch-transport", problem_params=STOCH,
+                          n=40, points0=8, rungs=3, level=1,
+                          reference_mode="spectral", seeds=(4, 5, 6))
+    CORRECTOR_SPEC = ExperimentSpec(problem="stoch-transport",
+                                    problem_params=STOCH, n=40, points0=16,
+                                    rungs=2, refine=1, correctors_k=2,
+                                    seeds=(4,))
+
+    def test_study_without_failure(self, tmp_path):
+        result = run_convergence_experiment(self.SPEC, accelerate=True)
+        assert _digests(emit_outputs(result, tmp_path / "a")) == {
+            "report.csv": "0ef808bcce0aa233", "rung_8.csv": "b78a4c28de0f5aab",
+            "rung_16.csv": "4fb591e744e798d9", "rung_32.csv": "5e526f45b3025f73",
+            "plot.gp": "8add9693fac53489"}
+        result = run_corrector_experiment(self.CORRECTOR_SPEC)
+        assert _digests(emit_outputs(result, tmp_path / "c")) == {
+            "report.csv": "5f036d607ae93f4f", "rung_16.csv": "a0fdd696eded76df",
+            "rung_32.csv": "055012431b04b7f2", "plot.gp": "21bc53df4edfa7e6"}
+
+    def test_target_loses_a_column_mid_block(self, monkeypatch, tmp_path):
+        # the reference drops seed 6's column at step 21; seeds 4 and 5 are
+        # measured on to the end and keep their rows
+        _poison(monkeypatch, SpectralOperators, -1)
+        result = run_convergence_experiment(self.SPEC, accelerate=True)
+        assert result.failure == (
+            "reference, seed 6: scheme run aborted: step 21: spectral solve "
+            "produced non-finite values; tau may not be small enough")
+        assert [[row[0] for row in rows]
+                for rows in result.per_rung_errors.values()] == [[4, 5]] * 3
+        assert _digests(emit_outputs(result, tmp_path)) == {
+            "report.csv": "21db6170b7b7e945", "rung_8.csv": "3f37a6f292770e87",
+            "rung_16.csv": "efd963a53b00aa46", "rung_32.csv": "d5443e7f68260f73"}
+
+    def test_rung_fails_mid_block(self, monkeypatch, tmp_path):
+        _poison(monkeypatch, FiniteDifferenceOperators, 1, shape=(16,))
+        result = run_convergence_experiment(self.SPEC, accelerate=True)
+        assert result.failure == (
+            "seed 5, mesh 1: scheme run aborted: step 21: factorized solve "
+            "produced non-finite values; tau may not be small enough")
+        assert _digests(emit_outputs(result, tmp_path)) == {
+            "report.csv": "64ee4839975b006b", "rung_8.csv": "346c8c41bdef0ee8",
+            "rung_16.csv": "346c8c41bdef0ee8", "rung_32.csv": "346c8c41bdef0ee8"}
+
+    def test_corrector_rung_fails_mid_block(self, monkeypatch, tmp_path):
+        _poison(monkeypatch, FiniteDifferenceOperators, 0, shape=(32,))
+        result = run_corrector_experiment(self.CORRECTOR_SPEC)
+        assert result.failure.startswith("seed 4, mesh 1: scheme run aborted: "
+                                         "step 21: ")
+        assert _digests(emit_outputs(result, tmp_path)) == {
+            "report.csv": "95da8122599e7374", "rung_16.csv": "346c8c41bdef0ee8",
+            "rung_32.csv": "346c8c41bdef0ee8"}
+
+
+class TestSpecValidation:
+    """A spec built in code passes the checks a config file passes."""
+
+    def test_studies_reject_an_invalid_spec(self):
+        spec = ExperimentSpec(problem="heat1d", n=4, points0=8, rungs=2,
+                              threads=0, format="xml", correctors_k=-1)
+        for run in (run_convergence_experiment,
+                    lambda s: run_convergence_experiment(s, accelerate=True),
+                    run_corrector_experiment):
+            with pytest.raises(ConfigError, match="unknown output format"):
+                run(spec)
+
+    def test_negative_corrector_order(self):
+        spec = ExperimentSpec(problem="heat1d", n=4, points0=8, rungs=2,
+                              correctors_k=-1)
+        with pytest.raises(ConfigError, match="correctors k must be >= 0"):
+            run_corrector_experiment(spec)
 
 
 class TestSelfcheck:

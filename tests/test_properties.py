@@ -1,19 +1,37 @@
 """Property tests: configuration, trajectory-dump and increment-dump round
 trips, the shift and FFT kernels against the numpy calls they stand in for,
-and the summation-by-parts identities of the difference kernels."""
+the summation-by-parts identities of the difference kernels, and the
+convergence study's errors against the per-path pipeline."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spdefd.experiments import ExperimentSpec, load_config, save_config
-from spdefd.grids import TorusGrid, _forward_values, _shifted, _symmetric_values
+from spdefd.experiments import (
+    ExperimentSpec,
+    build_problem,
+    build_scheme,
+    load_config,
+    run_convergence_experiment,
+    save_config,
+)
+from spdefd.grids import (
+    TorusGrid,
+    _forward_values,
+    _shifted,
+    _symmetric_values,
+    grid_norms,
+    make_torus_grid,
+)
+from spdefd.richardson import richardson_combine, vandermonde_weights
 from spdefd.stepper import (
     Trajectory,
     _fft,
     export_trajectory_binary,
     load_trajectory_binary,
+    run_reference_time_scheme,
+    run_space_time_scheme,
 )
 from spdefd.wiener import load_increments, sample_increments, save_increments
 
@@ -155,3 +173,73 @@ def test_symmetric_values_skew_adjoint(fields):
     f, w, lam, h = fields
     assert _adjoint_pair(f, w, _symmetric_values(f, lam, h, f.ndim),
                          _symmetric_values(w, lam, h, f.ndim), h)
+
+
+LADDER_PROBLEMS = {
+    "stoch-transport": (("beta", 0.3), ("extra_diffusion", 0.05)),
+    "var-coef1d": (),        # deterministic, fine-grid reference
+    "heat1d": (),            # deterministic, spectral reference
+}
+
+
+@st.composite
+def ladder_specs(draw):
+    problem = draw(st.sampled_from(sorted(LADDER_PROBLEMS)))
+    return ExperimentSpec(
+        problem=problem, problem_params=LADDER_PROBLEMS[problem],
+        n=draw(st.integers(1, 40)), points0=draw(st.sampled_from([4, 8])),
+        rungs=draw(st.integers(2, 3)), level=draw(st.integers(0, 1)),
+        seeds=tuple(draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
+                                  max_size=3))))
+
+
+def per_path_errors(spec):
+    """Per rung, the (seed, sup, l2h) rows of the study, each path run
+    alone through the public calls and measured step by step."""
+    problem = build_problem(spec)
+    scheme = build_scheme(spec, problem)
+    grids = [make_torus_grid(1, [spec.period], [spec.points0 * 2 ** j])
+             for j in range(spec.rungs + spec.level)]
+    weights = vandermonde_weights(spec.level, 4 if scheme.is_symmetric else 2)
+    mode = ("spectral-const-coef" if problem.constant_coefficients
+            else "fine-grid")
+    rows = {j: [] for j in range(spec.rungs)}
+    for seed in spec.seeds:
+        increments = (sample_increments(spec.n, problem.d1,
+                                        problem.T / spec.n, seed)
+                      if problem.d1 > 0 else None)
+        solutions = [run_space_time_scheme(problem, scheme, g, spec.n,
+                                           increments) for g in grids]
+        reference = run_reference_time_scheme(problem, grids[-1], spec.n,
+                                              increments, mode=mode,
+                                              refine=spec.refine)
+        for j in range(spec.rungs):
+            candidate = (richardson_combine(solutions[j:j + 2], weights)
+                         if spec.level else solutions[j])
+            ref_j = reference.restricted(grids[-1].shape[0]
+                                         // grids[j].shape[0])
+            norms = [grid_norms(a - b)
+                     for a, b in zip(candidate.fields, ref_j.fields)]
+            rows[j].append((seed, max(s for s, _ in norms),
+                            max(l for _, l in norms)))
+    return rows
+
+
+@settings(max_examples=30)
+@given(spec=ladder_specs())
+# a block of measured steps holds 16 time indices: one step short of a
+# full block, exactly one, and one past it
+@example(spec=ExperimentSpec(problem="stoch-transport", n=15, points0=4,
+                             rungs=2, level=1, seeds=(3, 4),
+                             problem_params=LADDER_PROBLEMS["stoch-transport"]))
+@example(spec=ExperimentSpec(problem="stoch-transport", n=16, points0=8,
+                             rungs=3, level=0, seeds=(5, 6, 7),
+                             problem_params=LADDER_PROBLEMS["stoch-transport"]))
+@example(spec=ExperimentSpec(problem="var-coef1d", n=17, points0=8, rungs=2,
+                             level=1, seeds=(1, 2)))
+def test_study_errors_match_per_path_pipeline(spec):
+    # the study marches every path in lock-step and measures blocks of steps
+    # at once; each error has the bits of the per-path, per-step pipeline
+    result = run_convergence_experiment(spec, accelerate=spec.level > 0)
+    assert not result.failed
+    assert result.per_rung_errors == per_path_errors(spec)

@@ -766,6 +766,64 @@ class TestBatchedMarcher:
         assert marcher.v[..., 1].tobytes() == final.tobytes()
 
 
+class TestFreeTerms:
+    """Plain-number free terms are built once per marcher and give the bits
+    of the same terms written as callables; a callable free term is
+    evaluated at every step."""
+
+    N = 6
+
+    @staticmethod
+    def problem(**free):
+        return DifferentialProblem(d=1, d1=1, T=0.5, a={(1, 1): 0.1},
+                                   b={(1, 1): 0.2},
+                                   u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+                                   constant_coefficients=True, **free)
+
+    def march(self, problem, operators):
+        g = make_torus_grid(1, [1.0], [16])
+        paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
+                 for seed in (1, 2)]
+        marcher = Marcher(problem, g, increment_columns(problem, self.N, paths),
+                          operators(problem, g, problem.T / self.N))
+        return march_columns(marcher, self.N)
+
+    @pytest.mark.parametrize("operators", [SpectralOperators,
+                                           FiniteDifferenceOperators])
+    def test_constants_match_callables(self, operators, monkeypatch):
+        from spdefd import problems
+        constant = self.problem(f=0.3, g={1: 0.2})
+        called = self.problem(
+            f=lambda i, x: np.full(x.shape[:-1], 0.3),
+            g={1: lambda i, x: np.full(x.shape[:-1], 0.2)})
+        evaluated = []
+        original = problems._Constant.__call__
+
+        def counting(self, i, x):
+            evaluated.append(self)
+            return original(self, i, x)
+
+        monkeypatch.setattr(problems._Constant, "__call__", counting)
+        got = self.march(constant, operators)
+        # built once for the whole march
+        assert [ev is constant.f for ev in evaluated].count(True) == 1
+        assert [ev is constant.g[1] for ev in evaluated].count(True) == 1
+        want = self.march(called, operators)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("operators", [SpectralOperators,
+                                           FiniteDifferenceOperators])
+    def test_time_varying_free_term_called_every_step(self, operators):
+        steps = []
+
+        def f(i, x):
+            steps.append(i)
+            return 0.1 * i * np.sin(2 * np.pi * x[..., 0])
+
+        self.march(self.problem(f=f, g={1: 0.2}), operators)
+        assert steps == list(range(1, self.N + 1))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteStep:
     """A step whose result holds a NaN or inf raises SolveFailure naming the
