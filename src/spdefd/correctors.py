@@ -17,20 +17,18 @@ by Fourier spectral differentiation, which is exact for band-limited data; a
 mode-energy check rejects fields the reference grid cannot resolve.
 
 Every trajectory is a :class:`stepper.Trajectory`, one ``(n + 1,) +
-grid.shape`` array with a row per time index.  Corrector p is marched by
-:class:`stepper.Marcher` from a zero state, with its forcing in place of the
-free terms; the marcher skips the steps whose forcing is zero while its
-state is still zero, so a vanishing corrector (every odd one of a symmetric
-scheme) costs its forcing but no solve.  The forcing of FORCING_BLOCK_ROWS
-consecutive steps is computed together: the rows of each lower-order
-trajectory that the block reads are transformed by one FFT over the spatial
-axes (``stepper._fft``, the transforms of ``np.fft.fftn``), the resolution
-check reads each row's mode energy from that spectrum, and every derivative
-term is one inverse FFT of the block times the coefficient arrays of its
-rows.  The block kernels sit behind :func:`corrector_operator_L` and
-:func:`corrector_operator_M`, which also take a single field.  The
+grid.shape`` array with a row per time index.  The system is lower-triangular
+in the order and causal in time, so it is marched in one pass over blocks of
+FORCING_BLOCK_ROWS steps: the reference first, then each corrector p by
+:class:`stepper.Marcher` from a zero state, its forcing in place of the free
+terms.  Each lower-order block gets one FFT over the spatial axes
+(``stepper._fft``) and one sum of its rows' mode energies for the resolution
+check, which every higher order reuses; each derivative term is one inverse
+FFT of the block times its rows' coefficient arrays.  A marcher skips the
+steps whose forcing is zero while its state is still zero, so a vanishing
+corrector (every odd one of a symmetric scheme) marches no solve.  The
 expansion residual subtracts strided views of the corrector arrays and
-reduces the remainder row by row.
+measures the remainder with one norm call.
 """
 
 import math
@@ -104,15 +102,6 @@ def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
     return np.divide(high, total, out=np.zeros(len(power)), where=total != 0.0)
 
 
-def _require_resolved(fractions: np.ndarray, tol: float) -> None:
-    """Raise :class:`ResolutionError` for the first row over ``tol``."""
-    bad = np.flatnonzero(fractions > tol)
-    if bad.size:
-        raise ResolutionError(
-            f"highest retained modes carry {fractions[bad[0]]:.2e} of the field "
-            f"energy (limit {tol:g}); refine the reference grid")
-
-
 @dataclass
 class _Spectra:
     """A stack of fields on one grid, one row per time index, with their
@@ -123,16 +112,24 @@ class _Spectra:
     values: np.ndarray   # (rows,) + grid.shape
     hat: np.ndarray
     freq: list
+    fractions: np.ndarray   # per row, from _top_mode_fractions
 
     @property
     def axes(self) -> tuple:
         return tuple(range(1, self.grid.dim + 1))
 
     def rows(self, window: slice) -> "_Spectra":
-        return replace(self, values=self.values[window], hat=self.hat[window])
+        return replace(self, values=self.values[window], hat=self.hat[window],
+                       fractions=self.fractions[window])
 
     def check_resolution(self) -> None:
-        _require_resolved(_top_mode_fractions(self.hat), RESOLUTION_ENERGY_TOL)
+        """Raise :class:`ResolutionError` for the first unresolved row."""
+        bad = np.flatnonzero(self.fractions > RESOLUTION_ENERGY_TOL)
+        if bad.size:
+            raise ResolutionError(
+                f"highest retained modes carry {self.fractions[bad[0]]:.2e} of "
+                f"the field energy (limit {RESOLUTION_ENERGY_TOL:g}); refine "
+                "the reference grid")
 
     def _factor(self, lam) -> np.ndarray:
         acc = np.zeros(self.grid.shape)
@@ -151,9 +148,12 @@ class _Spectra:
 
 
 def _spectra(grid: TorusGrid, values: np.ndarray, freq=None) -> _Spectra:
-    """Spectra of a ``(rows,) + grid.shape`` stack: one forward FFT."""
-    return _Spectra(grid, values, _fft(values, tuple(range(1, grid.dim + 1))),
-                    _frequency_mesh(grid) if freq is None else freq)
+    """Spectra of a ``(rows,) + grid.shape`` stack and the top-mode energy
+    fraction of each row: one forward FFT and one energy sum."""
+    hat = _fft(values, tuple(range(1, grid.dim + 1)))
+    return _Spectra(grid, values, hat,
+                    _frequency_mesh(grid) if freq is None else freq,
+                    _top_mode_fractions(hat))
 
 
 def _operand(phi, i) -> tuple[_Spectra, list]:
@@ -277,45 +277,34 @@ def minimum_resolution(k: int) -> int:
 
 
 def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
-                       trajectories: list, xi: np.ndarray):
-    """Yield, for each step i = 1..n of corrector p, the ``(f, g)`` that
-    stand in for the free terms in :meth:`Marcher.advance`:
+                       spectra: list, steps: range, xi: np.ndarray) -> tuple:
+    """The ``(f, g)`` that stand in for the free terms of corrector p in
+    :meth:`Marcher.advance` at the steps i in ``steps``, row by row:
 
         f_i          = sum_{j=1..p} C(p,j) L_j v^(p-j)_i
         g^rho_{i-1}  = the terms C(p,j) M_{j,rho} v^(p-j)_{i-1}, even j
 
     (M_j vanishes for odd j; the terms are added to M^rho v one by one).
-    ``trajectories`` holds v^(0..p-1) and ``xi`` the ``(n, d1)``
-    increments.  The forcing is computed FORCING_BLOCK_ROWS steps at a
-    time: the rows of every lower-order trajectory that the block reads are
-    transformed by one FFT, and each derivative term is one inverse FFT of
-    the block.
+    ``spectra`` holds the blocks of v^(0..p-1) at the indices
+    ``steps.start - 1 .. steps.stop - 1``, ``xi`` the ``(n, d1)`` increments.
     """
-    grid = sampler.grid
-    n = trajectories[0].n
-    freq = _frequency_mesh(grid)
     now, before = slice(1, None), slice(None, -1)
-    for start in range(1, n + 1, FORCING_BLOCK_ROWS):
-        steps = range(start, min(start + FORCING_BLOCK_ROWS, n + 1))
-        spectra = [_spectra(grid, traj.values[start - 1:steps.stop], freq)
-                   for traj in trajectories[:p]]
-        f = np.zeros((len(steps),) + grid.shape)
-        for j in range(1, p + 1):
-            f += math.comb(p, j) * corrector_operator_L(
-                j, scheme, spectra[p - j].rows(now), steps, sampler)
-        g = []
-        for rho in range(1, xi.shape[1] + 1):
-            if not xi[start - 1:steps.stop - 1, rho - 1].any():
-                g.append(())
-                continue
-            g.append([math.comb(p, j) * corrector_operator_M(
-                j, rho, scheme, spectra[p - j].rows(before),
-                range(start - 1, steps.stop - 1), sampler)
-                for j in range(2, p + 1, 2)])
-        for values in (f, *(part for parts in g for part in parts)):
-            _require_finite(values)
-        for r in range(len(steps)):
-            yield f[r], [tuple(part[r] for part in parts) for parts in g]
+    prev = range(steps.start - 1, steps.stop - 1)
+    f = np.zeros((len(steps),) + sampler.grid.shape)
+    for j in range(1, p + 1):
+        f += math.comb(p, j) * corrector_operator_L(
+            j, scheme, spectra[p - j].rows(now), steps, sampler)
+    g = []
+    for rho in range(1, xi.shape[1] + 1):
+        if not xi[prev.start:prev.stop, rho - 1].any():
+            g.append(())
+            continue
+        g.append([math.comb(p, j) * corrector_operator_M(
+            j, rho, scheme, spectra[p - j].rows(before), prev, sampler)
+            for j in range(2, p + 1, 2)])
+    for values in (f, *(part for parts in g for part in parts)):
+        _require_finite(values)
+    return f, g
 
 
 def run_corrector_system(k: int, problem: DifferentialProblem,
@@ -333,14 +322,14 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     realization of (I - tau L): exact per mode for constant coefficients,
     the centred lattice on the reference grid otherwise.
 
+    All orders march one block of steps at a time (see the module notes):
+    a failure or unresolved field in an earlier block is raised first.
+
     While a corrector's forcing is zero and its state has never left zero,
-    its steps are skipped: no right-hand side, no M^rho, no solve.  The
-    state stays the +0.0 array those steps would return; the operators'
-    ``keeps_zero`` checks, once per operator, that their solve does return
-    +0.0, and where it leaves -0.0 entries the steps run as before.  The
-    forcing is still computed, and checked, block by block.  So a vanishing
-    corrector marches no solve, and a corrector whose forcing starts late
-    starts solving when it does.
+    its steps are skipped where the operators' ``keeps_zero`` allows (see
+    :class:`Marcher`); the forcing is still computed and checked.  So a
+    vanishing corrector marches no solve, and a corrector whose forcing
+    starts late starts solving when it does.
     """
     if k < 0:
         raise ValueError("expansion order k must be >= 0")
@@ -355,29 +344,36 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     tau = problem.T / n
     xi = increment_columns(problem, n, [increments])
 
-    marcher, factor = reference_marcher(problem, refgrid, xi, reference_mode,
-                                        refine)
-    trajectories = [Trajectory(grid=refgrid, tau=tau,
-                               values=_march_path(marcher, n, refgrid, factor))]
+    reference, factor = reference_marcher(problem, refgrid, xi, reference_mode,
+                                          refine)
     if reference_mode == "spectral-const-coef":
         ops = SpectralOperators(problem, refgrid, tau)
     else:
         ops = FiniteDifferenceOperators(problem, refgrid, tau)
+    marchers = [Marcher(problem, refgrid, xi, ops, zero_start=True)
+                for _ in range(k)]
+    values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]
     sampler = SchemeSampler(scheme, refgrid)
-    for p in range(1, k + 1):
-        marcher = Marcher(problem, refgrid, xi, ops, zero_start=True)
-        forcing = _corrector_forcing(p, scheme, sampler, trajectories,
-                                     xi[..., 0])
-        try:
-            values = _march_path(marcher, n, refgrid, forcing=forcing)
-        except SolveFailure as exc:
-            # report a failed solve in the solver's own words, not as an
-            # aborted column of a path
-            if isinstance(exc.__cause__, SolveFailure):
-                raise exc.__cause__ from None
-            raise
-        trajectories.append(Trajectory(grid=refgrid, tau=tau, values=values))
-    return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=trajectories)
+    freq = _frequency_mesh(refgrid)
+    for start in range(1, n + 1, FORCING_BLOCK_ROWS):
+        steps = range(start, min(start + FORCING_BLOCK_ROWS, n + 1))
+        _march_path(reference, values[0], steps[-1], factor)
+        spectra = []
+        for p, marcher in enumerate(marchers, start=1):
+            spectra.append(_spectra(refgrid, values[p - 1][start - 1:steps.stop],
+                                    freq))
+            f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
+                                      xi[..., 0])
+            try:
+                _march_path(marcher, values[p], steps[-1], f=f, g=g)
+            except SolveFailure as exc:
+                # report a failed solve in the solver's own words, not as an
+                # aborted column of a path
+                if isinstance(exc.__cause__, SolveFailure):
+                    raise exc.__cause__ from None
+                raise
+    return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=[
+        Trajectory(grid=refgrid, tau=tau, values=v) for v in values])
 
 
 @dataclass

@@ -56,6 +56,7 @@ import numpy as np
 
 from .correctors import (
     FORCING_BLOCK_ROWS,
+    ResolutionError,
     _remainder,
     _weighted,
     run_corrector_system,
@@ -245,6 +246,15 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError("threads must be >= 1")
     if spec.correctors_k < 0:
         raise ConfigError("correctors k must be >= 0")
+    for key, value in spec.params_dict().items():
+        if not math.isfinite(value):
+            raise ConfigError(f"[problem] {key} must be finite, not {value!r}")
+    if not 0 <= spec.order_tolerance < math.inf:
+        raise ConfigError("order_tolerance must be >= 0 and finite")
+    for key, value in (("expected_order", spec.expected_order),
+                       ("expected_residual_order", spec.expected_residual_order)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, not {value!r}")
     return spec
 
 
@@ -462,7 +472,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     The first failing (seed, mesh) pair in seed-major order is reported,
     target failures only when every rung succeeded, and a failure the
     target raises while it is built as itself.  A spectral target on
-    variable coefficients is a configuration error.
+    variable coefficients, and a corrector target the reference grid cannot
+    resolve, are configuration errors.
     """
     level = 0 if weights is None else weights.level
     grids = ladder_grids(spec, problem, extra=level)
@@ -545,7 +556,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                 target.advance()
                 record()
         flush()
-    except SpectralModeError as exc:
+    except (SpectralModeError, ResolutionError) as exc:
         raise ConfigError(f"[reference] {exc}") from exc
     except SolveFailure as exc:
         return failed(str(exc)), None
@@ -594,6 +605,10 @@ def run_convergence_experiment(spec: ExperimentSpec,
         except ExtrapolationError as exc:
             raise ConfigError(f"[extrapolation] {exc}") from exc
     ref_mode = _resolve_reference_mode(spec, problem)
+    if ref_mode == "fine-grid" and spec.refine == 0:
+        # the reference would march the finest rung's own lattice
+        raise ConfigError("[reference] a fine-grid reference needs refine "
+                          ">= 1, got 0")
 
     def reference(grids, xi, _):
         return _Reference(reference_marcher(problem, grids[-1], xi, ref_mode,

@@ -551,19 +551,21 @@ class Marcher:
         self.v = v
 
 
-def _march_path(marcher: Marcher, n: int, grid: TorusGrid, factor: int = 1,
-                forcing=None) -> np.ndarray:
-    """States 0..n of a one-column marcher as one ``(n + 1,) + grid.shape``
-    array, restricted onto ``grid`` by ``factor`` per axis; the first
-    failure is raised.  ``forcing``, if given, yields the ``(f, g)`` of
-    :meth:`Marcher.advance` for each step."""
-    states = np.empty((n + 1,) + grid.shape)
-    states[0] = _restricted(marcher.v[..., 0], factor, grid.dim)
-    for i in range(1, n + 1):
-        marcher.advance(*(next(forcing) if forcing is not None else ()))
+def _march_path(marcher: Marcher, states: np.ndarray, stop: int,
+                factor: int = 1, f=None, g=None) -> np.ndarray:
+    """Step a one-column marcher to index ``stop``, storing each state from
+    its current one on, restricted by ``factor`` per axis, in row i of
+    ``states``; the first failure is raised.  ``f`` and ``g``, if given,
+    hold the :meth:`Marcher.advance` arguments of those steps a row each
+    (``g`` per driver, its parts)."""
+    dim = states.ndim - 1
+    states[marcher.i] = _restricted(marcher.v[..., 0], factor, dim)
+    for r in range(stop - marcher.i):
+        marcher.advance(*(() if f is None else
+                          (f[r], [[part[r] for part in parts] for parts in g])))
         if marcher.failures:
             raise marcher.failures[0]
-        states[i] = _restricted(marcher.v[..., 0], factor, grid.dim)
+        states[marcher.i] = _restricted(marcher.v[..., 0], factor, dim)
     return states
 
 
@@ -578,7 +580,8 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     ops = FiniteDifferenceOperators(problem, grid, tau, scheme, solver_mode)
     marcher = Marcher(problem, grid, increment_columns(problem, n, [increments]),
                       ops)
-    return Trajectory(grid=grid, tau=tau, values=_march_path(marcher, n, grid))
+    return Trajectory(grid=grid, tau=tau, values=_march_path(
+        marcher, np.empty((n + 1,) + grid.shape), n))
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +790,8 @@ def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
         raise ValueError("need at least one time step")
     marcher, factor = reference_marcher(
         problem, grid, increment_columns(problem, n, [increments]), mode, refine)
-    return Trajectory(grid=grid, tau=problem.T / n,
-                      values=_march_path(marcher, n, grid, factor))
+    return Trajectory(grid=grid, tau=problem.T / n, values=_march_path(
+        marcher, np.empty((n + 1,) + grid.shape), n, factor))
 
 
 # ---------------------------------------------------------------------------

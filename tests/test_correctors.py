@@ -411,11 +411,19 @@ def pinned_config(name):
                                 constant_coefficients=True)
         return (2, p, build_scheme_example1(p), g64, 12,
                 two_driver_increments(p, 12, 5)), {}
-    if name == "stoch-transport-k4":
+    if name.startswith("stoch-transport"):
+        k, n = {"stoch-transport-k4": (4, 16),
+                "stoch-transport-k3-n40": (3, 40)}[name]
         p = make_problem("stoch-transport", beta=0.3, gamma=0.2,
                          extra_diffusion=0.05)
-        return (4, p, build_scheme_example1(p), g64, 16,
-                sample_increments(16, 1, p.T / 16, 3)), {}
+        return (k, p, build_scheme_example1(p), g64, n,
+                sample_increments(n, 1, p.T / n, 3)), {}
+    if name == "late-forcing-89-k3-n37":
+        # 89 points go through Bluestein's algorithm; 37 steps end on a
+        # partial block
+        p = late_forcing_problem()
+        return (3, p, build_scheme_example2(p), make_torus_grid(1, [1.0], [89]),
+                37, sample_increments(37, 1, p.T / 37, 3)), {}
     if name == "2d-k2":
         p = DifferentialProblem(
             d=2, d1=1, T=0.25,
@@ -447,6 +455,12 @@ PINNED_DIGESTS = {
     "2d-k2": ["ccdfedda9f139981", "84ff92691f909a05", "069b69fc5be08f07"],
     "heat1d-k3": ["6489e3f354efd92e", "e8b31e302d11fbf7", "962ae2af3db43e49",
                   "e8b31e302d11fbf7"],
+    # several blocks of steps; recorded with the corrector system marched
+    # one order at a time over the whole horizon
+    "stoch-transport-k3-n40": ["77b646106af94331", "9e635f518975d1cf",
+                               "9af84ac8fb60d4e5", "9e635f518975d1cf"],
+    "late-forcing-89-k3-n37": ["bdc3ea87bfab768a", "ecf9e17a1ad6fd0a",
+                               "aac48d116fea79ef", "751ed44add9d38b5"],
 }
 
 
@@ -456,7 +470,8 @@ class TestCorrectorSystemBits:
     recursion on configurations the other tests do not reach: fine-grid
     reference, a time-dependent scheme (coefficients stacked per row), two
     drivers of which one never moves, k = 4 (two M-forcing terms, whose
-    summation order matters), a 2-d grid, and a deterministic problem."""
+    summation order matters), a 2-d grid, a deterministic problem, and
+    horizons of several blocks of steps, the last one partial."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_stacks_match_pinned_digests(self, name):
@@ -469,6 +484,20 @@ class TestCorrectorSystemBits:
         for traj in cs.trajectories:
             assert traj.values.tobytes() == np.stack(
                 [f.values for f in traj.fields]).tobytes()
+
+    def test_each_lower_order_block_transformed_once(self, monkeypatch):
+        # k = 3, n = 40: three blocks, each transforming and checking the
+        # blocks of v^(0), v^(1) and v^(2) once
+        import spdefd.correctors as correctors
+        counts = {"_spectra": 0, "_top_mode_fractions": 0}
+        for name in counts:
+            def counted(*args, _original=getattr(correctors, name), _name=name):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(correctors, name, counted)
+        args, kwargs = pinned_config("stoch-transport-k3-n40")
+        run_corrector_system(*args, **kwargs)
+        assert counts == {"_spectra": 9, "_top_mode_fractions": 9}
 
     @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
                                            build_scheme_example2])

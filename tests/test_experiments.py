@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -634,6 +635,61 @@ class TestCli:
                 "config error: problem is not degenerate parabolic: the "
                 "smallest eigenvalue of 2a - bb^T is -0.23\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unresolved_reference_grid_exit_three(self, tmp_path, capsys):
+        # 4 points refined by 2**0: the corrector derivatives are unresolved
+        cfg = write(tmp_path, "[problem]\nname = var-coef1d\n[time]\nn = 8\n"
+                    "[space]\npoints0 = 4\nrungs = 2\n[reference]\nrefine = 0\n"
+                    f"[correctors]\nk = 2\n[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["correctors", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "config error: [reference] highest retained modes carry ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fine_grid_reference_needs_refinement(self, tmp_path, capsys):
+        body = ("[time]\nn = 8\n[space]\npoints0 = 8\nrungs = 2\n"
+                f"[reference]\nrefine = 0\n[run]\nout = {tmp_path / 'out'}\n")
+        cfg = write(tmp_path, "[problem]\nname = var-coef1d\n" + body)
+        for command in ("converge", "accelerate"):
+            assert main([command, "--config", str(cfg)]) == 3
+            assert capsys.readouterr().err == (
+                "config error: [reference] a fine-grid reference needs "
+                "refine >= 1, got 0\n")
+        # a spectral reference does not refine: refine = 0 is accepted
+        cfg = write(tmp_path, "[problem]\nname = heat1d\n" + body, "s.ini")
+        for command in ("converge", "accelerate", "correctors"):
+            assert main([command, "--config", str(cfg)]) in (0, 1)
+            assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("problem", "nu = nan", "[problem] nu must be finite, not nan"),
+        ("run", "order_tolerance = -0.1", "order_tolerance must be >= 0"),
+        ("run", "order_tolerance = inf", "order_tolerance must be >= 0"),
+        ("run", "expected_order = nan", "expected_order must be finite"),
+        ("correctors", "expected_residual_order = inf",
+         "expected_residual_order must be finite"),
+    ], ids=["nan-parameter", "negative-tolerance", "infinite-tolerance",
+            "nan-expected-order", "infinite-residual-order"])
+    def test_non_finite_values_exit_three(self, tmp_path, capsys, section,
+                                          line, message):
+        sections = {"problem": ["name = heat1d"], "time": ["n = 8"],
+                    "space": ["rungs = 2"], "run": [f"out = {tmp_path / 'out'}"]}
+        sections.setdefault(section, []).append(line)
+        cfg = write(tmp_path, "".join(f"[{name}]\n" + "".join(f"{entry}\n"
+                                                             for entry in lines)
+                                      for name, lines in sections.items()))
+        for command in ("converge", "correctors"):
+            assert main([command, "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "out").exists()
+        # a spec built in code is checked the same way
+        key, value = (part.strip() for part in line.split("="))
+        fields = ({"problem_params": ((key, float(value)),)}
+                  if section == "problem" else {key: float(value)})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_convergence_experiment(ExperimentSpec(problem="heat1d", **fields))
 
     def test_threads_override_validated(self, tmp_path, capsys):
         cfg = write(tmp_path, MINIMAL + f"\n[run]\nout = {tmp_path / 'out'}\n")

@@ -63,7 +63,7 @@ def specs(draw):
         seeds=tuple(draw(st.lists(st.integers(-2 ** 63, 2 ** 64 - 1),
                                   min_size=1, max_size=5))),
         expected_order=draw(st.none() | finite),
-        order_tolerance=draw(finite),
+        order_tolerance=draw(st.floats(min_value=0.0, allow_infinity=False)),
         out=draw(token),
         format=draw(st.sampled_from(["csv", "binary"])),
         threads=draw(st.integers(1, 64)),
