@@ -14,6 +14,7 @@ Exit codes: 0 pass, 1 acceptance fail, 2 solver failure, 3 config error.
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,11 +105,15 @@ def _cmd_solve(args) -> int:
 
 def _run_study(args) -> int:
     spec = _load_spec(args)
-    if args.command == "correctors":
-        result = run_corrector_experiment(spec)
-    else:
-        result = run_convergence_experiment(
-            spec, accelerate=args.command == "accelerate")
+    # a warning the study raises is a one-line note, not a Python warning
+    with warnings.catch_warnings(record=True) as caught:
+        if args.command == "correctors":
+            result = run_corrector_experiment(spec)
+        else:
+            result = run_convergence_experiment(
+                spec, accelerate=args.command == "accelerate")
+    for warning in caught:
+        print(f"note: {warning.message}", file=sys.stderr)
     paths = emit_outputs(result, spec.out)
     cs = result.extras.pop("corrector_set", None)
     if cs is not None:

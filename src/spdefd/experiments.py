@@ -1,25 +1,25 @@
 """Configuration-driven experiment runner with CSV and plot-script outputs.
 
 Experiments are declared in an INI-style file (``[section]`` headers, ``key =
-value`` pairs, ``#`` comments).  Unknown sections or keys are errors; every
-key has a documented default.  The full schema:
+value`` pairs, ``#`` comments).  Unknown sections or keys are errors.  Each
+field of :class:`ExperimentSpec` declares one key, and a missing or empty key
+takes that field's default.  The keys:
 
     [problem]       name (required); any further numeric keys are passed to
                     the named problem builder (e.g. nu, beta, gamma,
                     extra_diffusion, chi, T).  name = custom declares a 1-d
                     constant-coefficient problem inline through the keys
                     a00, a01, a10, a11, b01, b11, T.
-    [scheme]        constructor = example1 | example2
-    [time]          n = 256
-    [space]         period = 1.0, points0 = 16, rungs = 3
-    [extrapolation] level = 1, base = auto | 2 | 4
-    [reference]     mode = auto | spectral | fine-grid, refine = 3
-    [correctors]    k = 2, expected_residual_order (optional)
-    [run]           seeds = 1 (comma-separated; a correctors study runs
-                    on the first seed alone and ignores the others),
-                    expected_order (optional),
-                    order_tolerance = 0.25, out = out, format = csv | binary,
-                    threads = 1
+    [scheme]        constructor (example1 | example2)
+    [time]          n
+    [space]         period, points0, rungs
+    [extrapolation] level, base (auto | 2 | 4)
+    [reference]     mode (auto | spectral | fine-grid), refine
+    [correctors]    k, expected_residual_order (optional)
+    [run]           seeds (comma-separated; a correctors study runs on the
+                    first seed alone and ignores the others), expected_order
+                    (optional), order_tolerance, out, format (csv | binary),
+                    threads
 
 Keys are case-insensitive; the horizon may be written ``T`` or ``t``.
 ``threads`` is accepted, validated (>= 1) and saved, but has no effect: a
@@ -49,7 +49,7 @@ output bytes are determined by the spec and seeds alone.
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,45 +103,52 @@ def _parse_seeds(text: str):
     return seeds
 
 
+def _key(section: str, key: str, default, parse=str):
+    """A spec field that ``key`` in ``[section]`` of a config file sets:
+    ``parse`` casts its text, and the field default is the key's default."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment byte-for-byte."""
+    """Everything needed to reproduce one experiment byte-for-byte.
+
+    Each field after ``problem_params`` declares one config key: its
+    section, name, parser and default (the config default), in the order
+    :func:`save_config` writes them."""
 
     problem: str = ""
     problem_params: tuple = ()          # sorted (key, value) pairs
-    scheme: str = "example1"
-    n: int = 256
-    period: float = 1.0
-    points0: int = 16
-    rungs: int = 3
-    level: int = 1
-    base: str = "auto"
-    reference_mode: str = "auto"
-    refine: int = 3
-    correctors_k: int = 2
-    expected_residual_order: float | None = None
-    seeds: tuple = (1,)
-    expected_order: float | None = None
-    order_tolerance: float = 0.25
-    out: str = "out"
-    format: str = "csv"
-    threads: int = 1
+    scheme: str = _key("scheme", "constructor", "example1")
+    n: int = _key("time", "n", 256, int)
+    period: float = _key("space", "period", 1.0, float)
+    points0: int = _key("space", "points0", 16, int)
+    rungs: int = _key("space", "rungs", 3, int)
+    level: int = _key("extrapolation", "level", 1, int)
+    base: str = _key("extrapolation", "base", "auto")
+    reference_mode: str = _key("reference", "mode", "auto")
+    refine: int = _key("reference", "refine", 3, int)
+    correctors_k: int = _key("correctors", "k", 2, int)
+    expected_residual_order: float | None = _key(
+        "correctors", "expected_residual_order", None, float)
+    seeds: tuple = _key("run", "seeds", (1,), _parse_seeds)
+    expected_order: float | None = _key("run", "expected_order", None, float)
+    order_tolerance: float = _key("run", "order_tolerance", 0.25, float)
+    out: str = _key("run", "out", "out")
+    format: str = _key("run", "format", "csv")
+    threads: int = _key("run", "threads", 1, int)
 
     def params_dict(self) -> dict:
         return dict(self.problem_params)
 
 
-_SCHEMA = {
-    "problem": None,  # free-form numeric keys besides "name"
-    "scheme": {"constructor": str},
-    "time": {"n": int},
-    "space": {"period": float, "points0": int, "rungs": int},
-    "extrapolation": {"level": int, "base": str},
-    "reference": {"mode": str, "refine": int},
-    "correctors": {"k": int, "expected_residual_order": float},
-    "run": {"seeds": str, "expected_order": float, "order_tolerance": float,
-            "out": str, "format": str, "threads": int},
-}
+# section -> {key: field}, both in field order; [problem] is free-form
+_SECTIONS = {}
+for _field in fields(ExperimentSpec):
+    if _field.metadata:
+        _SECTIONS.setdefault(_field.metadata["section"], {})[
+            _field.metadata["key"]] = _field
 
 _INLINE_KEYS = ("a00", "a01", "a10", "a11", "b01", "b11", "T")
 
@@ -159,23 +166,10 @@ def load_config(path) -> ExperimentSpec:
         raise ConfigError(f"config parse error: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section != "problem" and section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    known = _SCHEMA
-
-    def get(section, key, cast, default):
-        if not parser.has_section(section) or not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key).strip()
-        if raw == "":
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: bad value {raw!r}") from exc
-
-    for section, keys in known.items():
-        if keys is None or not parser.has_section(section):
+    for section, keys in _SECTIONS.items():
+        if not parser.has_section(section):
             continue
         for key in parser.options(section):
             if key not in keys:
@@ -196,28 +190,19 @@ def load_config(path) -> ExperimentSpec:
             raise ConfigError(f"[problem] {key}: expected a number, got "
                               f"{raw!r}") from exc
 
+    # a missing or empty key keeps its field default
+    values = {}
+    for section, keys in _SECTIONS.items():
+        for key, spec_field in keys.items():
+            raw = parser.get(section, key, fallback="").strip()
+            if not raw:
+                continue
+            try:
+                values[spec_field.name] = spec_field.metadata["parse"](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: bad value {raw!r}") from exc
     return _validate_spec(ExperimentSpec(
-        problem=name,
-        problem_params=tuple(sorted(params)),
-        scheme=get("scheme", "constructor", str, "example1"),
-        n=get("time", "n", int, 256),
-        period=get("space", "period", float, 1.0),
-        points0=get("space", "points0", int, 16),
-        rungs=get("space", "rungs", int, 3),
-        level=get("extrapolation", "level", int, 1),
-        base=get("extrapolation", "base", str, "auto"),
-        reference_mode=get("reference", "mode", str, "auto"),
-        refine=get("reference", "refine", int, 3),
-        correctors_k=get("correctors", "k", int, 2),
-        expected_residual_order=get("correctors", "expected_residual_order",
-                                    float, None),
-        seeds=get("run", "seeds", _parse_seeds, (1,)),
-        expected_order=get("run", "expected_order", float, None),
-        order_tolerance=get("run", "order_tolerance", float, 0.25),
-        out=get("run", "out", str, "out"),
-        format=get("run", "format", str, "csv"),
-        threads=get("run", "threads", int, 1),
-    ))
+        problem=name, problem_params=tuple(sorted(params)), **values))
 
 
 def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
@@ -258,52 +243,26 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
+def _show(spec_field, value) -> str:
+    parse = spec_field.metadata["parse"]
+    if parse is _parse_seeds:
+        return ",".join(str(s) for s in value)
+    return format(value, ".17g") if parse is float else f"{value}"
+
+
 def save_config(spec: ExperimentSpec, path) -> None:
-    """Serialize a spec back to the configuration format (round-trips)."""
+    """Serialize a spec back to the configuration format (round-trips); an
+    optional key that is None is left out."""
     lines = ["[problem]", f"name = {spec.problem}"]
     for key, value in spec.problem_params:
         lines.append(f"{key} = {format(value, '.17g')}")
-    lines += [
-        "",
-        "[scheme]",
-        f"constructor = {spec.scheme}",
-        "",
-        "[time]",
-        f"n = {spec.n}",
-        "",
-        "[space]",
-        f"period = {format(spec.period, '.17g')}",
-        f"points0 = {spec.points0}",
-        f"rungs = {spec.rungs}",
-        "",
-        "[extrapolation]",
-        f"level = {spec.level}",
-        f"base = {spec.base}",
-        "",
-        "[reference]",
-        f"mode = {spec.reference_mode}",
-        f"refine = {spec.refine}",
-        "",
-        "[correctors]",
-        f"k = {spec.correctors_k}",
-    ]
-    if spec.expected_residual_order is not None:
-        lines.append("expected_residual_order = "
-                     f"{format(spec.expected_residual_order, '.17g')}")
-    lines += [
-        "",
-        "[run]",
-        f"seeds = {','.join(str(s) for s in spec.seeds)}",
-    ]
-    if spec.expected_order is not None:
-        lines.append(f"expected_order = {format(spec.expected_order, '.17g')}")
-    lines += [
-        f"order_tolerance = {format(spec.order_tolerance, '.17g')}",
-        f"out = {spec.out}",
-        f"format = {spec.format}",
-        f"threads = {spec.threads}",
-        "",
-    ]
+    for section, keys in _SECTIONS.items():
+        lines += ["", f"[{section}]"]
+        for key, spec_field in keys.items():
+            value = getattr(spec, spec_field.name)
+            if value is not None:
+                lines.append(f"{key} = {_show(spec_field, value)}")
+    lines.append("")
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 

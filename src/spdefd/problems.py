@@ -119,7 +119,6 @@ class DifferenceScheme:
     p: dict = field(default_factory=dict)
     q: dict = field(default_factory=dict)
     time_independent: bool = True
-    constant_coefficients: bool = False
 
     def __post_init__(self):
         vecs = set(self.stencil.vectors)
@@ -180,8 +179,7 @@ def build_scheme_example1(problem: DifferentialProblem) -> DifferenceScheme:
     b = {(_unit(d, al), rho): ev for (al, rho), ev in problem.b.items()}
     return DifferenceScheme(
         stencil=basis_stencil(d), d1=problem.d1, a=a, b=b,
-        time_independent=problem.time_independent,
-        constant_coefficients=problem.constant_coefficients)
+        time_independent=problem.time_independent)
 
 
 def build_scheme_example2(problem: DifferentialProblem) -> DifferenceScheme:
@@ -211,8 +209,7 @@ def build_scheme_example2(problem: DifferentialProblem) -> DifferenceScheme:
         q[lam] = lambda i, x, _c=cross: np.maximum(-_c(i, x), 0.0)
     return DifferenceScheme(
         stencil=basis_stencil(d), d1=problem.d1, a=a, b=b, p=p, q=q,
-        time_independent=problem.time_independent,
-        constant_coefficients=problem.constant_coefficients)
+        time_independent=problem.time_independent)
 
 
 @dataclass

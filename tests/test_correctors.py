@@ -54,8 +54,7 @@ def scheme_1d(a11=0.0, a00=0.0, a10=0.0, p1=0.0, q1=0.0, b11=0.0, b01=0.0, d1=0)
         b[((0,), 1)] = b01
     p = {(1,): p1} if p1 else {}
     q = {(1,): q1} if q1 else {}
-    return DifferenceScheme(stencil=basis_stencil(1), d1=d1, a=a, b=b, p=p, q=q,
-                            constant_coefficients=True)
+    return DifferenceScheme(stencil=basis_stencil(1), d1=d1, a=a, b=b, p=p, q=q)
 
 
 class TestExpansionConstants:

@@ -60,6 +60,15 @@ format = csv
 threads = 2
 """
 
+# a spec that sets every key, both optional orders included
+EVERY_KEY_SPEC = ExperimentSpec(
+    problem="stoch-transport",
+    problem_params=(("beta", 0.3), ("extra_diffusion", 0.05)),
+    scheme="example2", n=40, period=2.5, points0=8, rungs=4, level=2, base="4",
+    reference_mode="fine-grid", refine=2, correctors_k=3,
+    expected_residual_order=4.0, seeds=(3, 1, 2), expected_order=2.0,
+    order_tolerance=0.125, out="results/x", format="binary", threads=2)
+
 # outputs of a 3-seed heat1d accelerate study (n = 32, points0 = 8, rungs = 3,
 # level = 1), as written when every seed marched its own column
 HEAT_ACCELERATE_OUTPUTS = {
@@ -192,6 +201,24 @@ class TestLoadConfig:
         out = tmp_path / "echo.ini"
         save_config(spec, out)
         assert load_config(out) == spec
+
+    @pytest.mark.parametrize("spec, digest", [
+        (ExperimentSpec(problem="heat1d"),
+         "8c21822cb6b7bdff3f8c783fe57f2c0712222669d7b2f9bd8f12ccb700b8e250"),
+        (EVERY_KEY_SPEC,
+         "b1c739d88e7c3521b683c9282a3b3c3d49d90bb767d28ba552b52250ca8e71f1"),
+    ], ids=["minimal", "every-key"])
+    def test_save_format_pinned(self, tmp_path, spec, digest):
+        out = tmp_path / "echo.ini"
+        save_config(spec, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert load_config(out) == spec
+
+    def test_unknown_key_reported_before_bad_value(self, tmp_path):
+        text = MINIMAL + "\n[time]\nn = soon\n\n[run]\nbogus = 1\n"
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown key 'bogus' in section [run]")):
+            load_config(write(tmp_path, text))
 
 
 class TestBuildProblem:
@@ -645,6 +672,19 @@ class TestCli:
         assert main(["correctors", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith(
             "config error: [reference] highest retained modes carry ")
+
+    def test_resolution_warning_is_a_note(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write(tmp_path, "[problem]\nname = heat1d\n[time]\nn = 8\n"
+                    "[space]\npoints0 = 8\nrungs = 2\n[reference]\nrefine = 0\n"
+                    f"[correctors]\nk = 2\n[run]\nout = {out}\n")
+        assert main(["correctors", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "note: reference grid has 16 points per axis; the heuristic floor "
+            "for k=2 is 64 (corrector derivatives may be under-resolved)"]
+        assert "RuntimeWarning" not in err and "experiments.py" not in err
+        assert (out / "report.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fine_grid_reference_needs_refinement(self, tmp_path, capsys):

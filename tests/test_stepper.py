@@ -42,8 +42,7 @@ def scheme_1d(a11=0.0, p1=0.0, q1=0.0, b01=0.0, b11=0.0, d1=0):
         b[((0,), 1)] = b01
     if b11:
         b[((1,), 1)] = b11
-    return DifferenceScheme(stencil=s, d1=d1, a=a, b=b, p=p, q=q,
-                            constant_coefficients=True)
+    return DifferenceScheme(stencil=s, d1=d1, a=a, b=b, p=p, q=q)
 
 
 def manual_increments(xi, tau):
@@ -271,7 +270,7 @@ def cross_scheme_2d():
         stencil=basis_stencil(2), d1=0,
         a={((1, 0), (1, 0)): 0.5, ((0, 1), (0, 1)): 0.25,
            ((1, 0), (0, 1)): 0.1, ((0, 0), (0, 0)): -0.2},
-        p={(1, 0): 0.3}, constant_coefficients=True)
+        p={(1, 0): 0.3})
 
 
 def vanishing_diffusion_problem(time_independent=True):
