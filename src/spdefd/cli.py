@@ -143,7 +143,7 @@ def _summary_lines(result):
                          f"pairwise={pairwise}")
         lines.append(f"  least-squares order {rep.ls_order:.4f}"
                      + (f" (expected {rep.expected_order} "
-                        f"+- {rep.tolerance if rep.tolerance is not None else 0.25})"
+                        f"+- {rep.tolerance})"
                         if rep.expected_order is not None else ""))
         for note in rep.notes:
             lines.append(f"  note: {note}")

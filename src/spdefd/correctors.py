@@ -23,7 +23,9 @@ FORCING_BLOCK_ROWS steps: the reference first, then each corrector p by
 :class:`stepper.Marcher` from a zero state, its forcing in place of the free
 terms.  Each lower-order block gets one FFT over the spatial axes
 (``stepper._fft``) and one sum of its rows' mode energies for the resolution
-check, which every higher order reuses; each derivative term is one inverse
+check, which every higher order reuses.  The expansion operators
+``corrector_operator_L``/``_M`` take such a block and its rows' time
+indices and return one array per row; each derivative term is one inverse
 FFT of the block times its rows' coefficient arrays.  A marcher skips the
 steps whose forcing is zero while its state is still zero, so a vanishing
 corrector (every odd one of a symmetric scheme) marches no solve.  The
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridField, TorusGrid, _norms, _require_finite
+from .grids import TorusGrid, _norms, _require_finite
 from .problems import DifferenceScheme, DifferentialProblem
 from .stepper import (
     FiniteDifferenceOperators,
@@ -156,14 +158,6 @@ def _spectra(grid: TorusGrid, values: np.ndarray, freq=None) -> _Spectra:
                     _top_mode_fractions(hat))
 
 
-def _operand(phi, i) -> tuple[_Spectra, list]:
-    """Spectra and time indices of an operator's input: one field at index
-    ``i``, or a block of rows whose indices ``i`` lists."""
-    if isinstance(phi, GridField):
-        return _spectra(phi.grid, phi.values[None]), [i]
-    return phi, i
-
-
 def _coefficients(sampler: SchemeSampler, steps) -> dict:
     """The scheme's coefficient arrays at the time indices ``steps``: those
     of one index when the scheme is time-independent, else each stacked to
@@ -175,82 +169,74 @@ def _coefficients(sampler: SchemeSampler, steps) -> dict:
             for kind in at[0]}
 
 
-def corrector_operator_L(p: int, scheme: DifferenceScheme, phi, i,
-                         sampler: SchemeSampler | None = None):
-    """p-th h-derivative of the discrete operator L^h at h = 0, applied to a
-    smooth field with spectral accuracy.
+def _add_centred(out: np.ndarray, der: _Spectra, p: int, vec, coef) -> None:
+    """Add the p-th h-derivative at h = 0 of ``coef`` times the centred
+    difference along ``vec`` (the identity for vec = 0), for even p: the
+    directional derivative of order p + 1 over p + 1.  The identity does
+    not depend on h and enters only at p = 0."""
+    if any(vec):
+        out += (1.0 / (p + 1)) * coef * der.directional(vec, p + 1)
+    elif p == 0:
+        out += coef * der.values
 
-    ``phi`` is one :class:`GridField` at time index ``i``, and the result
-    is a GridField; or the spectra of a block of rows of one trajectory,
-    ``i`` listing their time indices, and the result is one array per row.
-    Every row is checked for resolution first.
-    p = 0 is the first case of the general formula: with A_{0,0} = B_0 = 1
-    it is the continuous operator itself (by the consistency identities),
-    and the zero-zero term, which does not depend on h, enters only there.
-    Odd p vanishes identically for schemes without one-sided terms.
+
+def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
+                         steps, sampler: SchemeSampler | None = None) -> np.ndarray:
+    """p-th h-derivative of the discrete operator L^h at h = 0, applied with
+    spectral accuracy to each row of the block ``der`` (from
+    :func:`_spectra`), whose time indices ``steps`` lists; one array per row.
+
+    Every row is checked for resolution first.  p = 0 is the first case of
+    the general formula: with A_{0,0} = B_0 = 1 it is the continuous
+    operator itself (by the consistency identities).  Odd p vanishes
+    identically for schemes without one-sided terms.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
-    der, steps = _operand(phi, i)
-    if sampler is None:
-        sampler = SchemeSampler(scheme, der.grid)
-    arrays = _coefficients(sampler, steps)
+    arrays = _coefficients(sampler or SchemeSampler(scheme, der.grid), steps)
     der.check_resolution()
     out = np.zeros(der.values.shape)
     B_p, _ = expansion_constants(p, 0)
 
     for (lam, mu), coef in arrays["a"].items():
-        lam_nz, mu_nz = any(lam), any(mu)
-        if lam_nz and mu_nz:
+        if any(lam) and any(mu):
             for j in range(0, p + 1):
                 _, A = expansion_constants(p, j)
                 if A:
                     out += A * coef * der.mixed(lam, j + 1, mu, p - j + 1)
-        elif lam_nz != mu_nz:
-            # cross terms a^{lam,0} + a^{0,mu}: one centred difference left
-            if B_p:
-                vec = lam if lam_nz else mu
-                out += (B_p / (p + 1)) * coef * der.directional(vec, p + 1)
-        elif p == 0:
-            out += coef * der.values
+        elif B_p:
+            # cross terms a^{lam,0} + a^{0,mu}: one centred difference left;
+            # the zero-zero term a^{0,0}: the identity
+            _add_centred(out, der, p, lam if any(lam) else mu, coef)
     for lam, coef in arrays["p"].items():
         out += coef / (p + 1) * der.directional(lam, p + 1)
     for lam, coef in arrays["q"].items():
         out += ((-1) ** (p + 1) / (p + 1)) * coef * der.directional(lam, p + 1)
-    return GridField(phi.grid, out[0]) if isinstance(phi, GridField) else out
+    return out
 
 
-def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme, phi, i,
-                         sampler: SchemeSampler | None = None):
+def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
+                         der: _Spectra, steps,
+                         sampler: SchemeSampler | None = None) -> np.ndarray:
     """p-th h-derivative of M^{h,rho} at h = 0; identically zero for odd p.
 
-    ``phi`` and ``i`` are one field and its time index or a block of rows
-    and their indices, as for :func:`corrector_operator_L`.
+    ``der`` and ``steps`` are a block of rows and their time indices, as
+    for :func:`corrector_operator_L`; one array per row.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
     if not 1 <= rho <= scheme.d1:
         raise ValueError(f"driver index {rho} out of range 1..{scheme.d1}")
+    out = np.zeros(der.values.shape)
     B_p, _ = expansion_constants(p, 0)
     if B_p == 0.0:
-        if isinstance(phi, GridField):
-            return phi.grid.zeros()
-        return np.zeros(phi.values.shape)
-    der, steps = _operand(phi, i)
-    if sampler is None:
-        sampler = SchemeSampler(scheme, der.grid)
-    arrays = _coefficients(sampler, steps)
+        return out
+    arrays = _coefficients(sampler or SchemeSampler(scheme, der.grid), steps)
     der.check_resolution()
-    out = np.zeros(der.values.shape)
     for (lam, r), coef in arrays["b"].items():
-        if r != rho:
-            continue
-        if any(lam):
-            out += (1.0 / (p + 1)) * coef * der.directional(lam, p + 1)
-        elif p == 0:
-            out += coef * der.values
-        # the zero-vector term is h-independent: nothing for p >= 1
-    return GridField(phi.grid, out[0]) if isinstance(phi, GridField) else out
+        if r == rho:
+            _add_centred(out, der, p, lam, coef)
+    return out
 
 
 @dataclass
@@ -350,7 +336,7 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
         ops = SpectralOperators(problem, refgrid, tau)
     else:
         ops = FiniteDifferenceOperators(problem, refgrid, tau)
-    marchers = [Marcher(problem, refgrid, xi, ops, zero_start=True)
+    marchers = [Marcher(problem, xi, ops, zero_start=True)
                 for _ in range(k)]
     values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]
     sampler = SchemeSampler(scheme, refgrid)
@@ -406,9 +392,10 @@ def _remainder(v: np.ndarray, weighted: list) -> np.ndarray:
     return v
 
 
-def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
+def expansion_residual(vh: Trajectory, cs: CorrectorSet,
                        k: int | None = None) -> ResidualReport:
-    """Remainder v^h_i - sum_{j<=k} (h^j/j!) v^(j)_i on the trajectory's grid.
+    """Remainder v^h_i - sum_{j<=k} (h^j/j!) v^(j)_i on the trajectory's grid,
+    whose mesh width is h.
 
     The corrector fields live on the reference grid, which must refine the
     trajectory's grid by one common integer factor per axis; restriction is
@@ -419,8 +406,6 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
         k = cs.k
     if k > cs.k:
         raise ValueError(f"corrector set only carries orders up to {cs.k}")
-    if h is None:
-        h = vh.grid.h
     if vh.n != cs.n:
         raise ValueError("trajectory and correctors use different time grids")
     if abs(vh.tau - cs.tau) > 1e-12 * max(abs(vh.tau), abs(cs.tau)):
@@ -439,7 +424,7 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet, h: float | None = None,
     coarse = (slice(None),) + (slice(None, None, factors.pop()),) * vh.grid.dim
 
     acc = _remainder(vh.values, _weighted([cs[j].values[coarse]
-                                           for j in range(k + 1)], h))
+                                           for j in range(k + 1)], vh.grid.h))
     sups, l2hs = _norms(acc.reshape(len(acc), -1), vh.grid.h ** vh.grid.dim)
     return ResidualReport(sup_per_step=sups, l2h_per_step=l2hs)
 

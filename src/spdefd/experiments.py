@@ -1,9 +1,10 @@
 """Configuration-driven experiment runner with CSV and plot-script outputs.
 
 Experiments are declared in an INI-style file (``[section]`` headers, ``key =
-value`` pairs, ``#`` comments).  Unknown sections or keys are errors.  Each
-field of :class:`ExperimentSpec` declares one key, and a missing or empty key
-takes that field's default.  The keys:
+value`` pairs, ``#`` comments).  Unknown sections or keys are errors, and
+a ``[DEFAULT]`` section with keys is an unknown section.  Each field of
+:class:`ExperimentSpec` declares one key, and a missing or empty key takes
+that field's default.  The keys:
 
     [problem]       name (required); any further numeric keys are passed to
                     the named problem builder (e.g. nu, beta, gamma,
@@ -71,6 +72,7 @@ from .problems import (
     make_problem,
 )
 from .richardson import (
+    ORDER_TOLERANCE,
     ConvergenceReport,
     ExtrapolationError,
     _combine,
@@ -134,7 +136,8 @@ class ExperimentSpec:
         "correctors", "expected_residual_order", None, float)
     seeds: tuple = _key("run", "seeds", (1,), _parse_seeds)
     expected_order: float | None = _key("run", "expected_order", None, float)
-    order_tolerance: float = _key("run", "order_tolerance", 0.25, float)
+    order_tolerance: float = _key("run", "order_tolerance", ORDER_TOLERANCE,
+                                  float)
     out: str = _key("run", "out", "out")
     format: str = _key("run", "format", "csv")
     threads: int = _key("run", "threads", 1, int)
@@ -150,13 +153,21 @@ for _field in fields(ExperimentSpec):
         _SECTIONS.setdefault(_field.metadata["section"], {})[
             _field.metadata["key"]] = _field
 
-_INLINE_KEYS = ("a00", "a01", "a10", "a11", "b01", "b11", "T")
+# name = custom: inline key -> (coefficient, index); T is the horizon
+_INLINE_COEFFICIENTS = {"a00": ("a", (0, 0)), "a01": ("a", (0, 1)),
+                        "a10": ("a", (1, 0)), "a11": ("a", (1, 1)),
+                        "b01": ("b", (0, 1)), "b11": ("b", (1, 1))}
+_INLINE_KEYS = tuple(_INLINE_COEFFICIENTS) + ("T",)
+
+
+def _config_parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                     interpolation=None, delimiters=("=",))
 
 
 def load_config(path) -> ExperimentSpec:
     """Parse and validate a configuration file into an ExperimentSpec."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                       interpolation=None, delimiters=("=",))
+    parser = _config_parser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -165,6 +176,9 @@ def load_config(path) -> ExperimentSpec:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    # configparser would copy the keys of [DEFAULT] into every section
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     for section in parser.sections():
         if section != "problem" and section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -243,17 +257,37 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
+def _text(section: str, key: str, value: str, default: str = "") -> str:
+    """``value`` as written for ``key``, once a config file is known to load
+    it back as itself: an inline `` #``, spaces at either end or a line
+    break would change it, and an empty value loads as ``default``."""
+    parser = _config_parser()
+    try:
+        parser.read_file(io.StringIO(f"[{section}]\n{key} = {value}\n",
+                                     newline=None))
+        loaded = parser.get(section, key).strip() or default
+    except configparser.Error:
+        loaded = None
+    if loaded != value:
+        raise ConfigError(f"[{section}] {key}: {value!r} would not load back "
+                          "as itself")
+    return value
+
+
 def _show(spec_field, value) -> str:
-    parse = spec_field.metadata["parse"]
-    if parse is _parse_seeds:
+    meta = spec_field.metadata
+    if meta["parse"] is _parse_seeds:
         return ",".join(str(s) for s in value)
-    return format(value, ".17g") if parse is float else f"{value}"
+    if meta["parse"] is str:
+        return _text(meta["section"], meta["key"], value, spec_field.default)
+    return format(value, ".17g") if meta["parse"] is float else f"{value}"
 
 
 def save_config(spec: ExperimentSpec, path) -> None:
     """Serialize a spec back to the configuration format (round-trips); an
-    optional key that is None is left out."""
-    lines = ["[problem]", f"name = {spec.problem}"]
+    optional key that is None is left out.  A text value that would not load
+    back as itself is a :class:`ConfigError`."""
+    lines = ["[problem]", f"name = {_text('problem', 'name', spec.problem)}"]
     for key, value in spec.problem_params:
         lines.append(f"{key} = {format(value, '.17g')}")
     for section, keys in _SECTIONS.items():
@@ -274,15 +308,11 @@ def _named_problem(spec: ExperimentSpec) -> DifferentialProblem:
     if unknown:
         raise ConfigError(f"unknown inline coefficient keys {sorted(unknown)}; "
                           f"allowed: {_INLINE_KEYS}")
-    a = {}
-    for key, idx in (("a00", (0, 0)), ("a01", (0, 1)), ("a10", (1, 0)),
-                     ("a11", (1, 1))):
+    coefficients = {"a": {}, "b": {}}
+    for key, (kind, idx) in _INLINE_COEFFICIENTS.items():
         if params.get(key):
-            a[idx] = params[key]
-    b = {}
-    for key, idx in (("b01", (0, 1)), ("b11", (1, 1))):
-        if params.get(key):
-            b[idx] = params[key]
+            coefficients[kind][idx] = params[key]
+    a, b = coefficients["a"], coefficients["b"]
     return DifferentialProblem(
         d=1, d1=1 if b else 0, T=params.get("T", 0.5), a=a, b=b,
         u0=lambda x: np.cos(2.0 * np.pi * x[..., 0]),
@@ -445,7 +475,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   if problem.d1 > 0 else None for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    rungs = [Marcher(problem, g, xi,
+    rungs = [Marcher(problem, xi,
                      FiniteDifferenceOperators(problem, g, tau, scheme))
              for g in grids]
 
@@ -731,9 +761,9 @@ def selfcheck() -> list[tuple[str, bool, str]]:
         f = g.field(rng.standard_normal(g.shape))
         w = g.field(rng.standard_normal(g.shape))
         lam = (1, 1)
-        lhs = g.h ** 2 * np.sum(forward_difference(f, lam, g.h).values * w.values)
+        lhs = g.h ** 2 * np.sum(forward_difference(f, lam).values * w.values)
         rhs = -g.h ** 2 * np.sum(f.values
-                                 * forward_difference(w, lam, g.h, -1).values)
+                                 * forward_difference(w, lam, -1).values)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     results.append(("summation-by-parts", worst <= 1e-12,
                     f"max relative residual {worst:.2e}"))
@@ -744,7 +774,7 @@ def selfcheck() -> list[tuple[str, bool, str]]:
         a={((1,), (1,)): lambda i, x: 1.0 + 0.4 * np.sin(2 * np.pi * x[..., 0])},
         p={(1,): 0.3})
     tau = 0.05
-    op = ImplicitOperator(scheme, g1, tau, g1.h, 0)
+    op = ImplicitOperator(scheme, g1, tau, 0)
     # dense oracle: shift matrices composed with plain matrix algebra
     N = 8
     x = g1.coordinates

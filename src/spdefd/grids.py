@@ -8,6 +8,8 @@ of centred differences) holds exactly, with no boundary treatment.
 
 Conventions:
 
+* The mesh width is part of the grid: every operator on a field reads ``h``
+  from the field's :class:`TorusGrid`, which rejects ``h <= 0``.
 * ``forward_difference`` (array kernel ``_forward_values``) is
   ``(T_{h,lam} - I)/h``; with ``sign=-1`` it is the backward-form
   ``(T_{-h,lam} - I)/(-h)``.
@@ -238,39 +240,32 @@ def _restricted(values: np.ndarray, factor: int, dim: int) -> np.ndarray:
     return values[tuple(slice(None, None, factor) for _ in range(dim))]
 
 
-def forward_difference(phi: GridField, lam, h: float,
-                       sign: int = 1) -> GridField:
-    """One-sided difference ``(phi(x + sign*h*lam) - phi(x)) / (sign*h)``.
+def forward_difference(phi: GridField, lam, sign: int = 1) -> GridField:
+    """One-sided difference ``(phi(x + sign*h*lam) - phi(x)) / (sign*h)`` at
+    the mesh width ``h`` of the field's grid.
 
     ``lam = 0`` is the identity.  ``sign=-1`` gives the backward form used in
     the first-order upwind terms.
     """
-    if h == 0:
-        raise GridError("difference operators need h != 0")
     if sign not in (1, -1):
         raise GridError("sign must be +1 or -1")
     lam = _as_int_vector(lam, phi.grid.dim)
     if not any(lam):
         return phi
-    return GridField(phi.grid,
-                     _forward_values(phi.values, lam, h, sign, phi.grid.dim))
+    return GridField(phi.grid, _forward_values(phi.values, lam, phi.grid.h,
+                                               sign, phi.grid.dim))
 
 
-def composed_difference(phi: GridField, lams, h: float) -> GridField:
+def composed_difference(phi: GridField, lams) -> GridField:
     """Product of one-sided differences over the given stencil vectors.
 
     The factors commute, so they are applied in a canonical (sorted) order;
     this makes the result independent of the input ordering bit-for-bit.
     An empty list is the identity.
     """
-    vecs = [_as_int_vector(lam, phi.grid.dim) for lam in lams]
-    if not vecs:
-        return phi
-    if h == 0:
-        raise GridError("difference operators need h != 0")
     out = phi
-    for lam in sorted(vecs):
-        out = forward_difference(out, lam, h)
+    for lam in sorted(_as_int_vector(lam, phi.grid.dim) for lam in lams):
+        out = forward_difference(out, lam)
     return out
 
 
@@ -310,8 +305,7 @@ def subsample(phi: GridField, factor: int) -> GridField:
     return GridField(coarse, _restricted(phi.values, factor, coarse.dim).copy())
 
 
-def discrete_sobolev_norm(phi: GridField, stencil: Stencil, r: int,
-                          h: float) -> float:
+def discrete_sobolev_norm(phi: GridField, stencil: Stencil, r: int) -> float:
     """Discrete Sobolev norm summing l2h norms of all r-fold differences.
 
     Square root of the sum, over every r-tuple of stencil vectors, of the
@@ -322,5 +316,5 @@ def discrete_sobolev_norm(phi: GridField, stencil: Stencil, r: int,
         raise GridError("difference order r must be >= 0")
     total = 0.0
     for combo in itertools.product(stencil.vectors, repeat=r):
-        total += grid_norms(composed_difference(phi, combo, h))[1] ** 2
+        total += grid_norms(composed_difference(phi, combo))[1] ** 2
     return float(np.sqrt(total))

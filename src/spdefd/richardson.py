@@ -110,11 +110,13 @@ def extrapolate_derivative(solutions, lams, weights: RichardsonWeights) -> Traje
         return combined
     values = np.empty(combined.values.shape)
     for i, fld in enumerate(combined.fields):
-        values[i] = composed_difference(fld, lams, combined.grid.h).values
+        values[i] = composed_difference(fld, lams).values
     return Trajectory(grid=combined.grid, tau=combined.tau, values=values)
 
 
 EXACT_FLOOR = 1e-14
+# the default distance allowed between a fitted order and the expected one
+ORDER_TOLERANCE = 0.25
 
 
 @dataclass
@@ -127,15 +129,14 @@ class ConvergenceReport:
     pairwise_orders: list
     ls_order: float
     expected_order: float | None = None
-    tolerance: float | None = None
+    tolerance: float = ORDER_TOLERANCE
     notes: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         if self.expected_order is None:
             return True
-        tol = self.tolerance if self.tolerance is not None else 0.25
-        return abs(self.ls_order - self.expected_order) <= tol
+        return abs(self.ls_order - self.expected_order) <= self.tolerance
 
     def csv_rows(self):
         """Rows for the documented schema
@@ -154,7 +155,7 @@ class ConvergenceReport:
 
 
 def estimate_order(hs, errors, expected_order: float | None = None,
-                   tolerance: float | None = None,
+                   tolerance: float = ORDER_TOLERANCE,
                    l2h_errors=None) -> ConvergenceReport:
     """Pairwise orders log2(e_i / e_{i+1}) and the least-squares slope of
     log e against log h over a halving mesh ladder.

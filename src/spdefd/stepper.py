@@ -7,7 +7,10 @@ free terms on the right-hand side are taken explicitly at the previous index:
 
 There is one implementation of that step, :class:`Marcher`, and it steps
 ``S`` Wiener paths at once: its state is one ``grid.shape + (S,)`` array
-with a column per path.  The operator kernels (``_apply_M_values``, the
+with a column per path.  Its operators (:class:`FiniteDifferenceOperators`
+or :class:`SpectralOperators`) carry the ``grid`` and the step ``tau`` it
+marches with, and supply ``apply_M_values``, ``solve_values`` and
+``keeps_zero``.  The operator kernels (``_apply_M_values``, the
 lattice and spectral solves) act on the spatial axes and carry the trailing
 column axis along, so every column gets the same bits as a run of that path
 alone.  ``apply_L`` is a one-field wrapper over the lattice operator.
@@ -172,9 +175,9 @@ def _apply_M_values(arrays: dict, values: np.ndarray, h: float, rho: int,
     return out
 
 
-def apply_L(scheme: DifferenceScheme, phi: GridField, h: float, i: int,
-            sampler: SchemeSampler | None = None) -> GridField:
-    """Second-order difference operator:
+def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
+    """Second-order difference operator at the mesh width h of the field's
+    grid:
 
     L phi = sum_{lam,mu} a^{lam mu} d_lam d_mu phi
             + sum_{lam != 0} (p^lam d_{h,lam} phi - q^lam d_{-h,lam} phi)
@@ -182,13 +185,10 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, h: float, i: int,
     with d_lam the centred difference (identity for lam = 0) and d_{+-h,lam}
     the one-sided differences.
     """
-    if h == 0:
-        raise GridError("apply_L needs h != 0")
-    if sampler is None:
-        sampler = SchemeSampler(scheme, phi.grid)
-    L = _assemble(_expansion_terms(sampler.arrays(i), h, phi.grid.dim),
-                  phi.grid.shape)
-    return GridField(phi.grid, (L @ phi.values.ravel()).reshape(phi.grid.shape))
+    grid = phi.grid
+    L = _assemble(_expansion_terms(SchemeSampler(scheme, grid).arrays(i),
+                                   grid.h, grid.dim), grid.shape)
+    return GridField(grid, (L @ phi.values.ravel()).reshape(grid.shape))
 
 
 def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
@@ -302,12 +302,10 @@ class ImplicitOperator:
     :class:`SolveFailure`.
     """
 
-    def __init__(self, scheme, grid, tau, h, i, mode="auto",
+    def __init__(self, scheme, grid, tau, i, mode="auto",
                  sampler: SchemeSampler | None = None):
         if tau < 0:
             raise SolveFailure("tau must be nonnegative")
-        if h == 0:
-            raise GridError("implicit operator needs h != 0")
         if mode not in ("auto", "direct", "iterative"):
             raise ValueError(f"unknown solver mode {mode!r}")
         if mode == "auto":
@@ -315,11 +313,10 @@ class ImplicitOperator:
         self.scheme = scheme
         self.grid = grid
         self.tau = float(tau)
-        self.h = float(h)
         self.i = i
         self.mode = mode
         self.sampler = sampler or SchemeSampler(scheme, grid)
-        terms = _expansion_terms(self.sampler.arrays(i), h, grid.dim)
+        terms = _expansion_terms(self.sampler.arrays(i), grid.h, grid.dim)
         self.matrix = _assemble(terms, grid.shape, self.tau)
         if mode == "direct":
             try:
@@ -467,12 +464,12 @@ class Marcher:
 
     The state ``v`` is one ``grid.shape + (S,)`` array, a column per path,
     starting from the problem's u0, or from zero with ``zero_start``.
-    ``operators`` supplies M^rho and the implicit solve (lattice or
-    spectral); the right-hand side is assembled here for both.  A failure of
-    the whole step (a singular operator) fails every column; a column whose
-    own solve fails is recorded in ``failures`` under its path index and
-    dropped, while the others march on.  ``columns`` lists the path indices
-    still in ``v``.
+    ``operators`` supplies the grid, the step tau, M^rho and the implicit
+    solve (lattice or spectral); the right-hand side is assembled here for
+    both.  A failure of the whole step (a singular operator) fails every
+    column; a column whose own solve fails is recorded in ``failures``
+    under its path index and dropped, while the others march on.
+    ``columns`` lists the path indices still in ``v``.
 
     A marcher started from zero skips every step whose forcing (``f`` and
     every part of ``g``) is zero for as long as its state has never left
@@ -486,11 +483,11 @@ class Marcher:
     callable free term is evaluated at every step.
     """
 
-    def __init__(self, problem: DifferentialProblem, grid: TorusGrid,
-                 xi: np.ndarray, operators, zero_start: bool = False):
+    def __init__(self, problem: DifferentialProblem, xi: np.ndarray, operators,
+                 zero_start: bool = False):
         self.problem = problem
-        self.grid = grid
-        self.tau = problem.T / xi.shape[0]
+        self.grid = grid = operators.grid
+        self.tau = operators.tau
         self.xi = xi
         self.operators = operators
         self.columns = np.arange(xi.shape[-1])
@@ -578,8 +575,7 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
         raise ValueError("need at least one time step")
     tau = problem.T / n
     ops = FiniteDifferenceOperators(problem, grid, tau, scheme, solver_mode)
-    marcher = Marcher(problem, grid, increment_columns(problem, n, [increments]),
-                      ops)
+    marcher = Marcher(problem, increment_columns(problem, n, [increments]), ops)
     return Trajectory(grid=grid, tau=tau, values=_march_path(
         marcher, np.empty((n + 1,) + grid.shape), n))
 
@@ -729,9 +725,8 @@ class FiniteDifferenceOperators:
     def _operator(self, i: int) -> ImplicitOperator:
         if self._op is None or (not self.scheme.time_independent
                                 and self._op_index != i):
-            self._op = ImplicitOperator(self.scheme, self.grid, self.tau,
-                                        self.grid.h, i, mode=self.mode,
-                                        sampler=self.sampler)
+            self._op = ImplicitOperator(self.scheme, self.grid, self.tau, i,
+                                        mode=self.mode, sampler=self.sampler)
             self._op_index = i
         return self._op
 
@@ -770,9 +765,9 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
     tau = problem.T / xi.shape[0]
     if mode == "fine-grid":
         fine = grid.refined(2 ** refine)
-        return Marcher(problem, fine, xi,
+        return Marcher(problem, xi,
                        FiniteDifferenceOperators(problem, fine, tau)), 2 ** refine
-    return Marcher(problem, grid, xi, SpectralOperators(problem, grid, tau)), 1
+    return Marcher(problem, xi, SpectralOperators(problem, grid, tau)), 1
 
 
 def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,

@@ -18,7 +18,7 @@ from spdefd.correctors import (
     minimum_resolution,
     run_corrector_system,
 )
-from spdefd.grids import GridField, basis_stencil, make_torus_grid
+from spdefd.grids import basis_stencil, make_torus_grid
 from spdefd.problems import (
     DifferenceScheme,
     DifferentialProblem,
@@ -55,6 +55,13 @@ def scheme_1d(a11=0.0, a00=0.0, a10=0.0, p1=0.0, q1=0.0, b11=0.0, b01=0.0, d1=0)
     p = {(1,): p1} if p1 else {}
     q = {(1,): q1} if q1 else {}
     return DifferenceScheme(stencil=basis_stencil(1), d1=d1, a=a, b=b, p=p, q=q)
+
+
+def one_row(operator, *args, phi, i):
+    """``operator`` (corrector_operator_L or _M, with its leading ``args``)
+    on the one-row block of ``phi`` at time index ``i``, as a field."""
+    block = _spectra(phi.grid, phi.values[None])
+    return phi.grid.field(operator(*args, block, [i])[0])
 
 
 class TestExpansionConstants:
@@ -95,7 +102,7 @@ class TestCorrectorOperatorL:
         a = 0.6
         s = scheme_1d(a11=a)
         phi = g.sample(lambda x: np.cos(2 * np.pi * x[..., 0]))
-        out = corrector_operator_L(0, s, phi, 0)
+        out = one_row(corrector_operator_L, 0, s, phi=phi, i=0)
         expect = -a * (2 * np.pi) ** 2 * phi.values
         np.testing.assert_allclose(out.values, expect, atol=1e-10 * (2 * np.pi) ** 2)
 
@@ -104,7 +111,7 @@ class TestCorrectorOperatorL:
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, a00=0.3, a10=0.2)
         phi = g.sample(lambda x: np.sin(2 * np.pi * x[..., 0]))
-        out = corrector_operator_L(0, s, phi, 0)
+        out = one_row(corrector_operator_L, 0, s, phi=phi, i=0)
         x = g.coordinates[..., 0]
         expect = (-0.5 * (2 * np.pi) ** 2 * np.sin(2 * np.pi * x)
                   + 0.3 * np.sin(2 * np.pi * x)
@@ -117,7 +124,7 @@ class TestCorrectorOperatorL:
         rng = np.random.default_rng(0)
         smooth = g.sample(lambda x: np.cos(2 * np.pi * x[..., 0])
                           + 0.5 * np.sin(4 * np.pi * x[..., 0]))
-        out = corrector_operator_L(1, s, smooth, 0)
+        out = one_row(corrector_operator_L, 1, s, phi=smooth, i=0)
         np.testing.assert_array_equal(out.values, 0.0)
         _ = rng
 
@@ -126,7 +133,7 @@ class TestCorrectorOperatorL:
         a = 0.7
         s = scheme_1d(a11=a)
         phi = g.sample(lambda x: np.cos(2 * np.pi * x[..., 0]))
-        out = corrector_operator_L(2, s, phi, 0)
+        out = one_row(corrector_operator_L, 2, s, phi=phi, i=0)
         expect = (2 * a / 3) * (2 * np.pi) ** 4 * phi.values
         np.testing.assert_allclose(out.values, expect, atol=1e-9 * (2 * np.pi) ** 4)
 
@@ -135,7 +142,7 @@ class TestCorrectorOperatorL:
         c = 0.9
         s = scheme_1d(p1=c)
         phi = g.sample(lambda x: np.sin(2 * np.pi * x[..., 0]))
-        out = corrector_operator_L(1, s, phi, 0)
+        out = one_row(corrector_operator_L, 1, s, phi=phi, i=0)
         # (1/2) c d^2 phi
         expect = -0.5 * c * (2 * np.pi) ** 2 * phi.values
         np.testing.assert_allclose(out.values, expect, atol=1e-9)
@@ -145,7 +152,7 @@ class TestCorrectorOperatorL:
         s = scheme_1d(a11=1.0)
         nyquist = g.sample(lambda x: np.cos(2 * np.pi * 8 * x[..., 0]))
         with pytest.raises(ResolutionError):
-            corrector_operator_L(0, s, nyquist, 0)
+            one_row(corrector_operator_L, 0, s, phi=nyquist, i=0)
 
 
 class TestCorrectorOperatorM:
@@ -153,14 +160,14 @@ class TestCorrectorOperatorM:
         g = make_torus_grid(1, [1.0], [32])
         s = scheme_1d(b11=1.0, d1=1)
         phi = g.sample(lambda x: np.cos(2 * np.pi * x[..., 0]))
-        out = corrector_operator_M(1, 1, s, phi, 0)
+        out = one_row(corrector_operator_M, 1, 1, s, phi=phi, i=0)
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_p0_zero_order_multiplication(self):
         g = make_torus_grid(1, [1.0], [32])
         s = scheme_1d(b01=1.3, d1=1)
         phi = g.sample(lambda x: np.sin(2 * np.pi * x[..., 0]))
-        out = corrector_operator_M(0, 1, s, phi, 0)
+        out = one_row(corrector_operator_M, 0, 1, s, phi=phi, i=0)
         np.testing.assert_allclose(out.values, 1.3 * phi.values, atol=1e-12)
 
     def test_p2_third_derivative(self):
@@ -168,7 +175,7 @@ class TestCorrectorOperatorM:
         b = 0.8
         s = scheme_1d(b11=b, d1=1)
         phi = g.sample(lambda x: np.sin(2 * np.pi * x[..., 0]))
-        out = corrector_operator_M(2, 1, s, phi, 0)
+        out = one_row(corrector_operator_M, 2, 1, s, phi=phi, i=0)
         x = g.coordinates[..., 0]
         expect = -(b / 3) * (2 * np.pi) ** 3 * np.cos(2 * np.pi * x)
         np.testing.assert_allclose(out.values, expect, atol=1e-9 * (2 * np.pi) ** 3)
@@ -205,7 +212,7 @@ class TestDerivativeOfSymbol:
 
         s = scheme_1d(a11=a, p1=c, q1=e)
         phi = g.sample(lambda x: np.cos(xi * x[..., 0]))
-        out = corrector_operator_L(p, s, phi, 0)
+        out = one_row(corrector_operator_L, p, s, phi=phi, i=0)
         x = g.coordinates[..., 0]
         expect = np.real(z) * np.cos(xi * x) - np.imag(z) * np.sin(xi * x)
         np.testing.assert_allclose(out.values, expect,
@@ -514,13 +521,15 @@ class TestCorrectorSystemBits:
             got = corrector_operator_L(j, scheme, block, steps,
                                        SchemeSampler(scheme, g))
             for r, i in enumerate(steps):
-                one = corrector_operator_L(j, scheme, GridField(g, stack[r]), i)
-                assert got[r].tobytes() == one.values.tobytes()
+                one = corrector_operator_L(j, scheme, _spectra(g, stack[r:r + 1]),
+                                           [i])
+                assert got[r].tobytes() == one[0].tobytes()
             got = corrector_operator_M(j, 1, scheme, block, steps,
                                        SchemeSampler(scheme, g))
             for r, i in enumerate(steps):
-                one = corrector_operator_M(j, 1, scheme, GridField(g, stack[r]), i)
-                assert got[r].tobytes() == one.values.tobytes()
+                one = corrector_operator_M(j, 1, scheme,
+                                           _spectra(g, stack[r:r + 1]), [i])
+                assert got[r].tobytes() == one[0].tobytes()
 
 
 def _second_instance_patch(monkeypatch, cls, name, wrap):

@@ -220,6 +220,36 @@ class TestLoadConfig:
                 "unknown key 'bogus' in section [run]")):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("out", "runs #1", "[run] out"),
+        ("out", " padded ", "[run] out"),
+        ("out", "", "[run] out"),
+        ("out", "two\nlines", "[run] out"),
+        ("problem", "heat1d #x", "[problem] name"),
+    ])
+    def test_save_rejects_text_that_would_not_load_back(self, tmp_path, field,
+                                                        value, key):
+        # each would load back as another value ('runs', 'padded', the
+        # default 'out', ...), so saving fails instead
+        spec = ExperimentSpec(**{"problem": "heat1d", field: value})
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: {value!r}")):
+            save_config(spec, tmp_path / "echo.ini")
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nn = 8\n\n" + MINIMAL + "\n[run]\nseeds = 1\n",
+        "[DEFAULT]\nn = 8\n\n" + MINIMAL + "\n[time]\nn = 4\n",
+    ], ids=["with-run", "problem-and-time"])
+    def test_default_section_keys_rejected(self, tmp_path, text):
+        # configparser would copy n into [run] (an unknown key there) and
+        # into [problem] (a problem parameter)
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown section [DEFAULT]")):
+            load_config(write(tmp_path, text))
+
+    def test_empty_default_section_accepted(self, tmp_path):
+        assert load_config(write(tmp_path, "[DEFAULT]\n" + MINIMAL)) \
+            == load_config(write(tmp_path, MINIMAL, "plain.ini"))
+
 
 class TestBuildProblem:
     def test_library_with_params(self, tmp_path):
@@ -239,9 +269,22 @@ class TestBuildProblem:
         assert p.a_at(1, 1, 0, x) == pytest.approx(0.2)
         assert p.b_at(1, 1, 0, x) == pytest.approx(0.4)
 
+    def test_inline_keys_set_their_coefficients(self):
+        params = {"a00": 0.1, "a01": 0.2, "a10": 0.3, "a11": 0.4, "b01": 0.5,
+                  "b11": 0.6}
+        spec = ExperimentSpec(problem="custom",
+                              problem_params=tuple(sorted(params.items())))
+        p = build_problem(spec)
+        x = np.array([0.0])
+        for key, value in params.items():
+            at = p.a_at if key[0] == "a" else p.b_at
+            assert at(int(key[1]), int(key[2]), 0, x) == value, key
+
     def test_inline_unknown_key(self):
         spec = ExperimentSpec(problem="custom", problem_params=(("c7", 1.0),))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown inline coefficient keys ['c7']; allowed: ('a00', "
+                "'a01', 'a10', 'a11', 'b01', 'b11', 'T')")):
             build_problem(spec)
 
     def test_unknown_problem(self):
@@ -310,9 +353,9 @@ class TestConvergenceExperiment:
         widths = []
 
         class Recording(stepper.Marcher):
-            def __init__(self, problem, grid, xi, operators):
+            def __init__(self, problem, xi, operators):
                 widths.append(xi.shape[-1])
-                super().__init__(problem, grid, xi, operators)
+                super().__init__(problem, xi, operators)
 
         monkeypatch.setattr(experiments, "Marcher", Recording)
         monkeypatch.setattr(stepper, "Marcher", Recording)

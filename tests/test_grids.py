@@ -94,30 +94,31 @@ class TestShift:
 class TestForwardDifference:
     def test_constant_to_zero(self):
         g = make_torus_grid(1, [1.0], [16])
-        out = forward_difference(g.constant(2.0), [1], g.h)
+        out = forward_difference(g.constant(2.0), [1])
         np.testing.assert_array_equal(out.values, np.zeros(16))
 
     def test_linear_exact_interior(self):
         g = make_torus_grid(1, [1.0], [16])
         phi = g.sample(lambda x: x[..., 0])
-        out = forward_difference(phi, [1], g.h)
+        out = forward_difference(phi, [1])
         np.testing.assert_allclose(out.values[:-1], 1.0, rtol=0, atol=1e-13)
 
     def test_zero_vector_is_identity(self):
         g = make_torus_grid(1, [1.0], [8])
         phi = rng_field(g)
-        assert forward_difference(phi, [0], g.h) is phi
+        assert forward_difference(phi, [0]) is phi
 
-    def test_rejects_zero_h(self):
+    def test_rejects_bad_sign(self):
         g = make_torus_grid(1, [1.0], [8])
-        with pytest.raises(GridError):
-            forward_difference(rng_field(g), [1], 0.0)
+        for sign in (0, 2, -2):
+            with pytest.raises(GridError, match="sign must be"):
+                forward_difference(rng_field(g), [1], sign)
 
     def test_opposite_signs_commute_bitwise(self):
         g = make_torus_grid(1, [1.0], [16])
         phi = rng_field(g, seed=7)
-        a = forward_difference(forward_difference(phi, [1], g.h, 1), [1], g.h, -1)
-        b = forward_difference(forward_difference(phi, [1], g.h, -1), [1], g.h, 1)
+        a = forward_difference(forward_difference(phi, [1], 1), [1], -1)
+        b = forward_difference(forward_difference(phi, [1], -1), [1], 1)
         np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -158,19 +159,19 @@ class TestComposedDifference:
     def test_empty_is_identity(self):
         g = make_torus_grid(1, [1.0], [8])
         phi = rng_field(g)
-        assert composed_difference(phi, [], g.h) is phi
+        assert composed_difference(phi, []) is phi
 
     def test_order_independent_bitwise(self):
         g = make_torus_grid(2, [1.0, 1.0], [8, 8])
         phi = rng_field(g, seed=11)
         lam, mu = (1, 0), (0, 1)
-        a = composed_difference(phi, [lam, mu], g.h)
-        b = composed_difference(phi, [mu, lam], g.h)
+        a = composed_difference(phi, [lam, mu])
+        b = composed_difference(phi, [mu, lam])
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_repeated_on_constant(self):
         g = make_torus_grid(1, [1.0], [8])
-        out = composed_difference(g.constant(1.0), [[1], [1]], g.h)
+        out = composed_difference(g.constant(1.0), [[1], [1]])
         np.testing.assert_array_equal(out.values, np.zeros(8))
 
 
@@ -197,25 +198,25 @@ class TestDiscreteSobolevNorm:
         g = make_torus_grid(1, [1.0], [16])
         phi = rng_field(g)
         s = basis_stencil(1)
-        assert discrete_sobolev_norm(phi, s, 0, g.h) == grid_norms(phi)[1]
+        assert discrete_sobolev_norm(phi, s, 0) == grid_norms(phi)[1]
 
     def test_constant_r1(self):
         g = make_torus_grid(1, [1.0], [16])
         phi = g.constant(2.0)
         s = basis_stencil(1)
         np.testing.assert_allclose(
-            discrete_sobolev_norm(phi, s, 1, g.h), grid_norms(phi)[1], rtol=1e-14)
+            discrete_sobolev_norm(phi, s, 1), grid_norms(phi)[1], rtol=1e-14)
 
     def test_monotone_in_r(self):
         g = make_torus_grid(1, [1.0], [16])
         phi = rng_field(g, seed=2)
         s = basis_stencil(1)
-        assert discrete_sobolev_norm(phi, s, 1, g.h) >= grid_norms(phi)[1]
+        assert discrete_sobolev_norm(phi, s, 1) >= grid_norms(phi)[1]
 
     def test_rejects_negative_r(self):
         g = make_torus_grid(1, [1.0], [8])
         with pytest.raises(GridError):
-            discrete_sobolev_norm(rng_field(g), basis_stencil(1), -1, g.h)
+            discrete_sobolev_norm(rng_field(g), basis_stencil(1), -1)
 
 
 class TestOperatorProperties:
@@ -228,8 +229,8 @@ class TestOperatorProperties:
         w = rng_field(g, seed=seed + 100)
         weight = g.h ** g.dim
         lam = (1, 1)
-        lhs = weight * np.sum(forward_difference(f, lam, g.h).values * w.values)
-        rhs = -weight * np.sum(f.values * forward_difference(w, lam, g.h, -1).values)
+        lhs = weight * np.sum(forward_difference(f, lam).values * w.values)
+        rhs = -weight * np.sum(f.values * forward_difference(w, lam, -1).values)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -249,7 +250,7 @@ class TestOperatorProperties:
         a, b = 1.7, -0.3
         for op in (lambda u: _forward_values(u, (1,), g.h, 1, g.dim),
                    lambda u: _symmetric_values(u, (1,), g.h, g.dim),
-                   lambda u: composed_difference(g.field(u), [[1], [1]], g.h).values):
+                   lambda u: composed_difference(g.field(u), [[1], [1]]).values):
             combined = op(a * f + b * w)
             split = a * op(f) + b * op(w)
             scale = max(np.max(np.abs(split)), 1.0)

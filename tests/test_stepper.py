@@ -73,7 +73,7 @@ class TestApplyL:
     def test_constant_field_to_zero(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=0.7)
-        out = apply_L(s, g.constant(3.0), g.h, 0)
+        out = apply_L(s, g.constant(3.0), 0)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -83,7 +83,7 @@ class TestApplyL:
         s = scheme_1d(a11=a)
         P = g.periods[0]
         phi = g.sample(lambda x: np.cos(2 * np.pi * k * x[..., 0] / P))
-        out = apply_L(s, phi, g.h, 0)
+        out = apply_L(s, phi, 0)
         factor = -a * (np.sin(2 * np.pi * k * g.h / P) / g.h) ** 2
         np.testing.assert_allclose(out.values, factor * phi.values,
                                    atol=1e-11 * max(abs(factor), 1.0))
@@ -93,7 +93,7 @@ class TestApplyL:
         c = 2.5
         s = scheme_1d(p1=c)
         phi = g.sample(lambda x: x[..., 0])
-        out = apply_L(s, phi, g.h, 0)
+        out = apply_L(s, phi, 0)
         np.testing.assert_allclose(out.values[:-1], c, atol=1e-12)
 
     def test_matches_dense_oracle_variable_coefficients(self):
@@ -107,7 +107,7 @@ class TestApplyL:
             q={(1,): 0.3})
         rng = np.random.default_rng(0)
         phi = g.field(rng.standard_normal(8))
-        ours = apply_L(s, phi, g.h, 0)
+        ours = apply_L(s, phi, 0)
         oracle = dense_L_1d(s, g, g.h, 0) @ phi.values
         np.testing.assert_allclose(ours.values, oracle, atol=1e-12)
 
@@ -115,7 +115,7 @@ class TestApplyL:
         g = make_torus_grid(2, [1.0, 1.5], [8, 12])
         s = varcoef_scheme_2d()
         phi = g.field(np.random.default_rng(10).standard_normal(g.shape))
-        ours = apply_L(s, phi, g.h, 0)
+        ours = apply_L(s, phi, 0)
         oracle = dense_L_2d(s, g, g.h, 0) @ phi.values.ravel()
         np.testing.assert_allclose(ours.values.ravel(), oracle, rtol=0, atol=1e-11)
 
@@ -167,7 +167,7 @@ class TestImplicitOperator:
     def test_tau_zero_identity(self):
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=1.0)
-        op = ImplicitOperator(s, g, 0.0, g.h, 0)
+        op = ImplicitOperator(s, g, 0.0, 0)
         rng = np.random.default_rng(1)
         rhs = g.field(rng.standard_normal(16))
         np.testing.assert_array_equal(op.solve(rhs).values, rhs.values)
@@ -177,7 +177,7 @@ class TestImplicitOperator:
         g = make_torus_grid(1, [1.0], [64])
         a, tau = 0.3, 0.01
         s = scheme_1d(a11=a)
-        op = ImplicitOperator(s, g, tau, g.h, 0)
+        op = ImplicitOperator(s, g, tau, 0)
         P = g.periods[0]
         phi = g.sample(lambda x: np.cos(2 * np.pi * k * x[..., 0] / P))
         sol = op.solve(phi)
@@ -191,7 +191,7 @@ class TestImplicitOperator:
             a={((1,), (1,)): lambda i, x: 0.8 + 0.2 * np.cos(2 * np.pi * x[..., 0])},
             p={(1,): 0.4})
         tau = 0.05
-        op = ImplicitOperator(s, g, tau, g.h, 0)
+        op = ImplicitOperator(s, g, tau, 0)
         A = np.eye(4) - tau * dense_L_1d(s, g, g.h, 0)
         rng = np.random.default_rng(3)
         rhs = rng.standard_normal(4)
@@ -202,7 +202,7 @@ class TestImplicitOperator:
     def test_apply_solve_round_trip_direct(self):
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, p1=0.2)
-        op = ImplicitOperator(s, g, 0.02, g.h, 0, mode="direct")
+        op = ImplicitOperator(s, g, 0.02, 0, mode="direct")
         rng = np.random.default_rng(5)
         rhs = g.field(rng.standard_normal(64))
         back = op.matrix @ op.solve(rhs).values.ravel()
@@ -211,7 +211,7 @@ class TestImplicitOperator:
     def test_iterative_residual_contract(self):
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, p1=0.2)
-        op = ImplicitOperator(s, g, 0.02, g.h, 0, mode="iterative")
+        op = ImplicitOperator(s, g, 0.02, 0, mode="iterative")
         rng = np.random.default_rng(5)
         rhs = g.field(rng.standard_normal(64))
         back = op.matrix @ op.solve(rhs).values.ravel()
@@ -225,10 +225,10 @@ class TestImplicitOperator:
             a={((1, 0), (1, 0)): 0.5, ((0, 1), (0, 1)): 0.25,
                ((1, 0), (0, 1)): 0.1})
         tau = 0.01
-        op = ImplicitOperator(s, g, tau, g.h, 0)
+        op = ImplicitOperator(s, g, tau, 0)
         rng = np.random.default_rng(6)
         phi = g.field(rng.standard_normal((8, 8)))
-        expect = phi.values - tau * apply_L(s, phi, g.h, 0).values
+        expect = phi.values - tau * apply_L(s, phi, 0).values
         np.testing.assert_allclose((op.matrix @ phi.values.ravel()).reshape(g.shape),
                                    expect, rtol=1e-13, atol=1e-13)
 
@@ -237,7 +237,7 @@ class TestImplicitOperator:
         g = make_torus_grid(2, [1.0, 1.5], [8, 12])
         s, tau = varcoef_scheme_2d(), 0.01
         A = np.eye(g.npoints) - tau * dense_L_2d(s, g, g.h, 0)
-        op = ImplicitOperator(s, g, tau, g.h, 0, mode=mode)
+        op = ImplicitOperator(s, g, tau, 0, mode=mode)
         rng = np.random.default_rng(11)
         phi = g.field(rng.standard_normal(g.shape))
         np.testing.assert_allclose(op.matrix @ phi.values.ravel(),
@@ -256,7 +256,7 @@ class TestImplicitOperator:
         g = make_torus_grid(1, [1.0], [16])
         s = DifferenceScheme(stencil=basis_stencil(1), d1=0,
                              a={((1,), (1,)): 0.01, ((0,), (0,)): a00})
-        op = ImplicitOperator(s, g, 1.0, g.h, 0, mode=mode)
+        op = ImplicitOperator(s, g, 1.0, 0, mode=mode)
         x, failed = op.solve_columns(np.zeros((16, 1)))
         assert not failed
         assert op.keeps_zero is keeps
@@ -297,7 +297,7 @@ class TestIterativeSolve:
         s, tau = cross_scheme_2d(), 0.01
         terms = _expansion_terms(SchemeSampler(s, g).arrays(0), g.h, 2)
         symbol = _circulant_symbol(terms, g.shape, tau)
-        A = ImplicitOperator(s, g, tau, g.h, 0, mode="direct").matrix
+        A = ImplicitOperator(s, g, tau, 0, mode="direct").matrix
         j1, j2 = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
         for k in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 4), (7, 6)]:
             phi = np.exp(2j * np.pi * (k[0] * j1 / 8 + k[1] * j2 / 12)).ravel()
@@ -314,7 +314,7 @@ class TestIterativeSolve:
 
         monkeypatch.setattr(stepper.spla, "gmres", counting)
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
-        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, g.h, 0, mode="iterative")
+        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, 0, mode="iterative")
         rhs = g.field(np.random.default_rng(7).standard_normal(g.shape))
         back = op.matrix @ op.solve(rhs).values.ravel()
         # the circulant inverse is exact, so the first Krylov vector spans
@@ -328,8 +328,8 @@ class TestIterativeSolve:
         s = build_scheme_example1(p)
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
         rhs = g.field(np.random.default_rng(8).standard_normal(g.shape))
-        direct = ImplicitOperator(s, g, 0.02, g.h, 0, mode="direct").solve(rhs)
-        iterative = ImplicitOperator(s, g, 0.02, g.h, 0, mode="iterative").solve(rhs)
+        direct = ImplicitOperator(s, g, 0.02, 0, mode="direct").solve(rhs)
+        iterative = ImplicitOperator(s, g, 0.02, 0, mode="iterative").solve(rhs)
         np.testing.assert_allclose(iterative.values, direct.values, rtol=0, atol=1e-9)
 
     def test_nonfinite_column_fails_without_iterating(self, monkeypatch):
@@ -342,7 +342,7 @@ class TestIterativeSolve:
 
         monkeypatch.setattr(stepper.spla, "gmres", counting)
         g = make_torus_grid(2, [1.0, 1.0], [32, 32])
-        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, g.h, 0, mode="iterative")
+        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, 0, mode="iterative")
         rhs = np.ones(g.shape + (2,))
         rhs[3, 4, 1] = np.inf
         _, failed = op.solve_columns(rhs, step=5)
@@ -368,7 +368,7 @@ def marched_step(scheme, grid, tau, v_prev, f, g_prev, xi):
     ``v_prev``, with the free terms ``f`` and ``g_prev`` (one array per
     driver) and the increments ``xi`` of its one step."""
     p = DifferentialProblem(d=grid.dim, d1=len(xi), T=tau, u0=lambda x: v_prev)
-    marcher = Marcher(p, grid, np.reshape(xi, (1, -1, 1)),
+    marcher = Marcher(p, np.reshape(xi, (1, -1, 1)),
                       FiniteDifferenceOperators(p, grid, tau, scheme))
     marcher.advance(f, [(part,) for part in g_prev])
     assert not marcher.failures
@@ -656,7 +656,7 @@ class TestBatchedMarcher:
     def _lattice(self, problem, scheme, grid, n, paths, mode="auto"):
         xi = increment_columns(problem, n, paths)
         ops = FiniteDifferenceOperators(problem, grid, problem.T / n, scheme, mode)
-        states = march_columns(Marcher(problem, grid, xi, ops), n)
+        states = march_columns(Marcher(problem, xi, ops), n)
         alone = [run_space_time_scheme(problem, scheme, grid, n, inc,
                                        solver_mode=mode) for inc in paths]
         assert_columns_match(states, alone)
@@ -736,8 +736,8 @@ class TestBatchedMarcher:
         x, tau = g.coordinates, 0.5 / n
         for ops in (lambda p: SpectralOperators(p, g, tau),
                     lambda p: FiniteDifferenceOperators(p, g, tau)):
-            want = Marcher(forced, g, xi, ops(forced))
-            got = Marcher(free, g, xi, ops(free), zero_start=True)
+            want = Marcher(forced, xi, ops(forced))
+            got = Marcher(free, xi, ops(free), zero_start=True)
             assert not got.v.any()
             for i in range(1, n + 1):
                 want.advance()
@@ -752,7 +752,7 @@ class TestBatchedMarcher:
         paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
         xi = increment_columns(p, n, paths)
         xi[2, 0, 1] = np.inf           # path 1 breaks at step 3
-        marcher = Marcher(p, g, xi, FiniteDifferenceOperators(
+        marcher = Marcher(p, xi, FiniteDifferenceOperators(
             p, g, p.T / n, build_scheme_example1(p)))
         for _ in range(n):
             marcher.advance()
@@ -783,7 +783,7 @@ class TestFreeTerms:
         g = make_torus_grid(1, [1.0], [16])
         paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
                  for seed in (1, 2)]
-        marcher = Marcher(problem, g, increment_columns(problem, self.N, paths),
+        marcher = Marcher(problem, increment_columns(problem, self.N, paths),
                           operators(problem, g, problem.T / self.N))
         return march_columns(marcher, self.N)
 
