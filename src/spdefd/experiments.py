@@ -28,17 +28,17 @@ study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
 study's target.  All seeds of all rungs march in lock-step with the target
-over the time index.  Their states are kept for a block of 16 indices
-(``correctors.FORCING_BLOCK_ROWS``), and the errors are reduced per block
-of steps into running per-seed maxima, so no rung trajectory is stored;
-each norm has the bits of measuring its index alone.  The target is all that
-tells the studies apart: the reference time-scheme solution for
-``converge``/``accelerate`` (whose rungs may be extrapolated), and the
-expansion sum_{m<=k} (h^m/m!) v^(m) of the corrector system for
-``correctors``.  Errors are measured pathwise, as max over time of the
-sup over grid points; squared errors are averaged over the seed set before
-order fitting, so the reported quantity realizes the expected squared sup
-norm.
+over the time index, the rungs as one packed state.  Their states are kept
+for a block of 16 indices (``correctors.FORCING_BLOCK_ROWS``), and the
+errors are reduced per block of steps into running per-seed maxima, so no
+rung trajectory is stored; each norm has the bits of measuring its index
+alone.  The target is all that tells the studies apart: the reference
+time-scheme solution for ``converge``/``accelerate`` (whose rungs may be
+extrapolated), and the expansion sum_{m<=k} (h^m/m!) v^(m) of the
+corrector system for ``correctors``.  Errors are measured pathwise, as
+max over time of the sup over grid points; squared errors are averaged over
+the seed set before order fitting, so the reported quantity realizes the
+expected squared sup norm.
 
 Outputs: ``report.csv`` with columns (h, sup_error, l2h_error,
 pairwise_order, ls_order, expected_order, pass); one ``rung_<points>.csv``
@@ -84,6 +84,7 @@ from .stepper import (
     Marcher,
     SolveFailure,
     SpectralModeError,
+    _Ladder,
     increment_columns,
     reference_marcher,
     run_space_time_scheme,  # unused: perfbench/check_bench.py reads it here
@@ -257,21 +258,45 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
+def _read_back(text: str):
+    """The loader's parser after reading ``text``, or None where it rejects
+    the text."""
+    parser = _config_parser()
+    try:
+        parser.read_file(io.StringIO(text, newline=None))
+    except configparser.Error:
+        return None
+    return parser
+
+
 def _text(section: str, key: str, value: str, default: str = "") -> str:
     """``value`` as written for ``key``, once a config file is known to load
     it back as itself: an inline `` #``, spaces at either end or a line
     break would change it, and an empty value loads as ``default``."""
-    parser = _config_parser()
-    try:
-        parser.read_file(io.StringIO(f"[{section}]\n{key} = {value}\n",
-                                     newline=None))
+    parser = _read_back(f"[{section}]\n{key} = {value}\n")
+    loaded = None
+    if parser is not None and parser.has_option(section, key):
         loaded = parser.get(section, key).strip() or default
-    except configparser.Error:
-        loaded = None
     if loaded != value:
         raise ConfigError(f"[{section}] {key}: {value!r} would not load back "
                           "as itself")
     return value
+
+
+def _problem_lines(params: tuple) -> list:
+    """The ``[problem]`` lines of ``params`` after its name, once a config
+    file is known to load each key back as itself, after the keys before
+    it: keys load lowercased (``t`` as ``T``), and a `` #``, an ``=``,
+    spaces at either end, a repeat or the key ``name`` would change them."""
+    lines = [f"{key} = {format(value, '.17g')}" for key, value in params]
+    for j, (key, _) in enumerate(params, start=1):
+        parser = _read_back("\n".join(["[problem]", "name = x"] + lines[:j]))
+        loaded = None if parser is None else [
+            "T" if k == "t" else k for k in parser.options("problem")]
+        if loaded != ["name"] + [k for k, _ in params[:j]]:
+            raise ConfigError(f"[problem] key {key!r} would not load back as "
+                              "itself")
+    return lines
 
 
 def _show(spec_field, value) -> str:
@@ -285,11 +310,10 @@ def _show(spec_field, value) -> str:
 
 def save_config(spec: ExperimentSpec, path) -> None:
     """Serialize a spec back to the configuration format (round-trips); an
-    optional key that is None is left out.  A text value that would not load
-    back as itself is a :class:`ConfigError`."""
-    lines = ["[problem]", f"name = {_text('problem', 'name', spec.problem)}"]
-    for key, value in spec.problem_params:
-        lines.append(f"{key} = {format(value, '.17g')}")
+    optional key that is None is left out.  A text value or a ``[problem]``
+    key that would not load back as itself is a :class:`ConfigError`."""
+    lines = ["[problem]", f"name = {_text('problem', 'name', spec.problem)}",
+             *_problem_lines(spec.problem_params)]
     for section, keys in _SECTIONS.items():
         lines += ["", f"[{section}]"]
         for key, spec_field in keys.items():
@@ -447,20 +471,25 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     of the first ``rows`` slots on a rung's grid, each ``grid.shape +
     (rows, live columns)``.
 
-    Rungs and target march in lock-step, and the errors are reduced per
-    block of steps.  The rungs' states are copied into ``grid.shape + (B,
-    S)`` blocks (B = :data:`correctors.FORCING_BLOCK_ROWS`).  A block is
-    measured when it is full, before the target's live columns change, and
-    at the end of the march: every rung's candidate (the rung, or its
-    extrapolation by ``weights``) less the target's terms
-    (:func:`correctors._remainder`) goes through one :func:`grids._norms`
-    call, and the maxima over the block are folded into running per-seed
-    maxima.  Each (index, path) is one contiguous row of that call, so
+    The rungs march as one packed state: a :class:`stepper._Ladder` of
+    their lattice operators under one :class:`Marcher`, which makes one
+    explicit step for the whole ladder and one solve per rung, with the
+    bits of each rung marched alone.  Ladder and target march in lock-step,
+    and the errors are reduced per block of steps.  The rungs' states are
+    copied into ``grid.shape + (B, S)`` blocks (B =
+    :data:`correctors.FORCING_BLOCK_ROWS`).  A block is measured when it is
+    full, before the target's live columns change, and at the end of the
+    march: every rung's candidate (the rung, or its extrapolation by
+    ``weights``) less the target's terms (:func:`correctors._remainder`)
+    goes through one :func:`grids._norms` call, and the maxima over the
+    block are folded into running per-seed maxima.  Each (index, path) is one contiguous row of that call, so
     every norm has the bits of measuring its index alone.
 
-    The first failing (seed, mesh) pair in seed-major order is reported,
-    target failures only when every rung succeeded, and a failure the
-    target raises while it is built as itself.  A spectral target on
+    A rung's failure drops that seed from that rung alone (the ladder keeps
+    its failures per rung), and the target stops at the first.  The first
+    failing (seed, mesh) pair in seed-major order is reported, target
+    failures only when every rung succeeded, and a failure the target
+    raises while it is built as itself.  A spectral target on
     variable coefficients, and a corrector target the reference grid cannot
     resolve, are configuration errors.
     """
@@ -475,9 +504,9 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   if problem.d1 > 0 else None for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    rungs = [Marcher(problem, xi,
-                     FiniteDifferenceOperators(problem, g, tau, scheme))
-             for g in grids]
+    ladder = _Ladder([FiniteDifferenceOperators(problem, g, tau, scheme)
+                      for g in grids])
+    marcher = Marcher(problem, xi, ladder)
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
     # rung g is kept restricted by keep[g]: no candidate reads a lattice
@@ -509,7 +538,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
             l2h[j, cols] = np.maximum(l2h[j, cols],
                                       l.reshape(rows, -1).max(axis=0))
 
-    def record():
+    def record(states):
         nonlocal filled, live
         # a block holds indices with the same live target columns
         if filled and target.columns.size != live.size:
@@ -517,9 +546,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         live = target.columns
         if not live.size:
             return
-        for block, marcher, factor in zip(blocks, rungs, keep):
-            block[..., filled, :] = _restricted(marcher.v, factor,
-                                                marcher.grid.dim)
+        for block, state, factor in zip(blocks, states, keep):
+            block[..., filled, :] = _restricted(state, factor, state.ndim - 1)
         target.record(filled)
         filled += 1
         if filled == FORCING_BLOCK_ROWS:
@@ -535,15 +563,14 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
     try:
         target = make_target(grids, xi, increments)
-        record()
+        record(ladder.states(marcher.v))
         for _ in range(spec.n):
-            for marcher in rungs:
-                marcher.advance()
+            marcher.advance()
             # once a rung failed, the study reports that failure: the rungs
             # march on only to find the first failing pair
-            if not any(marcher.failures for marcher in rungs):
+            if not any(ladder.failures):
                 target.advance()
-                record()
+                record(ladder.states(marcher.v))
         flush()
     except (SpectralModeError, ResolutionError) as exc:
         raise ConfigError(f"[reference] {exc}") from exc
@@ -551,10 +578,9 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         return failed(str(exc)), None
 
     for k, seed in zip(column, seeds):
-        for j, marcher in enumerate(rungs):
-            if k in marcher.failures:
-                return (failed(f"seed {seed}, mesh {j}: {marcher.failures[k]}"),
-                        target)
+        for j, failures in enumerate(ladder.failures):
+            if k in failures:
+                return failed(f"seed {seed}, mesh {j}: {failures[k]}"), target
 
     sup_sq, l2h_sq = np.zeros((2, spec.rungs))
     for k, seed in zip(column, seeds):

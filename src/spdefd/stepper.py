@@ -9,11 +9,18 @@ There is one implementation of that step, :class:`Marcher`, and it steps
 ``S`` Wiener paths at once: its state is one ``grid.shape + (S,)`` array
 with a column per path.  Its operators (:class:`FiniteDifferenceOperators`
 or :class:`SpectralOperators`) carry the ``grid`` and the step ``tau`` it
-marches with, and supply ``apply_M_values``, ``solve_values`` and
+marches with, evaluate u0 and the free terms on the grid (``sample``,
+``evaluate``), and supply ``apply_M_values``, ``solve_values`` and
 ``keeps_zero``.  The operator kernels (``_apply_M_values``, the
 lattice and spectral solves) act on the spatial axes and carry the trailing
 column axis along, so every column gets the same bits as a run of that path
 alone.  ``apply_L`` is a one-field wrapper over the lattice operator.
+
+A study's mesh ladder h, h/2, ... marches as one state: ``_Ladder`` packs
+the rungs' states into one ``(sum of npoints, S)`` array, so a single
+marcher makes one explicit step for every rung (M^{h,rho} as flat gathers
+of the packed state) and then one solve per rung, through that rung's own
+lattice operators, with the bits of each rung marched alone.
 ``run_space_time_scheme`` and ``run_reference_time_scheme`` march one
 column and return its states as a :class:`Trajectory`, one
 ``(n + 1,) + grid.shape`` array.  The corrector
@@ -283,7 +290,28 @@ def _circulant_solve(symbol: np.ndarray, shape: tuple, x: np.ndarray) -> np.ndar
     """``x`` divided by ``symbol`` in the discrete Fourier basis of ``shape``."""
     axes = tuple(range(len(shape)))
     hat = np.fft.rfftn(x.reshape(shape), axes=axes)
-    return np.fft.irfftn(hat / symbol, s=shape, axes=axes).ravel()
+    hat /= symbol
+    return np.fft.irfftn(hat, s=shape, axes=axes).ravel()
+
+
+class _LastCall:
+    """``fn`` with a memory of its last call: an input with the bits of the
+    last one gets the last output again, without a new call.
+
+    GMRES started from zero applies its preconditioner to b twice, and the
+    residual check repeats its last product.  Inputs are compared by bit
+    pattern, since -0.0 == 0.0; every output is a copy, since GMRES updates
+    the vectors it is given in place.
+    """
+
+    def __init__(self, fn):
+        self.fn, self._x, self._y = fn, None, None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._x is None or not np.array_equal(self._x.view(np.int64),
+                                                 x.view(np.int64)):
+            self._x, self._y = x.copy(), self.fn(x)
+        return self._y.copy()
 
 
 class ImplicitOperator:
@@ -327,12 +355,14 @@ class ImplicitOperator:
         else:
             n = grid.npoints
             symbol = _circulant_symbol(terms, grid.shape, self.tau)
-            self._A = spla.aslinearoperator(self.matrix)
             # no reference back to self: a cycle would keep every step's
             # matrix alive until the cyclic garbage collector runs
+            self._product = _LastCall(self.matrix.dot)
+            self._A = spla.LinearOperator((n, n), matvec=self._product,
+                                          dtype=float)
             self._M = spla.LinearOperator(
-                (n, n), matvec=functools.partial(_circulant_solve, symbol, grid.shape),
-                dtype=float)
+                (n, n), matvec=_LastCall(functools.partial(
+                    _circulant_solve, symbol, grid.shape)), dtype=float)
 
     @functools.cached_property
     def keeps_zero(self) -> bool:
@@ -389,7 +419,8 @@ class ImplicitOperator:
         x, info = spla.gmres(self._A, b, M=self._M, rtol=ITERATIVE_RTOL,
                              atol=0.0, restart=restart, maxiter=maxiter)
         bnorm = np.linalg.norm(b)
-        resid = np.linalg.norm(self.matrix @ x - b)
+        # the product GMRES formed last, for its own residual
+        resid = np.linalg.norm(self._product(x) - b)
         if info != 0 or not np.all(np.isfinite(x)) or \
                 resid > ITERATIVE_RTOL * max(bnorm, 1e-300):
             raise SolveFailure(
@@ -407,6 +438,7 @@ def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
     terms.  ``xi`` holds one row per driver and one entry per column; where
     an increment is zero its term is skipped, so that column matches a run
     that never saw the driver.
+    ``apply_M`` returns a new array, which the sum updates in place.
     """
     rhs = v + tau * f[..., None]
     for rho, xi_rho in enumerate(xi, start=1):
@@ -415,9 +447,9 @@ def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
             continue
         term = apply_M(v, rho)
         for part in g[rho - 1]:
-            term = term + part[..., None]
+            term += part[..., None]
         if nonzero.all():
-            rhs = rhs + term * xi_rho
+            rhs += term * xi_rho
         else:
             rhs[..., nonzero] += term[..., nonzero] * xi_rho[nonzero]
     return rhs
@@ -459,14 +491,28 @@ def _aborted(exc: SolveFailure) -> SolveFailure:
     return failure
 
 
+def _solved(operators, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
+    """The solve at step i of every column of ``rhs`` and the failures a
+    marcher records, keyed by column: a failure of the whole step (a
+    singular operator) fails every column in its own words, and a column
+    whose own solve failed is aborted."""
+    try:
+        v, failed = operators.solve_values(rhs, i)
+    except SolveFailure as exc:
+        return rhs, dict.fromkeys(range(rhs.shape[-1]), exc)
+    return v, {k: _aborted(exc) for k, exc in failed.items()}
+
+
 class Marcher:
     """The implicit Euler recursion for ``S`` Wiener paths in lock-step.
 
     The state ``v`` is one ``grid.shape + (S,)`` array, a column per path,
     starting from the problem's u0, or from zero with ``zero_start``.
-    ``operators`` supplies the grid, the step tau, M^rho and the implicit
-    solve (lattice or spectral); the right-hand side is assembled here for
-    both.  A failure of the whole step (a singular operator) fails every
+    ``operators`` supplies the grid, the step tau, u0 and the free terms on
+    its lattice, M^rho and the implicit solve (lattice, spectral, or a
+    ``_Ladder`` of lattices, whose state is packed and which has no one
+    grid); the right-hand side is assembled here for all of them.  A
+    failure of the whole step (a singular operator) fails every
     column; a column whose own solve fails is recorded in ``failures``
     under its path index and dropped, while the others march on.
     ``columns`` lists the path indices still in ``v``.
@@ -486,16 +532,15 @@ class Marcher:
     def __init__(self, problem: DifferentialProblem, xi: np.ndarray, operators,
                  zero_start: bool = False):
         self.problem = problem
-        self.grid = grid = operators.grid
         self.tau = operators.tau
         self.xi = xi
         self.operators = operators
         self.columns = np.arange(xi.shape[-1])
         self._at_zero = zero_start
         if zero_start:
-            self.v = np.zeros(grid.shape + (xi.shape[-1],))
+            self.v = np.zeros(operators.grid.shape + (xi.shape[-1],))
         else:
-            self.v = np.repeat(grid.sample(problem.u0).values[..., None],
+            self.v = np.repeat(operators.sample(problem.u0)[..., None],
                                xi.shape[-1], axis=-1)
         self.failures = {}
         self.i = 0
@@ -504,12 +549,15 @@ class Marcher:
                 isinstance(ev, _Constant) for ev in problem.g.values()):
             self._free = self._free_terms(1)
 
+    @property
+    def grid(self) -> TorusGrid:
+        return self.operators.grid
+
     def _free_terms(self, i: int) -> tuple:
         """The problem's f_i and, per driver, the parts of g^rho_{i-1}."""
-        p, x, shape = self.problem, self.grid.coordinates, self.grid.shape
-        return (p.f(i, x) * np.ones(shape),
-                [(p.g_at(rho, i - 1, x) * np.ones(shape),)
-                 for rho in range(1, p.d1 + 1)])
+        p, evaluate = self.problem, self.operators.evaluate
+        return (evaluate(p.f, i),
+                [(evaluate(p.g_at, rho, i - 1),) for rho in range(1, p.d1 + 1)])
 
     def advance(self, f: np.ndarray | None = None, g: list | None = None) -> None:
         """Step every live column from index i to i + 1.
@@ -533,12 +581,7 @@ class Marcher:
         rhs = _explicit_rhs(
             self.v, self.tau, f, g, self.xi[i - 1][:, self.columns],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
-        try:
-            v, failed = self.operators.solve_values(rhs, i)
-        except SolveFailure as exc:
-            v, failed = rhs, dict.fromkeys(range(self.columns.size), exc)
-        else:
-            failed = {k: _aborted(exc) for k, exc in failed.items()}
+        v, failed = _solved(self.operators, rhs, i)
         if failed:
             for k, exc in failed.items():
                 self.failures[int(self.columns[k])] = exc
@@ -592,8 +635,10 @@ def _fft(values: np.ndarray, axes: tuple, inverse: bool = False) -> np.ndarray:
     handling on every call.
     """
     transform = np.fft.ifft if inverse else np.fft.fft
-    for axis in reversed(axes):
-        values = transform(values, axis=axis)
+    for k, axis in enumerate(reversed(axes)):
+        # passes after the first write into the array the first made, so
+        # no fresh output has to be faulted in
+        values = transform(values, axis=axis, out=values if k else None)
     return values
 
 
@@ -616,7 +661,20 @@ def _constant_value(values: np.ndarray, what: str) -> float:
     return float(values.flat[0]) if values.size else 0.0
 
 
-class SpectralOperators:
+class _OneLattice:
+    """What a :class:`Marcher` evaluates on the one grid of its operators."""
+
+    def sample(self, fn) -> np.ndarray:
+        """``fn`` on the lattice coordinates, checked by ``grid.sample``."""
+        return self.grid.sample(fn).values
+
+    def evaluate(self, fn, *args) -> np.ndarray:
+        """``fn(*args, x)`` on the lattice coordinates x, as a ``grid.shape``
+        array."""
+        return fn(*args, self.grid.coordinates) * np.ones(self.grid.shape)
+
+
+class SpectralOperators(_OneLattice):
     """Exact per-mode realization of the continuous operators on a torus grid.
 
     Only valid for coefficients constant in space (checked); serves both the
@@ -632,6 +690,7 @@ class SpectralOperators:
         self._freq = _frequency_mesh(grid)
         self._axes = tuple(range(grid.dim))
         self._cache = {}
+        self._denominator_of = (None, None)     # (symL, its 1 - tau symL)
         self._keeps_zero = {}
 
     def symbols(self, i: int):
@@ -667,13 +726,24 @@ class SpectralOperators:
             self._cache[key] = got
         return got
 
-    def _solve(self, rhs: np.ndarray, i: int) -> np.ndarray:
-        symL, _ = self.symbols(i)
-        denom = 1.0 - self.tau * symL
-        if float(np.min(np.abs(denom))) < 1e-12:
+    def _denominator(self, i: int) -> np.ndarray:
+        """1 - tau symL at step i, built and checked once per set of
+        symbols: again only when ``symbols`` gives a new symL."""
+        symL = self.symbols(i)[0]
+        if self._denominator_of[0] is not symL:
+            denom = 1.0 - self.tau * symL
+            self._denominator_of = (
+                symL, None if float(np.min(np.abs(denom))) < 1e-12 else denom)
+        denom = self._denominator_of[1]
+        if denom is None:
             raise SolveFailure("spectral implicit operator is singular; "
                                "tau may not be small enough", step=i)
-        hat = _fft(rhs, self._axes) / denom[..., None]
+        return denom
+
+    def _solve(self, rhs: np.ndarray, i: int) -> np.ndarray:
+        denom = self._denominator(i)
+        hat = _fft(rhs, self._axes)
+        hat /= denom[..., None]
         return np.real(_fft(hat, self._axes, inverse=True))
 
     def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
@@ -704,7 +774,7 @@ class SpectralOperators:
 
 
 
-class FiniteDifferenceOperators:
+class FiniteDifferenceOperators(_OneLattice):
     """Lattice operators of a difference scheme on one grid: M^rho, and the
     implicit solve by sparse LU or GMRES.  Without a scheme, the centred
     scheme at the grid's own (fine) mesh stands in for the continuous L and
@@ -745,6 +815,121 @@ class FiniteDifferenceOperators:
             raise GridError(f"driver index {rho} out of range 1..{self.scheme.d1}")
         return _apply_M_values(self.sampler.arrays(i), values, self.grid.h, rho,
                                self.grid.dim)
+
+
+class _Ladder:
+    """The lattice operators of a mesh ladder h, h/2, ... acting on one
+    packed state.
+
+    ``rungs`` holds one :class:`FiniteDifferenceOperators` per lattice, all
+    with the same scheme and tau.  The packed state is one ``(sum of
+    npoints, S)`` array: each rung's ``grid.shape + (S,)`` state, flattened
+    row-major, the rungs one after another; :meth:`states` gives the rungs'
+    views of it.  So one :class:`Marcher` steps the whole ladder with one
+    explicit step: the free terms and u0 are evaluated on each rung's own
+    grid and concatenated, and M^{h,rho} is one flat gather per term and
+    sign of shift, divided by each entry's own 2h.  The gather indices are
+    the wrap gathers (``grids._shifted``) of each rung's index lattice, so
+    every entry has the bits of ``_apply_M_values`` on its rung.
+
+    Each rung solves its own view through its own operators.  A failure is
+    recorded per rung and column in ``failures`` (one dict per rung, as
+    :class:`Marcher` records it), and that rung's column is zeroed and never
+    solved again; the other rungs march the column on, and no column leaves
+    the packed state.
+    """
+
+    def __init__(self, rungs: list):
+        self.rungs = rungs
+        self.tau = rungs[0].tau
+        self.failures = [{} for _ in rungs]
+        sizes = [ops.grid.npoints for ops in rungs]
+        starts = np.cumsum([0] + sizes)
+        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        self._two_h = np.repeat([2.0 * ops.grid.h for ops in rungs], sizes)
+        self._gathers = {}
+        self._terms_key, self._terms = None, None
+
+    def states(self, v: np.ndarray) -> list:
+        """Each rung's ``grid.shape + (S,)`` view of the packed state ``v``."""
+        return [v[rows].reshape(ops.grid.shape + v.shape[1:])
+                for ops, rows in zip(self.rungs, self._rows)]
+
+    def sample(self, fn) -> np.ndarray:
+        return np.concatenate([ops.sample(fn).ravel() for ops in self.rungs])
+
+    def evaluate(self, fn, *args) -> np.ndarray:
+        return np.concatenate([ops.evaluate(fn, *args).ravel()
+                               for ops in self.rungs])
+
+    def _gather(self, lam, s: int) -> np.ndarray:
+        """Packed index of the entry each entry's shift by ``s*h*lam`` reads."""
+        key = (lam, s)
+        if key not in self._gathers:
+            self._gathers[key] = np.concatenate([
+                _shifted(np.arange(rows.start, rows.stop).reshape(ops.grid.shape),
+                         lam, s, ops.grid.dim).ravel()
+                for ops, rows in zip(self.rungs, self._rows)])
+        return self._gathers[key]
+
+    def _M_terms(self, i: int, width: int) -> tuple:
+        """2h and the terms of M^{h,rho} at index i, for a state of ``width``
+        columns.  A term is (rho, packed coefficient, gather of the + shift,
+        of the - shift), in the order of the scheme's b; lam = 0 has no
+        gathers.  2h and the coefficients are repeated across the columns,
+        so every product is of two arrays of one shape."""
+        key = (0 if self.rungs[0].scheme.time_independent else i, width)
+        if self._terms_key != key:
+            arrays = [ops.sampler.arrays(i)["b"] for ops in self.rungs]
+            terms = []
+            for lam, rho in arrays[0]:
+                coef = np.concatenate([b[lam, rho].ravel() for b in arrays])
+                gathers = ((self._gather(lam, 1), self._gather(lam, -1))
+                           if any(lam) else (None, None))
+                terms.append((rho, np.repeat(coef[:, None], width, axis=1),
+                              *gathers))
+            self._terms_key = key
+            self._terms = np.repeat(self._two_h[:, None], width, axis=1), terms
+        return self._terms
+
+    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        out = np.zeros(values.shape)
+        two_h, terms = self._M_terms(i, values.shape[1])
+        for r, coef, plus, minus in terms:
+            if r != rho:
+                continue
+            if plus is None:
+                out += coef * values
+                continue
+            # coef * ((T_+ v - T_- v) / 2h), in place
+            term = np.take(values, plus, axis=0)
+            term -= np.take(values, minus, axis=0)
+            term /= two_h
+            term *= coef
+            out += term
+        return out
+
+    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
+        """Every rung's solve of its view of ``rhs``; the failures are kept
+        in ``failures``, so none is returned."""
+        out = np.empty(rhs.shape)
+        live = np.arange(rhs.shape[-1])
+        for ops, rows, failures in zip(self.rungs, self._rows, self.failures):
+            cols = slice(None)
+            if failures:
+                out[rows] = 0.0
+                cols = np.array([k for k in live if k not in failures], dtype=int)
+                if not cols.size:
+                    continue
+            part = rhs[rows, cols]
+            x, failed = _solved(ops, part.reshape(ops.grid.shape + part.shape[1:]),
+                                i)
+            out[rows, cols] = x.reshape(part.shape)
+            for k, exc in failed.items():
+                k = int(live[cols][k])
+                failures[k] = exc
+                out[rows, k] = 0.0
+        return out, {}
 
 
 REFERENCE_MODES = ("spectral-const-coef", "fine-grid")

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -17,9 +19,21 @@ from spdefd.experiments import (
     save_config,
     selfcheck,
 )
+from spdefd.grids import make_torus_grid
+from spdefd.problems import (
+    DifferentialProblem,
+    build_scheme_example1,
+    build_scheme_example2,
+    make_problem,
+)
 from spdefd.richardson import estimate_order
-from spdefd.stepper import FiniteDifferenceOperators, SpectralOperators
-from spdefd.wiener import sample_increments
+from spdefd.stepper import (
+    FiniteDifferenceOperators,
+    ImplicitOperator,
+    SpectralOperators,
+    run_space_time_scheme,
+)
+from spdefd.wiener import BrownianIncrements, sample_increments
 
 MINIMAL = """\
 [problem]
@@ -235,6 +249,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{key}: {value!r}")):
             save_config(spec, tmp_path / "echo.ini")
 
+    @pytest.mark.parametrize("params, key", [
+        ((("Nu", 0.1),), "Nu"),
+        ((("a #b", 0.1),), "a #b"),
+        ((("nu", 0.1), ("t", 0.5)), "t"),
+        ((("beta", 0.3), ("beta", 0.4)), "beta"),
+        ((("name", 1.0),), "name"),
+        ((("a = b", 1.0),), "a = b"),
+    ], ids=["case", "comment", "lower-t", "repeat", "name", "delimiter"])
+    def test_save_rejects_problem_key_that_would_not_load_back(
+            self, tmp_path, params, key):
+        # 'Nu' would load back as 'nu', and 'a #b' makes a file the loader
+        # rejects
+        spec = ExperimentSpec(problem="heat1d", problem_params=params)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[problem] key {key!r} would not load back as itself")):
+            save_config(spec, tmp_path / "echo.ini")
+        assert not (tmp_path / "echo.ini").exists()
+
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nn = 8\n\n" + MINIMAL + "\n[run]\nseeds = 1\n",
         "[DEFAULT]\nn = 8\n\n" + MINIMAL + "\n[time]\nn = 4\n",
@@ -363,7 +395,7 @@ class TestConvergenceExperiment:
                               level=1, seeds=(1, 2, 3))
         paths = emit_outputs(run_convergence_experiment(spec, accelerate=True),
                              tmp_path)
-        assert widths == [1] * 5           # four rungs and the reference
+        assert widths == [1, 1]            # the ladder and the reference
         assert {p.name: p.read_bytes() for p in paths} == HEAT_ACCELERATE_OUTPUTS
 
     def test_threads_do_not_change_errors(self):
@@ -587,6 +619,145 @@ class TestBlockedMeasurement:
         assert _digests(emit_outputs(result, tmp_path)) == {
             "report.csv": "95da8122599e7374", "rung_16.csv": "346c8c41bdef0ee8",
             "rung_32.csv": "346c8c41bdef0ee8"}
+
+    def test_two_meshes_fail_one_seed(self, monkeypatch):
+        # mesh 1 drops seed 5 at step 10, mesh 0 at step 30: the report
+        # names the coarser mesh, which fails later
+        _poison(monkeypatch, FiniteDifferenceOperators, 1, shape=(16,), step=10)
+        _poison(monkeypatch, FiniteDifferenceOperators, 1, shape=(8,), step=30)
+        result = run_convergence_experiment(self.SPEC, accelerate=True)
+        assert result.failure == (
+            "seed 5, mesh 0: scheme run aborted: step 30: factorized solve "
+            "produced non-finite values; tau may not be small enough")
+
+
+class _ZeroTarget:
+    """A study target whose expansion is zero, so a rung's error at an
+    index is its state, with the same bits."""
+
+    def __init__(self, width):
+        self.columns, self.failures = np.arange(width), {}
+
+    def advance(self):
+        pass
+
+    def record(self, slot):
+        pass
+
+    def terms(self, grid, rows):
+        return [np.zeros(grid.shape + (rows, self.columns.size))]
+
+
+def _time_dependent_problem():
+    return DifferentialProblem(
+        d=1, d1=1, T=0.5,
+        a={(1, 1): lambda i, x: 0.08 + 0.04 * np.cos(0.3 * i) + 0.0 * x[..., 0],
+           (0, 1): 0.1},
+        b={(1, 1): lambda i, x: 0.2 + 0.1 * np.sin(0.2 * i) + 0.0 * x[..., 0],
+           (0, 1): 0.05},
+        f=lambda i, x: 0.1 * np.sin(2 * np.pi * x[..., 0]) * np.cos(0.5 * i),
+        g={1: lambda i, x: 0.05 * np.cos(2 * np.pi * x[..., 0])},
+        u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+        time_independent=False)
+
+
+def _two_noise_problem():
+    return DifferentialProblem(
+        d=2, d1=2, T=0.25,
+        a={(1, 1): 0.05, (2, 2): 0.06, (1, 2): 0.01, (2, 1): 0.01,
+           (0, 2): 0.02},
+        b={(1, 1): lambda i, x: 0.2 + 0.05 * np.sin(2 * np.pi * x[..., 1]),
+           (2, 2): 0.15, (0, 2): 0.1},
+        f=0.01, g={2: 0.02},
+        u0=lambda x: np.cos(2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]))
+
+
+class TestLadder:
+    """The rungs of a study march together; every rung, at every index and
+    for every path, has the bits of :func:`run_space_time_scheme` on that
+    rung's grid alone."""
+
+    CASES = {
+        "1d-example1-S3": (lambda: make_problem(
+            "stoch-transport", beta=0.3, gamma=0.2, extra_diffusion=0.05),
+            build_scheme_example1, 1, 16, 3, (1, 2, 3)),
+        "1d-example2-S1": (lambda: make_problem("drift1d", chi=0.4),
+                           build_scheme_example2, 1, 8, 3, (7,)),
+        "1d-time-dependent-example2": (_time_dependent_problem,
+                                       build_scheme_example2, 1, 8, 3, (4, 5)),
+        "2d-two-noises-example1": (_two_noise_problem,
+                                    build_scheme_example1, 2, 4, 3, (8, 9)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rungs_match_runs_alone(self, name, monkeypatch):
+        from spdefd import experiments
+        make, build, d, points0, rungs, seeds = self.CASES[name]
+        problem = make()
+        scheme = build(problem)
+        # a period whose mesh widths are not powers of two, so that a
+        # division by 2h rounds
+        spec = ExperimentSpec(problem="custom", n=12, period=0.75,
+                              points0=points0, rungs=rungs, seeds=seeds)
+        increments = {}
+
+        def sampled(n, d1, tau, seed):
+            inc = sample_increments(n, d1, tau, seed)
+            if d1 > 1 and seed == seeds[-1]:
+                # the last path never sees the second Wiener process
+                xi = inc.xi.copy()
+                xi[:, 1] = 0.0
+                inc = BrownianIncrements(n=n, d1=d1, tau=tau, seed=seed, xi=xi)
+            increments[seed] = inc
+            return inc
+
+        rows = []
+        norms = experiments._norms
+
+        def recording(columns, weight):
+            rows.append(columns.copy())
+            return norms(columns, weight)
+
+        monkeypatch.setattr(experiments, "sample_increments", sampled)
+        monkeypatch.setattr(experiments, "_norms", recording)
+        result, _ = experiments._march_ladder(
+            spec, "converge", problem, scheme, seeds, None, None,
+            lambda grids, xi, _: _ZeroTarget(xi.shape[-1]))
+        assert not result.failed
+        paths = seeds if problem.d1 > 0 else seeds[:1]
+        for j in range(rungs):
+            grid = make_torus_grid(d, [spec.period] * d, [points0 * 2 ** j] * d)
+            # one row per (index, path) in every block of rung j
+            got = np.concatenate(rows[j::rungs]).reshape(
+                spec.n + 1, len(paths), grid.npoints)
+            for k, seed in enumerate(paths):
+                alone = run_space_time_scheme(problem, scheme, grid, spec.n,
+                                              increments.get(seed))
+                for i in range(spec.n + 1):
+                    assert got[i, k].tobytes() == alone.values[i].tobytes(), \
+                        f"mesh {j}, path {k} differs at index {i}"
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_operators_freed_without_gc(self, accelerate, monkeypatch):
+        refs = []
+        for cls in (FiniteDifferenceOperators, SpectralOperators,
+                    ImplicitOperator):
+            def init(self, *args, _original=cls.__init__, **kwargs):
+                _original(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+            monkeypatch.setattr(cls, "__init__", init)
+        spec = ExperimentSpec(problem="stoch-transport", problem_params=STOCH,
+                              n=8, points0=8, rungs=3, level=1,
+                              seeds=(1, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_convergence_experiment(spec, accelerate=accelerate)
+            corrector = run_corrector_experiment(spec)
+            assert not result.failed and not corrector.failed
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestSpecValidation:

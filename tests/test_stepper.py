@@ -351,6 +351,47 @@ class TestIterativeSolve:
             "step 5: right-hand side holds non-finite values")
         assert len(calls) == 1              # the finite column only
 
+    def test_one_iteration_applies_each_operator_twice(self, monkeypatch):
+        # gmres applies M to b twice and the residual check repeats gmres's
+        # last product: both come from the operators' memory of their last
+        # call, with the bits of a GMRES run on plain operators
+        import functools
+        from spdefd import stepper
+        calls, circulant = [], stepper._circulant_solve
+
+        def counted(*args):
+            calls.append("M")
+            return circulant(*args)
+
+        monkeypatch.setattr(stepper, "_circulant_solve", counted)
+        g = make_torus_grid(2, [1.0, 1.0], [16, 16])
+        s, tau = cross_scheme_2d(), 0.01
+        op = ImplicitOperator(s, g, tau, 0, mode="iterative")
+        product = op._product.fn
+        op._product.fn = lambda x: calls.append("A") or product(x)
+        rhs = np.random.default_rng(7).standard_normal(g.shape + (1,))
+        x, failed = op.solve_columns(rhs)
+        assert not failed and sorted(calls) == ["A", "A", "M", "M"]
+        n, spla = g.npoints, stepper.spla
+        symbol = stepper._circulant_symbol(stepper._expansion_terms(
+            op.sampler.arrays(0), g.h, 2), g.shape, tau)
+        M = spla.LinearOperator((n, n), dtype=float, matvec=functools.partial(
+            circulant, symbol, g.shape))
+        plain, _ = spla.gmres(spla.aslinearoperator(op.matrix), rhs.ravel(),
+                              M=M, rtol=stepper.ITERATIVE_RTOL, atol=0.0,
+                              restart=50, maxiter=n * 10 // 50)
+        assert x.ravel().tobytes() == plain.tobytes()
+
+    def test_last_call_tells_signed_zeros_apart(self):
+        from spdefd.stepper import _LastCall
+        calls = []
+        last = _LastCall(lambda x: calls.append(1) or np.copysign(1.0, x))
+        for x in (0.0, 0.0, -0.0, -0.0, 0.0):
+            got = last(np.array([x]))
+            assert got[0] == np.copysign(1.0, x)
+            got[0] = 7.0                  # a caller may write into its copy
+        assert len(calls) == 3
+
     def test_time_dependent_iterative_matches_direct(self):
         p = vanishing_diffusion_problem(time_independent=False)
         s = build_scheme_example1(p)
