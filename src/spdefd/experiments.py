@@ -62,7 +62,7 @@ from .correctors import (
     _weighted,
     run_corrector_system,
 )
-from .grids import _coarse_grid, _norms, _restricted, make_torus_grid
+from .grids import _norms, _restricted, make_torus_grid
 from .problems import (
     DifferentialProblem,
     ProblemError,
@@ -473,11 +473,14 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
     The rungs march as one packed state: a :class:`stepper._Ladder` of
     their lattice operators under one :class:`Marcher`, which makes one
-    explicit step for the whole ladder and one solve per rung, with the
-    bits of each rung marched alone.  Ladder and target march in lock-step,
-    and the errors are reduced per block of steps.  The rungs' states are
-    copied into ``grid.shape + (B, S)`` blocks (B =
-    :data:`correctors.FORCING_BLOCK_ROWS`).  A block is measured when it is
+    explicit step and one block LU solve for the whole ladder (GMRES rungs
+    solve apart), with the bits of each rung marched alone.  Ladder and
+    target march in lock-step, and the errors are reduced per block of
+    steps.  The packed state of each index is copied into a slot of one
+    ``(sum of npoints, B, S)`` array (B =
+    :data:`correctors.FORCING_BLOCK_ROWS`), whose rows give each rung's
+    ``grid.shape + (B, S)`` block; an extrapolation partner is restricted
+    when it is read.  A block is measured when it is
     full, before the target's live columns change, and at the end of the
     march: every rung's candidate (the rung, or its extrapolation by
     ``weights``) less the target's terms (:func:`correctors._remainder`)
@@ -509,12 +512,10 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     marcher = Marcher(problem, xi, ladder)
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
-    # rung g is kept restricted by keep[g]: no candidate reads a lattice
-    # finer than the finest rung measured
-    keep = [2 ** max(0, g - spec.rungs + 1) for g in range(len(grids))]
-    blocks = [np.empty(_coarse_grid(g, f).shape + (FORCING_BLOCK_ROWS,
-                                                   len(paths)))
-              for g, f in zip(grids, keep)]
+    # the packed states of a block of indices, a slot per index; each rung's
+    # grid.shape + (B, S) block is a view of its rows
+    packed = np.empty((len(marcher.v), FORCING_BLOCK_ROWS, len(paths)))
+    blocks = ladder.states(packed)
     filled, live = 0, None
 
     def flush():
@@ -524,8 +525,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
             return
         cols = slice(None) if live.size == len(paths) else live
         for j, grid in enumerate(grids[:spec.rungs]):
-            views = [_restricted(blocks[j + m][..., :rows, :],
-                                 2 ** m // keep[j + m], grid.dim)
+            views = [_restricted(blocks[j + m][..., :rows, :], 2 ** m,
+                                 grid.dim)
                      for m in range(level + 1)]
             candidate = (views[0] if weights is None
                          else _combine(views, weights.beta))
@@ -538,7 +539,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
             l2h[j, cols] = np.maximum(l2h[j, cols],
                                       l.reshape(rows, -1).max(axis=0))
 
-    def record(states):
+    def record():
         nonlocal filled, live
         # a block holds indices with the same live target columns
         if filled and target.columns.size != live.size:
@@ -546,8 +547,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         live = target.columns
         if not live.size:
             return
-        for block, state, factor in zip(blocks, states, keep):
-            block[..., filled, :] = _restricted(state, factor, state.ndim - 1)
+        packed[:, filled, :] = marcher.v
         target.record(filled)
         filled += 1
         if filled == FORCING_BLOCK_ROWS:
@@ -563,14 +563,14 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
     try:
         target = make_target(grids, xi, increments)
-        record(ladder.states(marcher.v))
+        record()
         for _ in range(spec.n):
             marcher.advance()
             # once a rung failed, the study reports that failure: the rungs
             # march on only to find the first failing pair
             if not any(ladder.failures):
                 target.advance()
-                record(ladder.states(marcher.v))
+                record()
         flush()
     except (SpectralModeError, ResolutionError) as exc:
         raise ConfigError(f"[reference] {exc}") from exc

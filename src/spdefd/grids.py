@@ -9,7 +9,8 @@ of centred differences) holds exactly, with no boundary treatment.
 Conventions:
 
 * The mesh width is part of the grid: every operator on a field reads ``h``
-  from the field's :class:`TorusGrid`, which rejects ``h <= 0``.
+  from the field's :class:`TorusGrid`, which rejects an ``h`` that is not
+  positive and finite.
 * ``forward_difference`` (array kernel ``_forward_values``) is
   ``(T_{h,lam} - I)/h``; with ``sign=-1`` it is the backward-form
   ``(T_{-h,lam} - I)/(-h)``.
@@ -20,6 +21,7 @@ Conventions:
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -45,8 +47,8 @@ class TorusGrid:
             raise GridError("points-per-axis must have one entry per dimension")
         if any(n < 2 for n in self.shape):
             raise GridError("need at least 2 points per axis")
-        if not (self.h > 0):
-            raise GridError("mesh width must be positive")
+        if not 0 < self.h < math.inf:
+            raise GridError("mesh width must be positive and finite")
 
     @property
     def periods(self) -> tuple[float, ...]:
@@ -96,8 +98,8 @@ def make_torus_grid(d: int, periods, points) -> TorusGrid:
         raise GridError("grid dimension must be >= 1")
     if len(periods) != d or len(points) != d:
         raise GridError("periods and points must each have d entries")
-    if any(p <= 0 for p in periods):
-        raise GridError("periods must be positive")
+    if not all(0 < p < math.inf for p in periods):
+        raise GridError("periods must be positive and finite")
     if any(n < 2 for n in points):
         raise GridError("need at least 2 points per axis")
     h = periods[0] / points[0]

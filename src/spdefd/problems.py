@@ -71,8 +71,8 @@ class DifferentialProblem:
             raise ProblemError("spatial dimension must be >= 1")
         if self.d1 < 0:
             raise ProblemError("number of drivers must be >= 0")
-        if not (self.T > 0):
-            raise ProblemError("horizon T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ProblemError("horizon T must be positive and finite")
         for alpha, beta in self.a:
             if not (0 <= alpha <= self.d and 0 <= beta <= self.d):
                 raise ProblemError(f"a index {(alpha, beta)} out of range")

@@ -19,8 +19,9 @@ alone.  ``apply_L`` is a one-field wrapper over the lattice operator.
 A study's mesh ladder h, h/2, ... marches as one state: ``_Ladder`` packs
 the rungs' states into one ``(sum of npoints, S)`` array, so a single
 marcher makes one explicit step for every rung (M^{h,rho} as flat gathers
-of the packed state) and then one solve per rung, through that rung's own
-lattice operators, with the bits of each rung marched alone.
+of the packed state) and then one sparse LU solve for all the rungs that
+solve directly: the block diagonal of their ``I - tau L^h``, each block in
+its own LU's column order, so each rung keeps the bits of its run alone.
 ``run_space_time_scheme`` and ``run_reference_time_scheme`` march one
 column and return its states as a :class:`Trajectory`, one
 ``(n + 1,) + grid.shape`` array.  The corrector
@@ -314,6 +315,26 @@ class _LastCall:
         return self._y.copy()
 
 
+def _solver_mode(mode: str, grid: TorusGrid) -> str:
+    """``mode``, with "auto" resolved by the size of ``grid``: a sparse LU up
+    to ``DIRECT_SOLVE_MAX_UNKNOWNS`` points, GMRES above."""
+    if mode not in ("auto", "direct", "iterative"):
+        raise ValueError(f"unknown solver mode {mode!r}")
+    if mode == "auto":
+        return "direct" if grid.npoints <= DIRECT_SOLVE_MAX_UNKNOWNS else "iterative"
+    return mode
+
+
+def _factors(matrix, step: int, **options):
+    """The SuperLU factors of a CSC ``matrix``; a singular one raises a
+    :class:`SolveFailure` at ``step``."""
+    try:
+        return spla.splu(matrix, **options)
+    except RuntimeError as exc:
+        raise SolveFailure(f"factorization failed ({exc}); "
+                           "tau may not be small enough", step=step) from exc
+
+
 class ImplicitOperator:
     """Solve for (I - tau L^h_i) on one grid.
 
@@ -334,10 +355,7 @@ class ImplicitOperator:
                  sampler: SchemeSampler | None = None):
         if tau < 0:
             raise SolveFailure("tau must be nonnegative")
-        if mode not in ("auto", "direct", "iterative"):
-            raise ValueError(f"unknown solver mode {mode!r}")
-        if mode == "auto":
-            mode = "direct" if grid.npoints <= DIRECT_SOLVE_MAX_UNKNOWNS else "iterative"
+        mode = _solver_mode(mode, grid)
         self.scheme = scheme
         self.grid = grid
         self.tau = float(tau)
@@ -347,11 +365,7 @@ class ImplicitOperator:
         terms = _expansion_terms(self.sampler.arrays(i), grid.h, grid.dim)
         self.matrix = _assemble(terms, grid.shape, self.tau)
         if mode == "direct":
-            try:
-                self._lu = spla.splu(self.matrix.tocsc())
-            except RuntimeError as exc:
-                raise SolveFailure(f"factorization failed ({exc}); "
-                                   "tau may not be small enough", step=i) from exc
+            self._lu = _factors(self.matrix.tocsc(), i)
         else:
             n = grid.npoints
             symbol = _circulant_symbol(terms, grid.shape, self.tau)
@@ -832,11 +846,22 @@ class _Ladder:
     the wrap gathers (``grids._shifted``) of each rung's index lattice, so
     every entry has the bits of ``_apply_M_values`` on its rung.
 
-    Each rung solves its own view through its own operators.  A failure is
-    recorded per rung and column in ``failures`` (one dict per rung, as
-    :class:`Marcher` records it), and that rung's column is zeroed and never
-    solved again; the other rungs march the column on, and no column leaves
-    the packed state.
+    The direct-mode rungs solve together: one sparse LU of the block
+    diagonal of their ``I - tau L^h`` serves the packed right-hand side,
+    and one NaN/inf check covers its solution.  Each block has its columns
+    in the order that the rung's own LU eliminates them (COLAMD and its
+    postorder, read from a factorization of the rung alone, once: the
+    order depends on the sparsity pattern alone), and the block diagonal is
+    factored in its natural order, so every rung gets the pivots, the
+    supernodes and the bits of its own LU.  A time-dependent scheme
+    refactors the block at every step.  Rungs in GMRES mode solve their
+    own views through their own operators.
+
+    A failure is recorded per rung and column in ``failures`` (one dict per
+    rung, as :class:`Marcher` records it), and that rung's column is zeroed
+    from then on; the other rungs march the column on, and no column leaves
+    the packed state.  A rung whose own factorization fails fails every
+    column in that factorization's words and leaves the block.
     """
 
     def __init__(self, rungs: list):
@@ -849,9 +874,17 @@ class _Ladder:
         self._two_h = np.repeat([2.0 * ops.grid.h for ops in rungs], sizes)
         self._gathers = {}
         self._terms_key, self._terms = None, None
+        modes = [_solver_mode(ops.mode, ops.grid) for ops in rungs]
+        self._direct = [r for r, mode in enumerate(modes) if mode == "direct"]
+        self._iterative = [r for r, mode in enumerate(modes)
+                           if mode == "iterative"]
+        self._orders = {}                   # rung -> its LU's column order
+        self._lu_key, self._lu = None, None
+        self._block, self._block_rows, self._block_columns = [], None, None
 
     def states(self, v: np.ndarray) -> list:
-        """Each rung's ``grid.shape + (S,)`` view of the packed state ``v``."""
+        """Each rung's ``grid.shape + v.shape[1:]`` view of the packed rows
+        of ``v``."""
         return [v[rows].reshape(ops.grid.shape + v.shape[1:])
                 for ops, rows in zip(self.rungs, self._rows)]
 
@@ -909,15 +942,88 @@ class _Ladder:
             out += term
         return out
 
+    def _fail(self, r: int, exc: SolveFailure, width: int) -> None:
+        """Fail every column of rung r that has not failed yet."""
+        for k in range(width):
+            self.failures[r].setdefault(k, exc)
+
+    def _factor(self, i: int, width: int):
+        """The LU factors of the block diagonal of the live direct rungs at
+        step i, or None when no such rung is left.  ``_block`` lists those
+        rungs, ``_block_rows`` their packed rows, and row j of the block's
+        solution is packed row ``_block_columns[j]``.
+
+        A rung whose own factorization fails leaves the block.  A singular
+        block is singular in a rung of its own, since its blocks have their
+        rungs' bits: each rung is then factored alone, and those that fail
+        leave the block, which is factored again."""
+        key = 0 if self.rungs[0].scheme.time_independent else i
+        if self._lu_key == key:
+            return self._lu
+        self._lu_key, matrices = key, {}
+        for r in self._direct:
+            if len(self.failures[r]) == width:
+                continue
+            ops = self.rungs[r]
+            matrix = _assemble(_expansion_terms(
+                ops.sampler.arrays(i), ops.grid.h, ops.grid.dim),
+                ops.grid.shape, self.tau).tocsc()
+            if r not in self._orders:
+                try:
+                    self._orders[r] = np.argsort(_factors(matrix, i).perm_c)
+                except SolveFailure as exc:
+                    self._fail(r, exc, width)
+                    continue
+            matrices[r] = matrix
+        self._lu = None
+        while matrices and self._lu is None:
+            try:
+                self._lu = _factors(sp.block_diag(
+                    [m[:, self._orders[r]] for r, m in matrices.items()],
+                    format="csc"), i, permc_spec="NATURAL")
+            except SolveFailure as exc:
+                failed = {}
+                for r, m in matrices.items():
+                    try:
+                        _factors(m, i)
+                    except SolveFailure as own:
+                        failed[r] = own
+                # should no rung fail alone, the block's failure is theirs
+                for r, own in (failed or dict.fromkeys(matrices, exc)).items():
+                    self._fail(r, own, width)
+                    del matrices[r]
+        if matrices:
+            self._block = list(matrices)
+            rows = np.concatenate([np.arange(self._rows[r].start,
+                                             self._rows[r].stop)
+                                   for r in self._block])
+            # a slice where the block's rungs are adjacent, as they mostly are
+            self._block_rows = slice(rows[0], rows[-1] + 1) \
+                if rows[-1] - rows[0] + 1 == rows.size else rows
+            self._block_columns = np.concatenate(
+                [self._rows[r].start + self._orders[r] for r in self._block])
+        return self._lu
+
     def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
-        """Every rung's solve of its view of ``rhs``; the failures are kept
-        in ``failures``, so none is returned."""
+        """Every rung's solve of its view of ``rhs``: the direct rungs' in
+        one block solve, the others' one rung at a time.  The failures are
+        kept in ``failures``, so none is returned."""
         out = np.empty(rhs.shape)
+        lu = self._factor(i, rhs.shape[-1])
+        if lu is not None:
+            y = lu.solve(rhs[self._block_rows])
+            out[self._block_columns] = y
+            if not np.isfinite(y).all():
+                for r in self._block:
+                    for k, exc in _nonfinite_columns(out[self._rows[r]], 1,
+                                                     "factorized solve",
+                                                     i).items():
+                        self.failures[r].setdefault(k, _aborted(exc))
         live = np.arange(rhs.shape[-1])
-        for ops, rows, failures in zip(self.rungs, self._rows, self.failures):
+        for r in self._iterative:
+            ops, rows, failures = self.rungs[r], self._rows[r], self.failures[r]
             cols = slice(None)
             if failures:
-                out[rows] = 0.0
                 cols = np.array([k for k in live if k not in failures], dtype=int)
                 if not cols.size:
                     continue
@@ -926,9 +1032,10 @@ class _Ladder:
                                 i)
             out[rows, cols] = x.reshape(part.shape)
             for k, exc in failed.items():
-                k = int(live[cols][k])
-                failures[k] = exc
-                out[rows, k] = 0.0
+                failures[int(live[cols][k])] = exc
+        for rows, failures in zip(self._rows, self.failures):
+            if failures:
+                out[rows, list(failures)] = 0.0
         return out, {}
 
 

@@ -31,6 +31,7 @@ from spdefd.stepper import (
     FiniteDifferenceOperators,
     ImplicitOperator,
     SpectralOperators,
+    _Ladder,
     run_space_time_scheme,
 )
 from spdefd.wiener import BrownianIncrements, sample_increments
@@ -508,15 +509,7 @@ class TestCorrectorExperiment:
     def test_rung_failure_row(self, monkeypatch, tmp_path):
         # a rung's solve fails at step 3 of mesh 1; the corrector system
         # (spectral reference) solves on other operators and succeeds
-        original = FiniteDifferenceOperators.solve_values
-
-        def solve_values(self, rhs, i):
-            if self.grid.shape == (32,) and i == 3:
-                rhs = rhs * np.nan
-            return original(self, rhs, i)
-
-        monkeypatch.setattr(FiniteDifferenceOperators, "solve_values",
-                            solve_values)
+        _poison_rung(monkeypatch, (32,), slice(None), step=3)
         spec = ExperimentSpec(problem="stoch-transport",
                               problem_params={"beta": 0.3,
                                               "extra_diffusion": 0.05},
@@ -548,18 +541,34 @@ def _digests(paths):
             for p in paths}
 
 
-def _poison(monkeypatch, cls, column, shape=None, step=21):
+def _poison(monkeypatch, cls, column, step=21):
     """Make ``cls.solve_values`` turn one column of its right-hand side NaN
-    at ``step`` (on grids of ``shape`` only, if given)."""
+    at ``step``."""
     original = cls.solve_values
 
     def solve_values(self, rhs, i):
-        if i == step and shape in (None, self.grid.shape):
+        if i == step:
             rhs = rhs.copy()
             rhs[..., column] = np.nan
         return original(self, rhs, i)
 
     monkeypatch.setattr(cls, "solve_values", solve_values)
+
+
+def _poison_rung(monkeypatch, shape, column, step=21):
+    """Make a study's ladder turn one column of its rung on grids of
+    ``shape`` NaN in the packed right-hand side at ``step``."""
+    original = _Ladder.solve_values
+
+    def solve_values(self, rhs, i):
+        if i == step:
+            rhs = rhs.copy()
+            for ops, state in zip(self.rungs, self.states(rhs)):
+                if ops.grid.shape == shape:
+                    state[..., column] = np.nan
+        return original(self, rhs, i)
+
+    monkeypatch.setattr(_Ladder, "solve_values", solve_values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -602,7 +611,7 @@ class TestBlockedMeasurement:
             "rung_16.csv": "efd963a53b00aa46", "rung_32.csv": "d5443e7f68260f73"}
 
     def test_rung_fails_mid_block(self, monkeypatch, tmp_path):
-        _poison(monkeypatch, FiniteDifferenceOperators, 1, shape=(16,))
+        _poison_rung(monkeypatch, (16,), 1)
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert result.failure == (
             "seed 5, mesh 1: scheme run aborted: step 21: factorized solve "
@@ -612,7 +621,7 @@ class TestBlockedMeasurement:
             "rung_16.csv": "346c8c41bdef0ee8", "rung_32.csv": "346c8c41bdef0ee8"}
 
     def test_corrector_rung_fails_mid_block(self, monkeypatch, tmp_path):
-        _poison(monkeypatch, FiniteDifferenceOperators, 0, shape=(32,))
+        _poison_rung(monkeypatch, (32,), 0)
         result = run_corrector_experiment(self.CORRECTOR_SPEC)
         assert result.failure.startswith("seed 4, mesh 1: scheme run aborted: "
                                          "step 21: ")
@@ -623,8 +632,8 @@ class TestBlockedMeasurement:
     def test_two_meshes_fail_one_seed(self, monkeypatch):
         # mesh 1 drops seed 5 at step 10, mesh 0 at step 30: the report
         # names the coarser mesh, which fails later
-        _poison(monkeypatch, FiniteDifferenceOperators, 1, shape=(16,), step=10)
-        _poison(monkeypatch, FiniteDifferenceOperators, 1, shape=(8,), step=30)
+        _poison_rung(monkeypatch, (16,), 1, step=10)
+        _poison_rung(monkeypatch, (8,), 1, step=30)
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert result.failure == (
             "seed 5, mesh 0: scheme run aborted: step 30: factorized solve "
@@ -687,6 +696,13 @@ class TestLadder:
                                        build_scheme_example2, 1, 8, 3, (4, 5)),
         "2d-two-noises-example1": (_two_noise_problem,
                                     build_scheme_example1, 2, 4, 3, (8, 9)),
+        # up to 64^2, where one LU ordered by COLAMD on the whole block
+        # diagonal would round differently
+        "2d-example2-to-64": (_two_noise_problem, build_scheme_example2,
+                              2, 8, 4, (8, 9)),
+        # 128^2 is above the direct-solve limit: direct and GMRES rungs
+        "2d-gmres-top-rung": (_two_noise_problem, build_scheme_example1,
+                              2, 32, 3, (8, 9)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -736,6 +752,57 @@ class TestLadder:
                 for i in range(spec.n + 1):
                     assert got[i, k].tobytes() == alone.values[i].tobytes(), \
                         f"mesh {j}, path {k} differs at index {i}"
+
+    @pytest.mark.parametrize("name, mesh, step", [
+        ("1d-example1-S3", 1, 1), ("1d-time-dependent-example2", 0, 3)])
+    def test_singular_rung_fails_alone(self, name, mesh, step, monkeypatch):
+        """From ``step`` on, mesh ``mesh`` assembles a singular I - tau L^h:
+        that rung fails every column in its factorization's words and is
+        zeroed, and every other rung keeps the bits of its run alone."""
+        from spdefd import stepper
+        make, build, d, points0, rungs, seeds = self.CASES[name]
+        problem = make()
+        scheme = build(problem)
+        n = 12
+        tau = problem.T / n
+        grids = [make_torus_grid(d, [0.75] * d, [points0 * 2 ** j] * d)
+                 for j in range(rungs)]
+        increments = [sample_increments(n, problem.d1, tau, seed)
+                      for seed in seeds]
+        alone = [[run_space_time_scheme(problem, scheme, g, n, inc).values
+                  for inc in increments] for g in grids]
+
+        assemble, calls = stepper._assemble, []
+
+        def singular(terms, shape, tau=None):
+            matrix = assemble(terms, shape, tau)
+            if shape == grids[mesh].shape and tau is not None:
+                calls.append(shape)
+                if len(calls) >= step:
+                    # the same pattern, with an explicitly zero first column
+                    matrix = matrix.copy()
+                    matrix.data[matrix.indices == 0] = 0.0
+            return matrix
+
+        monkeypatch.setattr(stepper, "_assemble", singular)
+        ladder = stepper._Ladder([stepper.FiniteDifferenceOperators(
+            problem, g, tau, scheme) for g in grids])
+        marcher = stepper.Marcher(
+            problem, stepper.increment_columns(problem, n, increments), ladder)
+        for i in range(1, n + 1):
+            marcher.advance()
+            for j, state in enumerate(ladder.states(marcher.v)):
+                for k in range(len(seeds)):
+                    if j == mesh and i >= step:
+                        assert not state[..., k].any()
+                    else:
+                        assert state[..., k].tobytes() == \
+                            alone[j][k][i].tobytes(), f"mesh {j}, index {i}"
+        assert [list(failures) for failures in ladder.failures] == [
+            list(range(len(seeds))) if j == mesh else [] for j in range(rungs)]
+        assert {str(exc) for exc in ladder.failures[mesh].values()} == {
+            f"step {step}: factorization failed (Factor is exactly "
+            "singular); tau may not be small enough"}
 
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_operators_freed_without_gc(self, accelerate, monkeypatch):

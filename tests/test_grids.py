@@ -4,6 +4,7 @@ import pytest
 from spdefd.grids import (
     GridError,
     Stencil,
+    TorusGrid,
     basis_stencil,
     composed_difference,
     discrete_sobolev_norm,
@@ -44,6 +45,16 @@ class TestMakeTorusGrid:
     def test_rejects_bad_inputs(self, periods, points):
         with pytest.raises(GridError):
             make_torus_grid(1, periods, points)
+
+    @pytest.mark.parametrize("period", [np.inf, np.nan])
+    def test_rejects_non_finite_period(self, period):
+        with pytest.raises(GridError, match="periods must be positive and finite"):
+            make_torus_grid(1, [period], [8])
+
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_rejects_non_finite_mesh_width(self, h):
+        with pytest.raises(GridError, match="mesh width must be positive and finite"):
+            TorusGrid(1, h, (4,))
 
     def test_coordinates(self):
         g = make_torus_grid(1, [1.0], [4])

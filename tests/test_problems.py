@@ -235,6 +235,12 @@ class TestProblemValidation:
         with pytest.raises(ProblemError):
             DifferentialProblem(d=1, d1=0, T=0.0)
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ProblemError,
+                           match="horizon T must be positive and finite"):
+            DifferentialProblem(d=1, d1=0, T=T)
+
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ProblemError):
             DifferentialProblem(d=1, d1=0, T=1.0, a={(2, 1): 1.0})
