@@ -46,7 +46,6 @@ from .stepper import (
     Marcher,
     SchemeSampler,
     SolveFailure,
-    SpectralOperators,
     Trajectory,
     _fft,
     _frequency_mesh,
@@ -332,10 +331,9 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
 
     reference, factor = reference_marcher(problem, refgrid, xi, reference_mode,
                                           refine)
-    if reference_mode == "spectral-const-coef":
-        ops = SpectralOperators(problem, refgrid, tau)
-    else:
-        ops = FiniteDifferenceOperators(problem, refgrid, tau)
+    # the correctors solve with a spectral reference's own operators
+    ops = reference.operators if reference_mode == "spectral-const-coef" \
+        else FiniteDifferenceOperators(problem, [refgrid], tau)
     marchers = [Marcher(problem, xi, ops, zero_start=True)
                 for _ in range(k)]
     values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]

@@ -84,7 +84,6 @@ from .stepper import (
     Marcher,
     SolveFailure,
     SpectralModeError,
-    _Ladder,
     increment_columns,
     reference_marcher,
     run_space_time_scheme,  # unused: perfbench/check_bench.py reads it here
@@ -410,7 +409,7 @@ class _Replay:
     consecutive indices are slices."""
 
     def __init__(self, cs, grids):
-        self.cs, self.i, self.columns, self.failures = cs, 0, np.arange(1), {}
+        self.cs, self.i, self.failures = cs, 0, {}
         self.first = 0
         self.weighted = {g.shape: _weighted(
             [np.moveaxis(traj.restricted(cs.grid.shape[0] // g.shape[0]).values,
@@ -436,27 +435,22 @@ class _Reference:
     block; every coarser rung reads a strided view of that block."""
 
     def __init__(self, marcher: Marcher, grid):
-        self.marcher, self.grid, self.failures = marcher, grid, marcher.failures
-        self.factor = marcher.grid.shape[0] // grid.shape[0]
-        self.width = marcher.columns.size
-        self.block = np.empty(grid.shape + (FORCING_BLOCK_ROWS, self.width))
-
-    @property
-    def columns(self) -> np.ndarray:
-        return self.marcher.columns
+        self.marcher, self.grid = marcher, grid
+        self.failures = marcher.failures[0]
+        self.factor = marcher.operators.grids[0].shape[0] // grid.shape[0]
+        self.block = np.empty(grid.shape + (FORCING_BLOCK_ROWS,
+                                            marcher.v.shape[-1]))
 
     def advance(self) -> None:
         self.marcher.advance()
 
     def record(self, slot: int) -> None:
-        # the live columns of the block's indices, which a column that
-        # fails at the next index does not change
-        self.width = self.columns.size
-        self.block[..., slot, :self.width] = _restricted(
-            self.marcher.v, self.factor, self.grid.dim)
+        state = self.marcher.operators.states(self.marcher.v)[0]
+        self.block[..., slot, :] = _restricted(state, self.factor,
+                                               self.grid.dim)
 
     def terms(self, grid, rows: int) -> list:
-        return [_restricted(self.block[..., :rows, :self.width],
+        return [_restricted(self.block[..., :rows, :],
                             self.grid.shape[0] // grid.shape[0], grid.dim)]
 
 
@@ -465,36 +459,37 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     """The rung loop of both studies; returns the result and the target.
 
     ``make_target(grids, xi, increments)`` gives the target.  It steps like
-    a :class:`Marcher` (``advance``, ``columns``, ``failures``);
+    a :class:`Marcher` (``advance``, and ``failures`` keyed by column);
     ``record(slot)`` keeps its current index in a slot of the block, and
     ``terms(grid, rows)`` gives the weighted expansion terms (h^m/m!) v^(m)
     of the first ``rows`` slots on a rung's grid, each ``grid.shape +
-    (rows, live columns)``.
+    (rows, S)``.
 
-    The rungs march as one packed state: a :class:`stepper._Ladder` of
-    their lattice operators under one :class:`Marcher`, which makes one
-    explicit step and one block LU solve for the whole ladder (GMRES rungs
-    solve apart), with the bits of each rung marched alone.  Ladder and
-    target march in lock-step, and the errors are reduced per block of
-    steps.  The packed state of each index is copied into a slot of one
-    ``(sum of npoints, B, S)`` array (B =
-    :data:`correctors.FORCING_BLOCK_ROWS`), whose rows give each rung's
+    The rungs march as one packed state: one
+    :class:`stepper.FiniteDifferenceOperators` on the whole ladder under
+    one :class:`Marcher`, which makes one explicit step and one block LU
+    solve for the whole ladder (GMRES rungs solve apart), with the bits of
+    each rung marched alone.  Ladder and target march in lock-step, and
+    the errors are reduced per block of steps.  The packed state of each
+    index is copied into a slot of one ``(sum of npoints, B, S)`` array (B
+    = :data:`correctors.FORCING_BLOCK_ROWS`), whose rows give each rung's
     ``grid.shape + (B, S)`` block; an extrapolation partner is restricted
-    when it is read.  A block is measured when it is
-    full, before the target's live columns change, and at the end of the
-    march: every rung's candidate (the rung, or its extrapolation by
-    ``weights``) less the target's terms (:func:`correctors._remainder`)
-    goes through one :func:`grids._norms` call, and the maxima over the
-    block are folded into running per-seed maxima.  Each (index, path) is one contiguous row of that call, so
-    every norm has the bits of measuring its index alone.
+    when it is read.  A block is measured when it is full, before the
+    target's live columns (those it has not failed) change, and at the end
+    of the march: every rung's candidate (the rung, or its extrapolation by
+    ``weights``) less the target's terms (:func:`correctors._remainder`),
+    over the live columns, goes through one :func:`grids._norms` call, and
+    the maxima over the block are folded into running per-seed maxima.
+    Each (index, path) is one contiguous row of that call, so every norm
+    has the bits of measuring its index alone.
 
-    A rung's failure drops that seed from that rung alone (the ladder keeps
-    its failures per rung), and the target stops at the first.  The first
-    failing (seed, mesh) pair in seed-major order is reported, target
-    failures only when every rung succeeded, and a failure the target
-    raises while it is built as itself.  A spectral target on
-    variable coefficients, and a corrector target the reference grid cannot
-    resolve, are configuration errors.
+    The marcher's failure record holds a dict per rung: a rung's failure
+    fails that seed on that rung alone, whose column is zeroed, and the
+    target stops at the first.  The first failing (seed, mesh) pair in
+    seed-major order is reported, target failures only when every rung
+    succeeded, and a failure the target raises while it is built as
+    itself.  A spectral target on variable coefficients, and a corrector
+    target the reference grid cannot resolve, are configuration errors.
     """
     level = 0 if weights is None else weights.level
     grids = ladder_grids(spec, problem, extra=level)
@@ -507,8 +502,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   if problem.d1 > 0 else None for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    ladder = _Ladder([FiniteDifferenceOperators(problem, g, tau, scheme)
-                      for g in grids])
+    ladder = FiniteDifferenceOperators(problem, grids, tau, scheme)
     marcher = Marcher(problem, xi, ladder)
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
@@ -530,7 +524,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                      for m in range(level + 1)]
             candidate = (views[0] if weights is None
                          else _combine(views, weights.beta))
-            err = _remainder(candidate[..., cols], target.terms(grid, rows))
+            err = _remainder(candidate[..., cols],
+                             [term[..., cols] for term in target.terms(grid, rows)])
             # one contiguous row per (index, path), as _norms needs
             s, l = _norms(np.ascontiguousarray(
                 err.reshape(-1, rows * live.size).T), grid.h ** grid.dim)
@@ -542,9 +537,11 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     def record():
         nonlocal filled, live
         # a block holds indices with the same live target columns
-        if filled and target.columns.size != live.size:
+        now = np.array([k for k in range(len(paths))
+                        if k not in target.failures], dtype=int)
+        if filled and now.size != live.size:
             flush()
-        live = target.columns
+        live = now
         if not live.size:
             return
         packed[:, filled, :] = marcher.v
@@ -568,7 +565,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
             marcher.advance()
             # once a rung failed, the study reports that failure: the rungs
             # march on only to find the first failing pair
-            if not any(ladder.failures):
+            if not any(marcher.failures):
                 target.advance()
                 record()
         flush()
@@ -578,7 +575,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         return failed(str(exc)), None
 
     for k, seed in zip(column, seeds):
-        for j, failures in enumerate(ladder.failures):
+        for j, failures in enumerate(marcher.failures):
             if k in failures:
                 return failed(f"seed {seed}, mesh {j}: {failures[k]}"), target
 

@@ -6,32 +6,28 @@ free terms on the right-hand side are taken explicitly at the previous index:
     v_i = v_{i-1} + (L v_i + f_i) tau + sum_rho (M^rho v_{i-1} + g^rho_{i-1}) xi^rho_i
 
 There is one implementation of that step, :class:`Marcher`, and it steps
-``S`` Wiener paths at once: its state is one ``grid.shape + (S,)`` array
-with a column per path.  Its operators (:class:`FiniteDifferenceOperators`
-or :class:`SpectralOperators`) carry the ``grid`` and the step ``tau`` it
-marches with, evaluate u0 and the free terms on the grid (``sample``,
-``evaluate``), and supply ``apply_M_values``, ``solve_values`` and
-``keeps_zero``.  The operator kernels (``_apply_M_values``, the
-lattice and spectral solves) act on the spatial axes and carry the trailing
-column axis along, so every column gets the same bits as a run of that path
-alone.  ``apply_L`` is a one-field wrapper over the lattice operator.
+``S`` Wiener paths at once, a column per path.  Its operators carry tau and
+the lattices, evaluate u0 and the free terms there (``sample``,
+``evaluate``), and supply ``apply_M_values``, ``solve_values``,
+``keeps_zero`` and ``states``, each lattice's ``grid.shape + (S,)`` view of
+a state.  The kernels carry the column axis along, so every column gets the
+bits of a run of that path alone.  :class:`FiniteDifferenceOperators` acts
+on a mesh ladder h, h/2, ... as one packed ``(sum of npoints, S)`` state,
+with one explicit step and one sparse LU solve for the rungs that solve
+directly, each rung with the bits of its own LU; a single grid is a
+one-rung ladder.  :class:`SpectralOperators` is exact per Fourier mode on
+one grid.  The marcher owns one failure record for both,
+``failures[r][column]`` per lattice r: a failed column is zeroed in place,
+and the operators read the record to skip what has failed.
 
-A study's mesh ladder h, h/2, ... marches as one state: ``_Ladder`` packs
-the rungs' states into one ``(sum of npoints, S)`` array, so a single
-marcher makes one explicit step for every rung (M^{h,rho} as flat gathers
-of the packed state) and then one sparse LU solve for all the rungs that
-solve directly: the block diagonal of their ``I - tau L^h``, each block in
-its own LU's column order, so each rung keeps the bits of its run alone.
 ``run_space_time_scheme`` and ``run_reference_time_scheme`` march one
-column and return its states as a :class:`Trajectory`, one
-``(n + 1,) + grid.shape`` array.  The corrector
-system marches on the same class, from a zero state and with its own
-forcing in place of the free terms f and g.  Such a marcher skips the
-steps whose forcing is zero while its state is still the +0.0 it started
-from, where the operators' solve maps a zero right-hand side to +0.0: the
-step would leave the state as it is, so the bits are those of the step.
-The lattice shifts inside ``_apply_M_values`` are gathers through cached
-wrap indices (``grids._shifted``).
+column and return its states as a :class:`Trajectory`, one ``(n + 1,) +
+grid.shape`` array.  The corrector system marches on the same class, from
+a zero state and with its own forcing in place of the free terms f and g.
+Such a marcher skips the steps whose forcing is zero while its state is
+still the +0.0 it started from, where the operators' solve maps a zero
+right-hand side to +0.0: the step would leave the state as it is, so the
+bits are those of the step.
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled once per operator into the sparse matrix
@@ -42,7 +38,8 @@ column).  GMRES is preconditioned by the FFT inverse of the circulant with
 the mean weights, which is exact when the coefficients are constant.
 Failures surface as :class:`SolveFailure` (the scheme is only solvable for
 small enough tau), including a step whose result holds a NaN or inf, and
-are never papered over by regularization.
+are never papered over by regularization.  ``apply_L`` is a one-field
+wrapper over the assembled L^h.
 
 The reference solution of the time-discretized PDE is realized exactly per
 Fourier mode when the coefficients are constant in space (an FFT over the
@@ -53,6 +50,8 @@ order, without its per-call argument handling.
 """
 
 import functools
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -68,7 +67,6 @@ from .grids import (
     _require_finite,
     _restricted,
     _shifted,
-    _symmetric_values,
 )
 from .problems import (
     DifferenceScheme,
@@ -171,16 +169,6 @@ class SchemeSampler:
                 self._cache.clear()  # keep at most the current step
             self._cache[key] = got
         return got
-
-
-def _apply_M_values(arrays: dict, values: np.ndarray, h: float, rho: int,
-                    dim: int) -> np.ndarray:
-    """M^{h,rho} over the first ``dim`` axes of ``values``, per column."""
-    out = np.zeros(values.shape)
-    for (lam, r), coef in arrays["b"].items():
-        if r == rho:
-            out += coef[..., None] * _symmetric_values(values, lam, h, dim)
-    return out
 
 
 def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
@@ -505,31 +493,39 @@ def _aborted(exc: SolveFailure) -> SolveFailure:
     return failure
 
 
-def _solved(operators, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
-    """The solve at step i of every column of ``rhs`` and the failures a
-    marcher records, keyed by column: a failure of the whole step (a
-    singular operator) fails every column in its own words, and a column
-    whose own solve failed is aborted."""
-    try:
-        v, failed = operators.solve_values(rhs, i)
-    except SolveFailure as exc:
-        return rhs, dict.fromkeys(range(rhs.shape[-1]), exc)
-    return v, {k: _aborted(exc) for k, exc in failed.items()}
+def _fail(failures: dict, exc: SolveFailure, width: int) -> None:
+    """Fail, in the words of ``exc``, every column of a lattice that has not
+    failed yet: the whole solve of the lattice failed."""
+    for k in range(width):
+        failures.setdefault(k, exc)
+
+
+def _abort_nonfinite(x: np.ndarray, failures: dict, what: str,
+                     step: int) -> None:
+    """Abort every column of a lattice's solution ``x`` (rows first, a
+    column per path) that holds a NaN or inf and has not failed yet."""
+    for k, exc in _nonfinite_columns(x, x.ndim - 1, what, step).items():
+        failures.setdefault(k, _aborted(exc))
 
 
 class Marcher:
     """The implicit Euler recursion for ``S`` Wiener paths in lock-step.
 
-    The state ``v`` is one ``grid.shape + (S,)`` array, a column per path,
-    starting from the problem's u0, or from zero with ``zero_start``.
-    ``operators`` supplies the grid, the step tau, u0 and the free terms on
-    its lattice, M^rho and the implicit solve (lattice, spectral, or a
-    ``_Ladder`` of lattices, whose state is packed and which has no one
-    grid); the right-hand side is assembled here for all of them.  A
-    failure of the whole step (a singular operator) fails every
-    column; a column whose own solve fails is recorded in ``failures``
-    under its path index and dropped, while the others march on.
-    ``columns`` lists the path indices still in ``v``.
+    The state ``v`` is one ``operators.shape + (S,)`` array, a column per
+    path, starting from the problem's u0, or from zero with ``zero_start``.
+    ``operators`` (:class:`FiniteDifferenceOperators` on a ladder of one or
+    more lattices, or :class:`SpectralOperators`) supplies the lattices,
+    the step tau, u0 and the free terms on its lattices, M^rho and the
+    implicit solve; the right-hand side is assembled here for all of them.
+
+    ``failures`` is the one failure record, a dict per lattice keyed by
+    column (``failures[r][column]``), and the solve fills it in: a failure
+    of a lattice's whole solve (a singular operator) fails every column of
+    that lattice in its own words, and a column whose own solve fails is
+    aborted.  A failed column is zeroed in place after each step and
+    marches on, so no column leaves the state; the operators read the
+    record to skip what has failed.  A marcher whose every column has
+    failed no longer steps.
 
     A marcher started from zero skips every step whose forcing (``f`` and
     every part of ``g``) is zero for as long as its state has never left
@@ -549,23 +545,18 @@ class Marcher:
         self.tau = operators.tau
         self.xi = xi
         self.operators = operators
-        self.columns = np.arange(xi.shape[-1])
         self._at_zero = zero_start
         if zero_start:
-            self.v = np.zeros(operators.grid.shape + (xi.shape[-1],))
+            self.v = np.zeros(operators.shape + (xi.shape[-1],))
         else:
             self.v = np.repeat(operators.sample(problem.u0)[..., None],
                                xi.shape[-1], axis=-1)
-        self.failures = {}
+        self.failures = [{} for _ in operators.grids]
         self.i = 0
         self._free = None
         if isinstance(problem.f, _Constant) and all(
                 isinstance(ev, _Constant) for ev in problem.g.values()):
             self._free = self._free_terms(1)
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.operators.grid
 
     def _free_terms(self, i: int) -> tuple:
         """The problem's f_i and, per driver, the parts of g^rho_{i-1}."""
@@ -574,14 +565,16 @@ class Marcher:
                 [(evaluate(p.g_at, rho, i - 1),) for rho in range(1, p.d1 + 1)])
 
     def advance(self, f: np.ndarray | None = None, g: list | None = None) -> None:
-        """Step every live column from index i to i + 1.
+        """Step every column from index i to i + 1.
 
-        ``f`` (a ``grid.shape`` array) and ``g`` (per driver, the arrays
-        that make up g^rho) stand in for the problem's free terms f_{i+1}
-        and g^rho_i; each is the same for every column.
+        ``f`` (an ``operators.shape`` array) and ``g`` (per driver, the
+        arrays that make up g^rho) stand in for the problem's free terms
+        f_{i+1} and g^rho_i; each is the same for every column.
         """
         i = self.i = self.i + 1
-        if not self.columns.size:
+        width = self.v.shape[-1]
+        if any(self.failures) and all(len(failed) == width
+                                      for failed in self.failures):
             return
         if f is None or g is None:
             free_f, free_g = self._free or self._free_terms(i)
@@ -593,33 +586,36 @@ class Marcher:
             return
         self._at_zero = False
         rhs = _explicit_rhs(
-            self.v, self.tau, f, g, self.xi[i - 1][:, self.columns],
+            self.v, self.tau, f, g, self.xi[i - 1],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
-        v, failed = _solved(self.operators, rhs, i)
-        if failed:
-            for k, exc in failed.items():
-                self.failures[int(self.columns[k])] = exc
-            keep = np.ones(self.columns.size, dtype=bool)
-            keep[list(failed)] = False
-            self.columns, v = self.columns[keep], v[..., keep]
-        self.v = v
+        self.v = self.operators.solve_values(rhs, i, self.failures)
+        if any(self.failures):
+            for view, failed in zip(self.operators.states(self.v),
+                                    self.failures):
+                view[..., list(failed)] = 0.0
 
 
 def _march_path(marcher: Marcher, states: np.ndarray, stop: int,
                 factor: int = 1, f=None, g=None) -> np.ndarray:
-    """Step a one-column marcher to index ``stop``, storing each state from
-    its current one on, restricted by ``factor`` per axis, in row i of
-    ``states``; the first failure is raised.  ``f`` and ``g``, if given,
-    hold the :meth:`Marcher.advance` arguments of those steps a row each
-    (``g`` per driver, its parts)."""
-    dim = states.ndim - 1
-    states[marcher.i] = _restricted(marcher.v[..., 0], factor, dim)
+    """Step a one-column marcher on one lattice to index ``stop``, storing
+    each state from its current one on, restricted by ``factor`` per axis,
+    in row i of ``states``; the first failure is raised.  ``f`` and ``g``,
+    if given, hold the :meth:`Marcher.advance` arguments of those steps on
+    the lattice's grid, a row each (``g`` per driver, its parts)."""
+    dim, shape = states.ndim - 1, marcher.operators.shape
+
+    def store():
+        state = marcher.operators.states(marcher.v)[0][..., 0]
+        states[marcher.i] = _restricted(state, factor, dim)
+
+    store()
     for r in range(stop - marcher.i):
-        marcher.advance(*(() if f is None else
-                          (f[r], [[part[r] for part in parts] for parts in g])))
-        if marcher.failures:
-            raise marcher.failures[0]
-        states[marcher.i] = _restricted(marcher.v[..., 0], factor, dim)
+        marcher.advance(*(() if f is None else (
+            f[r].reshape(shape),
+            [[part[r].reshape(shape) for part in parts] for parts in g])))
+        if marcher.failures[0]:
+            raise marcher.failures[0][0]
+        store()
     return states
 
 
@@ -631,7 +627,7 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     if n < 1:
         raise ValueError("need at least one time step")
     tau = problem.T / n
-    ops = FiniteDifferenceOperators(problem, grid, tau, scheme, solver_mode)
+    ops = FiniteDifferenceOperators(problem, [grid], tau, scheme, solver_mode)
     marcher = Marcher(problem, increment_columns(problem, n, [increments]), ops)
     return Trajectory(grid=grid, tau=tau, values=_march_path(
         marcher, np.empty((n + 1,) + grid.shape), n))
@@ -675,8 +671,31 @@ def _constant_value(values: np.ndarray, what: str) -> float:
     return float(values.flat[0]) if values.size else 0.0
 
 
-class _OneLattice:
-    """What a :class:`Marcher` evaluates on the one grid of its operators."""
+class SpectralOperators:
+    """Exact per-mode realization of the continuous operators on a torus grid.
+
+    Only valid for coefficients constant in space (checked); serves both the
+    reference time-scheme run and the corrector system's implicit solves.
+    Its one lattice is ``grid``, and its state is one ``grid.shape + (S,)``
+    array, a column per trailing index, on which the ``*_values`` methods
+    act.
+    """
+
+    def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float):
+        self.problem = problem
+        self.grid = grid
+        self.grids = [grid]
+        self.shape = grid.shape
+        self.tau = float(tau)
+        self._freq = _frequency_mesh(grid)
+        self._axes = tuple(range(grid.dim))
+        self._cache = {}
+        self._denominator_of = (None, None)     # (symL, its 1 - tau symL)
+        self._keeps_zero = {}
+
+    def states(self, v: np.ndarray) -> list:
+        """The one lattice's view of a state: the state itself."""
+        return [v]
 
     def sample(self, fn) -> np.ndarray:
         """``fn`` on the lattice coordinates, checked by ``grid.sample``."""
@@ -686,26 +705,6 @@ class _OneLattice:
         """``fn(*args, x)`` on the lattice coordinates x, as a ``grid.shape``
         array."""
         return fn(*args, self.grid.coordinates) * np.ones(self.grid.shape)
-
-
-class SpectralOperators(_OneLattice):
-    """Exact per-mode realization of the continuous operators on a torus grid.
-
-    Only valid for coefficients constant in space (checked); serves both the
-    reference time-scheme run and the corrector system's implicit solves.
-    The ``*_values`` methods act on the first ``d`` axes of an array with one
-    column per trailing index.
-    """
-
-    def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float):
-        self.problem = problem
-        self.grid = grid
-        self.tau = float(tau)
-        self._freq = _frequency_mesh(grid)
-        self._axes = tuple(range(grid.dim))
-        self._cache = {}
-        self._denominator_of = (None, None)     # (symL, its 1 - tau symL)
-        self._keeps_zero = {}
 
     def symbols(self, i: int):
         key = 0 if self.problem.time_independent else i
@@ -760,11 +759,17 @@ class SpectralOperators(_OneLattice):
         hat /= denom[..., None]
         return np.real(_fft(hat, self._axes, inverse=True))
 
-    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
-        """(I - tau L)^{-1} per column, exactly per Fourier mode; returns the
-        solution and the failures keyed by column."""
-        x = self._solve(rhs, i)
-        return x, _nonfinite_columns(x, self.grid.dim, "spectral solve", i)
+    def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
+        """(I - tau L)^{-1} per column, exactly per Fourier mode; the
+        failures go into the marcher's record ``failures`` (see
+        :class:`Marcher`)."""
+        try:
+            x = self._solve(rhs, i)
+        except SolveFailure as exc:
+            _fail(failures[0], exc, rhs.shape[-1])
+            return rhs
+        _abort_nonfinite(x, failures[0], "spectral solve", i)
+        return x
 
     def keeps_zero(self, i: int) -> bool:
         """Whether the solve at step i maps a +0.0 right-hand side to +0.0,
@@ -788,121 +793,88 @@ class SpectralOperators(_OneLattice):
 
 
 
-class FiniteDifferenceOperators(_OneLattice):
-    """Lattice operators of a difference scheme on one grid: M^rho, and the
-    implicit solve by sparse LU or GMRES.  Without a scheme, the centred
-    scheme at the grid's own (fine) mesh stands in for the continuous L and
-    M^rho.  The ``*_values`` methods act on the first ``d`` axes of an array
-    with one column per trailing index."""
+class FiniteDifferenceOperators:
+    """The lattice operators of one difference scheme on a mesh ladder h,
+    h/2, ... (a single grid is a one-rung ladder), all with one tau and one
+    solver mode: u0 and the free terms, M^{h,rho}, and the implicit solve
+    by sparse LU or GMRES.  Without a scheme, the centred scheme at each
+    grid's own (fine) mesh stands in for the continuous L and M^rho.
 
-    def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float,
-                 scheme: DifferenceScheme | None = None, mode: str = "auto"):
-        self.problem = problem
-        self.grid = grid
-        self.tau = float(tau)
-        self.scheme = build_scheme_example1(problem) if scheme is None else scheme
-        self.mode = mode
-        self.sampler = SchemeSampler(self.scheme, grid)
-        self._op = None
-        self._op_index = None
-
-    def _operator(self, i: int) -> ImplicitOperator:
-        if self._op is None or (not self.scheme.time_independent
-                                and self._op_index != i):
-            self._op = ImplicitOperator(self.scheme, self.grid, self.tau, i,
-                                        mode=self.mode, sampler=self.sampler)
-            self._op_index = i
-        return self._op
-
-    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
-        return self._operator(i).solve_columns(rhs, i)
-
-    def keeps_zero(self, i: int) -> bool:
-        """Whether the solve at step i maps a +0.0 right-hand side to +0.0."""
-        try:
-            return self._operator(i).keeps_zero
-        except SolveFailure:
-            return False
-
-    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        if not 1 <= rho <= self.scheme.d1:
-            raise GridError(f"driver index {rho} out of range 1..{self.scheme.d1}")
-        return _apply_M_values(self.sampler.arrays(i), values, self.grid.h, rho,
-                               self.grid.dim)
-
-
-class _Ladder:
-    """The lattice operators of a mesh ladder h, h/2, ... acting on one
-    packed state.
-
-    ``rungs`` holds one :class:`FiniteDifferenceOperators` per lattice, all
-    with the same scheme and tau.  The packed state is one ``(sum of
-    npoints, S)`` array: each rung's ``grid.shape + (S,)`` state, flattened
-    row-major, the rungs one after another; :meth:`states` gives the rungs'
-    views of it.  So one :class:`Marcher` steps the whole ladder with one
-    explicit step: the free terms and u0 are evaluated on each rung's own
-    grid and concatenated, and M^{h,rho} is one flat gather per term and
-    sign of shift, divided by each entry's own 2h.  The gather indices are
-    the wrap gathers (``grids._shifted``) of each rung's index lattice, so
-    every entry has the bits of ``_apply_M_values`` on its rung.
+    The state is packed: one ``(sum of npoints, S)`` array, each rung's
+    ``grid.shape + (S,)`` state flattened row-major, the rungs one after
+    another (:meth:`states` gives the rungs' views).  u0 and the free terms
+    are evaluated per rung and concatenated, and M^{h,rho} is one flat
+    gather per term and sign of shift (the wrap gathers ``grids._shifted``
+    of each rung's index lattice), divided by each entry's own 2h.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side,
-    and one NaN/inf check covers its solution.  Each block has its columns
-    in the order that the rung's own LU eliminates them (COLAMD and its
-    postorder, read from a factorization of the rung alone, once: the
-    order depends on the sparsity pattern alone), and the block diagonal is
-    factored in its natural order, so every rung gets the pivots, the
-    supernodes and the bits of its own LU.  A time-dependent scheme
-    refactors the block at every step.  Rungs in GMRES mode solve their
-    own views through their own operators.
+    and one NaN/inf check covers its solution.  A block of one rung is that
+    rung's own LU (COLAMD order).  In a block of several, each block has its
+    columns in the order of the rung's own LU (COLAMD and its postorder,
+    read once from a factorization of the rung alone: it depends on the
+    sparsity pattern alone) and the block diagonal is factored in its
+    natural order, so every rung gets the pivots and the bits of its own
+    LU.  A time-dependent scheme refactors at every step.  GMRES rungs
+    solve column by column through their own :class:`ImplicitOperator`.
 
-    A failure is recorded per rung and column in ``failures`` (one dict per
-    rung, as :class:`Marcher` records it), and that rung's column is zeroed
-    from then on; the other rungs march the column on, and no column leaves
-    the packed state.  A rung whose own factorization fails fails every
-    column in that factorization's words and leaves the block.
+    The solve fills the failure record of the marcher it serves (see
+    :class:`Marcher`), which is passed in since marchers may share one
+    operators object, and reads it: a rung whose every column has failed
+    is not factored again, and a failed column gets no GMRES solve.  A rung
+    whose factorization fails fails every column in its words.
     """
 
-    def __init__(self, rungs: list):
-        self.rungs = rungs
-        self.tau = rungs[0].tau
-        self.failures = [{} for _ in rungs]
-        sizes = [ops.grid.npoints for ops in rungs]
+    def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
+                 scheme: DifferenceScheme | None = None, mode: str = "auto"):
+        self.problem = problem
+        self.grids = list(grids)
+        self.tau = float(tau)
+        self.scheme = build_scheme_example1(problem) if scheme is None else scheme
+        self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
+        sizes = [g.npoints for g in self.grids]
         starts = np.cumsum([0] + sizes)
+        self.shape = (int(starts[-1]),)
         self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
-        self._two_h = np.repeat([2.0 * ops.grid.h for ops in rungs], sizes)
+        self._two_h = np.repeat([2.0 * g.h for g in self.grids], sizes)
         self._gathers = {}
         self._terms_key, self._terms = None, None
-        modes = [_solver_mode(ops.mode, ops.grid) for ops in rungs]
-        self._direct = [r for r, mode in enumerate(modes) if mode == "direct"]
-        self._iterative = [r for r, mode in enumerate(modes)
-                           if mode == "iterative"]
+        modes = [_solver_mode(mode, g) for g in self.grids]
+        self._direct = [r for r, m in enumerate(modes) if m == "direct"]
+        # rung -> (time key, its GMRES operator)
+        self._gmres = {r: (None, None) for r, m in enumerate(modes)
+                       if m == "iterative"}
         self._orders = {}                   # rung -> its LU's column order
-        self._lu_key, self._lu = None, None
+        self._lu_key, self._lu, self._keeps_zero = None, None, None
         self._block, self._block_rows, self._block_columns = [], None, None
+
+    def _key(self, i: int) -> int:
+        return 0 if self.scheme.time_independent else i
 
     def states(self, v: np.ndarray) -> list:
         """Each rung's ``grid.shape + v.shape[1:]`` view of the packed rows
         of ``v``."""
-        return [v[rows].reshape(ops.grid.shape + v.shape[1:])
-                for ops, rows in zip(self.rungs, self._rows)]
+        return [v[rows].reshape(grid.shape + v.shape[1:])
+                for grid, rows in zip(self.grids, self._rows)]
 
     def sample(self, fn) -> np.ndarray:
-        return np.concatenate([ops.sample(fn).ravel() for ops in self.rungs])
+        """``fn`` on every rung's coordinates, checked by ``grid.sample``,
+        packed."""
+        return np.concatenate([g.sample(fn).values.ravel() for g in self.grids])
 
     def evaluate(self, fn, *args) -> np.ndarray:
-        return np.concatenate([ops.evaluate(fn, *args).ravel()
-                               for ops in self.rungs])
+        """``fn(*args, x)`` on every rung's coordinates x, packed."""
+        return np.concatenate([(fn(*args, g.coordinates) * np.ones(g.shape)).ravel()
+                               for g in self.grids])
 
     def _gather(self, lam, s: int) -> np.ndarray:
         """Packed index of the entry each entry's shift by ``s*h*lam`` reads."""
         key = (lam, s)
         if key not in self._gathers:
             self._gathers[key] = np.concatenate([
-                _shifted(np.arange(rows.start, rows.stop).reshape(ops.grid.shape),
-                         lam, s, ops.grid.dim).ravel()
-                for ops, rows in zip(self.rungs, self._rows)])
+                _shifted(np.arange(rows.start, rows.stop).reshape(grid.shape),
+                         lam, s, grid.dim).ravel()
+                for grid, rows in zip(self.grids, self._rows)])
         return self._gathers[key]
 
     def _M_terms(self, i: int, width: int) -> tuple:
@@ -911,9 +883,9 @@ class _Ladder:
         of the - shift), in the order of the scheme's b; lam = 0 has no
         gathers.  2h and the coefficients are repeated across the columns,
         so every product is of two arrays of one shape."""
-        key = (0 if self.rungs[0].scheme.time_independent else i, width)
+        key = (self._key(i), width)
         if self._terms_key != key:
-            arrays = [ops.sampler.arrays(i)["b"] for ops in self.rungs]
+            arrays = [sampler.arrays(i)["b"] for sampler in self.samplers]
             terms = []
             for lam, rho in arrays[0]:
                 coef = np.concatenate([b[lam, rho].ravel() for b in arrays])
@@ -926,6 +898,8 @@ class _Ladder:
         return self._terms
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        if not 1 <= rho <= self.scheme.d1:
+            raise GridError(f"driver index {rho} out of range 1..{self.scheme.d1}")
         out = np.zeros(values.shape)
         two_h, terms = self._M_terms(i, values.shape[1])
         for r, coef, plus, minus in terms:
@@ -934,109 +908,131 @@ class _Ladder:
             if plus is None:
                 out += coef * values
                 continue
-            # coef * ((T_+ v - T_- v) / 2h), in place
-            term = np.take(values, plus, axis=0)
-            term -= np.take(values, minus, axis=0)
+            # coef * ((T_+ v - T_- v) / 2h), in place; every index is in
+            # range, so "clip" only skips the bounds check
+            term = np.take(values, plus, axis=0, mode="clip")
+            term -= np.take(values, minus, axis=0, mode="clip")
             term /= two_h
             term *= coef
             out += term
         return out
 
-    def _fail(self, r: int, exc: SolveFailure, width: int) -> None:
-        """Fail every column of rung r that has not failed yet."""
-        for k in range(width):
-            self.failures[r].setdefault(k, exc)
+    def _factor(self, i: int, live: list) -> dict:
+        """Factor the block diagonal of the direct rungs ``live`` at step i,
+        unless the factors at hand are theirs, and return the failures of
+        the rungs whose factorization failed, keyed by rung.
 
-    def _factor(self, i: int, width: int):
-        """The LU factors of the block diagonal of the live direct rungs at
-        step i, or None when no such rung is left.  ``_block`` lists those
-        rungs, ``_block_rows`` their packed rows, and row j of the block's
-        solution is packed row ``_block_columns[j]``.
-
-        A rung whose own factorization fails leaves the block.  A singular
-        block is singular in a rung of its own, since its blocks have their
-        rungs' bits: each rung is then factored alone, and those that fail
-        leave the block, which is factored again."""
-        key = 0 if self.rungs[0].scheme.time_independent else i
-        if self._lu_key == key:
-            return self._lu
-        self._lu_key, matrices = key, {}
-        for r in self._direct:
-            if len(self.failures[r]) == width:
-                continue
-            ops = self.rungs[r]
-            matrix = _assemble(_expansion_terms(
-                ops.sampler.arrays(i), ops.grid.h, ops.grid.dim),
-                ops.grid.shape, self.tau).tocsc()
-            if r not in self._orders:
-                try:
-                    self._orders[r] = np.argsort(_factors(matrix, i).perm_c)
-                except SolveFailure as exc:
-                    self._fail(r, exc, width)
-                    continue
-            matrices[r] = matrix
-        self._lu = None
+        ``_lu`` holds the factors (None when no rung is left), ``_block``
+        their rungs and ``_block_rows`` those rungs' packed rows; row j of
+        the block's solution is packed row ``_block_columns[j]``, or row j
+        of ``_block_rows`` for a block of one rung.  A singular block is
+        singular in a rung of its own, since its blocks have their rungs'
+        bits: each rung is then factored alone, and those that fail leave
+        the block, which is factored again."""
+        if self._lu_key == (self._key(i), live):
+            return {}
+        matrices = {}
+        for r in live:
+            grid = self.grids[r]
+            matrices[r] = _assemble(_expansion_terms(
+                self.samplers[r].arrays(i), grid.h, grid.dim),
+                grid.shape, self.tau).tocsc()
+        self._lu, self._keeps_zero = None, None
+        broken = {}
         while matrices and self._lu is None:
             try:
-                self._lu = _factors(sp.block_diag(
-                    [m[:, self._orders[r]] for r, m in matrices.items()],
-                    format="csc"), i, permc_spec="NATURAL")
+                self._lu = self._block_factors(matrices, i)
             except SolveFailure as exc:
                 failed = {}
-                for r, m in matrices.items():
+                for r, m in matrices.items() if len(matrices) > 1 else ():
                     try:
                         _factors(m, i)
                     except SolveFailure as own:
                         failed[r] = own
                 # should no rung fail alone, the block's failure is theirs
                 for r, own in (failed or dict.fromkeys(matrices, exc)).items():
-                    self._fail(r, own, width)
+                    broken[r] = own
                     del matrices[r]
-        if matrices:
-            self._block = list(matrices)
+        self._block = list(matrices)
+        self._lu_key = (self._key(i), self._block)
+        if self._block:
             rows = np.concatenate([np.arange(self._rows[r].start,
                                              self._rows[r].stop)
                                    for r in self._block])
             # a slice where the block's rungs are adjacent, as they mostly are
             self._block_rows = slice(rows[0], rows[-1] + 1) \
                 if rows[-1] - rows[0] + 1 == rows.size else rows
-            self._block_columns = np.concatenate(
-                [self._rows[r].start + self._orders[r] for r in self._block])
-        return self._lu
+            self._block_columns = None if len(self._block) == 1 else \
+                np.concatenate([self._rows[r].start + self._orders[r]
+                                for r in self._block])
+        return broken
 
-    def solve_values(self, rhs: np.ndarray, i: int) -> tuple[np.ndarray, dict]:
+    def _block_factors(self, matrices: dict, i: int):
+        """The LU factors of the block diagonal of ``matrices`` (rung ->
+        CSC matrix): one rung's own, or the natural-order factors of the
+        blocks in their rungs' own column orders."""
+        if len(matrices) == 1:
+            return _factors(*matrices.values(), i)
+        for r, m in matrices.items():
+            if r not in self._orders:
+                self._orders[r] = np.argsort(_factors(m, i).perm_c)
+        return _factors(sp.block_diag(
+            [m[:, self._orders[r]] for r, m in matrices.items()],
+            format="csc"), i, permc_spec="NATURAL")
+
+    def _iterative(self, r: int, i: int) -> ImplicitOperator:
+        """The GMRES operator of rung r at step i."""
+        key, op = self._gmres[r]
+        if op is None or key != self._key(i):
+            op = ImplicitOperator(self.scheme, self.grids[r], self.tau, i,
+                                  mode="iterative", sampler=self.samplers[r])
+            self._gmres[r] = (self._key(i), op)
+        return op
+
+    def keeps_zero(self, i: int) -> bool:
+        """Whether the solve at step i maps a +0.0 right-hand side to +0.0.
+        GMRES returns a zero right-hand side as it is; a negative pivot of
+        the LU factors turns +0.0 into -0.0, and a factorization that fails
+        maps it to nothing."""
+        if self._factor(i, self._direct):
+            return False
+        if self._keeps_zero is None:
+            self._keeps_zero = self._lu is None or not np.signbit(
+                self._lu.solve(np.zeros(self._lu.shape[0]))).any()
+        return self._keeps_zero
+
+    def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in
-        one block solve, the others' one rung at a time.  The failures are
-        kept in ``failures``, so none is returned."""
+        one block solve, the others' column by column.  The failures go
+        into the marcher's record ``failures``; the rows of a failed column
+        are meaningless."""
+        width = rhs.shape[-1]
+        live = [r for r in self._direct if len(failures[r]) < width]
+        for r, exc in self._factor(i, live).items():
+            _fail(failures[r], exc, width)
         out = np.empty(rhs.shape)
-        lu = self._factor(i, rhs.shape[-1])
-        if lu is not None:
-            y = lu.solve(rhs[self._block_rows])
-            out[self._block_columns] = y
+        if self._lu is not None:
+            y = self._lu.solve(rhs[self._block_rows])
+            if self._block_columns is None and len(y) == len(out):
+                out = y                  # one rung, the whole state
+            else:
+                out[self._block_rows if self._block_columns is None
+                    else self._block_columns] = y
             if not np.isfinite(y).all():
                 for r in self._block:
-                    for k, exc in _nonfinite_columns(out[self._rows[r]], 1,
-                                                     "factorized solve",
-                                                     i).items():
-                        self.failures[r].setdefault(k, _aborted(exc))
-        live = np.arange(rhs.shape[-1])
-        for r in self._iterative:
-            ops, rows, failures = self.rungs[r], self._rows[r], self.failures[r]
-            cols = slice(None)
-            if failures:
-                cols = np.array([k for k in live if k not in failures], dtype=int)
-                if not cols.size:
+                    _abort_nonfinite(out[self._rows[r]], failures[r],
+                                     "factorized solve", i)
+        for r in self._gmres:
+            op, rows = self._iterative(r, i), self._rows[r]
+            for k in range(width):
+                if k in failures[r]:
                     continue
-            part = rhs[rows, cols]
-            x, failed = _solved(ops, part.reshape(ops.grid.shape + part.shape[1:]),
-                                i)
-            out[rows, cols] = x.reshape(part.shape)
-            for k, exc in failed.items():
-                failures[int(live[cols][k])] = exc
-        for rows, failures in zip(self._rows, self.failures):
-            if failures:
-                out[rows, list(failures)] = 0.0
-        return out, {}
+                try:
+                    out[rows, k] = op._solve_iterative(
+                        np.ascontiguousarray(rhs[rows, k]), i)
+                except SolveFailure as exc:
+                    failures[r][k] = _aborted(exc)
+        return out
 
 
 REFERENCE_MODES = ("spectral-const-coef", "fine-grid")
@@ -1046,10 +1042,13 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
                       xi: np.ndarray, mode: str = "spectral-const-coef",
                       refine: int = 3) -> tuple[Marcher, int]:
     """Marcher of the reference time scheme for ``grid`` and the restriction
-    factor that maps its state onto ``grid``.
+    factor that maps its one lattice's state (``operators.states``) onto
+    ``grid``.
 
-    spectral-const-coef marches on ``grid`` itself, exactly per mode;
-    fine-grid marches the centred scheme on a 2**refine times finer lattice.
+    spectral-const-coef marches :class:`SpectralOperators` on ``grid``
+    itself, exactly per mode; fine-grid marches the centred scheme on a
+    one-rung :class:`FiniteDifferenceOperators` ladder, a 2**refine times
+    finer lattice.  Either way its failure record holds one dict.
     """
     if mode not in REFERENCE_MODES:
         raise ValueError(f"unknown reference mode {mode!r}; "
@@ -1057,8 +1056,8 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
     tau = problem.T / xi.shape[0]
     if mode == "fine-grid":
         fine = grid.refined(2 ** refine)
-        return Marcher(problem, xi,
-                       FiniteDifferenceOperators(problem, fine, tau)), 2 ** refine
+        return Marcher(problem, xi, FiniteDifferenceOperators(
+            problem, [fine], tau)), 2 ** refine
     return Marcher(problem, xi, SpectralOperators(problem, grid, tau)), 1
 
 
@@ -1116,8 +1115,8 @@ def export_trajectory_binary(traj: Trajectory, path) -> None:
 
 def load_trajectory_binary(path) -> Trajectory:
     """Read a dump of :func:`export_trajectory_binary`.  A file that is cut
-    short or too long raises ``ValueError``; a non-finite payload raises
-    :class:`GridError`."""
+    short or too long, or whose step size is not positive and finite,
+    raises ``ValueError``; a non-finite payload raises :class:`GridError`."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_TRAJ_MAGIC))
         if magic != _TRAJ_MAGIC:
@@ -1126,10 +1125,14 @@ def load_trajectory_binary(path) -> Trajectory:
         if len(header) != 32:
             raise ValueError(f"truncated trajectory dump: {path}")
         dim, n, h, tau = struct.unpack("<QQdd", header)
-        shape = fh.read(8 * dim)
-        if len(shape) != 8 * dim:
+        # bounded by the file before it is read: a corrupt dim asks for
+        # any number of bytes
+        if 8 * dim > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"truncated trajectory dump: {path}")
+        shape = fh.read(8 * dim)
         payload = fh.read()
+    if not 0 < tau < math.inf:
+        raise ValueError(f"step size {tau} in trajectory dump: {path}")
     grid = TorusGrid(int(dim), float(h), struct.unpack(f"<{dim}Q", shape))
     if len(payload) != 8 * (n + 1) * grid.npoints:
         raise ValueError(f"truncated trajectory dump: {path}")

@@ -9,6 +9,7 @@ map is the inverse CDF evaluated with P.J. Acklam's rational approximation
 cross-platform reproducibility.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -106,18 +107,22 @@ def _uniforms(seed: int, n: int, d1: int) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
+def _check_parameters(n: int, d1: int, tau: float) -> None:
+    if n < 1:
+        raise IncrementError("number of steps must be >= 1")
+    if d1 < 0:
+        raise IncrementError("number of drivers must be >= 0")
+    if not 0 < tau < math.inf:
+        raise IncrementError("step size tau must be positive and finite")
+
+
 def sample_increments(n: int, d1: int, tau: float, seed: int) -> BrownianIncrements:
     """Draw the n x d1 matrix of i.i.d. N(0, tau) increments.
 
     Entry (i, rho) depends only on (seed, i, rho); d1 = 0 yields an empty
     matrix (the scheme then reduces to a deterministic PDE).
     """
-    if n < 1:
-        raise IncrementError("number of steps must be >= 1")
-    if d1 < 0:
-        raise IncrementError("number of drivers must be >= 0")
-    if not (tau > 0):
-        raise IncrementError("step size tau must be positive")
+    _check_parameters(n, d1, tau)
     if d1 == 0:
         xi = np.zeros((n, 0))
     else:
@@ -134,6 +139,10 @@ def save_increments(b: BrownianIncrements, path) -> None:
 
 
 def load_increments(path) -> BrownianIncrements:
+    """Read a dump of :func:`save_increments`.  A file that is cut short or
+    too long, or that holds what :func:`sample_increments` refuses (no
+    steps, a step size that is not positive and finite) or a non-finite
+    increment, raises :class:`IncrementError`."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -146,6 +155,9 @@ def load_increments(path) -> BrownianIncrements:
     expected = n * d1 * 8
     if len(payload) != expected:
         raise IncrementError(f"truncated increment dump: {path}")
+    _check_parameters(n, d1, tau)
     xi = np.frombuffer(payload, dtype="<f8").astype(float).reshape(n, d1)
+    if not np.isfinite(xi).all():
+        raise IncrementError(f"non-finite increments in dump: {path}")
     return BrownianIncrements(n=int(n), d1=int(d1), tau=float(tau),
                               seed=int(seed), xi=xi)

@@ -28,7 +28,7 @@ from spdefd.problems import (
 )
 from spdefd.richardson import estimate_order
 from spdefd.stepper import (
-    ImplicitOperator,
+    FiniteDifferenceOperators,
     SchemeSampler,
     SolveFailure,
     SpectralOperators,
@@ -532,38 +532,42 @@ class TestCorrectorSystemBits:
                 assert got[r].tobytes() == one[0].tobytes()
 
 
-def _second_instance_patch(monkeypatch, cls, name, wrap):
-    """Replace ``cls.name`` by ``wrap(original, self, *args)`` for the
-    second instance that calls it (the corrector march; the reference march
-    calls through the first) and leave the first alone."""
-    original = getattr(cls, name)
+def _corrector_patch(monkeypatch, wrap):
+    """Replace ``SpectralOperators.solve_values`` by ``wrap(original, self,
+    rhs, i, failures)`` for the corrector marches and leave the reference
+    march alone.  The two share one operators object; the reference steps
+    first, so its failure record is the first one seen."""
+    original = SpectralOperators.solve_values
     seen = []
 
-    def method(self, *args):
-        if not any(self is s for s in seen):
-            seen.append(self)
-        if len(seen) > 1 and self is seen[1]:
-            return wrap(original, self, *args)
-        return original(self, *args)
+    def solve_values(self, rhs, i, failures):
+        if not seen:
+            seen.append(failures)
+        if failures is not seen[0]:
+            return wrap(original, self, rhs, i, failures)
+        return original(self, rhs, i, failures)
 
-    monkeypatch.setattr(cls, name, method)
+    monkeypatch.setattr(SpectralOperators, "solve_values", solve_values)
 
 
 def _poison_step(step):
     """A spectral solve whose right-hand side turns NaN at ``step``."""
-    def wrap(original, self, rhs, i):
-        return original(self, rhs * np.nan if i == step else rhs, i)
+    def wrap(original, self, rhs, i, failures):
+        return original(self, rhs * np.nan if i == step else rhs, i, failures)
     return wrap
 
 
-def _singular_at(step):
-    """Spectral symbols whose implicit operator is singular at ``step``."""
-    def wrap(original, self, i):
+def _singular_at(monkeypatch, step):
+    """Make the spectral symbols' implicit operator singular at ``step``."""
+    original = SpectralOperators.symbols
+
+    def symbols(self, i):
         symL, symM = original(self, i)
         if i == step:
             symL = np.full_like(symL, 1.0 / self.tau)
         return symL, symM
-    return wrap
+
+    monkeypatch.setattr(SpectralOperators, "symbols", symbols)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -579,17 +583,28 @@ class TestCorrectorFailures:
                 n, sample_increments(n, 1, p.T / n, 4))
 
     def test_spectral_column_failure(self, monkeypatch):
-        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
-                               _poison_step(3))
+        _corrector_patch(monkeypatch, _poison_step(3))
         with pytest.raises(SolveFailure) as info:
             run_corrector_system(*self._stoch())
         assert str(info.value) == ("step 3: spectral solve produced non-finite "
                                    "values; tau may not be small enough")
         assert info.value.step == 3
 
+    def test_spectral_system_builds_one_operator(self, monkeypatch):
+        # the corrector marches solve with the reference marcher's operators
+        built = []
+        init = SpectralOperators.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(SpectralOperators, "__init__", counting)
+        run_corrector_system(*self._stoch())
+        assert len(built) == 1
+
     def test_spectral_singular_step(self, monkeypatch):
-        _second_instance_patch(monkeypatch, SpectralOperators, "symbols",
-                               _singular_at(3))
+        _singular_at(monkeypatch, 3)
         with pytest.raises(SolveFailure) as info:
             run_corrector_system(*self._stoch())
         assert str(info.value) == ("step 3: spectral implicit operator is "
@@ -598,17 +613,18 @@ class TestCorrectorFailures:
     def test_lattice_column_failure_names_its_step(self, monkeypatch):
         p = make_problem("var-coef1d")
         g = make_torus_grid(1, [1.0], [32])
-        original = ImplicitOperator.solve_columns
+        original = FiniteDifferenceOperators.solve_values
         calls = []
 
-        def solve_columns(self, rhs, step=None):
-            if self.grid == g:       # the corrector march; the reference is finer
-                calls.append(step)
+        def solve_values(self, rhs, i, failures):
+            if self.grids == [g]:    # the corrector march; the reference is finer
+                calls.append(i)
                 if len(calls) == 3:
                     rhs = rhs * np.nan
-            return original(self, rhs, step)
+            return original(self, rhs, i, failures)
 
-        monkeypatch.setattr(ImplicitOperator, "solve_columns", solve_columns)
+        monkeypatch.setattr(FiniteDifferenceOperators, "solve_values",
+                            solve_values)
         # k = 2: example1's odd corrector vanishes and is never solved, so
         # the failing solves are those of v^(2)
         with pytest.raises(SolveFailure) as info:
@@ -640,8 +656,7 @@ class TestCorrectorFailures:
     def test_study_writes_failure_row(self, monkeypatch, tmp_path):
         from spdefd.experiments import (ExperimentSpec, emit_outputs,
                                         run_corrector_experiment)
-        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
-                               _poison_step(3))
+        _corrector_patch(monkeypatch, _poison_step(3))
         spec = ExperimentSpec(problem="stoch-transport",
                               problem_params={"beta": 0.3,
                                               "extra_diffusion": 0.05},
@@ -675,11 +690,11 @@ def late_forcing_problem():
 
 
 def _count_calls(calls):
-    """A wrap for :func:`_second_instance_patch` that records the step of
+    """A wrap for :func:`_corrector_patch` that records the step of
     every call and passes it on."""
-    def wrap(original, self, rhs, i):
+    def wrap(original, self, rhs, i, failures):
         calls.append(i)
-        return original(self, rhs, i)
+        return original(self, rhs, i, failures)
     return wrap
 
 
@@ -698,8 +713,7 @@ class TestZeroForcingSkip:
         p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
         n, g = 16, make_torus_grid(1, [1.0], [64])
         calls = []
-        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
-                               _count_calls(calls))
+        _corrector_patch(monkeypatch, _count_calls(calls))
         cs = run_corrector_system(3, p, build_scheme_example1(p), g, n,
                                   sample_increments(n, 1, p.T / n, 3))
         assert calls == list(range(1, n + 1))      # v^(2) alone
@@ -710,8 +724,7 @@ class TestZeroForcingSkip:
         p = late_forcing_problem()
         n = 10
         calls = []
-        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
-                               _count_calls(calls))
+        _corrector_patch(monkeypatch, _count_calls(calls))
         cs = run_corrector_system(3, p, build_scheme_example2(p),
                                   make_torus_grid(1, [1.0], [64]), n,
                                   sample_increments(n, 1, p.T / n, 3))
@@ -727,8 +740,7 @@ class TestZeroForcingSkip:
         args, kwargs = pinned_config("time-dependent-k2")
         n = args[4]
         calls = []
-        _second_instance_patch(monkeypatch, SpectralOperators, "solve_values",
-                               _count_calls(calls))
+        _corrector_patch(monkeypatch, _count_calls(calls))
         run_corrector_system(*args, **kwargs)
         assert calls == 2 * list(range(1, n + 1))
 

@@ -31,7 +31,6 @@ from spdefd.stepper import (
     FiniteDifferenceOperators,
     ImplicitOperator,
     SpectralOperators,
-    _Ladder,
     run_space_time_scheme,
 )
 from spdefd.wiener import BrownianIncrements, sample_increments
@@ -546,11 +545,11 @@ def _poison(monkeypatch, cls, column, step=21):
     at ``step``."""
     original = cls.solve_values
 
-    def solve_values(self, rhs, i):
+    def solve_values(self, rhs, i, failures):
         if i == step:
             rhs = rhs.copy()
             rhs[..., column] = np.nan
-        return original(self, rhs, i)
+        return original(self, rhs, i, failures)
 
     monkeypatch.setattr(cls, "solve_values", solve_values)
 
@@ -558,17 +557,17 @@ def _poison(monkeypatch, cls, column, step=21):
 def _poison_rung(monkeypatch, shape, column, step=21):
     """Make a study's ladder turn one column of its rung on grids of
     ``shape`` NaN in the packed right-hand side at ``step``."""
-    original = _Ladder.solve_values
+    original = FiniteDifferenceOperators.solve_values
 
-    def solve_values(self, rhs, i):
+    def solve_values(self, rhs, i, failures):
         if i == step:
             rhs = rhs.copy()
-            for ops, state in zip(self.rungs, self.states(rhs)):
-                if ops.grid.shape == shape:
+            for grid, state in zip(self.grids, self.states(rhs)):
+                if grid.shape == shape:
                     state[..., column] = np.nan
-        return original(self, rhs, i)
+        return original(self, rhs, i, failures)
 
-    monkeypatch.setattr(_Ladder, "solve_values", solve_values)
+    monkeypatch.setattr(FiniteDifferenceOperators, "solve_values", solve_values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -785,8 +784,7 @@ class TestLadder:
             return matrix
 
         monkeypatch.setattr(stepper, "_assemble", singular)
-        ladder = stepper._Ladder([stepper.FiniteDifferenceOperators(
-            problem, g, tau, scheme) for g in grids])
+        ladder = stepper.FiniteDifferenceOperators(problem, grids, tau, scheme)
         marcher = stepper.Marcher(
             problem, stepper.increment_columns(problem, n, increments), ladder)
         for i in range(1, n + 1):
@@ -798,9 +796,9 @@ class TestLadder:
                     else:
                         assert state[..., k].tobytes() == \
                             alone[j][k][i].tobytes(), f"mesh {j}, index {i}"
-        assert [list(failures) for failures in ladder.failures] == [
+        assert [list(failures) for failures in marcher.failures] == [
             list(range(len(seeds))) if j == mesh else [] for j in range(rungs)]
-        assert {str(exc) for exc in ladder.failures[mesh].values()} == {
+        assert {str(exc) for exc in marcher.failures[mesh].values()} == {
             f"step {step}: factorization failed (Factor is exactly "
             "singular); tau may not be small enough"}
 

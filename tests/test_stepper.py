@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -123,7 +124,7 @@ class TestApplyL:
 def apply_M_values(scheme, phi, rho, i):
     """M^rho of one field through the lattice operators' column kernel."""
     p = DifferentialProblem(d=phi.grid.dim, d1=scheme.d1, T=1.0)
-    ops = FiniteDifferenceOperators(p, phi.grid, 0.1, scheme)
+    ops = FiniteDifferenceOperators(p, [phi.grid], 0.1, scheme)
     return ops.apply_M_values(phi.values[..., None], rho, i)[..., 0]
 
 
@@ -410,9 +411,9 @@ def marched_step(scheme, grid, tau, v_prev, f, g_prev, xi):
     driver) and the increments ``xi`` of its one step."""
     p = DifferentialProblem(d=grid.dim, d1=len(xi), T=tau, u0=lambda x: v_prev)
     marcher = Marcher(p, np.reshape(xi, (1, -1, 1)),
-                      FiniteDifferenceOperators(p, grid, tau, scheme))
+                      FiniteDifferenceOperators(p, [grid], tau, scheme))
     marcher.advance(f, [(part,) for part in g_prev])
-    assert not marcher.failures
+    assert not any(marcher.failures)
     return marcher.v[..., 0]
 
 
@@ -659,12 +660,12 @@ class TestReferenceTimeScheme:
 
 def march_columns(marcher, n, factor=1):
     """States 0..n of a batched marcher, restricted by ``factor`` per axis."""
-    dim = marcher.grid.dim
+    dim = marcher.operators.grids[0].dim
     cut = tuple(slice(None, None, factor) for _ in range(dim))
     states = [marcher.v[cut].copy()]
     for _ in range(n):
         marcher.advance()
-        assert not marcher.failures
+        assert not any(marcher.failures)
         states.append(marcher.v[cut].copy())
     return states
 
@@ -696,7 +697,8 @@ class TestBatchedMarcher:
 
     def _lattice(self, problem, scheme, grid, n, paths, mode="auto"):
         xi = increment_columns(problem, n, paths)
-        ops = FiniteDifferenceOperators(problem, grid, problem.T / n, scheme, mode)
+        ops = FiniteDifferenceOperators(problem, [grid], problem.T / n, scheme,
+                                        mode)
         states = march_columns(Marcher(problem, xi, ops), n)
         alone = [run_space_time_scheme(problem, scheme, grid, n, inc,
                                        solver_mode=mode) for inc in paths]
@@ -776,7 +778,7 @@ class TestBatchedMarcher:
         xi = increment_columns(forced, n, paths)
         x, tau = g.coordinates, 0.5 / n
         for ops in (lambda p: SpectralOperators(p, g, tau),
-                    lambda p: FiniteDifferenceOperators(p, g, tau)):
+                    lambda p: FiniteDifferenceOperators(p, [g], tau)):
             want = Marcher(forced, xi, ops(forced))
             got = Marcher(free, xi, ops(free), zero_start=True)
             assert not got.v.any()
@@ -794,16 +796,82 @@ class TestBatchedMarcher:
         xi = increment_columns(p, n, paths)
         xi[2, 0, 1] = np.inf           # path 1 breaks at step 3
         marcher = Marcher(p, xi, FiniteDifferenceOperators(
-            p, g, p.T / n, build_scheme_example1(p)))
+            p, [g], p.T / n, build_scheme_example1(p)))
         for _ in range(n):
             marcher.advance()
-        assert list(marcher.failures) == [1]
-        assert str(marcher.failures[1]).startswith(
+        assert list(marcher.failures[0]) == [1]
+        assert str(marcher.failures[0][1]).startswith(
             "scheme run aborted: step 3: factorized solve produced non-finite")
-        assert list(marcher.columns) == [0, 2]
+        assert not marcher.v[..., 1].any()          # zeroed, not dropped
         final = run_space_time_scheme(p, build_scheme_example1(p), g, n,
                                       paths[2]).fields[-1].values
-        assert marcher.v[..., 1].tobytes() == final.tobytes()
+        assert marcher.v[..., 2].tobytes() == final.tobytes()
+
+
+def gmres_2d_problem():
+    """The 2-d problem of the benchmark's GMRES workload."""
+    return DifferentialProblem(
+        d=2, d1=1, T=0.25,
+        a={(1, 1): 0.05, (2, 2): 0.05, (1, 2): 0.01, (2, 1): 0.01},
+        b={(1, 1): 0.2, (2, 1): 0.1},
+        u0=lambda x: (np.cos(2.0 * np.pi * x[..., 0])
+                      * np.cos(2.0 * np.pi * (x[..., 0] + x[..., 1]))),
+        constant_coefficients=True)
+
+
+def _single_grid_run(name):
+    stoch = lambda: make_problem("stoch-transport", beta=0.3,
+                                 extra_diffusion=0.05)
+    n = 4 if name.startswith("gmres-2d") else 8
+    if name.startswith("gmres-2d"):
+        p = gmres_2d_problem()
+        points = int(name.rsplit("-", 1)[1])
+        return run_space_time_scheme(
+            p, build_scheme_example2(p),
+            make_torus_grid(2, [1.0, 1.0], [points, points]), n,
+            sample_increments(n, 1, p.T / n, 1))
+    if name == "time-dependent-1d":
+        p = time_dependent_problem()
+        return run_space_time_scheme(p, build_scheme_example2(p),
+                                     make_torus_grid(1, [1.0], [16]), n,
+                                     sample_increments(n, 1, p.T / n, 7))
+    if name == "iterative-1d":
+        p = stoch()
+        return run_space_time_scheme(p, build_scheme_example2(p),
+                                     make_torus_grid(1, [1.0], [32]), n,
+                                     sample_increments(n, 1, p.T / n, 2),
+                                     solver_mode="iterative")
+    if name == "fine-grid-reference":
+        return run_reference_time_scheme(make_problem("var-coef1d"),
+                                         make_torus_grid(1, [1.0], [16]), n,
+                                         mode="fine-grid", refine=2)
+    assert name == "spectral-reference"
+    p = stoch()
+    return run_reference_time_scheme(p, make_torus_grid(1, [1.0], [16]), n,
+                                     sample_increments(n, 1, p.T / n, 3))
+
+
+# sha256 prefixes of the (n + 1, *grid) float64 trajectories, recorded with
+# the single-grid lattice operators that the ladder's operators replaced
+SINGLE_GRID_PINS = {
+    "gmres-2d-16": "976894187ecaf030",          # direct
+    "gmres-2d-72": "e4a3642e27f4474c",          # auto mode: GMRES
+    "time-dependent-1d": "f7cae694248963fb",
+    "iterative-1d": "2c434bb062f6a79f",
+    "fine-grid-reference": "89315c63851d4b09",
+    "spectral-reference": "38a0510f2cc9f1c1",
+}
+
+
+class TestSingleGridBits:
+    """The single-grid runners keep their bits: these pins are the bit
+    reference that the ladder's rungs are compared against."""
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_GRID_PINS))
+    def test_run_matches_pinned_digest(self, name):
+        traj = _single_grid_run(name)
+        assert hashlib.sha256(traj.values.tobytes()).hexdigest()[:16] == \
+            SINGLE_GRID_PINS[name]
 
 
 class TestFreeTerms:
@@ -824,8 +892,9 @@ class TestFreeTerms:
         g = make_torus_grid(1, [1.0], [16])
         paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
                  for seed in (1, 2)]
+        lattice = [g] if operators is FiniteDifferenceOperators else g
         marcher = Marcher(problem, increment_columns(problem, self.N, paths),
-                          operators(problem, g, problem.T / self.N))
+                          operators(problem, lattice, problem.T / self.N))
         return march_columns(marcher, self.N)
 
     @pytest.mark.parametrize("operators", [SpectralOperators,
@@ -982,6 +1051,27 @@ class TestTrajectoryExport:
                        else "not a trajectory dump")
             with pytest.raises(ValueError, match=message):
                 load_trajectory_binary(path)
+
+    def test_huge_dimension_rejected(self, tmp_path):
+        # a header that claims 2**40 axes is bounded by the file's size,
+        # not read
+        path = tmp_path / "traj.bin"
+        export_trajectory_binary(self._traj(), path)
+        data = bytearray(path.read_bytes())
+        data[8:16] = struct.pack("<Q", 2 ** 40)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="truncated trajectory dump"):
+            load_trajectory_binary(path)
+
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_step_size_rejected(self, tmp_path, tau):
+        path = tmp_path / "traj.bin"
+        export_trajectory_binary(self._traj(), path)
+        data = bytearray(path.read_bytes())
+        data[32:40] = struct.pack("<d", tau)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="step size"):
+            load_trajectory_binary(path)
 
     def test_non_finite_payload_rejected(self, tmp_path):
         path = tmp_path / "traj.bin"

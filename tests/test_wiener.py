@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from spdefd.wiener import (
+    BrownianIncrements,
     IncrementError,
     load_increments,
     normal_inverse_cdf,
@@ -45,7 +46,9 @@ class TestSampling:
         long = sample_increments(100, 2, 0.01, seed=5)
         np.testing.assert_array_equal(short.xi, long.xi[:10])
 
-    @pytest.mark.parametrize("n,d1,tau", [(0, 1, 0.1), (10, -1, 0.1), (10, 1, 0.0)])
+    @pytest.mark.parametrize("n,d1,tau", [(0, 1, 0.1), (10, -1, 0.1), (10, 1, 0.0),
+                                          (10, 1, float("inf")),
+                                          (10, 1, float("nan"))])
     def test_rejects_bad_args(self, n, d1, tau):
         with pytest.raises(IncrementError):
             sample_increments(n, d1, tau, seed=1)
@@ -114,6 +117,25 @@ class TestDumpRoundTrip:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(IncrementError):
+            load_increments(path)
+
+    @pytest.mark.parametrize("n, tau", [(0, 0.1), (2, float("nan")),
+                                        (2, -0.1), (2, float("inf"))])
+    def test_rejects_what_sampling_refuses(self, tmp_path, n, tau):
+        path = tmp_path / "xi.bin"
+        save_increments(BrownianIncrements(n=n, d1=1, tau=tau, seed=1,
+                                           xi=np.zeros((n, 1))), path)
+        with pytest.raises(IncrementError, match="number of steps|step size"):
+            load_increments(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_increments(self, tmp_path, bad):
+        path = tmp_path / "xi.bin"
+        xi = sample_increments(3, 2, 0.1, seed=7).xi.copy()
+        xi[1, 1] = bad
+        save_increments(BrownianIncrements(n=3, d1=2, tau=0.1, seed=7, xi=xi),
+                        path)
+        with pytest.raises(IncrementError, match="non-finite increments"):
             load_increments(path)
 
     def test_every_prefix_rejected(self, tmp_path):
