@@ -22,15 +22,17 @@ in the order and causal in time, so it is marched in one pass over blocks of
 FORCING_BLOCK_ROWS steps: the reference first, then each corrector p by
 :class:`stepper.Marcher` from a zero state, its forcing in place of the free
 terms.  Each lower-order block gets one FFT over the spatial axes
-(``stepper._fft``) and one sum of its rows' mode energies for the resolution
+(``_fft``) and one sum of its rows' mode energies for the resolution
 check, which every higher order reuses.  The expansion operators
 ``corrector_operator_L``/``_M`` take such a block and its rows' time
 indices and return one array per row; each derivative term is one inverse
-FFT of the block times its rows' coefficient arrays.  A marcher skips the
-steps whose forcing is zero while its state is still zero, so a vanishing
-corrector (every odd one of a symmetric scheme) marches no solve.  The
-expansion residual subtracts strided views of the corrector arrays and
-measures the remainder with one norm call.
+FFT of the block times its rows' coefficient arrays.  A spectral
+reference's marchers step in Fourier space, so each block of forcing is
+transformed once, a zero one not at all.  A marcher skips the steps whose
+forcing is zero while its state is still zero, so a vanishing corrector
+(every odd one of a symmetric scheme) marches no solve.  The expansion
+residual subtracts strided views of the corrector arrays and measures the
+remainder with one norm call.
 """
 
 import math
@@ -47,7 +49,6 @@ from .stepper import (
     SchemeSampler,
     SolveFailure,
     Trajectory,
-    _fft,
     _frequency_mesh,
     _march_path,
     increment_columns,
@@ -82,6 +83,21 @@ def expansion_constants(p: int, r: int) -> tuple[float, float]:
     else:
         A = 0.0
     return B, A
+
+
+def _fft(values: np.ndarray, axes: tuple, inverse: bool = False) -> np.ndarray:
+    """``np.fft.fftn`` (or ``ifftn``) of ``values`` over ``axes``.
+
+    The one-axis transforms run last axis first, the loop that ``fftn``
+    runs, so the bits are the same; what is skipped is ``fftn``'s argument
+    handling on every call.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for k, axis in enumerate(reversed(axes)):
+        # passes after the first write into the array the first made, so
+        # no fresh output has to be faulted in
+        values = transform(values, axis=axis, out=values if k else None)
+    return values
 
 
 def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
@@ -332,7 +348,8 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     reference, factor = reference_marcher(problem, refgrid, xi, reference_mode,
                                           refine)
     # the correctors solve with a spectral reference's own operators
-    ops = reference.operators if reference_mode == "spectral-const-coef" \
+    spectral = reference_mode == "spectral-const-coef"
+    ops = reference.operators if spectral \
         else FiniteDifferenceOperators(problem, [refgrid], tau)
     marchers = [Marcher(problem, xi, ops, zero_start=True)
                 for _ in range(k)]
@@ -348,8 +365,11 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
                                     freq))
             f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
                                       xi[..., 0])
+            if spectral:    # one transform per block and field
+                f, g = ops.forward(f, 1), [[ops.forward(x, 1) for x in parts]
+                                           for parts in g]
             try:
-                _march_path(marcher, values[p], steps[-1], f=f, g=g)
+                _march_path(marcher, values[p], steps[-1], forcing=(f, g))
             except SolveFailure as exc:
                 # report a failed solve in the solver's own words, not as an
                 # aborted column of a path

@@ -56,7 +56,8 @@ class TorusGrid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.shape))
+        """The number of lattice points, exact: ``np.prod`` wraps in int64."""
+        return math.prod(int(n) for n in self.shape)
 
     @cached_property
     def coordinates(self) -> np.ndarray:

@@ -8,17 +8,18 @@ free terms on the right-hand side are taken explicitly at the previous index:
 There is one implementation of that step, :class:`Marcher`, and it steps
 ``S`` Wiener paths at once, a column per path.  Its operators carry tau and
 the lattices, evaluate u0 and the free terms there (``sample``,
-``evaluate``), and supply ``apply_M_values``, ``solve_values``,
-``keeps_zero`` and ``states``, each lattice's ``grid.shape + (S,)`` view of
-a state.  The kernels carry the column axis along, so every column gets the
-bits of a run of that path alone.  :class:`FiniteDifferenceOperators` acts
-on a mesh ladder h, h/2, ... as one packed ``(sum of npoints, S)`` state,
-with one explicit step and one sparse LU solve for the rungs that solve
-directly, each rung with the bits of its own LU; a single grid is a
-one-rung ladder.  :class:`SpectralOperators` is exact per Fourier mode on
-one grid.  The marcher owns one failure record for both,
-``failures[r][column]`` per lattice r: a failed column is zeroed in place,
-and the operators read the record to skip what has failed.
+``evaluate``) in the form their state takes, and supply
+``apply_M_values``, ``solve_values``, ``keeps_zero`` and ``states``, each
+lattice's real ``grid.shape + (S,)`` state.  The kernels carry the column
+axis along, so every column gets the bits of a run of that path alone.
+:class:`FiniteDifferenceOperators` acts on a mesh ladder h, h/2, ... as one
+packed ``(sum of npoints, S)`` state, with one explicit step and one sparse
+LU solve for the rungs that solve directly, each rung with the bits of its
+own LU; a single grid is a one-rung ladder.  :class:`SpectralOperators` is
+exact per Fourier mode on one grid, in Fourier space.  The marcher owns one
+failure record for both, ``failures[r][column]`` per lattice r: a failed
+column is zeroed in place, and the operators read the record to skip what
+has failed.
 
 ``run_space_time_scheme`` and ``run_reference_time_scheme`` march one
 column and return its states as a :class:`Trajectory`, one ``(n + 1,) +
@@ -42,11 +43,11 @@ are never papered over by regularization.  ``apply_L`` is a one-field
 wrapper over the assembled L^h.
 
 The reference solution of the time-discretized PDE is realized exactly per
-Fourier mode when the coefficients are constant in space (an FFT over the
-spatial axes of every column), or by the centred scheme on a finer lattice,
-restricted at every step, otherwise.  Every FFT over the spatial axes goes
-through ``_fft``, the one-axis transforms that ``np.fft.fftn`` runs, in its
-order, without its per-call argument handling.
+Fourier mode when the coefficients are constant in space, or by the centred
+scheme on a finer lattice, restricted where it is read, otherwise.  The
+exact realization marches the ``rfftn`` half-spectrum of every column, so a
+step is pointwise; u0 and the free terms are transformed once when they are
+evaluated, and the real state once when it is read.
 """
 
 import functools
@@ -437,19 +438,21 @@ def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
 
     ``g`` holds, per driver, the arrays that make up g^rho; they are added
     to M^rho v one after another, which fixes the bits of a sum of several
-    terms.  ``xi`` holds one row per driver and one entry per column; where
-    an increment is zero its term is skipped, so that column matches a run
-    that never saw the driver.
+    terms.  A free term that is None is zero and adds no pass.  ``xi``
+    holds one row per driver and one entry per column; where an increment
+    is zero its term is skipped, so that column matches a run that never
+    saw the driver.
     ``apply_M`` returns a new array, which the sum updates in place.
     """
-    rhs = v + tau * f[..., None]
+    rhs = v.copy() if f is None else v + tau * f[..., None]
     for rho, xi_rho in enumerate(xi, start=1):
         nonzero = xi_rho != 0.0
         if not nonzero.any():
             continue
         term = apply_M(v, rho)
         for part in g[rho - 1]:
-            term += part[..., None]
+            if part is not None:
+                term += part[..., None]
         if nonzero.all():
             rhs += term * xi_rho
         else:
@@ -511,12 +514,15 @@ def _abort_nonfinite(x: np.ndarray, failures: dict, what: str,
 class Marcher:
     """The implicit Euler recursion for ``S`` Wiener paths in lock-step.
 
-    The state ``v`` is one ``operators.shape + (S,)`` array, a column per
-    path, starting from the problem's u0, or from zero with ``zero_start``.
-    ``operators`` (:class:`FiniteDifferenceOperators` on a ladder of one or
-    more lattices, or :class:`SpectralOperators`) supplies the lattices,
-    the step tau, u0 and the free terms on its lattices, M^rho and the
-    implicit solve; the right-hand side is assembled here for all of them.
+    The state ``v`` is one ``operators.shape + (S,)`` array of
+    ``operators.dtype``, a column per path, starting from the problem's u0,
+    or from zero with ``zero_start``.  It is in the operators' own form:
+    the packed lattice values of :class:`FiniteDifferenceOperators` (on a
+    ladder of one or more lattices), or the half-spectrum of
+    :class:`SpectralOperators`, whose ``states`` gives the real state.  The
+    operators supply the lattices, the step tau, u0 and the free terms in
+    that form, M^rho and the implicit solve; the right-hand side is
+    assembled here for all of them.
 
     ``failures`` is the one failure record, a dict per lattice keyed by
     column (``failures[r][column]``), and the solve fills it in: a failure
@@ -530,9 +536,10 @@ class Marcher:
     A marcher started from zero skips every step whose forcing (``f`` and
     every part of ``g``) is zero for as long as its state has never left
     zero: such a step's right-hand side is +0.0, and where
-    ``operators.keeps_zero`` says the solve maps that to +0.0, the state
-    it would compute is the one it has.  A state that returns to zero
-    later is stepped as usual, since its zeros may carry a sign.
+    ``operators.keeps_zero`` says the step keeps the state and its real
+    state +0.0, the state it would compute is the one it has, and its real
+    state is zeros, read without a transform.  A state that returns to
+    zero later is stepped as usual, since its zeros may carry a sign.
 
     When the problem's f and every g^rho are plain numbers (or g^rho is
     absent), the free-term arrays are built once and serve every step; a
@@ -547,7 +554,8 @@ class Marcher:
         self.operators = operators
         self._at_zero = zero_start
         if zero_start:
-            self.v = np.zeros(operators.shape + (xi.shape[-1],))
+            self.v = np.zeros(operators.shape + (xi.shape[-1],),
+                              dtype=operators.dtype)
         else:
             self.v = np.repeat(operators.sample(problem.u0)[..., None],
                                xi.shape[-1], axis=-1)
@@ -564,24 +572,24 @@ class Marcher:
         return (evaluate(p.f, i),
                 [(evaluate(p.g_at, rho, i - 1),) for rho in range(1, p.d1 + 1)])
 
-    def advance(self, f: np.ndarray | None = None, g: list | None = None) -> None:
+    def advance(self, forcing: tuple | None = None) -> None:
         """Step every column from index i to i + 1.
 
-        ``f`` (an ``operators.shape`` array) and ``g`` (per driver, the
-        arrays that make up g^rho) stand in for the problem's free terms
-        f_{i+1} and g^rho_i; each is the same for every column.
+        ``forcing``, a pair ``(f, g)`` of an ``operators.shape`` array and,
+        per driver, the arrays that make up g^rho, stands in for the
+        problem's free terms f_{i+1} and g^rho_i, in the operators' form (as
+        ``operators.evaluate`` gives them; None is zero); each is the same
+        for every column.
         """
         i = self.i = self.i + 1
         width = self.v.shape[-1]
         if any(self.failures) and all(len(failed) == width
                                       for failed in self.failures):
             return
-        if f is None or g is None:
-            free_f, free_g = self._free or self._free_terms(i)
-            f = free_f if f is None else f
-            g = free_g if g is None else g
-        if self._at_zero and not f.any() \
-                and not any(part.any() for parts in g for part in parts) \
+        f, g = forcing or self._free or self._free_terms(i)
+        if self._at_zero and not any(
+                term is not None and term.any()
+                for term in (f, *(part for parts in g for part in parts))) \
                 and self.operators.keeps_zero(i):
             return
         self._at_zero = False
@@ -589,30 +597,32 @@ class Marcher:
             self.v, self.tau, f, g, self.xi[i - 1],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
         self.v = self.operators.solve_values(rhs, i, self.failures)
-        if any(self.failures):
-            for view, failed in zip(self.operators.states(self.v),
-                                    self.failures):
-                view[..., list(failed)] = 0.0
+        for rows, failed in zip(self.operators._rows, self.failures):
+            if failed:
+                self.v[rows, ..., list(failed)] = 0.0
 
 
 def _march_path(marcher: Marcher, states: np.ndarray, stop: int,
-                factor: int = 1, f=None, g=None) -> np.ndarray:
+                factor: int = 1, forcing: tuple | None = None) -> np.ndarray:
     """Step a one-column marcher on one lattice to index ``stop``, storing
-    each state from its current one on, restricted by ``factor`` per axis,
-    in row i of ``states``; the first failure is raised.  ``f`` and ``g``,
-    if given, hold the :meth:`Marcher.advance` arguments of those steps on
-    the lattice's grid, a row each (``g`` per driver, its parts)."""
+    each real state from its current one on (zeros while it is at zero),
+    restricted by ``factor`` per axis, in row i of ``states``; the first
+    failure is raised.  ``forcing``, if given, holds the
+    :meth:`Marcher.advance` forcing of those steps, a row each (``g`` per
+    driver, its parts; None is zero)."""
     dim, shape = states.ndim - 1, marcher.operators.shape
 
     def store():
-        state = marcher.operators.states(marcher.v)[0][..., 0]
-        states[marcher.i] = _restricted(state, factor, dim)
+        states[marcher.i] = 0.0 if marcher._at_zero else _restricted(
+            marcher.operators.states(marcher.v)[0][..., 0], factor, dim)
+
+    def row(block, r):
+        return None if block is None else block[r].reshape(shape)
 
     store()
     for r in range(stop - marcher.i):
-        marcher.advance(*(() if f is None else (
-            f[r].reshape(shape),
-            [[part[r].reshape(shape) for part in parts] for parts in g])))
+        marcher.advance(forcing and (row(forcing[0], r), [
+            [row(part, r) for part in parts] for parts in forcing[1]]))
         if marcher.failures[0]:
             raise marcher.failures[0][0]
         store()
@@ -636,21 +646,6 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
 # ---------------------------------------------------------------------------
 # Reference realization of the time scheme (exact in space)
 # ---------------------------------------------------------------------------
-
-def _fft(values: np.ndarray, axes: tuple, inverse: bool = False) -> np.ndarray:
-    """``np.fft.fftn`` (or ``ifftn``) of ``values`` over ``axes``.
-
-    The one-axis transforms run last axis first, the loop that ``fftn``
-    runs, so the bits are the same; what is skipped is ``fftn``'s argument
-    handling on every call.
-    """
-    transform = np.fft.ifft if inverse else np.fft.fft
-    for k, axis in enumerate(reversed(axes)):
-        # passes after the first write into the array the first made, so
-        # no fresh output has to be faulted in
-        values = transform(values, axis=axis, out=values if k else None)
-    return values
-
 
 def _frequency_mesh(grid: TorusGrid):
     """Angular frequencies xi_a = 2 pi k_a / P_a as d mesh arrays."""
@@ -676,35 +671,53 @@ class SpectralOperators:
 
     Only valid for coefficients constant in space (checked); serves both the
     reference time-scheme run and the corrector system's implicit solves.
-    Its one lattice is ``grid``, and its state is one ``grid.shape + (S,)``
-    array, a column per trailing index, on which the ``*_values`` methods
-    act.
+    Its one lattice is ``grid``, and its state is the ``rfftn`` half-spectrum
+    of the real state: one ``shape + (S,)`` complex array, a column per
+    trailing index, on which a step is pointwise.  The solve multiplies by
+    ``inv = H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
+    ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
+    every full-spectrum product on its real part realizes, which keeps the
+    Nyquist lines of an even lattice real.  u0 and the free terms are
+    transformed where they are evaluated (a zero free term is None), and
+    :meth:`states` transforms back.
     """
+
+    dtype = complex
 
     def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float):
         self.problem = problem
         self.grid = grid
         self.grids = [grid]
-        self.shape = grid.shape
+        self.shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+        self._rows = [slice(None)]
         self.tau = float(tau)
         self._freq = _frequency_mesh(grid)
         self._axes = tuple(range(grid.dim))
         self._cache = {}
-        self._denominator_of = (None, None)     # (symL, its 1 - tau symL)
+        self._multipliers_of = (None, None, None)   # (symL, inv, [m_rho])
         self._keeps_zero = {}
 
     def states(self, v: np.ndarray) -> list:
-        """The one lattice's view of a state: the state itself."""
-        return [v]
+        """The one lattice's real state of ``v`` (any trailing axes), by one
+        inverse transform."""
+        return [np.fft.irfftn(v, s=self.grid.shape, axes=self._axes)]
+
+    def forward(self, values: np.ndarray, lead: int = 0):
+        """The half-spectrum of real ``values`` over the spatial axes that
+        follow ``lead`` leading ones, or None when ``values`` is zero."""
+        return np.fft.rfftn(values, axes=range(lead, lead + self.grid.dim)) \
+            if values.any() else None
 
     def sample(self, fn) -> np.ndarray:
-        """``fn`` on the lattice coordinates, checked by ``grid.sample``."""
-        return self.grid.sample(fn).values
+        """The spectrum of ``fn`` on the lattice coordinates, checked by
+        ``grid.sample``."""
+        return np.fft.rfftn(self.grid.sample(fn).values)
 
-    def evaluate(self, fn, *args) -> np.ndarray:
-        """``fn(*args, x)`` on the lattice coordinates x, as a ``grid.shape``
-        array."""
-        return fn(*args, self.grid.coordinates) * np.ones(self.grid.shape)
+    def evaluate(self, fn, *args):
+        """The spectrum of ``fn(*args, x)`` on the lattice coordinates x, or
+        None where that is zero."""
+        return self.forward(fn(*args, self.grid.coordinates)
+                            * np.ones(self.grid.shape))
 
     def symbols(self, i: int):
         key = 0 if self.problem.time_independent else i
@@ -739,29 +752,35 @@ class SpectralOperators:
             self._cache[key] = got
         return got
 
-    def _denominator(self, i: int) -> np.ndarray:
-        """1 - tau symL at step i, built and checked once per set of
-        symbols: again only when ``symbols`` gives a new symL."""
-        symL = self.symbols(i)[0]
-        if self._denominator_of[0] is not symL:
+    def _hermitian(self, s: np.ndarray) -> np.ndarray:
+        """H(s) of a full-spectrum symbol, on the half-spectrum; s(-k) is s
+        flipped and rolled by one on every axis."""
+        negative = np.roll(np.flip(s), 1, axis=self._axes)
+        return (s + np.conj(negative))[..., :self.shape[-1]] / 2
+
+    def _multipliers(self, i: int) -> tuple:
+        """inv and the m_rho at step i, built once per set of symbols: again
+        only when ``symbols`` gives a new symL.  inv is None where ``1 - tau
+        symL`` nearly vanishes."""
+        symL, symM = self.symbols(i)
+        if self._multipliers_of[0] is not symL:
             denom = 1.0 - self.tau * symL
-            self._denominator_of = (
-                symL, None if float(np.min(np.abs(denom))) < 1e-12 else denom)
-        denom = self._denominator_of[1]
-        if denom is None:
-            raise SolveFailure("spectral implicit operator is singular; "
-                               "tau may not be small enough", step=i)
-        return denom
+            inv = None if float(np.min(np.abs(denom))) < 1e-12 \
+                else self._hermitian(1.0 / denom)
+            self._multipliers_of = (symL, inv, [self._hermitian(s) for s in symM])
+        return self._multipliers_of[1:]
 
     def _solve(self, rhs: np.ndarray, i: int) -> np.ndarray:
-        denom = self._denominator(i)
-        hat = _fft(rhs, self._axes)
-        hat /= denom[..., None]
-        return np.real(_fft(hat, self._axes, inverse=True))
+        inv = self._multipliers(i)[0]
+        if inv is None:
+            raise SolveFailure("spectral implicit operator is singular; "
+                               "tau may not be small enough", step=i)
+        rhs *= inv[..., None]
+        return rhs
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
-        """(I - tau L)^{-1} per column, exactly per Fourier mode; the
-        failures go into the marcher's record ``failures`` (see
+        """(I - tau L)^{-1} per column, exactly per Fourier mode, in place;
+        the failures go into the marcher's record ``failures`` (see
         :class:`Marcher`)."""
         try:
             x = self._solve(rhs, i)
@@ -772,25 +791,24 @@ class SpectralOperators:
         return x
 
     def keeps_zero(self, i: int) -> bool:
-        """Whether the solve at step i maps a +0.0 right-hand side to +0.0,
-        found by solving one zero column once per set of symbols.  It does
-        not for every grid: FFT lengths that pocketfft transforms by
-        Bluestein's algorithm (89 points, say) leave -0.0 entries."""
+        """Whether the step at i from a zero state, with zero forcing, keeps
+        the state +0.0 and its real state +0.0: found once per set of
+        symbols by solving a zero column and transforming it back.  The
+        transforms do not for every grid: where pocketfft transforms an axis
+        before the last by Bluestein's algorithm (89 points, say), the real
+        state holds -0.0 entries."""
         key = 0 if self.problem.time_independent else i
         if key not in self._keeps_zero:
             try:
-                x = self._solve(np.zeros(self.grid.shape + (1,)), i)
+                x = self._solve(np.zeros(self.shape + (1,), complex), i)
             except SolveFailure:
                 return False
-            self._keeps_zero[key] = not np.signbit(x).any()
+            self._keeps_zero[key] = not (np.signbit(x.view(float)).any()
+                                         or np.signbit(self.states(x)[0]).any())
         return self._keeps_zero[key]
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        _, symM = self.symbols(i)
-        hat = _fft(values, self._axes)
-        return np.real(_fft(symM[rho - 1][..., None] * hat, self._axes,
-                            inverse=True))
-
+        return self._multipliers(i)[1][rho - 1][..., None] * values
 
 
 class FiniteDifferenceOperators:
@@ -824,6 +842,8 @@ class FiniteDifferenceOperators:
     is not factored again, and a failed column gets no GMRES solve.  A rung
     whose factorization fails fails every column in its words.
     """
+
+    dtype = float
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
                  scheme: DifferenceScheme | None = None, mode: str = "auto"):

@@ -128,3 +128,57 @@ def spectral_trajectory_1d(problem, grid, n, increments, symL, symM):
         vhat = vhat * growth / (1.0 - tau * symL)
         out.append(np.real(np.fft.ifft(vhat)))
     return out
+
+
+def spectral_march(problem, grid, n, xi, u0=None, forcing=None):
+    """The spectral recursion of the time scheme on ``grid``, written out
+    per step on the full spectrum: the state is transformed by ``fftn``,
+    multiplied by the symbols of the constant-coefficient operators,
+    transformed back by ``ifftn`` and projected onto its real part, for
+    M^rho v_{i-1} and again for the solve of (I - tau L).
+
+    ``xi`` holds the ``(n, d1)`` increments.  ``u0`` (an array) and
+    ``forcing(i)``, which gives ``(f_i, [g^rho_{i-1} per driver])``, stand
+    in for the problem's initial data and free terms.  Returns the
+    ``(n + 1,) + grid.shape`` states.
+    """
+    x = grid.coordinates
+    ones = np.ones(grid.shape)
+    tau = problem.T / n
+    freq = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(N) * N / P
+                         for N, P in zip(grid.shape, grid.periods)],
+                       indexing="ij")
+    d, d1 = problem.d, problem.d1
+
+    def constant(values):
+        return float(np.ravel(values)[0])
+
+    def symbols(i):
+        a = lambda al, be: constant(problem.a_at(al, be, i, x))
+        b = lambda al, rho: constant(problem.b_at(al, rho, i, x))
+        symL = a(0, 0) + 0j * ones
+        for al in range(1, d + 1):
+            symL = symL + 1j * (a(al, 0) + a(0, al)) * freq[al - 1]
+            for be in range(1, d + 1):
+                symL = symL - a(al, be) * freq[al - 1] * freq[be - 1]
+        symM = [b(0, rho) + 1j * sum(b(al, rho) * freq[al - 1]
+                                     for al in range(1, d + 1))
+                for rho in range(1, d1 + 1)]
+        return symL, symM
+
+    def free(i):
+        return (problem.f(i, x) * ones,
+                [problem.g_at(rho, i - 1, x) * ones for rho in range(1, d1 + 1)])
+
+    v = problem.u0(x) * ones if u0 is None else np.asarray(u0, dtype=float)
+    out = [v]
+    for i in range(1, n + 1):
+        f, g = (forcing or free)(i)
+        symM = symbols(i - 1)[1]
+        rhs = v + tau * f
+        for rho in range(1, d1 + 1):
+            Mv = np.real(np.fft.ifftn(symM[rho - 1] * np.fft.fftn(v)))
+            rhs = rhs + (Mv + g[rho - 1]) * xi[i - 1, rho - 1]
+        v = np.real(np.fft.ifftn(np.fft.fftn(rhs) / (1.0 - tau * symbols(i)[0])))
+        out.append(v)
+    return np.stack(out)

@@ -84,31 +84,31 @@ EVERY_KEY_SPEC = ExperimentSpec(
     order_tolerance=0.125, out="results/x", format="binary", threads=2)
 
 # outputs of a 3-seed heat1d accelerate study (n = 32, points0 = 8, rungs = 3,
-# level = 1), as written when every seed marched its own column
+# level = 1), as written with the spectral reference marched in Fourier space
 HEAT_ACCELERATE_OUTPUTS = {
     "report.csv": b"""\
 h,sup_error,l2h_error,pairwise_order,ls_order,expected_order,pass
-0.125,0.0015589540865835749,0.0011023470061816531,,3.9747488307837768,,1
-0.0625,0.00010039368729675145,7.0989057075752403e-05,3.9568379779056659,3.9747488307837768,,1
-0.03125,6.3066114970034004e-06,4.4594477553964255e-06,3.9926596836618833,3.9747488307837768,,1
+0.125,0.0015589540865832696,0.0011023470061813938,,3.9747488308185566,,1
+0.0625,0.00010039368729644615,7.0989057075489199e-05,3.9568379779097707,3.9747488308185566,,1
+0.03125,6.3066114966980891e-06,4.45944775513058e-06,3.9926596837273389,3.9747488308185566,,1
 """,
     "rung_8.csv": b"""\
 seed,sup_error,l2h_error
-1,0.0015589540865835749,0.0011023470061816531
-2,0.0015589540865835749,0.0011023470061816531
-3,0.0015589540865835749,0.0011023470061816531
+1,0.0015589540865832696,0.0011023470061813938
+2,0.0015589540865832696,0.0011023470061813938
+3,0.0015589540865832696,0.0011023470061813938
 """,
     "rung_16.csv": b"""\
 seed,sup_error,l2h_error
-1,0.00010039368729675147,7.0989057075752403e-05
-2,0.00010039368729675147,7.0989057075752403e-05
-3,0.00010039368729675147,7.0989057075752403e-05
+1,0.00010039368729644615,7.0989057075489199e-05
+2,0.00010039368729644615,7.0989057075489199e-05
+3,0.00010039368729644615,7.0989057075489199e-05
 """,
     "rung_32.csv": b"""\
 seed,sup_error,l2h_error
-1,6.3066114970034004e-06,4.4594477553964255e-06
-2,6.3066114970034004e-06,4.4594477553964255e-06
-3,6.3066114970034004e-06,4.4594477553964255e-06
+1,6.3066114966980891e-06,4.45944775513058e-06
+2,6.3066114966980891e-06,4.45944775513058e-06
+3,6.3066114966980891e-06,4.45944775513058e-06
 """,
     "plot.gp": b"""\
 # accelerate study: sup/l2h error against mesh width
@@ -118,13 +118,13 @@ set ylabel 'error'
 set key left top
 set grid
 $data << EOD
-0.125 0.0015589540865835749 0.0011023470061816531
-0.0625 0.00010039368729675145 7.0989057075752403e-05
-0.03125 6.3066114970034004e-06 4.4594477553964255e-06
+0.125 0.0015589540865832696 0.0011023470061813938
+0.0625 0.00010039368729644615 7.0989057075489199e-05
+0.03125 6.3066114966980891e-06 4.45944775513058e-06
 EOD
 plot $data using 1:2 with linespoints title 'sup error', \\
      $data using 1:3 with linespoints title 'l2h error', \\
-     6.3854759386463229*x**4 with lines dashtype 2 title 'order 4 guide'
+     6.3854759386450723*x**4 with lines dashtype 2 title 'order 4 guide'
 """,
 }
 
@@ -470,9 +470,9 @@ PINNED_STUDIES = {
                        problem_params=(("beta", 0.3), ("extra_diffusion", 0.05)),
                        n=16, points0=16, rungs=3, correctors_k=3,
                        reference_mode="spectral", seeds=(1001,)),
-        {"report.csv": "7997436c425cdd1a", "rung_16.csv": "71c44cc43fe9cda0",
-         "rung_32.csv": "770c06cf21da4129", "rung_64.csv": "b8bc132f4cc000d5",
-         "plot.gp": "c5a0061591b25b7e"}),
+        {"report.csv": "69f564be53944d42", "rung_16.csv": "c1f1d52a00f92974",
+         "rung_32.csv": "a14d9ef821d184d0", "rung_64.csv": "78fcbcb8798fed3f",
+         "plot.gp": "5d49df27c6164df6"}),
     "fine-grid-var-coef1d-k2": (
         ExperimentSpec(problem="var-coef1d", n=16, points0=8, rungs=3,
                        correctors_k=2, seeds=(2001,)),
@@ -587,17 +587,20 @@ class TestBlockedMeasurement:
     def test_study_without_failure(self, tmp_path):
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert _digests(emit_outputs(result, tmp_path / "a")) == {
-            "report.csv": "0ef808bcce0aa233", "rung_8.csv": "b78a4c28de0f5aab",
-            "rung_16.csv": "4fb591e744e798d9", "rung_32.csv": "5e526f45b3025f73",
-            "plot.gp": "8add9693fac53489"}
+            "report.csv": "00ef34f0eba9cc22", "rung_8.csv": "d369353fa3621063",
+            "rung_16.csv": "142aea8852fc45d5", "rung_32.csv": "4dd78f70ca59e34c",
+            "plot.gp": "7a18489c3464cfb1"}
         result = run_corrector_experiment(self.CORRECTOR_SPEC)
         assert _digests(emit_outputs(result, tmp_path / "c")) == {
-            "report.csv": "5f036d607ae93f4f", "rung_16.csv": "a0fdd696eded76df",
-            "rung_32.csv": "055012431b04b7f2", "plot.gp": "21bc53df4edfa7e6"}
+            "report.csv": "d41991c64154228e", "rung_16.csv": "05f2480dcc301b07",
+            "rung_32.csv": "d13ab01b419dfd9b", "plot.gp": "eb4e2bee9ca26bda"}
 
     def test_target_loses_a_column_mid_block(self, monkeypatch, tmp_path):
         # the reference drops seed 6's column at step 21; seeds 4 and 5 are
         # measured on to the end and keep their rows
+        whole = emit_outputs(run_convergence_experiment(self.SPEC,
+                                                        accelerate=True),
+                             tmp_path / "whole")
         _poison(monkeypatch, SpectralOperators, -1)
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert result.failure == (
@@ -605,9 +608,14 @@ class TestBlockedMeasurement:
             "produced non-finite values; tau may not be small enough")
         assert [[row[0] for row in rows]
                 for rows in result.per_rung_errors.values()] == [[4, 5]] * 3
-        assert _digests(emit_outputs(result, tmp_path)) == {
-            "report.csv": "21db6170b7b7e945", "rung_8.csv": "3f37a6f292770e87",
-            "rung_16.csv": "efd963a53b00aa46", "rung_32.csv": "d5443e7f68260f73"}
+        paths = emit_outputs(result, tmp_path)
+        assert _digests(paths) == {
+            "report.csv": "21db6170b7b7e945", "rung_8.csv": "c2665fb676c266c4",
+            "rung_16.csv": "69bd405769ff80b3", "rung_32.csv": "cb69fab41ed2b7a4"}
+        for path in whole:
+            if path.name.startswith("rung_"):
+                rows = path.read_text().splitlines()[:3] + ["FAILED,,"]
+                assert (tmp_path / path.name).read_text().splitlines() == rows
 
     def test_rung_fails_mid_block(self, monkeypatch, tmp_path):
         _poison_rung(monkeypatch, (16,), 1)
@@ -850,6 +858,15 @@ class TestSelfcheck:
         assert len(results) == 3
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
+
+    def test_oracle_checks_the_study_solve(self, monkeypatch):
+        # the dense-solve oracle reads the solve that every study runs
+        original = FiniteDifferenceOperators.solve_values
+        monkeypatch.setattr(
+            FiniteDifferenceOperators, "solve_values",
+            lambda self, rhs, i, failures: 1.001 * original(self, rhs, i,
+                                                            failures))
+        assert [ok for _, ok, _ in selfcheck()] == [True, True, False]
 
 
 class TestCli:

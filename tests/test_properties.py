@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spdefd.correctors import _fft
 from spdefd.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -28,7 +29,6 @@ from spdefd.grids import (
 from spdefd.richardson import richardson_combine, vandermonde_weights
 from spdefd.stepper import (
     Trajectory,
-    _fft,
     export_trajectory_binary,
     load_trajectory_binary,
     run_reference_time_scheme,

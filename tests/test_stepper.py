@@ -412,7 +412,7 @@ def marched_step(scheme, grid, tau, v_prev, f, g_prev, xi):
     p = DifferentialProblem(d=grid.dim, d1=len(xi), T=tau, u0=lambda x: v_prev)
     marcher = Marcher(p, np.reshape(xi, (1, -1, 1)),
                       FiniteDifferenceOperators(p, [grid], tau, scheme))
-    marcher.advance(f, [(part,) for part in g_prev])
+    marcher.advance((f, [(part,) for part in g_prev]))
     assert not any(marcher.failures)
     return marcher.v[..., 0]
 
@@ -659,14 +659,19 @@ class TestReferenceTimeScheme:
 
 
 def march_columns(marcher, n, factor=1):
-    """States 0..n of a batched marcher, restricted by ``factor`` per axis."""
+    """Real states 0..n of a batched marcher on one lattice, restricted by
+    ``factor`` per axis."""
     dim = marcher.operators.grids[0].dim
     cut = tuple(slice(None, None, factor) for _ in range(dim))
-    states = [marcher.v[cut].copy()]
+
+    def state():
+        return marcher.operators.states(marcher.v)[0][cut].copy()
+
+    states = [state()]
     for _ in range(n):
         marcher.advance()
         assert not any(marcher.failures)
-        states.append(marcher.v[cut].copy())
+        states.append(state())
     return states
 
 
@@ -776,7 +781,7 @@ class TestBatchedMarcher:
         n = 6
         paths = [sample_increments(n, 1, 0.5 / n, seed) for seed in (1, 2)]
         xi = increment_columns(forced, n, paths)
-        x, tau = g.coordinates, 0.5 / n
+        tau = 0.5 / n
         for ops in (lambda p: SpectralOperators(p, g, tau),
                     lambda p: FiniteDifferenceOperators(p, [g], tau)):
             want = Marcher(forced, xi, ops(forced))
@@ -784,7 +789,8 @@ class TestBatchedMarcher:
             assert not got.v.any()
             for i in range(1, n + 1):
                 want.advance()
-                got.advance(f=F(i, x), g=[(G(i - 1, x),)])
+                got.advance((got.operators.evaluate(F, i),
+                             [(got.operators.evaluate(G, i - 1),)]))
                 assert got.v.tobytes() == want.v.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -852,14 +858,15 @@ def _single_grid_run(name):
 
 
 # sha256 prefixes of the (n + 1, *grid) float64 trajectories, recorded with
-# the single-grid lattice operators that the ladder's operators replaced
+# the single-grid lattice operators that the ladder's operators replaced (the
+# spectral reference: with its march in Fourier space)
 SINGLE_GRID_PINS = {
     "gmres-2d-16": "976894187ecaf030",          # direct
     "gmres-2d-72": "e4a3642e27f4474c",          # auto mode: GMRES
     "time-dependent-1d": "f7cae694248963fb",
     "iterative-1d": "2c434bb062f6a79f",
     "fine-grid-reference": "89315c63851d4b09",
-    "spectral-reference": "38a0510f2cc9f1c1",
+    "spectral-reference": "44de206f0cd1654e",
 }
 
 
@@ -1060,6 +1067,15 @@ class TestTrajectoryExport:
         data = bytearray(path.read_bytes())
         data[8:16] = struct.pack("<Q", 2 ** 40)
         path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="truncated trajectory dump"):
+            load_trajectory_binary(path)
+
+    def test_point_count_does_not_wrap(self, tmp_path):
+        # 2**32 x 2**32 points wrap to 0 in int64, which an empty payload
+        # would match
+        path = tmp_path / "traj.bin"
+        path.write_bytes(b"SPFDTR01" + struct.pack("<QQdd", 2, 0, 2.0 ** -32, 0.5)
+                         + struct.pack("<2Q", 2 ** 32, 2 ** 32))
         with pytest.raises(ValueError, match="truncated trajectory dump"):
             load_trajectory_binary(path)
 
