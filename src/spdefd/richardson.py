@@ -161,12 +161,17 @@ def estimate_order(hs, errors, expected_order: float | None = None,
     log e against log h over a halving mesh ladder.
 
     Errors at or below 1e-14 count as exactly converged; they are excluded
-    from the fit and noted.  Zero or negative errors are rejected.
+    from the fit and noted.  Zero, negative or non-finite errors, non-finite
+    mesh widths and ``l2h_errors`` of another length are rejected.
     """
     hs = [float(h) for h in hs]
     errors = [float(e) for e in errors]
     if len(hs) != len(errors) or len(hs) < 2:
         raise ExtrapolationError("need matching h and error lists, length >= 2")
+    if l2h_errors is not None and len(l2h_errors) != len(errors):
+        raise ExtrapolationError("need one l2h error per rung")
+    if not np.isfinite(hs + errors).all():
+        raise ExtrapolationError("mesh widths and errors must be finite")
     for a, b in zip(hs, hs[1:]):
         if abs(b - a / 2.0) > 1e-12 * a:
             raise ExtrapolationError("mesh ladder must halve at every rung")

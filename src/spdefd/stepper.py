@@ -31,16 +31,17 @@ right-hand side to +0.0: the step would leave the state as it is, so the
 bits are those of the step.
 
 L^h has one form: its expansion into weighted shifts
-(``_expansion_terms``), assembled once per operator into the sparse matrix
-of ``I - tau L^h``.  That matrix gives the forward action, the sparse LU
-factorization below a size threshold (one factorized solve for all
-columns), and the matrix-vector product of GMRES above it (column by
-column).  GMRES is preconditioned by the FFT inverse of the circulant with
-the mean weights, which is exact when the coefficients are constant.
-Failures surface as :class:`SolveFailure` (the scheme is only solvable for
-small enough tau), including a step whose result holds a NaN or inf, and
-are never papered over by regularization.  ``apply_L`` is a one-field
-wrapper over the assembled L^h.
+(``_expansion_terms``), assembled into the sparse matrix of ``I - tau
+L^h``.  :class:`FiniteDifferenceOperators` is the one solver of that
+operator: it factors it by sparse LU up to a size threshold, one
+factorized solve for all columns, and above it solves column by column by
+GMRES through :class:`ImplicitOperator`, which holds the matrix as its
+matrix-vector product and nothing else.  GMRES is preconditioned by the
+FFT inverse of the circulant with the mean weights, which is exact when
+the coefficients are constant.  Failures surface as :class:`SolveFailure`
+(the scheme is only solvable for small enough tau), including a step whose
+result holds a NaN or inf, and are never papered over by regularization.
+``apply_L`` is a one-field wrapper over the assembled L^h.
 
 The reference solution of the time-discretized PDE is realized exactly per
 Fourier mode when the coefficients are constant in space, or by the centred
@@ -220,16 +221,6 @@ def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
     return terms
 
 
-def _nonfinite_columns(x: np.ndarray, dim: int, what: str, step: int) -> dict:
-    """Failures keyed by the columns of ``x`` that hold a NaN or inf."""
-    if np.isfinite(x).all():
-        return {}
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(dim))))
-    return {int(k): SolveFailure(f"{what} produced non-finite values; "
-                                 "tau may not be small enough", step=step)
-            for k in bad}
-
-
 def _assemble(terms: list, shape: tuple, tau: float | None = None):
     """CSR matrix of ``I - tau L^h``, or of ``L^h`` itself when ``tau`` is
     None, on a lattice of ``shape`` from the expansion terms of L^h.
@@ -325,89 +316,44 @@ def _factors(matrix, step: int, **options):
 
 
 class ImplicitOperator:
-    """Solve for (I - tau L^h_i) on one grid.
+    """GMRES for (I - tau L^h_i) on one grid, the iterative rung of
+    :class:`FiniteDifferenceOperators`, which makes every sparse LU solve.
 
     The operator is assembled once as a sparse matrix from the expansion
-    terms of L^h; that matrix, ``matrix``, is the forward action.  Direct mode
-    factorizes it, and one factorized solve serves every column.  Iterative
-    mode runs GMRES on it, one column at a time, preconditioned by the FFT
-    inverse of the circulant with the mean weights (T. Chan's circulant
-    preconditioner) and started from zero; with constant coefficients the
-    preconditioner is the exact inverse and one iteration reaches the
-    solution.
-    A GMRES solution must pass ``|b - A x| <= ITERATIVE_RTOL |b|`` and a
-    factorized one must be finite, else the solve fails with
+    terms of L^h; that matrix, ``matrix``, is the forward action and the
+    matrix-vector product of GMRES.  GMRES solves one column at a time,
+    preconditioned by the FFT inverse of the circulant with the mean
+    weights (T. Chan's circulant preconditioner) and started from zero;
+    with constant coefficients the preconditioner is the exact inverse and
+    one iteration reaches the solution.  A solution must pass
+    ``|b - A x| <= ITERATIVE_RTOL |b|``, else the solve fails with
     :class:`SolveFailure`.
     """
 
-    def __init__(self, scheme, grid, tau, i, mode="auto",
-                 sampler: SchemeSampler | None = None):
+    def __init__(self, scheme, grid, tau, i, sampler: SchemeSampler | None = None):
         if tau < 0:
             raise SolveFailure("tau must be nonnegative")
-        mode = _solver_mode(mode, grid)
-        self.scheme = scheme
         self.grid = grid
-        self.tau = float(tau)
         self.i = i
-        self.mode = mode
         self.sampler = sampler or SchemeSampler(scheme, grid)
         terms = _expansion_terms(self.sampler.arrays(i), grid.h, grid.dim)
-        self.matrix = _assemble(terms, grid.shape, self.tau)
-        if mode == "direct":
-            self._lu = _factors(self.matrix.tocsc(), i)
-        else:
-            n = grid.npoints
-            symbol = _circulant_symbol(terms, grid.shape, self.tau)
-            # no reference back to self: a cycle would keep every step's
-            # matrix alive until the cyclic garbage collector runs
-            self._product = _LastCall(self.matrix.dot)
-            self._A = spla.LinearOperator((n, n), matvec=self._product,
-                                          dtype=float)
-            self._M = spla.LinearOperator(
-                (n, n), matvec=_LastCall(functools.partial(
-                    _circulant_solve, symbol, grid.shape)), dtype=float)
-
-    @functools.cached_property
-    def keeps_zero(self) -> bool:
-        """Whether a solve maps a +0.0 right-hand side to +0.0.  GMRES
-        returns a zero right-hand side as it is; a negative pivot of the LU
-        factors turns +0.0 into -0.0."""
-        if self.mode != "direct" or self.tau == 0.0:
-            return True
-        return not np.signbit(self._lu.solve(np.zeros(self.grid.npoints))).any()
+        self.matrix = _assemble(terms, grid.shape, float(tau))
+        n = grid.npoints
+        symbol = _circulant_symbol(terms, grid.shape, float(tau))
+        # no reference back to self: a cycle would keep every step's matrix
+        # alive until the cyclic garbage collector runs
+        self._product = _LastCall(self.matrix.dot)
+        self._A = spla.LinearOperator((n, n), matvec=self._product, dtype=float)
+        self._M = spla.LinearOperator(
+            (n, n), matvec=_LastCall(functools.partial(
+                _circulant_solve, symbol, grid.shape)), dtype=float)
 
     def solve(self, rhs: GridField) -> GridField:
+        """The GMRES solve of one field, failing at the operator's index."""
         if rhs.grid != self.grid:
             raise GridError("right-hand side lives on a different grid")
-        x, failed = self.solve_columns(rhs.values[..., None])
-        if failed:
-            raise failed[0]
-        return GridField(self.grid, x[..., 0])
-
-    def solve_columns(self, rhs: np.ndarray,
-                      step: int | None = None) -> tuple[np.ndarray, dict]:
-        """Solve for every column of a ``grid.shape + (S,)`` right-hand side.
-
-        Returns the solution and the failures, which name ``step`` (default:
-        the operator's own index), keyed by column; the entries of a failed
-        column are meaningless.
-        """
-        step = self.i if step is None else step
-        if self.tau == 0.0:
-            return rhs, {}
-        if self.mode == "direct":
-            x = self._lu.solve(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
-            return x, _nonfinite_columns(x, self.grid.dim, "factorized solve",
-                                         step)
-        x = np.zeros(rhs.shape)
-        failed = {}
-        for k in range(rhs.shape[-1]):
-            try:
-                x[..., k] = self._solve_iterative(rhs[..., k].ravel(), step) \
-                    .reshape(self.grid.shape)
-            except SolveFailure as exc:
-                failed[k] = exc
-        return x, failed
+        x = self._solve_iterative(rhs.values.ravel(), self.i)
+        return GridField(self.grid, x.reshape(self.grid.shape))
 
     def _solve_iterative(self, b: np.ndarray, step: int) -> np.ndarray:
         if not np.isfinite(b).all():
@@ -507,8 +453,13 @@ def _abort_nonfinite(x: np.ndarray, failures: dict, what: str,
                      step: int) -> None:
     """Abort every column of a lattice's solution ``x`` (rows first, a
     column per path) that holds a NaN or inf and has not failed yet."""
-    for k, exc in _nonfinite_columns(x, x.ndim - 1, what, step).items():
-        failures.setdefault(k, _aborted(exc))
+    if np.isfinite(x).all():            # the common case, in one pass
+        return
+    bad = ~np.isfinite(x).all(axis=tuple(range(x.ndim - 1)))
+    for k in np.flatnonzero(bad):
+        failures.setdefault(int(k), _aborted(SolveFailure(
+            f"{what} produced non-finite values; tau may not be small enough",
+            step=step)))
 
 
 class Marcher:
@@ -833,8 +784,10 @@ class FiniteDifferenceOperators:
     read once from a factorization of the rung alone: it depends on the
     sparsity pattern alone) and the block diagonal is factored in its
     natural order, so every rung gets the pivots and the bits of its own
-    LU.  A time-dependent scheme refactors at every step.  GMRES rungs
-    solve column by column through their own :class:`ImplicitOperator`.
+    LU.  A time-dependent scheme refactors at every step.  Every sparse LU
+    is made here; the GMRES rungs solve column by column through this
+    loop, each with its own :class:`ImplicitOperator`, which holds only the
+    GMRES solve.
 
     The solve fills the failure record of the marcher it serves (see
     :class:`Marcher`), which is passed in since marchers may share one
@@ -1005,7 +958,7 @@ class FiniteDifferenceOperators:
         key, op = self._gmres[r]
         if op is None or key != self._key(i):
             op = ImplicitOperator(self.scheme, self.grids[r], self.tau, i,
-                                  mode="iterative", sampler=self.samplers[r])
+                                  sampler=self.samplers[r])
             self._gmres[r] = (self._key(i), op)
         return op
 

@@ -210,6 +210,27 @@ class TestEstimateOrder:
         with pytest.raises(ExtrapolationError):
             estimate_order([0.1, 0.05], [0.1, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_errors(self, bad):
+        # a NaN fails both e < 0 and e == 0, and was noted as converged
+        # exactly while the fit ran on the other rungs
+        with pytest.raises(ExtrapolationError, match="must be finite"):
+            estimate_order([0.1, 0.05, 0.025], [1e-2, bad, 1e-4],
+                           expected_order=3.3, tolerance=0.1)
+
+    @pytest.mark.parametrize("hs", [[0.1, float("nan")],
+                                    [float("nan"), float("nan")],
+                                    [float("inf"), float("inf")]])
+    def test_rejects_nonfinite_mesh_widths(self, hs):
+        # NaN widths pass the halving check and reached the fit
+        with pytest.raises(ExtrapolationError, match="must be finite"):
+            estimate_order(hs, [1.0, 0.5])
+
+    @pytest.mark.parametrize("l2h", [[0.02], [0.02, 0.005, 0.001]])
+    def test_rejects_l2h_errors_of_another_length(self, l2h):
+        with pytest.raises(ExtrapolationError, match="one l2h error per rung"):
+            estimate_order([0.1, 0.05], [0.04, 0.01], l2h_errors=l2h)
+
     def test_exact_convergence_excluded(self):
         hs = [1 / 8, 1 / 16, 1 / 32]
         report = estimate_order(hs, [1e-4, 1e-5, 1e-15])

@@ -164,14 +164,28 @@ class TestApplyM:
             apply_M_values(s, g.zeros(), 2, 0)
 
 
+def lattice_solve(scheme, grid, tau, rhs, mode="auto", step=0):
+    """The solve of ``rhs`` (``grid.shape``, or with a trailing column axis)
+    by a one-rung :class:`FiniteDifferenceOperators`, the path every march
+    solves through: the solution in the shape of ``rhs`` and the lattice's
+    failure record."""
+    failures = [{}]
+    x = FiniteDifferenceOperators(None, [grid], tau, scheme, mode).solve_values(
+        np.reshape(rhs, (grid.npoints, -1)), step, failures)
+    return x.reshape(np.shape(rhs)), failures[0]
+
+
 class TestImplicitOperator:
     def test_tau_zero_identity(self):
+        # a direct solve at tau = 0 returns the right-hand side bit for bit
         g = make_torus_grid(1, [1.0], [16])
         s = scheme_1d(a11=1.0)
-        op = ImplicitOperator(s, g, 0.0, 0)
         rng = np.random.default_rng(1)
         rhs = g.field(rng.standard_normal(16))
-        np.testing.assert_array_equal(op.solve(rhs).values, rhs.values)
+        x, failed = lattice_solve(s, g, 0.0, rhs.values)
+        assert not failed
+        np.testing.assert_array_equal(x, rhs.values)
+        assert x.tobytes() == rhs.values.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_heat_mode_division(self, k):
@@ -203,19 +217,23 @@ class TestImplicitOperator:
     def test_apply_solve_round_trip_direct(self):
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, p1=0.2)
-        op = ImplicitOperator(s, g, 0.02, 0, mode="direct")
+        op = ImplicitOperator(s, g, 0.02, 0)
         rng = np.random.default_rng(5)
         rhs = g.field(rng.standard_normal(64))
-        back = op.matrix @ op.solve(rhs).values.ravel()
+        x, failed = lattice_solve(s, g, 0.02, rhs.values, "direct")
+        assert not failed
+        back = op.matrix @ x.ravel()
         np.testing.assert_allclose(back, rhs.values.ravel(), rtol=1e-12, atol=1e-13)
 
     def test_iterative_residual_contract(self):
         g = make_torus_grid(1, [1.0], [64])
         s = scheme_1d(a11=0.5, p1=0.2)
-        op = ImplicitOperator(s, g, 0.02, 0, mode="iterative")
+        op = ImplicitOperator(s, g, 0.02, 0)
         rng = np.random.default_rng(5)
         rhs = g.field(rng.standard_normal(64))
-        back = op.matrix @ op.solve(rhs).values.ravel()
+        x, failed = lattice_solve(s, g, 0.02, rhs.values, "iterative")
+        assert not failed
+        back = op.matrix @ x.ravel()
         resid = np.linalg.norm(back - rhs.values.ravel())
         assert resid <= 1e-11 * np.linalg.norm(rhs.values)
 
@@ -238,13 +256,15 @@ class TestImplicitOperator:
         g = make_torus_grid(2, [1.0, 1.5], [8, 12])
         s, tau = varcoef_scheme_2d(), 0.01
         A = np.eye(g.npoints) - tau * dense_L_2d(s, g, g.h, 0)
-        op = ImplicitOperator(s, g, tau, 0, mode=mode)
+        op = ImplicitOperator(s, g, tau, 0)
         rng = np.random.default_rng(11)
         phi = g.field(rng.standard_normal(g.shape))
         np.testing.assert_allclose(op.matrix @ phi.values.ravel(),
                                    A @ phi.values.ravel(), rtol=0, atol=1e-11)
         rhs = g.field(rng.standard_normal(g.shape))
-        np.testing.assert_allclose(op.solve(rhs).values.ravel(),
+        x, failed = lattice_solve(s, g, tau, rhs.values, mode)
+        assert not failed
+        np.testing.assert_allclose(x.ravel(),
                                    np.linalg.solve(A, rhs.values.ravel()),
                                    rtol=0, atol=1e-9)
 
@@ -257,10 +277,11 @@ class TestImplicitOperator:
         g = make_torus_grid(1, [1.0], [16])
         s = DifferenceScheme(stencil=basis_stencil(1), d1=0,
                              a={((1,), (1,)): 0.01, ((0,), (0,)): a00})
-        op = ImplicitOperator(s, g, 1.0, 0, mode=mode)
-        x, failed = op.solve_columns(np.zeros((16, 1)))
-        assert not failed
-        assert op.keeps_zero is keeps
+        ops = FiniteDifferenceOperators(None, [g], 1.0, s, mode)
+        failures = [{}]
+        x = ops.solve_values(np.zeros((16, 1)), 0, failures)
+        assert not failures[0]
+        assert ops.keeps_zero(0) is keeps
         assert bool(np.signbit(x).any()) is not keeps
 
 
@@ -298,7 +319,7 @@ class TestIterativeSolve:
         s, tau = cross_scheme_2d(), 0.01
         terms = _expansion_terms(SchemeSampler(s, g).arrays(0), g.h, 2)
         symbol = _circulant_symbol(terms, g.shape, tau)
-        A = ImplicitOperator(s, g, tau, 0, mode="direct").matrix
+        A = ImplicitOperator(s, g, tau, 0).matrix
         j1, j2 = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
         for k in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 4), (7, 6)]:
             phi = np.exp(2j * np.pi * (k[0] * j1 / 8 + k[1] * j2 / 12)).ravel()
@@ -315,9 +336,12 @@ class TestIterativeSolve:
 
         monkeypatch.setattr(stepper.spla, "gmres", counting)
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
-        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, 0, mode="iterative")
+        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, 0)
         rhs = g.field(np.random.default_rng(7).standard_normal(g.shape))
-        back = op.matrix @ op.solve(rhs).values.ravel()
+        x, failed = lattice_solve(cross_scheme_2d(), g, 0.01, rhs.values,
+                                  "iterative")
+        assert not failed
+        back = op.matrix @ x.ravel()
         # the circulant inverse is exact, so the first Krylov vector spans
         # the solution
         assert len(iterations) <= 1
@@ -329,9 +353,11 @@ class TestIterativeSolve:
         s = build_scheme_example1(p)
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
         rhs = g.field(np.random.default_rng(8).standard_normal(g.shape))
-        direct = ImplicitOperator(s, g, 0.02, 0, mode="direct").solve(rhs)
-        iterative = ImplicitOperator(s, g, 0.02, 0, mode="iterative").solve(rhs)
-        np.testing.assert_allclose(iterative.values, direct.values, rtol=0, atol=1e-9)
+        direct, failed = lattice_solve(s, g, 0.02, rhs.values, "direct")
+        assert not failed
+        iterative, failed = lattice_solve(s, g, 0.02, rhs.values, "iterative")
+        assert not failed
+        np.testing.assert_allclose(iterative, direct, rtol=0, atol=1e-9)
 
     def test_nonfinite_column_fails_without_iterating(self, monkeypatch):
         from spdefd import stepper
@@ -343,12 +369,12 @@ class TestIterativeSolve:
 
         monkeypatch.setattr(stepper.spla, "gmres", counting)
         g = make_torus_grid(2, [1.0, 1.0], [32, 32])
-        op = ImplicitOperator(cross_scheme_2d(), g, 0.01, 0, mode="iterative")
         rhs = np.ones(g.shape + (2,))
         rhs[3, 4, 1] = np.inf
-        _, failed = op.solve_columns(rhs, step=5)
+        _, failed = lattice_solve(cross_scheme_2d(), g, 0.01, rhs, "iterative",
+                                  step=5)
         assert list(failed) == [1]
-        assert str(failed[1]).startswith(
+        assert str(failed[1].__cause__).startswith(
             "step 5: right-hand side holds non-finite values")
         assert len(calls) == 1              # the finite column only
 
@@ -367,12 +393,14 @@ class TestIterativeSolve:
         monkeypatch.setattr(stepper, "_circulant_solve", counted)
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
         s, tau = cross_scheme_2d(), 0.01
-        op = ImplicitOperator(s, g, tau, 0, mode="iterative")
+        ops = FiniteDifferenceOperators(None, [g], tau, s, "iterative")
+        op = ops._iterative(0, 0)         # the operator the solve reuses
         product = op._product.fn
         op._product.fn = lambda x: calls.append("A") or product(x)
         rhs = np.random.default_rng(7).standard_normal(g.shape + (1,))
-        x, failed = op.solve_columns(rhs)
-        assert not failed and sorted(calls) == ["A", "A", "M", "M"]
+        failures = [{}]
+        x = ops.solve_values(rhs.reshape(g.npoints, 1), 0, failures)
+        assert not failures[0] and sorted(calls) == ["A", "A", "M", "M"]
         n, spla = g.npoints, stepper.spla
         symbol = stepper._circulant_symbol(stepper._expansion_terms(
             op.sampler.arrays(0), g.h, 2), g.shape, tau)
@@ -392,6 +420,25 @@ class TestIterativeSolve:
             assert got[0] == np.copysign(1.0, x)
             got[0] = 7.0                  # a caller may write into its copy
         assert len(calls) == 3
+
+    def test_singular_operator_stalls(self):
+        # a00 = 1 / tau leaves I - tau L^h = -tau a11 d_1 d_1, which is
+        # singular: GMRES cannot meet its residual bound
+        tau, g = 0.1, make_torus_grid(2, [1.0, 1.0], [8, 8])
+        s = DifferenceScheme(stencil=basis_stencil(2), d1=0,
+                             a={((1, 0), (1, 0)): 0.05, ((0, 0), (0, 0)): 1 / tau})
+        rhs = np.random.default_rng(3).standard_normal(g.shape + (2,))
+        _, failed = lattice_solve(s, g, tau, rhs, "iterative", step=3)
+        assert list(failed) == [0, 1]
+        for exc in failed.values():
+            assert str(exc.__cause__).startswith(
+                "step 3: iteration stalled (relative residual ")
+            assert str(exc) == f"scheme run aborted: {exc.__cause__}"
+        p = DifferentialProblem(d=2, d1=0, T=4 * tau,
+                                u0=lambda x: 1.0 + np.sin(2 * np.pi * x[..., 0]))
+        with pytest.raises(SolveFailure, match=r"^scheme run aborted: step 1: "
+                           r"iteration stalled \(relative residual "):
+            run_space_time_scheme(p, s, g, 4, solver_mode="iterative")
 
     def test_time_dependent_iterative_matches_direct(self):
         p = vanishing_diffusion_problem(time_independent=False)
