@@ -19,14 +19,14 @@ mode-energy check rejects fields the reference grid cannot resolve.
 Every trajectory is a :class:`stepper.Trajectory`, one ``(n + 1,) +
 grid.shape`` array with a row per time index.  The system is lower-triangular
 in the order and causal in time, so it is marched in one pass over blocks of
-FORCING_BLOCK_ROWS steps: the reference first, then each corrector p by
-:class:`stepper.Marcher` from a zero state, its forcing in place of the free
-terms.  Each lower-order block gets one FFT over the spatial axes
-(``_fft``) and one sum of its rows' mode energies for the resolution
-check, which every higher order reuses.  The expansion operators
-``corrector_operator_L``/``_M`` take such a block and its rows' time
-indices and return one array per row; each derivative term is one inverse
-FFT of the block times its rows' coefficient arrays.  A spectral
+``stepper.BLOCK_ROWS`` steps, a :class:`stepper.Marcher`'s block: the
+reference first, then each corrector p by a marcher from a zero state, its
+forcing in place of the free terms.  Each lower-order block gets one FFT
+over the spatial axes (``_fft``) and one sum of its rows' mode energies for
+the resolution check, which every higher order reuses.  The expansion
+operators ``corrector_operator_L``/``_M`` take such a block and its rows'
+time indices and return one array per row; each derivative term is one
+inverse FFT of the block times its rows' coefficient arrays.  A spectral
 reference's marchers step in Fourier space, so each block of forcing is
 transformed once, a zero one not at all.  A marcher skips the steps whose
 forcing is zero while its state is still zero, so a vanishing corrector
@@ -44,6 +44,7 @@ import numpy as np
 from .grids import TorusGrid, _norms, _require_finite
 from .problems import DifferenceScheme, DifferentialProblem
 from .stepper import (
+    BLOCK_ROWS,
     FiniteDifferenceOperators,
     Marcher,
     SchemeSampler,
@@ -56,10 +57,6 @@ from .stepper import (
 )
 
 RESOLUTION_ENERGY_TOL = 1e-10
-# time steps whose forcing is computed together (and whose errors a study
-# measures together): large enough to batch the FFTs and the norms, small
-# enough that the blocks add little to the resident set
-FORCING_BLOCK_ROWS = 16
 
 
 class ResolutionError(ValueError):
@@ -356,8 +353,8 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]
     sampler = SchemeSampler(scheme, refgrid)
     freq = _frequency_mesh(refgrid)
-    for start in range(1, n + 1, FORCING_BLOCK_ROWS):
-        steps = range(start, min(start + FORCING_BLOCK_ROWS, n + 1))
+    for start in range(1, n + 1, BLOCK_ROWS):
+        steps = range(start, min(start + BLOCK_ROWS, n + 1))
         _march_path(reference, values[0], steps[-1], factor)
         spectra = []
         for p, marcher in enumerate(marchers, start=1):

@@ -28,9 +28,9 @@ study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
 study's target.  All seeds of all rungs march in lock-step with the target
-over the time index, the rungs as one packed state.  Their states are kept
-for a block of 16 indices (``correctors.FORCING_BLOCK_ROWS``), and the
-errors are reduced per block of steps into running per-seed maxima, so no
+over the time index, the rungs as one packed state.  The marchers keep
+their states for a block of ``stepper.BLOCK_ROWS`` indices, and the errors
+of every column are reduced per block into running per-seed maxima, so no
 rung trajectory is stored; each norm has the bits of measuring its index
 alone.  The target is all that tells the studies apart: the reference
 time-scheme solution for ``converge``/``accelerate`` (whose rungs may be
@@ -56,7 +56,6 @@ from pathlib import Path
 import numpy as np
 
 from .correctors import (
-    FORCING_BLOCK_ROWS,
     ResolutionError,
     _remainder,
     _weighted,
@@ -80,6 +79,7 @@ from .richardson import (
     vandermonde_weights,
 )
 from .stepper import (
+    BLOCK_ROWS,
     FiniteDifferenceOperators,
     Marcher,
     SolveFailure,
@@ -404,17 +404,12 @@ class ExperimentResult:
 
 class _Replay:
     """The corrector set of one path, replayed index by index like a
-    one-column :class:`Marcher`.  Its terms are weighted once per rung and
-    laid out ``grid.shape + (n + 1, 1)``, so the terms of a block of
-    consecutive indices are slices."""
+    one-column :class:`Marcher`.  The terms of a block of consecutive
+    indices are sliced from the trajectories' rows, restricted and weighted
+    when they are read."""
 
-    def __init__(self, cs, grids):
-        self.cs, self.i, self.failures = cs, 0, {}
-        self.first = 0
-        self.weighted = {g.shape: _weighted(
-            [np.moveaxis(traj.restricted(cs.grid.shape[0] // g.shape[0]).values,
-                         0, -1)[..., None]
-             for traj in cs.trajectories], g.h) for g in grids}
+    def __init__(self, cs):
+        self.cs, self.i, self.first, self.failures = cs, 0, 0, {}
 
     def advance(self) -> None:
         self.i += 1
@@ -424,41 +419,33 @@ class _Replay:
             self.first = self.i
 
     def terms(self, grid, rows: int) -> list:
-        return [term[..., self.first:self.first + rows, :]
-                for term in self.weighted[grid.shape]]
+        block = (slice(self.first, self.first + rows),) + (
+            slice(None, None, self.cs.grid.shape[0] // grid.shape[0]),) * grid.dim
+        return _weighted([np.moveaxis(traj.values[block], 0, -1)[..., None]
+                          for traj in self.cs.trajectories], grid.h)
 
 
 class _Reference:
-    """The reference marcher of a convergence study as a study target.  At
-    each recorded index its state, in the operators' own form (a spectral
-    reference's half-spectrum, a fine lattice's packed values), is copied
-    into a slot of a ``(B,) + shape + (S,)`` block.  The block's real states
-    are made once per measured block, by one ``operators.states`` call on
-    the filled slots, and restricted onto ``grid`` (the finest rung
-    measured) into one ``grid.shape + (rows, S)`` array; every coarser rung
-    reads a strided view of that."""
+    """The reference marcher of a convergence study as a study target: it
+    steps and records as its marcher.  The real states of a measured block
+    are made once (:meth:`Marcher.block_states`) and restricted onto
+    ``grid`` (the finest rung measured) into one ``grid.shape + (rows, S)``
+    array; every coarser rung reads a strided view of that."""
 
     def __init__(self, marcher: Marcher, grid):
         self.marcher, self.grid = marcher, grid
-        self.failures = marcher.failures[0]
+        self.advance, self.failures = marcher.advance, marcher.failures[0]
         self.factor = marcher.operators.grids[0].shape[0] // grid.shape[0]
-        self.block = np.empty((FORCING_BLOCK_ROWS,) + marcher.v.shape,
-                              dtype=marcher.v.dtype)
         self.states = None
 
-    def advance(self) -> None:
-        self.marcher.advance()
-
     def record(self, slot: int) -> None:
-        self.block[slot] = self.marcher.v
+        self.marcher.record(slot)
         self.states = None
 
     def terms(self, grid, rows: int) -> list:
         if self.states is None:
-            states = self.marcher.operators.states(
-                np.moveaxis(self.block[:rows], 0, -2))[0]
-            self.states = np.ascontiguousarray(
-                _restricted(states, self.factor, self.grid.dim))
+            self.states = np.ascontiguousarray(_restricted(
+                self.marcher.block_states(rows)[0], self.factor, self.grid.dim))
         return [_restricted(self.states, self.grid.shape[0] // grid.shape[0],
                             grid.dim)]
 
@@ -478,19 +465,16 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     :class:`stepper.FiniteDifferenceOperators` on the whole ladder under
     one :class:`Marcher`, which makes one explicit step and one block LU
     solve for the whole ladder (GMRES rungs solve apart), with the bits of
-    each rung marched alone.  Ladder and target march in lock-step, and
-    the errors are reduced per block of steps.  The packed state of each
-    index is copied into a slot of one ``(sum of npoints, B, S)`` array (B
-    = :data:`correctors.FORCING_BLOCK_ROWS`), whose rows give each rung's
-    ``grid.shape + (B, S)`` block; an extrapolation partner is restricted
-    when it is read.  A block is measured when it is full, before the
-    target's live columns (those it has not failed) change, and at the end
-    of the march: every rung's candidate (the rung, or its extrapolation by
-    ``weights``) less the target's terms (:func:`correctors._remainder`),
-    over the live columns, goes through one :func:`grids._norms` call, and
-    the maxima over the block are folded into running per-seed maxima.
-    Each (index, path) is one contiguous row of that call, so every norm
-    has the bits of measuring its index alone.
+    each rung marched alone.  Ladder and target march in lock-step, each
+    recording an index per slot of its block (:meth:`Marcher.record`), and
+    a block is measured when full and at the end: each rung's candidate
+    (the rung, or its extrapolation by ``weights``, a partner restricted
+    when read) less the target's terms (:func:`correctors._remainder`)
+    goes through one :func:`grids._norms` call whose rows are the (index,
+    path) pairs, so every norm has the bits of measuring its index alone.
+    The block maxima are folded into running per-seed maxima.  Every column
+    is measured: a failed one is zeroed in place, so it stays finite, and
+    its seed's rows are never reported.
 
     The marcher's failure record holds a dict per rung: a rung's failure
     fails that seed on that rung alone, whose column is zeroed, and the
@@ -511,52 +495,36 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   if problem.d1 > 0 else None for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    ladder = FiniteDifferenceOperators(problem, grids, tau, scheme)
-    marcher = Marcher(problem, xi, ladder)
+    marcher = Marcher(problem, xi, FiniteDifferenceOperators(
+        problem, grids, tau, scheme))
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
-    # the packed states of a block of indices, a slot per index; each rung's
-    # grid.shape + (B, S) block is a view of its rows
-    packed = np.empty((len(marcher.v), FORCING_BLOCK_ROWS, len(paths)))
-    blocks = ladder.states(packed)
-    filled, live = 0, None
+    filled = 0
 
     def flush():
         nonlocal filled
         rows, filled = filled, 0
         if not rows:
             return
-        cols = slice(None) if live.size == len(paths) else live
+        blocks = marcher.block_states(rows)
         for j, grid in enumerate(grids[:spec.rungs]):
-            views = [_restricted(blocks[j + m][..., :rows, :], 2 ** m,
-                                 grid.dim)
+            views = [_restricted(blocks[j + m], 2 ** m, grid.dim)
                      for m in range(level + 1)]
             candidate = (views[0] if weights is None
                          else _combine(views, weights.beta))
-            err = _remainder(candidate[..., cols],
-                             [term[..., cols] for term in target.terms(grid, rows)])
+            err = _remainder(candidate, target.terms(grid, rows))
             # one contiguous row per (index, path), as _norms needs
             s, l = _norms(np.ascontiguousarray(
-                err.reshape(-1, rows * live.size).T), grid.h ** grid.dim)
-            sup[j, cols] = np.maximum(sup[j, cols],
-                                      s.reshape(rows, -1).max(axis=0))
-            l2h[j, cols] = np.maximum(l2h[j, cols],
-                                      l.reshape(rows, -1).max(axis=0))
+                err.reshape(-1, rows * len(paths)).T), grid.h ** grid.dim)
+            sup[j] = np.maximum(sup[j], s.reshape(rows, -1).max(axis=0))
+            l2h[j] = np.maximum(l2h[j], l.reshape(rows, -1).max(axis=0))
 
     def record():
-        nonlocal filled, live
-        # a block holds indices with the same live target columns
-        now = np.array([k for k in range(len(paths))
-                        if k not in target.failures], dtype=int)
-        if filled and now.size != live.size:
-            flush()
-        live = now
-        if not live.size:
-            return
-        packed[:, filled, :] = marcher.v
+        nonlocal filled
+        marcher.record(filled)
         target.record(filled)
         filled += 1
-        if filled == FORCING_BLOCK_ROWS:
+        if filled == BLOCK_ROWS:
             flush()
 
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
@@ -753,7 +721,7 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
         return _Replay(run_corrector_system(
             spec.correctors_k, problem, scheme,
             grids[-1].refined(2 ** spec.refine), spec.n, increments[0],
-            reference_mode=ref_mode, refine=spec.refine), grids)
+            reference_mode=ref_mode, refine=spec.refine))
 
     result, target = _march_ladder(spec, "correctors", problem, scheme,
                                    spec.seeds[:1], None,

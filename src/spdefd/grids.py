@@ -14,10 +14,11 @@ Conventions:
 * ``forward_difference`` (array kernel ``_forward_values``) is
   ``(T_{h,lam} - I)/h``; with ``sign=-1`` it is the backward-form
   ``(T_{-h,lam} - I)/(-h)``.
-* ``_symmetric_values`` is the centred difference
-  ``(T_{h,lam} - T_{-h,lam})/(2h)`` on arrays; the lattice operator in
-  ``stepper`` is assembled from it and ``_forward_values``.
 * The zero stencil vector maps to the identity operator in all of the above.
+
+The schemes' lattice operators are built in ``stepper`` on ``_shifted``: L^h
+from its expansion into weighted shifts (``_expansion_terms``), M^{h,rho}
+as the gathers of ``FiniteDifferenceOperators.apply_M_values``.
 """
 
 import itertools
@@ -227,13 +228,6 @@ def _forward_values(values: np.ndarray, lam, h: float, sign: int,
     if not any(lam):
         return values
     return (_shifted(values, lam, sign, dim) - values) / (sign * h)
-
-
-def _symmetric_values(values: np.ndarray, lam, h: float, dim: int) -> np.ndarray:
-    if not any(lam):
-        return values
-    return (_shifted(values, lam, 1, dim) - _shifted(values, lam, -1, dim)) \
-        / (2.0 * h)
 
 
 def _restricted(values: np.ndarray, factor: int, dim: int) -> np.ndarray:

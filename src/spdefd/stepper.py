@@ -80,6 +80,10 @@ from .wiener import BrownianIncrements
 
 DIRECT_SOLVE_MAX_UNKNOWNS = 4096
 ITERATIVE_RTOL = 1e-11
+# time steps kept together (a marcher's block of states, a block of the
+# corrector forcing): large enough to batch the FFTs and the norms, small
+# enough that the blocks add little to the resident set
+BLOCK_ROWS = 16
 
 
 class SolveFailure(RuntimeError):
@@ -492,6 +496,11 @@ class Marcher:
     state is zeros, read without a transform.  A state that returns to
     zero later is stepped as usual, since its zeros may carry a sign.
 
+    The marcher owns a block of states for readers of a block of indices:
+    :meth:`record` copies ``v`` into a slot of one slot-leading
+    ``(BLOCK_ROWS,) + v.shape`` array, and :meth:`block_states` makes each
+    lattice's real states of the filled slots in one ``operators.states``.
+
     When the problem's f and every g^rho are plain numbers (or g^rho is
     absent), the free-term arrays are built once and serve every step; a
     callable free term is evaluated at every step.
@@ -512,6 +521,7 @@ class Marcher:
                                xi.shape[-1], axis=-1)
         self.failures = [{} for _ in operators.grids]
         self.i = 0
+        self.block = None
         self._free = None
         if isinstance(problem.f, _Constant) and all(
                 isinstance(ev, _Constant) for ev in problem.g.values()):
@@ -551,6 +561,17 @@ class Marcher:
         for rows, failed in zip(self.operators._rows, self.failures):
             if failed:
                 self.v[rows, ..., list(failed)] = 0.0
+
+    def record(self, slot: int) -> None:
+        """Copy ``v`` into a slot of the block, which the first call makes."""
+        if self.block is None:
+            self.block = np.empty((BLOCK_ROWS,) + self.v.shape, self.v.dtype)
+        self.block[slot] = self.v
+
+    def block_states(self, rows: int) -> list:
+        """Each lattice's real ``grid.shape + (rows, S)`` states of the
+        first ``rows`` slots of the block."""
+        return self.operators.states(np.moveaxis(self.block[:rows], 0, -2))
 
 
 def _march_path(marcher: Marcher, states: np.ndarray, stop: int,

@@ -10,6 +10,7 @@ from spdefd.cli import main
 from spdefd.experiments import (
     ConfigError,
     ExperimentResult,
+    REPORT_HEADER,
     ExperimentSpec,
     build_problem,
     emit_outputs,
@@ -595,26 +596,39 @@ class TestBlockedMeasurement:
             "report.csv": "d41991c64154228e", "rung_16.csv": "05f2480dcc301b07",
             "rung_32.csv": "d13ab01b419dfd9b", "plot.gp": "eb4e2bee9ca26bda"}
 
-    def test_target_loses_a_column_mid_block(self, monkeypatch, tmp_path):
-        # the reference drops seed 6's column at step 21; seeds 4 and 5 are
-        # measured on to the end and keep their rows
+    @pytest.mark.parametrize("column, seeds", [
+        pytest.param(0, [], id="first"), pytest.param(1, [4], id="middle"),
+        pytest.param(-1, [4, 5], id="last")])
+    @pytest.mark.parametrize("step", [16, 21, 40])
+    def test_target_loses_a_column_mid_block(self, monkeypatch, tmp_path,
+                                             step, column, seeds):
+        # the reference drops one seed's column at the first index of a
+        # block (16), inside one (21) or at the last index (40); the seeds
+        # before it are measured on to the end and keep their rows
         whole = emit_outputs(run_convergence_experiment(self.SPEC,
                                                         accelerate=True),
                              tmp_path / "whole")
-        _poison(monkeypatch, SpectralOperators, -1)
+        _poison(monkeypatch, SpectralOperators, column, step)
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert result.failure == (
-            "reference, seed 6: scheme run aborted: step 21: spectral solve "
-            "produced non-finite values; tau may not be small enough")
+            f"reference, seed {self.SPEC.seeds[column]}: scheme run aborted: "
+            f"step {step}: spectral solve produced non-finite values; tau may "
+            "not be small enough")
         assert [[row[0] for row in rows]
-                for rows in result.per_rung_errors.values()] == [[4, 5]] * 3
+                for rows in result.per_rung_errors.values()] == [seeds] * 3
         paths = emit_outputs(result, tmp_path)
-        assert _digests(paths) == {
-            "report.csv": "21db6170b7b7e945", "rung_8.csv": "c2665fb676c266c4",
-            "rung_16.csv": "69bd405769ff80b3", "rung_32.csv": "cb69fab41ed2b7a4"}
+        if (step, column) == (21, -1):
+            assert _digests(paths) == {
+                "report.csv": "21db6170b7b7e945",
+                "rung_8.csv": "c2665fb676c266c4",
+                "rung_16.csv": "69bd405769ff80b3",
+                "rung_32.csv": "cb69fab41ed2b7a4"}
+        assert (tmp_path / "report.csv").read_text() == (
+            f"{REPORT_HEADER}\nFAILED,{result.failure}\n")
         for path in whole:
             if path.name.startswith("rung_"):
-                rows = path.read_text().splitlines()[:3] + ["FAILED,,"]
+                rows = (path.read_text().splitlines()[:1 + len(seeds)]
+                        + ["FAILED,,"])
                 assert (tmp_path / path.name).read_text().splitlines() == rows
 
     def test_rung_fails_mid_block(self, monkeypatch, tmp_path):

@@ -11,15 +11,28 @@ from spdefd.grids import (
     forward_difference,
     _forward_values,
     _shifted,
-    _symmetric_values,
     grid_norms,
     make_torus_grid,
 )
+from spdefd.problems import DifferenceScheme
+from spdefd.stepper import FiniteDifferenceOperators
 
 
 def rng_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     return grid.field(rng.standard_normal(grid.shape))
+
+
+def centred_difference(values, lam, h):
+    """The centred difference ``(T_{h,lam} - T_{-h,lam})/(2h)`` of an array
+    on its own lattice of mesh h, as the schemes run it: M^{h,1} of a
+    scheme whose only term is the constant b = 1 on ``lam``."""
+    lam, dim = tuple(lam), values.ndim
+    scheme = DifferenceScheme(stencil=Stencil(((0,) * dim, lam)), d1=1,
+                              b={(lam, 1): 1.0})
+    ops = FiniteDifferenceOperators(None, [TorusGrid(dim, h, values.shape)],
+                                    1.0, scheme)
+    return ops.apply_M_values(values.reshape(-1, 1), 1, 0).reshape(values.shape)
 
 
 class TestMakeTorusGrid:
@@ -137,7 +150,7 @@ class TestSymmetricDifference:
     def test_quadratic_exact_interior(self):
         g = make_torus_grid(1, [1.0], [32])
         phi = g.sample(lambda x: x[..., 0] ** 2)
-        out = _symmetric_values(phi.values, (1,), g.h, g.dim)
+        out = centred_difference(phi.values, (1,), g.h)
         x = g.coordinates[..., 0]
         np.testing.assert_allclose(out[1:-1], 2.0 * x[1:-1], atol=1e-12)
 
@@ -146,21 +159,21 @@ class TestSymmetricDifference:
         g = make_torus_grid(1, [2.0], [32])
         P = g.periods[0]
         phi = g.sample(lambda x: np.sin(2 * np.pi * x[..., 0] / P))
-        out = _symmetric_values(phi.values, (1,), g.h, g.dim)
+        out = centred_difference(phi.values, (1,), g.h)
         x = g.coordinates[..., 0]
         expect = np.sin(2 * np.pi * g.h / P) / g.h * np.cos(2 * np.pi * x / P)
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_constant_to_zero(self):
         g = make_torus_grid(1, [1.0], [8])
-        out = _symmetric_values(g.constant(-4.0).values, (1,), g.h, g.dim)
+        out = centred_difference(g.constant(-4.0).values, (1,), g.h)
         np.testing.assert_array_equal(out, np.zeros(8))
 
     def test_average_of_one_sided(self):
         g = make_torus_grid(2, [1.0, 1.0], [8, 8])
         phi = rng_field(g, seed=5).values
         lam = (1, 1)
-        sym = _symmetric_values(phi, lam, g.h, g.dim)
+        sym = centred_difference(phi, lam, g.h)
         avg = 0.5 * (_forward_values(phi, lam, g.h, 1, g.dim)
                      + _forward_values(phi, lam, g.h, -1, g.dim))
         np.testing.assert_allclose(sym, avg, atol=1e-14)
@@ -250,8 +263,8 @@ class TestOperatorProperties:
         f = rng_field(g, seed=seed).values
         w = rng_field(g, seed=seed + 50).values
         lam = (1,)
-        lhs = np.sum(_symmetric_values(f, lam, g.h, g.dim) * w)
-        rhs = -np.sum(f * _symmetric_values(w, lam, g.h, g.dim))
+        lhs = np.sum(centred_difference(f, lam, g.h) * w)
+        rhs = -np.sum(f * centred_difference(w, lam, g.h))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_linearity(self):
@@ -260,7 +273,7 @@ class TestOperatorProperties:
         w = rng_field(g, seed=2).values
         a, b = 1.7, -0.3
         for op in (lambda u: _forward_values(u, (1,), g.h, 1, g.dim),
-                   lambda u: _symmetric_values(u, (1,), g.h, g.dim),
+                   lambda u: centred_difference(u, (1,), g.h),
                    lambda u: composed_difference(g.field(u), [[1], [1]]).values):
             combined = op(a * f + b * w)
             split = a * op(f) + b * op(w)
@@ -275,8 +288,8 @@ class TestOperatorProperties:
         g = make_torus_grid(1, [1.0], [32])
         P = g.periods[0]
         phi = g.sample(lambda x: np.cos(2 * np.pi * k * x[..., 0] / P))
-        out = _symmetric_values(_symmetric_values(phi.values, (1,), g.h, g.dim),
-                                (1,), g.h, g.dim)
+        out = centred_difference(centred_difference(phi.values, (1,), g.h),
+                                 (1,), g.h)
         factor = -(np.sin(2 * np.pi * k * g.h / P) / g.h) ** 2
         out_hat = np.fft.rfft(out)
         expect_hat = factor * np.fft.rfft(phi.values)
