@@ -19,20 +19,23 @@ mode-energy check rejects fields the reference grid cannot resolve.
 Every trajectory is a :class:`stepper.Trajectory`, one ``(n + 1,) +
 grid.shape`` array with a row per time index.  The system is lower-triangular
 in the order and causal in time, so it is marched in one pass over blocks of
-``stepper.BLOCK_ROWS`` steps, a :class:`stepper.Marcher`'s block: the
-reference first, then each corrector p by a marcher from a zero state, its
-forcing in place of the free terms.  Each lower-order block gets one FFT
-over the spatial axes (``_fft``) and one sum of its rows' mode energies for
-the resolution check, which every higher order reuses.  The expansion
+``stepper.BLOCK_ROWS`` time indices: the reference first, then each
+corrector p by a marcher from a zero state, its forcing in place of the
+free terms.  Each marcher gives the real states of a block in one
+:meth:`stepper.Marcher.march` call, a spectral one by one inverse transform.
+The forcing of the steps to the indices of a block reads the lower orders
+at those indices and the one before: each such block gets one FFT over the
+spatial axes (``_fft``) and one sum of its rows' mode energies for the
+resolution check, which every higher order reuses.  The expansion
 operators ``corrector_operator_L``/``_M`` take such a block and its rows'
 time indices and return one array per row; each derivative term is one
 inverse FFT of the block times its rows' coefficient arrays.  A spectral
 reference's marchers step in Fourier space, so each block of forcing is
 transformed once, a zero one not at all.  A marcher skips the steps whose
 forcing is zero while its state is still zero, so a vanishing corrector
-(every odd one of a symmetric scheme) marches no solve.  The expansion
-residual subtracts strided views of the corrector arrays and measures the
-remainder with one norm call.
+(every odd one of a symmetric scheme) marches no solve and is read as
+zeros.  The expansion residual subtracts strided views of the corrector
+arrays and measures the remainder with one norm call.
 """
 
 import math
@@ -41,17 +44,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import TorusGrid, _norms, _require_finite
+from .grids import TorusGrid, _norms, _require_finite, _restricted
 from .problems import DifferenceScheme, DifferentialProblem
 from .stepper import (
-    BLOCK_ROWS,
     FiniteDifferenceOperators,
     Marcher,
     SchemeSampler,
     SolveFailure,
     Trajectory,
+    _blocks,
     _frequency_mesh,
-    _march_path,
     increment_columns,
     reference_marcher,
 )
@@ -320,8 +322,9 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     realization of (I - tau L): exact per mode for constant coefficients,
     the centred lattice on the reference grid otherwise.
 
-    All orders march one block of steps at a time (see the module notes):
-    a failure or unresolved field in an earlier block is raised first.
+    All orders march one block of time indices at a time (see the module
+    notes): a failure or unresolved field in an earlier block is raised
+    first, and within a block, one of a lower order.
 
     While a corrector's forcing is zero and its state has never left zero,
     its steps are skipped where the operators' ``keeps_zero`` allows (see
@@ -348,31 +351,35 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     spectral = reference_mode == "spectral-const-coef"
     ops = reference.operators if spectral \
         else FiniteDifferenceOperators(problem, [refgrid], tau)
-    marchers = [Marcher(problem, xi, ops, zero_start=True)
-                for _ in range(k)]
+    marchers = [reference] + [Marcher(problem, xi, ops, zero_start=True)
+                              for _ in range(k)]
     values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]
     sampler = SchemeSampler(scheme, refgrid)
     freq = _frequency_mesh(refgrid)
-    for start in range(1, n + 1, BLOCK_ROWS):
-        steps = range(start, min(start + BLOCK_ROWS, n + 1))
-        _march_path(reference, values[0], steps[-1], factor)
+    for block in _blocks(n):
+        steps = range(max(block.start, 1), block.stop)
         spectra = []
-        for p, marcher in enumerate(marchers, start=1):
-            spectra.append(_spectra(refgrid, values[p - 1][start - 1:steps.stop],
-                                    freq))
-            f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
-                                      xi[..., 0])
-            if spectral:    # one transform per block and field
-                f, g = ops.forward(f, 1), [[ops.forward(x, 1) for x in parts]
-                                           for parts in g]
-            try:
-                _march_path(marcher, values[p], steps[-1], forcing=(f, g))
-            except SolveFailure as exc:
-                # report a failed solve in the solver's own words, not as an
-                # aborted column of a path
-                if isinstance(exc.__cause__, SolveFailure):
-                    raise exc.__cause__ from None
-                raise
+        for p, marcher in enumerate(marchers):
+            forcing = None
+            if p:
+                spectra.append(_spectra(
+                    refgrid, values[p - 1][steps.start - 1:steps.stop], freq))
+                f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
+                                          xi[..., 0])
+                if spectral:    # one transform per block and field
+                    f, g = ops.forward(f, 1), [[ops.forward(x, 1) for x in parts]
+                                               for parts in g]
+                forcing = f, g
+            states = marcher.march(len(block), forcing)[0][..., 0]
+            failure = marcher.failures[0].get(0)
+            if failure is not None:
+                # a corrector's failed solve is reported in the solver's own
+                # words, not as an aborted column of a path
+                if p and isinstance(failure.__cause__, SolveFailure):
+                    raise failure.__cause__ from None
+                raise failure
+            values[p][block.start:block.stop] = np.moveaxis(_restricted(
+                states, factor if p == 0 else 1, refgrid.dim), -1, 0)
     return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=[
         Trajectory(grid=refgrid, tau=tau, values=v) for v in values])
 

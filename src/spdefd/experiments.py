@@ -27,14 +27,16 @@ Keys are case-insensitive; the horizon may be written ``T`` or ``t``.
 study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
-study's target.  All seeds of all rungs march in lock-step with the target
-over the time index, the rungs as one packed state.  The marchers keep
-their states for a block of ``stepper.BLOCK_ROWS`` indices, and the errors
-of every column are reduced per block into running per-seed maxima, so no
-rung trajectory is stored; each norm has the bits of measuring its index
-alone.  The target is all that tells the studies apart: the reference
-time-scheme solution for ``converge``/``accelerate`` (whose rungs may be
-extrapolated), and the expansion sum_{m<=k} (h^m/m!) v^(m) of the
+study's target.  All seeds of all rungs march as one packed state, and the
+ladder and then its target march one block of ``stepper.BLOCK_ROWS`` time
+indices at a time, each block's real states read in one
+:meth:`stepper.Marcher.march` call.  The errors of every column are
+reduced per block into running per-seed maxima, so no rung trajectory is
+stored; each norm has the bits of measuring its index alone, so the block
+size changes no output.  The target, a function of the block that gives
+its weighted terms per rung, is all that tells the studies apart: the
+reference time-scheme solution for ``converge``/``accelerate`` (whose rungs
+may be extrapolated), and the expansion sum_{m<=k} (h^m/m!) v^(m) of the
 corrector system for ``correctors``.  Errors are measured pathwise, as
 max over time of the sup over grid points; squared errors are averaged over
 the seed set before order fitting, so the reported quantity realizes the
@@ -79,11 +81,11 @@ from .richardson import (
     vandermonde_weights,
 )
 from .stepper import (
-    BLOCK_ROWS,
     FiniteDifferenceOperators,
     Marcher,
     SolveFailure,
     SpectralModeError,
+    _blocks,
     increment_columns,
     reference_marcher,
     run_space_time_scheme,  # unused: perfbench/check_bench.py reads it here
@@ -402,87 +404,71 @@ class ExperimentResult:
         return (not self.failed) and self.report is not None and self.report.passed
 
 
-class _Replay:
-    """The corrector set of one path, replayed index by index like a
-    one-column :class:`Marcher`.  The terms of a block of consecutive
-    indices are sliced from the trajectories' rows, restricted and weighted
-    when they are read."""
+def _reference_target(marcher: Marcher, grids: list) -> tuple:
+    """A convergence study's target, the reference marched by ``marcher``,
+    on the rungs ``grids``: a block's states are restricted onto the finest
+    rung once, and every coarser rung reads a strided view of that."""
+    fine = grids[-1]
+    factor = marcher.operators.grids[0].shape[0] // fine.shape[0]
 
-    def __init__(self, cs):
-        self.cs, self.i, self.first, self.failures = cs, 0, 0, {}
+    def terms(block: range) -> list:
+        states = np.ascontiguousarray(_restricted(
+            marcher.march(len(block))[0], factor, fine.dim))
+        return [[_restricted(states, fine.shape[0] // grid.shape[0], grid.dim)]
+                for grid in grids]
 
-    def advance(self) -> None:
-        self.i += 1
-
-    def record(self, slot: int) -> None:
-        if not slot:
-            self.first = self.i
-
-    def terms(self, grid, rows: int) -> list:
-        block = (slice(self.first, self.first + rows),) + (
-            slice(None, None, self.cs.grid.shape[0] // grid.shape[0]),) * grid.dim
-        return _weighted([np.moveaxis(traj.values[block], 0, -1)[..., None]
-                          for traj in self.cs.trajectories], grid.h)
+    return terms, marcher.failures[0]
 
 
-class _Reference:
-    """The reference marcher of a convergence study as a study target: it
-    steps and records as its marcher.  The real states of a measured block
-    are made once (:meth:`Marcher.block_states`) and restricted onto
-    ``grid`` (the finest rung measured) into one ``grid.shape + (rows, S)``
-    array; every coarser rung reads a strided view of that."""
+def _replay_target(cs, grids: list) -> tuple:
+    """A corrector study's target, the expansion of the corrector set ``cs``
+    of one path, on the rungs ``grids``: a block's terms are sliced from
+    the restricted trajectories' rows and weighted when they are read."""
+    rungs = [[traj.restricted(cs.grid.shape[0] // grid.shape[0]).values
+              for traj in cs.trajectories] for grid in grids]
 
-    def __init__(self, marcher: Marcher, grid):
-        self.marcher, self.grid = marcher, grid
-        self.advance, self.failures = marcher.advance, marcher.failures[0]
-        self.factor = marcher.operators.grids[0].shape[0] // grid.shape[0]
-        self.states = None
+    def terms(block: range) -> list:
+        return [_weighted([np.moveaxis(v[block.start:block.stop], 0, -1)[..., None]
+                           for v in values], grid.h)
+                for grid, values in zip(grids, rungs)]
 
-    def record(self, slot: int) -> None:
-        self.marcher.record(slot)
-        self.states = None
-
-    def terms(self, grid, rows: int) -> list:
-        if self.states is None:
-            self.states = np.ascontiguousarray(_restricted(
-                self.marcher.block_states(rows)[0], self.factor, self.grid.dim))
-        return [_restricted(self.states, self.grid.shape[0] // grid.shape[0],
-                            grid.dim)]
+    return terms, {}
 
 
 def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
-                  weights, expected_order, make_target):
-    """The rung loop of both studies; returns the result and the target.
+                  weights, expected_order, make_target) -> ExperimentResult:
+    """The rung loop of both studies.
 
-    ``make_target(grids, xi, increments)`` gives the target.  It steps like
-    a :class:`Marcher` (``advance``, and ``failures`` keyed by column);
-    ``record(slot)`` keeps its current index in a slot of the block, and
-    ``terms(grid, rows)`` gives the weighted expansion terms (h^m/m!) v^(m)
-    of the first ``rows`` slots on a rung's grid, each ``grid.shape +
-    (rows, S)``.
+    ``make_target(grids, xi, increments)`` gives the target and its failure
+    record, keyed by column.  The target is a function of a block of time
+    indices, the next ones: it marches over them and gives, per measured
+    rung, the weighted expansion terms (h^m/m!) v^(m) there on the rung's
+    grid, each ``grid.shape + (rows, S)``.
 
     The rungs march as one packed state: one
     :class:`stepper.FiniteDifferenceOperators` on the whole ladder under
     one :class:`Marcher`, which makes one explicit step and one block LU
     solve for the whole ladder (GMRES rungs solve apart), with the bits of
-    each rung marched alone.  Ladder and target march in lock-step, each
-    recording an index per slot of its block (:meth:`Marcher.record`), and
-    a block is measured when full and at the end: each rung's candidate
-    (the rung, or its extrapolation by ``weights``, a partner restricted
-    when read) less the target's terms (:func:`correctors._remainder`)
-    goes through one :func:`grids._norms` call whose rows are the (index,
-    path) pairs, so every norm has the bits of measuring its index alone.
-    The block maxima are folded into running per-seed maxima.  Every column
-    is measured: a failed one is zeroed in place, so it stays finite, and
-    its seed's rows are never reported.
+    each rung marched alone.  The ladder and then its target march one
+    block of indices at a time (:meth:`Marcher.march`), and the block is
+    measured: each rung's candidate (the rung, or its extrapolation by
+    ``weights``, a partner restricted when read) less the target's terms
+    (:func:`correctors._remainder`) goes through one :func:`grids._norms`
+    call whose rows are the (index, path) pairs, so every norm has the bits
+    of measuring its index alone.  The block maxima are folded into running
+    per-seed maxima.  Every column is measured: a failed one is zeroed in
+    place, so it stays finite, and its seed's rows are never reported.
 
     The marcher's failure record holds a dict per rung: a rung's failure
-    fails that seed on that rung alone, whose column is zeroed, and the
-    target stops at the first.  The first failing (seed, mesh) pair in
-    seed-major order is reported, target failures only when every rung
-    succeeded, and a failure the target raises while it is built as
-    itself.  A spectral target on variable coefficients, and a corrector
-    target the reference grid cannot resolve, are configuration errors.
+    fails that seed on that rung alone, whose column is zeroed.  The ladder
+    marches on to find the first failing (seed, mesh) pair in seed-major
+    order, which is reported; the target marches the rest of the block in
+    which a rung first failed, and then stops.  Target failures are
+    reported only when every rung succeeded, after the rows of the seeds
+    before the failing one, and a failure the target raises while it is
+    built as itself.  A spectral target on variable coefficients, and a
+    corrector target the reference grid cannot resolve, are configuration
+    errors.
     """
     level = 0 if weights is None else weights.level
     grids = ladder_grids(spec, problem, extra=level)
@@ -499,34 +485,6 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         problem, grids, tau, scheme))
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
-    filled = 0
-
-    def flush():
-        nonlocal filled
-        rows, filled = filled, 0
-        if not rows:
-            return
-        blocks = marcher.block_states(rows)
-        for j, grid in enumerate(grids[:spec.rungs]):
-            views = [_restricted(blocks[j + m], 2 ** m, grid.dim)
-                     for m in range(level + 1)]
-            candidate = (views[0] if weights is None
-                         else _combine(views, weights.beta))
-            err = _remainder(candidate, target.terms(grid, rows))
-            # one contiguous row per (index, path), as _norms needs
-            s, l = _norms(np.ascontiguousarray(
-                err.reshape(-1, rows * len(paths)).T), grid.h ** grid.dim)
-            sup[j] = np.maximum(sup[j], s.reshape(rows, -1).max(axis=0))
-            l2h[j] = np.maximum(l2h[j], l.reshape(rows, -1).max(axis=0))
-
-    def record():
-        nonlocal filled
-        marcher.record(filled)
-        target.record(filled)
-        filled += 1
-        if filled == BLOCK_ROWS:
-            flush()
-
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
     per_rung = {j: [] for j in range(spec.rungs)}
 
@@ -536,30 +494,40 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                                 failed=True, failure=message)
 
     try:
-        target = make_target(grids, xi, increments)
-        record()
-        for _ in range(spec.n):
-            marcher.advance()
+        target, target_failures = make_target(grids, xi, increments)
+        for block in _blocks(spec.n):
             # once a rung failed, the study reports that failure: the rungs
             # march on only to find the first failing pair
-            if not any(marcher.failures):
-                target.advance()
-                record()
-        flush()
+            measured, rows = not any(marcher.failures), len(block)
+            states = marcher.march(rows)
+            if not measured:
+                continue
+            terms = target(block)
+            for j, grid in enumerate(grids[:spec.rungs]):
+                views = [_restricted(states[j + m], 2 ** m, grid.dim)
+                         for m in range(level + 1)]
+                candidate = (views[0] if weights is None
+                             else _combine(views, weights.beta))
+                err = _remainder(candidate, terms[j])
+                # one contiguous row per (index, path), as _norms needs
+                s, l = _norms(np.ascontiguousarray(
+                    err.reshape(-1, rows * len(paths)).T), grid.h ** grid.dim)
+                sup[j] = np.maximum(sup[j], s.reshape(rows, -1).max(axis=0))
+                l2h[j] = np.maximum(l2h[j], l.reshape(rows, -1).max(axis=0))
     except (SpectralModeError, ResolutionError) as exc:
         raise ConfigError(f"[reference] {exc}") from exc
     except SolveFailure as exc:
-        return failed(str(exc)), None
+        return failed(str(exc))
 
     for k, seed in zip(column, seeds):
         for j, failures in enumerate(marcher.failures):
             if k in failures:
-                return failed(f"seed {seed}, mesh {j}: {failures[k]}"), target
+                return failed(f"seed {seed}, mesh {j}: {failures[k]}")
 
     sup_sq, l2h_sq = np.zeros((2, spec.rungs))
     for k, seed in zip(column, seeds):
-        if k in target.failures:
-            return failed(f"reference, seed {seed}: {target.failures[k]}"), target
+        if k in target_failures:
+            return failed(f"reference, seed {seed}: {target_failures[k]}")
         for j in range(spec.rungs):
             s, l = float(sup[j, k]), float(l2h[j, k])
             per_rung[j].append((seed, s, l))
@@ -571,8 +539,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                             spec.order_tolerance,
                             l2h_errors=list(np.sqrt(l2h_sq / len(seeds))))
     return ExperimentResult(kind=kind, spec=spec, report=report,
-                            rung_points=rung_points,
-                            per_rung_errors=per_rung), target
+                            rung_points=rung_points, per_rung_errors=per_rung)
 
 
 def run_convergence_experiment(spec: ExperimentSpec,
@@ -600,12 +567,12 @@ def run_convergence_experiment(spec: ExperimentSpec,
                           ">= 1, got 0")
 
     def reference(grids, xi, _):
-        return _Reference(reference_marcher(problem, grids[-1], xi, ref_mode,
-                                            spec.refine)[0],
-                          grids[spec.rungs - 1])
+        return _reference_target(reference_marcher(
+            problem, grids[-1], xi, ref_mode, spec.refine)[0],
+            grids[:spec.rungs])
 
-    result, _ = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
-                              spec.expected_order, reference)
+    result = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
+                           spec.expected_order, reference)
     if not result.failed:
         result.extras["reference_mode"] = ref_mode
         if accelerate:
@@ -716,19 +683,21 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
     ref_mode = _resolve_reference_mode(spec, problem)
+    cs = None
 
     def expansion(grids, _, increments):
-        return _Replay(run_corrector_system(
+        nonlocal cs
+        cs = run_corrector_system(
             spec.correctors_k, problem, scheme,
             grids[-1].refined(2 ** spec.refine), spec.n, increments[0],
-            reference_mode=ref_mode, refine=spec.refine))
+            reference_mode=ref_mode, refine=spec.refine)
+        return _replay_target(cs, grids)
 
-    result, target = _march_ladder(spec, "correctors", problem, scheme,
-                                   spec.seeds[:1], None,
-                                   spec.expected_residual_order, expansion)
+    result = _march_ladder(spec, "correctors", problem, scheme,
+                           spec.seeds[:1], None,
+                           spec.expected_residual_order, expansion)
     if result.failed:
         return result
-    cs = target.cs
     scale = max(np.max(np.abs(cs[0].values)), 1e-300)
     result.extras.update(
         odd_corrector_ratios={j: np.max(np.abs(cs[j].values)) / scale

@@ -21,14 +21,17 @@ failure record for both, ``failures[r][column]`` per lattice r: a failed
 column is zeroed in place, and the operators read the record to skip what
 has failed.
 
-``run_space_time_scheme`` and ``run_reference_time_scheme`` march one
-column and return its states as a :class:`Trajectory`, one ``(n + 1,) +
-grid.shape`` array.  The corrector system marches on the same class, from
-a zero state and with its own forcing in place of the free terms f and g.
-Such a marcher skips the steps whose forcing is zero while its state is
-still the +0.0 it started from, where the operators' solve maps a zero
-right-hand side to +0.0: the step would leave the state as it is, so the
-bits are those of the step.
+Every march steps and reads a marcher by :meth:`Marcher.march`, which
+gives each lattice's real states at its next indices: the studies and the
+corrector system read blocks of ``BLOCK_ROWS`` steps (``_blocks``), and
+``run_space_time_scheme`` and ``run_reference_time_scheme`` read a state
+at a time into a :class:`Trajectory`, one ``(n + 1,) + grid.shape`` array.
+The corrector system marches on the same class, from a zero state and with
+its own forcing in place of the free terms f and g.  Such a marcher skips
+the steps whose forcing is zero while its state is still the +0.0 it
+started from, where the operators' solve maps a zero right-hand side to
++0.0: the step would leave the state as it is, so the bits are those of
+the step, and the real state is read as +0.0.
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled into the sparse matrix of ``I - tau
@@ -51,6 +54,7 @@ step is pointwise; u0 and the free terms are transformed once when they are
 evaluated, and the real state once when it is read.
 """
 
+import copy
 import functools
 import math
 import os
@@ -80,9 +84,9 @@ from .wiener import BrownianIncrements
 
 DIRECT_SOLVE_MAX_UNKNOWNS = 4096
 ITERATIVE_RTOL = 1e-11
-# time steps kept together (a marcher's block of states, a block of the
-# corrector forcing): large enough to batch the FFTs and the norms, small
-# enough that the blocks add little to the resident set
+# time indices marched and read together by the studies and the corrector
+# system (read by _blocks alone): large enough to batch the FFTs and the
+# norms, small enough that the blocks add little to the resident set
 BLOCK_ROWS = 16
 
 
@@ -138,10 +142,12 @@ class Trajectory:
 
     def restricted(self, factor: int) -> "Trajectory":
         """The trajectory on the grid keeping every ``factor``-th point per
-        axis: a strided view of the rows."""
+        axis: a strided, read-only view of the rows, which were checked
+        when this trajectory was made and are not checked again."""
         coarse = (slice(None),) + (slice(None, None, factor),) * self.grid.dim
-        return Trajectory(grid=_coarse_grid(self.grid, factor), tau=self.tau,
-                          values=self.values[coarse])
+        traj = copy.copy(self)
+        traj.grid, traj.values = _coarse_grid(self.grid, factor), self.values[coarse]
+        return traj
 
 
 class SchemeSampler:
@@ -496,10 +502,10 @@ class Marcher:
     state is zeros, read without a transform.  A state that returns to
     zero later is stepped as usual, since its zeros may carry a sign.
 
-    The marcher owns a block of states for readers of a block of indices:
-    :meth:`record` copies ``v`` into a slot of one slot-leading
-    ``(BLOCK_ROWS,) + v.shape`` array, and :meth:`block_states` makes each
-    lattice's real states of the filled slots in one ``operators.states``.
+    :meth:`march` is how every march steps and reads a marcher: it gives
+    its next states, a block of consecutive indices at a time, as each
+    lattice's real ``grid.shape + (rows, S)`` array, so the block's layout
+    is known here alone.  Its caller reads ``failures`` after it.
 
     When the problem's f and every g^rho are plain numbers (or g^rho is
     absent), the free-term arrays are built once and serve every step; a
@@ -521,7 +527,7 @@ class Marcher:
                                xi.shape[-1], axis=-1)
         self.failures = [{} for _ in operators.grids]
         self.i = 0
-        self.block = None
+        self._started, self._block = False, np.empty((0,) + self.v.shape)
         self._free = None
         if isinstance(problem.f, _Constant) and all(
                 isinstance(ev, _Constant) for ev in problem.g.values()):
@@ -562,43 +568,57 @@ class Marcher:
             if failed:
                 self.v[rows, ..., list(failed)] = 0.0
 
-    def record(self, slot: int) -> None:
-        """Copy ``v`` into a slot of the block, which the first call makes."""
-        if self.block is None:
-            self.block = np.empty((BLOCK_ROWS,) + self.v.shape, self.v.dtype)
-        self.block[slot] = self.v
+    def march(self, rows: int, forcing: tuple | None = None) -> list:
+        """Each lattice's real ``grid.shape + (rows, S)`` states at the
+        marcher's next ``rows`` indices: the first index it gives is the 0
+        it starts at, and every later one is one :meth:`advance`.
+        ``forcing``, if given, holds the forcing of those steps, a row each
+        (``g`` per driver, its parts; None is zero).  The states are made
+        real by one ``operators.states`` call, and those at which the
+        marcher is still at zero are +0.0, made without a transform.  Views
+        of the marcher's block of states among them hold until the next
+        call, which reuses the block."""
+        if len(self._block) < rows:     # made once: a fresh one faults in
+            self._block = np.empty((rows,) + self.v.shape, self.v.dtype)
+        block, zeros, steps = self._block[:rows], 0, 0
 
-    def block_states(self, rows: int) -> list:
-        """Each lattice's real ``grid.shape + (rows, S)`` states of the
-        first ``rows`` slots of the block."""
-        return self.operators.states(np.moveaxis(self.block[:rows], 0, -2))
+        def row(part):
+            return None if part is None else part[steps].reshape(self.operators.shape)
+
+        for r in range(rows):
+            if self._started:
+                self.advance(forcing and (row(forcing[0]), [
+                    [row(part) for part in parts] for parts in forcing[1]]))
+                steps += 1
+            self._started = True
+            if self._at_zero:           # a prefix: it never returns to zero
+                zeros += 1
+            else:
+                block[r] = self.v
+        states = self.operators.states(np.moveaxis(block[zeros:], 0, -2))
+        return [np.concatenate((np.zeros(s.shape[:-2] + (zeros,) + s.shape[-1:]),
+                                s), axis=-2) if zeros else s for s in states]
 
 
-def _march_path(marcher: Marcher, states: np.ndarray, stop: int,
-                factor: int = 1, forcing: tuple | None = None) -> np.ndarray:
-    """Step a one-column marcher on one lattice to index ``stop``, storing
-    each real state from its current one on (zeros while it is at zero),
-    restricted by ``factor`` per axis, in row i of ``states``; the first
-    failure is raised.  ``forcing``, if given, holds the
-    :meth:`Marcher.advance` forcing of those steps, a row each (``g`` per
-    driver, its parts; None is zero)."""
-    dim, shape = states.ndim - 1, marcher.operators.shape
+def _blocks(n: int) -> list:
+    """The time indices 0..n in consecutive blocks, one per ``BLOCK_ROWS``
+    steps to its indices; the first block also holds index 0."""
+    return [range(0 if start == 1 else start, min(start + BLOCK_ROWS, n + 1))
+            for start in range(1, n + 1, BLOCK_ROWS)]
 
-    def store():
-        states[marcher.i] = 0.0 if marcher._at_zero else _restricted(
-            marcher.operators.states(marcher.v)[0][..., 0], factor, dim)
 
-    def row(block, r):
-        return None if block is None else block[r].reshape(shape)
-
-    store()
-    for r in range(stop - marcher.i):
-        marcher.advance(forcing and (row(forcing[0], r), [
-            [row(part, r) for part in parts] for parts in forcing[1]]))
+def _trajectory(marcher: Marcher, grid: TorusGrid, factor: int = 1) -> Trajectory:
+    """The states v_0..v_n of a one-column marcher on one lattice, restricted
+    by ``factor`` per axis onto ``grid``, a state per call: a block of 256^2
+    states adds its copies and transforms to the resident set."""
+    n = marcher.xi.shape[0]
+    values = np.empty((n + 1,) + grid.shape)
+    for i in range(n + 1):
+        state = marcher.march(1)[0][..., 0, 0]
         if marcher.failures[0]:
             raise marcher.failures[0][0]
-        store()
-    return states
+        values[i] = _restricted(state, factor, grid.dim)
+    return Trajectory(grid=grid, tau=marcher.tau, values=values)
 
 
 def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme,
@@ -608,11 +628,10 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     """Run the fully discrete scheme for i = 1..n from v_0 = u0 on the grid."""
     if n < 1:
         raise ValueError("need at least one time step")
-    tau = problem.T / n
-    ops = FiniteDifferenceOperators(problem, [grid], tau, scheme, solver_mode)
-    marcher = Marcher(problem, increment_columns(problem, n, [increments]), ops)
-    return Trajectory(grid=grid, tau=tau, values=_march_path(
-        marcher, np.empty((n + 1,) + grid.shape), n))
+    ops = FiniteDifferenceOperators(problem, [grid], problem.T / n, scheme,
+                                    solver_mode)
+    return _trajectory(Marcher(problem, increment_columns(
+        problem, n, [increments]), ops), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,8 +1089,7 @@ def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
         raise ValueError("need at least one time step")
     marcher, factor = reference_marcher(
         problem, grid, increment_columns(problem, n, [increments]), mode, refine)
-    return Trajectory(grid=grid, tau=problem.T / n, values=_march_path(
-        marcher, np.empty((n + 1,) + grid.shape), n, factor))
+    return _trajectory(marcher, grid, factor)
 
 
 # ---------------------------------------------------------------------------

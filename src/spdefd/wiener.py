@@ -141,8 +141,8 @@ def save_increments(b: BrownianIncrements, path) -> None:
 def load_increments(path) -> BrownianIncrements:
     """Read a dump of :func:`save_increments`.  A file that is cut short or
     too long, or that holds what :func:`sample_increments` refuses (no
-    steps, a step size that is not positive and finite) or a non-finite
-    increment, raises :class:`IncrementError`."""
+    steps, a step size that is not positive and finite), more steps than an
+    array holds or a non-finite increment, raises :class:`IncrementError`."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -156,7 +156,12 @@ def load_increments(path) -> BrownianIncrements:
     if len(payload) != expected:
         raise IncrementError(f"truncated increment dump: {path}")
     _check_parameters(n, d1, tau)
-    xi = np.frombuffer(payload, dtype="<f8").astype(float).reshape(n, d1)
+    values = np.frombuffer(payload, dtype="<f8").astype(float)
+    try:
+        xi = values.reshape(n, d1)
+    except ValueError as exc:       # with no drivers, no payload bounds n
+        raise IncrementError(f"corrupt increment dump: {n} steps is more than "
+                             f"an array can hold: {path}") from exc
     if not np.isfinite(xi).all():
         raise IncrementError(f"non-finite increments in dump: {path}")
     return BrownianIncrements(n=int(n), d1=int(d1), tau=float(tau),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spdefd
-from spdefd import experiments, stepper
+from spdefd import experiments, grids, stepper
 
 # "<module>.<name>" under spdefd, as the benchmark's tracer names its spans
 INIT_SPANS = ("stepper.ImplicitOperator", "stepper.SpectralOperators",
@@ -105,3 +105,41 @@ def test_solver_modes_agree_as_the_crossover_check_requires():
         problem, scheme, grid, n, increments, solver_mode=mode).fields[-1].values
         for mode in ("direct", "iterative")}
     assert float(np.max(np.abs(finals["direct"] - finals["iterative"]))) <= 1e-8
+
+
+# reduced studies of each kind the benchmark runs
+STOCH = (("beta", 0.3), ("extra_diffusion", 0.05))
+STUDIES = {
+    "spectral": lambda: experiments.run_convergence_experiment(
+        experiments.ExperimentSpec(problem="stoch-transport",
+                                   problem_params=STOCH, n=8, points0=8,
+                                   rungs=2, level=1, reference_mode="spectral",
+                                   seeds=(1, 2)), accelerate=True),
+    "fine-grid": lambda: experiments.run_convergence_experiment(
+        experiments.ExperimentSpec(problem="var-coef1d", n=8, points0=8,
+                                   rungs=2, level=1, refine=1, seeds=(1,)),
+        accelerate=True),
+    "correctors": lambda: experiments.run_corrector_experiment(
+        experiments.ExperimentSpec(problem="stoch-transport",
+                                   problem_params=STOCH, n=8, points0=16,
+                                   rungs=2, refine=1, correctors_k=2,
+                                   reference_mode="spectral", seeds=(1,))),
+    "space-time-16^2": lambda: spdefd.run_space_time_scheme(
+        gmres_problem(), spdefd.build_scheme_example1(gmres_problem()),
+        spdefd.make_torus_grid(2, [1.0, 1.0], [16, 16]), 4,
+        spdefd.sample_increments(4, 1, 0.25 / 4, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_study_constructs_a_gridfield(name, monkeypatch):
+    # the benchmark's checks want grids.gridfield_inits > 0 on every workload
+    init, calls = grids.GridField.__init__, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(grids.GridField, "__init__", counting)
+    STUDIES[name]()
+    assert calls

@@ -492,6 +492,16 @@ class TestCorrectorSystemBits:
             assert traj.values.tobytes() == np.stack(
                 [f.values for f in traj.fields]).tobytes()
 
+    @pytest.mark.parametrize("name", ["late-forcing-89-k3-n37",
+                                      "fine-grid-varcoef-k2", "2d-k2"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_block_size_keeps_pinned_digests(self, name, rows, monkeypatch):
+        from spdefd import stepper
+        monkeypatch.setattr(stepper, "BLOCK_ROWS", rows)
+        args, kwargs = pinned_config(name)
+        assert _digests(run_corrector_system(*args, **kwargs)) == \
+            PINNED_DIGESTS[name]
+
     def test_each_lower_order_block_transformed_once(self, monkeypatch):
         # k = 3, n = 40: three blocks, each transforming and checking the
         # blocks of v^(0), v^(1) and v^(2) once

@@ -661,21 +661,56 @@ class TestBlockedMeasurement:
             "produced non-finite values; tau may not be small enough")
 
 
-class _ZeroTarget:
+def _accelerate(spec):
+    return run_convergence_experiment(spec, accelerate=True)
+
+
+class TestBlockSize:
+    """The studies march and measure ``stepper.BLOCK_ROWS`` steps at a time;
+    no output depends on that size (20 steps make blocks of 1, 5 and 16
+    steps end inside and on the last index)."""
+
+    SPECTRAL = ExperimentSpec(problem="stoch-transport", problem_params=STOCH,
+                              n=20, points0=8, rungs=3, level=1,
+                              reference_mode="spectral", seeds=(4, 5))
+    STUDIES = {
+        "spectral-converge": (SPECTRAL, run_convergence_experiment),
+        "spectral-accelerate": (SPECTRAL, _accelerate),
+        "fine-grid-accelerate": (ExperimentSpec(
+            problem="var-coef1d", n=20, points0=8, rungs=3, level=1, refine=2,
+            seeds=(3,)), _accelerate),
+        # a ladder from 89 points; the corrector system runs on its finest
+        # rung, 178 = 2 x 89 points
+        "correctors-k2-89": (ExperimentSpec(
+            problem="stoch-transport", problem_params=STOCH, n=20, points0=89,
+            rungs=2, refine=0, correctors_k=2, seeds=(4,)),
+            run_corrector_experiment),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STUDIES))
+    def test_block_size_changes_no_output(self, name, monkeypatch, tmp_path):
+        from spdefd import stepper
+        spec, run = self.STUDIES[name]
+        outputs = []
+        for rows in (1, 5, 16):
+            monkeypatch.setattr(stepper, "BLOCK_ROWS", rows)
+            result = run(spec)
+            assert not result.failed
+            got = {p.name: p.read_bytes()
+                   for p in emit_outputs(result, tmp_path / str(rows))}
+            for j, traj in enumerate(getattr(
+                    result.extras.get("corrector_set"), "trajectories", [])):
+                got[f"order{j}"] = traj.values.tobytes()
+            outputs.append(got)
+        assert "plot.gp" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def _zero_target(grids, xi, _):
     """A study target whose expansion is zero, so a rung's error at an
     index is its state, with the same bits."""
-
-    def __init__(self, width):
-        self.columns, self.failures = np.arange(width), {}
-
-    def advance(self):
-        pass
-
-    def record(self, slot):
-        pass
-
-    def terms(self, grid, rows):
-        return [np.zeros(grid.shape + (rows, self.columns.size))]
+    return (lambda block: [[np.zeros(grid.shape + (len(block), xi.shape[-1]))]
+                           for grid in grids]), {}
 
 
 def _time_dependent_problem():
@@ -757,9 +792,8 @@ class TestLadder:
 
         monkeypatch.setattr(experiments, "sample_increments", sampled)
         monkeypatch.setattr(experiments, "_norms", recording)
-        result, _ = experiments._march_ladder(
-            spec, "converge", problem, scheme, seeds, None, None,
-            lambda grids, xi, _: _ZeroTarget(xi.shape[-1]))
+        result = experiments._march_ladder(
+            spec, "converge", problem, scheme, seeds, None, None, _zero_target)
         assert not result.failed
         paths = seeds if problem.d1 > 0 else seeds[:1]
         for j in range(rungs):

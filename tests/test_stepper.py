@@ -1067,6 +1067,18 @@ class TestTrajectory:
         with pytest.raises(GridError):
             self._traj().restricted(factor)
 
+    def test_restricted_does_not_check_the_values_again(self, monkeypatch):
+        from spdefd import stepper
+        traj = self._traj()
+        calls = []
+        monkeypatch.setattr(stepper, "_require_finite", calls.append)
+        coarse = traj.restricted(2)
+        assert calls == []
+        assert not coarse.values.flags.writeable
+        assert traj.grid.shape == (8,)      # the original keeps its own grid
+        assert coarse.restricted(2).values.tobytes() == \
+            traj.values[:, ::4].tobytes()
+
 
 class TestTrajectoryExport:
     def _traj(self):

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from spdefd.wiener import (
+    _MAGIC,
     BrownianIncrements,
     IncrementError,
     load_increments,
@@ -126,6 +129,14 @@ class TestDumpRoundTrip:
         save_increments(BrownianIncrements(n=n, d1=1, tau=tau, seed=1,
                                            xi=np.zeros((n, 1))), path)
         with pytest.raises(IncrementError, match="number of steps|step size"):
+            load_increments(path)
+
+    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64 - 1])
+    def test_rejects_huge_step_count_without_drivers(self, tmp_path, n):
+        # with d1 = 0 the payload is empty whatever n claims
+        path = tmp_path / "xi.bin"
+        path.write_bytes(_MAGIC + struct.pack("<QQdQ", n, 0, 0.1, 1))
+        with pytest.raises(IncrementError, match="corrupt increment dump"):
             load_increments(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
