@@ -29,13 +29,20 @@ spatial axes (``_fft``) and one sum of its rows' mode energies for the
 resolution check, which every higher order reuses.  The expansion
 operators ``corrector_operator_L``/``_M`` take such a block and its rows'
 time indices and return one array per row; each derivative term is one
-inverse FFT of the block times its rows' coefficient arrays.  A spectral
-reference's marchers step in Fourier space, so each block of forcing is
-transformed once, a zero one not at all.  A marcher skips the steps whose
-forcing is zero while its state is still zero, so a vanishing corrector
-(every odd one of a symmetric scheme) marches no solve and is read as
-zeros.  The expansion residual subtracts strided views of the corrector
-arrays and measures the remainder with one norm call.
+inverse FFT of the block times its rows' coefficient arrays, and each
+Fourier multiplier is built once per system (:class:`_Multipliers`).
+
+A block with no nonzero entry costs nothing: no FFT, zero energy
+fractions, and no operator reads it, since every term made from it is +0.0,
+which adds nothing to the forcing.  Each operator that reads a nonzero
+block checks it, even one that vanishes, so an unresolved field is reported
+where it always was.  A spectral reference's marchers step in Fourier
+space, so each block of forcing is transformed once, a zero one not at all.
+A marcher skips the steps whose forcing is zero while its state is still
+zero, so a vanishing corrector (every odd one of a symmetric scheme)
+marches no solve and is read as zeros.  The expansion residual subtracts
+strided views of the corrector arrays and measures the remainder with one
+norm call.
 """
 
 import math
@@ -99,11 +106,8 @@ def _fft(values: np.ndarray, axes: tuple, inverse: bool = False) -> np.ndarray:
     return values
 
 
-def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
-    """Energy fraction carried by the highest retained modes per axis, for
-    each row of a ``(rows,) + shape`` stack of spectra."""
-    power = np.abs(hat) ** 2
-    shape = hat.shape[1:]
+def _top_mode_mask(shape: tuple) -> np.ndarray:
+    """True at the highest retained modes along any axis of ``shape``."""
     mask = np.zeros(shape, dtype=bool)
     for axis, n in enumerate(shape):
         k = np.abs(np.fft.fftfreq(n) * n)
@@ -111,6 +115,17 @@ def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
         dims = [1] * len(shape)
         dims[axis] = n
         mask |= top.reshape(dims)
+    return mask
+
+
+def _top_mode_fractions(hat: np.ndarray, mask: np.ndarray | None = None
+                        ) -> np.ndarray:
+    """Energy fraction carried by the highest retained modes per axis, for
+    each row of a ``(rows,) + shape`` stack of spectra; ``mask`` is
+    ``_top_mode_mask(shape)``, made here if not given."""
+    power = np.abs(hat) ** 2
+    if mask is None:
+        mask = _top_mode_mask(hat.shape[1:])
     # each row is summed along a contiguous axis, which gives the bits of
     # that row summed alone (a boolean index returns Fortran order)
     total = power.reshape(len(power), -1).sum(axis=1)
@@ -118,16 +133,50 @@ def _top_mode_fractions(hat: np.ndarray) -> np.ndarray:
     return np.divide(high, total, out=np.zeros(len(power)), where=total != 0.0)
 
 
+class _Multipliers:
+    """The Fourier multipliers of the spectral derivatives on one grid, and
+    its top-mode mask, each built once when first asked for: one object
+    serves every block of a corrector system."""
+
+    def __init__(self, grid: TorusGrid):
+        self.freq = _frequency_mesh(grid)
+        self.top = _top_mode_mask(grid.shape)
+        self._made = {}
+
+    def _factor(self, lam) -> np.ndarray:
+        acc = np.zeros(self.freq[0].shape)
+        for c, xi in zip(lam, self.freq):
+            if c:
+                acc = acc + c * xi
+        return 1j * acc
+
+    def directional(self, lam, order: int) -> np.ndarray:
+        """(i lam . xi)^order."""
+        key = (tuple(lam), order)
+        if key not in self._made:
+            self._made[key] = self._factor(lam) ** order
+        return self._made[key]
+
+    def mixed(self, lam, order_lam: int, mu, order_mu: int) -> np.ndarray:
+        """(i lam . xi)^order_lam (i mu . xi)^order_mu."""
+        key = (tuple(lam), order_lam, tuple(mu), order_mu)
+        if key not in self._made:
+            self._made[key] = (self._factor(lam) ** order_lam
+                               * self._factor(mu) ** order_mu)
+        return self._made[key]
+
+
 @dataclass
 class _Spectra:
     """A stack of fields on one grid, one row per time index, with their
     Fourier transforms over the spatial axes; derivatives of every row come
-    from one inverse FFT of the stack."""
+    from one inverse FFT of the stack.  A stack with no nonzero entry has
+    no transform (``hat`` is None): its derivatives are zeros."""
 
     grid: TorusGrid
     values: np.ndarray   # (rows,) + grid.shape
-    hat: np.ndarray
-    freq: list
+    hat: np.ndarray | None
+    multipliers: _Multipliers
     fractions: np.ndarray   # per row, from _top_mode_fractions
 
     @property
@@ -135,7 +184,8 @@ class _Spectra:
         return tuple(range(1, self.grid.dim + 1))
 
     def rows(self, window: slice) -> "_Spectra":
-        return replace(self, values=self.values[window], hat=self.hat[window],
+        return replace(self, values=self.values[window],
+                       hat=None if self.hat is None else self.hat[window],
                        fractions=self.fractions[window])
 
     def check_resolution(self) -> None:
@@ -147,29 +197,29 @@ class _Spectra:
                 f"the field energy (limit {RESOLUTION_ENERGY_TOL:g}); refine "
                 "the reference grid")
 
-    def _factor(self, lam) -> np.ndarray:
-        acc = np.zeros(self.grid.shape)
-        for c, xi in zip(lam, self.freq):
-            if c:
-                acc = acc + c * xi
-        return 1j * acc
+    def _inverse(self, multiplier: np.ndarray) -> np.ndarray:
+        if self.hat is None:
+            return np.zeros(self.values.shape)
+        return np.real(_fft(multiplier * self.hat, self.axes, inverse=True))
 
     def directional(self, lam, order: int) -> np.ndarray:
-        return np.real(_fft(self._factor(lam) ** order * self.hat, self.axes,
-                            inverse=True))
+        return self._inverse(self.multipliers.directional(lam, order))
 
     def mixed(self, lam, order_lam: int, mu, order_mu: int) -> np.ndarray:
-        mult = self._factor(lam) ** order_lam * self._factor(mu) ** order_mu
-        return np.real(_fft(mult * self.hat, self.axes, inverse=True))
+        return self._inverse(self.multipliers.mixed(lam, order_lam, mu, order_mu))
 
 
-def _spectra(grid: TorusGrid, values: np.ndarray, freq=None) -> _Spectra:
+def _spectra(grid: TorusGrid, values: np.ndarray,
+             multipliers: _Multipliers | None = None) -> _Spectra:
     """Spectra of a ``(rows,) + grid.shape`` stack and the top-mode energy
-    fraction of each row: one forward FFT and one energy sum."""
+    fraction of each row: one forward FFT and one energy sum, or neither
+    for a stack with no nonzero entry, whose fractions are zeros."""
+    multipliers = multipliers or _Multipliers(grid)
+    if not values.any():
+        return _Spectra(grid, values, None, multipliers, np.zeros(len(values)))
     hat = _fft(values, tuple(range(1, grid.dim + 1)))
-    return _Spectra(grid, values, hat,
-                    _frequency_mesh(grid) if freq is None else freq,
-                    _top_mode_fractions(hat))
+    return _Spectra(grid, values, hat, multipliers,
+                    _top_mode_fractions(hat, multipliers.top))
 
 
 def _coefficients(sampler: SchemeSampler, steps) -> dict:
@@ -287,21 +337,27 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
     (M_j vanishes for odd j; the terms are added to M^rho v one by one).
     ``spectra`` holds the blocks of v^(0..p-1) at the indices
     ``steps.start - 1 .. steps.stop - 1``, ``xi`` the ``(n, d1)`` increments.
+
+    Every term of a block with no nonzero entry is +0.0, so no operator
+    reads such a block: its L terms add nothing to f, and its M terms are
+    zeros, made as such.
     """
     now, before = slice(1, None), slice(None, -1)
     prev = range(steps.start - 1, steps.stop - 1)
     f = np.zeros((len(steps),) + sampler.grid.shape)
     for j in range(1, p + 1):
-        f += math.comb(p, j) * corrector_operator_L(
-            j, scheme, spectra[p - j].rows(now), steps, sampler)
+        if spectra[p - j].hat is not None:
+            f += math.comb(p, j) * corrector_operator_L(
+                j, scheme, spectra[p - j].rows(now), steps, sampler)
     g = []
     for rho in range(1, xi.shape[1] + 1):
         if not xi[prev.start:prev.stop, rho - 1].any():
             g.append(())
             continue
-        g.append([math.comb(p, j) * corrector_operator_M(
-            j, rho, scheme, spectra[p - j].rows(before), prev, sampler)
-            for j in range(2, p + 1, 2)])
+        g.append([np.zeros(f.shape) if spectra[p - j].hat is None
+                  else math.comb(p, j) * corrector_operator_M(
+                      j, rho, scheme, spectra[p - j].rows(before), prev, sampler)
+                  for j in range(2, p + 1, 2)])
     for values in (f, *(part for parts in g for part in parts)):
         _require_finite(values)
     return f, g
@@ -328,9 +384,11 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
 
     While a corrector's forcing is zero and its state has never left zero,
     its steps are skipped where the operators' ``keeps_zero`` allows (see
-    :class:`Marcher`); the forcing is still computed and checked.  So a
-    vanishing corrector marches no solve, and a corrector whose forcing
-    starts late starts solving when it does.
+    :class:`Marcher`).  So a vanishing corrector marches no solve, and a
+    corrector whose forcing starts late starts solving when it does.  The
+    forcing read from a vanishing corrector's zero blocks is made without a
+    transform or an operator call, and every f and g is still checked to be
+    finite.
     """
     if k < 0:
         raise ValueError("expansion order k must be >= 0")
@@ -355,15 +413,15 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
                               for _ in range(k)]
     values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]
     sampler = SchemeSampler(scheme, refgrid)
-    freq = _frequency_mesh(refgrid)
+    multipliers = _Multipliers(refgrid)
     for block in _blocks(n):
         steps = range(max(block.start, 1), block.stop)
         spectra = []
         for p, marcher in enumerate(marchers):
             forcing = None
             if p:
-                spectra.append(_spectra(
-                    refgrid, values[p - 1][steps.start - 1:steps.stop], freq))
+                spectra.append(_spectra(refgrid, values[p - 1][
+                    steps.start - 1:steps.stop], multipliers))
                 f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
                                           xi[..., 0])
                 if spectral:    # one transform per block and field
@@ -400,10 +458,11 @@ class ResidualReport:
         return float(np.max(self.l2h_per_step))
 
 
-def _weighted(terms: list, h: float) -> list:
-    """The expansion terms (h^m/m!) terms[m]; the first, weight 1, as is."""
+def _weighted(terms: dict, h: float) -> list:
+    """The expansion terms (h^m/m!) terms[m], in the order of ``terms``,
+    which maps orders m to fields; that of order 0, weight 1, as is."""
     return [term if m == 0 else (h ** m / math.factorial(m)) * term
-            for m, term in enumerate(terms)]
+            for m, term in terms.items()]
 
 
 def _remainder(v: np.ndarray, weighted: list) -> np.ndarray:
@@ -445,8 +504,8 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet,
                          "per axis")
     coarse = (slice(None),) + (slice(None, None, factors.pop()),) * vh.grid.dim
 
-    acc = _remainder(vh.values, _weighted([cs[j].values[coarse]
-                                           for j in range(k + 1)], vh.grid.h))
+    acc = _remainder(vh.values, _weighted({j: cs[j].values[coarse]
+                                           for j in range(k + 1)}, vh.grid.h))
     sups, l2hs = _norms(acc.reshape(len(acc), -1), vh.grid.h ** vh.grid.dim)
     return ResidualReport(sup_per_step=sups, l2h_per_step=l2hs)
 

@@ -374,11 +374,17 @@ def _resolve_base(spec: ExperimentSpec, scheme) -> int:
 
 def _resolve_reference_mode(spec: ExperimentSpec, problem) -> str:
     if spec.reference_mode == "auto":
-        return ("spectral-const-coef" if problem.constant_coefficients
+        mode = ("spectral-const-coef" if problem.constant_coefficients
                 else "fine-grid")
-    if spec.reference_mode == "spectral":
-        return "spectral-const-coef"
-    return "fine-grid"
+    elif spec.reference_mode == "spectral":
+        mode = "spectral-const-coef"
+    else:
+        mode = "fine-grid"
+    if mode == "fine-grid" and spec.refine == 0:
+        # the reference would march the finest rung's own lattice
+        raise ConfigError("[reference] a fine-grid reference needs refine "
+                          ">= 1, got 0")
+    return mode
 
 
 def ladder_grids(spec: ExperimentSpec, problem, extra: int = 0):
@@ -423,13 +429,18 @@ def _reference_target(marcher: Marcher, grids: list) -> tuple:
 def _replay_target(cs, grids: list) -> tuple:
     """A corrector study's target, the expansion of the corrector set ``cs``
     of one path, on the rungs ``grids``: a block's terms are sliced from
-    the restricted trajectories' rows and weighted when they are read."""
-    rungs = [[traj.restricted(cs.grid.shape[0] // grid.shape[0]).values
-              for traj in cs.trajectories] for grid in grids]
+    the restricted trajectories' rows and weighted when they are read.  A
+    corrector with no nonzero entry (every odd one of a centred scheme) has
+    no term: subtracting (h^m/m!) 0 could flip only the sign of a zero,
+    which no norm sees."""
+    orders = [m for m, traj in enumerate(cs.trajectories)
+              if m == 0 or traj.values.any()]
+    rungs = [{m: cs[m].restricted(cs.grid.shape[0] // grid.shape[0]).values
+              for m in orders} for grid in grids]
 
     def terms(block: range) -> list:
-        return [_weighted([np.moveaxis(v[block.start:block.stop], 0, -1)[..., None]
-                           for v in values], grid.h)
+        return [_weighted({m: np.moveaxis(v[block.start:block.stop], 0, -1)
+                           [..., None] for m, v in values.items()}, grid.h)
                 for grid, values in zip(grids, rungs)]
 
     return terms, {}
@@ -561,10 +572,6 @@ def run_convergence_experiment(spec: ExperimentSpec,
         except ExtrapolationError as exc:
             raise ConfigError(f"[extrapolation] {exc}") from exc
     ref_mode = _resolve_reference_mode(spec, problem)
-    if ref_mode == "fine-grid" and spec.refine == 0:
-        # the reference would march the finest rung's own lattice
-        raise ConfigError("[reference] a fine-grid reference needs refine "
-                          ">= 1, got 0")
 
     def reference(grids, xi, _):
         return _reference_target(reference_marcher(

@@ -28,7 +28,10 @@ READ_NAMES = INIT_SPANS + (
     "experiments.build_scheme", "experiments.ladder_grids",
     "experiments.run_convergence_experiment",
     "experiments.run_corrector_experiment", "experiments.emit_outputs",
-    "experiments.run_space_time_scheme")
+    "experiments.run_space_time_scheme", "correctors.run_corrector_system",
+    "correctors.corrector_operator_L", "correctors.corrector_operator_M",
+    "correctors.expansion_residual", "richardson.richardson_combine",
+    "richardson.estimate_order", "wiener.sample_increments")
 TOP_LEVEL = ("DifferentialProblem", "SolveFailure", "build_scheme_example1",
              "estimate_order", "grid_norms", "make_torus_grid",
              "richardson_combine", "run_reference_time_scheme",

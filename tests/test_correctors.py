@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from spdefd.correctors import (
     CorrectorSet,
     ResolutionError,
+    _Multipliers,
     _spectra,
     _top_mode_fractions,
     corrector_operator_L,
@@ -503,8 +504,9 @@ class TestCorrectorSystemBits:
             PINNED_DIGESTS[name]
 
     def test_each_lower_order_block_transformed_once(self, monkeypatch):
-        # k = 3, n = 40: three blocks, each transforming and checking the
-        # blocks of v^(0), v^(1) and v^(2) once
+        # k = 3, n = 40: three blocks, each reading the blocks of v^(0),
+        # v^(1) and v^(2) once and transforming and checking the nonzero
+        # ones, v^(0) and v^(2), once
         import spdefd.correctors as correctors
         counts = {"_spectra": 0, "_top_mode_fractions": 0}
         for name in counts:
@@ -514,7 +516,7 @@ class TestCorrectorSystemBits:
             monkeypatch.setattr(correctors, name, counted)
         args, kwargs = pinned_config("stoch-transport-k3-n40")
         run_corrector_system(*args, **kwargs)
-        assert counts == {"_spectra": 9, "_top_mode_fractions": 9}
+        assert counts == {"_spectra": 9, "_top_mode_fractions": 6}
 
     @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
                                            build_scheme_example2])
@@ -780,6 +782,156 @@ class TestZeroForcingSkip:
         assert np.signbit(cs[1].values).any()
         assert _digests(cs) == ["1540baa9d3fe9164", "ea6b6a74e0a384cd",
                                 "c44b2bb3405a2395", "ea6b6a74e0a384cd"]
+
+
+def _count_transforms(monkeypatch):
+    """Record ``(inverse, has a nonzero entry)`` of the input of every
+    ``correctors._fft`` call."""
+    import spdefd.correctors as correctors
+    calls = []
+    original = correctors._fft
+
+    def counted(values, axes, inverse=False):
+        calls.append((inverse, bool(values.any())))
+        return original(values, axes, inverse)
+
+    monkeypatch.setattr(correctors, "_fft", counted)
+    return calls
+
+
+def _record_reads(monkeypatch):
+    """Record ``(operator, order, steps, block has a nonzero entry)`` of
+    every expansion-operator call the corrector system makes."""
+    import spdefd.correctors as correctors
+    reads = []
+    for name in ("corrector_operator_L", "corrector_operator_M"):
+        def recording(j, *args, _original=getattr(correctors, name),
+                      _name=name[-1]):
+            # L: (scheme, der, steps, sampler), M: (rho, scheme, der, ...)
+            der, steps = args[-3:-1]
+            reads.append((_name, j, steps, bool(der.values.any())))
+            return _original(j, *args)
+        monkeypatch.setattr(correctors, name, recording)
+    return reads
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestZeroBlocks:
+    """A lower-order block with no nonzero entry (every odd corrector of a
+    centred scheme) gets no transform and no operator reads it; every other
+    block is transformed, checked and read as before, with the same bits."""
+
+    def test_vanishing_corrector_blocks_make_no_transform(self, monkeypatch):
+        # k = 3, n = 40: three blocks.  Before, each block made 9
+        # transforms, 4 of them of zeros: v^(1)'s forward one and the
+        # inverse ones of L_2 v^(1) and M_2 v^(1).
+        calls = _count_transforms(monkeypatch)
+        reads = _record_reads(monkeypatch)
+        args, kwargs = pinned_config("stoch-transport-k3-n40")
+        cs = run_corrector_system(*args, **kwargs)
+        assert not cs[1].values.any() and not cs[3].values.any()
+        assert all(nonzero for _, nonzero in calls)
+        assert (len(calls), calls.count((False, True))) == (15, 6)
+        # per block: L_1 v^(0); L_2 v^(0), M_2 v^(0); L_1 v^(2), L_3 v^(0)
+        assert all(nonzero for *_, nonzero in reads)
+        assert [(op, j) for op, j, *_ in reads] == 3 * [
+            ("L", 1), ("L", 2), ("M", 2), ("L", 1), ("L", 3)]
+        assert _digests(cs) == PINNED_DIGESTS["stoch-transport-k3-n40"]
+
+    def test_live_odd_corrector_is_transformed(self, monkeypatch):
+        # drift1d under example2 has one-sided terms: v^(1) lives, and its
+        # one block is transformed and read like v^(0)'s
+        p = make_problem("drift1d")
+        calls = _count_transforms(monkeypatch)
+        reads = _record_reads(monkeypatch)
+        cs = run_corrector_system(2, p, build_scheme_example2(p),
+                                  make_torus_grid(1, [1.0], [128]), 8)
+        ratio = np.max(np.abs(cs[1].values)) / np.max(np.abs(cs[0].values))
+        assert 0.76 < ratio < 0.78
+        assert all(nonzero for _, nonzero in calls)
+        assert (len(calls), calls.count((False, True))) == (10, 2)
+        assert [(op, j) for op, j, *_ in reads] == [("L", 1), ("L", 1), ("L", 2)]
+        # recorded before zero blocks were skipped
+        assert _digests(cs) == ["ac5673d83521361c", "eb5e1b45e7ff9b17",
+                                "bbc9b1e035dea587"]
+
+    def test_unresolved_second_corrector_raises_at_its_block(self, monkeypatch):
+        # k = 3, centred: v^(0) carries 1e-12 of its energy at mode 31 of
+        # 64, v^(2) a share the check rejects.  L_1, which vanishes here,
+        # still checks v^(2) in the first block; v^(1) is read by nothing
+        p = DifferentialProblem(
+            d=1, d1=0, T=0.5, a={(1, 1): 0.002},
+            u0=lambda x: (np.cos(2 * np.pi * x[..., 0])
+                          + 1e-6 * np.cos(2 * np.pi * 31 * x[..., 0])),
+            constant_coefficients=True)
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(ResolutionError) as info:
+            run_corrector_system(3, p, build_scheme_example1(p),
+                                 make_torus_grid(1, [1.0], [64]), 40)
+        assert str(info.value) == (
+            "highest retained modes carry 5.61e-02 of the field energy "
+            "(limit 1e-10); refine the reference grid")
+        first = range(1, 17)
+        assert reads == [("L", 1, first, True), ("L", 2, first, True),
+                         ("L", 1, first, True)]
+
+
+class TestSharedMultipliers:
+    """Derivatives through one shared :class:`_Multipliers`, built on the
+    first call and read from then on, keep the bits of a fresh one."""
+
+    @pytest.mark.parametrize("shape", [(32,), (16, 12)])
+    def test_directional_and_mixed(self, shape, monkeypatch):
+        g = make_torus_grid(len(shape), [n / 16 for n in shape], list(shape))
+        stack = np.random.default_rng(3).standard_normal((3,) + shape)
+        vecs = [(1,), (-1,)] if len(shape) == 1 else [(1, 0), (0, 1), (1, 1),
+                                                      (1, -1)]
+        shared = _Multipliers(g)
+        built = []
+        factor = _Multipliers._factor
+        monkeypatch.setattr(_Multipliers, "_factor",
+                            lambda self, lam: built.append(self) or factor(self, lam))
+        for round in range(2):
+            block = _spectra(g, stack, shared)
+            for lam in vecs:
+                for order in range(1, 5):
+                    assert block.directional(lam, order).tobytes() == \
+                        _spectra(g, stack).directional(lam, order).tobytes()
+                for mu in vecs:
+                    for ol, om in ((1, 1), (2, 3), (3, 1)):
+                        assert block.mixed(lam, ol, mu, om).tobytes() == \
+                            _spectra(g, stack).mixed(lam, ol, mu, om).tobytes()
+            if round == 0:
+                made = len(shared._made)
+        assert len(shared._made) == made
+        # every multiplier was built on the first round
+        assert sum(m is shared for m in built) == \
+            len(vecs) * 4 + len(vecs) ** 2 * 3 * 2
+
+    @pytest.mark.parametrize("name", ["time-dependent-k2", "2d-k2"])
+    def test_operators(self, name):
+        # a time-dependent scheme (coefficients per row), and a 16 x 12
+        # grid with cross terms
+        (_, p, scheme, *_), _ = pinned_config(name)
+        if name == "2d-k2":
+            g = make_torus_grid(2, [1.0, 12 / 16], [16, 12])
+        else:
+            g = make_torus_grid(1, [1.0], [32])
+        x = g.coordinates
+        steps = range(3, 8)
+        stack = np.stack([np.cos(2 * np.pi * x[..., 0]) * (1 + 0.1 * i)
+                          + 0.3 * np.sin(2 * np.pi * x[..., -1] / g.periods[-1] + i)
+                          for i in steps])
+        sampler, shared = SchemeSampler(scheme, g), _Multipliers(g)
+        for _ in range(2):
+            for j in range(4):
+                for operator, lead in ((corrector_operator_L, ()),
+                                       (corrector_operator_M, (1,))):
+                    got = operator(j, *lead, scheme, _spectra(g, stack, shared),
+                                   steps, sampler)
+                    want = operator(j, *lead, scheme, _spectra(g, stack), steps,
+                                    SchemeSampler(scheme, g))
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestResidualTimeGrid:

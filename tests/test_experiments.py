@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from spdefd.cli import main
+from spdefd.correctors import run_corrector_system
 from spdefd.experiments import (
     ConfigError,
     ExperimentResult,
     REPORT_HEADER,
     ExperimentSpec,
+    _replay_target,
     build_problem,
     emit_outputs,
     load_config,
@@ -492,6 +494,37 @@ class TestCorrectorExperiment:
         assert not result.failed
         assert result.report.ls_order >= 3.6
         assert result.extras["odd_corrector_ratios"][1] <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fine_grid_reference_needs_refinement(self):
+        spec = ExperimentSpec(problem="var-coef1d", n=8, points0=16, rungs=2,
+                              refine=0, correctors_k=2)
+        with pytest.raises(ConfigError) as info:
+            run_corrector_experiment(spec)
+        assert str(info.value) == ("[reference] a fine-grid reference needs "
+                                   "refine >= 1, got 0")
+        # a spectral reference does not refine: refine = 0 is accepted
+        assert not run_corrector_experiment(ExperimentSpec(
+            problem="heat1d", n=8, points0=16, rungs=2, refine=0,
+            correctors_k=2)).failed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_target_leaves_out_zero_correctors(self):
+        # k = 3, centred: v^(1) and v^(3) are zero and get no term; the
+        # terms of v^(0) and v^(2) are the weighted restricted rows
+        p = make_problem("heat1d")
+        cs = run_corrector_system(3, p, build_scheme_example1(p),
+                                  make_torus_grid(1, [1.0], [64]), 8)
+        grids = [make_torus_grid(1, [1.0], [points]) for points in (16, 32)]
+        terms, failures = _replay_target(cs, grids)
+        block = range(2, 7)
+        assert failures == {}
+        for grid, got in zip(grids, terms(block)):
+            rows = [np.moveaxis(cs[m].restricted(64 // grid.shape[0])
+                                .values[2:7], 0, -1)[..., None] for m in (0, 2)]
+            assert len(got) == 2
+            assert got[0].tobytes() == rows[0].tobytes()
+            assert got[1].tobytes() == ((grid.h ** 2 / 2) * rows[1]).tobytes()
 
     def test_uses_first_seed_only(self, tmp_path):
         base = dict(problem="stoch-transport",
@@ -1009,9 +1042,9 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unresolved_reference_grid_exit_three(self, tmp_path, capsys):
-        # 4 points refined by 2**0: the corrector derivatives are unresolved
+        # 8 points refined by 2**1: the corrector derivatives are unresolved
         cfg = write(tmp_path, "[problem]\nname = var-coef1d\n[time]\nn = 8\n"
-                    "[space]\npoints0 = 4\nrungs = 2\n[reference]\nrefine = 0\n"
+                    "[space]\npoints0 = 4\nrungs = 2\n[reference]\nrefine = 1\n"
                     f"[correctors]\nk = 2\n[run]\nout = {tmp_path / 'out'}\n")
         assert main(["correctors", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith(
@@ -1035,7 +1068,7 @@ class TestCli:
         body = ("[time]\nn = 8\n[space]\npoints0 = 8\nrungs = 2\n"
                 f"[reference]\nrefine = 0\n[run]\nout = {tmp_path / 'out'}\n")
         cfg = write(tmp_path, "[problem]\nname = var-coef1d\n" + body)
-        for command in ("converge", "accelerate"):
+        for command in ("converge", "accelerate", "correctors"):
             assert main([command, "--config", str(cfg)]) == 3
             assert capsys.readouterr().err == (
                 "config error: [reference] a fine-grid reference needs "
