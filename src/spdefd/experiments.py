@@ -81,12 +81,12 @@ from .richardson import (
     vandermonde_weights,
 )
 from .stepper import (
-    FiniteDifferenceOperators,
     Marcher,
     SolveFailure,
     SpectralModeError,
     _blocks,
     increment_columns,
+    lattice_operators,
     reference_marcher,
     run_space_time_scheme,  # unused: perfbench/check_bench.py reads it here
 )
@@ -456,11 +456,11 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     rung, the weighted expansion terms (h^m/m!) v^(m) there on the rung's
     grid, each ``grid.shape + (rows, S)``.
 
-    The rungs march as one packed state: one
-    :class:`stepper.FiniteDifferenceOperators` on the whole ladder under
-    one :class:`Marcher`, which makes one explicit step and one block LU
-    solve for the whole ladder (GMRES rungs solve apart), with the bits of
-    each rung marched alone.  The ladder and then its target march one
+    The rungs march as one packed state under one :class:`Marcher`, on the
+    operators :func:`stepper.lattice_operators` chooses: a 1-d circulant
+    ladder steps pointwise in Fourier space, any other one makes one block
+    LU solve (GMRES rungs solve apart); every rung has the bits of its run
+    alone.  The ladder and then its target march one
     block of indices at a time (:meth:`Marcher.march`), and the block is
     measured: each rung's candidate (the rung, or its extrapolation by
     ``weights``, a partner restricted when read) less the target's terms
@@ -492,8 +492,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   if problem.d1 > 0 else None for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    marcher = Marcher(problem, xi, FiniteDifferenceOperators(
-        problem, grids, tau, scheme))
+    marcher = Marcher(problem, xi, lattice_operators(problem, grids, tau,
+                                                     scheme))
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
@@ -715,9 +715,10 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 def selfcheck() -> list[tuple[str, bool, str]]:
     """Fast structural checks: weight identities, summation by parts, and a
-    dense-elimination oracle for the implicit solve that every study runs
-    (:meth:`stepper.FiniteDifferenceOperators.solve_values`).  Returns
-    (name, ok, detail) triples."""
+    dense-elimination oracle for the implicit solves that the studies run
+    (:func:`stepper.lattice_operators`): by LU for a variable coefficient
+    and on the lattice symbols for a constant one.  Returns (name, ok,
+    detail) triples."""
     from .grids import basis_stencil, forward_difference
     from .problems import DifferenceScheme
 
@@ -745,13 +746,7 @@ def selfcheck() -> list[tuple[str, bool, str]]:
                     f"max relative residual {worst:.2e}"))
 
     g1 = make_torus_grid(1, [1.0], [8])
-    scheme = DifferenceScheme(
-        stencil=basis_stencil(1), d1=0,
-        a={((1,), (1,)): lambda i, x: 1.0 + 0.4 * np.sin(2 * np.pi * x[..., 0])},
-        p={(1,): 0.3})
     tau = 0.05
-    # the scheme is given, so no problem is read
-    ops = FiniteDifferenceOperators(None, [g1], tau, scheme)
     # dense oracle: shift matrices composed with plain matrix algebra
     N = 8
     x = g1.coordinates
@@ -760,13 +755,20 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     T_plus = np.zeros((N, N)); T_plus[rows, (rows + 1) % N] = 1.0
     T_minus = np.zeros((N, N)); T_minus[rows, (rows - 1) % N] = 1.0
     sym = (T_plus - T_minus) / (2 * g1.h)
-    L = (np.diag(1.0 + 0.4 * np.sin(2 * np.pi * x[..., 0])) @ sym @ sym
-         + 0.3 * (T_plus - eye) / g1.h)
     rhs = rng.standard_normal(N)
-    failures = [{}]
-    ours = ops.solve_values(rhs[:, None], 0, failures)[:, 0]
-    oracle = np.linalg.solve(eye - tau * L, rhs)
-    gap = float(np.max(np.abs(ours - oracle)))
-    results.append(("dense-solve-oracle", gap <= 1e-11 and not failures[0],
-                    f"max gap {gap:.2e}"))
+    for name, a11 in (("dense-solve-oracle", lambda i, x: 1.0 + 0.4 * np.sin(
+            2 * np.pi * x[..., 0])), ("circulant-solve-oracle", 0.7)):
+        scheme = DifferenceScheme(stencil=basis_stencil(1), d1=0,
+                                  a={((1,), (1,)): a11}, p={(1,): 0.3})
+        # the scheme is given, so no problem is read
+        ops = lattice_operators(None, [g1], tau, scheme)
+        L = (np.diag(scheme.a_at((1,), (1,), 0, x)) @ sym @ sym
+             + 0.3 * (T_plus - eye) / g1.h)
+        failures = [{}]
+        ours = ops.states(ops.solve_values(ops.sample(lambda _: rhs)[:, None],
+                                           0, failures))[0][:, 0]
+        oracle = np.linalg.solve(eye - tau * L, rhs)
+        gap = float(np.max(np.abs(ours - oracle)))
+        results.append((name, gap <= 1e-11 and not failures[0],
+                        f"max gap {gap:.2e}"))
     return results

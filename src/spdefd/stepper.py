@@ -12,14 +12,13 @@ the lattices, evaluate u0 and the free terms there (``sample``,
 ``apply_M_values``, ``solve_values``, ``keeps_zero`` and ``states``, each
 lattice's real ``grid.shape + (S,)`` state.  The kernels carry the column
 axis along, so every column gets the bits of a run of that path alone.
-:class:`FiniteDifferenceOperators` acts on a mesh ladder h, h/2, ... as one
-packed ``(sum of npoints, S)`` state, with one explicit step and one sparse
-LU solve for the rungs that solve directly, each rung with the bits of its
-own LU; a single grid is a one-rung ladder.  :class:`SpectralOperators` is
-exact per Fourier mode on one grid, in Fourier space.  The marcher owns one
-failure record for both, ``failures[r][column]`` per lattice r: a failed
-column is zeroed in place, and the operators read the record to skip what
-has failed.
+Both operator families act on a mesh ladder h, h/2, ... (a single grid is
+a one-rung ladder) as one packed state, each rung with the bits of its own
+run: :class:`FiniteDifferenceOperators` in real space, with one sparse LU
+solve for the rungs that solve directly, and :class:`SpectralOperators` in
+Fourier space, exact per mode.  The marcher owns one failure record for
+both, ``failures[r][column]`` per lattice r: a failed column is zeroed in
+place, and the operators read the record to skip what has failed.
 
 Every march steps and reads a marcher by :meth:`Marcher.march`, which
 gives each lattice's real states at its next indices: the studies and the
@@ -35,23 +34,25 @@ the step, and the real state is read as +0.0.
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled into the sparse matrix of ``I - tau
-L^h``.  :class:`FiniteDifferenceOperators` is the one solver of that
-operator: it factors it by sparse LU up to a size threshold, one
-factorized solve for all columns, and above it solves column by column by
-GMRES through :class:`ImplicitOperator`, which holds the matrix as its
-matrix-vector product and nothing else.  GMRES is preconditioned by the
-FFT inverse of the circulant with the mean weights, which is exact when
-the coefficients are constant.  Failures surface as :class:`SolveFailure`
-(the scheme is only solvable for small enough tau), including a step whose
+L^h`` or reduced to the kernel of its mean-weight circulant (``_kernel``).
+:func:`lattice_operators` chooses the operators of every lattice march fed
+by the problem's own free terms: a 1-d scheme whose coefficients are plain
+numbers is a circulant, solved on its lattice symbols in Fourier space;
+any other scheme is factored by sparse LU up to a size threshold, and
+above it solved column by column by GMRES through
+:class:`ImplicitOperator`, preconditioned by the FFT inverse of the
+mean-weight circulant.  Failures surface as :class:`SolveFailure` (the
+scheme is only solvable for small enough tau), including a step whose
 result holds a NaN or inf, and are never papered over by regularization.
 ``apply_L`` is a one-field wrapper over the assembled L^h.
 
 The reference solution of the time-discretized PDE is realized exactly per
-Fourier mode when the coefficients are constant in space, or by the centred
-scheme on a finer lattice, restricted where it is read, otherwise.  The
-exact realization marches the ``rfftn`` half-spectrum of every column, so a
-step is pointwise; u0 and the free terms are transformed once when they are
-evaluated, and the real state once when it is read.
+Fourier mode, on the symbols of the continuous operators, when the
+coefficients are constant in space, or by the centred scheme on a finer
+lattice, restricted where it is read, otherwise.  A march in Fourier space
+keeps the ``rfftn`` half-spectrum of every column, so a step is pointwise;
+u0 and the free terms are transformed once when they are evaluated, and
+the real state once when it is read.
 """
 
 import copy
@@ -259,6 +260,17 @@ def _assemble(terms: list, shape: tuple, tau: float | None = None):
                          shape=(n, n))
 
 
+def _kernel(terms: list, shape: tuple) -> np.ndarray:
+    """The kernel of the circulant C of expansion terms on a lattice of
+    ``shape``, each weight replaced by its mean: (C phi)[j] = sum_v
+    kernel[v] phi[j + v], so C's symbol is the conjugate DFT of the kernel.
+    Where the weights are constant, C is the lattice operator itself."""
+    kernel = np.zeros(shape)
+    for w, v in terms:
+        kernel[tuple(c % N for c, N in zip(v, shape))] += np.mean(w)
+    return kernel
+
+
 def _circulant_symbol(terms: list, shape: tuple, tau: float) -> np.ndarray:
     """Eigenvalues of ``I - tau C`` on the ``rfftn`` half-spectrum of a
     lattice of ``shape``, where C is L^h with every weight replaced by its
@@ -267,11 +279,7 @@ def _circulant_symbol(terms: list, shape: tuple, tau: float) -> np.ndarray:
     Where L^h has constant coefficients, C = L^h and the symbol inverts
     ``I - tau L^h`` exactly.
     """
-    kernel = np.zeros(shape)
-    for w, v in terms:
-        kernel[tuple(c % N for c, N in zip(v, shape))] += np.mean(w)
-    # (C phi)[j] = sum_v kernel[v] phi[j + v]: the conjugate DFT of the kernel
-    symbol = 1.0 - tau * np.conj(np.fft.rfftn(kernel))
+    symbol = 1.0 - tau * np.conj(np.fft.rfftn(_kernel(terms, shape)))
     # a vanishing mode is left unpreconditioned rather than divided by ~0
     symbol[np.abs(symbol) < 1e-12] = 1.0
     return symbol
@@ -478,9 +486,9 @@ class Marcher:
     The state ``v`` is one ``operators.shape + (S,)`` array of
     ``operators.dtype``, a column per path, starting from the problem's u0,
     or from zero with ``zero_start``.  It is in the operators' own form:
-    the packed lattice values of :class:`FiniteDifferenceOperators` (on a
-    ladder of one or more lattices), or the half-spectrum of
-    :class:`SpectralOperators`, whose ``states`` gives the real state.  The
+    the packed lattice values of :class:`FiniteDifferenceOperators` or the
+    packed half-spectra of :class:`SpectralOperators` (on a ladder of one or
+    more lattices), whose ``states`` gives the real states.  The
     operators supply the lattices, the step tau, u0 and the free terms in
     that form, M^rho and the implicit solve; the right-hand side is
     assembled here for all of them.
@@ -628,8 +636,7 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     """Run the fully discrete scheme for i = 1..n from v_0 = u0 on the grid."""
     if n < 1:
         raise ValueError("need at least one time step")
-    ops = FiniteDifferenceOperators(problem, [grid], problem.T / n, scheme,
-                                    solver_mode)
+    ops = lattice_operators(problem, [grid], problem.T / n, scheme, solver_mode)
     return _trajectory(Marcher(problem, increment_columns(
         problem, n, [increments]), ops), grid)
 
@@ -657,129 +664,157 @@ def _constant_value(values: np.ndarray, what: str) -> float:
     return float(values.flat[0]) if values.size else 0.0
 
 
-class SpectralOperators:
-    """Exact per-mode realization of the continuous operators on a torus grid.
+def _hermitian(s: np.ndarray) -> np.ndarray:
+    """H(s) of a full-spectrum symbol (see :class:`SpectralOperators`), on
+    the half-spectrum; s(-k) is s flipped and rolled by one on every axis."""
+    negative = np.roll(np.flip(s), 1, axis=tuple(range(s.ndim)))
+    return (s + np.conj(negative))[..., :s.shape[-1] // 2 + 1] / 2
 
-    Only valid for coefficients constant in space (checked); serves both the
-    reference time-scheme run and the corrector system's implicit solves.
-    Its one lattice is ``grid``, and its state is the ``rfftn`` half-spectrum
-    of the real state: one ``shape + (S,)`` complex array, a column per
-    trailing index, on which a step is pointwise.  The solve multiplies by
-    ``inv = H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
+
+class SpectralOperators:
+    """Exact per-mode operators on a ladder of torus lattices, in Fourier
+    space.  The state is every rung's ``rfftn`` half-spectrum, flattened and
+    packed: one ``(sum of half-sizes, S)`` complex array, a column per
+    trailing index, on which a step is pointwise.
+
+    A rung's symbols symL and symM_rho are those of the continuous L and
+    M^rho without a scheme (the reference and the corrector system; the
+    coefficients must be constant in space, checked), or with one whose
+    coefficients are plain numbers, the conjugate DFTs of the kernels of
+    L^h and M^{h,rho}: ``I - tau L^h`` is then a circulant, solved by its
+    factorization into Fourier modes.  The solve multiplies by ``inv =
+    H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
     ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
     every full-spectrum product on its real part realizes, which keeps the
     Nyquist lines of an even lattice real.  u0 and the free terms are
     transformed where they are evaluated (a zero free term is None), and
-    :meth:`states` transforms back.
+    :meth:`states` transforms back.  A rung whose ``1 - tau symL`` nearly
+    vanishes fails its own columns, and a non-finite solution aborts its
+    column in that rung; the other rungs march on.
     """
 
     dtype = complex
 
-    def __init__(self, problem: DifferentialProblem, grid: TorusGrid, tau: float):
-        self.problem = problem
-        self.grid = grid
-        self.grids = [grid]
-        self.shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-        self._rows = [slice(None)]
-        self.tau = float(tau)
-        self._freq = _frequency_mesh(grid)
-        self._axes = tuple(range(grid.dim))
+    def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
+                 scheme: DifferenceScheme | None = None):
+        self.problem, self.scheme = problem, scheme
+        self.grids, self.tau = list(grids), float(tau)
+        self._half = [g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in self.grids]
+        starts = np.cumsum([0] + [math.prod(s) for s in self._half])
+        self.shape = (int(starts[-1]),)
+        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        self._what = "spectral solve" if scheme is None else "factorized solve"
+        self._samplers = [None if scheme is None else SchemeSampler(scheme, g)
+                          for g in self.grids]
         self._cache = {}
-        self._multipliers_of = (None, None, None)   # (symL, inv, [m_rho])
+        self._multipliers_of = (None, None, None, None)
         self._keeps_zero = {}
+        self._varies = not (scheme or problem).time_independent
 
     def states(self, v: np.ndarray) -> list:
-        """The one lattice's real state of ``v`` (any trailing axes), by one
-        inverse transform."""
-        return [np.fft.irfftn(v, s=self.grid.shape, axes=self._axes)]
+        """Each rung's real state of ``v`` (any trailing axes)."""
+        return [np.fft.irfftn(v[rows].reshape(half + v.shape[1:]), s=g.shape,
+                              axes=range(g.dim))
+                for g, half, rows in zip(self.grids, self._half, self._rows)]
 
     def forward(self, values: np.ndarray, lead: int = 0):
-        """The half-spectrum of real ``values`` over the spatial axes that
-        follow ``lead`` leading ones, or None when ``values`` is zero."""
-        return np.fft.rfftn(values, axes=range(lead, lead + self.grid.dim)) \
+        """The half-spectrum of real ``values`` on the first rung, over the
+        spatial axes after ``lead`` leading ones; None where it is zero."""
+        return np.fft.rfftn(values, axes=range(lead, lead + self.grids[0].dim)) \
             if values.any() else None
 
     def sample(self, fn) -> np.ndarray:
-        """The spectrum of ``fn`` on the lattice coordinates, checked by
-        ``grid.sample``."""
-        return np.fft.rfftn(self.grid.sample(fn).values)
+        """The spectra of ``fn`` on every rung's coordinates, checked by
+        ``grid.sample``, packed."""
+        return np.concatenate([np.fft.rfftn(g.sample(fn).values).ravel()
+                               for g in self.grids])
 
     def evaluate(self, fn, *args):
-        """The spectrum of ``fn(*args, x)`` on the lattice coordinates x, or
-        None where that is zero."""
-        return self.forward(fn(*args, self.grid.coordinates)
-                            * np.ones(self.grid.shape))
+        """The packed spectra of ``fn(*args, x)`` on the rungs; None if zero."""
+        values = [fn(*args, g.coordinates) * np.ones(g.shape) for g in self.grids]
+        return np.concatenate([np.fft.rfftn(v).ravel() for v in values]) \
+            if any(v.any() for v in values) else None
 
-    def symbols(self, i: int):
-        key = 0 if self.problem.time_independent else i
+    def symbols(self, i: int) -> list:
+        """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
+        key = i if self._varies else 0
         got = self._cache.get(key)
         if got is None:
-            p, x = self.problem, self.grid.coordinates
-            d = p.d
-            symL = np.zeros(self.grid.shape, dtype=complex)
-            for al in range(1, d + 1):
-                for be in range(1, d + 1):
-                    c = _constant_value(p.a_at(al, be, key, x), f"a[{al},{be}]")
-                    if c:
-                        symL = symL - c * self._freq[al - 1] * self._freq[be - 1]
-            for al in range(1, d + 1):
-                c = (_constant_value(p.a_at(al, 0, key, x), f"a[{al},0]")
-                     + _constant_value(p.a_at(0, al, key, x), f"a[0,{al}]"))
-                if c:
-                    symL = symL + 1j * c * self._freq[al - 1]
-            symL = symL + _constant_value(p.a_at(0, 0, key, x), "a[0,0]")
-            symM = []
-            for rho in range(1, p.d1 + 1):
-                s = np.zeros(self.grid.shape, dtype=complex)
-                for al in range(1, d + 1):
-                    c = _constant_value(p.b_at(al, rho, key, x), f"b[{al},{rho}]")
-                    if c:
-                        s = s + 1j * c * self._freq[al - 1]
-                s = s + _constant_value(p.b_at(0, rho, key, x), f"b[0,{rho}]")
-                symM.append(s)
-            got = (symL, symM)
-            if not self.problem.time_independent:
-                self._cache.clear()
+            got = [self._continuous(g, key) if sampler is None
+                   else self._lattice(g, sampler.arrays(i))
+                   for g, sampler in zip(self.grids, self._samplers)]
+            self._cache.clear()         # keep at most the current step
             self._cache[key] = got
         return got
 
-    def _hermitian(self, s: np.ndarray) -> np.ndarray:
-        """H(s) of a full-spectrum symbol, on the half-spectrum; s(-k) is s
-        flipped and rolled by one on every axis."""
-        negative = np.roll(np.flip(s), 1, axis=self._axes)
-        return (s + np.conj(negative))[..., :self.shape[-1]] / 2
+    def _lattice(self, grid: TorusGrid, arrays: dict) -> tuple:
+        # M^{h,rho} as expansion terms, read from b as _M_terms reads it
+        M, h = [[] for _ in range(self.scheme.d1)], grid.h
+        for (lam, rho), b in arrays["b"].items():
+            M[rho - 1] += [(b / (2 * h), lam), (-b / (2 * h), tuple(
+                -c for c in lam))] if any(lam) else [(b, lam)]
+        symbols = [np.conj(np.fft.fftn(_kernel(terms, grid.shape)))
+                   for terms in [_expansion_terms(arrays, h, grid.dim)] + M]
+        return symbols[0], symbols[1:]
+
+    def _continuous(self, grid: TorusGrid, key: int) -> tuple:
+        p, d, x, freq = self.problem, grid.dim, grid.coordinates, _frequency_mesh(grid)
+        symL = np.zeros(grid.shape, dtype=complex)
+        for al in range(1, d + 1):
+            for be in range(1, d + 1):
+                c = _constant_value(p.a_at(al, be, key, x), f"a[{al},{be}]")
+                if c:
+                    symL = symL - c * freq[al - 1] * freq[be - 1]
+        for al in range(1, d + 1):
+            c = (_constant_value(p.a_at(al, 0, key, x), f"a[{al},0]")
+                 + _constant_value(p.a_at(0, al, key, x), f"a[0,{al}]"))
+            if c:
+                symL = symL + 1j * c * freq[al - 1]
+        symL = symL + _constant_value(p.a_at(0, 0, key, x), "a[0,0]")
+        symM = []
+        for rho in range(1, p.d1 + 1):
+            s = np.zeros(grid.shape, dtype=complex)
+            for al in range(1, d + 1):
+                c = _constant_value(p.b_at(al, rho, key, x), f"b[{al},{rho}]")
+                if c:
+                    s = s + 1j * c * freq[al - 1]
+            s = s + _constant_value(p.b_at(0, rho, key, x), f"b[0,{rho}]")
+            symM.append(s)
+        return symL, symM
 
     def _multipliers(self, i: int) -> tuple:
-        """inv and the m_rho at step i, built once per set of symbols: again
-        only when ``symbols`` gives a new symL.  inv is None where ``1 - tau
-        symL`` nearly vanishes."""
-        symL, symM = self.symbols(i)
-        if self._multipliers_of[0] is not symL:
-            denom = 1.0 - self.tau * symL
-            inv = None if float(np.min(np.abs(denom))) < 1e-12 \
-                else self._hermitian(1.0 / denom)
-            self._multipliers_of = (symL, inv, [self._hermitian(s) for s in symM])
+        """inv and the m_rho at step i, packed, and the rungs where ``1 -
+        tau symL`` nearly vanishes (their inv is zero): built once per set
+        of symbols, again only when ``symbols`` gives a new list."""
+        symbols = self.symbols(i)
+        if self._multipliers_of[0] is not symbols:
+            inv, singular = [], []
+            for r, (symL, _) in enumerate(symbols):
+                denom = 1.0 - self.tau * symL
+                if float(np.min(np.abs(denom))) < 1e-12:
+                    singular.append(r)
+                    denom = np.full(denom.shape, np.inf)
+                inv.append(_hermitian(1.0 / denom).ravel())
+            m = [np.concatenate([_hermitian(symM[rho]).ravel()
+                                 for _, symM in symbols])
+                 for rho in range(len(symbols[0][1]))]
+            self._multipliers_of = (symbols, np.concatenate(inv), m, singular)
         return self._multipliers_of[1:]
-
-    def _solve(self, rhs: np.ndarray, i: int) -> np.ndarray:
-        inv = self._multipliers(i)[0]
-        if inv is None:
-            raise SolveFailure("spectral implicit operator is singular; "
-                               "tau may not be small enough", step=i)
-        rhs *= inv[..., None]
-        return rhs
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """(I - tau L)^{-1} per column, exactly per Fourier mode, in place;
         the failures go into the marcher's record ``failures`` (see
         :class:`Marcher`)."""
-        try:
-            x = self._solve(rhs, i)
-        except SolveFailure as exc:
-            _fail(failures[0], exc, rhs.shape[-1])
-            return rhs
-        _abort_nonfinite(x, failures[0], "spectral solve", i)
-        return x
+        inv, _, singular = self._multipliers(i)
+        for r in singular:
+            _fail(failures[r], SolveFailure(
+                "spectral implicit operator is singular; tau may not be "
+                "small enough", step=i), rhs.shape[-1])
+        rhs *= inv[:, None]
+        if not np.isfinite(rhs).all():     # the common case, in one pass
+            for r, rows in enumerate(self._rows):
+                _abort_nonfinite(rhs[rows], failures[r], self._what, i)
+        return rhs
 
     def keeps_zero(self, i: int) -> bool:
         """Whether the step at i from a zero state, with zero forcing, keeps
@@ -788,18 +823,18 @@ class SpectralOperators:
         transforms do not for every grid: where pocketfft transforms an axis
         before the last by Bluestein's algorithm (89 points, say), the real
         state holds -0.0 entries."""
-        key = 0 if self.problem.time_independent else i
+        key = i if self._varies else 0
         if key not in self._keeps_zero:
-            try:
-                x = self._solve(np.zeros(self.shape + (1,), complex), i)
-            except SolveFailure:
+            inv, _, singular = self._multipliers(i)
+            if singular:
                 return False
-            self._keeps_zero[key] = not (np.signbit(x.view(float)).any()
-                                         or np.signbit(self.states(x)[0]).any())
+            x = np.zeros(self.shape + (1,), complex) * inv[:, None]
+            self._keeps_zero[key] = not (np.signbit(x.view(float)).any() or any(
+                np.signbit(s).any() for s in self.states(x)))
         return self._keeps_zero[key]
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        return self._multipliers(i)[1][rho - 1][..., None] * values
+        return self._multipliers(i)[1][rho - 1][:, None] * values
 
 
 class FiniteDifferenceOperators:
@@ -807,7 +842,9 @@ class FiniteDifferenceOperators:
     h/2, ... (a single grid is a one-rung ladder), all with one tau and one
     solver mode: u0 and the free terms, M^{h,rho}, and the implicit solve
     by sparse LU or GMRES.  Without a scheme, the centred scheme at each
-    grid's own (fine) mesh stands in for the continuous L and M^rho.
+    grid's own (fine) mesh stands in for the continuous L and M^rho.  A
+    march fed by the problem's own free terms takes these operators only
+    where :func:`lattice_operators` finds no circulant.
 
     The state is packed: one ``(sum of npoints, S)`` array, each rung's
     ``grid.shape + (S,)`` state flattened row-major, the rungs one after
@@ -1048,6 +1085,26 @@ class FiniteDifferenceOperators:
         return out
 
 
+def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
+                      scheme: DifferenceScheme | None = None,
+                      mode: str = "auto"):
+    """The operators of a lattice march fed by the problem's own free terms,
+    the scheme's (or the centred scheme's) on the ladder ``grids``: where
+    every grid is 1-d, every coefficient of the scheme is a plain number and
+    ``mode`` is not "iterative", ``I - tau L^h`` and every M^{h,rho} are
+    circulants, and the rungs march on their lattice symbols
+    (:class:`SpectralOperators`); otherwise on
+    :class:`FiniteDifferenceOperators` in ``mode``."""
+    _solver_mode(mode, grids[0])
+    scheme = build_scheme_example1(problem) if scheme is None else scheme
+    if mode != "iterative" and all(g.dim == 1 for g in grids) and all(
+            isinstance(ev, _Constant) for terms in (scheme.a, scheme.b,
+                                                    scheme.p, scheme.q)
+            for ev in terms.values()):
+        return SpectralOperators(problem, grids, tau, scheme)
+    return FiniteDifferenceOperators(problem, grids, tau, scheme, mode)
+
+
 REFERENCE_MODES = ("spectral-const-coef", "fine-grid")
 
 
@@ -1059,9 +1116,10 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
     ``grid``.
 
     spectral-const-coef marches :class:`SpectralOperators` on ``grid``
-    itself, exactly per mode; fine-grid marches the centred scheme on a
-    one-rung :class:`FiniteDifferenceOperators` ladder, a 2**refine times
-    finer lattice.  Either way its failure record holds one dict.
+    itself, exactly per mode; fine-grid marches the centred scheme on the
+    one-rung ladder of a 2**refine times finer lattice, on the operators
+    :func:`lattice_operators` chooses.  Either way its failure record holds
+    one dict.
     """
     if mode not in REFERENCE_MODES:
         raise ValueError(f"unknown reference mode {mode!r}; "
@@ -1069,9 +1127,9 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
     tau = problem.T / xi.shape[0]
     if mode == "fine-grid":
         fine = grid.refined(2 ** refine)
-        return Marcher(problem, xi, FiniteDifferenceOperators(
+        return Marcher(problem, xi, lattice_operators(
             problem, [fine], tau)), 2 ** refine
-    return Marcher(problem, xi, SpectralOperators(problem, grid, tau)), 1
+    return Marcher(problem, xi, SpectralOperators(problem, [grid], tau)), 1
 
 
 def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,

@@ -575,10 +575,11 @@ def _singular_at(monkeypatch, step):
     original = SpectralOperators.symbols
 
     def symbols(self, i):
-        symL, symM = original(self, i)
+        got = original(self, i)
         if i == step:
-            symL = np.full_like(symL, 1.0 / self.tau)
-        return symL, symM
+            got = [(np.full_like(symL, 1.0 / self.tau), symM)
+                   for symL, symM in got]
+        return got
 
     monkeypatch.setattr(SpectralOperators, "symbols", symbols)
 
@@ -766,7 +767,7 @@ class TestZeroForcingSkip:
         # -0.0 entries: the vanishing correctors are solved as before,
         # signed zeros and all.  On one axis it does not.
         line = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
-        assert SpectralOperators(line, make_torus_grid(1, [1.0], [89]),
+        assert SpectralOperators(line, [make_torus_grid(1, [1.0], [89])],
                                  line.T / 8).keeps_zero(1)
         p = DifferentialProblem(
             d=2, d1=1, T=0.25,
@@ -776,7 +777,7 @@ class TestZeroForcingSkip:
                           * np.cos(2 * np.pi * x[..., 1] * 89 / 16)),
             constant_coefficients=True)
         g = make_torus_grid(2, [1.0, 16 / 89], [89, 16])
-        assert not SpectralOperators(p, g, p.T / 8).keeps_zero(1)
+        assert not SpectralOperators(p, [g], p.T / 8).keeps_zero(1)
         cs = run_corrector_system(3, p, build_scheme_example1(p), g, 8,
                                   sample_increments(8, 1, p.T / 8, 4))
         assert np.signbit(cs[1].values).any()

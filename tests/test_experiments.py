@@ -87,31 +87,32 @@ EVERY_KEY_SPEC = ExperimentSpec(
     order_tolerance=0.125, out="results/x", format="binary", threads=2)
 
 # outputs of a 3-seed heat1d accelerate study (n = 32, points0 = 8, rungs = 3,
-# level = 1), as written with the spectral reference marched in Fourier space
+# level = 1), as written with the spectral reference and the rungs (on their
+# lattice symbols) marched in Fourier space
 HEAT_ACCELERATE_OUTPUTS = {
     "report.csv": b"""\
 h,sup_error,l2h_error,pairwise_order,ls_order,expected_order,pass
-0.125,0.0015589540865832696,0.0011023470061813938,,3.9747488308185566,,1
-0.0625,0.00010039368729644615,7.0989057075489199e-05,3.9568379779097707,3.9747488308185566,,1
-0.03125,6.3066114966980891e-06,4.45944775513058e-06,3.9926596837273389,3.9747488308185566,,1
+0.125,0.0015589540865837415,0.001102347006181847,,3.9747488311965578,,1
+0.0625,0.00010039368729652942,7.0989057075705186e-05,3.9568379779090108,3.9747488311965578,,1
+0.03125,6.3066114933951756e-06,4.4594477532828488e-06,3.9926596844841069,3.9747488311965578,,1
 """,
     "rung_8.csv": b"""\
 seed,sup_error,l2h_error
-1,0.0015589540865832696,0.0011023470061813938
-2,0.0015589540865832696,0.0011023470061813938
-3,0.0015589540865832696,0.0011023470061813938
+1,0.0015589540865837415,0.001102347006181847
+2,0.0015589540865837415,0.001102347006181847
+3,0.0015589540865837415,0.001102347006181847
 """,
     "rung_16.csv": b"""\
 seed,sup_error,l2h_error
-1,0.00010039368729644615,7.0989057075489199e-05
-2,0.00010039368729644615,7.0989057075489199e-05
-3,0.00010039368729644615,7.0989057075489199e-05
+1,0.00010039368729652942,7.0989057075705186e-05
+2,0.00010039368729652942,7.0989057075705186e-05
+3,0.00010039368729652942,7.0989057075705186e-05
 """,
     "rung_32.csv": b"""\
 seed,sup_error,l2h_error
-1,6.3066114966980891e-06,4.45944775513058e-06
-2,6.3066114966980891e-06,4.45944775513058e-06
-3,6.3066114966980891e-06,4.45944775513058e-06
+1,6.3066114933951756e-06,4.4594477532828488e-06
+2,6.3066114933951756e-06,4.4594477532828488e-06
+3,6.3066114933951756e-06,4.4594477532828488e-06
 """,
     "plot.gp": b"""\
 # accelerate study: sup/l2h error against mesh width
@@ -121,13 +122,13 @@ set ylabel 'error'
 set key left top
 set grid
 $data << EOD
-0.125 0.0015589540865832696 0.0011023470061813938
-0.0625 0.00010039368729644615 7.0989057075489199e-05
-0.03125 6.3066114966980891e-06 4.45944775513058e-06
+0.125 0.0015589540865837415 0.001102347006181847
+0.0625 0.00010039368729652942 7.0989057075705186e-05
+0.03125 6.3066114933951756e-06 4.4594477532828488e-06
 EOD
 plot $data using 1:2 with linespoints title 'sup error', \\
      $data using 1:3 with linespoints title 'l2h error', \\
-     6.3854759386450723*x**4 with lines dashtype 2 title 'order 4 guide'
+     6.385475938647005*x**4 with lines dashtype 2 title 'order 4 guide'
 """,
 }
 
@@ -466,16 +467,17 @@ class TestEmitOutputs:
 
 # report.csv, rung_*.csv and plot.gp of two small corrector studies, as the
 # per-rung run of the expansion residual wrote them: a spectral reference
-# with k = 3 and a fine-grid reference with k = 2
+# with k = 3 (its rungs marched on their lattice symbols in Fourier space)
+# and a fine-grid reference with k = 2
 PINNED_STUDIES = {
     "spectral-stoch-transport-k3": (
         ExperimentSpec(problem="stoch-transport",
                        problem_params=(("beta", 0.3), ("extra_diffusion", 0.05)),
                        n=16, points0=16, rungs=3, correctors_k=3,
                        reference_mode="spectral", seeds=(1001,)),
-        {"report.csv": "69f564be53944d42", "rung_16.csv": "c1f1d52a00f92974",
-         "rung_32.csv": "a14d9ef821d184d0", "rung_64.csv": "78fcbcb8798fed3f",
-         "plot.gp": "5d49df27c6164df6"}),
+        {"report.csv": "c2b0d47544b45210", "rung_16.csv": "d576e9a9bfc324ff",
+         "rung_32.csv": "2a45606e3e6dd726", "rung_64.csv": "687eaf2753944ec8",
+         "plot.gp": "699c6dce63330a5e"}),
     "fine-grid-var-coef1d-k2": (
         ExperimentSpec(problem="var-coef1d", n=16, points0=8, rungs=3,
                        correctors_k=2, seeds=(2001,)),
@@ -574,34 +576,35 @@ def _digests(paths):
             for p in paths}
 
 
-def _poison(monkeypatch, cls, column, step=21):
-    """Make ``cls.solve_values`` turn one column of its right-hand side NaN
-    at ``step``."""
-    original = cls.solve_values
+def _poison_reference(monkeypatch, column, step=21):
+    """Make the spectral reference's solve turn one column of its
+    right-hand side NaN at ``step``; the operators of a scheme's lattice
+    are left alone."""
+    original = SpectralOperators.solve_values
 
     def solve_values(self, rhs, i, failures):
-        if i == step:
+        if i == step and self.scheme is None:
             rhs = rhs.copy()
             rhs[..., column] = np.nan
         return original(self, rhs, i, failures)
 
-    monkeypatch.setattr(cls, "solve_values", solve_values)
+    monkeypatch.setattr(SpectralOperators, "solve_values", solve_values)
 
 
 def _poison_rung(monkeypatch, shape, column, step=21):
-    """Make a study's ladder turn one column of its rung on grids of
-    ``shape`` NaN in the packed right-hand side at ``step``."""
-    original = FiniteDifferenceOperators.solve_values
+    """Make a study's ladder, whichever lattice operators it marches on,
+    turn one column of its rung on grids of ``shape`` NaN in the packed
+    right-hand side at ``step``."""
+    for cls in (FiniteDifferenceOperators, SpectralOperators):
+        def solve_values(self, rhs, i, failures, _original=cls.solve_values):
+            if i == step and self.scheme is not None:
+                rhs = rhs.copy()
+                for grid, rows in zip(self.grids, self._rows):
+                    if grid.shape == shape:
+                        rhs[rows, column] = np.nan
+            return _original(self, rhs, i, failures)
 
-    def solve_values(self, rhs, i, failures):
-        if i == step:
-            rhs = rhs.copy()
-            for grid, state in zip(self.grids, self.states(rhs)):
-                if grid.shape == shape:
-                    state[..., column] = np.nan
-        return original(self, rhs, i, failures)
-
-    monkeypatch.setattr(FiniteDifferenceOperators, "solve_values", solve_values)
+        monkeypatch.setattr(cls, "solve_values", solve_values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -621,13 +624,13 @@ class TestBlockedMeasurement:
     def test_study_without_failure(self, tmp_path):
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert _digests(emit_outputs(result, tmp_path / "a")) == {
-            "report.csv": "00ef34f0eba9cc22", "rung_8.csv": "d369353fa3621063",
-            "rung_16.csv": "142aea8852fc45d5", "rung_32.csv": "4dd78f70ca59e34c",
-            "plot.gp": "7a18489c3464cfb1"}
+            "report.csv": "0560abc1a7de38fa", "rung_8.csv": "a639f0f4bbfe5b03",
+            "rung_16.csv": "f4934d326826ee74", "rung_32.csv": "8ddb40c3a7d6de50",
+            "plot.gp": "0e08a46c6db68d55"}
         result = run_corrector_experiment(self.CORRECTOR_SPEC)
         assert _digests(emit_outputs(result, tmp_path / "c")) == {
-            "report.csv": "d41991c64154228e", "rung_16.csv": "05f2480dcc301b07",
-            "rung_32.csv": "d13ab01b419dfd9b", "plot.gp": "eb4e2bee9ca26bda"}
+            "report.csv": "7f11b1a82ec4b0a0", "rung_16.csv": "558eaba89b2dab2c",
+            "rung_32.csv": "936a71eba06749ce", "plot.gp": "373d7b06656216dd"}
 
     @pytest.mark.parametrize("column, seeds", [
         pytest.param(0, [], id="first"), pytest.param(1, [4], id="middle"),
@@ -641,7 +644,7 @@ class TestBlockedMeasurement:
         whole = emit_outputs(run_convergence_experiment(self.SPEC,
                                                         accelerate=True),
                              tmp_path / "whole")
-        _poison(monkeypatch, SpectralOperators, column, step)
+        _poison_reference(monkeypatch, column, step)
         result = run_convergence_experiment(self.SPEC, accelerate=True)
         assert result.failure == (
             f"reference, seed {self.SPEC.seeds[column]}: scheme run aborted: "
@@ -653,9 +656,9 @@ class TestBlockedMeasurement:
         if (step, column) == (21, -1):
             assert _digests(paths) == {
                 "report.csv": "21db6170b7b7e945",
-                "rung_8.csv": "c2665fb676c266c4",
-                "rung_16.csv": "69bd405769ff80b3",
-                "rung_32.csv": "cb69fab41ed2b7a4"}
+                "rung_8.csv": "d2438569ba09fced",
+                "rung_16.csv": "89054a0cebf89803",
+                "rung_32.csv": "f05a8f2d1e8f3481"}
         assert (tmp_path / "report.csv").read_text() == (
             f"{REPORT_HEADER}\nFAILED,{result.failure}\n")
         for path in whole:
@@ -841,12 +844,20 @@ class TestLadder:
                     assert got[i, k].tobytes() == alone.values[i].tobytes(), \
                         f"mesh {j}, path {k} differs at index {i}"
 
+    # the words of each case's solver: constant coefficients march on the
+    # lattice symbols, a variable-coefficient scheme on its LU
+    SINGULAR = {"1d-example1-S3": "spectral implicit operator is singular",
+                "1d-time-dependent-example2":
+                    "factorization failed (Factor is exactly singular)"}
+
     @pytest.mark.parametrize("name, mesh, step", [
         ("1d-example1-S3", 1, 1), ("1d-time-dependent-example2", 0, 3)])
     def test_singular_rung_fails_alone(self, name, mesh, step, monkeypatch):
-        """From ``step`` on, mesh ``mesh`` assembles a singular I - tau L^h:
-        that rung fails every column in its factorization's words and is
-        zeroed, and every other rung keeps the bits of its run alone."""
+        """From ``step`` on, mesh ``mesh`` has a singular I - tau L^h (an
+        assembled matrix with a zero column, or a lattice symbol with a
+        vanishing mode): that rung fails every column in its solver's words
+        and is zeroed, and every other rung keeps the bits of its run
+        alone."""
         from spdefd import stepper
         make, build, d, points0, rungs, seeds = self.CASES[name]
         problem = make()
@@ -872,8 +883,22 @@ class TestLadder:
                     matrix.data[matrix.indices == 0] = 0.0
             return matrix
 
+        symbols = stepper.SpectralOperators.symbols
+
+        def singular_symbols(self, i):
+            got = symbols(self, i)
+            if i < step:
+                return got
+            got = list(got)
+            symL, symM = got[mesh]
+            got[mesh] = (np.where(np.arange(symL.size) == 0, 1.0 / self.tau,
+                                  symL), symM)
+            return got
+
         monkeypatch.setattr(stepper, "_assemble", singular)
-        ladder = stepper.FiniteDifferenceOperators(problem, grids, tau, scheme)
+        monkeypatch.setattr(stepper.SpectralOperators, "symbols",
+                            singular_symbols)
+        ladder = stepper.lattice_operators(problem, grids, tau, scheme)
         marcher = stepper.Marcher(
             problem, stepper.increment_columns(problem, n, increments), ladder)
         for i in range(1, n + 1):
@@ -888,8 +913,7 @@ class TestLadder:
         assert [list(failures) for failures in marcher.failures] == [
             list(range(len(seeds))) if j == mesh else [] for j in range(rungs)]
         assert {str(exc) for exc in marcher.failures[mesh].values()} == {
-            f"step {step}: factorization failed (Factor is exactly "
-            "singular); tau may not be small enough"}
+            f"step {step}: {self.SINGULAR[name]}; tau may not be small enough"}
 
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_operators_freed_without_gc(self, accelerate, monkeypatch):
@@ -936,25 +960,35 @@ class TestSpecValidation:
 class TestSelfcheck:
     def test_all_pass(self):
         results = selfcheck()
-        assert len(results) == 3
+        assert len(results) == 4
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
 
-    def test_oracle_checks_the_study_solve(self, monkeypatch):
-        # the dense-solve oracle reads the solve that every study runs
-        original = FiniteDifferenceOperators.solve_values
+    @staticmethod
+    def _checks_with_skewed(cls, monkeypatch):
+        original = cls.solve_values
         monkeypatch.setattr(
-            FiniteDifferenceOperators, "solve_values",
+            cls, "solve_values",
             lambda self, rhs, i, failures: 1.001 * original(self, rhs, i,
                                                             failures))
-        assert [ok for _, ok, _ in selfcheck()] == [True, True, False]
+        return [ok for _, ok, _ in selfcheck()]
+
+    def test_oracle_checks_the_study_solve(self, monkeypatch):
+        # the dense-solve oracle reads the LU solve of a variable coefficient
+        assert self._checks_with_skewed(FiniteDifferenceOperators,
+                                        monkeypatch) == [True, True, False, True]
+
+    def test_circulant_oracle_checks_the_lattice_symbols(self, monkeypatch):
+        # a constant coefficient solves on its lattice symbols
+        assert self._checks_with_skewed(SpectralOperators,
+                                        monkeypatch) == [True, True, True, False]
 
 
 class TestCli:
     def test_selfcheck_exit_zero(self, capsys):
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
 
     def test_converge_pass(self, tmp_path, capsys):
         cfg = write(tmp_path, MINIMAL + "\n[time]\nn = 32\n[run]\n"
@@ -1130,14 +1164,24 @@ class TestCli:
         assert (tmp_path / "out" / "corrector_order2.csv").exists()
 
     @pytest.mark.parametrize("extra, row", [
-        # deterministic, 2a - b^2 = 0: parabolic, yet I - tau L^h is singular
-        ("", "FAILED,seed 1, mesh 0: step 1: factorization failed (Factor is "
-             "exactly singular); tau may not be small enough"),
-        ("a11 = 0.05\nb11 = 0.1\n", "FAILED,reference, seed 1: step 1: "
-         "spectral implicit operator is singular; tau may not be small enough"),
+        # tau a00 = 1: parabolic, yet I - tau L^h is singular at the mean
+        # mode, on the lattice symbols as in the continuous reference
+        pytest.param("a00 = 16\n", "FAILED,seed 1, mesh 0: step 1: spectral "
+                     "implicit operator is singular; tau may not be small "
+                     "enough", id="deterministic-lattice-singular"),
+        pytest.param("a00 = 16\na11 = 0.05\nb11 = 0.1\n", "FAILED,seed 1, "
+                     "mesh 0: step 1: spectral implicit operator is singular; "
+                     "tau may not be small enough",
+                     id="stochastic-lattice-singular"),
+        # a00 - a11 (2 pi)^2 = 1 / tau: singular at the first mode of the
+        # continuous operator alone; the rungs march on
+        pytest.param("a00 = 17.97392088021787\na11 = 0.05\n", "FAILED,"
+                     "reference, seed 1: step 1: spectral implicit operator "
+                     "is singular; tau may not be small enough",
+                     id="reference-singular"),
     ])
     def test_solver_failure_rows(self, tmp_path, capsys, extra, row):
-        body = ("[problem]\nname = custom\na00 = 16\n" + extra
+        body = ("[problem]\nname = custom\n" + extra
                 + "[time]\nn = 8\n[space]\npoints0 = 16\nrungs = 3\n"
                 "[run]\nseeds = 1, 2\n")
         for threads in ("1", "4"):

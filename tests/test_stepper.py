@@ -24,6 +24,7 @@ from spdefd.stepper import (
     export_trajectory_binary,
     export_trajectory_csv,
     increment_columns,
+    lattice_operators,
     load_trajectory_binary,
     reference_marcher,
     run_reference_time_scheme,
@@ -749,8 +750,7 @@ class TestBatchedMarcher:
 
     def _lattice(self, problem, scheme, grid, n, paths, mode="auto"):
         xi = increment_columns(problem, n, paths)
-        ops = FiniteDifferenceOperators(problem, [grid], problem.T / n, scheme,
-                                        mode)
+        ops = lattice_operators(problem, [grid], problem.T / n, scheme, mode)
         states = march_columns(Marcher(problem, xi, ops), n)
         alone = [run_space_time_scheme(problem, scheme, grid, n, inc,
                                        solver_mode=mode) for inc in paths]
@@ -829,7 +829,7 @@ class TestBatchedMarcher:
         paths = [sample_increments(n, 1, 0.5 / n, seed) for seed in (1, 2)]
         xi = increment_columns(forced, n, paths)
         tau = 0.5 / n
-        for ops in (lambda p: SpectralOperators(p, g, tau),
+        for ops in (lambda p: SpectralOperators(p, [g], tau),
                     lambda p: FiniteDifferenceOperators(p, [g], tau)):
             want = Marcher(forced, xi, ops(forced))
             got = Marcher(free, xi, ops(free), zero_start=True)
@@ -848,7 +848,7 @@ class TestBatchedMarcher:
         paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
         xi = increment_columns(p, n, paths)
         xi[2, 0, 1] = np.inf           # path 1 breaks at step 3
-        marcher = Marcher(p, xi, FiniteDifferenceOperators(
+        marcher = Marcher(p, xi, lattice_operators(
             p, [g], p.T / n, build_scheme_example1(p)))
         for _ in range(n):
             marcher.advance()
@@ -858,7 +858,8 @@ class TestBatchedMarcher:
         assert not marcher.v[..., 1].any()          # zeroed, not dropped
         final = run_space_time_scheme(p, build_scheme_example1(p), g, n,
                                       paths[2]).fields[-1].values
-        assert marcher.v[..., 2].tobytes() == final.tobytes()
+        state = marcher.operators.states(marcher.v)[0]
+        assert state[..., 2].tobytes() == final.tobytes()
 
 
 def gmres_2d_problem():
@@ -946,9 +947,8 @@ class TestFreeTerms:
         g = make_torus_grid(1, [1.0], [16])
         paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
                  for seed in (1, 2)]
-        lattice = [g] if operators is FiniteDifferenceOperators else g
         marcher = Marcher(problem, increment_columns(problem, self.N, paths),
-                          operators(problem, lattice, problem.T / self.N))
+                          operators(problem, [g], problem.T / self.N))
         return march_columns(marcher, self.N)
 
     @pytest.mark.parametrize("operators", [SpectralOperators,
