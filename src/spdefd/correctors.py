@@ -21,12 +21,15 @@ grid.shape`` array with a row per time index.  The system is lower-triangular
 in the order and causal in time, so it is marched in one pass over blocks of
 ``stepper.BLOCK_ROWS`` time indices: the reference first, then each
 corrector p by a marcher from a zero state, its forcing in place of the
-free terms.  Each marcher gives the real states of a block in one
-:meth:`stepper.Marcher.march` call, a spectral one by one inverse transform.
-The forcing of the steps to the indices of a block reads the lower orders
-at those indices and the one before: each such block gets one FFT over the
-spatial axes (``_fft``) and one sum of its rows' mode energies for the
-resolution check, which every higher order reuses.  The expansion
+free terms.  An odd corrector of a symmetric scheme vanishes identically
+(its forcing is +0.0, by the expansion identities above), so it gets no
+marcher, and its trajectory is +0.0.  Each marcher gives the real states
+of a block in one :meth:`stepper.Marcher.march` call, a spectral one by one
+inverse transform.  The forcing of the steps to the indices of a block
+reads the lower orders at those indices and the one before: each such
+block gets one FFT over the spatial axes (``_fft``) and one sum of its
+rows' mode energies for the resolution check, which every higher order
+reuses.  The expansion
 operators ``corrector_operator_L``/``_M`` take such a block and its rows'
 time indices and return one array per row; each derivative term is one
 inverse FFT of the block times its rows' coefficient arrays, and each
@@ -38,11 +41,8 @@ which adds nothing to the forcing.  Each operator that reads a nonzero
 block checks it, even one that vanishes, so an unresolved field is reported
 where it always was.  A spectral reference's marchers step in Fourier
 space, so each block of forcing is transformed once, a zero one not at all.
-A marcher skips the steps whose forcing is zero while its state is still
-zero, so a vanishing corrector (every odd one of a symmetric scheme)
-marches no solve and is read as zeros.  The expansion residual subtracts
-strided views of the corrector arrays and measures the remainder with one
-norm call.
+The expansion residual subtracts strided views of the corrector arrays and
+measures the remainder with one norm call.
 """
 
 import math
@@ -372,7 +372,7 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     Each corrector satisfies the implicit recursion driven by the operators
     of lower order applied to the already-known correctors: the L-side forcing
     enters at the new index i, the M-side forcing at i-1, both weighted by
-    C(p, j); initial data are zero.  The recursion is the
+    C(p, j); initial data are +0.0.  The recursion is the
     reference's own :class:`Marcher` started from zero, with that forcing
     in place of the free terms, so the implicit solve is the reference
     realization of (I - tau L): exact per mode for constant coefficients,
@@ -382,13 +382,13 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     notes): a failure or unresolved field in an earlier block is raised
     first, and within a block, one of a lower order.
 
-    While a corrector's forcing is zero and its state has never left zero,
-    its steps are skipped where the operators' ``keeps_zero`` allows (see
-    :class:`Marcher`).  So a vanishing corrector marches no solve, and a
-    corrector whose forcing starts late starts solving when it does.  The
-    forcing read from a vanishing corrector's zero blocks is made without a
-    transform or an operator call, and every f and g is still checked to be
-    finite.
+    An odd corrector of a symmetric scheme (``scheme.is_symmetric``)
+    vanishes identically: B_p = A_{p,r} = 0 for odd p, and every other term
+    of its forcing reads an odd corrector of lower order.  It is not
+    marched, and its trajectory is +0.0; its forcing is still made block by
+    block, so its resolution, finiteness and operator checks fire as for
+    any other order.  Every other corrector solves every step.  The forcing
+    read from a zero block is made without a transform or an operator call.
     """
     if k < 0:
         raise ValueError("expansion order k must be >= 0")
@@ -409,9 +409,11 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     spectral = reference_mode == "spectral-const-coef"
     ops = reference.operators if spectral \
         else FiniteDifferenceOperators(problem, [refgrid], tau)
-    marchers = [reference] + [Marcher(problem, xi, ops, zero_start=True)
-                              for _ in range(k)]
-    values = [np.empty((n + 1,) + refgrid.shape) for _ in range(k + 1)]
+    marchers = [reference] + [
+        None if p % 2 and scheme.is_symmetric   # it vanishes: +0.0 throughout
+        else Marcher(problem, xi, ops, zero_start=True) for p in range(1, k + 1)]
+    values = [np.empty((n + 1,) + refgrid.shape)] + [
+        np.zeros((n + 1,) + refgrid.shape) for _ in range(k)]
     sampler = SchemeSampler(scheme, refgrid)
     multipliers = _Multipliers(refgrid)
     for block in _blocks(n):
@@ -424,6 +426,8 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
                     steps.start - 1:steps.stop], multipliers))
                 f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
                                           xi[..., 0])
+                if marcher is None:
+                    continue
                 if spectral:    # one transform per block and field
                     f, g = ops.forward(f, 1), [[ops.forward(x, 1) for x in parts]
                                                for parts in g]
@@ -438,6 +442,9 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
                 raise failure
             values[p][block.start:block.stop] = np.moveaxis(_restricted(
                 states, factor if p == 0 else 1, refgrid.dim), -1, 0)
+            if p and block.start == 0:
+                # its +0.0 datum, not the transform of its zero state
+                values[p][0] = 0.0
     return CorrectorSet(grid=refgrid, tau=tau, k=k, trajectories=[
         Trajectory(grid=refgrid, tau=tau, values=v) for v in values])
 
@@ -481,10 +488,13 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet,
     The corrector fields live on the reference grid, which must refine the
     trajectory's grid by one common integer factor per axis; restriction is
     exact sub-sampling.  The trajectory and the correctors must share the
-    time grid: the same number of steps and the same step size.
+    time grid: the same number of steps and the same step size.  ``k``
+    defaults to the set's own order and must lie in 0..cs.k.
     """
     if k is None:
         k = cs.k
+    if k < 0:
+        raise ValueError("expansion order k must be >= 0")
     if k > cs.k:
         raise ValueError(f"corrector set only carries orders up to {cs.k}")
     if vh.n != cs.n:

@@ -161,8 +161,8 @@ def estimate_order(hs, errors, expected_order: float | None = None,
     log e against log h over a halving mesh ladder.
 
     Errors at or below 1e-14 count as exactly converged; they are excluded
-    from the fit and noted.  Zero, negative or non-finite errors, non-finite
-    mesh widths and ``l2h_errors`` of another length are rejected.
+    from the fit and noted.  Zero, negative or non-finite errors and mesh
+    widths, and ``l2h_errors`` of another length, are rejected.
     """
     hs = [float(h) for h in hs]
     errors = [float(e) for e in errors]
@@ -172,6 +172,8 @@ def estimate_order(hs, errors, expected_order: float | None = None,
         raise ExtrapolationError("need one l2h error per rung")
     if not np.isfinite(hs + errors).all():
         raise ExtrapolationError("mesh widths and errors must be finite")
+    if any(h <= 0 for h in hs):
+        raise ExtrapolationError("mesh widths must be positive")
     for a, b in zip(hs, hs[1:]):
         if abs(b - a / 2.0) > 1e-12 * a:
             raise ExtrapolationError("mesh ladder must halve at every rung")

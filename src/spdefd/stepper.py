@@ -9,9 +9,9 @@ There is one implementation of that step, :class:`Marcher`, and it steps
 ``S`` Wiener paths at once, a column per path.  Its operators carry tau and
 the lattices, evaluate u0 and the free terms there (``sample``,
 ``evaluate``) in the form their state takes, and supply
-``apply_M_values``, ``solve_values``, ``keeps_zero`` and ``states``, each
-lattice's real ``grid.shape + (S,)`` state.  The kernels carry the column
-axis along, so every column gets the bits of a run of that path alone.
+``apply_M_values``, ``solve_values`` and ``states``, each lattice's real
+``grid.shape + (S,)`` state.  The kernels carry the column axis along, so
+every column gets the bits of a run of that path alone.
 Both operator families act on a mesh ladder h, h/2, ... (a single grid is
 a one-rung ladder) as one packed state, each rung with the bits of its own
 run: :class:`FiniteDifferenceOperators` in real space, with one sparse LU
@@ -26,11 +26,8 @@ corrector system read blocks of ``BLOCK_ROWS`` steps (``_blocks``), and
 ``run_space_time_scheme`` and ``run_reference_time_scheme`` read a state
 at a time into a :class:`Trajectory`, one ``(n + 1,) + grid.shape`` array.
 The corrector system marches on the same class, from a zero state and with
-its own forcing in place of the free terms f and g.  Such a marcher skips
-the steps whose forcing is zero while its state is still the +0.0 it
-started from, where the operators' solve maps a zero right-hand side to
-+0.0: the step would leave the state as it is, so the bits are those of
-the step, and the real state is read as +0.0.
+its own forcing in place of the free terms f and g; such a marcher solves
+every step, as any other does.
 
 L^h has one form: its expansion into weighted shifts
 (``_expansion_terms``), assembled into the sparse matrix of ``I - tau
@@ -500,15 +497,8 @@ class Marcher:
     aborted.  A failed column is zeroed in place after each step and
     marches on, so no column leaves the state; the operators read the
     record to skip what has failed.  A marcher whose every column has
-    failed no longer steps.
-
-    A marcher started from zero skips every step whose forcing (``f`` and
-    every part of ``g``) is zero for as long as its state has never left
-    zero: such a step's right-hand side is +0.0, and where
-    ``operators.keeps_zero`` says the step keeps the state and its real
-    state +0.0, the state it would compute is the one it has, and its real
-    state is zeros, read without a transform.  A state that returns to
-    zero later is stepped as usual, since its zeros may carry a sign.
+    failed no longer steps; any other solves every step, whatever its
+    forcing (a corrector that vanishes identically gets no marcher).
 
     :meth:`march` is how every march steps and reads a marcher: it gives
     its next states, a block of consecutive indices at a time, as each
@@ -526,7 +516,6 @@ class Marcher:
         self.tau = operators.tau
         self.xi = xi
         self.operators = operators
-        self._at_zero = zero_start
         if zero_start:
             self.v = np.zeros(operators.shape + (xi.shape[-1],),
                               dtype=operators.dtype)
@@ -562,12 +551,6 @@ class Marcher:
                                       for failed in self.failures):
             return
         f, g = forcing or self._free or self._free_terms(i)
-        if self._at_zero and not any(
-                term is not None and term.any()
-                for term in (f, *(part for parts in g for part in parts))) \
-                and self.operators.keeps_zero(i):
-            return
-        self._at_zero = False
         rhs = _explicit_rhs(
             self.v, self.tau, f, g, self.xi[i - 1],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
@@ -582,13 +565,12 @@ class Marcher:
         it starts at, and every later one is one :meth:`advance`.
         ``forcing``, if given, holds the forcing of those steps, a row each
         (``g`` per driver, its parts; None is zero).  The states are made
-        real by one ``operators.states`` call, and those at which the
-        marcher is still at zero are +0.0, made without a transform.  Views
-        of the marcher's block of states among them hold until the next
-        call, which reuses the block."""
+        real by one ``operators.states`` call.  Views of the marcher's block
+        of states among them hold until the next call, which reuses the
+        block."""
         if len(self._block) < rows:     # made once: a fresh one faults in
             self._block = np.empty((rows,) + self.v.shape, self.v.dtype)
-        block, zeros, steps = self._block[:rows], 0, 0
+        block, steps = self._block[:rows], 0
 
         def row(part):
             return None if part is None else part[steps].reshape(self.operators.shape)
@@ -599,13 +581,8 @@ class Marcher:
                     [row(part) for part in parts] for parts in forcing[1]]))
                 steps += 1
             self._started = True
-            if self._at_zero:           # a prefix: it never returns to zero
-                zeros += 1
-            else:
-                block[r] = self.v
-        states = self.operators.states(np.moveaxis(block[zeros:], 0, -2))
-        return [np.concatenate((np.zeros(s.shape[:-2] + (zeros,) + s.shape[-1:]),
-                                s), axis=-2) if zeros else s for s in states]
+            block[r] = self.v
+        return self.operators.states(np.moveaxis(block, 0, -2))
 
 
 def _blocks(n: int) -> list:
@@ -706,9 +683,7 @@ class SpectralOperators:
         self._what = "spectral solve" if scheme is None else "factorized solve"
         self._samplers = [None if scheme is None else SchemeSampler(scheme, g)
                           for g in self.grids]
-        self._cache = {}
-        self._multipliers_of = (None, None, None, None)
-        self._keeps_zero = {}
+        self._multipliers_at = (None, None, None, None)
         self._varies = not (scheme or problem).time_independent
 
     def states(self, v: np.ndarray) -> list:
@@ -738,14 +713,9 @@ class SpectralOperators:
     def symbols(self, i: int) -> list:
         """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
         key = i if self._varies else 0
-        got = self._cache.get(key)
-        if got is None:
-            got = [self._continuous(g, key) if sampler is None
-                   else self._lattice(g, sampler.arrays(i))
-                   for g, sampler in zip(self.grids, self._samplers)]
-            self._cache.clear()         # keep at most the current step
-            self._cache[key] = got
-        return got
+        return [self._continuous(g, key) if sampler is None
+                else self._lattice(g, sampler.arrays(i))
+                for g, sampler in zip(self.grids, self._samplers)]
 
     def _lattice(self, grid: TorusGrid, arrays: dict) -> tuple:
         # M^{h,rho} as expansion terms, read from b as _M_terms reads it
@@ -784,11 +754,12 @@ class SpectralOperators:
 
     def _multipliers(self, i: int) -> tuple:
         """inv and the m_rho at step i, packed, and the rungs where ``1 -
-        tau symL`` nearly vanishes (their inv is zero): built once per set
-        of symbols, again only when ``symbols`` gives a new list."""
-        symbols = self.symbols(i)
-        if self._multipliers_of[0] is not symbols:
-            inv, singular = [], []
+        tau symL`` nearly vanishes (their inv is zero): built from
+        ``symbols`` once per time key (0 for time-independent operators),
+        and kept for the current key alone."""
+        key = i if self._varies else 0
+        if self._multipliers_at[0] != key:
+            symbols, inv, singular = self.symbols(i), [], []
             for r, (symL, _) in enumerate(symbols):
                 denom = 1.0 - self.tau * symL
                 if float(np.min(np.abs(denom))) < 1e-12:
@@ -798,8 +769,8 @@ class SpectralOperators:
             m = [np.concatenate([_hermitian(symM[rho]).ravel()
                                  for _, symM in symbols])
                  for rho in range(len(symbols[0][1]))]
-            self._multipliers_of = (symbols, np.concatenate(inv), m, singular)
-        return self._multipliers_of[1:]
+            self._multipliers_at = (key, np.concatenate(inv), m, singular)
+        return self._multipliers_at[1:]
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """(I - tau L)^{-1} per column, exactly per Fourier mode, in place;
@@ -815,23 +786,6 @@ class SpectralOperators:
             for r, rows in enumerate(self._rows):
                 _abort_nonfinite(rhs[rows], failures[r], self._what, i)
         return rhs
-
-    def keeps_zero(self, i: int) -> bool:
-        """Whether the step at i from a zero state, with zero forcing, keeps
-        the state +0.0 and its real state +0.0: found once per set of
-        symbols by solving a zero column and transforming it back.  The
-        transforms do not for every grid: where pocketfft transforms an axis
-        before the last by Bluestein's algorithm (89 points, say), the real
-        state holds -0.0 entries."""
-        key = i if self._varies else 0
-        if key not in self._keeps_zero:
-            inv, _, singular = self._multipliers(i)
-            if singular:
-                return False
-            x = np.zeros(self.shape + (1,), complex) * inv[:, None]
-            self._keeps_zero[key] = not (np.signbit(x.view(float)).any() or any(
-                np.signbit(s).any() for s in self.states(x)))
-        return self._keeps_zero[key]
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         return self._multipliers(i)[1][rho - 1][:, None] * values
@@ -895,7 +849,7 @@ class FiniteDifferenceOperators:
         self._gmres = {r: (None, None) for r, m in enumerate(modes)
                        if m == "iterative"}
         self._orders = {}                   # rung -> its LU's column order
-        self._lu_key, self._lu, self._keeps_zero = None, None, None
+        self._lu_key, self._lu = None, None
         self._block, self._block_rows, self._block_columns = [], None, None
 
     def _key(self, i: int) -> int:
@@ -987,8 +941,7 @@ class FiniteDifferenceOperators:
             matrices[r] = _assemble(_expansion_terms(
                 self.samplers[r].arrays(i), grid.h, grid.dim),
                 grid.shape, self.tau).tocsc()
-        self._lu, self._keeps_zero = None, None
-        broken = {}
+        self._lu, broken = None, {}
         while matrices and self._lu is None:
             try:
                 self._lu = self._block_factors(matrices, i)
@@ -1038,18 +991,6 @@ class FiniteDifferenceOperators:
                                   sampler=self.samplers[r])
             self._gmres[r] = (self._key(i), op)
         return op
-
-    def keeps_zero(self, i: int) -> bool:
-        """Whether the solve at step i maps a +0.0 right-hand side to +0.0.
-        GMRES returns a zero right-hand side as it is; a negative pivot of
-        the LU factors turns +0.0 into -0.0, and a factorization that fails
-        maps it to nothing."""
-        if self._factor(i, self._direct):
-            return False
-        if self._keeps_zero is None:
-            self._keeps_zero = self._lu is None or not np.signbit(
-                self._lu.solve(np.zeros(self._lu.shape[0]))).any()
-        return self._keeps_zero
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from spdefd.correctors import (
     CorrectorSet,
     ResolutionError,
+    _corrector_forcing,
     _Multipliers,
     _spectra,
     _top_mode_fractions,
@@ -33,6 +34,7 @@ from spdefd.stepper import (
     SchemeSampler,
     SolveFailure,
     SpectralOperators,
+    increment_columns,
     run_reference_time_scheme,
     run_space_time_scheme,
 )
@@ -301,6 +303,15 @@ class TestExpansionResidual:
         cs = CorrectorSet(grid=g, tau=vh.tau, k=0, trajectories=[vh])
         report = expansion_residual(vh, cs, k=0)
         assert report.max_sup == 0.0
+
+    def test_negative_order_rejected(self):
+        # k = -1 subtracted no term and gave the norms of v^h itself
+        p = make_problem("heat1d")
+        g = make_torus_grid(1, [1.0], [32])
+        vh = run_space_time_scheme(p, build_scheme_example1(p), g, 8)
+        cs = CorrectorSet(grid=g, tau=vh.tau, k=0, trajectories=[vh])
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            expansion_residual(vh, cs, k=-1)
 
     def test_residual_order_k2_heat(self):
         # with the h^2 corrector removed the next surviving term is h^4
@@ -571,17 +582,18 @@ def _poison_step(step):
 
 
 def _singular_at(monkeypatch, step):
-    """Make the spectral symbols' implicit operator singular at ``step``."""
-    original = SpectralOperators.symbols
+    """Make the spectral implicit operator singular on every rung at
+    ``step``, as ``_multipliers`` gives a rung whose ``1 - tau symL``
+    vanishes: a zero inverse, and the rung among the singular ones."""
+    original = SpectralOperators._multipliers
 
-    def symbols(self, i):
-        got = original(self, i)
+    def multipliers(self, i):
+        inv, m, singular = original(self, i)
         if i == step:
-            got = [(np.full_like(symL, 1.0 / self.tau), symM)
-                   for symL, symM in got]
-        return got
+            return np.zeros_like(inv), m, list(range(len(self.grids)))
+        return inv, m, singular
 
-    monkeypatch.setattr(SpectralOperators, "symbols", symbols)
+    monkeypatch.setattr(SpectralOperators, "_multipliers", multipliers)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -719,9 +731,8 @@ def _digests(cs):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestZeroForcingSkip:
-    """A corrector march skips the steps whose forcing is zero while its
-    state is still the +0.0 it started from, and keeps every bit of the
-    recursion that solves them."""
+    """An odd corrector of a symmetric scheme is not marched and is +0.0;
+    every other corrector solves every step, zero forcing or not."""
 
     def test_vanishing_correctors_do_no_solves(self, monkeypatch):
         p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
@@ -746,12 +757,9 @@ class TestZeroForcingSkip:
                                 "3bb89a7993318bf7", "24f72962dc281aec"]
         assert not cs[0].values[:4].any() and cs[0].values[4].any()
         assert not cs[1].values[:4].any() and cs[1].values[4].any()
-        # every corrector starts solving at step 4, once its forcing is on
-        assert calls == 3 * list(range(4, n + 1))
-        # the recursion that solves every step has the same bits
-        monkeypatch.setattr(SpectralOperators, "keeps_zero",
-                            lambda self, i: False)
-        assert _digests(run_corrector_system(*args)) == _digests(cs)
+        # example2 is not symmetric: every corrector solves every step,
+        # its zero-forcing steps too
+        assert calls == 3 * list(range(1, n + 1))
 
     def test_nonvanishing_odd_correctors_still_march(self, monkeypatch):
         args, kwargs = pinned_config("time-dependent-k2")
@@ -763,12 +771,9 @@ class TestZeroForcingSkip:
 
     def test_signed_zero_solve_is_not_skipped(self):
         # pocketfft transforms 89 points by Bluestein's algorithm; on the
-        # first of two axes, the inverse transform of the zero solve holds
-        # -0.0 entries: the vanishing correctors are solved as before,
-        # signed zeros and all.  On one axis it does not.
-        line = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
-        assert SpectralOperators(line, [make_torus_grid(1, [1.0], [89])],
-                                 line.T / 8).keeps_zero(1)
+        # first of two axes, the inverse transform of a zero solve holds
+        # -0.0 entries.  The odd correctors are not solved, so they are
+        # +0.0 all the same, and the even ones keep their bits.
         p = DifferentialProblem(
             d=2, d1=1, T=0.25,
             a={(1, 1): 0.05, (2, 2): 0.05, (1, 2): 0.01, (2, 1): 0.01},
@@ -777,12 +782,58 @@ class TestZeroForcingSkip:
                           * np.cos(2 * np.pi * x[..., 1] * 89 / 16)),
             constant_coefficients=True)
         g = make_torus_grid(2, [1.0, 16 / 89], [89, 16])
-        assert not SpectralOperators(p, [g], p.T / 8).keeps_zero(1)
         cs = run_corrector_system(3, p, build_scheme_example1(p), g, 8,
                                   sample_increments(8, 1, p.T / 8, 4))
-        assert np.signbit(cs[1].values).any()
-        assert _digests(cs) == ["1540baa9d3fe9164", "ea6b6a74e0a384cd",
-                                "c44b2bb3405a2395", "ea6b6a74e0a384cd"]
+        for j in (1, 3):
+            assert cs[j].values.tobytes() == np.zeros((9, 89, 16)).tobytes()
+        assert _digests(cs) == ["1540baa9d3fe9164", "ab96e4f5d68289f1",
+                                "c44b2bb3405a2395", "ab96e4f5d68289f1"]
+
+
+def _forcing(p, args, kwargs):
+    """The ``(f, g)`` of corrector p at every step 1..n, read from the lower
+    orders of the system that ``args`` and ``kwargs`` solve."""
+    _, problem, scheme, grid, n, increments = args
+    cs = run_corrector_system(*args, **kwargs)
+    multipliers = _Multipliers(grid)
+    spectra = [_spectra(grid, cs[j].values, multipliers) for j in range(p)]
+    return _corrector_forcing(p, scheme, SchemeSampler(scheme, grid), spectra,
+                              range(1, n + 1),
+                              increment_columns(problem, n, [increments])[..., 0])
+
+
+def time_dependent_symmetric_config():
+    p = time_dependent_problem()
+    return (2, p, build_scheme_example1(p), make_torus_grid(1, [1.0], [64]),
+            16, sample_increments(16, 1, p.T / 16, 7)), {}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOddForcingVanishes:
+    """Why an odd corrector of a symmetric scheme need not be marched: its
+    forcing is exactly zero, since B_p = A_{p,r} = 0 for odd p and every
+    other term reads an odd corrector of lower order."""
+
+    @pytest.mark.parametrize("name", ["stoch-transport-k4", "2d-k2",
+                                      "two-drivers-k2", "time-dependent",
+                                      "fine-grid-varcoef-k2"])
+    def test_odd_forcing_is_zero(self, name):
+        args, kwargs = time_dependent_symmetric_config() \
+            if name == "time-dependent" else pinned_config(name)
+        assert args[2].is_symmetric
+        for p in range(1, args[0] + 1, 2):
+            f, g = _forcing(p, args, kwargs)
+            assert not f.any(), f"order {p}"
+            assert not any(part.any() for parts in g for part in parts), \
+                f"order {p}"
+
+    def test_one_sided_scheme_forces_order_one(self):
+        p = make_problem("drift1d")
+        scheme = build_scheme_example2(p)
+        assert not scheme.is_symmetric
+        f, _ = _forcing(1, (1, p, scheme, make_torus_grid(1, [1.0], [64]), 8,
+                            None), {})
+        assert f.any()
 
 
 def _count_transforms(monkeypatch):

@@ -854,10 +854,10 @@ class TestLadder:
         ("1d-example1-S3", 1, 1), ("1d-time-dependent-example2", 0, 3)])
     def test_singular_rung_fails_alone(self, name, mesh, step, monkeypatch):
         """From ``step`` on, mesh ``mesh`` has a singular I - tau L^h (an
-        assembled matrix with a zero column, or a lattice symbol with a
-        vanishing mode): that rung fails every column in its solver's words
-        and is zeroed, and every other rung keeps the bits of its run
-        alone."""
+        assembled matrix with a zero column, or lattice multipliers of a
+        vanishing ``1 - tau symL``): that rung fails every column in its
+        solver's words and is zeroed, and every other rung keeps the bits of
+        its run alone."""
         from spdefd import stepper
         make, build, d, points0, rungs, seeds = self.CASES[name]
         problem = make()
@@ -883,21 +883,20 @@ class TestLadder:
                     matrix.data[matrix.indices == 0] = 0.0
             return matrix
 
-        symbols = stepper.SpectralOperators.symbols
+        multipliers = stepper.SpectralOperators._multipliers
 
-        def singular_symbols(self, i):
-            got = symbols(self, i)
+        def singular_multipliers(self, i):
+            # the rung's 1 - tau symL vanishes from step on: a zero inverse
+            inv, m, singular = multipliers(self, i)
             if i < step:
-                return got
-            got = list(got)
-            symL, symM = got[mesh]
-            got[mesh] = (np.where(np.arange(symL.size) == 0, 1.0 / self.tau,
-                                  symL), symM)
-            return got
+                return inv, m, singular
+            inv = inv.copy()
+            inv[self._rows[mesh]] = 0.0
+            return inv, m, sorted({*singular, mesh})
 
         monkeypatch.setattr(stepper, "_assemble", singular)
-        monkeypatch.setattr(stepper.SpectralOperators, "symbols",
-                            singular_symbols)
+        monkeypatch.setattr(stepper.SpectralOperators, "_multipliers",
+                            singular_multipliers)
         ladder = stepper.lattice_operators(problem, grids, tau, scheme)
         marcher = stepper.Marcher(
             problem, stepper.increment_columns(problem, n, increments), ladder)

@@ -226,6 +226,12 @@ class TestEstimateOrder:
         with pytest.raises(ExtrapolationError, match="must be finite"):
             estimate_order(hs, [1.0, 0.5])
 
+    @pytest.mark.parametrize("hs", [[0.0, 0.0], [-0.1, -0.05]])
+    def test_rejects_nonpositive_mesh_widths(self, hs):
+        # both ladders pass the halving check; zeros then died in the fit
+        with pytest.raises(ExtrapolationError, match="must be positive"):
+            estimate_order(hs, [1e-2, 1e-3])
+
     @pytest.mark.parametrize("l2h", [[0.02], [0.02, 0.005, 0.001]])
     def test_rejects_l2h_errors_of_another_length(self, l2h):
         with pytest.raises(ExtrapolationError, match="one l2h error per rung"):

@@ -269,22 +269,6 @@ class TestImplicitOperator:
                                    np.linalg.solve(A, rhs.values.ravel()),
                                    rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("a00, mode, keeps", [
-        (-1.0, "direct", True), (20.0, "direct", False),
-        (20.0, "iterative", True)])
-    def test_keeps_zero_matches_the_zero_solve(self, a00, mode, keeps):
-        # I - tau a00 has negative pivots for a00 = 20: the factorized solve
-        # of a zero right-hand side gives -0.0, while GMRES returns it as is
-        g = make_torus_grid(1, [1.0], [16])
-        s = DifferenceScheme(stencil=basis_stencil(1), d1=0,
-                             a={((1,), (1,)): 0.01, ((0,), (0,)): a00})
-        ops = FiniteDifferenceOperators(None, [g], 1.0, s, mode)
-        failures = [{}]
-        x = ops.solve_values(np.zeros((16, 1)), 0, failures)
-        assert not failures[0]
-        assert ops.keeps_zero(0) is keeps
-        assert bool(np.signbit(x).any()) is not keeps
-
 
 def cross_scheme_2d():
     """Constant-coefficient 2-d scheme with a cross term and a one-sided
