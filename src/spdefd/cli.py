@@ -7,12 +7,14 @@ Subcommands:
     accelerate  extrapolated convergence study (weights chosen by base/level)
     correctors  corrector system, odd-corrector check, expansion-residual decay
                 (on the first seed only)
-    selfcheck   weight identities, summation by parts, dense-solve oracle
+    selfcheck   weight identities, summation by parts, dense-solve oracle,
+                circulant-solve oracle
 
 Exit codes: 0 pass, 1 acceptance fail, 2 solver failure, 3 config error.
 """
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -73,7 +75,13 @@ def _load_spec(args):
         overrides["threads"] = args.threads
     if args.format is not None:
         overrides["format"] = args.format
-    return _validate_spec(replace(spec, **overrides))
+    spec = _validate_spec(replace(spec, **overrides))
+    # a study would run to the end and only then fail to make its directory
+    out = Path(spec.out)
+    ancestor = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not ancestor.is_dir():
+        raise ConfigError(f"output path {spec.out}: {ancestor} is not a directory")
+    return spec
 
 
 def _cmd_solve(args) -> int:

@@ -41,7 +41,9 @@ above it solved column by column by GMRES through
 mean-weight circulant.  Failures surface as :class:`SolveFailure` (the
 scheme is only solvable for small enough tau), including a step whose
 result holds a NaN or inf, and are never papered over by regularization.
-``apply_L`` is a one-field wrapper over the assembled L^h.
+``apply_L`` is a one-field wrapper over the assembled L^h.  scipy is
+imported only where the sparse LU and GMRES paths assemble, factor or
+iterate, so a march in Fourier space never loads it.
 
 The reference solution of the time-discretized PDE is realized exactly per
 Fourier mode, on the symbols of the continuous operators, when the
@@ -60,8 +62,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import (
     GridError,
@@ -237,6 +237,7 @@ def _assemble(terms: list, shape: tuple, tau: float | None = None):
     their weights summed in term order (the identity last), so the matrix
     has no duplicate entries and its bits do not depend on a sort.
     """
+    import scipy.sparse as sp
     dim = len(shape)
     scale = 1.0 if tau is None else -tau
     weights = {}
@@ -323,6 +324,7 @@ def _solver_mode(mode: str, grid: TorusGrid) -> str:
 def _factors(matrix, step: int, **options):
     """The SuperLU factors of a CSC ``matrix``; a singular one raises a
     :class:`SolveFailure` at ``step``."""
+    import scipy.sparse.linalg as spla
     try:
         return spla.splu(matrix, **options)
     except RuntimeError as exc:
@@ -346,6 +348,7 @@ class ImplicitOperator:
     """
 
     def __init__(self, scheme, grid, tau, i, sampler: SchemeSampler | None = None):
+        import scipy.sparse.linalg as spla
         if tau < 0:
             raise SolveFailure("tau must be nonnegative")
         self.grid = grid
@@ -371,6 +374,7 @@ class ImplicitOperator:
         return GridField(self.grid, x.reshape(self.grid.shape))
 
     def _solve_iterative(self, b: np.ndarray, step: int) -> np.ndarray:
+        import scipy.sparse.linalg as spla
         if not np.isfinite(b).all():
             # GMRES would run all its iterations on NaN before giving up
             raise SolveFailure("right-hand side holds non-finite values; "
@@ -974,6 +978,7 @@ class FiniteDifferenceOperators:
         """The LU factors of the block diagonal of ``matrices`` (rung ->
         CSC matrix): one rung's own, or the natural-order factors of the
         blocks in their rungs' own column orders."""
+        import scipy.sparse as sp
         if len(matrices) == 1:
             return _factors(*matrices.values(), i)
         for r, m in matrices.items():

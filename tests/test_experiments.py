@@ -1040,6 +1040,26 @@ class TestCli:
             err = capsys.readouterr().err
             assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("command", ["solve", "converge", "accelerate",
+                                         "correctors"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_out_not_a_directory_exit_three(self, tmp_path, capsys,
+                                            monkeypatch, command, below):
+        def march(*args, **kwargs):
+            raise AssertionError("marched before the output path was checked")
+
+        from spdefd import stepper
+        monkeypatch.setattr(stepper.Marcher, "march", march)
+        cfg = write(tmp_path, MINIMAL + "\n[time]\nn = 8\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / below if below else blocker
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") \
+            and f"{blocker} is not a directory" in err
+        assert blocker.read_text() == "keep"
+
     def test_level_above_guard(self, tmp_path, capsys):
         cfg = write(tmp_path, MINIMAL + "\n[time]\nn = 8\n[space]\n"
                     "points0 = 8\n[extrapolation]\nlevel = 13\n[run]\n"

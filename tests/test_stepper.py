@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from spdefd.grids import GridError, make_torus_grid, subsample
 from spdefd.problems import (
@@ -311,15 +312,14 @@ class TestIterativeSolve:
             np.testing.assert_allclose(A @ phi, symbol[k] * phi, rtol=0, atol=1e-12)
 
     def test_constant_coefficients_take_one_iteration(self, monkeypatch):
-        from spdefd import stepper
-        iterations, original = [], stepper.spla.gmres
+        iterations, original = [], spla.gmres
 
         def counting(*args, **kwargs):
             kwargs.update(callback=lambda _norm: iterations.append(1),
                           callback_type="pr_norm")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(stepper.spla, "gmres", counting)
+        monkeypatch.setattr(spla, "gmres", counting)
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
         op = ImplicitOperator(cross_scheme_2d(), g, 0.01, 0)
         rhs = g.field(np.random.default_rng(7).standard_normal(g.shape))
@@ -345,14 +345,13 @@ class TestIterativeSolve:
         np.testing.assert_allclose(iterative, direct, rtol=0, atol=1e-9)
 
     def test_nonfinite_column_fails_without_iterating(self, monkeypatch):
-        from spdefd import stepper
-        calls, original = [], stepper.spla.gmres
+        calls, original = [], spla.gmres
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(stepper.spla, "gmres", counting)
+        monkeypatch.setattr(spla, "gmres", counting)
         g = make_torus_grid(2, [1.0, 1.0], [32, 32])
         rhs = np.ones(g.shape + (2,))
         rhs[3, 4, 1] = np.inf
@@ -386,7 +385,7 @@ class TestIterativeSolve:
         failures = [{}]
         x = ops.solve_values(rhs.reshape(g.npoints, 1), 0, failures)
         assert not failures[0] and sorted(calls) == ["A", "A", "M", "M"]
-        n, spla = g.npoints, stepper.spla
+        n = g.npoints
         symbol = stepper._circulant_symbol(stepper._expansion_terms(
             op.sampler.arrays(0), g.h, 2), g.shape, tau)
         M = spla.LinearOperator((n, n), dtype=float, matvec=functools.partial(
