@@ -11,6 +11,8 @@ Subcommands:
                 circulant-solve oracle
 
 Exit codes: 0 pass, 1 acceptance fail, 2 solver failure, 3 config error.
+A usage error (an unknown subcommand or option, or a bad option value) and
+an error writing the outputs are config errors, exit 3; ``--help`` exits 0.
 """
 
 import argparse
@@ -189,7 +191,10 @@ def main(argv=None) -> int:
     p_self = sub.add_parser("selfcheck", help="run built-in structural checks")
     _add_common(p_self, config_required=False)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 on --help
+        return EXIT_CONFIG if exc.code else EXIT_PASS
     try:
         if args.command == "solve":
             return _cmd_solve(args)
@@ -202,6 +207,9 @@ def main(argv=None) -> int:
     except SolveFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:      # load_config reports its own as ConfigError
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -226,7 +226,7 @@ def _coefficients(sampler: SchemeSampler, steps) -> dict:
     """The scheme's coefficient arrays at the time indices ``steps``: those
     of one index when the scheme is time-independent, else each stacked to
     ``(len(steps),) + grid.shape``."""
-    if sampler.scheme.time_independent:
+    if sampler.key(1) == 0:         # one time key for every index
         return sampler.arrays(0)
     at = [sampler.arrays(i) for i in steps]
     return {kind: {key: np.stack([a[kind][key] for a in at]) for key in at[0][kind]}

@@ -17,10 +17,10 @@ that field's default.  The keys:
     [extrapolation] level, base (auto | 2 | 4)
     [reference]     mode (auto | spectral | fine-grid), refine
     [correctors]    k, expected_residual_order (optional)
-    [run]           seeds (comma-separated; a correctors study runs on the
-                    first seed alone and ignores the others), expected_order
-                    (optional), order_tolerance, out, format (csv | binary),
-                    threads
+    [run]           seeds (comma-separated, distinct; a correctors study runs
+                    on the first seed alone and ignores the others),
+                    expected_order (optional), order_tolerance, out, format
+                    (csv | binary), threads
 
 Keys are case-insensitive; the horizon may be written ``T`` or ``t``.
 ``threads`` is accepted, validated (>= 1) and saved, but has no effect: a
@@ -175,6 +175,8 @@ def load_config(path) -> ExperimentSpec:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
@@ -245,6 +247,9 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError("refine must be >= 0")
     if spec.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if len(set(spec.seeds)) < len(spec.seeds):
+        # a repeated seed marches one path twice and weighs it twice in the rms
+        raise ConfigError(f"seeds must be distinct, not {list(spec.seeds)}")
     if spec.correctors_k < 0:
         raise ConfigError("correctors k must be >= 0")
     for key, value in spec.params_dict().items():

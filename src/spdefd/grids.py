@@ -18,7 +18,7 @@ Conventions:
 
 The schemes' lattice operators are built in ``stepper`` on ``_shifted``: L^h
 from its expansion into weighted shifts (``_expansion_terms``), M^{h,rho}
-as the gathers of ``FiniteDifferenceOperators.apply_M_values``.
+as the centred differences of ``FiniteDifferenceOperators.apply_M_values``.
 """
 
 import itertools

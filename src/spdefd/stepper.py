@@ -29,9 +29,10 @@ The corrector system marches on the same class, from a zero state and with
 its own forcing in place of the free terms f and g; such a marcher solves
 every step, as any other does.
 
-L^h has one form: its expansion into weighted shifts
-(``_expansion_terms``), assembled into the sparse matrix of ``I - tau
-L^h`` or reduced to the kernel of its mean-weight circulant (``_kernel``).
+:class:`SchemeSampler` is the one reading of a scheme on a lattice.  L^h
+has one form: its expansion into weighted shifts (``_expansion_terms``),
+assembled into the sparse matrix of ``I - tau L^h`` or reduced to the
+kernel of its mean-weight circulant (``_kernel``).
 :func:`lattice_operators` chooses the operators of every lattice march fed
 by the problem's own free terms: a 1-d scheme whose coefficients are plain
 numbers is a circulant, solved on its lattice symbols in Fourier space;
@@ -149,9 +150,9 @@ class Trajectory:
 
 
 class SchemeSampler:
-    """Caches scheme coefficient arrays on a grid, per time index.
-
-    Time-independent schemes are sampled once and reused for every step.
+    """The one reading of a scheme on a grid: its coefficient arrays, L^h
+    and M^{h,rho} per time index.  Time-independent schemes are sampled
+    once, under the time key 0, and reused for every step.
     """
 
     def __init__(self, scheme: DifferenceScheme, grid: TorusGrid):
@@ -159,8 +160,12 @@ class SchemeSampler:
         self.grid = grid
         self._cache = {}
 
+    def key(self, i: int) -> int:
+        """The time key of step i: 0 for a time-independent scheme."""
+        return 0 if self.scheme.time_independent else i
+
     def arrays(self, i: int) -> dict:
-        key = 0 if self.scheme.time_independent else i
+        key = self.key(i)
         got = self._cache.get(key)
         if got is None:
             x = self.grid.coordinates
@@ -180,6 +185,19 @@ class SchemeSampler:
             self._cache[key] = got
         return got
 
+    def L_terms(self, i: int) -> list:
+        """L^h at step i as expansion terms (:func:`_expansion_terms`)."""
+        return _expansion_terms(self.arrays(i), self.grid.h, self.grid.dim)
+
+    def M_terms(self, i: int) -> list:
+        """M^{h,rho} at step i, per driver: the ``(lam, coefficient)`` pairs
+        of b, in b's order, each the coefficient times the centred
+        difference along lam (the identity for lam = 0)."""
+        M = [[] for _ in range(self.scheme.d1)]
+        for (lam, rho), b in self.arrays(i)["b"].items():
+            M[rho - 1].append((lam, b))
+        return M
+
 
 def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
     """Second-order difference operator at the mesh width h of the field's
@@ -192,8 +210,7 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
     the one-sided differences.
     """
     grid = phi.grid
-    L = _assemble(_expansion_terms(SchemeSampler(scheme, grid).arrays(i),
-                                   grid.h, grid.dim), grid.shape)
+    L = _assemble(SchemeSampler(scheme, grid).L_terms(i), grid.shape)
     return GridField(grid, (L @ phi.values.ravel()).reshape(grid.shape))
 
 
@@ -354,7 +371,7 @@ class ImplicitOperator:
         self.grid = grid
         self.i = i
         self.sampler = sampler or SchemeSampler(scheme, grid)
-        terms = _expansion_terms(self.sampler.arrays(i), grid.h, grid.dim)
+        terms = self.sampler.L_terms(i)
         self.matrix = _assemble(terms, grid.shape, float(tau))
         n = grid.npoints
         symbol = _circulant_symbol(terms, grid.shape, float(tau))
@@ -718,17 +735,19 @@ class SpectralOperators:
         """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
         key = i if self._varies else 0
         return [self._continuous(g, key) if sampler is None
-                else self._lattice(g, sampler.arrays(i))
+                else self._lattice(sampler, i)
                 for g, sampler in zip(self.grids, self._samplers)]
 
-    def _lattice(self, grid: TorusGrid, arrays: dict) -> tuple:
-        # M^{h,rho} as expansion terms, read from b as _M_terms reads it
-        M, h = [[] for _ in range(self.scheme.d1)], grid.h
-        for (lam, rho), b in arrays["b"].items():
-            M[rho - 1] += [(b / (2 * h), lam), (-b / (2 * h), tuple(
-                -c for c in lam))] if any(lam) else [(b, lam)]
-        symbols = [np.conj(np.fft.fftn(_kernel(terms, grid.shape)))
-                   for terms in [_expansion_terms(arrays, h, grid.dim)] + M]
+    def _lattice(self, sampler: SchemeSampler, i: int) -> tuple:
+        # M^{h,rho} as expansion terms: each centred difference two shifts
+        shape, h = sampler.grid.shape, sampler.grid.h
+        M = [[term for lam, b in terms
+              for term in ([(b / (2 * h), lam),
+                            (-b / (2 * h), tuple(-c for c in lam))]
+                           if any(lam) else [(b, lam)])]
+             for terms in sampler.M_terms(i)]
+        symbols = [np.conj(np.fft.fftn(_kernel(terms, shape)))
+                   for terms in [sampler.L_terms(i)] + M]
         return symbols[0], symbols[1:]
 
     def _continuous(self, grid: TorusGrid, key: int) -> tuple:
@@ -807,9 +826,8 @@ class FiniteDifferenceOperators:
     The state is packed: one ``(sum of npoints, S)`` array, each rung's
     ``grid.shape + (S,)`` state flattened row-major, the rungs one after
     another (:meth:`states` gives the rungs' views).  u0 and the free terms
-    are evaluated per rung and concatenated, and M^{h,rho} is one flat
-    gather per term and sign of shift (the wrap gathers ``grids._shifted``
-    of each rung's index lattice), divided by each entry's own 2h.
+    are evaluated per rung and concatenated, and M^{h,rho} acts on each
+    rung's view by the wrap shifts of ``grids._shifted``.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side,
@@ -840,13 +858,9 @@ class FiniteDifferenceOperators:
         self.tau = float(tau)
         self.scheme = build_scheme_example1(problem) if scheme is None else scheme
         self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
-        sizes = [g.npoints for g in self.grids]
-        starts = np.cumsum([0] + sizes)
+        starts = np.cumsum([0] + [g.npoints for g in self.grids])
         self.shape = (int(starts[-1]),)
         self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
-        self._two_h = np.repeat([2.0 * g.h for g in self.grids], sizes)
-        self._gathers = {}
-        self._terms_key, self._terms = None, None
         modes = [_solver_mode(mode, g) for g in self.grids]
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
         # rung -> (time key, its GMRES operator)
@@ -855,9 +869,6 @@ class FiniteDifferenceOperators:
         self._orders = {}                   # rung -> its LU's column order
         self._lu_key, self._lu = None, None
         self._block, self._block_rows, self._block_columns = [], None, None
-
-    def _key(self, i: int) -> int:
-        return 0 if self.scheme.time_independent else i
 
     def states(self, v: np.ndarray) -> list:
         """Each rung's ``grid.shape + v.shape[1:]`` view of the packed rows
@@ -875,54 +886,24 @@ class FiniteDifferenceOperators:
         return np.concatenate([(fn(*args, g.coordinates) * np.ones(g.shape)).ravel()
                                for g in self.grids])
 
-    def _gather(self, lam, s: int) -> np.ndarray:
-        """Packed index of the entry each entry's shift by ``s*h*lam`` reads."""
-        key = (lam, s)
-        if key not in self._gathers:
-            self._gathers[key] = np.concatenate([
-                _shifted(np.arange(rows.start, rows.stop).reshape(grid.shape),
-                         lam, s, grid.dim).ravel()
-                for grid, rows in zip(self.grids, self._rows)])
-        return self._gathers[key]
-
-    def _M_terms(self, i: int, width: int) -> tuple:
-        """2h and the terms of M^{h,rho} at index i, for a state of ``width``
-        columns.  A term is (rho, packed coefficient, gather of the + shift,
-        of the - shift), in the order of the scheme's b; lam = 0 has no
-        gathers.  2h and the coefficients are repeated across the columns,
-        so every product is of two arrays of one shape."""
-        key = (self._key(i), width)
-        if self._terms_key != key:
-            arrays = [sampler.arrays(i)["b"] for sampler in self.samplers]
-            terms = []
-            for lam, rho in arrays[0]:
-                coef = np.concatenate([b[lam, rho].ravel() for b in arrays])
-                gathers = ((self._gather(lam, 1), self._gather(lam, -1))
-                           if any(lam) else (None, None))
-                terms.append((rho, np.repeat(coef[:, None], width, axis=1),
-                              *gathers))
-            self._terms_key = key
-            self._terms = np.repeat(self._two_h[:, None], width, axis=1), terms
-        return self._terms
-
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         if not 1 <= rho <= self.scheme.d1:
             raise GridError(f"driver index {rho} out of range 1..{self.scheme.d1}")
         out = np.zeros(values.shape)
-        two_h, terms = self._M_terms(i, values.shape[1])
-        for r, coef, plus, minus in terms:
-            if r != rho:
-                continue
-            if plus is None:
-                out += coef * values
-                continue
-            # coef * ((T_+ v - T_- v) / 2h), in place; every index is in
-            # range, so "clip" only skips the bounds check
-            term = np.take(values, plus, axis=0, mode="clip")
-            term -= np.take(values, minus, axis=0, mode="clip")
-            term /= two_h
-            term *= coef
-            out += term
+        for sampler, v, rung in zip(self.samplers, self.states(values),
+                                    self.states(out)):
+            dim, two_h = sampler.grid.dim, 2.0 * sampler.grid.h
+            for lam, coef in sampler.M_terms(i)[rho - 1]:
+                coef = coef[..., None]
+                if not any(lam):
+                    rung += coef * v
+                    continue
+                # coef * ((T_+ v - T_- v) / 2h), in place
+                term = _shifted(v, lam, 1, dim)
+                term -= _shifted(v, lam, -1, dim)
+                term /= two_h
+                term *= coef
+                rung += term
         return out
 
     def _factor(self, i: int, live: list) -> dict:
@@ -937,14 +918,11 @@ class FiniteDifferenceOperators:
         singular in a rung of its own, since its blocks have their rungs'
         bits: each rung is then factored alone, and those that fail leave
         the block, which is factored again."""
-        if self._lu_key == (self._key(i), live):
+        key = self.samplers[0].key(i)
+        if self._lu_key == (key, live):
             return {}
-        matrices = {}
-        for r in live:
-            grid = self.grids[r]
-            matrices[r] = _assemble(_expansion_terms(
-                self.samplers[r].arrays(i), grid.h, grid.dim),
-                grid.shape, self.tau).tocsc()
+        matrices = {r: _assemble(self.samplers[r].L_terms(i), self.grids[r].shape,
+                                 self.tau).tocsc() for r in live}
         self._lu, broken = None, {}
         while matrices and self._lu is None:
             try:
@@ -961,7 +939,7 @@ class FiniteDifferenceOperators:
                     broken[r] = own
                     del matrices[r]
         self._block = list(matrices)
-        self._lu_key = (self._key(i), self._block)
+        self._lu_key = (key, self._block)
         if self._block:
             rows = np.concatenate([np.arange(self._rows[r].start,
                                              self._rows[r].stop)
@@ -991,10 +969,10 @@ class FiniteDifferenceOperators:
     def _iterative(self, r: int, i: int) -> ImplicitOperator:
         """The GMRES operator of rung r at step i."""
         key, op = self._gmres[r]
-        if op is None or key != self._key(i):
+        if op is None or key != self.samplers[r].key(i):
             op = ImplicitOperator(self.scheme, self.grids[r], self.tau, i,
                                   sampler=self.samplers[r])
-            self._gmres[r] = (self._key(i), op)
+            self._gmres[r] = (self.samplers[r].key(i), op)
         return op
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:

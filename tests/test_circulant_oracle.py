@@ -25,7 +25,6 @@ from spdefd.stepper import (
     SchemeSampler,
     SpectralOperators,
     _assemble,
-    _expansion_terms,
     increment_columns,
     lattice_operators,
     run_space_time_scheme,
@@ -56,13 +55,29 @@ def two_driver_problem():
         constant_coefficients=True)
 
 
-@pytest.mark.parametrize("N", [16, 45, 89])
-def test_symbols_are_the_eigenvalues_of_the_lattice_operators(N):
-    g = make_torus_grid(1, [0.75], [N])
-    scheme, tau = full_scheme(), 0.01
+def full_scheme_2d():
+    """The 2-d analogue of :func:`full_scheme`: a mixed a^{12}, cross and
+    zero-order a, p and q on different axes, and per driver b along both
+    axes and at the origin."""
+    e1, e2, o = (1, 0), (0, 1), (0, 0)
+    return DifferenceScheme(
+        stencil=basis_stencil(2), d1=2,
+        a={(e1, e1): 0.07, (e2, e2): 0.05, (e1, e2): 0.02, (e2, e1): 0.01,
+           (e1, o): 0.02, (o, e2): -0.01, (o, o): -0.3},
+        p={e1: 0.05}, q={e2: 0.02},
+        b={(e1, 1): 0.2, (e2, 1): -0.1, (o, 1): 0.1,
+           (e1, 2): -0.15, (e2, 2): 0.12, (o, 2): 0.05})
+
+
+@pytest.mark.parametrize("shape", [(16,), (45,), (89,), (12, 9)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_symbols_are_the_eigenvalues_of_the_lattice_operators(shape):
+    dim = len(shape)
+    # h = 0.75 / shape[0] on every axis
+    g = make_torus_grid(dim, [0.75 * N / shape[0] for N in shape], shape)
+    scheme, tau = full_scheme() if dim == 1 else full_scheme_2d(), 0.01
     symL, symM = SpectralOperators(None, [g], tau, scheme).symbols(0)[0]
-    A = _assemble(_expansion_terms(SchemeSampler(scheme, g).arrays(0), g.h, 1),
-                  g.shape, tau)
+    A = _assemble(SchemeSampler(scheme, g).L_terms(0), g.shape, tau)
     lattice = FiniteDifferenceOperators(None, [g], tau, scheme)
 
     def apply_M(phi, rho):
@@ -70,9 +85,10 @@ def test_symbols_are_the_eigenvalues_of_the_lattice_operators(N):
         return (lattice.apply_M_values(phi.real[:, None], rho, 0)
                 + 1j * lattice.apply_M_values(phi.imag[:, None], rho, 0))[:, 0]
 
-    j = np.arange(N)
-    for k in range(N):
-        phi = np.exp(2j * np.pi * k * j / N)
+    j = np.indices(shape)
+    for k in np.ndindex(shape):
+        phi = np.exp(2j * np.pi * sum(kk * jj / N for kk, jj, N
+                                      in zip(k, j, shape))).ravel()
         np.testing.assert_allclose(A @ phi, (1.0 - tau * symL[k]) * phi,
                                    rtol=0, atol=1e-12)
         for rho in (1, 2):

@@ -1031,7 +1031,9 @@ class TestCli:
          "period must be positive"),
         ("[problem]\nname = custom\na11 = 0.1\nT = 0\n",
          "horizon T must be positive"),
-    ], ids=["negative-period", "custom-zero-horizon"])
+        ("[problem]\nname = degenerate1d\n[run]\nseeds = 3, 3\n",
+         "seeds must be distinct"),
+    ], ids=["negative-period", "custom-zero-horizon", "repeated-seed"])
     def test_invalid_values_exit_three(self, tmp_path, capsys, body, message):
         cfg = write(tmp_path, body)
         for command in ("solve", "converge", "correctors"):
@@ -1168,6 +1170,33 @@ class TestCli:
 
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "none.ini")]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--config", "c.ini", "--threads", "abc"],
+        ["bogus"],
+        [],
+        ["converge"],
+    ], ids=["bad-value", "unknown-command", "no-command", "missing-config"])
+    def test_usage_error_exit_three(self, capsys, argv):
+        # argparse's own exit code, 2, is the code of a solver failure
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["converge", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_output_error_exit_three(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINIMAL + f"\n[time]\nn = 8\n[run]\n"
+                    f"out = {tmp_path / 'out'}\n")
+        (tmp_path / "out" / "report.csv").mkdir(parents=True)
+        assert main(["converge", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "report.csv" in err
+
+    def test_unreadable_config_exit_three(self, tmp_path, capsys):
+        assert main(["converge", "--config", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_seed_override(self, tmp_path):
         cfg = write(tmp_path, MINIMAL + f"\n[time]\nn = 8\n[run]\n"

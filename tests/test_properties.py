@@ -62,7 +62,7 @@ def specs(draw):
         correctors_k=draw(st.integers(0, 6)),
         expected_residual_order=draw(st.none() | finite),
         seeds=tuple(draw(st.lists(st.integers(-2 ** 63, 2 ** 64 - 1),
-                                  min_size=1, max_size=5))),
+                                  min_size=1, max_size=5, unique=True))),
         expected_order=draw(st.none() | finite),
         order_tolerance=draw(st.floats(min_value=0.0, allow_infinity=False)),
         out=draw(token | st.text()),
@@ -198,7 +198,7 @@ def ladder_specs(draw):
         n=draw(st.integers(1, 40)), points0=draw(st.sampled_from([4, 8])),
         rungs=draw(st.integers(2, 3)), level=draw(st.integers(0, 1)),
         seeds=tuple(draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
-                                  max_size=3))))
+                                  max_size=3, unique=True))))
 
 
 def per_path_errors(spec):

@@ -300,11 +300,10 @@ class TestIterativeSolve:
     """GMRES preconditioned by the FFT inverse of the mean-weight circulant."""
 
     def test_circulant_symbol_is_the_matrix_eigenvalue(self):
-        from spdefd.stepper import SchemeSampler, _circulant_symbol, _expansion_terms
+        from spdefd.stepper import SchemeSampler, _circulant_symbol
         g = make_torus_grid(2, [1.0, 1.5], [8, 12])
         s, tau = cross_scheme_2d(), 0.01
-        terms = _expansion_terms(SchemeSampler(s, g).arrays(0), g.h, 2)
-        symbol = _circulant_symbol(terms, g.shape, tau)
+        symbol = _circulant_symbol(SchemeSampler(s, g).L_terms(0), g.shape, tau)
         A = ImplicitOperator(s, g, tau, 0).matrix
         j1, j2 = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
         for k in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 4), (7, 6)]:
@@ -386,8 +385,7 @@ class TestIterativeSolve:
         x = ops.solve_values(rhs.reshape(g.npoints, 1), 0, failures)
         assert not failures[0] and sorted(calls) == ["A", "A", "M", "M"]
         n = g.npoints
-        symbol = stepper._circulant_symbol(stepper._expansion_terms(
-            op.sampler.arrays(0), g.h, 2), g.shape, tau)
+        symbol = stepper._circulant_symbol(op.sampler.L_terms(0), g.shape, tau)
         M = spla.LinearOperator((n, n), dtype=float, matvec=functools.partial(
             circulant, symbol, g.shape))
         plain, _ = spla.gmres(spla.aslinearoperator(op.matrix), rhs.ravel(),
