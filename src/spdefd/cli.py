@@ -11,8 +11,11 @@ Subcommands:
                 circulant-solve oracle
 
 Exit codes: 0 pass, 1 acceptance fail, 2 solver failure, 3 config error.
-A usage error (an unknown subcommand or option, or a bad option value) and
-an error writing the outputs are config errors, exit 3; ``--help`` exits 0.
+A usage error (an unknown subcommand or option, or a bad option value), an
+error writing the outputs, a study whose errors admit no order fit (a rung
+error of exactly 0, say) and a missing dependency (scipy, for a study that
+factors by sparse LU) are config errors too, exit 3, each with one line on
+stderr; ``--help`` exits 0.
 """
 
 import argparse
@@ -36,6 +39,7 @@ from .experiments import (
     run_corrector_experiment,
     selfcheck,
 )
+from .richardson import ExtrapolationError
 from .stepper import (
     SolveFailure,
     export_trajectory_binary,
@@ -209,6 +213,12 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except OSError as exc:      # load_config reports its own as ConfigError
         print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ExtrapolationError as exc:
+        print(f"order error: no order can be fitted: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ImportError as exc:
+        print(f"missing dependency: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -23,24 +23,25 @@ in the order and causal in time, so it is marched in one pass over blocks of
 corrector p by a marcher from a zero state, its forcing in place of the
 free terms.  An odd corrector of a symmetric scheme vanishes identically
 (its forcing is +0.0, by the expansion identities above), so it gets no
-marcher, and its trajectory is +0.0.  Each marcher gives the real states
-of a block in one :meth:`stepper.Marcher.march` call, a spectral one by one
-inverse transform.  The forcing of the steps to the indices of a block
-reads the lower orders at those indices and the one before: each such
-block gets one FFT over the spatial axes (``_fft``) and one sum of its
-rows' mode energies for the resolution check, which every higher order
-reuses.  The expansion
+marcher, and its trajectory is +0.0.  Each marcher takes the real forcing
+of a block and gives its real states in one :meth:`stepper.Marcher.march`
+call; its operators put the forcing in their own form.  The forcing of
+the steps to the indices of a block reads the lower orders at those
+indices and the one before: each such block gets one ``np.fft.fftn`` over
+the spatial axes and one sum of its rows' mode energies for the
+resolution check, which every higher order reuses.  The expansion
 operators ``corrector_operator_L``/``_M`` take such a block and its rows'
 time indices and return one array per row; each derivative term is one
-inverse FFT of the block times its rows' coefficient arrays, and each
+``np.fft.ifftn`` of the block times its rows' coefficient arrays, and each
 Fourier multiplier is built once per system (:class:`_Multipliers`).
 
 A block with no nonzero entry costs nothing: no FFT, zero energy
 fractions, and no operator reads it, since every term made from it is +0.0,
 which adds nothing to the forcing.  Each operator that reads a nonzero
 block checks it, even one that vanishes, so an unresolved field is reported
-where it always was.  A spectral reference's marchers step in Fourier
-space, so each block of forcing is transformed once, a zero one not at all.
+where it always was.  A block of forcing with no nonzero entry is None in
+the marcher's form, so a spectral marcher transforms each block of forcing
+once, a zero one not at all, and no marcher adds it.
 The expansion residual subtracts strided views of the corrector arrays and
 measures the remainder with one norm call.
 """
@@ -89,21 +90,6 @@ def expansion_constants(p: int, r: int) -> tuple[float, float]:
     else:
         A = 0.0
     return B, A
-
-
-def _fft(values: np.ndarray, axes: tuple, inverse: bool = False) -> np.ndarray:
-    """``np.fft.fftn`` (or ``ifftn``) of ``values`` over ``axes``.
-
-    The one-axis transforms run last axis first, the loop that ``fftn``
-    runs, so the bits are the same; what is skipped is ``fftn``'s argument
-    handling on every call.
-    """
-    transform = np.fft.ifft if inverse else np.fft.fft
-    for k, axis in enumerate(reversed(axes)):
-        # passes after the first write into the array the first made, so
-        # no fresh output has to be faulted in
-        values = transform(values, axis=axis, out=values if k else None)
-    return values
 
 
 def _top_mode_mask(shape: tuple) -> np.ndarray:
@@ -200,7 +186,7 @@ class _Spectra:
     def _inverse(self, multiplier: np.ndarray) -> np.ndarray:
         if self.hat is None:
             return np.zeros(self.values.shape)
-        return np.real(_fft(multiplier * self.hat, self.axes, inverse=True))
+        return np.real(np.fft.ifftn(multiplier * self.hat, axes=self.axes))
 
     def directional(self, lam, order: int) -> np.ndarray:
         return self._inverse(self.multipliers.directional(lam, order))
@@ -217,7 +203,7 @@ def _spectra(grid: TorusGrid, values: np.ndarray,
     multipliers = multipliers or _Multipliers(grid)
     if not values.any():
         return _Spectra(grid, values, None, multipliers, np.zeros(len(values)))
-    hat = _fft(values, tuple(range(1, grid.dim + 1)))
+    hat = np.fft.fftn(values, axes=tuple(range(1, grid.dim + 1)))
     return _Spectra(grid, values, hat, multipliers,
                     _top_mode_fractions(hat, multipliers.top))
 
@@ -406,8 +392,7 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     reference, factor = reference_marcher(problem, refgrid, xi, reference_mode,
                                           refine)
     # the correctors solve with a spectral reference's own operators
-    spectral = reference_mode == "spectral-const-coef"
-    ops = reference.operators if spectral \
+    ops = reference.operators if reference_mode == "spectral-const-coef" \
         else FiniteDifferenceOperators(problem, [refgrid], tau)
     marchers = [reference] + [
         None if p % 2 and scheme.is_symmetric   # it vanishes: +0.0 throughout
@@ -424,14 +409,10 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
             if p:
                 spectra.append(_spectra(refgrid, values[p - 1][
                     steps.start - 1:steps.stop], multipliers))
-                f, g = _corrector_forcing(p, scheme, sampler, spectra, steps,
-                                          xi[..., 0])
+                forcing = _corrector_forcing(p, scheme, sampler, spectra, steps,
+                                             xi[..., 0])
                 if marcher is None:
                     continue
-                if spectral:    # one transform per block and field
-                    f, g = ops.forward(f, 1), [[ops.forward(x, 1) for x in parts]
-                                               for parts in g]
-                forcing = f, g
             states = marcher.march(len(block), forcing)[0][..., 0]
             failure = marcher.failures[0].get(0)
             if failure is not None:

@@ -663,14 +663,12 @@ def _emit_plot_script(result: ExperimentResult, path: Path) -> Path:
     for h, sup, l2h in zip(report.hs, report.sup_errors,
                            report.l2h_errors or [float("nan")] * len(report.hs)):
         lines.append(f"{_fmt(h)} {_fmt(sup)} {_fmt(l2h)}")
-    lines += [
-        "EOD",
-        "plot $data using 1:2 with linespoints title 'sup error', \\",
-        "     $data using 1:3 with linespoints title 'l2h error', \\",
-        f"     {_fmt(c)}*x**{_fmt(float(guide_order))} "
-        f"with lines dashtype 2 title 'order {_fmt(float(guide_order))} guide'",
-        "",
-    ]
+    plot = ["plot $data using 1:2 with linespoints title 'sup error'",
+            "     $data using 1:3 with linespoints title 'l2h error'"]
+    if math.isfinite(guide_order):      # no fitted order: no guide line
+        plot.append(f"     {_fmt(c)}*x**{_fmt(float(guide_order))} with lines "
+                    f"dashtype 2 title 'order {_fmt(float(guide_order))} guide'")
+    lines += ["EOD", ", \\\n".join(plot), ""]
     path.write_text("\n".join(lines), encoding="utf-8")
     return path
 

@@ -16,15 +16,16 @@ Conventions:
   ``(T_{-h,lam} - I)/(-h)``.
 * The zero stencil vector maps to the identity operator in all of the above.
 
-The schemes' lattice operators are built in ``stepper`` on ``_shifted``: L^h
-from its expansion into weighted shifts (``_expansion_terms``), M^{h,rho}
-as the centred differences of ``FiniteDifferenceOperators.apply_M_values``.
+The schemes' lattice operators are built in ``stepper`` on ``_shifted``, one
+``np.roll``: L^h from its expansion into weighted shifts
+(``_expansion_terms``), M^{h,rho} as the centred differences of
+``FiniteDifferenceOperators.apply_M_values``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -197,30 +198,11 @@ def _as_int_vector(lam, dim: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _wrap_index(points: int, offset: int) -> np.ndarray:
-    """Gather index ``(j + offset) mod points`` of one periodic axis; it is
-    read-only because every caller gets the same cached array."""
-    index = (np.arange(points) + offset) % points
-    index.flags.writeable = False
-    return index
-
-
 def _shifted(values: np.ndarray, lam, s: int, dim: int) -> np.ndarray:
     """Values translated by ``s*h*lam`` over the first ``dim`` axes; trailing
-    axes (one column per seed) ride along.
-
-    Each moved axis is one gather through a cached wrap index, which gives
-    the bits of ``np.roll`` without its per-call slicing; the result is
-    always a new array.
-    """
-    out = values
-    for axis in range(dim):
-        if lam[axis]:
-            points = values.shape[axis]
-            out = np.take(out, _wrap_index(points, s * lam[axis] % points),
-                          axis=axis)
-    return out.copy() if out is values else out
+    axes (one column per seed) ride along.  One ``np.roll``, so the result
+    is always a new array."""
+    return np.roll(values, [-s * c for c in lam[:dim]], axis=tuple(range(dim)))
 
 
 def _forward_values(values: np.ndarray, lam, h: float, sign: int,

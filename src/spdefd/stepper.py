@@ -6,19 +6,16 @@ free terms on the right-hand side are taken explicitly at the previous index:
     v_i = v_{i-1} + (L v_i + f_i) tau + sum_rho (M^rho v_{i-1} + g^rho_{i-1}) xi^rho_i
 
 There is one implementation of that step, :class:`Marcher`, and it steps
-``S`` Wiener paths at once, a column per path.  Its operators carry tau and
-the lattices, evaluate u0 and the free terms there (``sample``,
-``evaluate``) in the form their state takes, and supply
-``apply_M_values``, ``solve_values`` and ``states``, each lattice's real
-``grid.shape + (S,)`` state.  The kernels carry the column axis along, so
-every column gets the bits of a run of that path alone.
-Both operator families act on a mesh ladder h, h/2, ... (a single grid is
-a one-rung ladder) as one packed state, each rung with the bits of its own
-run: :class:`FiniteDifferenceOperators` in real space, with one sparse LU
-solve for the rungs that solve directly, and :class:`SpectralOperators` in
-Fourier space, exact per mode.  The marcher owns one failure record for
-both, ``failures[r][column]`` per lattice r: a failed column is zeroed in
-place, and the operators read the record to skip what has failed.
+``S`` Wiener paths at once, a column per path.  Its operators alone know
+the form and the layout of its state (``_LatticeOperators``): both
+families march a mesh ladder h, h/2, ... (a single grid is a one-rung
+ladder) as one packed state, each rung with the bits of its own run,
+:class:`FiniteDifferenceOperators` in real space, with one sparse LU solve
+for the rungs that solve directly, and :class:`SpectralOperators` in
+Fourier space, exact per mode.  The kernels carry the column axis along,
+so every column gets the bits of a run of that path alone.  The marcher
+owns one failure record, ``failures[r][column]`` per lattice r, which the
+solve fills in and the operators read to skip what has failed.
 
 Every march steps and reads a marcher by :meth:`Marcher.march`, which
 gives each lattice's real states at its next indices: the studies and the
@@ -26,8 +23,9 @@ corrector system read blocks of ``BLOCK_ROWS`` steps (``_blocks``), and
 ``run_space_time_scheme`` and ``run_reference_time_scheme`` read a state
 at a time into a :class:`Trajectory`, one ``(n + 1,) + grid.shape`` array.
 The corrector system marches on the same class, from a zero state and with
-its own forcing in place of the free terms f and g; such a marcher solves
-every step, as any other does.
+its own real forcing in place of the free terms f and g, which ``march``
+puts in the operators' form by ``operators.forward``; such a marcher
+solves every step, as any other does.
 
 :class:`SchemeSampler` is the one reading of a scheme on a lattice.  L^h
 has one form: its expansion into weighted shifts (``_expansion_terms``),
@@ -485,19 +483,6 @@ def _fail(failures: dict, exc: SolveFailure, width: int) -> None:
         failures.setdefault(k, exc)
 
 
-def _abort_nonfinite(x: np.ndarray, failures: dict, what: str,
-                     step: int) -> None:
-    """Abort every column of a lattice's solution ``x`` (rows first, a
-    column per path) that holds a NaN or inf and has not failed yet."""
-    if np.isfinite(x).all():            # the common case, in one pass
-        return
-    bad = ~np.isfinite(x).all(axis=tuple(range(x.ndim - 1)))
-    for k in np.flatnonzero(bad):
-        failures.setdefault(int(k), _aborted(SolveFailure(
-            f"{what} produced non-finite values; tau may not be small enough",
-            step=step)))
-
-
 class Marcher:
     """The implicit Euler recursion for ``S`` Wiener paths in lock-step.
 
@@ -515,7 +500,7 @@ class Marcher:
     column (``failures[r][column]``), and the solve fills it in: a failure
     of a lattice's whole solve (a singular operator) fails every column of
     that lattice in its own words, and a column whose own solve fails is
-    aborted.  A failed column is zeroed in place after each step and
+    aborted.  The solve zeroes a failed column at every step, and it
     marches on, so no column leaves the state; the operators read the
     record to skip what has failed.  A marcher whose every column has
     failed no longer steps; any other solves every step, whatever its
@@ -576,25 +561,26 @@ class Marcher:
             self.v, self.tau, f, g, self.xi[i - 1],
             lambda v, rho: self.operators.apply_M_values(v, rho, i - 1))
         self.v = self.operators.solve_values(rhs, i, self.failures)
-        for rows, failed in zip(self.operators._rows, self.failures):
-            if failed:
-                self.v[rows, ..., list(failed)] = 0.0
 
     def march(self, rows: int, forcing: tuple | None = None) -> list:
         """Each lattice's real ``grid.shape + (rows, S)`` states at the
         marcher's next ``rows`` indices: the first index it gives is the 0
         it starts at, and every later one is one :meth:`advance`.
-        ``forcing``, if given, holds the forcing of those steps, a row each
-        (``g`` per driver, its parts; None is zero).  The states are made
-        real by one ``operators.states`` call.  Views of the marcher's block
-        of states among them hold until the next call, which reuses the
-        block."""
+        ``forcing``, if given, holds the real forcing of those steps on the
+        first lattice, a ``grid.shape`` row each (``g`` per driver, its
+        parts; None is zero); each array is put in the operators' form by
+        one ``operators.forward`` call.  The states are made real by one
+        ``operators.states`` call.  Views of the marcher's block of states
+        among them hold until the next call, which reuses the block."""
         if len(self._block) < rows:     # made once: a fresh one faults in
             self._block = np.empty((rows,) + self.v.shape, self.v.dtype)
-        block, steps = self._block[:rows], 0
+        block, steps, ops = self._block[:rows], 0, self.operators
+        if forcing is not None:
+            forcing = (ops.forward(forcing[0], 1), [
+                [ops.forward(part, 1) for part in parts] for parts in forcing[1]])
 
         def row(part):
-            return None if part is None else part[steps].reshape(self.operators.shape)
+            return None if part is None else part[steps].reshape(ops.shape)
 
         for r in range(rows):
             if self._started:
@@ -669,11 +655,76 @@ def _hermitian(s: np.ndarray) -> np.ndarray:
     return (s + np.conj(negative))[..., :s.shape[-1] // 2 + 1] / 2
 
 
-class SpectralOperators:
+class _LatticeOperators:
+    """What both operator families share.  The state of the ladder
+    ``grids`` is packed: one ``shape + (S,)`` array, a column per trailing
+    index, each rung's state in the family's form flattened row-major into
+    its rows ``_rows[r]``, the rungs one after another.  ``sample`` (u0),
+    ``evaluate`` (the free terms) and ``forward`` (a block of forcing) put
+    real values in that form by the family's ``_transform``, a zero one as
+    None, and ``_finish`` ends every solve.  Each family supplies
+    ``_transform``, ``states`` (the real states), ``apply_M_values`` and
+    ``solve_values``.
+    """
+
+    def __init__(self, problem, grids: list, tau: float, scheme, shapes: list):
+        self.problem, self.scheme = problem, scheme
+        self.grids, self.tau = list(grids), float(tau)
+        self._shapes = shapes                # each rung's state, unpacked
+        starts = np.cumsum([0] + [math.prod(s) for s in shapes])
+        self.shape = (int(starts[-1]),)
+        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+    def _views(self, v: np.ndarray) -> list:
+        """Each rung's ``state shape + v.shape[1:]`` view of the packed rows
+        of ``v``."""
+        return [v[rows].reshape(shape + v.shape[1:])
+                for shape, rows in zip(self._shapes, self._rows)]
+
+    def sample(self, fn) -> np.ndarray:
+        """``fn`` on every rung's coordinates, checked by ``grid.sample``,
+        in the operators' form, packed."""
+        return self._pack([g.sample(fn).values for g in self.grids])
+
+    def evaluate(self, fn, *args):
+        """``fn(*args, x)`` on every rung's coordinates x, in the operators'
+        form, packed; None if zero."""
+        values = [fn(*args, g.coordinates) * np.ones(g.shape) for g in self.grids]
+        return self._pack(values) if any(v.any() for v in values) else None
+
+    def _pack(self, values: list) -> np.ndarray:
+        return np.concatenate([self._transform(v, range(g.dim)).ravel()
+                               for g, v in zip(self.grids, values)])
+
+    def forward(self, values: np.ndarray | None, lead: int = 0):
+        """Real ``values`` on the first rung in the operators' form, over the
+        spatial axes after ``lead`` leading ones; None where it is zero."""
+        if values is None or not values.any():
+            return None
+        return self._transform(values, range(lead, lead + self.grids[0].dim))
+
+    def _finish(self, x: np.ndarray, i: int, failures: list) -> np.ndarray:
+        """The end of every solve ``x``, a packed ``shape + (S,)`` array, at
+        step i: abort every column of a rung that holds a NaN or inf and has
+        not failed yet, then zero every failed column in place (see
+        :class:`Marcher`)."""
+        if not np.isfinite(x).all():       # the common case, in one pass
+            bad = ~np.isfinite(x)
+            for r, rows in enumerate(self._rows):
+                for k in np.flatnonzero(bad[rows].any(axis=0)):
+                    failures[r].setdefault(int(k), _aborted(SolveFailure(
+                        f"{self._what} produced non-finite values; tau may "
+                        "not be small enough", step=i)))
+        for rows, failed in zip(self._rows, failures):
+            if failed:
+                x[rows, ..., list(failed)] = 0.0
+        return x
+
+
+class SpectralOperators(_LatticeOperators):
     """Exact per-mode operators on a ladder of torus lattices, in Fourier
-    space.  The state is every rung's ``rfftn`` half-spectrum, flattened and
-    packed: one ``(sum of half-sizes, S)`` complex array, a column per
-    trailing index, on which a step is pointwise.
+    space.  A rung's state is its ``rfftn`` half-spectrum, on which a step
+    is pointwise.
 
     A rung's symbols symL and symM_rho are those of the continuous L and
     M^rho without a scheme (the reference and the corrector system; the
@@ -685,51 +736,32 @@ class SpectralOperators:
     ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
     every full-spectrum product on its real part realizes, which keeps the
     Nyquist lines of an even lattice real.  u0 and the free terms are
-    transformed where they are evaluated (a zero free term is None), and
-    :meth:`states` transforms back.  A rung whose ``1 - tau symL`` nearly
-    vanishes fails its own columns, and a non-finite solution aborts its
-    column in that rung; the other rungs march on.
+    transformed where they are evaluated, and :meth:`states` transforms
+    back.  A rung whose ``1 - tau symL`` nearly vanishes fails its own
+    columns, and a non-finite solution aborts its column in that rung; the
+    other rungs march on.
     """
 
     dtype = complex
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
                  scheme: DifferenceScheme | None = None):
-        self.problem, self.scheme = problem, scheme
-        self.grids, self.tau = list(grids), float(tau)
-        self._half = [g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in self.grids]
-        starts = np.cumsum([0] + [math.prod(s) for s in self._half])
-        self.shape = (int(starts[-1]),)
-        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        super().__init__(problem, grids, tau, scheme, [
+            g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in grids])
         self._what = "spectral solve" if scheme is None else "factorized solve"
         self._samplers = [None if scheme is None else SchemeSampler(scheme, g)
                           for g in self.grids]
         self._multipliers_at = (None, None, None, None)
         self._varies = not (scheme or problem).time_independent
 
+    @staticmethod
+    def _transform(values: np.ndarray, axes) -> np.ndarray:
+        return np.fft.rfftn(values, axes=axes)
+
     def states(self, v: np.ndarray) -> list:
         """Each rung's real state of ``v`` (any trailing axes)."""
-        return [np.fft.irfftn(v[rows].reshape(half + v.shape[1:]), s=g.shape,
-                              axes=range(g.dim))
-                for g, half, rows in zip(self.grids, self._half, self._rows)]
-
-    def forward(self, values: np.ndarray, lead: int = 0):
-        """The half-spectrum of real ``values`` on the first rung, over the
-        spatial axes after ``lead`` leading ones; None where it is zero."""
-        return np.fft.rfftn(values, axes=range(lead, lead + self.grids[0].dim)) \
-            if values.any() else None
-
-    def sample(self, fn) -> np.ndarray:
-        """The spectra of ``fn`` on every rung's coordinates, checked by
-        ``grid.sample``, packed."""
-        return np.concatenate([np.fft.rfftn(g.sample(fn).values).ravel()
-                               for g in self.grids])
-
-    def evaluate(self, fn, *args):
-        """The packed spectra of ``fn(*args, x)`` on the rungs; None if zero."""
-        values = [fn(*args, g.coordinates) * np.ones(g.shape) for g in self.grids]
-        return np.concatenate([np.fft.rfftn(v).ravel() for v in values]) \
-            if any(v.any() for v in values) else None
+        return [np.fft.irfftn(half, s=g.shape, axes=range(g.dim))
+                for g, half in zip(self.grids, self._views(v))]
 
     def symbols(self, i: int) -> list:
         """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
@@ -805,16 +837,13 @@ class SpectralOperators:
                 "spectral implicit operator is singular; tau may not be "
                 "small enough", step=i), rhs.shape[-1])
         rhs *= inv[:, None]
-        if not np.isfinite(rhs).all():     # the common case, in one pass
-            for r, rows in enumerate(self._rows):
-                _abort_nonfinite(rhs[rows], failures[r], self._what, i)
-        return rhs
+        return self._finish(rhs, i, failures)
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         return self._multipliers(i)[1][rho - 1][:, None] * values
 
 
-class FiniteDifferenceOperators:
+class FiniteDifferenceOperators(_LatticeOperators):
     """The lattice operators of one difference scheme on a mesh ladder h,
     h/2, ... (a single grid is a one-rung ladder), all with one tau and one
     solver mode: u0 and the free terms, M^{h,rho}, and the implicit solve
@@ -823,24 +852,21 @@ class FiniteDifferenceOperators:
     march fed by the problem's own free terms takes these operators only
     where :func:`lattice_operators` finds no circulant.
 
-    The state is packed: one ``(sum of npoints, S)`` array, each rung's
-    ``grid.shape + (S,)`` state flattened row-major, the rungs one after
-    another (:meth:`states` gives the rungs' views).  u0 and the free terms
-    are evaluated per rung and concatenated, and M^{h,rho} acts on each
-    rung's view by the wrap shifts of ``grids._shifted``.
+    A rung's state is its real ``grid.shape`` values (:meth:`states` gives
+    the rungs' views), and M^{h,rho} acts on each rung's view by the wrap
+    shifts of ``grids._shifted``.
 
     The direct-mode rungs solve together: one sparse LU of the block
-    diagonal of their ``I - tau L^h`` serves the packed right-hand side,
-    and one NaN/inf check covers its solution.  A block of one rung is that
-    rung's own LU (COLAMD order).  In a block of several, each block has its
-    columns in the order of the rung's own LU (COLAMD and its postorder,
-    read once from a factorization of the rung alone: it depends on the
-    sparsity pattern alone) and the block diagonal is factored in its
-    natural order, so every rung gets the pivots and the bits of its own
-    LU.  A time-dependent scheme refactors at every step.  Every sparse LU
-    is made here; the GMRES rungs solve column by column through this
-    loop, each with its own :class:`ImplicitOperator`, which holds only the
-    GMRES solve.
+    diagonal of their ``I - tau L^h`` serves the packed right-hand side.  A
+    block of one rung is that rung's own LU (COLAMD order).  In a block of
+    several, each block has its columns in the order of the rung's own LU
+    (COLAMD and its postorder, read once from a factorization of the rung
+    alone: it depends on the sparsity pattern alone) and the block diagonal
+    is factored in its natural order, so every rung gets the pivots and the
+    bits of its own LU.  A time-dependent scheme refactors at every step.
+    Every sparse LU is made here; the GMRES rungs solve column by column
+    through this loop, each with its own :class:`ImplicitOperator`, which
+    holds only the GMRES solve.
 
     The solve fills the failure record of the marcher it serves (see
     :class:`Marcher`), which is passed in since marchers may share one
@@ -850,17 +876,14 @@ class FiniteDifferenceOperators:
     """
 
     dtype = float
+    _what = "factorized solve"
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
                  scheme: DifferenceScheme | None = None, mode: str = "auto"):
-        self.problem = problem
-        self.grids = list(grids)
-        self.tau = float(tau)
-        self.scheme = build_scheme_example1(problem) if scheme is None else scheme
+        super().__init__(problem, grids, tau,
+                         build_scheme_example1(problem) if scheme is None
+                         else scheme, [g.shape for g in grids])
         self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
-        starts = np.cumsum([0] + [g.npoints for g in self.grids])
-        self.shape = (int(starts[-1]),)
-        self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
         modes = [_solver_mode(mode, g) for g in self.grids]
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
         # rung -> (time key, its GMRES operator)
@@ -870,21 +893,14 @@ class FiniteDifferenceOperators:
         self._lu_key, self._lu = None, None
         self._block, self._block_rows, self._block_columns = [], None, None
 
+    @staticmethod
+    def _transform(values: np.ndarray, axes) -> np.ndarray:
+        return values
+
     def states(self, v: np.ndarray) -> list:
         """Each rung's ``grid.shape + v.shape[1:]`` view of the packed rows
         of ``v``."""
-        return [v[rows].reshape(grid.shape + v.shape[1:])
-                for grid, rows in zip(self.grids, self._rows)]
-
-    def sample(self, fn) -> np.ndarray:
-        """``fn`` on every rung's coordinates, checked by ``grid.sample``,
-        packed."""
-        return np.concatenate([g.sample(fn).values.ravel() for g in self.grids])
-
-    def evaluate(self, fn, *args) -> np.ndarray:
-        """``fn(*args, x)`` on every rung's coordinates x, packed."""
-        return np.concatenate([(fn(*args, g.coordinates) * np.ones(g.shape)).ravel()
-                               for g in self.grids])
+        return self._views(v)
 
     def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         if not 1 <= rho <= self.scheme.d1:
@@ -978,8 +994,8 @@ class FiniteDifferenceOperators:
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in
         one block solve, the others' column by column.  The failures go
-        into the marcher's record ``failures``; the rows of a failed column
-        are meaningless."""
+        into the marcher's record ``failures``, and a failed column is
+        zeroed."""
         width = rhs.shape[-1]
         live = [r for r in self._direct if len(failures[r]) < width]
         for r, exc in self._factor(i, live).items():
@@ -992,10 +1008,6 @@ class FiniteDifferenceOperators:
             else:
                 out[self._block_rows if self._block_columns is None
                     else self._block_columns] = y
-            if not np.isfinite(y).all():
-                for r in self._block:
-                    _abort_nonfinite(out[self._rows[r]], failures[r],
-                                     "factorized solve", i)
         for r in self._gmres:
             op, rows = self._iterative(r, i), self._rows[r]
             for k in range(width):
@@ -1006,7 +1018,7 @@ class FiniteDifferenceOperators:
                         np.ascontiguousarray(rhs[rows, k]), i)
                 except SolveFailure as exc:
                     failures[r][k] = _aborted(exc)
-        return out
+        return self._finish(out, i, failures)
 
 
 def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,

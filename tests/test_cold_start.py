@@ -93,8 +93,8 @@ def test_runs_without_scipy(tmp_path, argv, code):
 
 
 def test_sparse_lu_needs_scipy(tmp_path):
+    # a config error, exit 3, in one line and without a traceback
     code, _, err, _ = run(tmp_path, "blocked",
                           ["accelerate", "--config", "var-coef1d.ini"])
-    assert code == 1
-    assert err.decode().splitlines()[-1] \
-        == "ModuleNotFoundError: No module named 'scipy'"
+    assert code == 3
+    assert err.decode() == "missing dependency: No module named 'scipy'\n"

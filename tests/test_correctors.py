@@ -838,16 +838,14 @@ class TestOddForcingVanishes:
 
 def _count_transforms(monkeypatch):
     """Record ``(inverse, has a nonzero entry)`` of the input of every
-    ``correctors._fft`` call."""
-    import spdefd.correctors as correctors
+    ``np.fft.fftn`` (False) and ``np.fft.ifftn`` (True) call."""
     calls = []
-    original = correctors._fft
-
-    def counted(values, axes, inverse=False):
-        calls.append((inverse, bool(values.any())))
-        return original(values, axes, inverse)
-
-    monkeypatch.setattr(correctors, "_fft", counted)
+    for inverse, name in ((False, "fftn"), (True, "ifftn")):
+        def counted(values, *args, _original=getattr(np.fft, name),
+                    _inverse=inverse, **kwargs):
+            calls.append((_inverse, bool(values.any())))
+            return _original(values, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     return calls
 
 

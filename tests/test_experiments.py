@@ -133,6 +133,12 @@ plot $data using 1:2 with linespoints title 'sup error', \\
 }
 
 
+# a problem whose operator and free terms vanish: every scheme keeps u0, so
+# each rung's error is 0 (rounding, when extrapolated) and fits no order
+ZERO_ERRORS = ("[problem]\nname = custom\na00 = 0\na11 = 0\n[space]\n"
+               "points0 = 8\nrungs = 3\n[time]\nn = 8\n")
+
+
 def write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -463,6 +469,18 @@ class TestEmitOutputs:
         assert "set logscale xy" in script
         assert "$data << EOD" in script
         assert "plot $data" in script
+
+    def test_plot_script_without_an_order_has_no_guide(self, tmp_path, capsys):
+        # every rung converges exactly: no order is fitted and none is
+        # expected, so there is no guide line, and no "\" continues the plot
+        cfg = write(tmp_path, ZERO_ERRORS + f"[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["accelerate", "--config", str(cfg)]) == 0
+        assert "least-squares order nan" in capsys.readouterr().out
+        script = (tmp_path / "out" / "plot.gp").read_text()
+        assert "guide" not in script and "*x**" not in script
+        assert script.endswith(
+            "plot $data using 1:2 with linespoints title 'sup error', \\\n"
+            "     $data using 1:3 with linespoints title 'l2h error'\n")
 
 
 # report.csv, rung_*.csv and plot.gp of two small corrector studies, as the
@@ -1094,6 +1112,21 @@ class TestCli:
                 "config error: problem is not degenerate parabolic: the "
                 "smallest eigenvalue of 2a - bb^T is -0.23\n")
         assert not (tmp_path / "out").exists()
+
+    def test_unfittable_order_exit_three(self, tmp_path, capsys):
+        cfg = write(tmp_path, ZERO_ERRORS + f"[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["converge", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == ("order error: no order can be "
+                                           "fitted: errors must be positive\n")
+
+    def test_missing_scipy_exit_three(self, tmp_path):
+        # a study that factors by sparse LU, in an interpreter that refuses
+        # to import scipy
+        from test_cold_start import run
+        code, _, err, _ = run(tmp_path, "blocked",
+                              ["converge", "--config", "var-coef1d.ini"])
+        assert code == 3
+        assert err.decode() == "missing dependency: No module named 'scipy'\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unresolved_reference_grid_exit_three(self, tmp_path, capsys):

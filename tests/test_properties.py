@@ -1,14 +1,13 @@
 """Property tests: configuration, trajectory-dump and increment-dump round
-trips, the shift and FFT kernels against the numpy calls they stand in for,
-the summation-by-parts identities of the difference kernels, and the
-convergence study's errors against the per-path pipeline."""
+trips, the shift kernel against ``np.roll``, the summation-by-parts
+identities of the difference kernels, and the convergence study's errors
+against the per-path pipeline."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spdefd.correctors import _fft
 from spdefd.experiments import (
     ConfigError,
     ExperimentSpec,
@@ -123,17 +122,6 @@ def test_shifted_matches_roll(values, data):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert not np.shares_memory(got, values)
-
-
-@given(values=column_arrays(), leading=st.booleans())
-def test_fft_matches_fftn(values, leading):
-    # the spatial axes lead (a state with its columns) or follow a row axis
-    # (a stack of time steps)
-    axes = tuple(range(1, values.ndim)) if leading else tuple(range(values.ndim - 1))
-    hat = _fft(values, axes)
-    assert hat.tobytes() == np.fft.fftn(values, axes=axes).tobytes()
-    assert _fft(hat, axes, inverse=True).tobytes() == \
-        np.fft.ifftn(hat, axes=axes).tobytes()
 
 
 @given(n=st.integers(1, 64), d1=st.integers(0, 4), tau=positive,

@@ -810,6 +810,11 @@ class TestBatchedMarcher:
         paths = [sample_increments(n, 1, 0.5 / n, seed) for seed in (1, 2)]
         xi = increment_columns(forced, n, paths)
         tau = 0.5 / n
+        x = g.coordinates
+        # the same forcing in real space, a row per step, as march takes it
+        real = (np.stack([F(i, x) * np.ones(g.shape) for i in range(1, n + 1)]),
+                [[np.stack([G(i - 1, x) * np.ones(g.shape)
+                            for i in range(1, n + 1)])]])
         for ops in (lambda p: SpectralOperators(p, [g], tau),
                     lambda p: FiniteDifferenceOperators(p, [g], tau)):
             want = Marcher(forced, xi, ops(forced))
@@ -820,6 +825,14 @@ class TestBatchedMarcher:
                 got.advance((got.operators.evaluate(F, i),
                              [(got.operators.evaluate(G, i - 1),)]))
                 assert got.v.tobytes() == want.v.tobytes()
+            marched = Marcher(free, xi, ops(free), zero_start=True)
+            states = marched.march(n + 1, real)[0]
+            again = Marcher(forced, xi, ops(forced)).march(n + 1)[0]
+            assert states.tobytes() == again.tobytes()
+            assert marched.v.tobytes() == want.v.tobytes()
+            # a zero free term and a zero block of forcing are None
+            assert marched.operators.evaluate(lambda i, x: 0.0, 1) is None
+            assert marched.operators.forward(np.zeros((n,) + g.shape), 1) is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_column_fails_alone(self):
