@@ -12,10 +12,12 @@ Subcommands:
 
 Exit codes: 0 pass, 1 acceptance fail, 2 solver failure, 3 config error.
 A usage error (an unknown subcommand or option, or a bad option value), an
-error writing the outputs, a study whose errors admit no order fit (a rung
-error of exactly 0, say) and a missing dependency (scipy, for a study that
-factors by sparse LU) are config errors too, exit 3, each with one line on
-stderr; ``--help`` exits 0.
+extrapolating study with base 4 on a scheme with one-sided terms, an error
+writing the outputs, a study whose errors admit no order fit (a rung error
+of exactly 0, or fewer than two above 1e-14, as the rounding errors of an
+``accelerate`` on an exactly solved problem are) and a missing dependency
+(scipy, for a study that factors by sparse LU) are config errors too, exit
+3, each with one line on stderr; ``--help`` exits 0.
 """
 
 import argparse

@@ -389,14 +389,13 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     tau = problem.T / n
     xi = increment_columns(problem, n, [increments])
 
-    reference, factor = reference_marcher(problem, refgrid, xi, reference_mode,
-                                          refine)
+    reference = reference_marcher(problem, refgrid, xi, reference_mode, refine)
     # the correctors solve with a spectral reference's own operators
     ops = reference.operators if reference_mode == "spectral-const-coef" \
         else FiniteDifferenceOperators(problem, [refgrid], tau)
     marchers = [reference] + [
         None if p % 2 and scheme.is_symmetric   # it vanishes: +0.0 throughout
-        else Marcher(problem, xi, ops, zero_start=True) for p in range(1, k + 1)]
+        else Marcher(xi, ops, zero_start=True) for p in range(1, k + 1)]
     values = [np.empty((n + 1,) + refgrid.shape)] + [
         np.zeros((n + 1,) + refgrid.shape) for _ in range(k)]
     sampler = SchemeSampler(scheme, refgrid)
@@ -422,7 +421,7 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
                     raise failure.__cause__ from None
                 raise failure
             values[p][block.start:block.stop] = np.moveaxis(_restricted(
-                states, factor if p == 0 else 1, refgrid.dim), -1, 0)
+                states, marcher.operators.grids[0], refgrid), -1, 0)
             if p and block.start == 0:
                 # its +0.0 datum, not the transform of its zero state
                 values[p][0] = 0.0

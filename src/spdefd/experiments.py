@@ -14,7 +14,8 @@ that field's default.  The keys:
     [scheme]        constructor (example1 | example2)
     [time]          n
     [space]         period, points0, rungs
-    [extrapolation] level, base (auto | 2 | 4)
+    [extrapolation] level, base (auto | 2 | 4; base 4 extrapolates a
+                    symmetric scheme alone)
     [reference]     mode (auto | spectral | fine-grid), refine
     [correctors]    k, expected_residual_order (optional)
     [run]           seeds (comma-separated, distinct; a correctors study runs
@@ -33,14 +34,18 @@ indices at a time, each block's real states read in one
 :meth:`stepper.Marcher.march` call.  The errors of every column are
 reduced per block into running per-seed maxima, so no rung trajectory is
 stored; each norm has the bits of measuring its index alone, so the block
-size changes no output.  The target, a function of the block that gives
-its weighted terms per rung, is all that tells the studies apart: the
-reference time-scheme solution for ``converge``/``accelerate`` (whose rungs
-may be extrapolated), and the expansion sum_{m<=k} (h^m/m!) v^(m) of the
-corrector system for ``correctors``.  Errors are measured pathwise, as
-max over time of the sup over grid points; squared errors are averaged over
-the seed set before order fitting, so the reported quantity realizes the
-expected squared sup norm.
+size changes no output.  Every study measures through that one path: each
+rung's candidate is its extrapolation sum_j beta_j v^{h/2^j}, at level 0
+(beta = (1), the plain scheme) for ``converge`` and ``correctors``.  The
+target, a function of the block that gives its weighted terms per rung,
+is all that tells the studies apart: the reference time-scheme solution
+for ``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!)
+v^(m) of the corrector system for ``correctors``.  Errors are measured
+pathwise, as max over time of the sup over grid points; squared errors are
+averaged over the seed set before order fitting, so the reported quantity
+realizes the expected squared sup norm.  A study fits its order or fails:
+a ladder with fewer than two errors above 1e-14 fits none and raises
+:class:`richardson.ExtrapolationError`.
 
 Outputs: ``report.csv`` with columns (h, sup_error, l2h_error,
 pairwise_order, ls_order, expected_order, pass); one ``rung_<points>.csv``
@@ -371,9 +376,13 @@ def build_scheme(spec: ExperimentSpec, problem: DifferentialProblem):
     return build_scheme_example2(problem)
 
 
-def _resolve_base(spec: ExperimentSpec, scheme) -> int:
+def _resolve_base(spec: ExperimentSpec, scheme, level: int) -> int:
     if spec.base == "auto":
         return 4 if scheme.is_symmetric else 2
+    if spec.base == "4" and level >= 1 and not scheme.is_symmetric:
+        raise ConfigError(f"[extrapolation] base 4 assumes that odd powers "
+                          f"of h vanish, but the {spec.scheme} scheme has "
+                          "one-sided terms; use base 2 or auto")
     return int(spec.base)
 
 
@@ -419,14 +428,10 @@ def _reference_target(marcher: Marcher, grids: list) -> tuple:
     """A convergence study's target, the reference marched by ``marcher``,
     on the rungs ``grids``: a block's states are restricted onto the finest
     rung once, and every coarser rung reads a strided view of that."""
-    fine = grids[-1]
-    factor = marcher.operators.grids[0].shape[0] // fine.shape[0]
-
     def terms(block: range) -> list:
         states = np.ascontiguousarray(_restricted(
-            marcher.march(len(block))[0], factor, fine.dim))
-        return [[_restricted(states, fine.shape[0] // grid.shape[0], grid.dim)]
-                for grid in grids]
+            marcher.march(len(block))[0], marcher.operators.grids[0], grids[-1]))
+        return [[_restricted(states, grids[-1], grid)] for grid in grids]
 
     return terms, marcher.failures[0]
 
@@ -453,7 +458,8 @@ def _replay_target(cs, grids: list) -> tuple:
 
 def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                   weights, expected_order, make_target) -> ExperimentResult:
-    """The rung loop of both studies.
+    """The rung loop of every study, the one path from a ladder to a
+    fitted order.
 
     ``make_target(grids, xi, increments)`` gives the target and its failure
     record, keyed by column.  The target is a function of a block of time
@@ -467,8 +473,9 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     LU solve (GMRES rungs solve apart); every rung has the bits of its run
     alone.  The ladder and then its target march one
     block of indices at a time (:meth:`Marcher.march`), and the block is
-    measured: each rung's candidate (the rung, or its extrapolation by
-    ``weights``, a partner restricted when read) less the target's terms
+    measured: each rung's candidate, its extrapolation by ``weights``
+    (partners restricted when read; level 0, beta = (1), is the rung
+    itself, every bit kept), less the target's terms
     (:func:`correctors._remainder`) goes through one :func:`grids._norms`
     call whose rows are the (index, path) pairs, so every norm has the bits
     of measuring its index alone.  The block maxima are folded into running
@@ -484,10 +491,10 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     before the failing one, and a failure the target raises while it is
     built as itself.  A spectral target on variable coefficients, and a
     corrector target the reference grid cannot resolve, are configuration
-    errors.
+    errors; a ladder whose errors fit no order raises the
+    :class:`richardson.ExtrapolationError` of :func:`estimate_order`.
     """
-    level = 0 if weights is None else weights.level
-    grids = ladder_grids(spec, problem, extra=level)
+    grids = ladder_grids(spec, problem, extra=weights.level)
     tau = problem.T / spec.n
 
     # a deterministic problem has one path whatever the seeds: march it once
@@ -497,8 +504,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   if problem.d1 > 0 else None for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    marcher = Marcher(problem, xi, lattice_operators(problem, grids, tau,
-                                                     scheme))
+    marcher = Marcher(xi, lattice_operators(problem, grids, tau, scheme))
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
@@ -520,10 +526,10 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                 continue
             terms = target(block)
             for j, grid in enumerate(grids[:spec.rungs]):
-                views = [_restricted(states[j + m], 2 ** m, grid.dim)
-                         for m in range(level + 1)]
-                candidate = (views[0] if weights is None
-                             else _combine(views, weights.beta))
+                # partner m of rung j is rung j + m, read on rung j's grid
+                candidate = _combine(
+                    [_restricted(states[j + m], grids[j + m], grid)
+                     for m in range(weights.level + 1)], weights.beta)
                 err = _remainder(candidate, terms[j])
                 # one contiguous row per (index, path), as _norms needs
                 s, l = _norms(np.ascontiguousarray(
@@ -558,30 +564,34 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                             rung_points=rung_points, per_rung_errors=per_rung)
 
 
-def run_convergence_experiment(spec: ExperimentSpec,
-                               accelerate: bool = False) -> ExperimentResult:
-    """Measure the convergence order of the plain or extrapolated scheme
-    against the reference time-scheme solution, computed on the finest mesh
-    and restricted to each rung (see :func:`_march_ladder`)."""
+def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
+    """The problem, scheme, weights of extrapolation ``level`` and reference
+    mode of a validated ``spec`` of two rungs or more, for a ``what`` study."""
     _validate_spec(spec)
-    kind = "accelerate" if accelerate else "converge"
     if spec.rungs < 2:
-        raise ConfigError("convergence experiments need rungs >= 2")
-
+        raise ConfigError(f"{what} experiments need rungs >= 2")
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
-    weights = None
-    if accelerate:
-        try:
-            weights = vandermonde_weights(spec.level, _resolve_base(spec, scheme))
-        except ExtrapolationError as exc:
-            raise ConfigError(f"[extrapolation] {exc}") from exc
-    ref_mode = _resolve_reference_mode(spec, problem)
+    try:
+        weights = vandermonde_weights(level, _resolve_base(spec, scheme, level))
+    except ExtrapolationError as exc:
+        raise ConfigError(f"[extrapolation] {exc}") from exc
+    return problem, scheme, weights, _resolve_reference_mode(spec, problem)
+
+
+def run_convergence_experiment(spec: ExperimentSpec,
+                               accelerate: bool = False) -> ExperimentResult:
+    """Measure the convergence order of the plain scheme (extrapolation
+    level 0) or the extrapolated one against the reference time-scheme
+    solution, computed on the finest mesh and restricted to each rung (see
+    :func:`_march_ladder`)."""
+    kind = "accelerate" if accelerate else "converge"
+    problem, scheme, weights, ref_mode = _prepare(
+        spec, "convergence", spec.level if accelerate else 0)
 
     def reference(grids, xi, _):
         return _reference_target(reference_marcher(
-            problem, grids[-1], xi, ref_mode, spec.refine)[0],
-            grids[:spec.rungs])
+            problem, grids[-1], xi, ref_mode, spec.refine), grids[:spec.rungs])
 
     result = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
                            spec.expected_order, reference)
@@ -648,9 +658,7 @@ def _emit_plot_script(result: ExperimentResult, path: Path) -> Path:
     report = result.report
     guide_order = (report.expected_order if report.expected_order is not None
                    else round(report.ls_order, 1))
-    anchor_h = report.hs[0]
-    anchor_e = report.sup_errors[0]
-    c = anchor_e / anchor_h ** guide_order if anchor_h > 0 else 1.0
+    c = report.sup_errors[0] / report.hs[0] ** guide_order
     lines = [
         f"# {result.kind} study: sup/l2h error against mesh width",
         "set logscale xy",
@@ -663,12 +671,11 @@ def _emit_plot_script(result: ExperimentResult, path: Path) -> Path:
     for h, sup, l2h in zip(report.hs, report.sup_errors,
                            report.l2h_errors or [float("nan")] * len(report.hs)):
         lines.append(f"{_fmt(h)} {_fmt(sup)} {_fmt(l2h)}")
-    plot = ["plot $data using 1:2 with linespoints title 'sup error'",
-            "     $data using 1:3 with linespoints title 'l2h error'"]
-    if math.isfinite(guide_order):      # no fitted order: no guide line
-        plot.append(f"     {_fmt(c)}*x**{_fmt(float(guide_order))} with lines "
-                    f"dashtype 2 title 'order {_fmt(float(guide_order))} guide'")
-    lines += ["EOD", ", \\\n".join(plot), ""]
+    lines += ["EOD",
+              "plot $data using 1:2 with linespoints title 'sup error', \\",
+              "     $data using 1:3 with linespoints title 'l2h error', \\",
+              f"     {_fmt(c)}*x**{_fmt(float(guide_order))} with lines "
+              f"dashtype 2 title 'order {_fmt(float(guide_order))} guide'", ""]
     path.write_text("\n".join(lines), encoding="utf-8")
     return path
 
@@ -687,12 +694,7 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     sum_{m<=k} (h^m/m!) v^(m) (see :func:`_march_ladder`), and a rung's
     error is the remainder :func:`correctors.expansion_residual` reports.
     """
-    _validate_spec(spec)
-    if spec.rungs < 2:
-        raise ConfigError("corrector experiments need rungs >= 2")
-    problem = build_problem(spec)
-    scheme = build_scheme(spec, problem)
-    ref_mode = _resolve_reference_mode(spec, problem)
+    problem, scheme, weights, ref_mode = _prepare(spec, "corrector", 0)
     cs = None
 
     def expansion(grids, _, increments):
@@ -704,7 +706,7 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
         return _replay_target(cs, grids)
 
     result = _march_ladder(spec, "correctors", problem, scheme,
-                           spec.seeds[:1], None,
+                           spec.seeds[:1], weights,
                            spec.expected_residual_order, expansion)
     if result.failed:
         return result

@@ -212,11 +212,15 @@ def _forward_values(values: np.ndarray, lam, h: float, sign: int,
     return (_shifted(values, lam, sign, dim) - values) / (sign * h)
 
 
-def _restricted(values: np.ndarray, factor: int, dim: int) -> np.ndarray:
-    """View keeping every ``factor``-th point on the first ``dim`` axes."""
+def _restricted(values: np.ndarray, lattice: TorusGrid,
+                grid: TorusGrid) -> np.ndarray:
+    """View of ``values`` on ``lattice`` (first axes; trailing ones ride
+    along) at the points of ``grid``, a coarser lattice of the same
+    torus: every (N_lattice / N_grid)-th point per axis."""
+    factor = lattice.shape[0] // grid.shape[0]
     if factor == 1:
         return values
-    return values[tuple(slice(None, None, factor) for _ in range(dim))]
+    return values[(slice(None, None, factor),) * grid.dim]
 
 
 def forward_difference(phi: GridField, lam, sign: int = 1) -> GridField:
@@ -281,7 +285,7 @@ def subsample(phi: GridField, factor: int) -> GridField:
     coarse = _coarse_grid(phi.grid, factor)
     if factor == 1:
         return phi
-    return GridField(coarse, _restricted(phi.values, factor, coarse.dim).copy())
+    return GridField(coarse, _restricted(phi.values, phi.grid, coarse).copy())
 
 
 def discrete_sobolev_norm(phi: GridField, stencil: Stencil, r: int) -> float:

@@ -85,9 +85,10 @@ def _check_ladder(solutions, weights):
 
 def _combine(ladder, beta) -> np.ndarray:
     """sum_j beta_j v_j over the rungs of a ladder, each (mesh h/2^j)
-    already restricted onto the coarsest lattice."""
-    acc = np.zeros(ladder[0].shape)
-    for b, values in zip(beta, ladder):
+    already restricted onto the coarsest lattice, as a new array; level 0
+    (beta = (1)) keeps every bit of v_0, the sign of a zero included."""
+    acc = beta[0] * ladder[0]
+    for b, values in zip(beta[1:], ladder[1:]):
         acc += b * values
     return acc
 
@@ -161,8 +162,9 @@ def estimate_order(hs, errors, expected_order: float | None = None,
     log e against log h over a halving mesh ladder.
 
     Errors at or below 1e-14 count as exactly converged; they are excluded
-    from the fit and noted.  Zero, negative or non-finite errors and mesh
-    widths, and ``l2h_errors`` of another length, are rejected.
+    from the fit and noted, and fewer than two errors above that floor fit
+    no order.  That, zero, negative or non-finite errors and mesh widths,
+    and ``l2h_errors`` of another length raise :class:`ExtrapolationError`.
     """
     hs = [float(h) for h in hs]
     errors = [float(e) for e in errors]
@@ -180,21 +182,19 @@ def estimate_order(hs, errors, expected_order: float | None = None,
     if any(e < 0 or e == 0 for e in errors):
         raise ExtrapolationError("errors must be positive")
 
-    notes = []
     keep = [i for i, e in enumerate(errors) if e > EXACT_FLOOR]
-    for i in set(range(len(errors))) - set(keep):
-        notes.append(f"rung h={hs[i]:g} converged exactly "
-                     f"(error {errors[i]:.2e} <= {EXACT_FLOOR:g}); excluded")
+    if len(keep) < 2:
+        raise ExtrapolationError(f"{len(keep)} of {len(errors)} errors lie "
+                                 f"above {EXACT_FLOOR:g}; a fit needs two")
+    notes = [f"rung h={hs[i]:g} converged exactly "
+             f"(error {e:.2e} <= {EXACT_FLOOR:g}); excluded"
+             for i, e in enumerate(errors) if e <= EXACT_FLOOR]
 
     pairwise = [math.log2(errors[i] / errors[i + 1])
                 for i in range(len(errors) - 1)]
-    if len(keep) >= 2:
-        logs_h = np.log([hs[i] for i in keep])
-        logs_e = np.log([errors[i] for i in keep])
-        ls_order = float(np.polyfit(logs_h, logs_e, 1)[0])
-    else:
-        ls_order = float("nan")
-        notes.append("too few usable rungs for a least-squares fit")
+    logs_h = np.log([hs[i] for i in keep])
+    logs_e = np.log([errors[i] for i in keep])
+    ls_order = float(np.polyfit(logs_h, logs_e, 1)[0])
     return ConvergenceReport(hs=hs, sup_errors=errors, l2h_errors=l2h_errors,
                              pairwise_orders=pairwise, ls_order=ls_order,
                              expected_order=expected_order,

@@ -47,10 +47,12 @@ iterate, so a march in Fourier space never loads it.
 The reference solution of the time-discretized PDE is realized exactly per
 Fourier mode, on the symbols of the continuous operators, when the
 coefficients are constant in space, or by the centred scheme on a finer
-lattice, restricted where it is read, otherwise.  A march in Fourier space
-keeps the ``rfftn`` half-spectrum of every column, so a step is pointwise;
-u0 and the free terms are transformed once when they are evaluated, and
-the real state once when it is read.
+lattice otherwise; its states are read on a coarser grid by
+``grids._restricted`` from the marcher's lattice ``operators.grids[0]``,
+which gives the factor, as a marcher's operators give its problem.  A
+march in Fourier space keeps the ``rfftn`` half-spectrum of every column,
+so a step is pointwise; u0 and the free terms are transformed once when
+they are evaluated, and the real state once when it is read.
 """
 
 import copy
@@ -492,9 +494,9 @@ class Marcher:
     the packed lattice values of :class:`FiniteDifferenceOperators` or the
     packed half-spectra of :class:`SpectralOperators` (on a ladder of one or
     more lattices), whose ``states`` gives the real states.  The
-    operators supply the lattices, the step tau, u0 and the free terms in
-    that form, M^rho and the implicit solve; the right-hand side is
-    assembled here for all of them.
+    operators supply the problem, the lattices, the step tau, u0 and the
+    free terms in that form, M^rho and the implicit solve; the right-hand
+    side is assembled here for all of them.
 
     ``failures`` is the one failure record, a dict per lattice keyed by
     column (``failures[r][column]``), and the solve fills it in: a failure
@@ -516,9 +518,8 @@ class Marcher:
     callable free term is evaluated at every step.
     """
 
-    def __init__(self, problem: DifferentialProblem, xi: np.ndarray, operators,
-                 zero_start: bool = False):
-        self.problem = problem
+    def __init__(self, xi: np.ndarray, operators, zero_start: bool = False):
+        self.problem = problem = operators.problem
         self.tau = operators.tau
         self.xi = xi
         self.operators = operators
@@ -576,8 +577,8 @@ class Marcher:
             self._block = np.empty((rows,) + self.v.shape, self.v.dtype)
         block, steps, ops = self._block[:rows], 0, self.operators
         if forcing is not None:
-            forcing = (ops.forward(forcing[0], 1), [
-                [ops.forward(part, 1) for part in parts] for parts in forcing[1]])
+            forcing = (ops.forward(forcing[0]), [
+                [ops.forward(part) for part in parts] for parts in forcing[1]])
 
         def row(part):
             return None if part is None else part[steps].reshape(ops.shape)
@@ -599,17 +600,17 @@ def _blocks(n: int) -> list:
             for start in range(1, n + 1, BLOCK_ROWS)]
 
 
-def _trajectory(marcher: Marcher, grid: TorusGrid, factor: int = 1) -> Trajectory:
+def _trajectory(marcher: Marcher, grid: TorusGrid) -> Trajectory:
     """The states v_0..v_n of a one-column marcher on one lattice, restricted
-    by ``factor`` per axis onto ``grid``, a state per call: a block of 256^2
-    states adds its copies and transforms to the resident set."""
+    onto ``grid``, a state per call: a block of 256^2 states adds its copies
+    and transforms to the resident set."""
     n = marcher.xi.shape[0]
     values = np.empty((n + 1,) + grid.shape)
     for i in range(n + 1):
         state = marcher.march(1)[0][..., 0, 0]
         if marcher.failures[0]:
             raise marcher.failures[0][0]
-        values[i] = _restricted(state, factor, grid.dim)
+        values[i] = _restricted(state, marcher.operators.grids[0], grid)
     return Trajectory(grid=grid, tau=marcher.tau, values=values)
 
 
@@ -621,8 +622,8 @@ def run_space_time_scheme(problem: DifferentialProblem, scheme: DifferenceScheme
     if n < 1:
         raise ValueError("need at least one time step")
     ops = lattice_operators(problem, [grid], problem.T / n, scheme, solver_mode)
-    return _trajectory(Marcher(problem, increment_columns(
-        problem, n, [increments]), ops), grid)
+    return _trajectory(Marcher(increment_columns(problem, n, [increments]),
+                               ops), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +697,12 @@ class _LatticeOperators:
         return np.concatenate([self._transform(v, range(g.dim)).ravel()
                                for g, v in zip(self.grids, values)])
 
-    def forward(self, values: np.ndarray | None, lead: int = 0):
-        """Real ``values`` on the first rung in the operators' form, over the
-        spatial axes after ``lead`` leading ones; None where it is zero."""
+    def forward(self, values: np.ndarray | None):
+        """A real ``(rows,) + grid.shape`` block ``values`` on the first rung
+        in the operators' form, row by row; None where it is zero."""
         if values is None or not values.any():
             return None
-        return self._transform(values, range(lead, lead + self.grids[0].dim))
+        return self._transform(values, range(1, 1 + self.grids[0].dim))
 
     def _finish(self, x: np.ndarray, i: int, failures: list) -> np.ndarray:
         """The end of every solve ``x``, a packed ``shape + (S,)`` array, at
@@ -1046,16 +1047,15 @@ REFERENCE_MODES = ("spectral-const-coef", "fine-grid")
 
 def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
                       xi: np.ndarray, mode: str = "spectral-const-coef",
-                      refine: int = 3) -> tuple[Marcher, int]:
-    """Marcher of the reference time scheme for ``grid`` and the restriction
-    factor that maps its one lattice's state (``operators.states``) onto
-    ``grid``.
+                      refine: int = 3) -> Marcher:
+    """Marcher of the reference time scheme for ``grid``.
 
     spectral-const-coef marches :class:`SpectralOperators` on ``grid``
     itself, exactly per mode; fine-grid marches the centred scheme on the
     one-rung ladder of a 2**refine times finer lattice, on the operators
-    :func:`lattice_operators` chooses.  Either way its failure record holds
-    one dict.
+    :func:`lattice_operators` chooses, and its states are read on ``grid``
+    by restriction from that lattice, ``operators.grids[0]``.  Either way
+    its failure record holds one dict.
     """
     if mode not in REFERENCE_MODES:
         raise ValueError(f"unknown reference mode {mode!r}; "
@@ -1063,9 +1063,8 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
     tau = problem.T / xi.shape[0]
     if mode == "fine-grid":
         fine = grid.refined(2 ** refine)
-        return Marcher(problem, xi, lattice_operators(
-            problem, [fine], tau)), 2 ** refine
-    return Marcher(problem, xi, SpectralOperators(problem, [grid], tau)), 1
+        return Marcher(xi, lattice_operators(problem, [fine], tau))
+    return Marcher(xi, SpectralOperators(problem, [grid], tau))
 
 
 def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
@@ -1081,9 +1080,9 @@ def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,
     """
     if n < 1:
         raise ValueError("need at least one time step")
-    marcher, factor = reference_marcher(
-        problem, grid, increment_columns(problem, n, [increments]), mode, refine)
-    return _trajectory(marcher, grid, factor)
+    return _trajectory(reference_marcher(
+        problem, grid, increment_columns(problem, n, [increments]), mode,
+        refine), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ def normal_inverse_cdf(p: np.ndarray) -> np.ndarray:
     out = np.empty_like(p)
 
     low = p < _P_LOW
-    high = p > 1.0 - _P_LOW
-    mid = ~(low | high)
+    tail = low | (p > 1.0 - _P_LOW)
+    mid = ~tail
 
     if np.any(mid):
         q = p[mid] - 0.5
@@ -64,16 +64,13 @@ def normal_inverse_cdf(p: np.ndarray) -> np.ndarray:
         num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
         den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
         out[mid] = num * q / den
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
+    if np.any(tail):
+        # one polynomial for both tails, in the distance to the near end;
+        # the high tail is the low one mirrored
+        q = np.sqrt(-2.0 * np.log(np.where(low, p, 1.0 - p)[tail]))
         num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
         den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[low] = num / den
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[high] = -num / den
+        out[tail] = np.where(low[tail], num, -num) / den
     return out
 
 

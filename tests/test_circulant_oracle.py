@@ -120,8 +120,8 @@ def test_fourier_march_agrees_with_the_lu_march():
     p, scheme, n = two_driver_problem(), full_scheme(), 24
     grids = _grids()
     xi = increment_columns(p, n, _increments(p, n, (3, 4)))
-    fourier = Marcher(p, xi, lattice_operators(p, grids, p.T / n, scheme))
-    lu = Marcher(p, xi, FiniteDifferenceOperators(p, grids, p.T / n, scheme))
+    fourier = Marcher(xi, lattice_operators(p, grids, p.T / n, scheme))
+    lu = Marcher(xi, FiniteDifferenceOperators(p, grids, p.T / n, scheme))
     assert isinstance(fourier.operators, SpectralOperators)
     for _ in range(n + 1):
         for got, want in zip(fourier.march(1), lu.march(1)):
@@ -134,10 +134,10 @@ def test_batched_columns_equal_lone_columns():
     p, scheme, n = two_driver_problem(), full_scheme(), 20
     grids, tau = _grids(), p.T / n
     paths = _increments(p, n, (5, 6, 7))
-    batched = Marcher(p, increment_columns(p, n, paths),
+    batched = Marcher(increment_columns(p, n, paths),
                       lattice_operators(p, grids, tau, scheme)).march(n + 1)
     for k, inc in enumerate(paths):
-        alone = Marcher(p, increment_columns(p, n, [inc]),
+        alone = Marcher(increment_columns(p, n, [inc]),
                         lattice_operators(p, grids, tau, scheme)).march(n + 1)
         for got, want in zip(batched, alone):
             assert np.ascontiguousarray(got[..., k]).tobytes() == \
@@ -149,7 +149,7 @@ def test_zero_free_terms_are_none_on_circulant_rungs():
     p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
     grids, n = _grids(16), 8
     xi = increment_columns(p, n, [sample_increments(n, 1, p.T / n, 1)])
-    marcher = Marcher(p, xi, lattice_operators(p, grids, p.T / n))
+    marcher = Marcher(xi, lattice_operators(p, grids, p.T / n))
     assert isinstance(marcher.operators, SpectralOperators)
     assert marcher._free == (None, [(None,)])
 

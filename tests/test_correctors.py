@@ -35,6 +35,7 @@ from spdefd.stepper import (
     SolveFailure,
     SpectralOperators,
     increment_columns,
+    load_trajectory_binary,
     run_reference_time_scheme,
     run_space_time_scheme,
 )
@@ -349,6 +350,25 @@ class TestExport:
         for path in paths:
             assert path.exists()
             assert path.read_text().startswith("i,t,index,x0,value")
+
+    def test_binary_round_trip(self, tmp_path):
+        p = make_problem("heat1d")
+        g = make_torus_grid(1, [1.0], [64])
+        cs = run_corrector_system(2, p, build_scheme_example1(p), g, 4)
+        paths = export_corrector_set(cs, tmp_path, "heat", fmt="binary")
+        assert [path.name for path in paths] == [
+            f"heat_order{j}.bin" for j in range(3)]
+        for traj, path in zip(cs.trajectories, paths):
+            back = load_trajectory_binary(path)
+            assert back.grid == traj.grid and back.tau == traj.tau
+            assert back.values.tobytes() == traj.values.tobytes()
+
+    def test_unknown_format(self, tmp_path):
+        p = make_problem("heat1d")
+        cs = run_corrector_system(0, p, build_scheme_example1(p),
+                                  make_torus_grid(1, [1.0], [64]), 4)
+        with pytest.raises(ValueError, match="unknown export format 'npz'"):
+            export_corrector_set(cs, tmp_path, "heat", fmt="npz")
 
 
 class TestResolutionCheck:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,6 +362,38 @@ class TestConvergenceExperiment:
         assert result.extras["base"] == 4
         assert result.passed
 
+    @pytest.mark.parametrize("base, level", [("2", 2), ("4", 1)])
+    def test_explicit_base(self, base, level):
+        # a centred scheme: base 2 cancels h and h^2, base 4 cancels h^2;
+        # either way the error is O(h^4), and base 4 is what auto picks
+        spec = ExperimentSpec(problem="stoch-transport",
+                              problem_params=(("beta", 0.3),
+                                              ("extra_diffusion", 0.05)),
+                              n=16, points0=8, rungs=3, level=level,
+                              base=base, seeds=(1, 2), expected_order=4.0)
+        result = run_convergence_experiment(spec, accelerate=True)
+        assert result.passed
+        assert abs(result.report.ls_order - 4.0) <= 0.05
+        assert (result.extras["base"], result.extras["level"]) == (int(base),
+                                                                   level)
+        auto = run_convergence_experiment(replace(spec, base="auto"),
+                                          accelerate=True)
+        assert (result.report.sup_errors == auto.report.sup_errors) \
+            == (base == "4")
+
+    def test_explicit_fine_grid_reference_is_auto(self, tmp_path):
+        # var-coef1d has variable coefficients: auto picks the fine grid
+        spec = ExperimentSpec(problem="var-coef1d", n=8, points0=8, rungs=2,
+                              level=1, refine=1)
+        written = {}
+        for mode in ("auto", "fine-grid"):
+            result = run_convergence_experiment(
+                replace(spec, reference_mode=mode), accelerate=True)
+            assert result.extras["reference_mode"] == "fine-grid"
+            written[mode] = {p.name: p.read_bytes() for p in emit_outputs(
+                result, tmp_path / mode)}
+        assert written["fine-grid"] == written["auto"]
+
     def test_deterministic_across_seeds_for_deterministic_problem(self):
         spec = ExperimentSpec(problem="heat1d", n=32, rungs=2, seeds=(1,))
         a = run_convergence_experiment(spec)
@@ -395,9 +428,9 @@ class TestConvergenceExperiment:
         widths = []
 
         class Recording(stepper.Marcher):
-            def __init__(self, problem, xi, operators):
+            def __init__(self, xi, operators):
                 widths.append(xi.shape[-1])
-                super().__init__(problem, xi, operators)
+                super().__init__(xi, operators)
 
         monkeypatch.setattr(experiments, "Marcher", Recording)
         monkeypatch.setattr(stepper, "Marcher", Recording)
@@ -469,18 +502,6 @@ class TestEmitOutputs:
         assert "set logscale xy" in script
         assert "$data << EOD" in script
         assert "plot $data" in script
-
-    def test_plot_script_without_an_order_has_no_guide(self, tmp_path, capsys):
-        # every rung converges exactly: no order is fitted and none is
-        # expected, so there is no guide line, and no "\" continues the plot
-        cfg = write(tmp_path, ZERO_ERRORS + f"[run]\nout = {tmp_path / 'out'}\n")
-        assert main(["accelerate", "--config", str(cfg)]) == 0
-        assert "least-squares order nan" in capsys.readouterr().out
-        script = (tmp_path / "out" / "plot.gp").read_text()
-        assert "guide" not in script and "*x**" not in script
-        assert script.endswith(
-            "plot $data using 1:2 with linespoints title 'sup error', \\\n"
-            "     $data using 1:3 with linespoints title 'l2h error'\n")
 
 
 # report.csv, rung_*.csv and plot.gp of two small corrector studies, as the
@@ -847,7 +868,8 @@ class TestLadder:
         monkeypatch.setattr(experiments, "sample_increments", sampled)
         monkeypatch.setattr(experiments, "_norms", recording)
         result = experiments._march_ladder(
-            spec, "converge", problem, scheme, seeds, None, None, _zero_target)
+            spec, "converge", problem, scheme, seeds,
+            experiments.vandermonde_weights(0, 2), None, _zero_target)
         assert not result.failed
         paths = seeds if problem.d1 > 0 else seeds[:1]
         for j in range(rungs):
@@ -917,7 +939,7 @@ class TestLadder:
                             singular_multipliers)
         ladder = stepper.lattice_operators(problem, grids, tau, scheme)
         marcher = stepper.Marcher(
-            problem, stepper.increment_columns(problem, n, increments), ladder)
+            stepper.increment_columns(problem, n, increments), ladder)
         for i in range(1, n + 1):
             marcher.advance()
             for j, state in enumerate(ladder.states(marcher.v)):
@@ -1039,6 +1061,34 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--format", "binary"]) == 0
         assert (tmp_path / "out" / "trajectory.bin").exists()
 
+    def test_solver_failure_in_solve_exit_two(self, tmp_path, capsys):
+        # 1 - tau a00 = 1 - 0.5 * 2 = 0: the one spectral step is singular
+        cfg = write(tmp_path, "[problem]\nname = custom\na00 = 2\nT = 0.5\n"
+                    f"[time]\nn = 1\n[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "solver failure: step 1: spectral implicit operator is singular; "
+            "tau may not be small enough\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_base_four_on_one_sided_scheme_exit_three(self, tmp_path, capsys):
+        # example2 has one-sided terms, so odd powers of h stay in its
+        # error: base 4 would fit order 0.99 and pass; auto picks base 2
+        body = ("[problem]\nname = drift1d\n[scheme]\nconstructor = example2\n"
+                "[time]\nn = 64\n[space]\npoints0 = 16\nrungs = 3\n"
+                f"[run]\nout = {tmp_path / 'out'}\n[extrapolation]\n")
+        cfg = write(tmp_path, body + "level = 1\nbase = 4\n")
+        assert main(["accelerate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "config error: [extrapolation] base 4 assumes that odd powers of h "
+            "vanish, but the example2 scheme has one-sided terms; use base 2 "
+            "or auto\n")
+        assert not (tmp_path / "out").exists()
+        # level 0 does not extrapolate, so base 4 is accepted
+        cfg = write(tmp_path, body + "level = 0\nbase = 4\n")
+        assert main(["accelerate", "--config", str(cfg)]) == 0
+        assert main(["converge", "--config", str(cfg)]) == 0
+
     def test_config_error_exit_three(self, tmp_path, capsys):
         cfg = write(tmp_path, "[problem]\nname = nope\n")
         assert main(["converge", "--config", str(cfg)]) == 3
@@ -1118,6 +1168,21 @@ class TestCli:
         assert main(["converge", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == ("order error: no order can be "
                                            "fitted: errors must be positive\n")
+
+    def test_unfittable_accelerate_exit_three(self, tmp_path, capsys):
+        # every error lies at or below 1e-14 but above 0: extrapolation
+        # rounds the zero errors to 1.1e-16, and at T = 1e300 heat1d decays
+        # to rounding in one step; no order is fitted, so none passes
+        heat = ("[problem]\nname = heat1d\nT = 1e300\n[space]\npoints0 = 8\n"
+                "rungs = 3\n[time]\nn = 8\n")
+        for config in (ZERO_ERRORS, heat):
+            cfg = write(tmp_path, config + f"[run]\nout = {tmp_path / 'out'}\n")
+            assert main(["accelerate", "--config", str(cfg)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                "order error: no order can be fitted: 0 of 3 errors lie "
+                "above 1e-14; a fit needs two\n")
+            assert not (tmp_path / "out").exists()
 
     def test_missing_scipy_exit_three(self, tmp_path):
         # a study that factors by sparse LU, in an interpreter that refuses

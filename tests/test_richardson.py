@@ -237,6 +237,14 @@ class TestEstimateOrder:
         with pytest.raises(ExtrapolationError, match="one l2h error per rung"):
             estimate_order([0.1, 0.05], [0.04, 0.01], l2h_errors=l2h)
 
+    @pytest.mark.parametrize("errors", [[1e-4, 1e-15, 1e-16],
+                                        [1.1e-16, 1.1e-16, 1.1e-16]])
+    def test_fewer_than_two_usable_errors_raise(self, errors):
+        # no NaN order: a ladder that fits no order is an error
+        with pytest.raises(ExtrapolationError,
+                           match=r"above 1e-14; a fit needs two"):
+            estimate_order([1 / 8, 1 / 16, 1 / 32], errors, expected_order=2.0)
+
     def test_exact_convergence_excluded(self):
         hs = [1 / 8, 1 / 16, 1 / 32]
         report = estimate_order(hs, [1e-4, 1e-5, 1e-15])

@@ -439,7 +439,7 @@ def marched_step(scheme, grid, tau, v_prev, f, g_prev, xi):
     ``v_prev``, with the free terms ``f`` and ``g_prev`` (one array per
     driver) and the increments ``xi`` of its one step."""
     p = DifferentialProblem(d=grid.dim, d1=len(xi), T=tau, u0=lambda x: v_prev)
-    marcher = Marcher(p, np.reshape(xi, (1, -1, 1)),
+    marcher = Marcher(np.reshape(xi, (1, -1, 1)),
                       FiniteDifferenceOperators(p, [grid], tau, scheme))
     marcher.advance((f, [(part,) for part in g_prev]))
     assert not any(marcher.failures)
@@ -732,7 +732,7 @@ class TestBatchedMarcher:
     def _lattice(self, problem, scheme, grid, n, paths, mode="auto"):
         xi = increment_columns(problem, n, paths)
         ops = lattice_operators(problem, [grid], problem.T / n, scheme, mode)
-        states = march_columns(Marcher(problem, xi, ops), n)
+        states = march_columns(Marcher(xi, ops), n)
         alone = [run_space_time_scheme(problem, scheme, grid, n, inc,
                                        solver_mode=mode) for inc in paths]
         assert_columns_match(states, alone)
@@ -788,9 +788,10 @@ class TestBatchedMarcher:
         g = make_torus_grid(1, [1.0], [16])
         n = 8
         paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
-        marcher, factor = reference_marcher(p, g, increment_columns(p, n, paths),
-                                            mode, refine=2)
-        states = march_columns(marcher, n, factor)
+        marcher = reference_marcher(p, g, increment_columns(p, n, paths),
+                                    mode, refine=2)
+        states = march_columns(
+            marcher, n, marcher.operators.grids[0].shape[0] // g.shape[0])
         alone = [run_reference_time_scheme(p, g, n, inc, mode=mode, refine=2)
                  for inc in paths]
         assert_columns_match(states, alone)
@@ -817,22 +818,22 @@ class TestBatchedMarcher:
                             for i in range(1, n + 1)])]])
         for ops in (lambda p: SpectralOperators(p, [g], tau),
                     lambda p: FiniteDifferenceOperators(p, [g], tau)):
-            want = Marcher(forced, xi, ops(forced))
-            got = Marcher(free, xi, ops(free), zero_start=True)
+            want = Marcher(xi, ops(forced))
+            got = Marcher(xi, ops(free), zero_start=True)
             assert not got.v.any()
             for i in range(1, n + 1):
                 want.advance()
                 got.advance((got.operators.evaluate(F, i),
                              [(got.operators.evaluate(G, i - 1),)]))
                 assert got.v.tobytes() == want.v.tobytes()
-            marched = Marcher(free, xi, ops(free), zero_start=True)
+            marched = Marcher(xi, ops(free), zero_start=True)
             states = marched.march(n + 1, real)[0]
-            again = Marcher(forced, xi, ops(forced)).march(n + 1)[0]
+            again = Marcher(xi, ops(forced)).march(n + 1)[0]
             assert states.tobytes() == again.tobytes()
             assert marched.v.tobytes() == want.v.tobytes()
             # a zero free term and a zero block of forcing are None
             assert marched.operators.evaluate(lambda i, x: 0.0, 1) is None
-            assert marched.operators.forward(np.zeros((n,) + g.shape), 1) is None
+            assert marched.operators.forward(np.zeros((n,) + g.shape)) is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_column_fails_alone(self):
@@ -842,7 +843,7 @@ class TestBatchedMarcher:
         paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
         xi = increment_columns(p, n, paths)
         xi[2, 0, 1] = np.inf           # path 1 breaks at step 3
-        marcher = Marcher(p, xi, lattice_operators(
+        marcher = Marcher(xi, lattice_operators(
             p, [g], p.T / n, build_scheme_example1(p)))
         for _ in range(n):
             marcher.advance()
@@ -854,6 +855,39 @@ class TestBatchedMarcher:
                                       paths[2]).fields[-1].values
         state = marcher.operators.states(marcher.v)[0]
         assert state[..., 2].tobytes() == final.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gmres_skips_a_failed_column(self, monkeypatch):
+        # a column whose GMRES solve failed gets no solve after it, and the
+        # other columns keep the bits of their runs alone
+        p = make_problem("degenerate1d")
+        g = make_torus_grid(1, [1.0], [16])
+        n = 5
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2, 3)]
+        xi = increment_columns(p, n, paths)
+        xi[2, 0, 1] = np.inf           # path 1 breaks at step 3
+        solve, steps = ImplicitOperator._solve_iterative, []
+
+        def counting(self, b, step):
+            steps.append(step)
+            return solve(self, b, step)
+
+        monkeypatch.setattr(ImplicitOperator, "_solve_iterative", counting)
+        marcher = Marcher(xi, lattice_operators(
+            p, [g], p.T / n, build_scheme_example1(p), "iterative"))
+        for _ in range(n):
+            marcher.advance()
+        assert list(marcher.failures[0]) == [1]
+        assert str(marcher.failures[0][1]).startswith(
+            "scheme run aborted: step 3: right-hand side holds non-finite")
+        # columns 0 and 2 at every step, column 1 up to its failure
+        assert sorted(steps) == sorted(2 * list(range(1, n + 1)) + [1, 2, 3])
+        assert not marcher.v[..., 1].any()
+        monkeypatch.undo()
+        final = run_space_time_scheme(p, build_scheme_example1(p), g, n,
+                                      paths[2], solver_mode="iterative")
+        state = marcher.operators.states(marcher.v)[0]
+        assert state[..., 2].tobytes() == final.fields[-1].values.tobytes()
 
 
 def gmres_2d_problem():
@@ -941,7 +975,7 @@ class TestFreeTerms:
         g = make_torus_grid(1, [1.0], [16])
         paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
                  for seed in (1, 2)]
-        marcher = Marcher(problem, increment_columns(problem, self.N, paths),
+        marcher = Marcher(increment_columns(problem, self.N, paths),
                           operators(problem, [g], problem.T / self.N))
         return march_columns(marcher, self.N)
 

@@ -81,6 +81,17 @@ class TestNormalInverseCdf:
         np.testing.assert_allclose(normal_inverse_cdf(p),
                                    -normal_inverse_cdf(1.0 - p), rtol=1e-12)
 
+    def test_tail_values_are_pinned(self):
+        # both tails and the edges of the central region, bit for bit, in
+        # one call with a central value between them
+        pinned = {1e-300: -37.04709630294563, 1e-10: -6.36134089949508,
+                  0.01: -2.326347874388028, 0.02425: -1.9729610490848712,
+                  0.97575: 1.9729610490848712, 0.99: 2.326347874388028,
+                  0.9999999999: 6.361340886788448,
+                  1.0 - 2.0 ** -53: 8.209536145151493, 0.5: 0.0}
+        got = normal_inverse_cdf(np.array(list(pinned)))
+        assert got.tolist() == list(pinned.values())
+
     def test_rejects_boundary(self):
         with pytest.raises(IncrementError):
             normal_inverse_cdf(np.array([0.0]))
