@@ -453,11 +453,13 @@ def _weighted(terms: dict, h: float) -> list:
 
 
 def _remainder(v: np.ndarray, weighted: list) -> np.ndarray:
-    """v less the weighted expansion terms, subtracted in order: the
-    remainder of :func:`expansion_residual` and of the studies' rungs."""
-    for term in weighted:
-        v = v - term
-    return v
+    """v less the weighted expansion terms, subtracted in order into one new
+    array (``v`` is left as it is): the remainder of
+    :func:`expansion_residual` and of the studies' rungs."""
+    out = v - weighted[0]
+    for term in weighted[1:]:
+        out -= term
+    return out
 
 
 def expansion_residual(vh: Trajectory, cs: CorrectorSet,

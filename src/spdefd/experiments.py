@@ -16,7 +16,9 @@ that field's default.  The keys:
     [space]         period, points0, rungs
     [extrapolation] level, base (auto | 2 | 4; base 4 extrapolates a
                     symmetric scheme alone)
-    [reference]     mode (auto | spectral | fine-grid), refine
+    [reference]     mode (auto | spectral | fine-grid), refine (>= 1 with
+                    a fine-grid reference; read by corrector studies, as
+                    by stepper.run_reference_time_scheme, not by converge)
     [correctors]    k, expected_residual_order (optional)
     [run]           seeds (comma-separated, distinct; a correctors study runs
                     on the first seed alone and ignores the others),
@@ -40,12 +42,15 @@ rung's candidate is its extrapolation sum_j beta_j v^{h/2^j}, at level 0
 target, a function of the block that gives its weighted terms per rung,
 is all that tells the studies apart: the reference time-scheme solution
 for ``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!)
-v^(m) of the corrector system for ``correctors``.  Errors are measured
-pathwise, as max over time of the sup over grid points; squared errors are
-averaged over the seed set before order fitting, so the reported quantity
-realizes the expected squared sup norm.  A study fits its order or fails:
-a ladder with fewer than two errors above 1e-14 fits none and raises
-:class:`richardson.ExtrapolationError`.
+v^(m) of the corrector system for ``correctors``.  The reference is exact
+per Fourier mode on constant coefficients (spectral); otherwise (fine-grid)
+it is the ladder's own, one more rung on top and one level of
+extrapolation above the study's, so its error is of higher order than the
+rungs'.  Errors are measured pathwise, as max over time of the sup over
+grid points; squared errors are averaged over the seed set before order
+fitting, so the reported quantity realizes the expected squared sup
+norm.  A study fits its order or fails: a ladder with fewer than two errors
+above 1e-14 fits none and raises :class:`richardson.ExtrapolationError`.
 
 Outputs: ``report.csv`` with columns (h, sup_error, l2h_error,
 pairwise_order, ls_order, expected_order, pass); one ``rung_<points>.csv``
@@ -395,7 +400,8 @@ def _resolve_reference_mode(spec: ExperimentSpec, problem) -> str:
     else:
         mode = "fine-grid"
     if mode == "fine-grid" and spec.refine == 0:
-        # the reference would march the finest rung's own lattice
+        # a corrector system would march the finest rung's own lattice; a
+        # convergence study reads no refine, but its spec is checked alike
         raise ConfigError("[reference] a fine-grid reference needs refine "
                           ">= 1, got 0")
     return mode
@@ -425,15 +431,39 @@ class ExperimentResult:
 
 
 def _reference_target(marcher: Marcher, grids: list) -> tuple:
-    """A convergence study's target, the reference marched by ``marcher``,
-    on the rungs ``grids``: a block's states are restricted onto the finest
-    rung once, and every coarser rung reads a strided view of that."""
-    def terms(block: range) -> list:
+    """A convergence study's spectral target, the reference marched by
+    ``marcher``, on the rungs ``grids``: a block's states are restricted
+    onto the finest rung once, and every coarser rung reads a strided view
+    of that."""
+    def terms(block: range, _) -> list:
         states = np.ascontiguousarray(_restricted(
             marcher.march(len(block))[0], marcher.operators.grids[0], grids[-1]))
         return [[_restricted(states, grids[-1], grid)] for grid in grids]
 
     return terms, marcher.failures[0]
+
+
+def _extrapolated_target(weights, rungs: int):
+    """A convergence study's fine-grid target, made from the ladder itself:
+    the extrapolation by ``weights`` (one level above the study's) of the
+    finest measured rung, ``rungs - 1``, and its partners up to the ladder's
+    top rung, which only this target reads.  It is read on rung
+    ``rungs - 1``'s grid and restricted onto each coarser rung; its failure
+    record is the top rung's."""
+    def make(grids, marcher, _) -> tuple:
+        finest = grids[rungs - 1]
+
+        def terms(block: range, states: list) -> list:
+            reference = _combine(
+                [_restricted(states[rungs - 1 + m], grids[rungs - 1 + m],
+                             finest) for m in range(weights.level + 1)],
+                weights.beta)
+            return [[_restricted(reference, finest, grid)]
+                    for grid in grids[:rungs]]
+
+        return terms, marcher.failures[-1]
+
+    return make
 
 
 def _replay_target(cs, grids: list) -> tuple:
@@ -448,7 +478,7 @@ def _replay_target(cs, grids: list) -> tuple:
     rungs = [{m: cs[m].restricted(cs.grid.shape[0] // grid.shape[0]).values
               for m in orders} for grid in grids]
 
-    def terms(block: range) -> list:
+    def terms(block: range, _) -> list:
         return [_weighted({m: np.moveaxis(v[block.start:block.stop], 0, -1)
                            [..., None] for m, v in values.items()}, grid.h)
                 for grid, values in zip(grids, rungs)]
@@ -457,15 +487,19 @@ def _replay_target(cs, grids: list) -> tuple:
 
 
 def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
-                  weights, expected_order, make_target) -> ExperimentResult:
+                  weights, expected_order, make_target,
+                  target_rungs: int = 0) -> ExperimentResult:
     """The rung loop of every study, the one path from a ladder to a
     fitted order.
 
-    ``make_target(grids, xi, increments)`` gives the target and its failure
-    record, keyed by column.  The target is a function of a block of time
-    indices, the next ones: it marches over them and gives, per measured
-    rung, the weighted expansion terms (h^m/m!) v^(m) there on the rung's
-    grid, each ``grid.shape + (rows, S)``.
+    The ladder holds the measured rungs, their extrapolation partners and
+    ``target_rungs`` more on top, which only the target reads.
+    ``make_target(grids, marcher, increments)`` gives the target and its
+    failure record, keyed by column.  The target is a function of a block of
+    time indices, the next ones, and of the ladder's states there: it gives,
+    per measured rung, the weighted expansion terms (h^m/m!) v^(m) there on
+    the rung's grid, each ``grid.shape + (rows, S)``, from the ladder's
+    states or from a march of its own over the block.
 
     The rungs march as one packed state under one :class:`Marcher`, on the
     operators :func:`stepper.lattice_operators` chooses: a 1-d circulant
@@ -483,18 +517,19 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     place, so it stays finite, and its seed's rows are never reported.
 
     The marcher's failure record holds a dict per rung: a rung's failure
-    fails that seed on that rung alone, whose column is zeroed.  The ladder
-    marches on to find the first failing (seed, mesh) pair in seed-major
-    order, which is reported; the target marches the rest of the block in
-    which a rung first failed, and then stops.  Target failures are
-    reported only when every rung succeeded, after the rows of the seeds
-    before the failing one, and a failure the target raises while it is
-    built as itself.  A spectral target on variable coefficients, and a
+    fails that seed on that rung alone, whose column is zeroed; a rung only
+    the target reads fails the target.  The ladder marches on to find the
+    first failing (seed, mesh) pair in seed-major order, which is reported;
+    a target with a marcher of its own marches the rest of the block in
+    which a rung first failed, and then stops.  Target failures are reported
+    only when every rung succeeded, after the rows of the seeds before the
+    failing one, and a failure the target raises while it is built as
+    itself.  A spectral target on variable coefficients, and a
     corrector target the reference grid cannot resolve, are configuration
     errors; a ladder whose errors fit no order raises the
     :class:`richardson.ExtrapolationError` of :func:`estimate_order`.
     """
-    grids = ladder_grids(spec, problem, extra=weights.level)
+    grids = ladder_grids(spec, problem, extra=weights.level + target_rungs)
     tau = problem.T / spec.n
 
     # a deterministic problem has one path whatever the seeds: march it once
@@ -515,16 +550,17 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                                 rung_points=rung_points, per_rung_errors=per_rung,
                                 failed=True, failure=message)
 
+    ladder = marcher.failures[:len(grids) - target_rungs]
     try:
-        target, target_failures = make_target(grids, xi, increments)
+        target, target_failures = make_target(grids, marcher, increments)
         for block in _blocks(spec.n):
             # once a rung failed, the study reports that failure: the rungs
             # march on only to find the first failing pair
-            measured, rows = not any(marcher.failures), len(block)
+            measured, rows = not any(ladder), len(block)
             states = marcher.march(rows)
             if not measured:
                 continue
-            terms = target(block)
+            terms = target(block, states)
             for j, grid in enumerate(grids[:spec.rungs]):
                 # partner m of rung j is rung j + m, read on rung j's grid
                 candidate = _combine(
@@ -542,7 +578,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         return failed(str(exc))
 
     for k, seed in zip(column, seeds):
-        for j, failures in enumerate(marcher.failures):
+        for j, failures in enumerate(ladder):
             if k in failures:
                 return failed(f"seed {seed}, mesh {j}: {failures[k]}")
 
@@ -564,37 +600,50 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                             rung_points=rung_points, per_rung_errors=per_rung)
 
 
-def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
-    """The problem, scheme, weights of extrapolation ``level`` and reference
-    mode of a validated ``spec`` of two rungs or more, for a ``what`` study."""
+def _prepare(spec: ExperimentSpec, what: str) -> tuple:
+    """The problem, scheme and reference mode of a validated ``spec`` of two
+    rungs or more, for a ``what`` study."""
     _validate_spec(spec)
     if spec.rungs < 2:
         raise ConfigError(f"{what} experiments need rungs >= 2")
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
+    return problem, scheme, _resolve_reference_mode(spec, problem)
+
+
+def _weights(spec: ExperimentSpec, scheme, *levels: int) -> list:
+    """The weights of each extrapolation level of ``levels``, all in the
+    base that the spec and the scheme give the highest."""
     try:
-        weights = vandermonde_weights(level, _resolve_base(spec, scheme, level))
+        base = _resolve_base(spec, scheme, max(levels))
+        return [vandermonde_weights(level, base) for level in levels]
     except ExtrapolationError as exc:
         raise ConfigError(f"[extrapolation] {exc}") from exc
-    return problem, scheme, weights, _resolve_reference_mode(spec, problem)
 
 
 def run_convergence_experiment(spec: ExperimentSpec,
                                accelerate: bool = False) -> ExperimentResult:
     """Measure the convergence order of the plain scheme (extrapolation
     level 0) or the extrapolated one against the reference time-scheme
-    solution, computed on the finest mesh and restricted to each rung (see
-    :func:`_march_ladder`)."""
+    solution on the finest measured rung, restricted to each rung (see
+    :func:`_march_ladder`): spectral, marched on the ladder's top lattice,
+    or fine-grid, the ladder's own (:func:`_extrapolated_target`)."""
     kind = "accelerate" if accelerate else "converge"
-    problem, scheme, weights, ref_mode = _prepare(
-        spec, "convergence", spec.level if accelerate else 0)
+    problem, scheme, ref_mode = _prepare(spec, "convergence")
+    level = spec.level if accelerate else 0
+    if ref_mode == "fine-grid":
+        weights, above = _weights(spec, scheme, level, level + 1)
+        make_target, target_rungs = _extrapolated_target(above, spec.rungs), 1
+    else:
+        (weights,) = _weights(spec, scheme, level)
+        target_rungs = 0
 
-    def reference(grids, xi, _):
-        return _reference_target(reference_marcher(
-            problem, grids[-1], xi, ref_mode, spec.refine), grids[:spec.rungs])
+        def make_target(grids, marcher, _):
+            return _reference_target(reference_marcher(
+                problem, grids[-1], marcher.xi, ref_mode), grids[:spec.rungs])
 
     result = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
-                           spec.expected_order, reference)
+                           spec.expected_order, make_target, target_rungs)
     if not result.failed:
         result.extras["reference_mode"] = ref_mode
         if accelerate:
@@ -694,7 +743,8 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     sum_{m<=k} (h^m/m!) v^(m) (see :func:`_march_ladder`), and a rung's
     error is the remainder :func:`correctors.expansion_residual` reports.
     """
-    problem, scheme, weights, ref_mode = _prepare(spec, "corrector", 0)
+    problem, scheme, ref_mode = _prepare(spec, "corrector")
+    (weights,) = _weights(spec, scheme, 0)
     cs = None
 
     def expansion(grids, _, increments):

@@ -44,10 +44,12 @@ result holds a NaN or inf, and are never papered over by regularization.
 imported only where the sparse LU and GMRES paths assemble, factor or
 iterate, so a march in Fourier space never loads it.
 
-The reference solution of the time-discretized PDE is realized exactly per
-Fourier mode, on the symbols of the continuous operators, when the
-coefficients are constant in space, or by the centred scheme on a finer
-lattice otherwise; its states are read on a coarser grid by
+The reference solution of the time-discretized PDE (:func:`reference_marcher`)
+is realized exactly per Fourier mode, on the symbols of the continuous
+operators, when the coefficients are constant in space, or by the centred
+scheme on a finer lattice otherwise; a convergence study marches only the
+first, and takes a fine-grid reference from its own ladder by
+extrapolation (``experiments``).  Its states are read on a coarser grid by
 ``grids._restricted`` from the marcher's lattice ``operators.grids[0]``,
 which gives the factor, as a marcher's operators give its problem.  A
 march in Fourier space keeps the ``rfftn`` half-spectrum of every column,
@@ -1048,7 +1050,10 @@ REFERENCE_MODES = ("spectral-const-coef", "fine-grid")
 def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
                       xi: np.ndarray, mode: str = "spectral-const-coef",
                       refine: int = 3) -> Marcher:
-    """Marcher of the reference time scheme for ``grid``.
+    """Marcher of the reference time scheme for ``grid``: that of
+    :func:`run_reference_time_scheme` and of the corrector system, and the
+    spectral one of a convergence study, whose fine-grid reference is
+    extrapolated from its own ladder instead.
 
     spectral-const-coef marches :class:`SpectralOperators` on ``grid``
     itself, exactly per mode; fine-grid marches the centred scheme on the

@@ -560,7 +560,7 @@ class TestCorrectorExperiment:
         terms, failures = _replay_target(cs, grids)
         block = range(2, 7)
         assert failures == {}
-        for grid, got in zip(grids, terms(block)):
+        for grid, got in zip(grids, terms(block, None)):
             rows = [np.moveaxis(cs[m].restricted(64 // grid.shape[0])
                                 .values[2:7], 0, -1)[..., None] for m in (0, 2)]
             assert len(got) == 2
@@ -740,6 +740,94 @@ def _accelerate(spec):
     return run_convergence_experiment(spec, accelerate=True)
 
 
+class TestLadderReference:
+    """A fine-grid reference is the study's own ladder: one more rung on
+    top, extrapolated one level above the study's level over the finest
+    measured rung and its partners, and restricted onto every rung."""
+
+    STOCH_FINE = ExperimentSpec(problem="stoch-transport", problem_params=STOCH,
+                                n=40, points0=8, rungs=3, level=1,
+                                reference_mode="fine-grid", seeds=(4, 5, 6))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_variable_coefficients_reach_order_two_level_plus_two(self, level):
+        # the paper's claim: extrapolation to level k on a centred scheme
+        # gives order 2(k+1), here on a variable-coefficient problem
+        spec = ExperimentSpec(problem="var-coef1d", n=256, points0=16,
+                              rungs=5, level=level)
+        result = run_convergence_experiment(spec, accelerate=level > 0)
+        assert abs(result.report.ls_order - 2 * (level + 1)) <= 0.5
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_fine_grid_fits_the_spectral_order(self, level):
+        # on constant coefficients the spectral reference is exact in space
+        orders = [run_convergence_experiment(
+            replace(self.STOCH_FINE, n=64, points0=16, level=level,
+                    seeds=(1, 2, 3, 4), reference_mode=mode),
+            accelerate=level > 0).report.ls_order
+            for mode in ("spectral", "fine-grid")]
+        assert abs(orders[1] - orders[0]) <= 0.02
+
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_one_ladder_and_no_reference_marcher(self, accelerate,
+                                                 monkeypatch):
+        from spdefd import experiments
+        ladders, references = [], []
+        lattice_operators = experiments.lattice_operators
+        reference_marcher = experiments.reference_marcher
+
+        def recording_lattice(problem, grids, *args):
+            ladders.append([g.shape[0] for g in grids])
+            return lattice_operators(problem, grids, *args)
+
+        def recording_reference(*args):
+            references.append(args)
+            return reference_marcher(*args)
+
+        monkeypatch.setattr(experiments, "lattice_operators", recording_lattice)
+        monkeypatch.setattr(experiments, "reference_marcher",
+                            recording_reference)
+        for level in (1, 2):
+            spec = replace(self.STOCH_FINE, level=level)
+            run_convergence_experiment(spec, accelerate=accelerate)
+            top = spec.rungs + (level if accelerate else 0)
+            assert ladders.pop() == [8 * 2 ** j for j in range(top + 1)]
+        assert references == []
+        # a spectral reference marches apart, on the ladder's top lattice
+        run_convergence_experiment(replace(self.STOCH_FINE,
+                                           reference_mode="spectral"),
+                                   accelerate=accelerate)
+        assert len(references) == 1 and len(ladders) == 1
+
+    def test_base_four_reference_needs_a_symmetric_scheme(self):
+        # a level-0 study extrapolates its fine-grid reference to level 1
+        spec = ExperimentSpec(problem="drift1d", scheme="example2", n=8,
+                              points0=8, rungs=2, level=0, base="4",
+                              reference_mode="fine-grid")
+        with pytest.raises(ConfigError, match="base 4 assumes that odd"):
+            run_convergence_experiment(spec)
+        assert not run_convergence_experiment(replace(spec, base="2")).failed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_top_rung_failure_is_the_reference_failure(self, monkeypatch):
+        # rung 128 (above the partner 64) is read by the reference alone:
+        # its failure reads as the reference's, after the rows of seed 4
+        whole = run_convergence_experiment(self.STOCH_FINE, accelerate=True)
+        _poison_rung(monkeypatch, (128,), 1)
+        result = run_convergence_experiment(self.STOCH_FINE, accelerate=True)
+        assert result.failure == (
+            "reference, seed 5: scheme run aborted: step 21: factorized "
+            "solve produced non-finite values; tau may not be small enough")
+        assert result.per_rung_errors == {
+            j: rows[:1] for j, rows in whole.per_rung_errors.items()}
+        # the partner rung 64 is the ladder's: its failure names its mesh,
+        # ahead of the reference's
+        _poison_rung(monkeypatch, (64,), 1)
+        assert run_convergence_experiment(
+            self.STOCH_FINE, accelerate=True).failure.startswith(
+                "seed 5, mesh 3: scheme run aborted: step 21: ")
+
+
 class TestBlockSize:
     """The studies march and measure ``stepper.BLOCK_ROWS`` steps at a time;
     no output depends on that size (20 steps make blocks of 1, 5 and 16
@@ -781,11 +869,12 @@ class TestBlockSize:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def _zero_target(grids, xi, _):
+def _zero_target(grids, marcher, _):
     """A study target whose expansion is zero, so a rung's error at an
     index is its state, with the same bits."""
-    return (lambda block: [[np.zeros(grid.shape + (len(block), xi.shape[-1]))]
-                           for grid in grids]), {}
+    return (lambda block, _: [[np.zeros(grid.shape + (len(block),
+                                                      marcher.xi.shape[-1]))]
+                              for grid in grids]), {}
 
 
 def _time_dependent_problem():

@@ -191,14 +191,17 @@ def ladder_specs(draw):
 
 def per_path_errors(spec):
     """Per rung, the (seed, sup, l2h) rows of the study, each path run
-    alone through the public calls and measured step by step."""
+    alone through the public calls and measured step by step.  A fine-grid
+    reference is the extrapolation one level above the study's of the
+    finest rung's runs and their partners, on one more rung."""
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
+    base = 4 if scheme.is_symmetric else 2
+    weights = vandermonde_weights(spec.level, base)
+    spectral = problem.constant_coefficients
     grids = [make_torus_grid(1, [spec.period], [spec.points0 * 2 ** j])
-             for j in range(spec.rungs + spec.level)]
-    weights = vandermonde_weights(spec.level, 4 if scheme.is_symmetric else 2)
-    mode = ("spectral-const-coef" if problem.constant_coefficients
-            else "fine-grid")
+             for j in range(spec.rungs + spec.level + (not spectral))]
+    finest = spec.rungs - 1
     rows = {j: [] for j in range(spec.rungs)}
     for seed in spec.seeds:
         increments = (sample_increments(spec.n, problem.d1,
@@ -206,13 +209,16 @@ def per_path_errors(spec):
                       if problem.d1 > 0 else None)
         solutions = [run_space_time_scheme(problem, scheme, g, spec.n,
                                            increments) for g in grids]
-        reference = run_reference_time_scheme(problem, grids[-1], spec.n,
-                                              increments, mode=mode,
-                                              refine=spec.refine)
+        if spectral:
+            reference = run_reference_time_scheme(problem, grids[-1], spec.n,
+                                                  increments)
+        else:
+            reference = richardson_combine(
+                solutions[finest:], vandermonde_weights(spec.level + 1, base))
         for j in range(spec.rungs):
             candidate = (richardson_combine(solutions[j:j + 2], weights)
                          if spec.level else solutions[j])
-            ref_j = reference.restricted(grids[-1].shape[0]
+            ref_j = reference.restricted(reference.grid.shape[0]
                                          // grids[j].shape[0])
             norms = [grid_norms(a - b)
                      for a, b in zip(candidate.fields, ref_j.fields)]
