@@ -45,8 +45,9 @@ for ``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!)
 v^(m) of the corrector system for ``correctors``.  The reference is exact
 per Fourier mode on constant coefficients (spectral); otherwise (fine-grid)
 it is the ladder's own, one more rung on top and one level of
-extrapolation above the study's, so its error is of higher order than the
-rungs'.  Errors are measured pathwise, as max over time of the sup over
+extrapolation above the study's in the scheme's own base, so its error is
+of higher order than the rungs' (at the conditioning guard's level, 12,
+it keeps that level a rung higher).  Errors are measured pathwise, as max over time of the sup over
 grid points; squared errors are averaged over the seed set before order
 fitting, so the reported quantity realizes the expected squared sup
 norm.  A study fits its order or fails: a ladder with fewer than two errors
@@ -83,6 +84,7 @@ from .problems import (
     make_problem,
 )
 from .richardson import (
+    MAX_LEVEL,
     ORDER_TOLERANCE,
     ConvergenceReport,
     ExtrapolationError,
@@ -445,19 +447,20 @@ def _reference_target(marcher: Marcher, grids: list) -> tuple:
 
 def _extrapolated_target(weights, rungs: int):
     """A convergence study's fine-grid target, made from the ladder itself:
-    the extrapolation by ``weights`` (one level above the study's) of the
-    finest measured rung, ``rungs - 1``, and its partners up to the ladder's
-    top rung, which only this target reads.  It is read on rung
-    ``rungs - 1``'s grid and restricted onto each coarser rung; its failure
-    record is the top rung's."""
+    the extrapolation by ``weights`` of the ladder's top ``weights.level + 1``
+    rungs, the topmost of which only this target reads.  One level above
+    the study's, these are the finest measured rung, ``rungs - 1``, and its
+    partners; at the conditioning guard's level the reference keeps that
+    level and starts a rung higher.  It is read on rung ``rungs - 1``'s grid
+    and restricted onto each coarser rung; its failure record is the top
+    rung's."""
     def make(grids, marcher, _) -> tuple:
-        finest = grids[rungs - 1]
+        finest, first = grids[rungs - 1], len(grids) - 1 - weights.level
 
         def terms(block: range, states: list) -> list:
             reference = _combine(
-                [_restricted(states[rungs - 1 + m], grids[rungs - 1 + m],
-                             finest) for m in range(weights.level + 1)],
-                weights.beta)
+                [_restricted(states[first + m], grids[first + m], finest)
+                 for m in range(weights.level + 1)], weights.beta)
             return [[_restricted(reference, finest, grid)]
                     for grid in grids[:rungs]]
 
@@ -600,25 +603,19 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                             rung_points=rung_points, per_rung_errors=per_rung)
 
 
-def _prepare(spec: ExperimentSpec, what: str) -> tuple:
-    """The problem, scheme and reference mode of a validated ``spec`` of two
-    rungs or more, for a ``what`` study."""
+def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
+    """The problem, scheme, weights of extrapolation ``level`` and reference
+    mode of a validated ``spec`` of two rungs or more, for a ``what`` study."""
     _validate_spec(spec)
     if spec.rungs < 2:
         raise ConfigError(f"{what} experiments need rungs >= 2")
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
-    return problem, scheme, _resolve_reference_mode(spec, problem)
-
-
-def _weights(spec: ExperimentSpec, scheme, *levels: int) -> list:
-    """The weights of each extrapolation level of ``levels``, all in the
-    base that the spec and the scheme give the highest."""
     try:
-        base = _resolve_base(spec, scheme, max(levels))
-        return [vandermonde_weights(level, base) for level in levels]
+        weights = vandermonde_weights(level, _resolve_base(spec, scheme, level))
     except ExtrapolationError as exc:
         raise ConfigError(f"[extrapolation] {exc}") from exc
+    return problem, scheme, weights, _resolve_reference_mode(spec, problem)
 
 
 def run_convergence_experiment(spec: ExperimentSpec,
@@ -629,13 +626,15 @@ def run_convergence_experiment(spec: ExperimentSpec,
     :func:`_march_ladder`): spectral, marched on the ladder's top lattice,
     or fine-grid, the ladder's own (:func:`_extrapolated_target`)."""
     kind = "accelerate" if accelerate else "converge"
-    problem, scheme, ref_mode = _prepare(spec, "convergence")
-    level = spec.level if accelerate else 0
+    problem, scheme, weights, ref_mode = _prepare(
+        spec, "convergence", spec.level if accelerate else 0)
     if ref_mode == "fine-grid":
-        weights, above = _weights(spec, scheme, level, level + 1)
+        # in the scheme's own base whatever the study's, so the reference
+        # is of higher order than every candidate
+        above = vandermonde_weights(min(weights.level + 1, MAX_LEVEL),
+                                    4 if scheme.is_symmetric else 2)
         make_target, target_rungs = _extrapolated_target(above, spec.rungs), 1
     else:
-        (weights,) = _weights(spec, scheme, level)
         target_rungs = 0
 
         def make_target(grids, marcher, _):
@@ -743,8 +742,7 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     sum_{m<=k} (h^m/m!) v^(m) (see :func:`_march_ladder`), and a rung's
     error is the remainder :func:`correctors.expansion_residual` reports.
     """
-    problem, scheme, ref_mode = _prepare(spec, "corrector")
-    (weights,) = _weights(spec, scheme, 0)
+    problem, scheme, weights, ref_mode = _prepare(spec, "corrector", 0)
     cs = None
 
     def expansion(grids, _, increments):

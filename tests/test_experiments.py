@@ -799,14 +799,44 @@ class TestLadderReference:
                                    accelerate=accelerate)
         assert len(references) == 1 and len(ladders) == 1
 
-    def test_base_four_reference_needs_a_symmetric_scheme(self):
-        # a level-0 study extrapolates its fine-grid reference to level 1
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_base_two_on_a_centred_scheme_keeps_its_order(self, level):
+        # the reference extrapolates in the scheme's base, 4: in base 2 an
+        # even level's reference would cancel only an odd power, which is
+        # zero already, and bias the finest rungs' orders low
+        spec = ExperimentSpec(problem="var-coef1d", n=256, points0=16,
+                              rungs=5, level=level, base="2")
+        report = run_convergence_experiment(spec, accelerate=level > 0).report
+        assert abs(report.ls_order - 2 * (level // 2 + 1)) <= 0.15
+        assert abs(report.pairwise_orders[-1] - 2 * (level // 2 + 1)) <= 0.05
+
+    def test_explicit_base_four_converges_as_base_two(self):
+        # a level-0 study does not extrapolate, so its base is not read, and
+        # its reference is in the one-sided scheme's base, 2
         spec = ExperimentSpec(problem="drift1d", scheme="example2", n=8,
                               points0=8, rungs=2, level=0, base="4",
                               reference_mode="fine-grid")
-        with pytest.raises(ConfigError, match="base 4 assumes that odd"):
-            run_convergence_experiment(spec)
-        assert not run_convergence_experiment(replace(spec, base="2")).failed
+        assert (run_convergence_experiment(spec).report
+                == run_convergence_experiment(replace(spec, base="2")).report)
+
+    def test_reference_at_the_conditioning_guard(self, monkeypatch):
+        # a level-12 study keeps a level-12 reference, on the top 13 rungs
+        from spdefd import experiments
+        ladders = []
+        lattice_operators = experiments.lattice_operators
+
+        def recording_lattice(problem, grids, *args):
+            ladders.append(len(grids))
+            return lattice_operators(problem, grids, *args)
+
+        monkeypatch.setattr(experiments, "lattice_operators", recording_lattice)
+        spec = replace(self.STOCH_FINE, n=2, points0=4, rungs=2, level=12,
+                       seeds=(1,))
+        assert not run_convergence_experiment(spec, accelerate=True).failed
+        assert ladders == [2 + 12 + 1]
+        with pytest.raises(ConfigError, match="conditioning guard"):
+            run_convergence_experiment(replace(spec, level=13, refine=0),
+                                       accelerate=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_top_rung_failure_is_the_reference_failure(self, monkeypatch):

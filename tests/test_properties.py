@@ -192,8 +192,9 @@ def ladder_specs(draw):
 def per_path_errors(spec):
     """Per rung, the (seed, sup, l2h) rows of the study, each path run
     alone through the public calls and measured step by step.  A fine-grid
-    reference is the extrapolation one level above the study's of the
-    finest rung's runs and their partners, on one more rung."""
+    reference is the extrapolation, in the scheme's base, one level above
+    the study's of the finest rung's runs and their partners, on one more
+    rung."""
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
     base = 4 if scheme.is_symmetric else 2
