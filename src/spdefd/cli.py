@@ -15,9 +15,10 @@ A usage error (an unknown subcommand or option, or a bad option value), an
 extrapolating study with base 4 on a scheme with one-sided terms, an error
 writing the outputs, a study whose errors admit no order fit (a rung error
 of exactly 0, or fewer than two above 1e-14, as the rounding errors of an
-``accelerate`` on an exactly solved problem are) and a missing dependency
-(scipy, for a study that factors by sparse LU) are config errors too, exit
-3, each with one line on stderr; ``--help`` exits 0.
+``accelerate`` on an exactly solved problem are), a missing dependency
+(scipy, for a study that factors by sparse LU) and a study too large to
+allocate (a ``MemoryError``, as a huge ``refine`` raises) are config
+errors too, exit 3, each with one line on stderr; ``--help`` exits 0.
 """
 
 import argparse
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ImportError as exc:
         print(f"missing dependency: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -55,7 +55,6 @@ import numpy as np
 from .grids import TorusGrid, _norms, _require_finite, _restricted
 from .problems import DifferenceScheme, DifferentialProblem
 from .stepper import (
-    FiniteDifferenceOperators,
     Marcher,
     SchemeSampler,
     SolveFailure,
@@ -63,6 +62,7 @@ from .stepper import (
     _blocks,
     _frequency_mesh,
     increment_columns,
+    lattice_operators,
     reference_marcher,
 )
 
@@ -358,11 +358,13 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     Each corrector satisfies the implicit recursion driven by the operators
     of lower order applied to the already-known correctors: the L-side forcing
     enters at the new index i, the M-side forcing at i-1, both weighted by
-    C(p, j); initial data are +0.0.  The recursion is the
-    reference's own :class:`Marcher` started from zero, with that forcing
-    in place of the free terms, so the implicit solve is the reference
-    realization of (I - tau L): exact per mode for constant coefficients,
-    the centred lattice on the reference grid otherwise.
+    C(p, j); initial data are +0.0.  Each corrector marches a
+    :class:`Marcher` from zero, with that forcing in place of the free
+    terms.  A spectral reference lends it its own operators, exact per
+    mode.  A fine-grid reference marches v^(0) on a lattice 2**refine
+    times finer than ``refgrid`` and reads it on ``refgrid``; the
+    correctors march the centred scheme on ``refgrid`` itself, on the
+    operators :func:`stepper.lattice_operators` chooses.
 
     All orders march one block of time indices at a time (see the module
     notes): a failure or unresolved field in an earlier block is raised
@@ -392,7 +394,7 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     reference = reference_marcher(problem, refgrid, xi, reference_mode, refine)
     # the correctors solve with a spectral reference's own operators
     ops = reference.operators if reference_mode == "spectral-const-coef" \
-        else FiniteDifferenceOperators(problem, [refgrid], tau)
+        else lattice_operators(problem, [refgrid], tau)
     marchers = [reference] + [
         None if p % 2 and scheme.is_symmetric   # it vanishes: +0.0 throughout
         else Marcher(xi, ops, zero_start=True) for p in range(1, k + 1)]

@@ -17,8 +17,10 @@ that field's default.  The keys:
     [extrapolation] level, base (auto | 2 | 4; base 4 extrapolates a
                     symmetric scheme alone)
     [reference]     mode (auto | spectral | fine-grid), refine (>= 1 with
-                    a fine-grid reference; read by corrector studies, as
-                    by stepper.run_reference_time_scheme, not by converge)
+                    a fine-grid reference; read by corrector studies, not
+                    by converge, and applied twice: the correctors march
+                    the finest rung refined 2**refine times, a fine-grid
+                    v^(0) that grid refined 2**refine times again)
     [correctors]    k, expected_residual_order (optional)
     [run]           seeds (comma-separated, distinct; a correctors study runs
                     on the first seed alone and ignores the others),
@@ -738,7 +740,10 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     (``spec.seeds[0]``); further seeds are ignored.
 
     The corrector system is solved first, on the finest mesh refined
-    2**refine times; the rungs march in lock-step against its expansion
+    2**refine times.  A fine-grid reference applies ``refine`` twice: its
+    v^(0) marches on that grid refined 2**refine times again, so rungs of
+    16 to 64 points with refine 3 march v^(0) on 4096 points and the
+    correctors on 512.  The rungs march in lock-step against its expansion
     sum_{m<=k} (h^m/m!) v^(m) (see :func:`_march_ladder`), and a rung's
     error is the remainder :func:`correctors.expansion_residual` reports.
     """

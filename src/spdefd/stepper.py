@@ -31,10 +31,12 @@ solves every step, as any other does.
 has one form: its expansion into weighted shifts (``_expansion_terms``),
 assembled into the sparse matrix of ``I - tau L^h`` or reduced to the
 kernel of its mean-weight circulant (``_kernel``).
-:func:`lattice_operators` chooses the operators of every lattice march fed
-by the problem's own free terms: a 1-d scheme whose coefficients are plain
-numbers is a circulant, solved on its lattice symbols in Fourier space;
-any other scheme is factored by sparse LU up to a size threshold, and
+:func:`lattice_operators` chooses the operators of every lattice march,
+and :func:`_solver_mode` the solver of each lattice, both read off the
+lattice: a 1-d scheme whose coefficients are plain numbers is a circulant,
+solved on its lattice symbols in Fourier space; any other 1-d scheme is
+banded and periodic, and factored by sparse LU at any size; a lattice of
+2-d and up is factored up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` points, and
 above it solved column by column by GMRES through
 :class:`ImplicitOperator`, preconditioned by the FFT inverse of the
 mean-weight circulant.  Failures surface as :class:`SolveFailure` (the
@@ -331,13 +333,13 @@ class _LastCall:
 
 
 def _solver_mode(mode: str, grid: TorusGrid) -> str:
-    """``mode``, with "auto" resolved by the size of ``grid``: a sparse LU up
-    to ``DIRECT_SOLVE_MAX_UNKNOWNS`` points, GMRES above."""
+    """``mode``, with "auto" read off ``grid``: a sparse LU on a 1-d grid of
+    any size and up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` points in 2-d and up,
+    GMRES above; "iterative" forces GMRES on any grid."""
     if mode not in ("auto", "direct", "iterative"):
         raise ValueError(f"unknown solver mode {mode!r}")
-    if mode == "auto":
-        return "direct" if grid.npoints <= DIRECT_SOLVE_MAX_UNKNOWNS else "iterative"
-    return mode
+    large = grid.dim > 1 and grid.npoints > DIRECT_SOLVE_MAX_UNKNOWNS
+    return ("iterative" if large else "direct") if mode == "auto" else mode
 
 
 def _factors(matrix, step: int, **options):
@@ -850,10 +852,10 @@ class FiniteDifferenceOperators(_LatticeOperators):
     """The lattice operators of one difference scheme on a mesh ladder h,
     h/2, ... (a single grid is a one-rung ladder), all with one tau and one
     solver mode: u0 and the free terms, M^{h,rho}, and the implicit solve
-    by sparse LU or GMRES.  Without a scheme, the centred scheme at each
-    grid's own (fine) mesh stands in for the continuous L and M^rho.  A
-    march fed by the problem's own free terms takes these operators only
-    where :func:`lattice_operators` finds no circulant.
+    by sparse LU or GMRES, each rung's as :func:`_solver_mode` reads it
+    off the rung.  The scheme is required: a march takes these operators
+    from :func:`lattice_operators`, which supplies the centred scheme where
+    a march has none, and only where it finds no circulant.
 
     A rung's state is its real ``grid.shape`` values (:meth:`states` gives
     the rungs' views), and M^{h,rho} acts on each rung's view by the wrap
@@ -882,10 +884,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
     _what = "factorized solve"
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
-                 scheme: DifferenceScheme | None = None, mode: str = "auto"):
-        super().__init__(problem, grids, tau,
-                         build_scheme_example1(problem) if scheme is None
-                         else scheme, [g.shape for g in grids])
+                 scheme: DifferenceScheme, mode: str = "auto"):
+        super().__init__(problem, grids, tau, scheme, [g.shape for g in grids])
         self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
         modes = [_solver_mode(mode, g) for g in self.grids]
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
@@ -1027,13 +1027,14 @@ class FiniteDifferenceOperators(_LatticeOperators):
 def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
                       scheme: DifferenceScheme | None = None,
                       mode: str = "auto"):
-    """The operators of a lattice march fed by the problem's own free terms,
-    the scheme's (or the centred scheme's) on the ladder ``grids``: where
-    every grid is 1-d, every coefficient of the scheme is a plain number and
-    ``mode`` is not "iterative", ``I - tau L^h`` and every M^{h,rho} are
-    circulants, and the rungs march on their lattice symbols
-    (:class:`SpectralOperators`); otherwise on
-    :class:`FiniteDifferenceOperators` in ``mode``."""
+    """The operators of every lattice march (a study's ladder, a scheme run,
+    a fine-grid reference and its correctors), the scheme's, or the centred
+    scheme's, on the ladder ``grids``: where every grid is 1-d, every
+    coefficient of the scheme is a plain number and ``mode`` is not
+    "iterative", ``I - tau L^h`` and every M^{h,rho} are circulants, and the
+    rungs march on their lattice symbols (:class:`SpectralOperators`);
+    otherwise on :class:`FiniteDifferenceOperators` in ``mode``, each rung
+    with the solver :func:`_solver_mode` reads off it."""
     _solver_mode(mode, grids[0])
     scheme = build_scheme_example1(problem) if scheme is None else scheme
     if mode != "iterative" and all(g.dim == 1 for g in grids) and all(

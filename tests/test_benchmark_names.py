@@ -93,7 +93,8 @@ def test_init_span_classes_run_on_a_small_2d_grid():
     assert np.linalg.norm(op.matrix @ x.values.ravel() - rhs.values.ravel()) \
         <= stepper.ITERATIVE_RTOL * np.linalg.norm(rhs.values)
     for name, args in (("stepper.SpectralOperators", ([grid], tau)),
-                       ("stepper.FiniteDifferenceOperators", ([grid], tau))):
+                       ("stepper.FiniteDifferenceOperators",
+                        ([grid], tau, scheme))):
         ops = resolve(name)(problem, *args)
         assert ops.tau == tau and ops.grids == [grid]
 

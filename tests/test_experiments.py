@@ -34,6 +34,7 @@ from spdefd.richardson import estimate_order
 from spdefd.stepper import (
     FiniteDifferenceOperators,
     ImplicitOperator,
+    Marcher,
     SpectralOperators,
     run_space_time_scheme,
 )
@@ -548,6 +549,24 @@ class TestCorrectorExperiment:
         assert not run_corrector_experiment(ExperimentSpec(
             problem="heat1d", n=8, points0=16, rungs=2, refine=0,
             correctors_k=2)).failed
+
+    def test_fine_grid_study_applies_refine_twice(self, monkeypatch):
+        # rungs of 16 to 64 points with refine 3: after the ladder, v^(0)
+        # marches the top rung refined 8 times and 8 times again, 4096
+        # points, and the correctors 512; k = 2 marches no odd corrector
+        marched = []
+        init = Marcher.__init__
+
+        def recording(self, xi, operators, zero_start=False):
+            marched.append(([g.npoints for g in operators.grids], zero_start))
+            init(self, xi, operators, zero_start)
+
+        monkeypatch.setattr(Marcher, "__init__", recording)
+        result = run_corrector_experiment(ExperimentSpec(
+            problem="var-coef1d", n=4, points0=16, rungs=3, refine=3,
+            correctors_k=2))
+        assert not result.failed
+        assert marched == [([16, 32, 64], False), ([4096], False), ([512], True)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_target_leaves_out_zero_correctors(self):
@@ -1311,6 +1330,26 @@ class TestCli:
                               ["converge", "--config", "var-coef1d.ini"])
         assert code == 3
         assert err.decode() == "missing dependency: No module named 'scipy'\n"
+
+    def test_correctors_on_an_8192_point_reference(self, tmp_path):
+        # the reference of the top rung, 128 points refined 8 times, marches
+        # 8 times finer again: 8192 points, one sparse LU (GMRES stalled there)
+        cfg = write(tmp_path, "[problem]\nname = var-coef1d\n[time]\nn = 16\n"
+                    "[space]\npoints0 = 16\nrungs = 4\n[correctors]\nk = 2\n"
+                    f"[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["correctors", "--config", str(cfg)]) == 0
+
+    def test_study_too_large_to_allocate_exit_three(self, tmp_path, capsys):
+        # refine 50 asks numpy for 2**57 bytes, more than a 64-bit process
+        # can address, so it is refused before anything is allocated
+        cfg = write(tmp_path, "[problem]\nname = heat1d\n[time]\nn = 4\n"
+                    "[space]\npoints0 = 8\nrungs = 2\n[reference]\nrefine = 50\n"
+                    f"[correctors]\nk = 2\n[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["correctors", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("out of memory: ") \
+            and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unresolved_reference_grid_exit_three(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from spdefd.problems import (
     make_problem,
 )
 from spdefd.stepper import (
+    DIRECT_SOLVE_MAX_UNKNOWNS,
     FiniteDifferenceOperators,
     ImplicitOperator,
     Marcher,
@@ -21,6 +22,7 @@ from spdefd.stepper import (
     SpectralModeError,
     SpectralOperators,
     Trajectory,
+    _solver_mode,
     apply_L,
     export_trajectory_binary,
     export_trajectory_csv,
@@ -629,6 +631,43 @@ class TestRunSpaceTimeScheme:
         assert norms[2] <= 1.2 * norms[1]
 
 
+class TestSolverRule:
+    """Auto mode reads the solver off the lattice: a sparse LU for every 1-d
+    lattice, GMRES for one of 2-d and up above DIRECT_SOLVE_MAX_UNKNOWNS."""
+
+    def test_auto_mode_by_dimension(self):
+        for points in (16, DIRECT_SOLVE_MAX_UNKNOWNS, 8192, 2 ** 20):
+            assert _solver_mode("auto", make_torus_grid(1, [1.0], [points])) \
+                == "direct"
+        assert _solver_mode("auto", make_torus_grid(2, [1.0] * 2, [64] * 2)) \
+            == "direct"
+        for dim, points in ((2, 72), (2, 256), (3, 17)):
+            grid = make_torus_grid(dim, [1.0] * dim, [points] * dim)
+            assert grid.npoints > DIRECT_SOLVE_MAX_UNKNOWNS
+            assert _solver_mode("auto", grid) == "iterative"
+        # a mode named outright holds on any lattice
+        for grid in (make_torus_grid(1, [1.0], [8192]),
+                     make_torus_grid(2, [1.0] * 2, [8] * 2)):
+            assert _solver_mode("iterative", grid) == "iterative"
+            assert _solver_mode("direct", grid) == "direct"
+
+    def test_fine_grid_reference_factors_8192_points(self, monkeypatch):
+        # var-coef1d's fine-grid reference of a 1024-point grid marches 8192
+        # points, where GMRES stalls: it is one sparse LU, the bits of the
+        # direct scheme run on that lattice read at every 8th point
+        p = make_problem("var-coef1d")
+        g = make_torus_grid(1, [1.0], [1024])
+        direct = run_space_time_scheme(p, build_scheme_example1(p),
+                                       g.refined(8), 4, solver_mode="direct")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("GMRES called on a 1-d lattice")
+
+        monkeypatch.setattr(spla, "gmres", refuse)
+        ref = run_reference_time_scheme(p, g, 4, mode="fine-grid", refine=3)
+        assert ref.values.tobytes() == direct.values[:, ::8].tobytes()
+
+
 class TestReferenceTimeScheme:
     def test_heat_mode_recursion(self):
         p = make_problem("heat1d", nu=0.1, T=0.5)
@@ -817,7 +856,8 @@ class TestBatchedMarcher:
                 [[np.stack([G(i - 1, x) * np.ones(g.shape)
                             for i in range(1, n + 1)])]])
         for ops in (lambda p: SpectralOperators(p, [g], tau),
-                    lambda p: FiniteDifferenceOperators(p, [g], tau)):
+                    lambda p: FiniteDifferenceOperators(
+                        p, [g], tau, build_scheme_example1(p))):
             want = Marcher(xi, ops(forced))
             got = Marcher(xi, ops(free), zero_start=True)
             assert not got.v.any()
@@ -975,8 +1015,11 @@ class TestFreeTerms:
         g = make_torus_grid(1, [1.0], [16])
         paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
                  for seed in (1, 2)]
+        args = (problem, [g], problem.T / self.N)
+        if operators is FiniteDifferenceOperators:     # it needs a scheme
+            args += (build_scheme_example1(problem),)
         marcher = Marcher(increment_columns(problem, self.N, paths),
-                          operators(problem, [g], problem.T / self.N))
+                          operators(*args))
         return march_columns(marcher, self.N)
 
     @pytest.mark.parametrize("operators", [SpectralOperators,
