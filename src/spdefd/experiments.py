@@ -63,6 +63,7 @@ output bytes are determined by the spec and seeds alone.
 """
 
 import configparser
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -363,15 +364,40 @@ def _named_problem(spec: ExperimentSpec) -> DifferentialProblem:
         constant_coefficients=True, name="custom")
 
 
+def _check_periodic(problem: DifferentialProblem, grid) -> None:
+    """u0 and every a, b, f and g evaluator (at index 0) on the points x of
+    ``grid`` and at x + period e_a, for every axis a, must agree to 1e-10
+    of their size, else the problem is not periodic on the torus and the
+    spec is a config error."""
+    data = {"u0": problem.u0, "f": functools.partial(problem.f, 0)}
+    for kind in ("a", "b", "g"):
+        for key, ev in getattr(problem, kind).items():
+            data[f"{kind}[{key}]"] = functools.partial(ev, 0)
+    x = grid.coordinates
+    for name, fn in data.items():
+        here = fn(x) * np.ones(grid.shape)
+        for axis, period in enumerate(grid.periods):
+            there = fn(x + period * np.eye(grid.dim)[axis]) * np.ones(grid.shape)
+            gap = float(np.max(np.abs(there - here)))
+            if gap > 1e-10 * max(1.0, np.max(np.abs(here)), np.max(np.abs(there))):
+                raise ConfigError(
+                    f"{name} is not periodic on the torus of [space] period "
+                    f"{period:g}: it moves by {gap:.3g} over one period along "
+                    f"x{axis + 1}")
+
+
 def build_problem(spec: ExperimentSpec) -> DifferentialProblem:
-    """The spec's problem.  It must be degenerate parabolic (2a - bb^T
-    positive semidefinite) at the points of the coarsest ladder grid at
-    time index 0, else the spec is a config error."""
+    """The spec's problem.  It must be periodic on the torus
+    (:func:`_check_periodic`) and degenerate parabolic (2a - bb^T positive
+    semidefinite) at the points of the coarsest ladder grid at time index
+    0, else the spec is a config error."""
     try:
         problem = _named_problem(spec)
     except ProblemError as exc:
         raise ConfigError(str(exc)) from exc
-    points = ladder_grids(spec, problem)[0].coordinates.reshape(-1, problem.d)
+    grid = ladder_grids(spec, problem)[0]
+    _check_periodic(problem, grid)
+    points = grid.coordinates.reshape(-1, problem.d)
     report = check_degenerate_parabolicity(problem, [(0, x) for x in points])
     if not report.passed:
         raise ConfigError("problem is not degenerate parabolic: the smallest "

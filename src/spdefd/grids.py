@@ -17,9 +17,9 @@ Conventions:
 * The zero stencil vector maps to the identity operator in all of the above.
 
 The schemes' lattice operators are built in ``stepper`` on ``_shifted``, one
-``np.roll``: L^h from its expansion into weighted shifts
-(``_expansion_terms``), M^{h,rho} as the centred differences of
-``FiniteDifferenceOperators.apply_M_values``.
+``np.roll``: L^h and M^{h,rho} alike from their expansion into weighted
+shifts (``SchemeSampler.L_terms`` and ``M_terms``), whose sparse matrices
+take their column indices from ``_shifted``.
 """
 
 import itertools

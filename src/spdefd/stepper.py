@@ -28,9 +28,9 @@ puts in the operators' form by ``operators.forward``; such a marcher
 solves every step, as any other does.
 
 :class:`SchemeSampler` is the one reading of a scheme on a lattice.  L^h
-has one form: its expansion into weighted shifts (``_expansion_terms``),
-assembled into the sparse matrix of ``I - tau L^h`` or reduced to the
-kernel of its mean-weight circulant (``_kernel``).
+and M^{h,rho} have one form, their expansion into weighted shifts
+(``L_terms``, ``M_terms``), assembled into a sparse matrix (``_assemble``)
+or reduced to the kernel of its mean-weight circulant (``_kernel``).
 :func:`lattice_operators` chooses the operators of every lattice march,
 and :func:`_solver_mode` the solver of each lattice, both read off the
 lattice: a 1-d scheme whose coefficients are plain numbers is a circulant,
@@ -194,12 +194,12 @@ class SchemeSampler:
         return _expansion_terms(self.arrays(i), self.grid.h, self.grid.dim)
 
     def M_terms(self, i: int) -> list:
-        """M^{h,rho} at step i, per driver: the ``(lam, coefficient)`` pairs
-        of b, in b's order, each the coefficient times the centred
-        difference along lam (the identity for lam = 0)."""
+        """M^{h,rho} at step i, per driver: the expansion terms of b^{lam
+        rho} times the centred difference along lam (:func:`_centred`), in
+        b's order."""
         M = [[] for _ in range(self.scheme.d1)]
         for (lam, rho), b in self.arrays(i)["b"].items():
-            M[rho - 1].append((lam, b))
+            M[rho - 1] += _centred(b, lam, self.grid.h)
         return M
 
 
@@ -218,6 +218,14 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
     return GridField(grid, (L @ phi.values.ravel()).reshape(grid.shape))
 
 
+def _centred(coef, vec: tuple, h: float) -> list:
+    """The expansion terms of ``coef`` times the centred difference along
+    ``vec``: two shifts, or the identity at vec = 0."""
+    if not any(vec):
+        return [(coef, vec)]
+    return [(coef / (2 * h), vec), (-coef / (2 * h), tuple(-c for c in vec))]
+
+
 def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
     """Expand L into pointwise-weighted shifts: L phi(x) = sum w(x) phi(x+h*v).
 
@@ -228,13 +236,8 @@ def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
     origin = tuple([0] * dim)
     terms = []
     for (lam, mu), coef in arrays["a"].items():
-        lam_nz, mu_nz = any(lam), any(mu)
-        if not lam_nz and not mu_nz:
-            terms.append((coef, origin))
-        elif lam_nz != mu_nz:
-            vec = lam if lam_nz else mu
-            terms.append((coef / (2 * h), vec))
-            terms.append((-coef / (2 * h), tuple(-c for c in vec)))
+        if not (any(lam) and any(mu)):
+            terms += _centred(coef, lam if any(lam) else mu, h)
         else:
             w = coef / (4 * h * h)
             terms.append((w, tuple(a + b for a, b in zip(lam, mu))))
@@ -251,8 +254,9 @@ def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
 
 
 def _assemble(terms: list, shape: tuple, tau: float | None = None):
-    """CSR matrix of ``I - tau L^h``, or of ``L^h`` itself when ``tau`` is
-    None, on a lattice of ``shape`` from the expansion terms of L^h.
+    """CSR matrix of ``I - tau L^h``, or of the operator itself (L^h or
+    M^{h,rho}) when ``tau`` is None, on a lattice of ``shape`` from its
+    expansion terms.
 
     Terms whose displacements meet on the lattice share one entry per row,
     their weights summed in term order (the identity last), so the matrix
@@ -271,6 +275,8 @@ def _assemble(terms: list, shape: tuple, tau: float | None = None):
         weights[origin] = weights[origin] + 1.0 if origin in weights \
             else np.ones(shape)
     n, width = int(np.prod(shape)), len(weights)
+    if not width:                       # no terms: a driver without b
+        return sp.csr_matrix((n, n))
     idx = np.arange(n).reshape(shape)
     cols = np.stack([_shifted(idx, v, 1, dim).ravel() for v in weights], axis=1)
     data = np.stack([w.ravel() for w in weights.values()], axis=1)
@@ -667,13 +673,14 @@ class _LatticeOperators:
     its rows ``_rows[r]``, the rungs one after another.  ``sample`` (u0),
     ``evaluate`` (the free terms) and ``forward`` (a block of forcing) put
     real values in that form by the family's ``_transform``, a zero one as
-    None, and ``_finish`` ends every solve.  Each family supplies
-    ``_transform``, ``states`` (the real states), ``apply_M_values`` and
-    ``solve_values``.
+    None, ``apply_M_values`` checks the driver of M^rho, and ``_finish``
+    ends every solve.  Each family supplies ``_transform``, ``states`` (the
+    real states), ``_apply_M`` and ``solve_values``.
     """
 
     def __init__(self, problem, grids: list, tau: float, scheme, shapes: list):
         self.problem, self.scheme = problem, scheme
+        self.d1 = (scheme or problem).d1
         self.grids, self.tau = list(grids), float(tau)
         self._shapes = shapes                # each rung's state, unpacked
         starts = np.cumsum([0] + [math.prod(s) for s in shapes])
@@ -707,6 +714,13 @@ class _LatticeOperators:
         if values is None or not values.any():
             return None
         return self._transform(values, range(1, 1 + self.grids[0].dim))
+
+    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        """M^rho at step i of a packed ``shape + (S,)`` array ``values``, as
+        a new array."""
+        if not 1 <= rho <= self.d1:
+            raise GridError(f"driver index {rho} out of range 1..{self.d1}")
+        return self._apply_M(values, rho, i)
 
     def _finish(self, x: np.ndarray, i: int, failures: list) -> np.ndarray:
         """The end of every solve ``x``, a packed ``shape + (S,)`` array, at
@@ -775,16 +789,10 @@ class SpectralOperators(_LatticeOperators):
                 else self._lattice(sampler, i)
                 for g, sampler in zip(self.grids, self._samplers)]
 
-    def _lattice(self, sampler: SchemeSampler, i: int) -> tuple:
-        # M^{h,rho} as expansion terms: each centred difference two shifts
-        shape, h = sampler.grid.shape, sampler.grid.h
-        M = [[term for lam, b in terms
-              for term in ([(b / (2 * h), lam),
-                            (-b / (2 * h), tuple(-c for c in lam))]
-                           if any(lam) else [(b, lam)])]
-             for terms in sampler.M_terms(i)]
-        symbols = [np.conj(np.fft.fftn(_kernel(terms, shape)))
-                   for terms in [sampler.L_terms(i)] + M]
+    @staticmethod
+    def _lattice(sampler: SchemeSampler, i: int) -> tuple:
+        symbols = [np.conj(np.fft.fftn(_kernel(terms, sampler.grid.shape)))
+                   for terms in [sampler.L_terms(i)] + sampler.M_terms(i)]
         return symbols[0], symbols[1:]
 
     def _continuous(self, grid: TorusGrid, key: int) -> tuple:
@@ -844,7 +852,7 @@ class SpectralOperators(_LatticeOperators):
         rhs *= inv[:, None]
         return self._finish(rhs, i, failures)
 
-    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+    def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         return self._multipliers(i)[1][rho - 1][:, None] * values
 
 
@@ -858,8 +866,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
     a march has none, and only where it finds no circulant.
 
     A rung's state is its real ``grid.shape`` values (:meth:`states` gives
-    the rungs' views), and M^{h,rho} acts on each rung's view by the wrap
-    shifts of ``grids._shifted``.
+    the rungs' views), and M^{h,rho} acts on each rung's rows as one CSR
+    product, its matrix assembled from ``M_terms`` once per time key.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side.  A
@@ -894,6 +902,7 @@ class FiniteDifferenceOperators(_LatticeOperators):
                        if m == "iterative"}
         self._orders = {}                   # rung -> its LU's column order
         self._lu_key, self._lu = None, None
+        self._M_key, self._M = None, None   # M^{h,rho} per rung and driver
         self._block, self._block_rows, self._block_columns = [], None, None
 
     @staticmethod
@@ -905,25 +914,14 @@ class FiniteDifferenceOperators(_LatticeOperators):
         of ``v``."""
         return self._views(v)
 
-    def apply_M_values(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        if not 1 <= rho <= self.scheme.d1:
-            raise GridError(f"driver index {rho} out of range 1..{self.scheme.d1}")
-        out = np.zeros(values.shape)
-        for sampler, v, rung in zip(self.samplers, self.states(values),
-                                    self.states(out)):
-            dim, two_h = sampler.grid.dim, 2.0 * sampler.grid.h
-            for lam, coef in sampler.M_terms(i)[rho - 1]:
-                coef = coef[..., None]
-                if not any(lam):
-                    rung += coef * v
-                    continue
-                # coef * ((T_+ v - T_- v) / 2h), in place
-                term = _shifted(v, lam, 1, dim)
-                term -= _shifted(v, lam, -1, dim)
-                term /= two_h
-                term *= coef
-                rung += term
-        return out
+    def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        key = self.samplers[0].key(i)
+        if self._M_key != key:
+            self._M_key, self._M = key, [
+                [_assemble(terms, s.grid.shape) for terms in s.M_terms(i)]
+                for s in self.samplers]
+        return np.concatenate([M[rho - 1] @ values[rows]
+                               for M, rows in zip(self._M, self._rows)])
 
     def _factor(self, i: int, live: list) -> dict:
         """Factor the block diagonal of the direct rungs ``live`` at step i,

@@ -69,33 +69,47 @@ def full_scheme_2d():
            (e1, 2): -0.15, (e2, 2): 0.12, (o, 2): 0.05})
 
 
-@pytest.mark.parametrize("shape", [(16,), (45,), (89,), (12, 9)],
-                         ids=lambda shape: "x".join(map(str, shape)))
-def test_symbols_are_the_eigenvalues_of_the_lattice_operators(shape):
-    dim = len(shape)
-    # h = 0.75 / shape[0] on every axis
-    g = make_torus_grid(dim, [0.75 * N / shape[0] for N in shape], shape)
+@pytest.mark.parametrize("shapes, columns", [
+    ([(16,)], 1), ([(45,)], 1), ([(89,)], 1), ([(12, 9)], 1),
+    ([(12,), (24,)], 3)],
+    ids=["16", "45", "89", "12x9", "12+24-S3"])
+def test_symbols_are_the_eigenvalues_of_the_lattice_operators(shapes, columns):
+    dim = len(shapes[0])
+    # h = 0.75 / shapes[0][0] on every axis of the first rung
+    periods = [0.75 * N / shapes[0][0] for N in shapes[0]]
+    grids = [make_torus_grid(dim, periods, shape) for shape in shapes]
     scheme, tau = full_scheme() if dim == 1 else full_scheme_2d(), 0.01
-    symL, symM = SpectralOperators(None, [g], tau, scheme).symbols(0)[0]
-    A = _assemble(SchemeSampler(scheme, g).L_terms(0), g.shape, tau)
-    lattice = FiniteDifferenceOperators(None, [g], tau, scheme)
+    symbols = SpectralOperators(None, grids, tau, scheme).symbols(0)
+    lattice = FiniteDifferenceOperators(None, grids, tau, scheme)
+    weights = np.array([1.0, -0.5, 0.25][:columns])   # one per column
 
-    def apply_M(phi, rho):
-        # the real kernel, on the real and imaginary parts
-        return (lattice.apply_M_values(phi.real[:, None], rho, 0)
-                + 1j * lattice.apply_M_values(phi.imag[:, None], rho, 0))[:, 0]
+    def apply_M(phi, r, rho):
+        # the real kernel, on the real and imaginary parts of phi placed in
+        # rung r of the packed ladder, weighted per column
+        parts = []
+        for part in (phi.real, phi.imag):
+            packed = np.zeros(lattice.shape + (columns,))
+            lattice.states(packed)[r][...] = \
+                part.reshape(grids[r].shape)[..., None] * weights
+            parts.append(lattice.apply_M_values(packed, rho, 0))
+        return lattice.states(parts[0] + 1j * parts[1])
 
-    j = np.indices(shape)
-    for k in np.ndindex(shape):
-        phi = np.exp(2j * np.pi * sum(kk * jj / N for kk, jj, N
-                                      in zip(k, j, shape))).ravel()
-        np.testing.assert_allclose(A @ phi, (1.0 - tau * symL[k]) * phi,
-                                   rtol=0, atol=1e-12)
-        for rho in (1, 2):
-            scale = max(1.0, abs(symM[rho - 1][k]))
-            np.testing.assert_allclose(apply_M(phi, rho),
-                                       symM[rho - 1][k] * phi, rtol=0,
-                                       atol=1e-12 * scale)
+    for r, (g, (symL, symM)) in enumerate(zip(grids, symbols)):
+        A = _assemble(SchemeSampler(scheme, g).L_terms(0), g.shape, tau)
+        j = np.indices(g.shape)
+        for k in np.ndindex(g.shape):
+            phi = np.exp(2j * np.pi * sum(kk * jj / N for kk, jj, N
+                                          in zip(k, j, g.shape))).ravel()
+            np.testing.assert_allclose(A @ phi, (1.0 - tau * symL[k]) * phi,
+                                       rtol=0, atol=1e-12)
+            for rho in (1, 2):
+                scale = max(1.0, abs(symM[rho - 1][k]))
+                want = (symM[rho - 1][k] * phi).reshape(g.shape)[..., None] \
+                    * weights
+                for q, got in enumerate(apply_M(phi, r, rho)):
+                    np.testing.assert_allclose(
+                        got, want if q == r else 0.0, rtol=0,
+                        atol=1e-12 * scale)
 
 
 def _increments(problem, n, seeds):

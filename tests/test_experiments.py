@@ -14,6 +14,7 @@ from spdefd.experiments import (
     ExperimentResult,
     REPORT_HEADER,
     ExperimentSpec,
+    _check_periodic,
     _replay_target,
     build_problem,
     emit_outputs,
@@ -334,6 +335,21 @@ class TestBuildProblem:
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
             build_problem(ExperimentSpec(problem="nope"))
+
+    @pytest.mark.parametrize("d, coefficients, message", [
+        (1, {"b": {(1, 1): lambda i, x: np.sin(2 * np.pi * x[..., 0] / 1.5)}},
+         r"b\[\(1, 1\)\] is not periodic .* along x1"),
+        (2, {"g": {1: lambda i, x: 1 + x[..., 1]}},
+         r"g\[1\] is not periodic .* moves by 1 over one period along x2")],
+        ids=["b-1d", "g-2d"])
+    def test_rejects_a_coefficient_that_is_not_periodic(self, d, coefficients,
+                                                        message):
+        # u0 is periodic; one coefficient or free term is not
+        problem = DifferentialProblem(
+            d=d, d1=1, T=0.5, u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            **coefficients)
+        with pytest.raises(ConfigError, match=message):
+            _check_periodic(problem, make_torus_grid(d, [1.0] * d, [8] * d))
 
 
 class TestSyntheticSelfTest:
@@ -1226,6 +1242,28 @@ class TestCli:
         cfg = write(tmp_path, body + "level = 0\nbase = 4\n")
         assert main(["accelerate", "--config", str(cfg)]) == 0
         assert main(["converge", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("problem", ["stoch-transport", "var-coef1d"])
+    def test_period_the_problem_is_not_periodic_on_exit_three(
+            self, tmp_path, capsys, problem):
+        # u0 = cos 2 pi x jumps at the wrap of a torus of period 1.5: a study
+        # would fit order 0.5645 (stoch-transport) or 0.7605 (var-coef1d)
+        cfg = write(tmp_path, f"[problem]\nname = {problem}\n[time]\n"
+                    "n = 64\n[space]\npoints0 = 16\nrungs = 3\nperiod = 1.5\n"
+                    "[extrapolation]\nlevel = 1\n[run]\nseeds = 1,2\n"
+                    f"expected_order = 4\nout = {tmp_path / 'out'}\n")
+        assert main(["accelerate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "config error: u0 is not periodic on the torus of [space] period "
+            "1.5: it moves by 2 over one period along x1\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_period_two_still_runs(self, tmp_path):
+        cfg = write(tmp_path, "[problem]\nname = stoch-transport\n[time]\n"
+                    "n = 32\n[space]\npoints0 = 8\nrungs = 3\nperiod = 2\n"
+                    "[extrapolation]\nlevel = 1\n[run]\nseeds = 1,2\n"
+                    f"expected_order = 4\nout = {tmp_path / 'out'}\n")
+        assert main(["accelerate", "--config", str(cfg)]) == 0
 
     def test_config_error_exit_three(self, tmp_path, capsys):
         cfg = write(tmp_path, "[problem]\nname = nope\n")
