@@ -98,15 +98,9 @@ def _cmd_solve(args) -> int:
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
     grid = ladder_grids(spec, problem)[0]
-    tau = problem.T / spec.n
-    seed = spec.seeds[0]
-    increments = (sample_increments(spec.n, problem.d1, tau, seed)
-                  if problem.d1 > 0 else None)
-    try:
-        traj = run_space_time_scheme(problem, scheme, grid, spec.n, increments)
-    except SolveFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    increments = sample_increments(spec.n, problem.d1, problem.T / spec.n,
+                                   spec.seeds[0])
+    traj = run_space_time_scheme(problem, scheme, grid, spec.n, increments)
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     if spec.format == "binary":

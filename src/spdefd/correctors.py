@@ -49,6 +49,7 @@ measures the remainder with one norm call.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +62,8 @@ from .stepper import (
     Trajectory,
     _blocks,
     _frequency_mesh,
+    export_trajectory_binary,
+    export_trajectory_csv,
     increment_columns,
     lattice_operators,
     reference_marcher,
@@ -507,10 +510,6 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet,
 def export_corrector_set(cs: CorrectorSet, directory, basename: str,
                          fmt: str = "csv") -> list:
     """Write one trajectory file per expansion order; returns the paths."""
-    from pathlib import Path
-
-    from .stepper import export_trajectory_binary, export_trajectory_csv
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []

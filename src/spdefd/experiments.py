@@ -568,7 +568,7 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     paths = seeds if problem.d1 > 0 else seeds[:1]
     column = [k if problem.d1 > 0 else 0 for k in range(len(seeds))]
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
-                  if problem.d1 > 0 else None for seed in paths]
+                  for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
     marcher = Marcher(xi, lattice_operators(problem, grids, tau, scheme))
 

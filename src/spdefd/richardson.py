@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import composed_difference
+from .grids import _as_int_vector, _forward_values
 from .stepper import Trajectory
 
 MAX_LEVEL = 12
@@ -105,14 +105,18 @@ def richardson_combine(solutions, weights: RichardsonWeights) -> Trajectory:
 
 def extrapolate_derivative(solutions, lams, weights: RichardsonWeights) -> Trajectory:
     """Composed one-sided difference (at the coarse mesh) of the combined
-    trajectory; by linearity this equals combining the differenced rungs."""
+    trajectory; by linearity this equals combining the differenced rungs.
+
+    Every time index is differenced in one pass, the time axis riding along
+    last; the factors go in the sorted order of
+    ``grids.composed_difference``, so each index gets its bits."""
     combined = richardson_combine(solutions, weights)
-    if not lams:
-        return combined
-    values = np.empty(combined.values.shape)
-    for i, fld in enumerate(combined.fields):
-        values[i] = composed_difference(fld, lams).values
-    return Trajectory(grid=combined.grid, tau=combined.tau, values=values)
+    grid = combined.grid
+    values = np.moveaxis(combined.values, 0, -1)
+    for lam in sorted(_as_int_vector(lam, grid.dim) for lam in lams):
+        values = _forward_values(values, lam, grid.h, 1, grid.dim)
+    return Trajectory(grid=grid, tau=combined.tau,
+                      values=np.moveaxis(values, -1, 0))
 
 
 EXACT_FLOOR = 1e-14

@@ -44,7 +44,9 @@ scheme is only solvable for small enough tau), including a step whose
 result holds a NaN or inf, and are never papered over by regularization.
 ``apply_L`` is a one-field wrapper over the assembled L^h.  scipy is
 imported only where the sparse LU and GMRES paths assemble, factor or
-iterate, so a march in Fourier space never loads it.
+iterate, so a march in Fourier space never loads it.  What a step's time
+key fixes (``_LatticeOperators.key``, 0 for time-independent coefficients)
+is made once per key and kept for that key alone by ``_per_key``.
 
 The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
@@ -83,7 +85,7 @@ from .problems import (
     _Constant,
     build_scheme_example1,
 )
-from .wiener import BrownianIncrements
+from .wiener import BrownianIncrements, sample_increments
 
 DIRECT_SOLVE_MAX_UNKNOWNS = 4096
 ITERATIVE_RTOL = 1e-11
@@ -389,7 +391,7 @@ class ImplicitOperator:
         # alive until the cyclic garbage collector runs
         self._product = _LastCall(self.matrix.dot)
         self._A = spla.LinearOperator((n, n), matvec=self._product, dtype=float)
-        self._M = spla.LinearOperator(
+        self._Minv = spla.LinearOperator(
             (n, n), matvec=_LastCall(functools.partial(
                 _circulant_solve, symbol, grid.shape)), dtype=float)
 
@@ -411,7 +413,7 @@ class ImplicitOperator:
         maxiter = max(1, (10 * n) // restart)
         # started from zero: the first Krylov vector is already M^-1 b, so a
         # start of M^-1 b would save one iteration at most
-        x, info = spla.gmres(self._A, b, M=self._M, rtol=ITERATIVE_RTOL,
+        x, info = spla.gmres(self._A, b, M=self._Minv, rtol=ITERATIVE_RTOL,
                              atol=0.0, restart=restart, maxiter=maxiter)
         bnorm = np.linalg.norm(b)
         # the product GMRES formed last, for its own residual
@@ -452,10 +454,6 @@ def _explicit_rhs(v: np.ndarray, tau: float, f: np.ndarray, g: list,
     return rhs
 
 
-def _empty_increments(n: int, tau: float) -> BrownianIncrements:
-    return BrownianIncrements(n=n, d1=0, tau=tau, seed=0, xi=np.zeros((n, 0)))
-
-
 def _check_increments(increments, n, tau, d1):
     if increments.n != n:
         raise ValueError(f"increments carry {increments.n} steps, expected {n}")
@@ -474,7 +472,7 @@ def increment_columns(problem: DifferentialProblem, n: int, paths) -> np.ndarray
         if increments is None:
             if problem.d1 > 0:
                 raise ValueError("stochastic problem needs Wiener increments")
-            increments = _empty_increments(n, tau)
+            increments = sample_increments(n, 0, tau, 0)
         _check_increments(increments, n, tau, problem.d1)
         columns.append(increments.xi[:, :problem.d1])
     return np.stack(columns, axis=-1)
@@ -674,7 +672,8 @@ class _LatticeOperators:
     ``evaluate`` (the free terms) and ``forward`` (a block of forcing) put
     real values in that form by the family's ``_transform``, a zero one as
     None, ``apply_M_values`` checks the driver of M^rho, and ``_finish``
-    ends every solve.  Each family supplies ``_transform``, ``states`` (the
+    ends every solve; ``key`` is a step's time key, and ``_per_key`` keeps
+    what it fixes.  Each family supplies ``_transform``, ``states`` (the
     real states), ``_apply_M`` and ``solve_values``.
     """
 
@@ -686,6 +685,19 @@ class _LatticeOperators:
         starts = np.cumsum([0] + [math.prod(s) for s in shapes])
         self.shape = (int(starts[-1]),)
         self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        self._store = {}                     # name -> (time key, product)
+
+    def key(self, i: int) -> int:
+        """The time key of step i: 0 for time-independent coefficients."""
+        return 0 if (self.scheme or self.problem).time_independent else i
+
+    def _per_key(self, name, i: int, make):
+        """``make(i)``, made once per time key of step i, kept for that key
+        alone under ``name``."""
+        key, held = self.key(i), self._store.get(name)
+        if held is None or held[0] != key:
+            held = self._store[name] = (key, make(i))
+        return held[1]
 
     def _views(self, v: np.ndarray) -> list:
         """Each rung's ``state shape + v.shape[1:]`` view of the packed rows
@@ -770,8 +782,6 @@ class SpectralOperators(_LatticeOperators):
         self._what = "spectral solve" if scheme is None else "factorized solve"
         self._samplers = [None if scheme is None else SchemeSampler(scheme, g)
                           for g in self.grids]
-        self._multipliers_at = (None, None, None, None)
-        self._varies = not (scheme or problem).time_independent
 
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
@@ -784,7 +794,7 @@ class SpectralOperators(_LatticeOperators):
 
     def symbols(self, i: int) -> list:
         """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
-        key = i if self._varies else 0
+        key = self.key(i)
         return [self._continuous(g, key) if sampler is None
                 else self._lattice(sampler, i)
                 for g, sampler in zip(self.grids, self._samplers)]
@@ -822,23 +832,21 @@ class SpectralOperators(_LatticeOperators):
 
     def _multipliers(self, i: int) -> tuple:
         """inv and the m_rho at step i, packed, and the rungs where ``1 -
-        tau symL`` nearly vanishes (their inv is zero): built from
-        ``symbols`` once per time key (0 for time-independent operators),
-        and kept for the current key alone."""
-        key = i if self._varies else 0
-        if self._multipliers_at[0] != key:
-            symbols, inv, singular = self.symbols(i), [], []
-            for r, (symL, _) in enumerate(symbols):
-                denom = 1.0 - self.tau * symL
-                if float(np.min(np.abs(denom))) < 1e-12:
-                    singular.append(r)
-                    denom = np.full(denom.shape, np.inf)
-                inv.append(_hermitian(1.0 / denom).ravel())
-            m = [np.concatenate([_hermitian(symM[rho]).ravel()
-                                 for _, symM in symbols])
-                 for rho in range(len(symbols[0][1]))]
-            self._multipliers_at = (key, np.concatenate(inv), m, singular)
-        return self._multipliers_at[1:]
+        tau symL`` nearly vanishes (their inv is zero), from the store."""
+        return self._per_key("multipliers", i, self._build_multipliers)
+
+    def _build_multipliers(self, i: int) -> tuple:
+        symbols, inv, singular = self.symbols(i), [], []
+        for r, (symL, _) in enumerate(symbols):
+            denom = 1.0 - self.tau * symL
+            if float(np.min(np.abs(denom))) < 1e-12:
+                singular.append(r)
+                denom = np.full(denom.shape, np.inf)
+            inv.append(_hermitian(1.0 / denom).ravel())
+        m = [np.concatenate([_hermitian(symM[rho]).ravel()
+                             for _, symM in symbols])
+             for rho in range(len(symbols[0][1]))]
+        return np.concatenate(inv), m, singular
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """(I - tau L)^{-1} per column, exactly per Fourier mode, in place;
@@ -867,7 +875,9 @@ class FiniteDifferenceOperators(_LatticeOperators):
 
     A rung's state is its real ``grid.shape`` values (:meth:`states` gives
     the rungs' views), and M^{h,rho} acts on each rung's rows as one CSR
-    product, its matrix assembled from ``M_terms`` once per time key.
+    product.  The per-key store (``_per_key``) holds, for the current time
+    key, every rung's M^{h,rho} matrices, assembled from ``M_terms``, and
+    each GMRES rung's :class:`ImplicitOperator`.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side.  A
@@ -876,10 +886,10 @@ class FiniteDifferenceOperators(_LatticeOperators):
     (COLAMD and its postorder, read once from a factorization of the rung
     alone: it depends on the sparsity pattern alone) and the block diagonal
     is factored in its natural order, so every rung gets the pivots and the
-    bits of its own LU.  A time-dependent scheme refactors at every step.
-    Every sparse LU is made here; the GMRES rungs solve column by column
-    through this loop, each with its own :class:`ImplicitOperator`, which
-    holds only the GMRES solve.
+    bits of its own LU.  The factors are kept under the time key and the
+    live rungs, so a time-dependent scheme refactors at every step.  Every
+    sparse LU is made here; the GMRES rungs solve column by column through
+    this loop, each with its own operator, which holds only the GMRES solve.
 
     The solve fills the failure record of the marcher it serves (see
     :class:`Marcher`), which is passed in since marchers may share one
@@ -897,12 +907,9 @@ class FiniteDifferenceOperators(_LatticeOperators):
         self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
         modes = [_solver_mode(mode, g) for g in self.grids]
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
-        # rung -> (time key, its GMRES operator)
-        self._gmres = {r: (None, None) for r, m in enumerate(modes)
-                       if m == "iterative"}
+        self._gmres = [r for r, m in enumerate(modes) if m == "iterative"]
         self._orders = {}                   # rung -> its LU's column order
         self._lu_key, self._lu = None, None
-        self._M_key, self._M = None, None   # M^{h,rho} per rung and driver
         self._block, self._block_rows, self._block_columns = [], None, None
 
     @staticmethod
@@ -915,13 +922,11 @@ class FiniteDifferenceOperators(_LatticeOperators):
         return self._views(v)
 
     def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        key = self.samplers[0].key(i)
-        if self._M_key != key:
-            self._M_key, self._M = key, [
-                [_assemble(terms, s.grid.shape) for terms in s.M_terms(i)]
-                for s in self.samplers]
+        matrices = self._per_key("M", i, lambda i: [
+            [_assemble(terms, s.grid.shape) for terms in s.M_terms(i)]
+            for s in self.samplers])
         return np.concatenate([M[rho - 1] @ values[rows]
-                               for M, rows in zip(self._M, self._rows)])
+                               for M, rows in zip(matrices, self._rows)])
 
     def _factor(self, i: int, live: list) -> dict:
         """Factor the block diagonal of the direct rungs ``live`` at step i,
@@ -935,7 +940,7 @@ class FiniteDifferenceOperators(_LatticeOperators):
         singular in a rung of its own, since its blocks have their rungs'
         bits: each rung is then factored alone, and those that fail leave
         the block, which is factored again."""
-        key = self.samplers[0].key(i)
+        key = self.key(i)
         if self._lu_key == (key, live):
             return {}
         matrices = {r: _assemble(self.samplers[r].L_terms(i), self.grids[r].shape,
@@ -985,12 +990,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
 
     def _iterative(self, r: int, i: int) -> ImplicitOperator:
         """The GMRES operator of rung r at step i."""
-        key, op = self._gmres[r]
-        if op is None or key != self.samplers[r].key(i):
-            op = ImplicitOperator(self.scheme, self.grids[r], self.tau, i,
-                                  sampler=self.samplers[r])
-            self._gmres[r] = (self.samplers[r].key(i), op)
-        return op
+        return self._per_key(("gmres", r), i, lambda i: ImplicitOperator(
+            self.scheme, self.grids[r], self.tau, i, sampler=self.samplers[r]))
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in

@@ -1209,6 +1209,19 @@ class TestCli:
         assert main(["solve", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("fmt, name", [("csv", "trajectory.csv"),
+                                           ("binary", "trajectory.bin")])
+    def test_solve_deterministic_ignores_the_seed(self, tmp_path, fmt, name):
+        # heat1d has no driver: every seed samples the one empty path
+        cfg = write(tmp_path, MINIMAL + "\n[time]\nn = 8\n")
+        written = []
+        for seed in ("1", "7"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["solve", "--config", str(cfg), "--seeds", seed,
+                         "--format", fmt, "--out", str(out)]) == 0
+            written.append((out / name).read_bytes())
+        assert written[0] == written[1]
+
     def test_solve_binary_format_flag(self, tmp_path):
         cfg = write(tmp_path, MINIMAL + f"\n[time]\nn = 8\n[run]\n"
                     f"out = {tmp_path / 'out'}\n")

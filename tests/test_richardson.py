@@ -11,6 +11,7 @@ from spdefd.richardson import (
     vandermonde_weights,
 )
 from spdefd.stepper import Trajectory, run_reference_time_scheme, run_space_time_scheme
+from spdefd.wiener import sample_increments
 
 
 def synthetic_ladder(coarse_points, levels, make_values, n_steps=2, tau=0.5):
@@ -183,6 +184,31 @@ class TestExtrapolateDerivative:
         manual = [composed_difference(f, [(1,)]) for f in combined.fields]
         for fa, fb in zip(diffed.fields, manual):
             np.testing.assert_allclose(fa.values, fb.values, atol=1e-13)
+
+    def test_one_pass_has_the_bits_of_each_index_alone(self, monkeypatch):
+        from spdefd import grids
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        s, n = build_scheme_example1(p), 16
+        xi = sample_increments(n, 1, p.T / n, 2)
+        ladder = [run_space_time_scheme(
+            p, s, make_torus_grid(1, [1.0], [16 * 2 ** j]), n, xi)
+            for j in range(2)]
+        w, lams = vandermonde_weights(1, 4), [(1,), (1,)]
+        built = []
+        init = grids.GridField.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(grids.GridField, "__init__", counting)
+        diffed = extrapolate_derivative(ladder, lams, w)
+        assert built == []
+        monkeypatch.undo()
+        want = [grids.composed_difference(f, lams).values
+                for f in richardson_combine(ladder, w).fields]
+        assert np.ascontiguousarray(diffed.values).tobytes() == \
+            np.stack(want).tobytes()
 
 
 class TestEstimateOrder:

@@ -541,6 +541,13 @@ class TestRunSpaceTimeScheme:
         for f0, f1 in zip(t0.fields, t1.fields):
             np.testing.assert_allclose(f0.values, f1.values, atol=1e-13)
 
+    def test_stochastic_problem_needs_increments(self):
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        g = make_torus_grid(1, [1.0], [16])
+        with pytest.raises(ValueError,
+                           match="stochastic problem needs Wiener increments"):
+            run_space_time_scheme(p, build_scheme_example1(p), g, 8)
+
     def test_two_step_dense_oracle_random_coefficients(self):
         # independent dense assembly and elimination, variable coefficients
         rng = np.random.default_rng(10)
@@ -1094,6 +1101,72 @@ class TestFreeTerms:
 
         self.march(self.problem(f=f, g={1: 0.2}), operators)
         assert steps == list(range(1, self.N + 1))
+
+
+class TestPerKeyStore:
+    """The lattice operators build each per-key product once per time key
+    and keep it for the current key alone: a time-independent march builds
+    each once, a time-dependent one each time the requested key changes."""
+
+    N = 4
+
+    @staticmethod
+    def operators(family, problem):
+        g, tau = make_torus_grid(1, [1.0], [16]), problem.T / TestPerKeyStore.N
+        if family == "continuous":
+            return SpectralOperators(problem, [g], tau)
+        scheme = build_scheme_example1(problem)
+        if family == "lattice":
+            return SpectralOperators(problem, [g], tau, scheme)
+        return FiniteDifferenceOperators(problem, [g], tau, scheme, family)
+
+    # time-independent, time-dependent.  A spectral step asks for M at i - 1
+    # and the solve at i, one product: keys 0, 1, 1, 2, 2, 3, 3, 4.  The FD
+    # M is asked for at 0..3, and each GMRES operator at 1..4.
+    BUILDS = {
+        "continuous": ({"symbols": 1}, {"symbols": 5}),
+        "lattice": ({"symbols": 1}, {"symbols": 5}),
+        "direct": ({"M": 1}, {"M": 4}),
+        "iterative": ({"M": 1, "gmres": 1}, {"M": 4, "gmres": 4}),
+    }
+
+    @pytest.mark.parametrize("family", sorted(BUILDS))
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_each_product_built_once_per_key(self, family, time_dependent,
+                                             monkeypatch):
+        from spdefd import stepper
+        p = time_dependent_problem() if time_dependent else DifferentialProblem(
+            d=1, d1=1, T=0.5, a={(1, 1): 0.1}, b={(1, 1): 0.2},
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            constant_coefficients=True)
+        ops = self.operators(family, p)
+        builds = {"symbols": 0, "M": 0, "gmres": 0}
+        symbols, assemble = SpectralOperators.symbols, stepper._assemble
+        init = ImplicitOperator.__init__
+
+        def counting_symbols(self, i):
+            builds["symbols"] += 1
+            return symbols(self, i)
+
+        def counting_assemble(terms, shape, tau=None):
+            builds["M"] += tau is None
+            return assemble(terms, shape, tau)
+
+        def counting_init(self, *args, **kwargs):
+            builds["gmres"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralOperators, "symbols", counting_symbols)
+        monkeypatch.setattr(stepper, "_assemble", counting_assemble)
+        monkeypatch.setattr(ImplicitOperator, "__init__", counting_init)
+        xi = increment_columns(p, self.N, [sample_increments(self.N, 1,
+                                                             p.T / self.N, 3)])
+        marcher = Marcher(xi, ops)
+        marcher.march(self.N + 1)
+        assert not any(marcher.failures)
+        want = {"symbols": 0, "M": 0, "gmres": 0}
+        want.update(self.BUILDS[family][time_dependent])
+        assert builds == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
