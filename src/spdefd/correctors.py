@@ -215,7 +215,7 @@ def _coefficients(sampler: SchemeSampler, steps) -> dict:
     """The scheme's coefficient arrays at the time indices ``steps``: those
     of one index when the scheme is time-independent, else each stacked to
     ``(len(steps),) + grid.shape``."""
-    if sampler.key(1) == 0:         # one time key for every index
+    if sampler.scheme.time_independent:     # one time key for every index
         return sampler.arrays(0)
     at = [sampler.arrays(i) for i in steps]
     return {kind: {key: np.stack([a[kind][key] for a in at]) for key in at[0][kind]}
@@ -444,10 +444,6 @@ class ResidualReport:
     @property
     def max_sup(self) -> float:
         return float(np.max(self.sup_per_step))
-
-    @property
-    def max_l2h(self) -> float:
-        return float(np.max(self.l2h_per_step))
 
 
 def _weighted(terms: dict, h: float) -> list:

@@ -33,9 +33,9 @@ study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
 study's target.  All seeds of all rungs march as one packed state, and the
-ladder and then its target march one block of ``stepper.BLOCK_ROWS`` time
-indices at a time, each block's real states read in one
-:meth:`stepper.Marcher.march` call.  The errors of every column are
+ladder (and then a target that marches apart) march one block of
+``stepper.BLOCK_ROWS`` time indices at a time, each block's real states read
+in one :meth:`stepper.Marcher.march` call.  The errors of every column are
 reduced per block into running per-seed maxima, so no rung trajectory is
 stored; each norm has the bits of measuring its index alone, so the block
 size changes no output.  Every study measures through that one path: each
@@ -45,14 +45,16 @@ target, a function of the block that gives its weighted terms per rung,
 is all that tells the studies apart: the reference time-scheme solution
 for ``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!)
 v^(m) of the corrector system for ``correctors``.  The reference is exact
-per Fourier mode on constant coefficients (spectral); otherwise (fine-grid)
-it is the ladder's own, one more rung on top and one level of
-extrapolation above the study's in the scheme's own base, so its error is
-of higher order than the rungs' (at the conditioning guard's level, 12,
-it keeps that level a rung higher).  Errors are measured pathwise, as max over time of the sup over
-grid points; squared errors are averaged over the seed set before order
-fitting, so the reported quantity realizes the expected squared sup
-norm.  A study fits its order or fails: a ladder with fewer than two errors
+per Fourier mode on constant coefficients (spectral), on the ladder's top
+lattice: one more rung of the ladder's own march where the ladder steps in
+Fourier space, a march apart where it does not.  Otherwise (fine-grid) it
+is the ladder's own, one more rung on top and one level of extrapolation
+above the study's in the scheme's own base, so its error is of higher
+order than the rungs' (at the conditioning guard's level, 12, it keeps
+that level a rung higher).  Errors are measured pathwise, as max over time
+of the sup over grid points; squared errors are averaged over the seed set
+before order fitting, so the reported quantity realizes the expected
+squared sup norm.  A study fits its order or fails: a ladder with fewer than two errors
 above 1e-14 fits none and raises :class:`richardson.ExtrapolationError`.
 
 Outputs: ``report.csv`` with columns (h, sup_error, l2h_error,
@@ -460,17 +462,28 @@ class ExperimentResult:
         return (not self.failed) and self.report is not None and self.report.passed
 
 
-def _reference_target(marcher: Marcher, grids: list) -> tuple:
-    """A convergence study's spectral target, the reference marched by
-    ``marcher``, on the rungs ``grids``: a block's states are restricted
-    onto the finest rung once, and every coarser rung reads a strided view
-    of that."""
-    def terms(block: range, _) -> list:
-        states = np.ascontiguousarray(_restricted(
-            marcher.march(len(block))[0], marcher.operators.grids[0], grids[-1]))
-        return [[_restricted(states, grids[-1], grid)] for grid in grids]
+def _reference_target(problem, rungs: int):
+    """A convergence study's spectral target, the reference time scheme's
+    solution on the ladder's top lattice, on the measured rungs: on a
+    circulant ladder its exact rung, the march's last
+    (``marcher.operators.exact``), and otherwise a
+    :func:`stepper.reference_marcher` of its own, which marches each block
+    as the target reads it.  A block's states are restricted onto the
+    finest measured rung, ``rungs - 1``, once, and every coarser rung reads
+    a strided view of that; the failure record is the reference's."""
+    def make(grids, marcher, _) -> tuple:
+        finest = grids[rungs - 1]
+        apart = None if marcher.operators.exact else reference_marcher(
+            problem, grids[-1], marcher.xi)
 
-    return terms, marcher.failures[0]
+        def terms(block: range, states: list) -> list:
+            top = states[-1] if apart is None else apart.march(len(block))[0]
+            top = np.ascontiguousarray(_restricted(top, grids[-1], finest))
+            return [[_restricted(top, finest, grid)] for grid in grids[:rungs]]
+
+        return terms, (apart or marcher).failures[-1]
+
+    return make
 
 
 def _extrapolated_target(weights, rungs: int):
@@ -519,24 +532,28 @@ def _replay_target(cs, grids: list) -> tuple:
 
 def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                   weights, expected_order, make_target,
-                  target_rungs: int = 0) -> ExperimentResult:
+                  target_rungs: int = 0, exact: bool = False) -> ExperimentResult:
     """The rung loop of every study, the one path from a ladder to a
     fitted order.
 
     The ladder holds the measured rungs, their extrapolation partners and
-    ``target_rungs`` more on top, which only the target reads.
-    ``make_target(grids, marcher, increments)`` gives the target and its
-    failure record, keyed by column.  The target is a function of a block of
-    time indices, the next ones, and of the ladder's states there: it gives,
-    per measured rung, the weighted expansion terms (h^m/m!) v^(m) there on
-    the rung's grid, each ``grid.shape + (rows, S)``, from the ladder's
-    states or from a march of its own over the block.
+    ``target_rungs`` more on top, which only the target reads.  With
+    ``exact``, a ladder that steps in Fourier space also carries the exact
+    reference time scheme on its top lattice, one more rung at the end of
+    the march (``marcher.operators.exact`` is then 1), which is not the
+    ladder's either.  ``make_target(grids, marcher, increments)`` gives the
+    target and its failure record, keyed by column.  The target is a
+    function of a block of time indices, the next ones, and of the ladder's
+    states there: it gives, per measured rung, the weighted expansion terms
+    (h^m/m!) v^(m) there on the rung's grid, each ``grid.shape + (rows,
+    S)``, from the ladder's states or from a march of its own over the
+    block.
 
     The rungs march as one packed state under one :class:`Marcher`, on the
     operators :func:`stepper.lattice_operators` chooses: a 1-d circulant
     ladder steps pointwise in Fourier space, any other one makes one block
     LU solve (GMRES rungs solve apart); every rung has the bits of its run
-    alone.  The ladder and then its target march one
+    alone.  The ladder and then a target that marches apart march one
     block of indices at a time (:meth:`Marcher.march`), and the block is
     measured: each rung's candidate, its extrapolation by ``weights``
     (partners restricted when read; level 0, beta = (1), is the rung
@@ -549,15 +566,15 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
     The marcher's failure record holds a dict per rung: a rung's failure
     fails that seed on that rung alone, whose column is zeroed; a rung only
-    the target reads fails the target.  The ladder marches on to find the
-    first failing (seed, mesh) pair in seed-major order, which is reported;
-    a target with a marcher of its own marches the rest of the block in
-    which a rung first failed, and then stops.  Target failures are reported
-    only when every rung succeeded, after the rows of the seeds before the
-    failing one, and a failure the target raises while it is built as
-    itself.  A spectral target on variable coefficients, and a
-    corrector target the reference grid cannot resolve, are configuration
-    errors; a ladder whose errors fit no order raises the
+    the target reads, the exact one too, fails the target.  The ladder
+    marches on to find the first failing (seed, mesh) pair in seed-major
+    order, which is reported; a target with a marcher of its own marches
+    the rest of the block in which a rung first failed, and then stops.
+    Target failures are reported only when every rung succeeded, after the
+    rows of the seeds before the failing one, and a failure the target
+    raises while it is built as itself.  A spectral target on variable
+    coefficients, and a corrector target the reference grid cannot
+    resolve, are configuration errors; a ladder whose errors fit no order raises the
     :class:`richardson.ExtrapolationError` of :func:`estimate_order`.
     """
     grids = ladder_grids(spec, problem, extra=weights.level + target_rungs)
@@ -570,7 +587,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    marcher = Marcher(xi, lattice_operators(problem, grids, tau, scheme))
+    marcher = Marcher(xi, lattice_operators(problem, grids, tau, scheme,
+                                            "auto", grids[-1:] if exact else ()))
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
@@ -586,7 +604,11 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
         target, target_failures = make_target(grids, marcher, increments)
         for block in _blocks(spec.n):
             # once a rung failed, the study reports that failure: the rungs
-            # march on only to find the first failing pair
+            # march on only to find the first failing pair, and not once
+            # every column of every rung has failed (rungs the target
+            # reads may live on)
+            if all(len(failed) == len(paths) for failed in ladder):
+                break
             measured, rows = not any(ladder), len(block)
             states = marcher.march(rows)
             if not measured:
@@ -651,8 +673,9 @@ def run_convergence_experiment(spec: ExperimentSpec,
     """Measure the convergence order of the plain scheme (extrapolation
     level 0) or the extrapolated one against the reference time-scheme
     solution on the finest measured rung, restricted to each rung (see
-    :func:`_march_ladder`): spectral, marched on the ladder's top lattice,
-    or fine-grid, the ladder's own (:func:`_extrapolated_target`)."""
+    :func:`_march_ladder`): spectral, on the ladder's top lattice
+    (:func:`_reference_target`), or fine-grid, the ladder's own
+    (:func:`_extrapolated_target`)."""
     kind = "accelerate" if accelerate else "converge"
     problem, scheme, weights, ref_mode = _prepare(
         spec, "convergence", spec.level if accelerate else 0)
@@ -663,14 +686,11 @@ def run_convergence_experiment(spec: ExperimentSpec,
                                     4 if scheme.is_symmetric else 2)
         make_target, target_rungs = _extrapolated_target(above, spec.rungs), 1
     else:
-        target_rungs = 0
-
-        def make_target(grids, marcher, _):
-            return _reference_target(reference_marcher(
-                problem, grids[-1], marcher.xi, ref_mode), grids[:spec.rungs])
+        make_target, target_rungs = _reference_target(problem, spec.rungs), 0
 
     result = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
-                           spec.expected_order, make_target, target_rungs)
+                           spec.expected_order, make_target, target_rungs,
+                           exact=ref_mode != "fine-grid")
     if not result.failed:
         result.extras["reference_mode"] = ref_mode
         if accelerate:

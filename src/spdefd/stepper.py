@@ -672,10 +672,14 @@ class _LatticeOperators:
     ``evaluate`` (the free terms) and ``forward`` (a block of forcing) put
     real values in that form by the family's ``_transform``, a zero one as
     None, ``apply_M_values`` checks the driver of M^rho, and ``_finish``
-    ends every solve; ``key`` is a step's time key, and ``_per_key`` keeps
-    what it fixes.  Each family supplies ``_transform``, ``states`` (the
-    real states), ``_apply_M`` and ``solve_values``.
+    ends every solve, in the words ``_what[r]`` of each rung r; ``key`` is
+    a step's time key, and ``_per_key`` keeps what it fixes.  Each family
+    supplies ``_transform``, ``states`` (the real states), ``_apply_M`` and
+    ``solve_values``.  ``exact`` counts the rungs on top that march the
+    continuous operators (see :class:`SpectralOperators`).
     """
+
+    exact = 0
 
     def __init__(self, problem, grids: list, tau: float, scheme, shapes: list):
         self.problem, self.scheme = problem, scheme
@@ -744,8 +748,8 @@ class _LatticeOperators:
             for r, rows in enumerate(self._rows):
                 for k in np.flatnonzero(bad[rows].any(axis=0)):
                     failures[r].setdefault(int(k), _aborted(SolveFailure(
-                        f"{self._what} produced non-finite values; tau may "
-                        "not be small enough", step=i)))
+                        f"{self._what[r]} produced non-finite values; tau "
+                        "may not be small enough", step=i)))
         for rows, failed in zip(self._rows, failures):
             if failed:
                 x[rows, ..., list(failed)] = 0.0
@@ -758,11 +762,19 @@ class SpectralOperators(_LatticeOperators):
     is pointwise.
 
     A rung's symbols symL and symM_rho are those of the continuous L and
-    M^rho without a scheme (the reference and the corrector system; the
-    coefficients must be constant in space, checked), or with one whose
-    coefficients are plain numbers, the conjugate DFTs of the kernels of
-    L^h and M^{h,rho}: ``I - tau L^h`` is then a circulant, solved by its
-    factorization into Fourier modes.  The solve multiplies by ``inv =
+    M^rho, the reference time scheme's (the coefficients must be constant
+    in space, checked), or the conjugate DFTs of the kernels of L^h and
+    M^{h,rho} of a scheme whose coefficients are plain numbers: ``I - tau
+    L^h`` is then a circulant, solved by its factorization into Fourier
+    modes.  The rungs of ``grids`` have the scheme's symbols, or without a
+    scheme the continuous ones (the reference and the corrector system);
+    the lattices ``exact`` follow them as rungs of the continuous symbols,
+    so that a study's reference rides on its ladder's march.  Every element
+    of the packed state goes through the operations of its rung's own
+    march, so each rung has that march's bits.  ``exact`` is then the
+    number of rungs on top with the continuous symbols, whose failures say
+    "spectral solve" where a scheme's rung says "factorized solve".
+    The solve multiplies by ``inv =
     H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
     ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
     every full-spectrum product on its real part realizes, which keeps the
@@ -776,12 +788,16 @@ class SpectralOperators(_LatticeOperators):
     dtype = complex
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
-                 scheme: DifferenceScheme | None = None):
+                 scheme: DifferenceScheme | None = None, exact: list = ()):
+        lattices = [] if scheme is None else list(grids)
+        grids = list(grids) + list(exact)
         super().__init__(problem, grids, tau, scheme, [
             g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in grids])
-        self._what = "spectral solve" if scheme is None else "factorized solve"
-        self._samplers = [None if scheme is None else SchemeSampler(scheme, g)
-                          for g in self.grids]
+        self.exact = len(grids) - len(lattices)
+        self._samplers = ([SchemeSampler(scheme, g) for g in lattices]
+                          + [None] * self.exact)
+        self._what = ["spectral solve" if s is None else "factorized solve"
+                      for s in self._samplers]
 
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
@@ -899,11 +915,11 @@ class FiniteDifferenceOperators(_LatticeOperators):
     """
 
     dtype = float
-    _what = "factorized solve"
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
                  scheme: DifferenceScheme, mode: str = "auto"):
         super().__init__(problem, grids, tau, scheme, [g.shape for g in grids])
+        self._what = ["factorized solve"] * len(self.grids)
         self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
         modes = [_solver_mode(mode, g) for g in self.grids]
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
@@ -1025,22 +1041,24 @@ class FiniteDifferenceOperators(_LatticeOperators):
 
 def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
                       scheme: DifferenceScheme | None = None,
-                      mode: str = "auto"):
+                      mode: str = "auto", exact: list = ()):
     """The operators of every lattice march (a study's ladder, a scheme run,
     a fine-grid reference and its correctors), the scheme's, or the centred
     scheme's, on the ladder ``grids``: where every grid is 1-d, every
     coefficient of the scheme is a plain number and ``mode`` is not
     "iterative", ``I - tau L^h`` and every M^{h,rho} are circulants, and the
-    rungs march on their lattice symbols (:class:`SpectralOperators`);
+    rungs march on their lattice symbols (:class:`SpectralOperators`), with
+    the lattices ``exact`` on top as rungs of the continuous symbols;
     otherwise on :class:`FiniteDifferenceOperators` in ``mode``, each rung
-    with the solver :func:`_solver_mode` reads off it."""
+    with the solver :func:`_solver_mode` reads off it, and with no rung of
+    ``exact``.  ``operators.exact`` tells which it was."""
     _solver_mode(mode, grids[0])
     scheme = build_scheme_example1(problem) if scheme is None else scheme
     if mode != "iterative" and all(g.dim == 1 for g in grids) and all(
             isinstance(ev, _Constant) for terms in (scheme.a, scheme.b,
                                                     scheme.p, scheme.q)
             for ev in terms.values()):
-        return SpectralOperators(problem, grids, tau, scheme)
+        return SpectralOperators(problem, grids, tau, scheme, exact)
     return FiniteDifferenceOperators(problem, grids, tau, scheme, mode)
 
 
@@ -1052,8 +1070,10 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
                       refine: int = 3) -> Marcher:
     """Marcher of the reference time scheme for ``grid``: that of
     :func:`run_reference_time_scheme` and of the corrector system, and the
-    spectral one of a convergence study, whose fine-grid reference is
-    extrapolated from its own ladder instead.
+    spectral one of a convergence study whose ladder is not a circulant.
+    On a circulant ladder the study's spectral reference rides on the
+    ladder's own march (``lattice_operators(..., exact=...)``), and its
+    fine-grid reference is extrapolated from the ladder.
 
     spectral-const-coef marches :class:`SpectralOperators` on ``grid``
     itself, exactly per mode; fine-grid marches the centred scheme on the

@@ -455,7 +455,7 @@ class TestConvergenceExperiment:
                               level=1, seeds=(1, 2, 3))
         paths = emit_outputs(run_convergence_experiment(spec, accelerate=True),
                              tmp_path)
-        assert widths == [1, 1]            # the ladder and the reference
+        assert widths == [1]               # the ladder carries the reference
         assert {p.name: p.read_bytes() for p in paths} == HEAT_ACCELERATE_OUTPUTS
 
     def test_threads_do_not_change_errors(self):
@@ -652,14 +652,17 @@ def _digests(paths):
 
 def _poison_reference(monkeypatch, column, step=21):
     """Make the spectral reference's solve turn one column of its
-    right-hand side NaN at ``step``; the operators of a scheme's lattice
-    are left alone."""
+    right-hand side NaN at ``step``: the rows of the rungs that march the
+    continuous operators (the top ``exact`` ones), whether the reference
+    rides on the ladder's march or marches apart; the rungs of a scheme's
+    lattice are left alone."""
     original = SpectralOperators.solve_values
 
     def solve_values(self, rhs, i, failures):
-        if i == step and self.scheme is None:
+        if i == step and self.exact:
             rhs = rhs.copy()
-            rhs[..., column] = np.nan
+            for rows in self._rows[len(self.grids) - self.exact:]:
+                rhs[rows, column] = np.nan
         return original(self, rhs, i, failures)
 
     monkeypatch.setattr(SpectralOperators, "solve_values", solve_values)
@@ -668,12 +671,14 @@ def _poison_reference(monkeypatch, column, step=21):
 def _poison_rung(monkeypatch, shape, column, step=21):
     """Make a study's ladder, whichever lattice operators it marches on,
     turn one column of its rung on grids of ``shape`` NaN in the packed
-    right-hand side at ``step``."""
+    right-hand side at ``step``; a rung of the continuous operators (the
+    top ``exact`` ones) on that lattice is left alone."""
     for cls in (FiniteDifferenceOperators, SpectralOperators):
         def solve_values(self, rhs, i, failures, _original=cls.solve_values):
-            if i == step and self.scheme is not None:
+            if i == step:
                 rhs = rhs.copy()
-                for grid, rows in zip(self.grids, self._rows):
+                lattices = len(self.grids) - self.exact
+                for grid, rows in zip(self.grids[:lattices], self._rows):
                     if grid.shape == shape:
                         rhs[rows, column] = np.nan
             return _original(self, rhs, i, failures)
@@ -807,13 +812,15 @@ class TestLadderReference:
     def test_one_ladder_and_no_reference_marcher(self, accelerate,
                                                  monkeypatch):
         from spdefd import experiments
-        ladders, references = [], []
+        ladders, references, exact = [], [], []
         lattice_operators = experiments.lattice_operators
         reference_marcher = experiments.reference_marcher
 
         def recording_lattice(problem, grids, *args):
             ladders.append([g.shape[0] for g in grids])
-            return lattice_operators(problem, grids, *args)
+            operators = lattice_operators(problem, grids, *args)
+            exact.append(operators.exact)
+            return operators
 
         def recording_reference(*args):
             references.append(args)
@@ -827,12 +834,15 @@ class TestLadderReference:
             run_convergence_experiment(spec, accelerate=accelerate)
             top = spec.rungs + (level if accelerate else 0)
             assert ladders.pop() == [8 * 2 ** j for j in range(top + 1)]
-        assert references == []
-        # a spectral reference marches apart, on the ladder's top lattice
+        assert references == [] and exact == [0, 0]
+        # a spectral reference rides on the ladder's march, one more rung on
+        # the ladder's top lattice
         run_convergence_experiment(replace(self.STOCH_FINE,
                                            reference_mode="spectral"),
                                    accelerate=accelerate)
-        assert len(references) == 1 and len(ladders) == 1
+        top = self.STOCH_FINE.rungs + (self.STOCH_FINE.level if accelerate else 0)
+        assert ladders == [[8 * 2 ** j for j in range(top)]]
+        assert references == [] and exact == [0, 0, 1]
 
     @pytest.mark.parametrize("level", [0, 2])
     def test_base_two_on_a_centred_scheme_keeps_its_order(self, level):
@@ -891,6 +901,76 @@ class TestLadderReference:
         assert run_convergence_experiment(
             self.STOCH_FINE, accelerate=True).failure.startswith(
                 "seed 5, mesh 3: scheme run aborted: step 21: ")
+
+
+class TestExactRung:
+    """A spectral study whose ladder steps in Fourier space marches its
+    reference as one more rung of the ladder's march; a ladder that does
+    not, marches it apart."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The operators of every Marcher built, and the arguments of every
+        reference_marcher call the studies make."""
+        from spdefd import experiments
+        operators, references = [], []
+        init, reference_marcher = Marcher.__init__, experiments.reference_marcher
+
+        def recording(self, xi, ops, zero_start=False):
+            operators.append(ops)
+            init(self, xi, ops, zero_start)
+
+        def recording_reference(*args, **kwargs):
+            references.append(args)
+            return reference_marcher(*args, **kwargs)
+
+        monkeypatch.setattr(Marcher, "__init__", recording)
+        monkeypatch.setattr(experiments, "reference_marcher",
+                            recording_reference)
+        return operators, references
+
+    def test_spectral_accelerate_study_marches_once(self, monkeypatch):
+        operators, references = self._record(monkeypatch)
+        result = _accelerate(TestBlockedMeasurement.SPEC)
+        assert not result.failed
+        assert references == []
+        assert [(type(ops), [g.npoints for g in ops.grids], ops.exact)
+                for ops in operators] == [
+            (SpectralOperators, [8, 16, 32, 64, 64], 1)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ladder_failed_everywhere_stops_the_march(self, monkeypatch):
+        # every column of every ladder rung fails at step 3; the exact rung
+        # lives on, but the march stops after that block of 16 steps
+        for shape in ((8,), (16,), (32,), (64,)):
+            _poison_rung(monkeypatch, shape, slice(None), step=3)
+        steps, advance = [], Marcher.advance
+
+        def counting(self, forcing=None):
+            steps.append(self.i + 1)
+            advance(self, forcing)
+
+        monkeypatch.setattr(Marcher, "advance", counting)
+        result = _accelerate(TestBlockedMeasurement.SPEC)
+        assert result.failure == (
+            "seed 4, mesh 0: scheme run aborted: step 3: factorized solve "
+            "produced non-finite values; tau may not be small enough")
+        assert steps == list(range(1, 17))
+
+    def test_drift_example2_marches_its_reference_apart(self, monkeypatch):
+        # example2's p and q are plain functions, so its ladder goes to
+        # sparse LU and carries no exact rung
+        operators, references = self._record(monkeypatch)
+        spec = ExperimentSpec(problem="drift1d", scheme="example2", n=8,
+                              points0=8, rungs=2, level=1, base="2",
+                              reference_mode="spectral", seeds=(1, 2))
+        result = _accelerate(spec)
+        assert not result.failed
+        assert len(references) == 1
+        assert [(type(ops), [g.npoints for g in ops.grids], ops.exact)
+                for ops in operators] == [
+            (FiniteDifferenceOperators, [8, 16, 32], 0),
+            (SpectralOperators, [32], 1)]
 
 
 class TestBlockSize:

@@ -879,6 +879,60 @@ class TestBatchedMarcher:
                  for inc in paths]
         assert_columns_match(states, alone)
 
+    def test_exact_rung_has_the_bits_of_the_reference_alone(self):
+        # a circulant ladder carries the exact reference as one more rung
+        # on its top lattice: at every index and on every path that rung
+        # has the bits of run_reference_time_scheme, and every lattice rung
+        # those of run_space_time_scheme; two drivers, the second of which
+        # path 1 never sees, and f and g nonzero, g^2 evaluated per step
+        p = DifferentialProblem(
+            d=1, d1=2, T=0.5, a={(1, 1): 0.1, (0, 1): 0.05},
+            b={(1, 1): 0.2, (0, 2): 0.3},
+            f=lambda i, x: 0.1 * np.sin(2 * np.pi * x[..., 0]) * np.cos(0.5 * i),
+            g={1: 0.02, 2: lambda i, x: 0.1 * np.cos(2 * np.pi * x[..., 0])},
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            constant_coefficients=True)
+        scheme = build_scheme_example1(p)
+        grids = [make_torus_grid(1, [1.0], [N]) for N in (8, 16, 32)]
+        n = 12
+        paths = []
+        for seed in (1, 2, 3):
+            xi = sample_increments(n, 2, p.T / n, seed).xi.copy()
+            if seed == 2:
+                xi[:, 1] = 0.0            # this path never sees driver 2
+            paths.append(BrownianIncrements(n=n, d1=2, tau=p.T / n, seed=seed,
+                                            xi=xi))
+        ops = lattice_operators(p, grids, p.T / n, scheme, exact=grids[-1:])
+        assert isinstance(ops, SpectralOperators) and ops.exact == 1
+        marcher = Marcher(increment_columns(p, n, paths), ops)
+        blocks = [marcher.march(rows) for rows in (5, 5, 3)]  # indices 0..12
+        states = [np.concatenate(rung, axis=-2) for rung in zip(*blocks)]
+        assert not any(marcher.failures)
+        alone = [[run_space_time_scheme(p, scheme, g, n, inc) for inc in paths]
+                 for g in grids]
+        alone.append([run_reference_time_scheme(p, grids[-1], n, inc)
+                      for inc in paths])
+        for rung, trajectories in zip(states, alone):
+            assert_columns_match(np.moveaxis(rung, -2, 0), trajectories)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exact_rung_fails_in_its_own_words(self):
+        p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
+        grids = [make_torus_grid(1, [1.0], [N]) for N in (8, 16)]
+        n = 5
+        paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2)]
+        xi = increment_columns(p, n, paths)
+        xi[2, 0, 1] = np.inf           # path 1 breaks at step 3 on every rung
+        marcher = Marcher(xi, lattice_operators(
+            p, grids, p.T / n, build_scheme_example1(p), exact=grids[-1:]))
+        marcher.march(n + 1)
+        words = ["factorized solve", "factorized solve", "spectral solve"]
+        assert [list(failed) for failed in marcher.failures] == [[1]] * 3
+        for failed, what in zip(marcher.failures, words):
+            assert str(failed[1]) == (f"scheme run aborted: step 3: {what} "
+                                      "produced non-finite values; tau may "
+                                      "not be small enough")
+
     def test_zero_start_with_forcing_is_a_problem_with_free_terms(self):
         # free terms handed to advance() give the bits of the same terms
         # declared on a problem that starts from zero
