@@ -33,7 +33,9 @@ resolution check, which every higher order reuses.  The expansion
 operators ``corrector_operator_L``/``_M`` take such a block and its rows'
 time indices and return one array per row; each derivative term is one
 ``np.fft.ifftn`` of the block times its rows' coefficient arrays, and each
-Fourier multiplier is built once per system (:class:`_Multipliers`).
+Fourier multiplier is built once per system (:class:`_Multipliers`).  The
+scheme's coefficient arrays are read once per time key of a block, and not
+again where the block before read that key (:func:`_read_arrays`).
 
 A block with no nonzero entry costs nothing: no FFT, zero energy
 fractions, and no operator reads it, since every term made from it is +0.0,
@@ -57,11 +59,12 @@ from .grids import TorusGrid, _norms, _require_finite, _restricted
 from .problems import DifferenceScheme, DifferentialProblem
 from .stepper import (
     Marcher,
-    SchemeSampler,
     SolveFailure,
     Trajectory,
     _blocks,
     _frequency_mesh,
+    _scheme_arrays,
+    _time_key,
     export_trajectory_binary,
     export_trajectory_csv,
     increment_columns,
@@ -211,13 +214,25 @@ def _spectra(grid: TorusGrid, values: np.ndarray,
                     _top_mode_fractions(hat, multipliers.top))
 
 
-def _coefficients(sampler: SchemeSampler, steps) -> dict:
-    """The scheme's coefficient arrays at the time indices ``steps``: those
-    of one index when the scheme is time-independent, else each stacked to
-    ``(len(steps),) + grid.shape``."""
-    if sampler.scheme.time_independent:     # one time key for every index
-        return sampler.arrays(0)
-    at = [sampler.arrays(i) for i in steps]
+def _read_arrays(scheme: DifferenceScheme, grid: TorusGrid, steps,
+                 held: dict | None = None) -> dict:
+    """The scheme's coefficient arrays on ``grid`` by time key, for each key
+    of the time indices ``steps``: those in ``held`` as they are, the
+    others read once each."""
+    held = held or {}
+    return {key: held[key] if key in held else _scheme_arrays(scheme, grid, key)
+            for key in dict.fromkeys(_time_key(scheme, i) for i in steps)}
+
+
+def _coefficients(scheme: DifferenceScheme, grid: TorusGrid, steps,
+                  arrays: dict | None = None) -> dict:
+    """The scheme's coefficient arrays on ``grid`` at the time indices
+    ``steps``: those of their one time key where they share it, else each
+    stacked to ``(len(steps),) + grid.shape``.  ``arrays`` holds them by
+    time key (:func:`_read_arrays`); a key it lacks is read here."""
+    at = list(_read_arrays(scheme, grid, steps, arrays).values())
+    if len(at) == 1:
+        return at[0]
     return {kind: {key: np.stack([a[kind][key] for a in at]) for key in at[0][kind]}
             for kind in at[0]}
 
@@ -234,10 +249,12 @@ def _add_centred(out: np.ndarray, der: _Spectra, p: int, vec, coef) -> None:
 
 
 def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
-                         steps, sampler: SchemeSampler | None = None) -> np.ndarray:
+                         steps, arrays: dict | None = None) -> np.ndarray:
     """p-th h-derivative of the discrete operator L^h at h = 0, applied with
     spectral accuracy to each row of the block ``der`` (from
     :func:`_spectra`), whose time indices ``steps`` lists; one array per row.
+    ``arrays`` holds the scheme's coefficient arrays on ``der.grid`` by time
+    key (:func:`_read_arrays`), and they are read here if not given.
 
     Every row is checked for resolution first.  p = 0 is the first case of
     the general formula: with A_{0,0} = B_0 = 1 it is the continuous
@@ -246,12 +263,12 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
-    arrays = _coefficients(sampler or SchemeSampler(scheme, der.grid), steps)
+    coefficients = _coefficients(scheme, der.grid, steps, arrays)
     der.check_resolution()
     out = np.zeros(der.values.shape)
     B_p, _ = expansion_constants(p, 0)
 
-    for (lam, mu), coef in arrays["a"].items():
+    for (lam, mu), coef in coefficients["a"].items():
         if any(lam) and any(mu):
             for j in range(0, p + 1):
                 _, A = expansion_constants(p, j)
@@ -261,20 +278,21 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
             # cross terms a^{lam,0} + a^{0,mu}: one centred difference left;
             # the zero-zero term a^{0,0}: the identity
             _add_centred(out, der, p, lam if any(lam) else mu, coef)
-    for lam, coef in arrays["p"].items():
+    for lam, coef in coefficients["p"].items():
         out += coef / (p + 1) * der.directional(lam, p + 1)
-    for lam, coef in arrays["q"].items():
+    for lam, coef in coefficients["q"].items():
         out += ((-1) ** (p + 1) / (p + 1)) * coef * der.directional(lam, p + 1)
     return out
 
 
 def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
                          der: _Spectra, steps,
-                         sampler: SchemeSampler | None = None) -> np.ndarray:
+                         arrays: dict | None = None) -> np.ndarray:
     """p-th h-derivative of M^{h,rho} at h = 0; identically zero for odd p.
 
-    ``der`` and ``steps`` are a block of rows and their time indices, as
-    for :func:`corrector_operator_L`; one array per row.
+    ``der``, ``steps`` and ``arrays`` are a block of rows, their time
+    indices and the coefficient arrays, as for :func:`corrector_operator_L`;
+    one array per row.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
@@ -284,9 +302,9 @@ def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
     B_p, _ = expansion_constants(p, 0)
     if B_p == 0.0:
         return out
-    arrays = _coefficients(sampler or SchemeSampler(scheme, der.grid), steps)
+    coefficients = _coefficients(scheme, der.grid, steps, arrays)
     der.check_resolution()
-    for (lam, r), coef in arrays["b"].items():
+    for (lam, r), coef in coefficients["b"].items():
         if r == rho:
             _add_centred(out, der, p, lam, coef)
     return out
@@ -315,7 +333,7 @@ def minimum_resolution(k: int) -> int:
     return 8 * (3 * k + 2)
 
 
-def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
+def _corrector_forcing(p: int, scheme: DifferenceScheme, arrays: dict,
                        spectra: list, steps: range, xi: np.ndarray) -> tuple:
     """The ``(f, g)`` that stand in for the free terms of corrector p in
     :meth:`Marcher.advance` at the steps i in ``steps``, row by row:
@@ -325,7 +343,9 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
 
     (M_j vanishes for odd j; the terms are added to M^rho v one by one).
     ``spectra`` holds the blocks of v^(0..p-1) at the indices
-    ``steps.start - 1 .. steps.stop - 1``, ``xi`` the ``(n, d1)`` increments.
+    ``steps.start - 1 .. steps.stop - 1``, ``arrays`` the scheme's
+    coefficient arrays at their time keys (:func:`_read_arrays`), ``xi``
+    the ``(n, d1)`` increments.
 
     Every term of a block with no nonzero entry is +0.0, so no operator
     reads such a block: its L terms add nothing to f, and its M terms are
@@ -333,11 +353,11 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
     """
     now, before = slice(1, None), slice(None, -1)
     prev = range(steps.start - 1, steps.stop - 1)
-    f = np.zeros((len(steps),) + sampler.grid.shape)
+    f = np.zeros((len(steps),) + spectra[0].grid.shape)
     for j in range(1, p + 1):
         if spectra[p - j].hat is not None:
             f += math.comb(p, j) * corrector_operator_L(
-                j, scheme, spectra[p - j].rows(now), steps, sampler)
+                j, scheme, spectra[p - j].rows(now), steps, arrays)
     g = []
     for rho in range(1, xi.shape[1] + 1):
         if not xi[prev.start:prev.stop, rho - 1].any():
@@ -345,7 +365,7 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, sampler: SchemeSampler,
             continue
         g.append([np.zeros(f.shape) if spectra[p - j].hat is None
                   else math.comb(p, j) * corrector_operator_M(
-                      j, rho, scheme, spectra[p - j].rows(before), prev, sampler)
+                      j, rho, scheme, spectra[p - j].rows(before), prev, arrays)
                   for j in range(2, p + 1, 2)])
     for values in (f, *(part for parts in g for part in parts)):
         _require_finite(values)
@@ -403,17 +423,19 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
         else Marcher(xi, ops, zero_start=True) for p in range(1, k + 1)]
     values = [np.empty((n + 1,) + refgrid.shape)] + [
         np.zeros((n + 1,) + refgrid.shape) for _ in range(k)]
-    sampler = SchemeSampler(scheme, refgrid)
-    multipliers = _Multipliers(refgrid)
+    multipliers, arrays = _Multipliers(refgrid), {}
     for block in _blocks(n):
         steps = range(max(block.start, 1), block.stop)
+        if k:       # the forcing reads the indices steps.start - 1 .. stop - 1
+            arrays = _read_arrays(scheme, refgrid,
+                                  range(steps.start - 1, steps.stop), arrays)
         spectra = []
         for p, marcher in enumerate(marchers):
             forcing = None
             if p:
                 spectra.append(_spectra(refgrid, values[p - 1][
                     steps.start - 1:steps.stop], multipliers))
-                forcing = _corrector_forcing(p, scheme, sampler, spectra, steps,
+                forcing = _corrector_forcing(p, scheme, arrays, spectra, steps,
                                              xi[..., 0])
                 if marcher is None:
                     continue
@@ -469,9 +491,10 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet,
     whose mesh width is h.
 
     The corrector fields live on the reference grid, which must refine the
-    trajectory's grid by one common integer factor per axis; restriction is
-    exact sub-sampling.  The trajectory and the correctors must share the
-    time grid: the same number of steps and the same step size.  ``k``
+    trajectory's grid on its torus by one integer factor on every axis
+    (mesh width h / factor); restriction is exact sub-sampling.  The
+    trajectory and the correctors must share the time grid: the same
+    number of steps and the same step size.  ``k``
     defaults to the set's own order and must lie in 0..cs.k.
     """
     if k is None:
@@ -485,17 +508,13 @@ def expansion_residual(vh: Trajectory, cs: CorrectorSet,
     if abs(vh.tau - cs.tau) > 1e-12 * max(abs(vh.tau), abs(cs.tau)):
         raise ValueError(f"trajectory step size {vh.tau!r} differs from the "
                          f"correctors' {cs.tau!r}")
-    factors = set()
-    for a, b in zip(cs.grid.shape, vh.grid.shape):
-        if a % b:
-            raise ValueError(
-                f"reference grid shape {cs.grid.shape} is not a multiple "
-                f"refinement of {vh.grid.shape}")
-        factors.add(a // b)
-    if len(factors) != 1:
-        raise ValueError("reference grid uses different refinement factors "
-                         "per axis")
-    coarse = (slice(None),) + (slice(None, None, factors.pop()),) * vh.grid.dim
+    factor = cs.grid.shape[0] // vh.grid.shape[0]
+    if cs.grid.shape != tuple(n * factor for n in vh.grid.shape) \
+            or abs(cs.grid.h * factor - vh.grid.h) > 1e-14 * vh.grid.h:
+        raise ValueError(
+            f"reference grid {cs.grid.shape} (h {cs.grid.h!r}) does not refine "
+            f"{vh.grid.shape} (h {vh.grid.h!r}) by one factor on its torus")
+    coarse = (slice(None),) + (slice(None, None, factor),) * vh.grid.dim
 
     acc = _remainder(vh.values, _weighted({j: cs[j].values[coarse]
                                            for j in range(k + 1)}, vh.grid.h))

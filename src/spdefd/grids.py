@@ -18,7 +18,7 @@ Conventions:
 
 The schemes' lattice operators are built in ``stepper`` on ``_shifted``, one
 ``np.roll``: L^h and M^{h,rho} alike from their expansion into weighted
-shifts (``SchemeSampler.L_terms`` and ``M_terms``), whose sparse matrices
+shifts (``stepper._L_terms`` and ``_M_terms``), whose sparse matrices
 take their column indices from ``_shifted``.
 """
 

@@ -77,10 +77,10 @@ def _check_ladder(solutions, weights):
     for j, traj in enumerate(solutions):
         if traj.n != coarse.n or abs(traj.tau - coarse.tau) > 1e-14 * coarse.tau:
             raise ExtrapolationError("trajectories do not share the time grid")
-        expect = tuple(n * 2 ** j for n in coarse.grid.shape)
-        if traj.grid.shape != expect:
-            raise ExtrapolationError(
-                f"ladder rung {j} has shape {traj.grid.shape}, expected {expect}")
+        shape, h = tuple(n * 2 ** j for n in coarse.grid.shape), coarse.grid.h / 2 ** j
+        if traj.grid.shape != shape or abs(traj.grid.h - h) > 1e-14 * h:
+            raise ExtrapolationError(f"ladder rung {j} has shape {traj.grid.shape}, "
+                                     f"h {traj.grid.h!r}; expected {shape}, h {h!r}")
 
 
 def _combine(ladder, beta) -> np.ndarray:

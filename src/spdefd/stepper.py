@@ -27,10 +27,12 @@ its own real forcing in place of the free terms f and g, which ``march``
 puts in the operators' form by ``operators.forward``; such a marcher
 solves every step, as any other does.
 
-:class:`SchemeSampler` is the one reading of a scheme on a lattice.  L^h
-and M^{h,rho} have one form, their expansion into weighted shifts
-(``L_terms``, ``M_terms``), assembled into a sparse matrix (``_assemble``)
-or reduced to the kernel of its mean-weight circulant (``_kernel``).
+``_scheme_arrays`` is the one reading of a scheme on a lattice: its
+coefficient arrays at a step's time key (``_time_key``, 0 for
+time-independent coefficients).  L^h and M^{h,rho} have one form, their
+expansion into weighted shifts of those arrays (``_L_terms``,
+``_M_terms``), assembled into a sparse matrix (``_assemble``) or reduced
+to the kernel of its mean-weight circulant (``_kernel``).
 :func:`lattice_operators` chooses the operators of every lattice march,
 and :func:`_solver_mode` the solver of each lattice, both read off the
 lattice: a 1-d scheme whose coefficients are plain numbers is a circulant,
@@ -45,8 +47,8 @@ result holds a NaN or inf, and are never papered over by regularization.
 ``apply_L`` is a one-field wrapper over the assembled L^h.  scipy is
 imported only where the sparse LU and GMRES paths assemble, factor or
 iterate, so a march in Fourier space never loads it.  What a step's time
-key fixes (``_LatticeOperators.key``, 0 for time-independent coefficients)
-is made once per key and kept for that key alone by ``_per_key``.
+key fixes, the coefficient arrays of each lattice included, is made once
+per key and kept for that key alone by ``_LatticeOperators._per_key``.
 
 The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
@@ -155,54 +157,19 @@ class Trajectory:
         return traj
 
 
-class SchemeSampler:
-    """The one reading of a scheme on a grid: its coefficient arrays, L^h
-    and M^{h,rho} per time index.  Time-independent schemes are sampled
-    once, under the time key 0, and reused for every step.
-    """
+def _time_key(coefficients, i: int) -> int:
+    """The time key of step i for a scheme or a problem: 0, which every step
+    shares, where the coefficients are time-independent."""
+    return 0 if coefficients.time_independent else i
 
-    def __init__(self, scheme: DifferenceScheme, grid: TorusGrid):
-        self.scheme = scheme
-        self.grid = grid
-        self._cache = {}
 
-    def key(self, i: int) -> int:
-        """The time key of step i: 0 for a time-independent scheme."""
-        return 0 if self.scheme.time_independent else i
-
-    def arrays(self, i: int) -> dict:
-        key = self.key(i)
-        got = self._cache.get(key)
-        if got is None:
-            x = self.grid.coordinates
-            s = self.scheme
-            got = {
-                "a": {k: ev(key, x) * np.ones(self.grid.shape)
-                      for k, ev in s.a.items()},
-                "b": {k: ev(key, x) * np.ones(self.grid.shape)
-                      for k, ev in s.b.items()},
-                "p": {k: ev(key, x) * np.ones(self.grid.shape)
-                      for k, ev in s.p.items()},
-                "q": {k: ev(key, x) * np.ones(self.grid.shape)
-                      for k, ev in s.q.items()},
-            }
-            if not self.scheme.time_independent:
-                self._cache.clear()  # keep at most the current step
-            self._cache[key] = got
-        return got
-
-    def L_terms(self, i: int) -> list:
-        """L^h at step i as expansion terms (:func:`_expansion_terms`)."""
-        return _expansion_terms(self.arrays(i), self.grid.h, self.grid.dim)
-
-    def M_terms(self, i: int) -> list:
-        """M^{h,rho} at step i, per driver: the expansion terms of b^{lam
-        rho} times the centred difference along lam (:func:`_centred`), in
-        b's order."""
-        M = [[] for _ in range(self.scheme.d1)]
-        for (lam, rho), b in self.arrays(i)["b"].items():
-            M[rho - 1] += _centred(b, lam, self.grid.h)
-        return M
+def _scheme_arrays(scheme: DifferenceScheme, grid: TorusGrid, i: int) -> dict:
+    """The scheme's coefficient arrays on ``grid`` at the time key of step
+    i, which :func:`_L_terms` and :func:`_M_terms` expand."""
+    key, x = _time_key(scheme, i), grid.coordinates
+    return {kind: {k: ev(key, x) * np.ones(grid.shape)
+                   for k, ev in getattr(scheme, kind).items()}
+            for kind in "abpq"}
 
 
 def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
@@ -216,7 +183,7 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
     the one-sided differences.
     """
     grid = phi.grid
-    L = _assemble(SchemeSampler(scheme, grid).L_terms(i), grid.shape)
+    L = _assemble(_L_terms(_scheme_arrays(scheme, grid, i), grid), grid.shape)
     return GridField(grid, (L @ phi.values.ravel()).reshape(grid.shape))
 
 
@@ -228,14 +195,15 @@ def _centred(coef, vec: tuple, h: float) -> list:
     return [(coef / (2 * h), vec), (-coef / (2 * h), tuple(-c for c in vec))]
 
 
-def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
-    """Expand L into pointwise-weighted shifts: L phi(x) = sum w(x) phi(x+h*v).
+def _L_terms(arrays: dict, grid: TorusGrid) -> list:
+    """Expand L^h, of the coefficient ``arrays`` on ``grid``, into
+    pointwise-weighted shifts: L phi(x) = sum w(x) phi(x+h*v).
 
     Returns (weight_array, displacement) pairs, the one description of L^h:
     :func:`_assemble` turns them into its sparse matrix and
     :func:`_circulant_symbol` into the symbol of its mean-weight circulant.
     """
-    origin = tuple([0] * dim)
+    h, origin = grid.h, (0,) * grid.dim
     terms = []
     for (lam, mu), coef in arrays["a"].items():
         if not (any(lam) and any(mu)):
@@ -253,6 +221,15 @@ def _expansion_terms(arrays: dict, h: float, dim: int) -> list:
         terms.append((coef / h, tuple(-c for c in lam)))
         terms.append((-coef / h, origin))
     return terms
+
+
+def _M_terms(arrays: dict, grid: TorusGrid, d1: int) -> list:
+    """M^{h,rho} of ``arrays`` per driver 1..d1: the expansion terms of
+    b^{lam rho} times the centred difference along lam, in b's order."""
+    M = [[] for _ in range(d1)]
+    for (lam, rho), b in arrays["b"].items():
+        M[rho - 1] += _centred(b, lam, grid.h)
+    return M
 
 
 def _assemble(terms: list, shape: tuple, tau: float | None = None):
@@ -366,24 +343,24 @@ class ImplicitOperator:
     :class:`FiniteDifferenceOperators`, which makes every sparse LU solve.
 
     The operator is assembled once as a sparse matrix from the expansion
-    terms of L^h; that matrix, ``matrix``, is the forward action and the
-    matrix-vector product of GMRES.  GMRES solves one column at a time,
-    preconditioned by the FFT inverse of the circulant with the mean
-    weights (T. Chan's circulant preconditioner) and started from zero;
-    with constant coefficients the preconditioner is the exact inverse and
-    one iteration reaches the solution.  A solution must pass
-    ``|b - A x| <= ITERATIVE_RTOL |b|``, else the solve fails with
-    :class:`SolveFailure`.
+    terms of L^h (``terms``, else read here); that matrix, ``matrix``, is
+    the forward action and the matrix-vector product of GMRES.  GMRES
+    solves one column at a time, preconditioned by the FFT inverse of the
+    circulant with the mean weights (T. Chan's circulant preconditioner)
+    and started from zero; with constant coefficients the preconditioner
+    is the exact inverse and one iteration reaches the solution.  A
+    solution must pass ``|b - A x| <= ITERATIVE_RTOL |b|``, else the solve
+    fails with :class:`SolveFailure`.
     """
 
-    def __init__(self, scheme, grid, tau, i, sampler: SchemeSampler | None = None):
+    def __init__(self, scheme, grid, tau, i, terms: list | None = None):
         import scipy.sparse.linalg as spla
         if tau < 0:
             raise SolveFailure("tau must be nonnegative")
         self.grid = grid
         self.i = i
-        self.sampler = sampler or SchemeSampler(scheme, grid)
-        terms = self.sampler.L_terms(i)
+        if terms is None:
+            terms = _L_terms(_scheme_arrays(scheme, grid, i), grid)
         self.matrix = _assemble(terms, grid.shape, float(tau))
         n = grid.npoints
         symbol = _circulant_symbol(terms, grid.shape, float(tau))
@@ -673,16 +650,16 @@ class _LatticeOperators:
     real values in that form by the family's ``_transform``, a zero one as
     None, ``apply_M_values`` checks the driver of M^rho, and ``_finish``
     ends every solve, in the words ``_what[r]`` of each rung r; ``key`` is
-    a step's time key, and ``_per_key`` keeps what it fixes.  Each family
-    supplies ``_transform``, ``states`` (the real states), ``_apply_M`` and
+    a step's time key, and ``_per_key`` keeps what it fixes, such as a
+    rung's coefficient arrays (``_arrays``).  Each family supplies
+    ``_transform``, ``states`` (the real states), ``_apply_M`` and
     ``solve_values``.  ``exact`` counts the rungs on top that march the
     continuous operators (see :class:`SpectralOperators`).
     """
 
-    exact = 0
-
-    def __init__(self, problem, grids: list, tau: float, scheme, shapes: list):
-        self.problem, self.scheme = problem, scheme
+    def __init__(self, problem, grids: list, tau: float, scheme, shapes: list,
+                 exact: int = 0):
+        self.problem, self.scheme, self.exact = problem, scheme, exact
         self.d1 = (scheme or problem).d1
         self.grids, self.tau = list(grids), float(tau)
         self._shapes = shapes                # each rung's state, unpacked
@@ -690,10 +667,12 @@ class _LatticeOperators:
         self.shape = (int(starts[-1]),)
         self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
         self._store = {}                     # name -> (time key, product)
+        self._what = (["factorized solve"] * (len(self.grids) - exact)
+                      + ["spectral solve"] * exact)
 
     def key(self, i: int) -> int:
-        """The time key of step i: 0 for time-independent coefficients."""
-        return 0 if (self.scheme or self.problem).time_independent else i
+        """The time key of step i (:func:`_time_key`)."""
+        return _time_key(self.scheme or self.problem, i)
 
     def _per_key(self, name, i: int, make):
         """``make(i)``, made once per time key of step i, kept for that key
@@ -702,6 +681,11 @@ class _LatticeOperators:
         if held is None or held[0] != key:
             held = self._store[name] = (key, make(i))
         return held[1]
+
+    def _arrays(self, r: int, i: int) -> dict:
+        """The scheme's coefficient arrays on rung r at step i, from the store."""
+        return self._per_key(("arrays", r), i, lambda i: _scheme_arrays(
+            self.scheme, self.grids[r], i))
 
     def _views(self, v: np.ndarray) -> list:
         """Each rung's ``state shape + v.shape[1:]`` view of the packed rows
@@ -789,15 +773,10 @@ class SpectralOperators(_LatticeOperators):
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
                  scheme: DifferenceScheme | None = None, exact: list = ()):
-        lattices = [] if scheme is None else list(grids)
-        grids = list(grids) + list(exact)
-        super().__init__(problem, grids, tau, scheme, [
-            g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in grids])
-        self.exact = len(grids) - len(lattices)
-        self._samplers = ([SchemeSampler(scheme, g) for g in lattices]
-                          + [None] * self.exact)
-        self._what = ["spectral solve" if s is None else "factorized solve"
-                      for s in self._samplers]
+        rungs = list(grids) + list(exact)
+        super().__init__(problem, rungs, tau, scheme, [
+            g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in rungs],
+            len(rungs) if scheme is None else len(exact))
 
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
@@ -810,15 +789,14 @@ class SpectralOperators(_LatticeOperators):
 
     def symbols(self, i: int) -> list:
         """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
-        key = self.key(i)
-        return [self._continuous(g, key) if sampler is None
-                else self._lattice(sampler, i)
-                for g, sampler in zip(self.grids, self._samplers)]
+        key, lattices = self.key(i), len(self.grids) - self.exact
+        return [self._lattice(r, i) if r < lattices else self._continuous(g, key)
+                for r, g in enumerate(self.grids)]
 
-    @staticmethod
-    def _lattice(sampler: SchemeSampler, i: int) -> tuple:
-        symbols = [np.conj(np.fft.fftn(_kernel(terms, sampler.grid.shape)))
-                   for terms in [sampler.L_terms(i)] + sampler.M_terms(i)]
+    def _lattice(self, r: int, i: int) -> tuple:
+        arrays, grid = self._arrays(r, i), self.grids[r]
+        symbols = [np.conj(np.fft.fftn(_kernel(terms, grid.shape))) for terms
+                   in [_L_terms(arrays, grid)] + _M_terms(arrays, grid, self.d1)]
         return symbols[0], symbols[1:]
 
     def _continuous(self, grid: TorusGrid, key: int) -> tuple:
@@ -892,8 +870,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
     A rung's state is its real ``grid.shape`` values (:meth:`states` gives
     the rungs' views), and M^{h,rho} acts on each rung's rows as one CSR
     product.  The per-key store (``_per_key``) holds, for the current time
-    key, every rung's M^{h,rho} matrices, assembled from ``M_terms``, and
-    each GMRES rung's :class:`ImplicitOperator`.
+    key, each rung's coefficient arrays, its M^{h,rho} matrices (from
+    :func:`_M_terms`) and each GMRES rung's :class:`ImplicitOperator`.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side.  A
@@ -919,8 +897,6 @@ class FiniteDifferenceOperators(_LatticeOperators):
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
                  scheme: DifferenceScheme, mode: str = "auto"):
         super().__init__(problem, grids, tau, scheme, [g.shape for g in grids])
-        self._what = ["factorized solve"] * len(self.grids)
-        self.samplers = [SchemeSampler(self.scheme, g) for g in self.grids]
         modes = [_solver_mode(mode, g) for g in self.grids]
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
         self._gmres = [r for r, m in enumerate(modes) if m == "iterative"]
@@ -939,8 +915,9 @@ class FiniteDifferenceOperators(_LatticeOperators):
 
     def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         matrices = self._per_key("M", i, lambda i: [
-            [_assemble(terms, s.grid.shape) for terms in s.M_terms(i)]
-            for s in self.samplers])
+            [_assemble(terms, g.shape)
+             for terms in _M_terms(self._arrays(r, i), g, self.d1)]
+            for r, g in enumerate(self.grids)])
         return np.concatenate([M[rho - 1] @ values[rows]
                                for M, rows in zip(matrices, self._rows)])
 
@@ -959,8 +936,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
         key = self.key(i)
         if self._lu_key == (key, live):
             return {}
-        matrices = {r: _assemble(self.samplers[r].L_terms(i), self.grids[r].shape,
-                                 self.tau).tocsc() for r in live}
+        matrices = {r: _assemble(_L_terms(self._arrays(r, i), self.grids[r]),
+                                 self.grids[r].shape, self.tau).tocsc() for r in live}
         self._lu, broken = None, {}
         while matrices and self._lu is None:
             try:
@@ -1007,7 +984,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
     def _iterative(self, r: int, i: int) -> ImplicitOperator:
         """The GMRES operator of rung r at step i."""
         return self._per_key(("gmres", r), i, lambda i: ImplicitOperator(
-            self.scheme, self.grids[r], self.tau, i, sampler=self.samplers[r]))
+            self.scheme, self.grids[r], self.tau, i,
+            terms=_L_terms(self._arrays(r, i), self.grids[r])))
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in

@@ -22,9 +22,10 @@ from spdefd.problems import (
 from spdefd.stepper import (
     FiniteDifferenceOperators,
     Marcher,
-    SchemeSampler,
     SpectralOperators,
     _assemble,
+    _L_terms,
+    _scheme_arrays,
     increment_columns,
     lattice_operators,
     run_space_time_scheme,
@@ -95,7 +96,7 @@ def test_symbols_are_the_eigenvalues_of_the_lattice_operators(shapes, columns):
         return lattice.states(parts[0] + 1j * parts[1])
 
     for r, (g, (symL, symM)) in enumerate(zip(grids, symbols)):
-        A = _assemble(SchemeSampler(scheme, g).L_terms(0), g.shape, tau)
+        A = _assemble(_L_terms(_scheme_arrays(scheme, g, 0), g), g.shape, tau)
         j = np.indices(g.shape)
         for k in np.ndindex(g.shape):
             phi = np.exp(2j * np.pi * sum(kk * jj / N for kk, jj, N

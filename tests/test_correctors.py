@@ -10,6 +10,7 @@ from spdefd.correctors import (
     ResolutionError,
     _corrector_forcing,
     _Multipliers,
+    _read_arrays,
     _spectra,
     _top_mode_fractions,
     corrector_operator_L,
@@ -31,7 +32,6 @@ from spdefd.problems import (
 from spdefd.richardson import estimate_order
 from spdefd.stepper import (
     FiniteDifferenceOperators,
-    SchemeSampler,
     SolveFailure,
     SpectralOperators,
     increment_columns,
@@ -551,6 +551,29 @@ class TestCorrectorSystemBits:
 
     @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
                                            build_scheme_example2])
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_arrays_read_once_per_time_key(self, scheme_of, time_dependent,
+                                           monkeypatch):
+        # n = 64 in four blocks.  Time-dependent: keys 0..64, each read once,
+        # the key a block shares with the one before included (one read per
+        # key per block would allow 65 + 3; a read per operator call made
+        # 320 and 512).  Time-independent: key 0, once per system.
+        import spdefd.correctors as correctors
+        reads, read = [], correctors._scheme_arrays
+
+        def counted(scheme, grid, i):
+            reads.append(i)
+            return read(scheme, grid, i)
+
+        monkeypatch.setattr(correctors, "_scheme_arrays", counted)
+        p = time_dependent_problem() if time_dependent else make_problem(
+            "stoch-transport", beta=0.3, extra_diffusion=0.05)
+        run_corrector_system(3, p, scheme_of(p), make_torus_grid(1, [1.0], [128]),
+                             64, sample_increments(64, 1, p.T / 64, 7))
+        assert sorted(reads) == (list(range(65)) if time_dependent else [0])
+
+    @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
+                                           build_scheme_example2])
     def test_block_call_matches_single_fields(self, scheme_of):
         # every row of a block gets the bits of the one-field call
         p = time_dependent_problem()
@@ -563,13 +586,13 @@ class TestCorrectorSystemBits:
         block = _spectra(g, stack)
         for j in range(4):
             got = corrector_operator_L(j, scheme, block, steps,
-                                       SchemeSampler(scheme, g))
+                                       _read_arrays(scheme, g, steps))
             for r, i in enumerate(steps):
                 one = corrector_operator_L(j, scheme, _spectra(g, stack[r:r + 1]),
                                            [i])
                 assert got[r].tobytes() == one[0].tobytes()
             got = corrector_operator_M(j, 1, scheme, block, steps,
-                                       SchemeSampler(scheme, g))
+                                       _read_arrays(scheme, g, steps))
             for r, i in enumerate(steps):
                 one = corrector_operator_M(j, 1, scheme,
                                            _spectra(g, stack[r:r + 1]), [i])
@@ -817,8 +840,8 @@ def _forcing(p, args, kwargs):
     cs = run_corrector_system(*args, **kwargs)
     multipliers = _Multipliers(grid)
     spectra = [_spectra(grid, cs[j].values, multipliers) for j in range(p)]
-    return _corrector_forcing(p, scheme, SchemeSampler(scheme, grid), spectra,
-                              range(1, n + 1),
+    return _corrector_forcing(p, scheme, _read_arrays(scheme, grid, range(n + 1)),
+                              spectra, range(1, n + 1),
                               increment_columns(problem, n, [increments])[..., 0])
 
 
@@ -877,7 +900,7 @@ def _record_reads(monkeypatch):
     for name in ("corrector_operator_L", "corrector_operator_M"):
         def recording(j, *args, _original=getattr(correctors, name),
                       _name=name[-1]):
-            # L: (scheme, der, steps, sampler), M: (rho, scheme, der, ...)
+            # L: (scheme, der, steps, arrays), M: (rho, scheme, der, ...)
             der, steps = args[-3:-1]
             reads.append((_name, j, steps, bool(der.values.any())))
             return _original(j, *args)
@@ -992,15 +1015,15 @@ class TestSharedMultipliers:
         stack = np.stack([np.cos(2 * np.pi * x[..., 0]) * (1 + 0.1 * i)
                           + 0.3 * np.sin(2 * np.pi * x[..., -1] / g.periods[-1] + i)
                           for i in steps])
-        sampler, shared = SchemeSampler(scheme, g), _Multipliers(g)
+        arrays, shared = _read_arrays(scheme, g, steps), _Multipliers(g)
         for _ in range(2):
             for j in range(4):
                 for operator, lead in ((corrector_operator_L, ()),
                                        (corrector_operator_M, (1,))):
                     got = operator(j, *lead, scheme, _spectra(g, stack, shared),
-                                   steps, sampler)
+                                   steps, arrays)
                     want = operator(j, *lead, scheme, _spectra(g, stack), steps,
-                                    SchemeSampler(scheme, g))
+                                    _read_arrays(scheme, g, steps))
                     assert got.tobytes() == want.tobytes()
 
 
@@ -1013,4 +1036,14 @@ class TestResidualTimeGrid:
         cs = run_corrector_system(0, make_problem("heat1d", T=0.25), s,
                                   make_torus_grid(1, [1.0], [64]), 8)
         with pytest.raises(ValueError, match="step size"):
+            expansion_residual(vh, cs)
+
+    def test_rejects_other_torus(self):
+        # 32 points on a period-3 torus refine the shape of 8 on a period-1
+        # one by 4, but h * 4 = 3/8 is not the trajectory's 1/8
+        p = make_problem("heat1d")
+        s = build_scheme_example1(p)
+        vh = run_space_time_scheme(p, s, make_torus_grid(1, [1.0], [8]), 4)
+        cs = run_corrector_system(0, p, s, make_torus_grid(1, [3.0], [32]), 4)
+        with pytest.raises(ValueError, match="by one factor on its torus"):
             expansion_residual(vh, cs)

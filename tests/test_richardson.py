@@ -131,6 +131,30 @@ class TestRichardsonCombine:
         with pytest.raises(ExtrapolationError):
             richardson_combine([a, b], vandermonde_weights(1, 4))
 
+    # the fine rung's h is the coarse one's, not half of it
+    OTHER_TORUS = r"h 0\.125; expected \(16,\), h 0\.0625"
+
+    @staticmethod
+    def _two_tori():
+        # 8 points on a period-1 torus and 16 on a period-2 one: the shapes
+        # of a ladder's rungs, but one mesh width
+        rungs = []
+        for period, points in ((1.0, 8), (2.0, 16)):
+            g = make_torus_grid(1, [period], [points])
+            rungs.append(Trajectory(grid=g, tau=0.5, values=np.stack(
+                [np.full(g.shape, 1.0 + i) for i in range(3)])))
+        assert rungs[0].grid.h == rungs[1].grid.h
+        return rungs
+
+    def test_rejects_rungs_on_other_tori(self):
+        with pytest.raises(ExtrapolationError, match=self.OTHER_TORUS):
+            richardson_combine(self._two_tori(), vandermonde_weights(1, 4))
+
+    def test_derivative_rejects_rungs_on_other_tori(self):
+        with pytest.raises(ExtrapolationError, match=self.OTHER_TORUS):
+            extrapolate_derivative(self._two_tori(), [(1,)],
+                                   vandermonde_weights(1, 4))
+
     def test_linearity(self):
         rng = np.random.default_rng(0)
         vals = {}

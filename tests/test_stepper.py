@@ -339,10 +339,11 @@ class TestIterativeSolve:
     """GMRES preconditioned by the FFT inverse of the mean-weight circulant."""
 
     def test_circulant_symbol_is_the_matrix_eigenvalue(self):
-        from spdefd.stepper import SchemeSampler, _circulant_symbol
+        from spdefd.stepper import _circulant_symbol, _L_terms, _scheme_arrays
         g = make_torus_grid(2, [1.0, 1.5], [8, 12])
         s, tau = cross_scheme_2d(), 0.01
-        symbol = _circulant_symbol(SchemeSampler(s, g).L_terms(0), g.shape, tau)
+        symbol = _circulant_symbol(_L_terms(_scheme_arrays(s, g, 0), g), g.shape,
+                                   tau)
         A = ImplicitOperator(s, g, tau, 0).matrix
         j1, j2 = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
         for k in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 4), (7, 6)]:
@@ -424,7 +425,8 @@ class TestIterativeSolve:
         x = ops.solve_values(rhs.reshape(g.npoints, 1), 0, failures)
         assert not failures[0] and sorted(calls) == ["A", "A", "M", "M"]
         n = g.npoints
-        symbol = stepper._circulant_symbol(op.sampler.L_terms(0), g.shape, tau)
+        symbol = stepper._circulant_symbol(
+            stepper._L_terms(stepper._scheme_arrays(s, g, 0), g), g.shape, tau)
         M = spla.LinearOperator((n, n), dtype=float, matvec=functools.partial(
             circulant, symbol, g.shape))
         plain, _ = spla.gmres(spla.aslinearoperator(op.matrix), rhs.ravel(),
@@ -1160,7 +1162,9 @@ class TestFreeTerms:
 class TestPerKeyStore:
     """The lattice operators build each per-key product once per time key
     and keep it for the current key alone: a time-independent march builds
-    each once, a time-dependent one each time the requested key changes."""
+    each once, a time-dependent one each time the requested key changes.
+    The scheme's coefficient arrays are one such product, read once per
+    key: the other products of a key share them."""
 
     N = 4
 
@@ -1183,6 +1187,10 @@ class TestPerKeyStore:
         "direct": ({"M": 1}, {"M": 4}),
         "iterative": ({"M": 1, "gmres": 1}, {"M": 4, "gmres": 4}),
     }
+    # reads of the scheme's coefficient arrays, time-independent and
+    # time-dependent (keys 0..4); the continuous symbols read no scheme
+    READS = {"continuous": (0, 0), "lattice": (1, 5), "direct": (1, 5),
+             "iterative": (1, 5)}
 
     @pytest.mark.parametrize("family", sorted(BUILDS))
     @pytest.mark.parametrize("time_dependent", [False, True])
@@ -1196,7 +1204,8 @@ class TestPerKeyStore:
         ops = self.operators(family, p)
         builds = {"symbols": 0, "M": 0, "gmres": 0}
         symbols, assemble = SpectralOperators.symbols, stepper._assemble
-        init = ImplicitOperator.__init__
+        init, read = ImplicitOperator.__init__, stepper._scheme_arrays
+        reads = []
 
         def counting_symbols(self, i):
             builds["symbols"] += 1
@@ -1210,9 +1219,14 @@ class TestPerKeyStore:
             builds["gmres"] += 1
             init(self, *args, **kwargs)
 
+        def counting_read(scheme, grid, i):
+            reads.append(i)
+            return read(scheme, grid, i)
+
         monkeypatch.setattr(SpectralOperators, "symbols", counting_symbols)
         monkeypatch.setattr(stepper, "_assemble", counting_assemble)
         monkeypatch.setattr(ImplicitOperator, "__init__", counting_init)
+        monkeypatch.setattr(stepper, "_scheme_arrays", counting_read)
         xi = increment_columns(p, self.N, [sample_increments(self.N, 1,
                                                              p.T / self.N, 3)])
         marcher = Marcher(xi, ops)
@@ -1221,6 +1235,8 @@ class TestPerKeyStore:
         want = {"symbols": 0, "M": 0, "gmres": 0}
         want.update(self.BUILDS[family][time_dependent])
         assert builds == want
+        assert len(reads) == self.READS[family][time_dependent]
+        assert len(set(map(ops.key, reads))) == len(reads)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
