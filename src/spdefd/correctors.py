@@ -35,7 +35,10 @@ time indices and return one array per row; each derivative term is one
 ``np.fft.ifftn`` of the block times its rows' coefficient arrays, and each
 Fourier multiplier is built once per system (:class:`_Multipliers`).  The
 scheme's coefficient arrays are read once per time key of a block, and not
-again where the block before read that key (:func:`_read_arrays`).
+again where the block before read that key (:func:`_read_arrays`); a
+block's rows get them stacked once for its steps and once for the indices
+before them (:func:`_coefficients`), and every operator call of the block
+shares those.
 
 A block with no nonzero entry costs nothing: no FFT, zero energy
 fractions, and no operator reads it, since every term made from it is +0.0,
@@ -227,9 +230,10 @@ def _read_arrays(scheme: DifferenceScheme, grid: TorusGrid, steps,
 def _coefficients(scheme: DifferenceScheme, grid: TorusGrid, steps,
                   arrays: dict | None = None) -> dict:
     """The scheme's coefficient arrays on ``grid`` at the time indices
-    ``steps``: those of their one time key where they share it, else each
-    stacked to ``(len(steps),) + grid.shape``.  ``arrays`` holds them by
-    time key (:func:`_read_arrays`); a key it lacks is read here."""
+    ``steps``, as the expansion operators take them: those of their one
+    time key where they share it, else each stacked to ``(len(steps),) +
+    grid.shape``.  ``arrays`` holds them by time key
+    (:func:`_read_arrays`); a key it lacks is read here."""
     at = list(_read_arrays(scheme, grid, steps, arrays).values())
     if len(at) == 1:
         return at[0]
@@ -249,12 +253,13 @@ def _add_centred(out: np.ndarray, der: _Spectra, p: int, vec, coef) -> None:
 
 
 def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
-                         steps, arrays: dict | None = None) -> np.ndarray:
+                         steps, coefficients: dict | None = None) -> np.ndarray:
     """p-th h-derivative of the discrete operator L^h at h = 0, applied with
     spectral accuracy to each row of the block ``der`` (from
     :func:`_spectra`), whose time indices ``steps`` lists; one array per row.
-    ``arrays`` holds the scheme's coefficient arrays on ``der.grid`` by time
-    key (:func:`_read_arrays`), and they are read here if not given.
+    ``coefficients`` holds the scheme's coefficient arrays on ``der.grid``
+    at ``steps`` (:func:`_coefficients`), and they are read here if not
+    given.
 
     Every row is checked for resolution first.  p = 0 is the first case of
     the general formula: with A_{0,0} = B_0 = 1 it is the continuous
@@ -263,7 +268,7 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
-    coefficients = _coefficients(scheme, der.grid, steps, arrays)
+    coefficients = coefficients or _coefficients(scheme, der.grid, steps)
     der.check_resolution()
     out = np.zeros(der.values.shape)
     B_p, _ = expansion_constants(p, 0)
@@ -287,12 +292,12 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
 
 def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
                          der: _Spectra, steps,
-                         arrays: dict | None = None) -> np.ndarray:
+                         coefficients: dict | None = None) -> np.ndarray:
     """p-th h-derivative of M^{h,rho} at h = 0; identically zero for odd p.
 
-    ``der``, ``steps`` and ``arrays`` are a block of rows, their time
-    indices and the coefficient arrays, as for :func:`corrector_operator_L`;
-    one array per row.
+    ``der``, ``steps`` and ``coefficients`` are a block of rows, their time
+    indices and the coefficient arrays there, as for
+    :func:`corrector_operator_L`; one array per row.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
@@ -302,7 +307,7 @@ def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
     B_p, _ = expansion_constants(p, 0)
     if B_p == 0.0:
         return out
-    coefficients = _coefficients(scheme, der.grid, steps, arrays)
+    coefficients = coefficients or _coefficients(scheme, der.grid, steps)
     der.check_resolution()
     for (lam, r), coef in coefficients["b"].items():
         if r == rho:
@@ -333,7 +338,7 @@ def minimum_resolution(k: int) -> int:
     return 8 * (3 * k + 2)
 
 
-def _corrector_forcing(p: int, scheme: DifferenceScheme, arrays: dict,
+def _corrector_forcing(p: int, scheme: DifferenceScheme, coefficients: list,
                        spectra: list, steps: range, xi: np.ndarray) -> tuple:
     """The ``(f, g)`` that stand in for the free terms of corrector p in
     :meth:`Marcher.advance` at the steps i in ``steps``, row by row:
@@ -343,9 +348,9 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, arrays: dict,
 
     (M_j vanishes for odd j; the terms are added to M^rho v one by one).
     ``spectra`` holds the blocks of v^(0..p-1) at the indices
-    ``steps.start - 1 .. steps.stop - 1``, ``arrays`` the scheme's
-    coefficient arrays at their time keys (:func:`_read_arrays`), ``xi``
-    the ``(n, d1)`` increments.
+    ``steps.start - 1 .. steps.stop - 1``, ``coefficients`` the scheme's
+    coefficient arrays at ``steps`` and at the indices before them
+    (:func:`_coefficients`), ``xi`` the ``(n, d1)`` increments.
 
     Every term of a block with no nonzero entry is +0.0, so no operator
     reads such a block: its L terms add nothing to f, and its M terms are
@@ -357,7 +362,7 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, arrays: dict,
     for j in range(1, p + 1):
         if spectra[p - j].hat is not None:
             f += math.comb(p, j) * corrector_operator_L(
-                j, scheme, spectra[p - j].rows(now), steps, arrays)
+                j, scheme, spectra[p - j].rows(now), steps, coefficients[0])
     g = []
     for rho in range(1, xi.shape[1] + 1):
         if not xi[prev.start:prev.stop, rho - 1].any():
@@ -365,7 +370,8 @@ def _corrector_forcing(p: int, scheme: DifferenceScheme, arrays: dict,
             continue
         g.append([np.zeros(f.shape) if spectra[p - j].hat is None
                   else math.comb(p, j) * corrector_operator_M(
-                      j, rho, scheme, spectra[p - j].rows(before), prev, arrays)
+                      j, rho, scheme, spectra[p - j].rows(before), prev,
+                      coefficients[1])
                   for j in range(2, p + 1, 2)])
     for values in (f, *(part for parts in g for part in parts)):
         _require_finite(values)
@@ -429,14 +435,16 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
         if k:       # the forcing reads the indices steps.start - 1 .. stop - 1
             arrays = _read_arrays(scheme, refgrid,
                                   range(steps.start - 1, steps.stop), arrays)
+            coefficients = [_coefficients(scheme, refgrid, rows, arrays) for rows
+                            in (steps, range(steps.start - 1, steps.stop - 1))]
         spectra = []
         for p, marcher in enumerate(marchers):
             forcing = None
             if p:
                 spectra.append(_spectra(refgrid, values[p - 1][
                     steps.start - 1:steps.stop], multipliers))
-                forcing = _corrector_forcing(p, scheme, arrays, spectra, steps,
-                                             xi[..., 0])
+                forcing = _corrector_forcing(p, scheme, coefficients, spectra,
+                                             steps, xi[..., 0])
                 if marcher is None:
                     continue
             states = marcher.march(len(block), forcing)[0][..., 0]

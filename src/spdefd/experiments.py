@@ -32,30 +32,31 @@ Keys are case-insensitive; the horizon may be written ``T`` or ``t``.
 study steps all its seeds together in one thread.
 
 Each seed's Wiener increments are sampled once and drive every rung and the
-study's target.  All seeds of all rungs march as one packed state, and the
-ladder (and then a target that marches apart) march one block of
-``stepper.BLOCK_ROWS`` time indices at a time, each block's real states read
-in one :meth:`stepper.Marcher.march` call.  The errors of every column are
-reduced per block into running per-seed maxima, so no rung trajectory is
-stored; each norm has the bits of measuring its index alone, so the block
-size changes no output.  Every study measures through that one path: each
-rung's candidate is its extrapolation sum_j beta_j v^{h/2^j}, at level 0
-(beta = (1), the plain scheme) for ``converge`` and ``correctors``.  The
-target, a function of the block that gives its weighted terms per rung,
-is all that tells the studies apart: the reference time-scheme solution
-for ``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!)
-v^(m) of the corrector system for ``correctors``.  The reference is exact
-per Fourier mode on constant coefficients (spectral), on the ladder's top
-lattice: one more rung of the ladder's own march where the ladder steps in
-Fourier space, a march apart where it does not.  Otherwise (fine-grid) it
-is the ladder's own, one more rung on top and one level of extrapolation
-above the study's in the scheme's own base, so its error is of higher
-order than the rungs' (at the conditioning guard's level, 12, it keeps
-that level a rung higher).  Errors are measured pathwise, as max over time
-of the sup over grid points; squared errors are averaged over the seed set
-before order fitting, so the reported quantity realizes the expected
-squared sup norm.  A study fits its order or fails: a ladder with fewer than two errors
-above 1e-14 fits none and raises :class:`richardson.ExtrapolationError`.
+study's target.  All seeds of all rungs march as one packed state, one
+block of ``stepper.BLOCK_ROWS`` time indices at a time, each block's real
+states read in one :meth:`stepper.Marcher.march` call; no target marches
+alongside the ladder.  The errors of every column are reduced per block
+into running per-seed maxima, so no rung trajectory is stored; each norm
+has the bits of measuring its index alone, so the block size changes no
+output.  Every study measures through that one path: each rung's
+candidate is its extrapolation sum_j beta_j v^{h/2^j}, at level 0 (beta =
+(1), the plain scheme) for ``converge`` and ``correctors``.  The target,
+a function of the block that gives its weighted terms per rung, is all
+that tells the studies apart: the reference time-scheme solution for
+``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!) v^(m)
+of the corrector system for ``correctors``.  The reference is exact per
+Fourier mode on constant coefficients (spectral), on the ladder's top
+lattice: one more rung of the ladder's own march, which steps in Fourier
+space.  Otherwise (fine-grid) it is the ladder's own, one more rung on
+top and one level of extrapolation above the study's in the scheme's own
+base, so its error is of higher order than the rungs' (at the
+conditioning guard's level, 12, it keeps that level a rung higher).
+Errors are measured pathwise, as max over time of the sup over grid
+points; squared errors are averaged over the seed set before order
+fitting, so the reported quantity realizes the expected squared sup
+norm.  A study fits its order or fails: a ladder with fewer than two
+errors above 1e-14 fits none and raises
+:class:`richardson.ExtrapolationError`.
 
 Outputs: ``report.csv`` with columns (h, sup_error, l2h_error,
 pairwise_order, ls_order, expected_order, pass); one ``rung_<points>.csv``
@@ -104,7 +105,6 @@ from .stepper import (
     _blocks,
     increment_columns,
     lattice_operators,
-    reference_marcher,
     run_space_time_scheme,  # unused: perfbench/check_bench.py reads it here
 )
 from .wiener import sample_increments
@@ -462,26 +462,21 @@ class ExperimentResult:
         return (not self.failed) and self.report is not None and self.report.passed
 
 
-def _reference_target(problem, rungs: int):
+def _reference_target(rungs: int):
     """A convergence study's spectral target, the reference time scheme's
-    solution on the ladder's top lattice, on the measured rungs: on a
-    circulant ladder its exact rung, the march's last
-    (``marcher.operators.exact``), and otherwise a
-    :func:`stepper.reference_marcher` of its own, which marches each block
-    as the target reads it.  A block's states are restricted onto the
-    finest measured rung, ``rungs - 1``, once, and every coarser rung reads
-    a strided view of that; the failure record is the reference's."""
+    solution on the ladder's top lattice, on the measured rungs: the
+    ladder's exact rung, the march's last (``marcher.operators.exact``).  A
+    block's states are restricted onto the finest measured rung, ``rungs -
+    1``, once, and every coarser rung reads a strided view of that; the
+    failure record is the exact rung's."""
     def make(grids, marcher, _) -> tuple:
         finest = grids[rungs - 1]
-        apart = None if marcher.operators.exact else reference_marcher(
-            problem, grids[-1], marcher.xi)
 
         def terms(block: range, states: list) -> list:
-            top = states[-1] if apart is None else apart.march(len(block))[0]
-            top = np.ascontiguousarray(_restricted(top, grids[-1], finest))
+            top = np.ascontiguousarray(_restricted(states[-1], grids[-1], finest))
             return [[_restricted(top, finest, grid)] for grid in grids[:rungs]]
 
-        return terms, (apart or marcher).failures[-1]
+        return terms, marcher.failures[-1]
 
     return make
 
@@ -538,44 +533,45 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
     The ladder holds the measured rungs, their extrapolation partners and
     ``target_rungs`` more on top, which only the target reads.  With
-    ``exact``, a ladder that steps in Fourier space also carries the exact
-    reference time scheme on its top lattice, one more rung at the end of
-    the march (``marcher.operators.exact`` is then 1), which is not the
-    ladder's either.  ``make_target(grids, marcher, increments)`` gives the
-    target and its failure record, keyed by column.  The target is a
-    function of a block of time indices, the next ones, and of the ladder's
-    states there: it gives, per measured rung, the weighted expansion terms
-    (h^m/m!) v^(m) there on the rung's grid, each ``grid.shape + (rows,
-    S)``, from the ladder's states or from a march of its own over the
-    block.
+    ``exact``, the ladder also carries the exact reference time scheme on
+    its top lattice, one more rung at the end of the march
+    (``marcher.operators.exact`` is then 1), which is not the ladder's
+    either; only a ladder that steps in Fourier space can carry it.
+    ``make_target(grids, marcher, increments)`` gives the target and its
+    failure record, keyed by column.  The target is a function of a block
+    of time indices, the next ones, and of the ladder's states there: it
+    gives, per measured rung, the weighted expansion terms (h^m/m!) v^(m)
+    there on the rung's grid, each ``grid.shape + (rows, S)``, from the
+    ladder's states or from what it made when it was built.
 
     The rungs march as one packed state under one :class:`Marcher`, on the
     operators :func:`stepper.lattice_operators` chooses: a 1-d circulant
     ladder steps pointwise in Fourier space, any other one makes one block
     LU solve (GMRES rungs solve apart); every rung has the bits of its run
-    alone.  The ladder and then a target that marches apart march one
-    block of indices at a time (:meth:`Marcher.march`), and the block is
-    measured: each rung's candidate, its extrapolation by ``weights``
-    (partners restricted when read; level 0, beta = (1), is the rung
-    itself, every bit kept), less the target's terms
-    (:func:`correctors._remainder`) goes through one :func:`grids._norms`
-    call whose rows are the (index, path) pairs, so every norm has the bits
-    of measuring its index alone.  The block maxima are folded into running
-    per-seed maxima.  Every column is measured: a failed one is zeroed in
-    place, so it stays finite, and its seed's rows are never reported.
+    alone.  The ladder marches one block of indices at a time
+    (:meth:`Marcher.march`), and the block is measured: each rung's
+    candidate, its extrapolation by ``weights`` (partners restricted when
+    read; level 0, beta = (1), is the rung itself, every bit kept), less
+    the target's terms (:func:`correctors._remainder`) goes through one
+    :func:`grids._norms` call whose rows are the (index, path) pairs, so
+    every norm has the bits of measuring its index alone.  The block
+    maxima are folded into running per-seed maxima.  Every column is
+    measured: a failed one is zeroed in place, so it stays finite, and its
+    seed's rows are never reported.
 
     The marcher's failure record holds a dict per rung: a rung's failure
     fails that seed on that rung alone, whose column is zeroed; a rung only
     the target reads, the exact one too, fails the target.  The ladder
     marches on to find the first failing (seed, mesh) pair in seed-major
-    order, which is reported; a target with a marcher of its own marches
-    the rest of the block in which a rung first failed, and then stops.
-    Target failures are reported only when every rung succeeded, after the
-    rows of the seeds before the failing one, and a failure the target
-    raises while it is built as itself.  A spectral target on variable
-    coefficients, and a corrector target the reference grid cannot
-    resolve, are configuration errors; a ladder whose errors fit no order raises the
-    :class:`richardson.ExtrapolationError` of :func:`estimate_order`.
+    order, which is reported.  Target failures are reported only when
+    every rung succeeded, after the rows of the seeds before the failing
+    one, and a failure the target raises while it is built as itself.  An
+    exact rung asked of a ladder that does not step in Fourier space (a
+    spectral reference on variable coefficients), refused before the
+    ladder takes a step, and a corrector target the reference grid cannot
+    resolve, are configuration errors; a ladder whose errors fit no order
+    raises the :class:`richardson.ExtrapolationError` of
+    :func:`estimate_order`.
     """
     grids = ladder_grids(spec, problem, extra=weights.level + target_rungs)
     tau = problem.T / spec.n
@@ -587,8 +583,6 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     increments = [sample_increments(spec.n, problem.d1, tau, seed)
                   for seed in paths]
     xi = increment_columns(problem, spec.n, increments)
-    marcher = Marcher(xi, lattice_operators(problem, grids, tau, scheme,
-                                            "auto", grids[-1:] if exact else ()))
 
     sup, l2h = np.zeros((2, spec.rungs, len(paths)))
     rung_points = [spec.points0 * 2 ** j for j in range(spec.rungs)]
@@ -599,8 +593,10 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                                 rung_points=rung_points, per_rung_errors=per_rung,
                                 failed=True, failure=message)
 
-    ladder = marcher.failures[:len(grids) - target_rungs]
     try:
+        marcher = Marcher(xi, lattice_operators(
+            problem, grids, tau, scheme, "auto", grids[-1:] if exact else ()))
+        ladder = marcher.failures[:len(grids) - target_rungs]
         target, target_failures = make_target(grids, marcher, increments)
         for block in _blocks(spec.n):
             # once a rung failed, the study reports that failure: the rungs
@@ -686,7 +682,7 @@ def run_convergence_experiment(spec: ExperimentSpec,
                                     4 if scheme.is_symmetric else 2)
         make_target, target_rungs = _extrapolated_target(above, spec.rungs), 1
     else:
-        make_target, target_rungs = _reference_target(problem, spec.rungs), 0
+        make_target, target_rungs = _reference_target(spec.rungs), 0
 
     result = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
                            spec.expected_order, make_target, target_rungs,

@@ -187,7 +187,9 @@ def build_scheme_example2(problem: DifferentialProblem) -> DifferenceScheme:
 
     The cross coefficients a^{0,al} + a^{al,0} are carried by the nonnegative
     pair (p, q) via their positive/negative parts, so p - q reproduces the sum
-    while both factors stay >= 0 pointwise.
+    while both factors stay >= 0 pointwise.  Where both cross coefficients
+    are plain numbers, so are p and q (a missing one counts as 0.0): the
+    scheme's operators are then circulants, as example1's are.
     """
     d = problem.d
     a = {}
@@ -201,6 +203,11 @@ def build_scheme_example2(problem: DifferentialProblem) -> DifferenceScheme:
         if (0, al) not in problem.a and (al, 0) not in problem.a:
             continue
         lam = _unit(d, al)
+        terms = [problem.a.get(key, _Constant(0.0)) for key in ((0, al), (al, 0))]
+        if all(isinstance(ev, _Constant) for ev in terms):
+            c = terms[0].value + terms[1].value
+            p[lam], q[lam] = _Constant(max(0.0, c)), _Constant(max(0.0, -c))
+            continue
 
         def cross(i, x, _al=al):
             return problem.a_at(0, _al, i, x) + problem.a_at(_al, 0, i, x)

@@ -54,7 +54,8 @@ The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
 operators, when the coefficients are constant in space, or by the centred
 scheme on a finer lattice otherwise; a convergence study marches only the
-first, and takes a fine-grid reference from its own ladder by
+first, as one more rung of its ladder (``lattice_operators(...,
+exact=...)``), and takes a fine-grid reference from its own ladder by
 extrapolation (``experiments``).  Its states are read on a coarser grid by
 ``grids._restricted`` from the marcher's lattice ``operators.grids[0]``,
 which gives the factor, as a marcher's operators give its problem.  A
@@ -108,7 +109,8 @@ class SolveFailure(RuntimeError):
 
 
 class SpectralModeError(ValueError):
-    """Spectral reference mode requires spatially constant coefficients."""
+    """Spectral reference mode requires spatially constant coefficients, and
+    a study's exact rung a circulant ladder."""
 
 
 @dataclass
@@ -1028,8 +1030,10 @@ def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
     rungs march on their lattice symbols (:class:`SpectralOperators`), with
     the lattices ``exact`` on top as rungs of the continuous symbols;
     otherwise on :class:`FiniteDifferenceOperators` in ``mode``, each rung
-    with the solver :func:`_solver_mode` reads off it, and with no rung of
-    ``exact``.  ``operators.exact`` tells which it was."""
+    with the solver :func:`_solver_mode` reads off it.  Only a circulant
+    ladder carries ``exact``: asked for on any other, it raises
+    :class:`SpectralModeError`, naming a coefficient of the problem that
+    varies in space where there is one."""
     _solver_mode(mode, grids[0])
     scheme = build_scheme_example1(problem) if scheme is None else scheme
     if mode != "iterative" and all(g.dim == 1 for g in grids) and all(
@@ -1037,6 +1041,10 @@ def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
                                                     scheme.p, scheme.q)
             for ev in terms.values()):
         return SpectralOperators(problem, grids, tau, scheme, exact)
+    if exact:   # name a coefficient that varies in space, if one does
+        SpectralOperators(problem, exact, tau).symbols(1)
+        raise SpectralModeError("only a circulant ladder carries an exact "
+                                "rung; use the fine-grid mode instead")
     return FiniteDifferenceOperators(problem, grids, tau, scheme, mode)
 
 
@@ -1047,9 +1055,8 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
                       xi: np.ndarray, mode: str = "spectral-const-coef",
                       refine: int = 3) -> Marcher:
     """Marcher of the reference time scheme for ``grid``: that of
-    :func:`run_reference_time_scheme` and of the corrector system, and the
-    spectral one of a convergence study whose ladder is not a circulant.
-    On a circulant ladder the study's spectral reference rides on the
+    :func:`run_reference_time_scheme` and of the corrector system.  A
+    convergence study marches none: its spectral reference rides on the
     ladder's own march (``lattice_operators(..., exact=...)``), and its
     fine-grid reference is extrapolated from the ladder.
 

@@ -56,6 +56,11 @@ CONFIGS = {
     "stoch-transport.ini": STOCH_TRANSPORT,
     "correctors-k3.ini": STOCH_TRANSPORT + "[correctors]\nk = 3\n",
     "heat1d.ini": "[problem]\nname = heat1d\n[time]\nn = 8\n[run]\nout = out\n",
+    # example2's one-sided terms of constant cross coefficients
+    "drift1d-example2.ini": "[problem]\nname = drift1d\n[scheme]\n"
+                            "constructor = example2\n[time]\nn = 16\n"
+                            "[space]\npoints0 = 8\nrungs = 3\n[reference]\n"
+                            "mode = spectral\n[run]\nout = out\n",
     "unknown.ini": "[problem]\nname = nope\n",
     "var-coef1d.ini": "[problem]\nname = var-coef1d\n[time]\nn = 8\n"
                       "[space]\npoints0 = 8\nrungs = 2\n[run]\nout = out\n",
@@ -81,10 +86,12 @@ def run(tmp_path: Path, mode: str, argv: list) -> tuple:
 @pytest.mark.parametrize("argv, code", [
     ([], 0),
     (["accelerate", "--config", "stoch-transport.ini"], 0),
+    (["accelerate", "--config", "drift1d-example2.ini"], 0),
     (["correctors", "--config", "correctors-k3.ini"], 0),
     (["solve", "--config", "heat1d.ini"], 0),
     (["converge", "--config", "unknown.ini"], 3),
-], ids=["import", "accelerate-spectral", "correctors-k3", "solve-heat1d",
+], ids=["import", "accelerate-spectral", "accelerate-drift1d-example2",
+        "correctors-k3", "solve-heat1d",
         "config-error"])
 def test_runs_without_scipy(tmp_path, argv, code):
     blocked = run(tmp_path, "blocked", argv)

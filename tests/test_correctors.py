@@ -8,9 +8,9 @@ import scipy.sparse.linalg as spla
 from spdefd.correctors import (
     CorrectorSet,
     ResolutionError,
+    _coefficients,
     _corrector_forcing,
     _Multipliers,
-    _read_arrays,
     _spectra,
     _top_mode_fractions,
     corrector_operator_L,
@@ -572,6 +572,33 @@ class TestCorrectorSystemBits:
                              64, sample_increments(64, 1, p.T / 64, 7))
         assert sorted(reads) == (list(range(65)) if time_dependent else [0])
 
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_rows_stacked_once_per_block(self, time_dependent, monkeypatch):
+        # k = 3, n = 64 in four blocks, example2: each block's coefficient
+        # arrays are stacked once for its steps and once for the indices
+        # before them, 8 stacks where every operator call stacking its own
+        # made 32 (the time-dependent drift lets every order live); none is
+        # made where the scheme is time-independent
+        import spdefd.correctors as correctors
+        calls, coefficients = [], correctors._coefficients
+
+        def counted(scheme, grid, steps, arrays=None):
+            made = coefficients(scheme, grid, steps, arrays)
+            calls.append((steps, made["a"][((1,), (1,))].shape))
+            return made
+
+        monkeypatch.setattr(correctors, "_coefficients", counted)
+        p = time_dependent_problem() if time_dependent else make_problem(
+            "stoch-transport", beta=0.3, extra_diffusion=0.05)
+        run_corrector_system(3, p, build_scheme_example2(p),
+                             make_torus_grid(1, [1.0], [128]), 64,
+                             sample_increments(64, 1, p.T / 64, 7))
+        # each block's steps, then the indices before them
+        rows = [range(start, start + 16) for first in (1, 17, 33, 49)
+                for start in (first, first - 1)]
+        assert calls == [(r, (len(r), 128) if time_dependent else (128,))
+                         for r in rows]
+
     @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
                                            build_scheme_example2])
     def test_block_call_matches_single_fields(self, scheme_of):
@@ -586,13 +613,13 @@ class TestCorrectorSystemBits:
         block = _spectra(g, stack)
         for j in range(4):
             got = corrector_operator_L(j, scheme, block, steps,
-                                       _read_arrays(scheme, g, steps))
+                                       _coefficients(scheme, g, steps))
             for r, i in enumerate(steps):
                 one = corrector_operator_L(j, scheme, _spectra(g, stack[r:r + 1]),
                                            [i])
                 assert got[r].tobytes() == one[0].tobytes()
             got = corrector_operator_M(j, 1, scheme, block, steps,
-                                       _read_arrays(scheme, g, steps))
+                                       _coefficients(scheme, g, steps))
             for r, i in enumerate(steps):
                 one = corrector_operator_M(j, 1, scheme,
                                            _spectra(g, stack[r:r + 1]), [i])
@@ -840,8 +867,9 @@ def _forcing(p, args, kwargs):
     cs = run_corrector_system(*args, **kwargs)
     multipliers = _Multipliers(grid)
     spectra = [_spectra(grid, cs[j].values, multipliers) for j in range(p)]
-    return _corrector_forcing(p, scheme, _read_arrays(scheme, grid, range(n + 1)),
-                              spectra, range(1, n + 1),
+    coefficients = [_coefficients(scheme, grid, range(1, n + 1)),
+                    _coefficients(scheme, grid, range(n))]
+    return _corrector_forcing(p, scheme, coefficients, spectra, range(1, n + 1),
                               increment_columns(problem, n, [increments])[..., 0])
 
 
@@ -1015,15 +1043,16 @@ class TestSharedMultipliers:
         stack = np.stack([np.cos(2 * np.pi * x[..., 0]) * (1 + 0.1 * i)
                           + 0.3 * np.sin(2 * np.pi * x[..., -1] / g.periods[-1] + i)
                           for i in steps])
-        arrays, shared = _read_arrays(scheme, g, steps), _Multipliers(g)
+        coefficients = _coefficients(scheme, g, steps)
+        shared = _Multipliers(g)
         for _ in range(2):
             for j in range(4):
                 for operator, lead in ((corrector_operator_L, ()),
                                        (corrector_operator_M, (1,))):
                     got = operator(j, *lead, scheme, _spectra(g, stack, shared),
-                                   steps, arrays)
+                                   steps, coefficients)
                     want = operator(j, *lead, scheme, _spectra(g, stack), steps,
-                                    _read_arrays(scheme, g, steps))
+                                    _coefficients(scheme, g, steps))
                     assert got.tobytes() == want.tobytes()
 
 

@@ -26,6 +26,7 @@ from spdefd.experiments import (
 )
 from spdefd.grids import make_torus_grid
 from spdefd.problems import (
+    PROBLEM_LIBRARY,
     DifferentialProblem,
     build_scheme_example1,
     build_scheme_example2,
@@ -811,10 +812,10 @@ class TestLadderReference:
     @pytest.mark.parametrize("accelerate", [False, True])
     def test_one_ladder_and_no_reference_marcher(self, accelerate,
                                                  monkeypatch):
-        from spdefd import experiments
+        from spdefd import experiments, stepper
         ladders, references, exact = [], [], []
         lattice_operators = experiments.lattice_operators
-        reference_marcher = experiments.reference_marcher
+        reference_marcher = stepper.reference_marcher
 
         def recording_lattice(problem, grids, *args):
             ladders.append([g.shape[0] for g in grids])
@@ -827,8 +828,8 @@ class TestLadderReference:
             return reference_marcher(*args)
 
         monkeypatch.setattr(experiments, "lattice_operators", recording_lattice)
-        monkeypatch.setattr(experiments, "reference_marcher",
-                            recording_reference)
+        monkeypatch.setattr(stepper, "reference_marcher", recording_reference)
+        assert not hasattr(experiments, "reference_marcher")
         for level in (1, 2):
             spec = replace(self.STOCH_FINE, level=level)
             run_convergence_experiment(spec, accelerate=accelerate)
@@ -904,17 +905,18 @@ class TestLadderReference:
 
 
 class TestExactRung:
-    """A spectral study whose ladder steps in Fourier space marches its
-    reference as one more rung of the ladder's march; a ladder that does
-    not, marches it apart."""
+    """A spectral study marches its reference as one more rung of the
+    ladder's march, which steps in Fourier space; experiments imports no
+    reference_marcher."""
 
     @staticmethod
     def _record(monkeypatch):
         """The operators of every Marcher built, and the arguments of every
-        reference_marcher call the studies make."""
-        from spdefd import experiments
+        reference_marcher call made through the stepper module."""
+        from spdefd import experiments, stepper
+        assert not hasattr(experiments, "reference_marcher")
         operators, references = [], []
-        init, reference_marcher = Marcher.__init__, experiments.reference_marcher
+        init, reference_marcher = Marcher.__init__, stepper.reference_marcher
 
         def recording(self, xi, ops, zero_start=False):
             operators.append(ops)
@@ -925,8 +927,7 @@ class TestExactRung:
             return reference_marcher(*args, **kwargs)
 
         monkeypatch.setattr(Marcher, "__init__", recording)
-        monkeypatch.setattr(experiments, "reference_marcher",
-                            recording_reference)
+        monkeypatch.setattr(stepper, "reference_marcher", recording_reference)
         return operators, references
 
     def test_spectral_accelerate_study_marches_once(self, monkeypatch):
@@ -958,19 +959,36 @@ class TestExactRung:
         assert steps == list(range(1, 17))
 
     def test_drift_example2_marches_its_reference_apart(self, monkeypatch):
-        # example2's p and q are plain functions, so its ladder goes to
-        # sparse LU and carries no exact rung
+        # example2's p and q of constant cross terms are plain numbers, so
+        # its one-sided ladder is circulant and carries the exact rung: no
+        # reference marches apart
         operators, references = self._record(monkeypatch)
         spec = ExperimentSpec(problem="drift1d", scheme="example2", n=8,
                               points0=8, rungs=2, level=1, base="2",
                               reference_mode="spectral", seeds=(1, 2))
         result = _accelerate(spec)
         assert not result.failed
-        assert len(references) == 1
+        assert references == []
         assert [(type(ops), [g.npoints for g in ops.grids], ops.exact)
                 for ops in operators] == [
-            (FiniteDifferenceOperators, [8, 16, 32], 0),
-            (SpectralOperators, [32], 1)]
+            (SpectralOperators, [8, 16, 32, 32], 1)]
+
+    @pytest.mark.parametrize("scheme", ["example1", "example2"])
+    @pytest.mark.parametrize("problem", sorted(
+        name for name, make in PROBLEM_LIBRARY.items()
+        if make().constant_coefficients))
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_every_constant_problem_marches_once(self, problem, scheme,
+                                                 accelerate, monkeypatch):
+        operators, references = self._record(monkeypatch)
+        spec = ExperimentSpec(problem=problem, scheme=scheme, n=8, points0=8,
+                              rungs=2, level=1, base="2",
+                              reference_mode="spectral", seeds=(1, 2))
+        run_convergence_experiment(spec, accelerate=accelerate)
+        top = 32 if accelerate else 16
+        assert references == []
+        assert [(type(ops), [g.npoints for g in ops.grids][-2:], ops.exact)
+                for ops in operators] == [(SpectralOperators, [top, top], 1)]
 
 
 class TestBlockSize:
@@ -1035,6 +1053,17 @@ def _time_dependent_problem():
         time_independent=False)
 
 
+def _callable_cross_problem():
+    """Time-independent, a cross coefficient that is a callable and
+    changes sign, so example2's p and q are callables too and the ladder
+    factors by sparse LU."""
+    return DifferentialProblem(
+        d=1, d1=1, T=0.5,
+        a={(1, 1): 0.1,
+           (0, 1): lambda i, x: 0.1 + 0.3 * np.sin(2 * np.pi * x[..., 0] / 0.75)},
+        b={(1, 1): 0.2}, u0=lambda x: np.cos(2 * np.pi * x[..., 0] / 0.75))
+
+
 def _two_noise_problem():
     return DifferentialProblem(
         d=2, d1=2, T=0.25,
@@ -1057,6 +1086,10 @@ class TestLadder:
             build_scheme_example1, 1, 16, 3, (1, 2, 3)),
         "1d-example2-S1": (lambda: make_problem("drift1d", chi=0.4),
                            build_scheme_example2, 1, 8, 3, (7,)),
+        # example2's p and q callables: the block LU of a one-sided,
+        # time-independent 1-d ladder
+        "1d-example2-callable-cross": (_callable_cross_problem,
+                                       build_scheme_example2, 1, 8, 3, (7, 8)),
         "1d-time-dependent-example2": (_time_dependent_problem,
                                        build_scheme_example2, 1, 8, 3, (4, 5)),
         "2d-two-noises-example1": (_two_noise_problem,

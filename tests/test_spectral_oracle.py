@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spdefd.correctors import (
-    _read_arrays,
+    _coefficients,
     _spectra,
     corrector_operator_L,
     corrector_operator_M,
@@ -118,13 +118,13 @@ def corrector_forcing(p, scheme, cs, problem):
     from the lower-order trajectories of ``cs`` through the package's
     expansion operators, each applied to a whole trajectory at once."""
     grid, steps = cs.grid, range(cs.n + 1)
-    arrays = _read_arrays(scheme, grid, steps)
+    coefficients = _coefficients(scheme, grid, steps)
     blocks = [_spectra(grid, cs[j].values) for j in range(p)]
     zero = np.zeros((cs.n + 1,) + grid.shape)
     f = zero + sum(math.comb(p, j) * corrector_operator_L(
-        j, scheme, blocks[p - j], steps, arrays) for j in range(1, p + 1))
+        j, scheme, blocks[p - j], steps, coefficients) for j in range(1, p + 1))
     g = [zero + sum(math.comb(p, j) * corrector_operator_M(
-        j, rho, scheme, blocks[p - j], steps, arrays)
+        j, rho, scheme, blocks[p - j], steps, coefficients)
         for j in range(2, p + 1, 2)) for rho in range(1, problem.d1 + 1)]
     return lambda i: (f[i], [part[i - 1] for part in g])
 

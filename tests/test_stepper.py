@@ -917,6 +917,44 @@ class TestBatchedMarcher:
         for rung, trajectories in zip(states, alone):
             assert_columns_match(np.moveaxis(rung, -2, 0), trajectories)
 
+    def test_exact_rung_needs_a_circulant_ladder(self):
+        # a ladder that does not step in Fourier space carries no exact
+        # rung: it names the coefficient that varies in space, if any
+        grids = [make_torus_grid(1, [1.0], [N]) for N in (8, 16)]
+        p = make_problem("var-coef1d")
+        with pytest.raises(SpectralModeError, match=r"^a\[1,1\] varies in space"):
+            lattice_operators(p, grids, p.T / 4, exact=grids[-1:])
+        for p, mode in ((time_dependent_problem(), "auto"),
+                        (make_problem("heat1d"), "iterative")):
+            with pytest.raises(SpectralModeError, match="fine-grid mode"):
+                lattice_operators(p, grids, p.T / 4, mode=mode,
+                                  exact=grids[-1:])
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_one_sided_ladder_matches_sparse_lu(self, stochastic):
+        # example2's p and q of constant cross terms are plain numbers, so
+        # its ladder steps in Fourier space: within rounding of the block
+        # LU on the same ladder, at every index and on every column
+        n = 16
+        if stochastic:
+            p = DifferentialProblem(
+                d=1, d1=1, T=0.5, a={(1, 1): 0.1, (0, 1): 0.3, (1, 0): -0.05},
+                b={(1, 1): 0.2}, u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+                constant_coefficients=True)
+            paths = [sample_increments(n, 1, p.T / n, seed) for seed in (1, 2)]
+        else:
+            p, paths = make_problem("drift1d"), [None, None]
+        scheme = build_scheme_example2(p)
+        grids = [make_torus_grid(1, [1.0], [N]) for N in (16, 32)]
+        xi, tau = increment_columns(p, n, paths), p.T / n
+        fourier = lattice_operators(p, grids, tau, scheme)
+        assert isinstance(fourier, SpectralOperators)
+        lu = FiniteDifferenceOperators(p, grids, tau, scheme, "direct")
+        got, want = (Marcher(xi, ops).march(n + 1) for ops in (fourier, lu))
+        for g, w in zip(got, want):          # (points, index, column)
+            assert (np.max(np.abs(g - w), axis=0)
+                    <= 1e-12 * np.max(np.abs(w), axis=0)).all()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exact_rung_fails_in_its_own_words(self):
         p = make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05)
