@@ -16,9 +16,11 @@ extrapolating study with base 4 on a scheme with one-sided terms, an error
 writing the outputs, a study whose errors admit no order fit (a rung error
 of exactly 0, or fewer than two above 1e-14, as the rounding errors of an
 ``accelerate`` on an exactly solved problem are), a missing dependency
-(scipy, for a study that factors by sparse LU) and a study too large to
-allocate (a ``MemoryError``, as a huge ``refine`` raises) are config
-errors too, exit 3, each with one line on stderr; ``--help`` exits 0.
+(scipy, for a study that factors by sparse LU), problem data that is not
+finite on the coarsest grid, and a study too large to allocate (a
+lattice or a time axis beyond numpy's index range, refused before
+anything is allocated, or a ``MemoryError``) are config errors too,
+exit 3, each with one line on stderr; ``--help`` exits 0.
 """
 
 import argparse

@@ -44,13 +44,15 @@ candidate is its extrapolation sum_j beta_j v^{h/2^j}, at level 0 (beta =
 a function of the block that gives its weighted terms per rung, is all
 that tells the studies apart: the reference time-scheme solution for
 ``converge``/``accelerate``, and the expansion sum_{m<=k} (h^m/m!) v^(m)
-of the corrector system for ``correctors``.  The reference is exact per
-Fourier mode on constant coefficients (spectral), on the ladder's top
-lattice: one more rung of the ladder's own march, which steps in Fourier
-space.  Otherwise (fine-grid) it is the ladder's own, one more rung on
-top and one level of extrapolation above the study's in the scheme's own
-base, so its error is of higher order than the rungs' (at the
-conditioning guard's level, 12, it keeps that level a rung higher).
+of the corrector system for ``correctors``.  The reference has one form,
+the extrapolation of the march's top rungs.  On constant coefficients
+(spectral) it is level 0 over the exact rung: the reference time scheme,
+exact per Fourier mode, on the ladder's top lattice, one more rung of
+the ladder's own march, which steps in Fourier space.  Otherwise
+(fine-grid) it is over the ladder's own rungs, one more on top, one
+level of extrapolation above the study's in the scheme's own base, so
+its error is of higher order than the rungs' (at the conditioning
+guard's level, 12, it keeps that level a rung higher).
 Errors are measured pathwise, as max over time of the sup over grid
 points; squared errors are averaged over the seed set before order
 fitting, so the reported quantity realizes the expected squared sup
@@ -252,6 +254,9 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError(f"unknown output format {spec.format!r}")
     if spec.n < 1:
         raise ConfigError("need at least one time step")
+    if spec.n >= np.iinfo(np.intp).max:
+        raise ConfigError(f"[time] n: {spec.n} steps are more time indices "
+                          "than numpy can index")
     if not 0 < spec.period < math.inf:
         raise ConfigError("period must be positive and finite")
     if spec.points0 < 2:
@@ -368,35 +373,59 @@ def _named_problem(spec: ExperimentSpec) -> DifferentialProblem:
 
 def _check_periodic(problem: DifferentialProblem, grid) -> None:
     """u0 and every a, b, f and g evaluator (at index 0) on the points x of
-    ``grid`` and at x + period e_a, for every axis a, must agree to 1e-10
-    of their size, else the problem is not periodic on the torus and the
-    spec is a config error."""
+    ``grid`` and at x + period e_a, for every axis a, must be finite and
+    agree to 1e-10 of their size, else the problem is not periodic on the
+    torus and the spec is a config error."""
     data = {"u0": problem.u0, "f": functools.partial(problem.f, 0)}
     for kind in ("a", "b", "g"):
         for key, ev in getattr(problem, kind).items():
             data[f"{kind}[{key}]"] = functools.partial(ev, 0)
     x = grid.coordinates
-    for name, fn in data.items():
-        here = fn(x) * np.ones(grid.shape)
-        for axis, period in enumerate(grid.periods):
-            there = fn(x + period * np.eye(grid.dim)[axis]) * np.ones(grid.shape)
-            gap = float(np.max(np.abs(there - here)))
-            if gap > 1e-10 * max(1.0, np.max(np.abs(here)), np.max(np.abs(there))):
-                raise ConfigError(
-                    f"{name} is not periodic on the torus of [space] period "
-                    f"{period:g}: it moves by {gap:.3g} over one period along "
-                    f"x{axis + 1}")
+    # a value that is not finite is reported below, not warned about
+    with np.errstate(all="ignore"):
+        for name, fn in data.items():
+            here = fn(x) * np.ones(grid.shape)
+            for axis, period in enumerate(grid.periods):
+                there = fn(x + period * np.eye(grid.dim)[axis]) \
+                    * np.ones(grid.shape)
+                if not (np.isfinite(here).all() and np.isfinite(there).all()):
+                    raise ConfigError(
+                        f"{name} takes a value that is not finite on the torus "
+                        f"of [space] period {period:g}")
+                gap = float(np.max(np.abs(there - here)))
+                if gap > 1e-10 * max(1.0, np.max(np.abs(here)),
+                                     np.max(np.abs(there))):
+                    raise ConfigError(
+                        f"{name} is not periodic on the torus of [space] "
+                        f"period {period:g}: it moves by {gap:.3g} over one "
+                        f"period along x{axis + 1}")
+
+
+def _check_lattice(spec: ExperimentSpec, d: int, doublings: int,
+                   keys: str) -> None:
+    """``keys`` set the largest lattice a command builds from ``spec``,
+    ``points0 * 2**doublings`` points per axis in ``d`` dimensions: more
+    points than numpy can index is a config error, raised before anything
+    is allocated."""
+    limit = np.iinfo(np.intp).max
+    if doublings >= limit.bit_length() or \
+            (spec.points0 << doublings) ** d > limit:
+        raise ConfigError(f"{keys}: the largest lattice would have "
+                          f"({spec.points0} * 2**{doublings})**{d} points, "
+                          "more than numpy can index")
 
 
 def build_problem(spec: ExperimentSpec) -> DifferentialProblem:
-    """The spec's problem.  It must be periodic on the torus
-    (:func:`_check_periodic`) and degenerate parabolic (2a - bb^T positive
-    semidefinite) at the points of the coarsest ladder grid at time index
-    0, else the spec is a config error."""
+    """The spec's problem.  Its coarsest ladder grid must fit numpy's index
+    range (:func:`_check_lattice`), and the problem must be finite and
+    periodic on the torus (:func:`_check_periodic`) and degenerate
+    parabolic (2a - bb^T positive semidefinite) at the points of that grid
+    at time index 0, else the spec is a config error."""
     try:
         problem = _named_problem(spec)
     except ProblemError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_lattice(spec, problem.d, 0, "[space] points0")
     grid = ladder_grids(spec, problem)[0]
     _check_periodic(problem, grid)
     points = grid.coordinates.reshape(-1, problem.d)
@@ -462,35 +491,18 @@ class ExperimentResult:
         return (not self.failed) and self.report is not None and self.report.passed
 
 
-def _reference_target(rungs: int):
-    """A convergence study's spectral target, the reference time scheme's
-    solution on the ladder's top lattice, on the measured rungs: the
-    ladder's exact rung, the march's last (``marcher.operators.exact``).  A
-    block's states are restricted onto the finest measured rung, ``rungs -
-    1``, once, and every coarser rung reads a strided view of that; the
-    failure record is the exact rung's."""
-    def make(grids, marcher, _) -> tuple:
-        finest = grids[rungs - 1]
-
-        def terms(block: range, states: list) -> list:
-            top = np.ascontiguousarray(_restricted(states[-1], grids[-1], finest))
-            return [[_restricted(top, finest, grid)] for grid in grids[:rungs]]
-
-        return terms, marcher.failures[-1]
-
-    return make
-
-
 def _extrapolated_target(weights, rungs: int):
-    """A convergence study's fine-grid target, made from the ladder itself:
-    the extrapolation by ``weights`` of the ladder's top ``weights.level + 1``
-    rungs, the topmost of which only this target reads.  One level above
-    the study's, these are the finest measured rung, ``rungs - 1``, and its
-    partners; at the conditioning guard's level the reference keeps that
-    level and starts a rung higher.  It is read on rung ``rungs - 1``'s grid
-    and restricted onto each coarser rung; its failure record is the top
-    rung's."""
-    def make(grids, marcher, _) -> tuple:
+    """A convergence study's target, either reference's: the extrapolation
+    by ``weights`` of the march's top ``weights.level + 1`` lattices
+    (``marcher.operators.grids``), the topmost of which only this target
+    reads.  A spectral reference is level 0 (beta = (1)) over the exact
+    rung.  A fine-grid one is one level above the study's, over the finest
+    measured rung, ``rungs - 1``, its partners and one more ladder rung; at
+    the conditioning guard's level it keeps that level and starts a rung
+    higher.  It is read on rung ``rungs - 1``'s grid and restricted onto
+    each coarser rung; its failure record is the top rung's."""
+    def make(marcher, _) -> tuple:
+        grids = marcher.operators.grids
         finest, first = grids[rungs - 1], len(grids) - 1 - weights.level
 
         def terms(block: range, states: list) -> list:
@@ -527,18 +539,19 @@ def _replay_target(cs, grids: list) -> tuple:
 
 def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
                   weights, expected_order, make_target,
-                  target_rungs: int = 0, exact: bool = False) -> ExperimentResult:
+                  reference: str | None = None) -> ExperimentResult:
     """The rung loop of every study, the one path from a ladder to a
     fitted order.
 
-    The ladder holds the measured rungs, their extrapolation partners and
-    ``target_rungs`` more on top, which only the target reads.  With
-    ``exact``, the ladder also carries the exact reference time scheme on
-    its top lattice, one more rung at the end of the march
-    (``marcher.operators.exact`` is then 1), which is not the ladder's
-    either; only a ladder that steps in Fourier space can carry it.
-    ``make_target(grids, marcher, increments)`` gives the target and its
-    failure record, keyed by column.  The target is a function of a block
+    The ladder holds the measured rungs and their extrapolation partners,
+    and on top one more rung that only the target reads, by the
+    ``reference`` mode: with "fine-grid", one more ladder rung; with
+    "spectral-const-coef", the exact reference time scheme on the ladder's
+    top lattice (``marcher.operators.exact`` is then 1), which only a
+    ladder that steps in Fourier space can carry; with None, no rung.
+    ``make_target(marcher, increments)`` gives the target and its failure
+    record, keyed by column; the march's lattices are
+    ``marcher.operators.grids``.  The target is a function of a block
     of time indices, the next ones, and of the ladder's states there: it
     gives, per measured rung, the weighted expansion terms (h^m/m!) v^(m)
     there on the rung's grid, each ``grid.shape + (rows, S)``, from the
@@ -573,7 +586,8 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
     raises the :class:`richardson.ExtrapolationError` of
     :func:`estimate_order`.
     """
-    grids = ladder_grids(spec, problem, extra=weights.level + target_rungs)
+    grids = ladder_grids(spec, problem,
+                         extra=weights.level + (reference == "fine-grid"))
     tau = problem.T / spec.n
 
     # a deterministic problem has one path whatever the seeds: march it once
@@ -595,9 +609,10 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
     try:
         marcher = Marcher(xi, lattice_operators(
-            problem, grids, tau, scheme, "auto", grids[-1:] if exact else ()))
-        ladder = marcher.failures[:len(grids) - target_rungs]
-        target, target_failures = make_target(grids, marcher, increments)
+            problem, grids, tau, scheme, "auto",
+            grids[-1:] if reference == "spectral-const-coef" else ()))
+        ladder = marcher.failures[:spec.rungs + weights.level]
+        target, target_failures = make_target(marcher, increments)
         for block in _blocks(spec.n):
             # once a rung failed, the study reports that failure: the rungs
             # march on only to find the first failing pair, and not once
@@ -651,7 +666,10 @@ def _march_ladder(spec: ExperimentSpec, kind: str, problem, scheme, seeds,
 
 def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
     """The problem, scheme, weights of extrapolation ``level`` and reference
-    mode of a validated ``spec`` of two rungs or more, for a ``what`` study."""
+    mode of a validated ``spec`` of two rungs or more, for a ``what`` study,
+    whose top lattice must fit numpy's index range: the ladder's, one rung
+    higher for a fine-grid reference, or a corrector system's, its finest
+    rung refined 2**refine times (twice for a fine-grid v^(0))."""
     _validate_spec(spec)
     if spec.rungs < 2:
         raise ConfigError(f"{what} experiments need rungs >= 2")
@@ -661,7 +679,13 @@ def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
         weights = vandermonde_weights(level, _resolve_base(spec, scheme, level))
     except ExtrapolationError as exc:
         raise ConfigError(f"[extrapolation] {exc}") from exc
-    return problem, scheme, weights, _resolve_reference_mode(spec, problem)
+    ref_mode = _resolve_reference_mode(spec, problem)
+    fine = ref_mode == "fine-grid"
+    top, key = ((spec.refine * (1 + fine), "[reference] refine")
+                if what == "corrector" else (level + fine, "[extrapolation] level"))
+    _check_lattice(spec, problem.d, spec.rungs - 1 + top,
+                   f"[space] points0, [space] rungs and {key}")
+    return problem, scheme, weights, ref_mode
 
 
 def run_convergence_experiment(spec: ExperimentSpec,
@@ -669,24 +693,22 @@ def run_convergence_experiment(spec: ExperimentSpec,
     """Measure the convergence order of the plain scheme (extrapolation
     level 0) or the extrapolated one against the reference time-scheme
     solution on the finest measured rung, restricted to each rung (see
-    :func:`_march_ladder`): spectral, on the ladder's top lattice
-    (:func:`_reference_target`), or fine-grid, the ladder's own
-    (:func:`_extrapolated_target`)."""
+    :func:`_march_ladder`).  One target serves both references
+    (:func:`_extrapolated_target`): spectral, level 0 over the exact rung on
+    the ladder's top lattice, or fine-grid, the ladder's own top rungs one
+    level above the study's."""
     kind = "accelerate" if accelerate else "converge"
     problem, scheme, weights, ref_mode = _prepare(
         spec, "convergence", spec.level if accelerate else 0)
-    if ref_mode == "fine-grid":
-        # in the scheme's own base whatever the study's, so the reference
-        # is of higher order than every candidate
-        above = vandermonde_weights(min(weights.level + 1, MAX_LEVEL),
-                                    4 if scheme.is_symmetric else 2)
-        make_target, target_rungs = _extrapolated_target(above, spec.rungs), 1
-    else:
-        make_target, target_rungs = _reference_target(spec.rungs), 0
-
+    # the exact rung itself (level 0), or the ladder's own rungs one level
+    # above the study's, in the scheme's own base whatever the study's, so
+    # the reference is of higher order than every candidate
+    target = vandermonde_weights(
+        min(weights.level + 1, MAX_LEVEL) if ref_mode == "fine-grid" else 0,
+        4 if scheme.is_symmetric else 2)
     result = _march_ladder(spec, kind, problem, scheme, spec.seeds, weights,
-                           spec.expected_order, make_target, target_rungs,
-                           exact=ref_mode != "fine-grid")
+                           spec.expected_order,
+                           _extrapolated_target(target, spec.rungs), ref_mode)
     if not result.failed:
         result.extras["reference_mode"] = ref_mode
         if accelerate:
@@ -792,8 +814,9 @@ def run_corrector_experiment(spec: ExperimentSpec) -> ExperimentResult:
     problem, scheme, weights, ref_mode = _prepare(spec, "corrector", 0)
     cs = None
 
-    def expansion(grids, _, increments):
+    def expansion(marcher, increments):
         nonlocal cs
+        grids = marcher.operators.grids
         cs = run_corrector_system(
             spec.correctors_k, problem, scheme,
             grids[-1].refined(2 ** spec.refine), spec.n, increments[0],

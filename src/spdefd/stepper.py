@@ -53,8 +53,11 @@ per key and kept for that key alone by ``_LatticeOperators._per_key``.
 The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
 operators, when the coefficients are constant in space, or by the centred
-scheme on a finer lattice otherwise; a convergence study marches only the
-first, as one more rung of its ladder (``lattice_operators(...,
+scheme on a finer lattice otherwise.  The continuous symbols come only as
+exact rungs, on top of a ladder's lattice rungs
+(``SpectralOperators(..., exact=...)``; the reference is a ladder of one
+exact rung and none of a lattice): a convergence study marches its
+spectral reference as one more rung of its ladder (``lattice_operators(...,
 exact=...)``), and takes a fine-grid reference from its own ladder by
 extrapolation (``experiments``).  Its states are read on a coarser grid by
 ``grids._restricted`` from the marcher's lattice ``operators.grids[0]``,
@@ -655,14 +658,15 @@ class _LatticeOperators:
     a step's time key, and ``_per_key`` keeps what it fixes, such as a
     rung's coefficient arrays (``_arrays``).  Each family supplies
     ``_transform``, ``states`` (the real states), ``_apply_M`` and
-    ``solve_values``.  ``exact`` counts the rungs on top that march the
-    continuous operators (see :class:`SpectralOperators`).
+    ``solve_values``.  The scheme is required: ``d1`` and the time key are
+    its own.  ``exact`` counts the rungs on top that march the continuous
+    operators, which only :class:`SpectralOperators` has.
     """
 
     def __init__(self, problem, grids: list, tau: float, scheme, shapes: list,
                  exact: int = 0):
         self.problem, self.scheme, self.exact = problem, scheme, exact
-        self.d1 = (scheme or problem).d1
+        self.d1 = scheme.d1
         self.grids, self.tau = list(grids), float(tau)
         self._shapes = shapes                # each rung's state, unpacked
         starts = np.cumsum([0] + [math.prod(s) for s in shapes])
@@ -674,7 +678,7 @@ class _LatticeOperators:
 
     def key(self, i: int) -> int:
         """The time key of step i (:func:`_time_key`)."""
-        return _time_key(self.scheme or self.problem, i)
+        return _time_key(self.scheme, i)
 
     def _per_key(self, name, i: int, make):
         """``make(i)``, made once per time key of step i, kept for that key
@@ -747,19 +751,20 @@ class SpectralOperators(_LatticeOperators):
     space.  A rung's state is its ``rfftn`` half-spectrum, on which a step
     is pointwise.
 
-    A rung's symbols symL and symM_rho are those of the continuous L and
-    M^rho, the reference time scheme's (the coefficients must be constant
-    in space, checked), or the conjugate DFTs of the kernels of L^h and
-    M^{h,rho} of a scheme whose coefficients are plain numbers: ``I - tau
-    L^h`` is then a circulant, solved by its factorization into Fourier
-    modes.  The rungs of ``grids`` have the scheme's symbols, or without a
-    scheme the continuous ones (the reference and the corrector system);
-    the lattices ``exact`` follow them as rungs of the continuous symbols,
-    so that a study's reference rides on its ladder's march.  Every element
-    of the packed state goes through the operations of its rung's own
-    march, so each rung has that march's bits.  ``exact`` is then the
-    number of rungs on top with the continuous symbols, whose failures say
-    "spectral solve" where a scheme's rung says "factorized solve".
+    The scheme is required, as for :class:`FiniteDifferenceOperators`.  The
+    rungs of ``grids`` have its lattice symbols, the conjugate DFTs of the
+    kernels of L^h and M^{h,rho}: its coefficients are plain numbers, so
+    ``I - tau L^h`` is a circulant, solved by its factorization into
+    Fourier modes.  The lattices ``exact`` follow them as rungs of the
+    symbols symL and symM_rho of the continuous L and M^rho, the reference
+    time scheme's (the problem's coefficients must be constant in space,
+    checked), and only these have them: a study's reference rides on its
+    ladder's march as one such rung, and the reference of
+    :func:`reference_marcher` and the corrector system is a ladder of no
+    lattice rung and one exact one.  ``exact`` is the number of those rungs
+    on top, whose failures say "spectral solve" where a scheme's rung says
+    "factorized solve".  Every element of the packed state goes through the
+    operations of its rung's own march, so each rung has that march's bits.
     The solve multiplies by ``inv =
     H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
     ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
@@ -774,11 +779,10 @@ class SpectralOperators(_LatticeOperators):
     dtype = complex
 
     def __init__(self, problem: DifferentialProblem, grids: list, tau: float,
-                 scheme: DifferenceScheme | None = None, exact: list = ()):
+                 scheme: DifferenceScheme, exact: list = ()):
         rungs = list(grids) + list(exact)
         super().__init__(problem, rungs, tau, scheme, [
-            g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in rungs],
-            len(rungs) if scheme is None else len(exact))
+            g.shape[:-1] + (g.shape[-1] // 2 + 1,) for g in rungs], len(exact))
 
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
@@ -1042,7 +1046,7 @@ def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
             for ev in terms.values()):
         return SpectralOperators(problem, grids, tau, scheme, exact)
     if exact:   # name a coefficient that varies in space, if one does
-        SpectralOperators(problem, exact, tau).symbols(1)
+        SpectralOperators(problem, [], tau, scheme, exact).symbols(1)
         raise SpectralModeError("only a circulant ladder carries an exact "
                                 "rung; use the fine-grid mode instead")
     return FiniteDifferenceOperators(problem, grids, tau, scheme, mode)
@@ -1074,7 +1078,8 @@ def reference_marcher(problem: DifferentialProblem, grid: TorusGrid,
     if mode == "fine-grid":
         fine = grid.refined(2 ** refine)
         return Marcher(xi, lattice_operators(problem, [fine], tau))
-    return Marcher(xi, SpectralOperators(problem, [grid], tau))
+    return Marcher(xi, SpectralOperators(
+        problem, [], tau, build_scheme_example1(problem), [grid]))
 
 
 def run_reference_time_scheme(problem: DifferentialProblem, grid: TorusGrid,

@@ -845,6 +845,30 @@ class TestLadderReference:
         assert ladders == [[8 * 2 ** j for j in range(top)]]
         assert references == [] and exact == [0, 0, 1]
 
+    # sha256 prefixes of every output of three fine-grid accelerate
+    # studies: a stochastic one, a variable-coefficient one and one at the
+    # conditioning guard's level
+    FINE_GRID_PINS = {
+        "stoch-transport-level1": (STOCH_FINE, {
+            "report.csv": "3d629ee0eb99f734", "rung_8.csv": "b9dd6184b323706c",
+            "rung_16.csv": "a0a67580ccd79fd4", "rung_32.csv": "4da2ce9d4a03f0f2",
+            "plot.gp": "35424ff80390a227"}),
+        "var-coef1d-level1": (ExperimentSpec(
+            problem="var-coef1d", n=32, points0=8, rungs=3, level=1), {
+            "report.csv": "22c24c9d6bc9505b", "rung_8.csv": "f479b4690f987933",
+            "rung_16.csv": "f8e640a49198e581", "rung_32.csv": "3fe4d20c724e1c34",
+            "plot.gp": "8281ac109dc29152"}),
+        "stoch-transport-level12": (replace(
+            STOCH_FINE, n=2, points0=4, rungs=2, level=12, seeds=(1,)), {
+            "report.csv": "fc7bd186cfff2131", "rung_4.csv": "bce09dfcbf5c671a",
+            "rung_8.csv": "96716d48b182cfe8", "plot.gp": "ac47cd09da626fbb"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FINE_GRID_PINS))
+    def test_outputs_match_pinned_digests(self, name, tmp_path):
+        spec, digests = self.FINE_GRID_PINS[name]
+        assert _digests(emit_outputs(_accelerate(spec), tmp_path)) == digests
+
     @pytest.mark.parametrize("level", [0, 2])
     def test_base_two_on_a_centred_scheme_keeps_its_order(self, level):
         # the reference extrapolates in the scheme's base, 4: in base 2 an
@@ -1032,12 +1056,12 @@ class TestBlockSize:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def _zero_target(grids, marcher, _):
+def _zero_target(marcher, _):
     """A study target whose expansion is zero, so a rung's error at an
     index is its state, with the same bits."""
     return (lambda block, _: [[np.zeros(grid.shape + (len(block),
                                                       marcher.xi.shape[-1]))]
-                              for grid in grids]), {}
+                              for grid in marcher.operators.grids]), {}
 
 
 def _time_dependent_problem():
@@ -1513,6 +1537,46 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("out of memory: ") \
             and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, body, key", [
+        ("correctors", "[time]\nn = 8\n[space]\npoints0 = 8\nrungs = 2\n"
+         "[reference]\nrefine = 70\n", "[reference] refine"),
+        ("solve", "[time]\nn = 8\n[space]\npoints0 = 99999999999999999999\n",
+         "[space] points0"),
+        ("converge", "[time]\nn = 99999999999999999999\n[space]\npoints0 = 8\n"
+         "rungs = 2\n", "[time] n"),
+    ], ids=["refine", "points0", "n"])
+    def test_beyond_the_index_range_exit_three(self, tmp_path, capsys,
+                                                command, body, key):
+        # more lattice points or time indices than numpy can index: refused
+        # before anything is allocated, in words that name the key
+        cfg = write(tmp_path, "[problem]\nname = heat1d\n" + body
+                    + f"[run]\nout = {tmp_path / 'out'}\n")
+        assert main([command, "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") \
+            and key in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    # the check reads the values, so an overflow warns of nothing
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("problem, space, name, period", [
+        ("name = heat1d", "period = 1e308", "u0", "1e+308"),
+        ("name = stoch-transport\nbeta = 1e200", "", "a[(1, 1)]", "1"),
+    ], ids=["u0-of-a-huge-period", "a-that-overflows"])
+    def test_non_finite_problem_data_exit_three(self, tmp_path, capsys,
+                                                 problem, space, name, period):
+        # the coarsest grid's values of u0 (cos of an overflowed argument)
+        # or of a[(1, 1)] (0.5 beta^2 = inf) are not finite
+        cfg = write(tmp_path, f"[problem]\n{problem}\n[time]\nn = 8\n"
+                    f"[space]\nrungs = 2\n{space}\n"
+                    f"[run]\nout = {tmp_path / 'out'}\n")
+        for command in ("converge", "accelerate", "solve"):
+            assert main([command, "--config", str(cfg)]) == 3
+            assert capsys.readouterr().err == (
+                f"config error: {name} takes a value that is not finite on "
+                f"the torus of [space] period {period}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

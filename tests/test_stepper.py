@@ -993,7 +993,8 @@ class TestBatchedMarcher:
         real = (np.stack([F(i, x) * np.ones(g.shape) for i in range(1, n + 1)]),
                 [[np.stack([G(i - 1, x) * np.ones(g.shape)
                             for i in range(1, n + 1)])]])
-        for ops in (lambda p: SpectralOperators(p, [g], tau),
+        for ops in (lambda p: SpectralOperators(
+                        p, [], tau, build_scheme_example1(p), [g]),
                     lambda p: FiniteDifferenceOperators(
                         p, [g], tau, build_scheme_example1(p))):
             want = Marcher(xi, ops(forced))
@@ -1154,11 +1155,12 @@ class TestFreeTerms:
         g = make_torus_grid(1, [1.0], [16])
         paths = [sample_increments(self.N, 1, problem.T / self.N, seed)
                  for seed in (1, 2)]
-        args = (problem, [g], problem.T / self.N)
-        if operators is FiniteDifferenceOperators:     # it needs a scheme
-            args += (build_scheme_example1(problem),)
-        marcher = Marcher(increment_columns(problem, self.N, paths),
-                          operators(*args))
+        tau, scheme = problem.T / self.N, build_scheme_example1(problem)
+        # the continuous operators come as an exact rung on no lattice rung
+        ops = SpectralOperators(problem, [], tau, scheme, [g]) \
+            if operators is SpectralOperators \
+            else FiniteDifferenceOperators(problem, [g], tau, scheme)
+        marcher = Marcher(increment_columns(problem, self.N, paths), ops)
         return march_columns(marcher, self.N)
 
     @pytest.mark.parametrize("operators", [SpectralOperators,
@@ -1209,9 +1211,9 @@ class TestPerKeyStore:
     @staticmethod
     def operators(family, problem):
         g, tau = make_torus_grid(1, [1.0], [16]), problem.T / TestPerKeyStore.N
-        if family == "continuous":
-            return SpectralOperators(problem, [g], tau)
         scheme = build_scheme_example1(problem)
+        if family == "continuous":
+            return SpectralOperators(problem, [], tau, scheme, [g])
         if family == "lattice":
             return SpectralOperators(problem, [g], tau, scheme)
         return FiniteDifferenceOperators(problem, [g], tau, scheme, family)
