@@ -17,10 +17,11 @@ writing the outputs, a study whose errors admit no order fit (a rung error
 of exactly 0, or fewer than two above 1e-14, as the rounding errors of an
 ``accelerate`` on an exactly solved problem are), a missing dependency
 (scipy, for a study that factors by sparse LU), problem data that is not
-finite on the coarsest grid, and a study too large to allocate (a
-lattice or a time axis beyond numpy's index range, refused before
-anything is allocated, or a ``MemoryError``) are config errors too,
-exit 3, each with one line on stderr; ``--help`` exits 0.
+finite on the coarsest grid, and a command too large to allocate (a
+lattice or a time axis beyond numpy's index range, or a lower bound on
+what it must hold at once above the machine's physical memory, each
+refused before anything is allocated, or a ``MemoryError``) are config
+errors too, exit 3, each with one line on stderr; ``--help`` exits 0.
 """
 
 import argparse
@@ -33,6 +34,7 @@ from pathlib import Path
 from .correctors import export_corrector_set
 from .experiments import (
     ConfigError,
+    _check_memory,
     _parse_seeds,
     _validate_spec,
     build_problem,
@@ -100,6 +102,8 @@ def _cmd_solve(args) -> int:
     problem = build_problem(spec)
     scheme = build_scheme(spec, problem)
     grid = ladder_grids(spec, problem)[0]
+    _check_memory(8 * (spec.n + 1) * grid.npoints,
+                  "[space] points0 and [time] n")
     increments = sample_increments(spec.n, problem.d1, problem.T / spec.n,
                                    spec.seeds[0])
     traj = run_space_time_scheme(problem, scheme, grid, spec.n, increments)

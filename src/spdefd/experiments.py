@@ -71,6 +71,7 @@ import configparser
 import functools
 import io
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -101,6 +102,7 @@ from .richardson import (
     vandermonde_weights,
 )
 from .stepper import (
+    BLOCK_ROWS,
     Marcher,
     SolveFailure,
     SpectralModeError,
@@ -415,6 +417,29 @@ def _check_lattice(spec: ExperimentSpec, d: int, doublings: int,
                           "more than numpy can index")
 
 
+def _check_memory(nbytes: int, keys: str) -> None:
+    """``keys`` set ``nbytes``, a lower bound on the bytes a command must
+    hold at once: more than the machine's physical memory is a config
+    error, raised before anything is allocated.  A memory limit below the
+    physical memory (a cgroup's) is not read."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise ConfigError(f"{keys}: the command would hold at least "
+                          f"{nbytes / 2 ** 30:.4g} GiB at once, more than "
+                          f"the machine's {physical / 2 ** 30:.3g} GiB of "
+                          "memory")
+
+
+def _march_bytes(spec: ExperimentSpec, problem, rungs: int, paths: int) -> int:
+    """A lower bound on the bytes of a march of the ladder's first ``rungs``
+    rungs for ``paths`` Wiener paths: the state and the
+    :class:`stepper.Marcher`'s block of up to ``BLOCK_ROWS`` rows, 8 bytes
+    a value, and the increments."""
+    points = sum((spec.points0 << j) ** problem.d for j in range(rungs))
+    return 8 * paths * (points * (1 + min(BLOCK_ROWS, spec.n + 1))
+                        + spec.n * problem.d1)
+
+
 def build_problem(spec: ExperimentSpec) -> DifferentialProblem:
     """The spec's problem.  Its coarsest ladder grid must fit numpy's index
     range (:func:`_check_lattice`), and the problem must be finite and
@@ -669,7 +694,10 @@ def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
     mode of a validated ``spec`` of two rungs or more, for a ``what`` study,
     whose top lattice must fit numpy's index range: the ladder's, one rung
     higher for a fine-grid reference, or a corrector system's, its finest
-    rung refined 2**refine times (twice for a fine-grid v^(0))."""
+    rung refined 2**refine times (twice for a fine-grid v^(0)).  What the
+    study must hold at once must fit the machine's memory
+    (:func:`_check_memory`): the ladder's march and, for a corrector study,
+    its k + 1 trajectories on the reference grid."""
     _validate_spec(spec)
     if spec.rungs < 2:
         raise ConfigError(f"{what} experiments need rungs >= 2")
@@ -685,6 +713,17 @@ def _prepare(spec: ExperimentSpec, what: str, level: int) -> tuple:
                 if what == "corrector" else (level + fine, "[extrapolation] level"))
     _check_lattice(spec, problem.d, spec.rungs - 1 + top,
                    f"[space] points0, [space] rungs and {key}")
+    if what == "corrector":
+        reference = (spec.points0 << spec.rungs - 1 + spec.refine) ** problem.d
+        _check_memory(_march_bytes(spec, problem, spec.rungs, 1)
+                      + 8 * (spec.correctors_k + 1) * (spec.n + 1) * reference,
+                      "[space] points0, [space] rungs, [time] n, "
+                      "[reference] refine and [correctors] k")
+    else:
+        _check_memory(_march_bytes(spec, problem, spec.rungs + top,
+                                   len(spec.seeds) if problem.d1 else 1),
+                      "[space] points0, [space] rungs, [time] n, "
+                      "[extrapolation] level and [run] seeds")
     return problem, scheme, weights, ref_mode
 
 

@@ -47,8 +47,9 @@ result holds a NaN or inf, and are never papered over by regularization.
 ``apply_L`` is a one-field wrapper over the assembled L^h.  scipy is
 imported only where the sparse LU and GMRES paths assemble, factor or
 iterate, so a march in Fourier space never loads it.  What a step's time
-key fixes, the coefficient arrays of each lattice included, is made once
-per key and kept for that key alone by ``_LatticeOperators._per_key``.
+key fixes, the coefficient arrays of each lattice and the sparse LU
+included, is made once per key and kept for that key alone by
+``_LatticeOperators._per_key``, the one store of the lattice operators.
 
 The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
@@ -682,11 +683,14 @@ class _LatticeOperators:
 
     def _per_key(self, name, i: int, make):
         """``make(i)``, made once per time key of step i, kept for that key
-        alone under ``name``."""
-        key, held = self.key(i), self._store.get(name)
-        if held is None or held[0] != key:
-            held = self._store[name] = (key, make(i))
-        return held[1]
+        alone under ``name``: the product of another key is dropped before
+        ``make`` runs, so no product is held twice."""
+        key = self.key(i)
+        if name in self._store and self._store[name][0] != key:
+            del self._store[name]
+        if name not in self._store:
+            self._store[name] = (key, make(i))
+        return self._store[name][1]
 
     def _arrays(self, r: int, i: int) -> dict:
         """The scheme's coefficient arrays on rung r at step i, from the store."""
@@ -877,7 +881,9 @@ class FiniteDifferenceOperators(_LatticeOperators):
     the rungs' views), and M^{h,rho} acts on each rung's rows as one CSR
     product.  The per-key store (``_per_key``) holds, for the current time
     key, each rung's coefficient arrays, its M^{h,rho} matrices (from
-    :func:`_M_terms`) and each GMRES rung's :class:`ImplicitOperator`.
+    :func:`_M_terms`), each GMRES rung's :class:`ImplicitOperator` and the
+    direct rungs' block LU (:meth:`_factor`), so a time-dependent scheme
+    refactors at every step and any other once per march.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side.  A
@@ -886,16 +892,17 @@ class FiniteDifferenceOperators(_LatticeOperators):
     (COLAMD and its postorder, read once from a factorization of the rung
     alone: it depends on the sparsity pattern alone) and the block diagonal
     is factored in its natural order, so every rung gets the pivots and the
-    bits of its own LU.  The factors are kept under the time key and the
-    live rungs, so a time-dependent scheme refactors at every step.  Every
-    sparse LU is made here; the GMRES rungs solve column by column through
-    this loop, each with its own operator, which holds only the GMRES solve.
+    bits of its own LU.  Every sparse LU is made here; the GMRES rungs
+    solve column by column through this loop, each with its own operator,
+    which holds only the GMRES solve.
 
     The solve fills the failure record of the marcher it serves (see
     :class:`Marcher`), which is passed in since marchers may share one
-    operators object, and reads it: a rung whose every column has failed
-    is not factored again, and a failed column gets no GMRES solve.  A rung
-    whose factorization fails fails every column in its words.
+    operators object; the factors are the same whichever marcher asks.  A
+    rung whose factorization fails fails every column in its words, at
+    every solve.  A direct rung whose columns have all failed otherwise
+    stays in the block: its rows are solved, then zeroed.  A failed column
+    gets no GMRES solve.
     """
 
     dtype = float
@@ -907,8 +914,6 @@ class FiniteDifferenceOperators(_LatticeOperators):
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
         self._gmres = [r for r, m in enumerate(modes) if m == "iterative"]
         self._orders = {}                   # rung -> its LU's column order
-        self._lu_key, self._lu = None, None
-        self._block, self._block_rows, self._block_columns = [], None, None
 
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
@@ -927,27 +932,34 @@ class FiniteDifferenceOperators(_LatticeOperators):
         return np.concatenate([M[rho - 1] @ values[rows]
                                for M, rows in zip(matrices, self._rows)])
 
-    def _factor(self, i: int, live: list) -> dict:
-        """Factor the block diagonal of the direct rungs ``live`` at step i,
-        unless the factors at hand are theirs, and return the failures of
-        the rungs whose factorization failed, keyed by rung.
-
-        ``_lu`` holds the factors (None when no rung is left), ``_block``
-        their rungs and ``_block_rows`` those rungs' packed rows; row j of
-        the block's solution is packed row ``_block_columns[j]``, or row j
-        of ``_block_rows`` for a block of one rung.  A singular block is
+    def _factor(self, i: int) -> tuple:
+        """The sparse LU at step i of the block diagonal of every direct
+        rung's ``I - tau L^h``, the store's ``"lu"`` product: ``(factors,
+        rows, columns, broken)``.  ``broken`` maps each rung whose
+        factorization failed to its failure; the others make the block.
+        ``factors`` is None when no rung is left; ``rows`` are the block's
+        packed rows, and row j of its solution is packed row
+        ``columns[j]``, or row j of ``rows`` when ``columns`` is None (a
+        block of one rung, that rung's own LU).  A singular block is
         singular in a rung of its own, since its blocks have their rungs'
         bits: each rung is then factored alone, and those that fail leave
         the block, which is factored again."""
-        key = self.key(i)
-        if self._lu_key == (key, live):
-            return {}
+        import scipy.sparse as sp
         matrices = {r: _assemble(_L_terms(self._arrays(r, i), self.grids[r]),
-                                 self.grids[r].shape, self.tau).tocsc() for r in live}
-        self._lu, broken = None, {}
-        while matrices and self._lu is None:
+                                 self.grids[r].shape, self.tau).tocsc()
+                    for r in self._direct}
+        lu, broken = None, {}
+        while matrices and lu is None:
             try:
-                self._lu = self._block_factors(matrices, i)
+                if len(matrices) == 1:
+                    lu = _factors(*matrices.values(), i)
+                else:
+                    for r, m in matrices.items():
+                        if r not in self._orders:
+                            self._orders[r] = np.argsort(_factors(m, i).perm_c)
+                    lu = _factors(sp.block_diag(
+                        [m[:, self._orders[r]] for r, m in matrices.items()],
+                        format="csc"), i, permc_spec="NATURAL")
             except SolveFailure as exc:
                 failed = {}
                 for r, m in matrices.items() if len(matrices) > 1 else ():
@@ -959,33 +971,16 @@ class FiniteDifferenceOperators(_LatticeOperators):
                 for r, own in (failed or dict.fromkeys(matrices, exc)).items():
                     broken[r] = own
                     del matrices[r]
-        self._block = list(matrices)
-        self._lu_key = (key, self._block)
-        if self._block:
-            rows = np.concatenate([np.arange(self._rows[r].start,
-                                             self._rows[r].stop)
-                                   for r in self._block])
-            # a slice where the block's rungs are adjacent, as they mostly are
-            self._block_rows = slice(rows[0], rows[-1] + 1) \
-                if rows[-1] - rows[0] + 1 == rows.size else rows
-            self._block_columns = None if len(self._block) == 1 else \
-                np.concatenate([self._rows[r].start + self._orders[r]
-                                for r in self._block])
-        return broken
-
-    def _block_factors(self, matrices: dict, i: int):
-        """The LU factors of the block diagonal of ``matrices`` (rung ->
-        CSC matrix): one rung's own, or the natural-order factors of the
-        blocks in their rungs' own column orders."""
-        import scipy.sparse as sp
-        if len(matrices) == 1:
-            return _factors(*matrices.values(), i)
-        for r, m in matrices.items():
-            if r not in self._orders:
-                self._orders[r] = np.argsort(_factors(m, i).perm_c)
-        return _factors(sp.block_diag(
-            [m[:, self._orders[r]] for r, m in matrices.items()],
-            format="csc"), i, permc_spec="NATURAL")
+        if lu is None:
+            return None, None, None, broken
+        rows = np.concatenate([np.arange(self._rows[r].start,
+                                         self._rows[r].stop) for r in matrices])
+        # a slice where the block's rungs are adjacent, as they mostly are
+        if rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(rows[0], rows[-1] + 1)
+        columns = None if len(matrices) == 1 else np.concatenate(
+            [self._rows[r].start + self._orders[r] for r in matrices])
+        return lu, rows, columns, broken
 
     def _iterative(self, r: int, i: int) -> ImplicitOperator:
         """The GMRES operator of rung r at step i."""
@@ -999,17 +994,16 @@ class FiniteDifferenceOperators(_LatticeOperators):
         into the marcher's record ``failures``, and a failed column is
         zeroed."""
         width = rhs.shape[-1]
-        live = [r for r in self._direct if len(failures[r]) < width]
-        for r, exc in self._factor(i, live).items():
+        lu, block, columns, broken = self._per_key("lu", i, self._factor)
+        for r, exc in broken.items():
             _fail(failures[r], exc, width)
         out = np.empty(rhs.shape)
-        if self._lu is not None:
-            y = self._lu.solve(rhs[self._block_rows])
-            if self._block_columns is None and len(y) == len(out):
+        if lu is not None:
+            y = lu.solve(rhs[block])
+            if columns is None and len(y) == len(out):
                 out = y                  # one rung, the whole state
             else:
-                out[self._block_rows if self._block_columns is None
-                    else self._block_columns] = y
+                out[block if columns is None else columns] = y
         for r in self._gmres:
             op, rows = self._iterative(r, i), self._rows[r]
             for k in range(width):

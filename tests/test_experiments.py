@@ -1528,15 +1528,68 @@ class TestCli:
         assert main(["correctors", "--config", str(cfg)]) == 0
 
     def test_study_too_large_to_allocate_exit_three(self, tmp_path, capsys):
-        # refine 50 asks numpy for 2**57 bytes, more than a 64-bit process
-        # can address, so it is refused before anything is allocated
+        # refine 50 asks for three 2**54-point corrector trajectories, more
+        # than any machine's memory, so it is refused before anything is
+        # allocated, in words that name the key
         cfg = write(tmp_path, "[problem]\nname = heat1d\n[time]\nn = 4\n"
                     "[space]\npoints0 = 8\nrungs = 2\n[reference]\nrefine = 50\n"
                     f"[correctors]\nk = 2\n[run]\nout = {tmp_path / 'out'}\n")
         assert main(["correctors", "--config", str(cfg)]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("out of memory: ") \
+        assert out == "" and err.startswith("config error: ") \
+            and "[reference] refine" in err and "memory" in err \
             and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        # an allocation the lower bound does not foresee still fails in one
+        # line, exit 3
+        from spdefd import cli
+
+        def unable(spec):
+            raise MemoryError("Unable to allocate 128. PiB")
+
+        monkeypatch.setattr(cli, "run_corrector_experiment", unable)
+        cfg = write(tmp_path, "[problem]\nname = heat1d\n[time]\nn = 4\n"
+                    f"[run]\nout = {tmp_path / 'out'}\n")
+        assert main(["correctors", "--config", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", "out of memory: Unable to "
+                                           "allocate 128. PiB\n")
+
+    @pytest.mark.parametrize("command, body, key", [
+        ("converge", "[problem]\nname = var-coef1d\n[time]\nn = 16\n"
+         "[space]\nrungs = 40\n", "[space] rungs"),
+        ("solve", "[problem]\nname = heat1d\n[time]\nn = 1000000000000\n",
+         "[time] n"),
+    ], ids=["rungs", "n"])
+    def test_beyond_the_memory_exit_three(self, tmp_path, command, body, key):
+        # within numpy's index range, but more than the machine's memory:
+        # refused before anything is allocated, in words that name the key.
+        # The command runs in a child whose address space is capped near
+        # 3 GiB, so a study that did allocate would fail there with a
+        # MemoryError, not take the machine's memory
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        cfg = write(tmp_path, body + f"[run]\nout = {tmp_path / 'out'}\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "spdefd.cli", command, "--config", str(cfg)],
+            env=env, preexec_fn=cap, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == "" and done.stderr.startswith("config error: ") \
+            and key in done.stderr and "memory" in done.stderr \
+            and done.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, body, key", [

@@ -1204,7 +1204,8 @@ class TestPerKeyStore:
     and keep it for the current key alone: a time-independent march builds
     each once, a time-dependent one each time the requested key changes.
     The scheme's coefficient arrays are one such product, read once per
-    key: the other products of a key share them."""
+    key: the other products of a key share them.  The direct rungs' sparse
+    LU is another, so it has no store of its own."""
 
     N = 4
 
@@ -1220,11 +1221,11 @@ class TestPerKeyStore:
 
     # time-independent, time-dependent.  A spectral step asks for M at i - 1
     # and the solve at i, one product: keys 0, 1, 1, 2, 2, 3, 3, 4.  The FD
-    # M is asked for at 0..3, and each GMRES operator at 1..4.
+    # M is asked for at 0..3, and each GMRES operator and LU at 1..4.
     BUILDS = {
         "continuous": ({"symbols": 1}, {"symbols": 5}),
         "lattice": ({"symbols": 1}, {"symbols": 5}),
-        "direct": ({"M": 1}, {"M": 4}),
+        "direct": ({"M": 1, "lu": 1}, {"M": 4, "lu": 4}),
         "iterative": ({"M": 1, "gmres": 1}, {"M": 4, "gmres": 4}),
     }
     # reads of the scheme's coefficient arrays, time-independent and
@@ -1242,8 +1243,9 @@ class TestPerKeyStore:
             u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
             constant_coefficients=True)
         ops = self.operators(family, p)
-        builds = {"symbols": 0, "M": 0, "gmres": 0}
+        builds = {"symbols": 0, "M": 0, "gmres": 0, "lu": 0}
         symbols, assemble = SpectralOperators.symbols, stepper._assemble
+        factors = stepper._factors
         init, read = ImplicitOperator.__init__, stepper._scheme_arrays
         reads = []
 
@@ -1255,6 +1257,10 @@ class TestPerKeyStore:
             builds["M"] += tau is None
             return assemble(terms, shape, tau)
 
+        def counting_factors(*args, **kwargs):
+            builds["lu"] += 1
+            return factors(*args, **kwargs)
+
         def counting_init(self, *args, **kwargs):
             builds["gmres"] += 1
             init(self, *args, **kwargs)
@@ -1265,6 +1271,7 @@ class TestPerKeyStore:
 
         monkeypatch.setattr(SpectralOperators, "symbols", counting_symbols)
         monkeypatch.setattr(stepper, "_assemble", counting_assemble)
+        monkeypatch.setattr(stepper, "_factors", counting_factors)
         monkeypatch.setattr(ImplicitOperator, "__init__", counting_init)
         monkeypatch.setattr(stepper, "_scheme_arrays", counting_read)
         xi = increment_columns(p, self.N, [sample_increments(self.N, 1,
@@ -1272,11 +1279,75 @@ class TestPerKeyStore:
         marcher = Marcher(xi, ops)
         marcher.march(self.N + 1)
         assert not any(marcher.failures)
-        want = {"symbols": 0, "M": 0, "gmres": 0}
+        want = {"symbols": 0, "M": 0, "gmres": 0, "lu": 0}
         want.update(self.BUILDS[family][time_dependent])
         assert builds == want
         assert len(reads) == self.READS[family][time_dependent]
         assert len(set(map(ops.key, reads))) == len(reads)
+
+    def test_stale_product_released_before_make(self):
+        # a product of the last key is gone by the time its successor is
+        # made, so the store never holds two at once
+        import weakref
+
+        class Product:
+            pass
+
+        ops = self.operators("direct", time_dependent_problem())
+        made, stale_alive = [], []
+
+        def make(i):
+            stale_alive.extend(ref() is not None for ref in made)
+            product = Product()
+            made.append(weakref.ref(product))
+            return product
+
+        for i in (1, 2, 2, 3):
+            ops._per_key("probe", i, make)
+        assert len(made) == 3
+        assert stale_alive == [False, False, False]
+
+
+class TestSharedLadder:
+    """Marchers that share one operators object share its factors: what one
+    marcher's failure record holds moves neither the other's bits nor the
+    number of factorizations."""
+
+    def test_failed_rung_of_one_marcher_moves_nothing(self, monkeypatch):
+        from spdefd import stepper
+        p, n = make_problem("var-coef1d"), 8
+        scheme, tau = build_scheme_example1(p), p.T / n
+        grids = [make_torus_grid(1, [1.0], [16 * 2 ** j]) for j in range(2)]
+        xi = increment_columns(p, n, [None])
+        own = Marcher(xi, lattice_operators(p, grids, tau, scheme))
+        alone = []
+        for _ in range(n):
+            own.advance()
+            alone.append(own.v.copy())
+
+        factors, calls = stepper._factors, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factors(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "_factors", counting)
+        shared = lattice_operators(p, grids, tau, scheme)
+        assert isinstance(shared, FiniteDifferenceOperators)
+        failing, healthy = Marcher(xi, shared), Marcher(xi, shared)
+        failing.failures[1][0] = SolveFailure("marked failed")
+        for i in range(n):
+            failing.advance()
+            healthy.advance()
+            assert healthy.v.tobytes() == alone[i].tobytes(), f"step {i + 1}"
+            # the failing marcher's rung 1 is solved and zeroed, its rung 0
+            # keeps its bits
+            kept, zeroed = shared.states(failing.v)
+            assert kept.tobytes() == shared.states(alone[i])[0].tobytes()
+            assert not zeroed.any()
+        assert not any(healthy.failures)
+        # each rung's column order, then the block: once per march
+        assert len(calls) == len(grids) + 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
