@@ -47,7 +47,6 @@ from .correctors import (
     ResolutionError,
     corrector_operator_L,
     corrector_operator_M,
-    expansion_constants,
     expansion_residual,
     run_corrector_system,
 )

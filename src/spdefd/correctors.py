@@ -12,6 +12,11 @@ operators with respect to h at h = 0.  For symmetric schemes (no one-sided
 terms) every odd-order operator vanishes, hence so do the odd correctors;
 that is what makes base-4 extrapolation possible.
 
+Those operators are read off the h-free expansion of L^h and M^{h,rho}
+that the lattice marches weigh (``stepper._L_terms``, ``_M_terms``): a
+stencil of shifts s h^-k T_{hv} has the p-th h-derivative at 0 with the
+Fourier multiplier sum s p!/(p+k)! (i v . xi)^(p+k), one per (stencil, p).
+
 Spatial derivatives here act on smooth reference-grid fields and are realized
 by Fourier spectral differentiation, which is exact for band-limited data; a
 mode-energy check rejects fields the reference grid cannot resolve.
@@ -33,12 +38,13 @@ resolution check, which every higher order reuses.  The expansion
 operators ``corrector_operator_L``/``_M`` take such a block and its rows'
 time indices and return one array per row; each derivative term is one
 ``np.fft.ifftn`` of the block times its rows' coefficient arrays, and each
-Fourier multiplier is built once per system (:class:`_Multipliers`).  The
-scheme's coefficient arrays are read once per time key of a block, and not
-again where the block before read that key (:func:`_read_arrays`); a
-block's rows get them stacked once for its steps and once for the indices
-before them (:func:`_coefficients`), and every operator call of the block
-shares those.
+Fourier multiplier is built once per system (:class:`_Multipliers`); a
+term whose multiplier vanishes costs no transform.  The scheme's
+coefficient arrays are read once per time key of a block, and not again
+where the block before read that key (:func:`_read_arrays`); a block's
+rows get them stacked once for its steps and once for the indices before
+them (:func:`_coefficients`), and every operator call of the block shares
+those.
 
 A block with no nonzero entry costs nothing: no FFT, zero energy
 fractions, and no operator reads it, since every term made from it is +0.0,
@@ -64,6 +70,8 @@ from .stepper import (
     Marcher,
     SolveFailure,
     Trajectory,
+    _L_terms,
+    _M_terms,
     _blocks,
     _frequency_mesh,
     _scheme_arrays,
@@ -81,24 +89,6 @@ RESOLUTION_ENERGY_TOL = 1e-10
 class ResolutionError(ValueError):
     """Field carries energy at the highest retained modes; the reference grid
     cannot resolve the spectral derivatives requested."""
-
-
-def expansion_constants(p: int, r: int) -> tuple[float, float]:
-    """Constants (B_p, A_{p,r}) of the h-derivatives of the differences at 0.
-
-    B_p is 1 for even p and 0 for odd p.  A_{p,r} is p!/((r+1)!(p-r+1)!) when
-    both p and r are even, else 0.
-    """
-    if p < 0 or r < 0:
-        raise ValueError("expansion constants need nonnegative orders")
-    if r > p:
-        raise ValueError(f"constant A_{{p,r}} needs r <= p, got p={p}, r={r}")
-    B = 1.0 if p % 2 == 0 else 0.0
-    if p % 2 == 0 and r % 2 == 0:
-        A = math.factorial(p) / (math.factorial(r + 1) * math.factorial(p - r + 1))
-    else:
-        A = 0.0
-    return B, A
 
 
 def _top_mode_mask(shape: tuple) -> np.ndarray:
@@ -129,35 +119,41 @@ def _top_mode_fractions(hat: np.ndarray, mask: np.ndarray | None = None
 
 
 class _Multipliers:
-    """The Fourier multipliers of the spectral derivatives on one grid, and
-    its top-mode mask, each built once when first asked for: one object
-    serves every block of a corrector system."""
+    """The Fourier multipliers of the h-derivatives of the expansion
+    stencils on one grid, and its top-mode mask, each built once when first
+    asked for: one object serves every block of a corrector system."""
 
     def __init__(self, grid: TorusGrid):
         self.freq = _frequency_mesh(grid)
         self.top = _top_mode_mask(grid.shape)
         self._made = {}
 
-    def _factor(self, lam) -> np.ndarray:
-        acc = np.zeros(self.freq[0].shape)
-        for c, xi in zip(lam, self.freq):
-            if c:
-                acc = acc + c * xi
-        return 1j * acc
+    def derivative(self, stencil: tuple, p: int) -> np.ndarray | None:
+        """The multiplier of the p-th h-derivative at h = 0 of a stencil of
+        ``(s, v, k)``, each s h^-k T_{hv} (see :func:`stepper._L_terms`):
 
-    def directional(self, lam, order: int) -> np.ndarray:
-        """(i lam . xi)^order."""
-        key = (tuple(lam), order)
-        if key not in self._made:
-            self._made[key] = self._factor(lam) ** order
-        return self._made[key]
+            m_p = sum s p!/(p+k)! (i v . xi)^(p+k),
 
-    def mixed(self, lam, order_lam: int, mu, order_mu: int) -> np.ndarray:
-        """(i lam . xi)^order_lam (i mu . xi)^order_mu."""
-        key = (tuple(lam), order_lam, tuple(mu), order_mu)
+        or None where it vanishes.  A shift and its mirror -v share one
+        power, their factors summed first, so an odd order of a symmetric
+        stencil vanishes exactly."""
+        key = (stencil, p)
         if key not in self._made:
-            self._made[key] = (self._factor(lam) ** order_lam
-                               * self._factor(mu) ** order_mu)
+            factors = {}
+            for s, v, k in stencil:
+                n, mirror = p + k, v < tuple(-c for c in v)
+                if any(v) or not n:     # T_0 is the identity, free of h
+                    v = tuple(-c for c in v) if mirror else v
+                    factors[v, n] = factors.get((v, n), 0.0) + (
+                        s * (-1) ** (n * mirror)
+                        * math.factorial(p) / math.factorial(n))
+            parts = []
+            for (v, n), factor in factors.items():
+                if factor:
+                    iv_xi = 1j * sum((c * xi for c, xi in zip(v, self.freq) if c),
+                                     np.zeros(self.freq[0].shape))
+                    parts.append(factor * iv_xi ** n)
+            self._made[key] = sum(parts[1:], parts[0]) if parts else None
         return self._made[key]
 
 
@@ -174,10 +170,6 @@ class _Spectra:
     multipliers: _Multipliers
     fractions: np.ndarray   # per row, from _top_mode_fractions
 
-    @property
-    def axes(self) -> tuple:
-        return tuple(range(1, self.grid.dim + 1))
-
     def rows(self, window: slice) -> "_Spectra":
         return replace(self, values=self.values[window],
                        hat=None if self.hat is None else self.hat[window],
@@ -192,16 +184,17 @@ class _Spectra:
                 f"the field energy (limit {RESOLUTION_ENERGY_TOL:g}); refine "
                 "the reference grid")
 
-    def _inverse(self, multiplier: np.ndarray) -> np.ndarray:
-        if self.hat is None:
-            return np.zeros(self.values.shape)
-        return np.real(np.fft.ifftn(multiplier * self.hat, axes=self.axes))
-
-    def directional(self, lam, order: int) -> np.ndarray:
-        return self._inverse(self.multipliers.directional(lam, order))
-
-    def mixed(self, lam, order_lam: int, mu, order_mu: int) -> np.ndarray:
-        return self._inverse(self.multipliers.mixed(lam, order_lam, mu, order_mu))
+    def derivative(self, p: int, terms: list) -> np.ndarray:
+        """The p-th h-derivative at h = 0 of the expansion ``terms`` (of
+        :func:`stepper._L_terms`) on every row: the sum of coef F^-1[m_p
+        hat], one inverse FFT per term whose multiplier does not vanish."""
+        out = np.zeros(self.values.shape)
+        for coef, stencil in terms:
+            m = self.multipliers.derivative(stencil, p)
+            if m is not None and self.hat is not None:
+                out += coef * np.real(np.fft.ifftn(
+                    m * self.hat, axes=tuple(range(1, self.grid.dim + 1))))
+        return out
 
 
 def _spectra(grid: TorusGrid, values: np.ndarray,
@@ -241,17 +234,6 @@ def _coefficients(scheme: DifferenceScheme, grid: TorusGrid, steps,
             for kind in at[0]}
 
 
-def _add_centred(out: np.ndarray, der: _Spectra, p: int, vec, coef) -> None:
-    """Add the p-th h-derivative at h = 0 of ``coef`` times the centred
-    difference along ``vec`` (the identity for vec = 0), for even p: the
-    directional derivative of order p + 1 over p + 1.  The identity does
-    not depend on h and enters only at p = 0."""
-    if any(vec):
-        out += (1.0 / (p + 1)) * coef * der.directional(vec, p + 1)
-    elif p == 0:
-        out += coef * der.values
-
-
 def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
                          steps, coefficients: dict | None = None) -> np.ndarray:
     """p-th h-derivative of the discrete operator L^h at h = 0, applied with
@@ -261,33 +243,15 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
     at ``steps`` (:func:`_coefficients`), and they are read here if not
     given.
 
-    Every row is checked for resolution first.  p = 0 is the first case of
-    the general formula: with A_{0,0} = B_0 = 1 it is the continuous
-    operator itself (by the consistency identities).  Odd p vanishes
-    identically for schemes without one-sided terms.
+    Every row is checked for resolution first.  p = 0 is the continuous
+    operator itself (by the consistency identities); odd p vanishes for
+    schemes without one-sided terms.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
     coefficients = coefficients or _coefficients(scheme, der.grid, steps)
     der.check_resolution()
-    out = np.zeros(der.values.shape)
-    B_p, _ = expansion_constants(p, 0)
-
-    for (lam, mu), coef in coefficients["a"].items():
-        if any(lam) and any(mu):
-            for j in range(0, p + 1):
-                _, A = expansion_constants(p, j)
-                if A:
-                    out += A * coef * der.mixed(lam, j + 1, mu, p - j + 1)
-        elif B_p:
-            # cross terms a^{lam,0} + a^{0,mu}: one centred difference left;
-            # the zero-zero term a^{0,0}: the identity
-            _add_centred(out, der, p, lam if any(lam) else mu, coef)
-    for lam, coef in coefficients["p"].items():
-        out += coef / (p + 1) * der.directional(lam, p + 1)
-    for lam, coef in coefficients["q"].items():
-        out += ((-1) ** (p + 1) / (p + 1)) * coef * der.directional(lam, p + 1)
-    return out
+    return der.derivative(p, _L_terms(coefficients))
 
 
 def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
@@ -297,22 +261,15 @@ def corrector_operator_M(p: int, rho: int, scheme: DifferenceScheme,
 
     ``der``, ``steps`` and ``coefficients`` are a block of rows, their time
     indices and the coefficient arrays there, as for
-    :func:`corrector_operator_L`; one array per row.
+    :func:`corrector_operator_L`: each row checked, one array per row.
     """
     if p < 0:
         raise ValueError("operator order must be >= 0")
     if not 1 <= rho <= scheme.d1:
         raise ValueError(f"driver index {rho} out of range 1..{scheme.d1}")
-    out = np.zeros(der.values.shape)
-    B_p, _ = expansion_constants(p, 0)
-    if B_p == 0.0:
-        return out
     coefficients = coefficients or _coefficients(scheme, der.grid, steps)
     der.check_resolution()
-    for (lam, r), coef in coefficients["b"].items():
-        if r == rho:
-            _add_centred(out, der, p, lam, coef)
-    return out
+    return der.derivative(p, _M_terms(coefficients, scheme.d1)[rho - 1])
 
 
 @dataclass
@@ -400,12 +357,13 @@ def run_corrector_system(k: int, problem: DifferentialProblem,
     first, and within a block, one of a lower order.
 
     An odd corrector of a symmetric scheme (``scheme.is_symmetric``)
-    vanishes identically: B_p = A_{p,r} = 0 for odd p, and every other term
-    of its forcing reads an odd corrector of lower order.  It is not
-    marched, and its trajectory is +0.0; its forcing is still made block by
-    block, so its resolution, finiteness and operator checks fire as for
-    any other order.  Every other corrector solves every step.  The forcing
-    read from a zero block is made without a transform or an operator call.
+    vanishes identically: every odd-order multiplier of its centred stencils
+    is zero, and every other term of its forcing reads an odd corrector of
+    lower order.  It is not marched, and its trajectory is +0.0; its
+    forcing is still made block by block, so its resolution, finiteness and
+    operator checks fire as for any other order.  Every other corrector
+    solves every step.  The forcing read from a zero block is made without
+    a transform or an operator call.
     """
     if k < 0:
         raise ValueError("expansion order k must be >= 0")

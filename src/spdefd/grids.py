@@ -17,9 +17,10 @@ Conventions:
 * The zero stencil vector maps to the identity operator in all of the above.
 
 The schemes' lattice operators are built in ``stepper`` on ``_shifted``, one
-``np.roll``: L^h and M^{h,rho} alike from their expansion into weighted
-shifts (``stepper._L_terms`` and ``_M_terms``), whose sparse matrices
-take their column indices from ``_shifted``.
+``np.roll``: L^h and M^{h,rho} alike from their expansion into shifts,
+free of the mesh width (``stepper._L_terms`` and ``_M_terms``), weighed
+on a lattice by ``stepper._shifts``; their sparse matrices take their
+column indices from ``_shifted``.
 """
 
 import itertools

@@ -30,9 +30,11 @@ solves every step, as any other does.
 ``_scheme_arrays`` is the one reading of a scheme on a lattice: its
 coefficient arrays at a step's time key (``_time_key``, 0 for
 time-independent coefficients).  L^h and M^{h,rho} have one form, their
-expansion into weighted shifts of those arrays (``_L_terms``,
-``_M_terms``), assembled into a sparse matrix (``_assemble``) or reduced
-to the kernel of its mean-weight circulant (``_kernel``).
+expansion into shifts of those arrays (``_L_terms``, ``_M_terms``), free
+of the mesh width, which enters only where the weights are made
+(``_shifts``): they are assembled into a sparse matrix (``_assemble``) or
+reduced to the kernel of their mean-weight circulant (``_kernel``), and
+``correctors`` reads the h-derivatives at h = 0 off the same form.
 :func:`lattice_operators` chooses the operators of every lattice march,
 and :func:`_solver_mode` the solver of each lattice, both read off the
 lattice: a 1-d scheme whose coefficients are plain numbers is a circulant,
@@ -189,59 +191,67 @@ def apply_L(scheme: DifferenceScheme, phi: GridField, i: int) -> GridField:
     the one-sided differences.
     """
     grid = phi.grid
-    L = _assemble(_L_terms(_scheme_arrays(scheme, grid, i), grid), grid.shape)
+    L = _assemble(_shifts(_L_terms(_scheme_arrays(scheme, grid, i)), grid.h),
+                  grid.shape)
     return GridField(grid, (L @ phi.values.ravel()).reshape(grid.shape))
 
 
-def _centred(coef, vec: tuple, h: float) -> list:
-    """The expansion terms of ``coef`` times the centred difference along
-    ``vec``: two shifts, or the identity at vec = 0."""
+def _centred(vec: tuple) -> tuple:
+    """The stencil of the centred difference along ``vec``: two shifts, or
+    the identity at vec = 0."""
     if not any(vec):
-        return [(coef, vec)]
-    return [(coef / (2 * h), vec), (-coef / (2 * h), tuple(-c for c in vec))]
+        return ((1.0, vec, 0),)
+    return ((0.5, vec, 1), (-0.5, tuple(-c for c in vec), 1))
 
 
-def _L_terms(arrays: dict, grid: TorusGrid) -> list:
-    """Expand L^h, of the coefficient ``arrays`` on ``grid``, into
-    pointwise-weighted shifts: L phi(x) = sum w(x) phi(x+h*v).
+def _L_terms(arrays: dict) -> list:
+    """Expand L^h, of the coefficient ``arrays``, into shifts free of the
+    mesh width: ``(coef, stencil)`` pairs, each stencil a tuple of ``(s, v,
+    k)`` that stands for coef * s * h^-k * T_{hv}, where (T_{hv} phi)(x) =
+    phi(x + h v).
 
-    Returns (weight_array, displacement) pairs, the one description of L^h:
-    :func:`_assemble` turns them into its sparse matrix and
-    :func:`_circulant_symbol` into the symbol of its mean-weight circulant.
+    This is the one description of L^h: :func:`_shifts` weighs it on a
+    lattice for :func:`_assemble` and :func:`_kernel`, and ``correctors``
+    reads its h-derivatives at h = 0 off it.
     """
-    h, origin = grid.h, (0,) * grid.dim
     terms = []
     for (lam, mu), coef in arrays["a"].items():
         if not (any(lam) and any(mu)):
-            terms += _centred(coef, lam if any(lam) else mu, h)
+            terms.append((coef, _centred(lam if any(lam) else mu)))
         else:
-            w = coef / (4 * h * h)
-            terms.append((w, tuple(a + b for a, b in zip(lam, mu))))
-            terms.append((-w, tuple(a - b for a, b in zip(lam, mu))))
-            terms.append((-w, tuple(b - a for a, b in zip(lam, mu))))
-            terms.append((w, tuple(-a - b for a, b in zip(lam, mu))))
-    for lam, coef in arrays["p"].items():
-        terms.append((coef / h, lam))
-        terms.append((-coef / h, origin))
-    for lam, coef in arrays["q"].items():
-        terms.append((coef / h, tuple(-c for c in lam)))
-        terms.append((-coef / h, origin))
+            plus = tuple(a + b for a, b in zip(lam, mu))
+            minus = tuple(a - b for a, b in zip(lam, mu))
+            terms.append((coef, ((0.25, plus, 2), (-0.25, minus, 2),
+                                 (-0.25, tuple(-c for c in minus), 2),
+                                 (0.25, tuple(-c for c in plus), 2))))
+    for kind, sign in (("p", 1), ("q", -1)):
+        for lam, coef in arrays[kind].items():
+            terms.append((coef, ((1.0, tuple(sign * c for c in lam), 1),
+                                 (-1.0, (0,) * len(lam), 1))))
     return terms
 
 
-def _M_terms(arrays: dict, grid: TorusGrid, d1: int) -> list:
-    """M^{h,rho} of ``arrays`` per driver 1..d1: the expansion terms of
-    b^{lam rho} times the centred difference along lam, in b's order."""
+def _M_terms(arrays: dict, d1: int) -> list:
+    """M^{h,rho} of ``arrays`` per driver 1..d1, as :func:`_L_terms` has
+    L^h: b^{lam rho} times the centred difference along lam, in b's order."""
     M = [[] for _ in range(d1)]
     for (lam, rho), b in arrays["b"].items():
-        M[rho - 1] += _centred(b, lam, grid.h)
+        M[rho - 1].append((b, _centred(lam)))
     return M
+
+
+def _shifts(terms: list, h: float) -> list:
+    """The expansion ``terms`` at mesh width h: (weight, v) pairs, L phi(x) =
+    sum w(x) phi(x + h v).  s is +-1, +-1/2 or +-1/4, so coef * s is exact
+    and each weight one rounding of coef * s / h^k."""
+    return [((coef * s) / (h * h) if k == 2 else (coef * s) / h if k else coef * s, v)
+            for coef, stencil in terms for s, v, k in stencil]
 
 
 def _assemble(terms: list, shape: tuple, tau: float | None = None):
     """CSR matrix of ``I - tau L^h``, or of the operator itself (L^h or
     M^{h,rho}) when ``tau`` is None, on a lattice of ``shape`` from its
-    expansion terms.
+    weighted shifts (:func:`_shifts`).
 
     Terms whose displacements meet on the lattice share one entry per row,
     their weights summed in term order (the identity last), so the matrix
@@ -271,8 +281,8 @@ def _assemble(terms: list, shape: tuple, tau: float | None = None):
 
 
 def _kernel(terms: list, shape: tuple) -> np.ndarray:
-    """The kernel of the circulant C of expansion terms on a lattice of
-    ``shape``, each weight replaced by its mean: (C phi)[j] = sum_v
+    """The kernel of the circulant C of weighted shifts (:func:`_shifts`) on
+    a lattice of ``shape``, each weight replaced by its mean: (C phi)[j] = sum_v
     kernel[v] phi[j + v], so C's symbol is the conjugate DFT of the kernel.
     Where the weights are constant, C is the lattice operator itself."""
     kernel = np.zeros(shape)
@@ -349,7 +359,7 @@ class ImplicitOperator:
     :class:`FiniteDifferenceOperators`, which makes every sparse LU solve.
 
     The operator is assembled once as a sparse matrix from the expansion
-    terms of L^h (``terms``, else read here); that matrix, ``matrix``, is
+    of L^h (``terms``, else read here); that matrix, ``matrix``, is
     the forward action and the matrix-vector product of GMRES.  GMRES
     solves one column at a time, preconditioned by the FFT inverse of the
     circulant with the mean weights (T. Chan's circulant preconditioner)
@@ -366,7 +376,8 @@ class ImplicitOperator:
         self.grid = grid
         self.i = i
         if terms is None:
-            terms = _L_terms(_scheme_arrays(scheme, grid, i), grid)
+            terms = _L_terms(_scheme_arrays(scheme, grid, i))
+        terms = _shifts(terms, grid.h)
         self.matrix = _assemble(terms, grid.shape, float(tau))
         n = grid.npoints
         symbol = _circulant_symbol(terms, grid.shape, float(tau))
@@ -805,8 +816,8 @@ class SpectralOperators(_LatticeOperators):
 
     def _lattice(self, r: int, i: int) -> tuple:
         arrays, grid = self._arrays(r, i), self.grids[r]
-        symbols = [np.conj(np.fft.fftn(_kernel(terms, grid.shape))) for terms
-                   in [_L_terms(arrays, grid)] + _M_terms(arrays, grid, self.d1)]
+        symbols = [np.conj(np.fft.fftn(_kernel(_shifts(terms, grid.h), grid.shape)))
+                   for terms in [_L_terms(arrays)] + _M_terms(arrays, self.d1)]
         return symbols[0], symbols[1:]
 
     def _continuous(self, grid: TorusGrid, key: int) -> tuple:
@@ -926,8 +937,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
 
     def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
         matrices = self._per_key("M", i, lambda i: [
-            [_assemble(terms, g.shape)
-             for terms in _M_terms(self._arrays(r, i), g, self.d1)]
+            [_assemble(_shifts(terms, g.h), g.shape)
+             for terms in _M_terms(self._arrays(r, i), self.d1)]
             for r, g in enumerate(self.grids)])
         return np.concatenate([M[rho - 1] @ values[rows]
                                for M, rows in zip(matrices, self._rows)])
@@ -945,7 +956,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
         bits: each rung is then factored alone, and those that fail leave
         the block, which is factored again."""
         import scipy.sparse as sp
-        matrices = {r: _assemble(_L_terms(self._arrays(r, i), self.grids[r]),
+        matrices = {r: _assemble(_shifts(_L_terms(self._arrays(r, i)),
+                                         self.grids[r].h),
                                  self.grids[r].shape, self.tau).tocsc()
                     for r in self._direct}
         lu, broken = None, {}
@@ -986,7 +998,7 @@ class FiniteDifferenceOperators(_LatticeOperators):
         """The GMRES operator of rung r at step i."""
         return self._per_key(("gmres", r), i, lambda i: ImplicitOperator(
             self.scheme, self.grids[r], self.tau, i,
-            terms=_L_terms(self._arrays(r, i), self.grids[r])))
+            terms=_L_terms(self._arrays(r, i))))
 
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in

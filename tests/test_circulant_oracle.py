@@ -26,6 +26,7 @@ from spdefd.stepper import (
     _assemble,
     _L_terms,
     _scheme_arrays,
+    _shifts,
     increment_columns,
     lattice_operators,
     run_space_time_scheme,
@@ -96,7 +97,8 @@ def test_symbols_are_the_eigenvalues_of_the_lattice_operators(shapes, columns):
         return lattice.states(parts[0] + 1j * parts[1])
 
     for r, (g, (symL, symM)) in enumerate(zip(grids, symbols)):
-        A = _assemble(_L_terms(_scheme_arrays(scheme, g, 0), g), g.shape, tau)
+        A = _assemble(_shifts(_L_terms(_scheme_arrays(scheme, g, 0)), g.h),
+                      g.shape, tau)
         j = np.indices(g.shape)
         for k in np.ndindex(g.shape):
             phi = np.exp(2j * np.pi * sum(kk * jj / N for kk, jj, N

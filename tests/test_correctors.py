@@ -15,7 +15,6 @@ from spdefd.correctors import (
     _top_mode_fractions,
     corrector_operator_L,
     corrector_operator_M,
-    expansion_constants,
     expansion_residual,
     export_corrector_set,
     minimum_resolution,
@@ -34,6 +33,7 @@ from spdefd.stepper import (
     FiniteDifferenceOperators,
     SolveFailure,
     SpectralOperators,
+    _L_terms,
     increment_columns,
     load_trajectory_binary,
     run_reference_time_scheme,
@@ -68,36 +68,141 @@ def one_row(operator, *args, phi, i):
     return phi.grid.field(operator(*args, block, [i])[0])
 
 
+def paper_constants(p: int, r: int) -> tuple[float, float]:
+    """The constants (B_p, A_{p,r}) of the h-derivatives at 0 of the centred
+    and the mixed differences in Gyongy & Krylov: B_p is 1 for even p and 0
+    for odd p; A_{p,r} is p!/((r+1)!(p-r+1)!) when p and r are even, else
+    0."""
+    B = 1.0 if p % 2 == 0 else 0.0
+    A = math.factorial(p) / (math.factorial(r + 1) * math.factorial(p - r + 1)) \
+        if p % 2 == 0 and r % 2 == 0 else 0.0
+    return B, A
+
+
+def stencil_of(kind, key):
+    """The stencil that the expansion of L^h gives one coefficient of
+    ``kind`` ("a", "p" or "q") at ``key``."""
+    arrays = {"a": {}, "p": {}, "q": {}}
+    arrays[kind][key] = 1.0
+    (_, stencil), = _L_terms(arrays)
+    return stencil
+
+
+def centred_stencil(lam):
+    return stencil_of("a", (lam, (0,) * len(lam)))
+
+
+def power(multipliers, lam, n):
+    """(i lam . xi)^n on the multipliers' frequency mesh."""
+    return (1j * sum(c * xi for c, xi in zip(lam, multipliers.freq))) ** n
+
+
+def assert_multiplier(got, want):
+    assert got is not None
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 class TestExpansionConstants:
+    """The paper's constants B_p and A_{p,r} as the oracle of the multipliers
+    that :class:`_Multipliers` reads off the expansion stencils of L^h."""
+
+    GRIDS = {1: make_torus_grid(1, [1.0], [16]),
+             2: make_torus_grid(2, [1.0, 0.75], [16, 12])}
+
     def test_B_odd_zero(self):
-        assert expansion_constants(1, 0)[0] == 0.0
-        assert expansion_constants(3, 0)[0] == 0.0
+        m = _Multipliers(self.GRIDS[1])
+        assert paper_constants(1, 0)[0] == 0.0
+        assert paper_constants(3, 0)[0] == 0.0
+        for p in (1, 3):
+            assert m.derivative(centred_stencil((1,)), p) is None
 
     def test_B_even_one(self):
-        assert expansion_constants(0, 0)[0] == 1.0
-        assert expansion_constants(2, 0)[0] == 1.0
+        m = _Multipliers(self.GRIDS[1])
+        assert paper_constants(0, 0)[0] == 1.0
+        assert paper_constants(2, 0)[0] == 1.0
+        for p in (0, 2):
+            assert_multiplier(m.derivative(centred_stencil((1,)), p),
+                              power(m, (1,), p + 1) / (p + 1))
 
     def test_A_odd_zero(self):
-        assert expansion_constants(1, 0)[1] == 0.0
-        assert expansion_constants(2, 1)[1] == 0.0
-        assert expansion_constants(3, 2)[1] == 0.0
+        assert paper_constants(1, 0)[1] == 0.0
+        assert paper_constants(2, 1)[1] == 0.0
+        assert paper_constants(3, 2)[1] == 0.0
+        m = _Multipliers(self.GRIDS[2])
+        for p in (1, 3):
+            assert m.derivative(stencil_of("a", ((1, 0), (0, 1))), p) is None
+        # no (i xi_1)^2 (i xi_2)^2 term at p = 2
+        x1, x2 = power(m, (1, 0), 1), power(m, (0, 1), 1)
+        assert_multiplier(m.derivative(stencil_of("a", ((1, 0), (0, 1))), 2),
+                          (x1 * x2 ** 3 + x1 ** 3 * x2) / 3)
 
     def test_A_second_order(self):
         # 2!/(1! 3!) and 2!/(3! 1!)
-        assert expansion_constants(2, 0)[1] == pytest.approx(1.0 / 3.0)
-        assert expansion_constants(2, 2)[1] == pytest.approx(1.0 / 3.0)
+        assert paper_constants(2, 0)[1] == pytest.approx(1.0 / 3.0)
+        assert paper_constants(2, 2)[1] == pytest.approx(1.0 / 3.0)
+        m = _Multipliers(self.GRIDS[1])
+        assert_multiplier(m.derivative(stencil_of("a", ((1,), (1,))), 2),
+                          (2.0 / 3.0) * power(m, (1,), 4))
 
     def test_A_fourth_order(self):
-        assert expansion_constants(4, 0)[1] == pytest.approx(
+        assert paper_constants(4, 0)[1] == pytest.approx(
             math.factorial(4) / (math.factorial(1) * math.factorial(5)))
-        assert expansion_constants(4, 2)[1] == pytest.approx(
+        assert paper_constants(4, 2)[1] == pytest.approx(
             math.factorial(4) / (math.factorial(3) * math.factorial(3)))
+        m = _Multipliers(self.GRIDS[2])
+        x1, x2 = power(m, (1, 0), 1), power(m, (0, 1), 1)
+        assert_multiplier(m.derivative(stencil_of("a", ((1, 0), (0, 1))), 4),
+                          x1 * x2 ** 5 / 5 + x1 ** 3 * x2 ** 3 * 4 / 6
+                          + x1 ** 5 * x2 / 5)
 
     def test_rejects_bad_orders(self):
+        g = make_torus_grid(1, [1.0], [16])
+        s = scheme_1d(a11=1.0, b11=1.0, d1=1)
+        phi = g.sample(lambda x: np.cos(2 * np.pi * x[..., 0]))
         with pytest.raises(ValueError):
-            expansion_constants(1, 2)
+            one_row(corrector_operator_L, -1, s, phi=phi, i=0)
         with pytest.raises(ValueError):
-            expansion_constants(-1, 0)
+            one_row(corrector_operator_M, -1, 1, s, phi=phi, i=0)
+        with pytest.raises(ValueError):
+            one_row(corrector_operator_M, 0, 2, s, phi=phi, i=0)
+
+    @pytest.mark.parametrize("p", range(7))
+    def test_centred_stencil(self, p):
+        for d, lams in ((1, [(1,)]), (2, [(1, 0), (0, 1), (1, -1)])):
+            m = _Multipliers(self.GRIDS[d])
+            for lam in lams:
+                got = m.derivative(centred_stencil(lam), p)
+                B, _ = paper_constants(p, 0)
+                if not B:
+                    assert got is None
+                else:
+                    assert_multiplier(got, B / (p + 1) * power(m, lam, p + 1))
+
+    @pytest.mark.parametrize("p", range(7))
+    def test_mixed_stencil(self, p):
+        for d, pairs in ((1, [((1,), (1,))]),
+                         (2, [((1, 0), (0, 1)), ((0, 1), (1, 0)),
+                              ((1, 0), (1, 0)), ((0, 1), (0, 1))])):
+            m = _Multipliers(self.GRIDS[d])
+            for lam, mu in pairs:
+                got = m.derivative(stencil_of("a", (lam, mu)), p)
+                if p % 2:
+                    assert got is None
+                    continue
+                want = sum(paper_constants(p, j)[1] * power(m, lam, j + 1)
+                           * power(m, mu, p - j + 1) for j in range(p + 1))
+                assert_multiplier(got, want)
+
+    @pytest.mark.parametrize("p", range(7))
+    def test_one_sided_stencils(self, p):
+        for d, lams in ((1, [(1,)]), (2, [(1, 0), (0, 1)])):
+            m = _Multipliers(self.GRIDS[d])
+            for lam in lams:
+                for kind, sign in (("p", 1), ("q", (-1) ** (p + 1))):
+                    assert_multiplier(
+                        m.derivative(stencil_of(kind, lam), p),
+                        sign * power(m, lam, p + 1) / (p + 1))
 
 
 class TestCorrectorOperatorL:
@@ -174,6 +279,16 @@ class TestCorrectorOperatorM:
         out = one_row(corrector_operator_M, 0, 1, s, phi=phi, i=0)
         np.testing.assert_allclose(out.values, 1.3 * phi.values, atol=1e-12)
 
+    def test_rejects_unresolved_field_at_odd_order(self):
+        # M_1 vanishes, yet it reads the block, so it checks it, as L_1 does
+        g = make_torus_grid(1, [1.0], [16])
+        s = scheme_1d(a11=1.0, b11=1.0, d1=1)
+        nyquist = g.sample(lambda x: np.cos(2 * np.pi * 8 * x[..., 0]))
+        with pytest.raises(ResolutionError):
+            one_row(corrector_operator_L, 1, s, phi=nyquist, i=0)
+        with pytest.raises(ResolutionError):
+            one_row(corrector_operator_M, 1, 1, s, phi=nyquist, i=0)
+
     def test_p2_third_derivative(self):
         g = make_torus_grid(1, [1.0], [64])
         b = 0.8
@@ -191,13 +306,19 @@ class TestDerivativeOfSymbol:
     the FFT implementation)."""
 
     @staticmethod
+    def _sinc_series(xi, terms):
+        # series in h of sin(xi h)/h
+        sinc = np.zeros(terms, dtype=complex)
+        for m in range(0, terms, 2):
+            sinc[m] = (-1) ** (m // 2) * xi ** (m + 1) / math.factorial(m + 1)
+        return sinc
+
+    @staticmethod
     def _discrete_symbol_series(a, c, e, xi, orders):
         # series in h (complex coefficients) of
         # a (i sin(xi h)/h)^2 + c (e^{i xi h}-1)/h - e (1 - e^{-i xi h})/h
         terms = orders + 3
-        sinc = np.zeros(terms, dtype=complex)  # sin(xi h)/h
-        for m in range(0, terms, 2):
-            sinc[m] = (-1) ** (m // 2) * xi ** (m + 1) / math.factorial(m + 1)
+        sinc = TestDerivativeOfSymbol._sinc_series(xi, terms)
         sq = np.convolve(sinc, sinc)[:terms]
         series = -a * sq
         for m in range(terms):
@@ -219,6 +340,35 @@ class TestDerivativeOfSymbol:
         out = one_row(corrector_operator_L, p, s, phi=phi, i=0)
         x = g.coordinates[..., 0]
         expect = np.real(z) * np.cos(xi * x) - np.imag(z) * np.sin(xi * x)
+        np.testing.assert_allclose(out.values, expect,
+                                   atol=1e-8 * max(abs(z), 1.0))
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+    def test_2d_symbol_derivative_matches_operator(self, p):
+        # the lattice symbol on exp(i xi . x): a^{11} and a^{22} give
+        # -(sin(xi_a h)/h)^2, each of a^{12} = a^{21} gives
+        # -sin(xi_1 h) sin(xi_2 h)/h^2, and p along e2 (e^{i xi_2 h}-1)/h
+        a11, a22, a12, c = 0.4, 0.3, 0.1, 0.25
+        terms = p + 3
+        g = make_torus_grid(2, [1.0, 1.0], [32, 32])
+        xi1, xi2 = 2 * np.pi * 2, 2 * np.pi * 1
+        s1, s2 = self._sinc_series(xi1, terms), self._sinc_series(xi2, terms)
+        series = -(a11 * np.convolve(s1, s1) + a22 * np.convolve(s2, s2)
+                   + 2 * a12 * np.convolve(s1, s2))[:terms]
+        for m in range(terms):
+            series[m] += c * (1j * xi2) ** (m + 1) / math.factorial(m + 1)
+        z = series[p] * math.factorial(p)  # p-th h-derivative at h = 0
+
+        e1, e2 = (1, 0), (0, 1)
+        s = DifferenceScheme(stencil=basis_stencil(2), d1=0,
+                             a={(e1, e1): a11, (e2, e2): a22,
+                                (e1, e2): a12, (e2, e1): a12},
+                             p={e2: c})
+        theta = lambda x: xi1 * x[..., 0] + xi2 * x[..., 1]
+        phi = g.sample(lambda x: np.cos(theta(x)))
+        out = one_row(corrector_operator_L, p, s, phi=phi, i=0)
+        x = g.coordinates
+        expect = np.real(z) * np.cos(theta(x)) - np.imag(z) * np.sin(theta(x))
         np.testing.assert_allclose(out.values, expect,
                                    atol=1e-8 * max(abs(z), 1.0))
 
@@ -481,25 +631,26 @@ def pinned_config(name):
 # sha256 prefixes of each order's (n + 1, *grid) float64 stack, recorded
 # with the per-step corrector recursion this module used to carry; those of
 # a spectral reference again with the march in Fourier space, which
-# test_spectral_oracle checks against that recursion
+# test_spectral_oracle checks against that recursion; orders 2 and up again
+# when the expansion operators were read off the expansion of L^h
 PINNED_DIGESTS = {
     "fine-grid-varcoef-k2": ["6cb5749b5a3eedf7", "6fc74890c52aef57",
-                             "3f75792f47efa89b"],
+                             "5ae85e40d22afdcd"],
     "time-dependent-k2": ["92e491ee9e4b54b4", "2bb5b7bd1d3ab2ca",
-                          "ade79948a85506cf"],
+                          "47afa1a358e5edcc"],
     "two-drivers-k2": ["4050120103093690", "16cc39e093d21650",
-                       "8dea033bda4c06d7"],
+                       "10aea48278f35c58"],
     "stoch-transport-k4": ["c3543b48777d125a", "e8b31e302d11fbf7",
-                           "ba0251ccb07c42fa", "e8b31e302d11fbf7",
-                           "57f476177d190e78"],
-    "2d-k2": ["47499297167a47bf", "84ff92691f909a05", "7e2da4cde9a6c3ec"],
-    "heat1d-k3": ["11a84673a8ae0691", "e8b31e302d11fbf7", "717bc8d0ee5d72d5",
+                           "afd8a55758053b48", "e8b31e302d11fbf7",
+                           "c503c653b44fd145"],
+    "2d-k2": ["47499297167a47bf", "84ff92691f909a05", "a5d084d6179da98a"],
+    "heat1d-k3": ["11a84673a8ae0691", "e8b31e302d11fbf7", "13881a1cd2dbd39a",
                   "e8b31e302d11fbf7"],
     # several blocks of steps
     "stoch-transport-k3-n40": ["eedc4c975f05fd3e", "9e635f518975d1cf",
-                               "8d5b375160e449a4", "9e635f518975d1cf"],
+                               "49df93e6f92a1e31", "9e635f518975d1cf"],
     "late-forcing-89-k3-n37": ["d0f565738ffed7e5", "7099f6eaf50b9081",
-                               "17e4a6026fd92b35", "a65bfc8cec6c9f9c"],
+                               "30cdb4045f0de54a", "cd00f056cf53e60b"],
 }
 
 
@@ -824,7 +975,7 @@ class TestZeroForcingSkip:
                 n, sample_increments(n, 1, p.T / n, 3))
         cs = run_corrector_system(*args)
         assert _digests(cs) == ["f6467534f2e9d6d0", "09507bf4b808712f",
-                                "3bb89a7993318bf7", "24f72962dc281aec"]
+                                "b522f125c50438f4", "b4d1734da100388f"]
         assert not cs[0].values[:4].any() and cs[0].values[4].any()
         assert not cs[1].values[:4].any() and cs[1].values[4].any()
         # example2 is not symmetric: every corrector solves every step,
@@ -857,7 +1008,7 @@ class TestZeroForcingSkip:
         for j in (1, 3):
             assert cs[j].values.tobytes() == np.zeros((9, 89, 16)).tobytes()
         assert _digests(cs) == ["1540baa9d3fe9164", "ab96e4f5d68289f1",
-                                "c44b2bb3405a2395", "ab96e4f5d68289f1"]
+                                "95bc2e6e670756a2", "ab96e4f5d68289f1"]
 
 
 def _forcing(p, args, kwargs):
@@ -945,14 +1096,17 @@ class TestZeroBlocks:
     def test_vanishing_corrector_blocks_make_no_transform(self, monkeypatch):
         # k = 3, n = 40: three blocks.  Before, each block made 9
         # transforms, 4 of them of zeros: v^(1)'s forward one and the
-        # inverse ones of L_2 v^(1) and M_2 v^(1).
+        # inverse ones of L_2 v^(1) and M_2 v^(1).  Each block now makes 4:
+        # the forward ones of v^(0) and v^(2), and one inverse one each for
+        # L_2 v^(0) and M_2 v^(0), since the mixed a^{11} term takes one
+        # per order (it took two, one per constant A_{2,r}).
         calls = _count_transforms(monkeypatch)
         reads = _record_reads(monkeypatch)
         args, kwargs = pinned_config("stoch-transport-k3-n40")
         cs = run_corrector_system(*args, **kwargs)
         assert not cs[1].values.any() and not cs[3].values.any()
         assert all(nonzero for _, nonzero in calls)
-        assert (len(calls), calls.count((False, True))) == (15, 6)
+        assert (len(calls), calls.count((False, True))) == (12, 6)
         # per block: L_1 v^(0); L_2 v^(0), M_2 v^(0); L_1 v^(2), L_3 v^(0)
         assert all(nonzero for *_, nonzero in reads)
         assert [(op, j) for op, j, *_ in reads] == 3 * [
@@ -961,7 +1115,8 @@ class TestZeroBlocks:
 
     def test_live_odd_corrector_is_transformed(self, monkeypatch):
         # drift1d under example2 has one-sided terms: v^(1) lives, and its
-        # one block is transformed and read like v^(0)'s
+        # one block is transformed and read like v^(0)'s.  The mixed a^{11}
+        # term of L_2 v^(0) takes one inverse transform (it took two).
         p = make_problem("drift1d")
         calls = _count_transforms(monkeypatch)
         reads = _record_reads(monkeypatch)
@@ -970,11 +1125,12 @@ class TestZeroBlocks:
         ratio = np.max(np.abs(cs[1].values)) / np.max(np.abs(cs[0].values))
         assert 0.76 < ratio < 0.78
         assert all(nonzero for _, nonzero in calls)
-        assert (len(calls), calls.count((False, True))) == (10, 2)
+        assert (len(calls), calls.count((False, True))) == (9, 2)
         assert [(op, j) for op, j, *_ in reads] == [("L", 1), ("L", 1), ("L", 2)]
-        # recorded before zero blocks were skipped
+        # recorded before zero blocks were skipped; v^(2) again when the
+        # operators were read off the expansion of L^h
         assert _digests(cs) == ["ac5673d83521361c", "eb5e1b45e7ff9b17",
-                                "bbc9b1e035dea587"]
+                                "1d0cb1db95e15022"]
 
     def test_unresolved_second_corrector_raises_at_its_block(self, monkeypatch):
         # k = 3, centred: v^(0) carries 1e-12 of its energy at mode 31 of
@@ -1002,32 +1158,30 @@ class TestSharedMultipliers:
     first call and read from then on, keep the bits of a fresh one."""
 
     @pytest.mark.parametrize("shape", [(32,), (16, 12)])
-    def test_directional_and_mixed(self, shape, monkeypatch):
+    def test_directional_and_mixed(self, shape):
+        # the centred and one-sided stencils along each vector, and the
+        # mixed stencil of each pair, at orders 0..4: one build per
+        # (stencil, p), on the first round
         g = make_torus_grid(len(shape), [n / 16 for n in shape], list(shape))
         stack = np.random.default_rng(3).standard_normal((3,) + shape)
         vecs = [(1,), (-1,)] if len(shape) == 1 else [(1, 0), (0, 1), (1, 1),
                                                       (1, -1)]
+        stencils = [centred_stencil(lam) for lam in vecs] + [
+            stencil_of(kind, lam) for kind in "pq" for lam in vecs] + [
+            stencil_of("a", (lam, mu)) for lam in vecs for mu in vecs]
         shared = _Multipliers(g)
-        built = []
-        factor = _Multipliers._factor
-        monkeypatch.setattr(_Multipliers, "_factor",
-                            lambda self, lam: built.append(self) or factor(self, lam))
         for round in range(2):
             block = _spectra(g, stack, shared)
-            for lam in vecs:
-                for order in range(1, 5):
-                    assert block.directional(lam, order).tobytes() == \
-                        _spectra(g, stack).directional(lam, order).tobytes()
-                for mu in vecs:
-                    for ol, om in ((1, 1), (2, 3), (3, 1)):
-                        assert block.mixed(lam, ol, mu, om).tobytes() == \
-                            _spectra(g, stack).mixed(lam, ol, mu, om).tobytes()
+            for stencil in stencils:
+                for order in range(5):
+                    terms = [(1.0, stencil)]
+                    assert block.derivative(order, terms).tobytes() == \
+                        _spectra(g, stack).derivative(order, terms).tobytes()
             if round == 0:
-                made = len(shared._made)
-        assert len(shared._made) == made
-        # every multiplier was built on the first round
-        assert sum(m is shared for m in built) == \
-            len(vecs) * 4 + len(vecs) ** 2 * 3 * 2
+                made = dict(shared._made)
+        assert len(made) == len(set(stencils)) * 5
+        assert all(shared._made[key] is m for key, m in made.items())
+        assert len(shared._made) == len(made)
 
     @pytest.mark.parametrize("name", ["time-dependent-k2", "2d-k2"])
     def test_operators(self, name):

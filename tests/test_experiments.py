@@ -525,22 +525,23 @@ class TestEmitOutputs:
 # report.csv, rung_*.csv and plot.gp of two small corrector studies, as the
 # per-rung run of the expansion residual wrote them: a spectral reference
 # with k = 3 (its rungs marched on their lattice symbols in Fourier space)
-# and a fine-grid reference with k = 2
+# and a fine-grid reference with k = 2; again when the expansion operators
+# were read off the expansion of L^h, which moves v^(2) and up by rounding
 PINNED_STUDIES = {
     "spectral-stoch-transport-k3": (
         ExperimentSpec(problem="stoch-transport",
                        problem_params=(("beta", 0.3), ("extra_diffusion", 0.05)),
                        n=16, points0=16, rungs=3, correctors_k=3,
                        reference_mode="spectral", seeds=(1001,)),
-        {"report.csv": "c2b0d47544b45210", "rung_16.csv": "d576e9a9bfc324ff",
-         "rung_32.csv": "2a45606e3e6dd726", "rung_64.csv": "687eaf2753944ec8",
-         "plot.gp": "699c6dce63330a5e"}),
+        {"report.csv": "3b683cfb561d6866", "rung_16.csv": "eb0610a21a15f875",
+         "rung_32.csv": "d2e7ddf0acca8610", "rung_64.csv": "3adba36b9f8f3a5f",
+         "plot.gp": "0633d4036f506642"}),
     "fine-grid-var-coef1d-k2": (
         ExperimentSpec(problem="var-coef1d", n=16, points0=8, rungs=3,
                        correctors_k=2, seeds=(2001,)),
-        {"report.csv": "01cd77fb7bc263e3", "rung_8.csv": "5404858d755d893b",
-         "rung_16.csv": "427d682e0da289d5", "rung_32.csv": "52109c431ad8c6ae",
-         "plot.gp": "0514a51e98c15d22"}),
+        {"report.csv": "c4cf7d56b6d15cb1", "rung_8.csv": "18f49a76a135eaf0",
+         "rung_16.csv": "805a63fba49b0a3c", "rung_32.csv": "22c032031d588d7a",
+         "plot.gp": "0d403df86452f855"}),
 }
 
 
@@ -709,8 +710,8 @@ class TestBlockedMeasurement:
             "plot.gp": "0e08a46c6db68d55"}
         result = run_corrector_experiment(self.CORRECTOR_SPEC)
         assert _digests(emit_outputs(result, tmp_path / "c")) == {
-            "report.csv": "7f11b1a82ec4b0a0", "rung_16.csv": "558eaba89b2dab2c",
-            "rung_32.csv": "936a71eba06749ce", "plot.gp": "373d7b06656216dd"}
+            "report.csv": "2944cda1948dae08", "rung_16.csv": "0c858fa714ac250c",
+            "rung_32.csv": "3db6c2fb2f4624dc", "plot.gp": "640afcec726f14b1"}
 
     @pytest.mark.parametrize("column, seeds", [
         pytest.param(0, [], id="first"), pytest.param(1, [4], id="middle"),

@@ -339,11 +339,12 @@ class TestIterativeSolve:
     """GMRES preconditioned by the FFT inverse of the mean-weight circulant."""
 
     def test_circulant_symbol_is_the_matrix_eigenvalue(self):
-        from spdefd.stepper import _circulant_symbol, _L_terms, _scheme_arrays
+        from spdefd.stepper import (_circulant_symbol, _L_terms, _scheme_arrays,
+                                    _shifts)
         g = make_torus_grid(2, [1.0, 1.5], [8, 12])
         s, tau = cross_scheme_2d(), 0.01
-        symbol = _circulant_symbol(_L_terms(_scheme_arrays(s, g, 0), g), g.shape,
-                                   tau)
+        symbol = _circulant_symbol(_shifts(_L_terms(_scheme_arrays(s, g, 0)), g.h),
+                                   g.shape, tau)
         A = ImplicitOperator(s, g, tau, 0).matrix
         j1, j2 = np.meshgrid(np.arange(8), np.arange(12), indexing="ij")
         for k in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 4), (7, 6)]:
@@ -426,7 +427,8 @@ class TestIterativeSolve:
         assert not failures[0] and sorted(calls) == ["A", "A", "M", "M"]
         n = g.npoints
         symbol = stepper._circulant_symbol(
-            stepper._L_terms(stepper._scheme_arrays(s, g, 0), g), g.shape, tau)
+            stepper._shifts(stepper._L_terms(stepper._scheme_arrays(s, g, 0)), g.h),
+            g.shape, tau)
         M = spla.LinearOperator((n, n), dtype=float, matvec=functools.partial(
             circulant, symbol, g.shape))
         plain, _ = spla.gmres(spla.aslinearoperator(op.matrix), rhs.ravel(),
