@@ -15,7 +15,8 @@ that is what makes base-4 extrapolation possible.
 Those operators are read off the h-free expansion of L^h and M^{h,rho}
 that the lattice marches weigh (``stepper._L_terms``, ``_M_terms``): a
 stencil of shifts s h^-k T_{hv} has the p-th h-derivative at 0 with the
-Fourier multiplier sum s p!/(p+k)! (i v . xi)^(p+k), one per (stencil, p).
+Fourier multiplier sum s p!/(p+k)! (i v . xi)^(p+k) (``stepper._multiplier``),
+one per (stencil, p); p = 0 is the continuous operator the exact rungs march.
 
 Spatial derivatives here act on smooth reference-grid fields and are realized
 by Fourier spectral differentiation, which is exact for band-limited data; a
@@ -74,6 +75,7 @@ from .stepper import (
     _M_terms,
     _blocks,
     _frequency_mesh,
+    _multiplier,
     _scheme_arrays,
     _time_key,
     export_trajectory_binary,
@@ -119,9 +121,9 @@ def _top_mode_fractions(hat: np.ndarray, mask: np.ndarray | None = None
 
 
 class _Multipliers:
-    """The Fourier multipliers of the h-derivatives of the expansion
-    stencils on one grid, and its top-mode mask, each built once when first
-    asked for: one object serves every block of a corrector system."""
+    """The multipliers of the expansion stencils on one grid
+    (:func:`stepper._multiplier`) and its top-mode mask, each built once
+    when first asked for: one object serves every block of a corrector system."""
 
     def __init__(self, grid: TorusGrid):
         self.freq = _frequency_mesh(grid)
@@ -129,32 +131,10 @@ class _Multipliers:
         self._made = {}
 
     def derivative(self, stencil: tuple, p: int) -> np.ndarray | None:
-        """The multiplier of the p-th h-derivative at h = 0 of a stencil of
-        ``(s, v, k)``, each s h^-k T_{hv} (see :func:`stepper._L_terms`):
-
-            m_p = sum s p!/(p+k)! (i v . xi)^(p+k),
-
-        or None where it vanishes.  A shift and its mirror -v share one
-        power, their factors summed first, so an odd order of a symmetric
-        stencil vanishes exactly."""
-        key = (stencil, p)
-        if key not in self._made:
-            factors = {}
-            for s, v, k in stencil:
-                n, mirror = p + k, v < tuple(-c for c in v)
-                if any(v) or not n:     # T_0 is the identity, free of h
-                    v = tuple(-c for c in v) if mirror else v
-                    factors[v, n] = factors.get((v, n), 0.0) + (
-                        s * (-1) ** (n * mirror)
-                        * math.factorial(p) / math.factorial(n))
-            parts = []
-            for (v, n), factor in factors.items():
-                if factor:
-                    iv_xi = 1j * sum((c * xi for c, xi in zip(v, self.freq) if c),
-                                     np.zeros(self.freq[0].shape))
-                    parts.append(factor * iv_xi ** n)
-            self._made[key] = sum(parts[1:], parts[0]) if parts else None
-        return self._made[key]
+        """m_p of a stencil, or None where it vanishes, from the cache."""
+        if (stencil, p) not in self._made:
+            self._made[stencil, p] = _multiplier(stencil, p, self.freq)
+        return self._made[stencil, p]
 
 
 @dataclass
@@ -244,7 +224,7 @@ def corrector_operator_L(p: int, scheme: DifferenceScheme, der: _Spectra,
     given.
 
     Every row is checked for resolution first.  p = 0 is the continuous
-    operator itself (by the consistency identities); odd p vanishes for
+    operator itself, which an exact rung marches; odd p vanishes for
     schemes without one-sided terms.
     """
     if p < 0:

@@ -34,7 +34,8 @@ expansion into shifts of those arrays (``_L_terms``, ``_M_terms``), free
 of the mesh width, which enters only where the weights are made
 (``_shifts``): they are assembled into a sparse matrix (``_assemble``) or
 reduced to the kernel of their mean-weight circulant (``_kernel``), and
-``correctors`` reads the h-derivatives at h = 0 off the same form.
+their h-derivatives at h = 0 (``_multiplier``) give the exact rungs'
+symbols (p = 0, the continuous operators) and the corrector operators.
 :func:`lattice_operators` chooses the operators of every lattice march,
 and :func:`_solver_mode` the solver of each lattice, both read off the
 lattice: a 1-d scheme whose coefficients are plain numbers is a circulant,
@@ -49,15 +50,15 @@ result holds a NaN or inf, and are never papered over by regularization.
 ``apply_L`` is a one-field wrapper over the assembled L^h.  scipy is
 imported only where the sparse LU and GMRES paths assemble, factor or
 iterate, so a march in Fourier space never loads it.  What a step's time
-key fixes, the coefficient arrays of each lattice and the sparse LU
-included, is made once per key and kept for that key alone by
-``_LatticeOperators._per_key``, the one store of the lattice operators.
+key fixes, the symbols and the sparse LU included, is made once per key
+and kept for that key alone by ``_LatticeOperators._per_key``, the one
+store of the lattice operators.
 
 The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
-operators, when the coefficients are constant in space, or by the centred
-scheme on a finer lattice otherwise.  The continuous symbols come only as
-exact rungs, on top of a ladder's lattice rungs
+operators, when the scheme's coefficients are constant in space, or by the
+centred scheme on a finer lattice otherwise.  The continuous symbols come
+only as exact rungs, on top of a ladder's lattice rungs
 (``SpectralOperators(..., exact=...)``; the reference is a ladder of one
 exact rung and none of a lattice): a convergence study marches its
 spectral reference as one more rung of its ladder (``lattice_operators(...,
@@ -115,8 +116,8 @@ class SolveFailure(RuntimeError):
 
 
 class SpectralModeError(ValueError):
-    """Spectral reference mode requires spatially constant coefficients, and
-    a study's exact rung a circulant ladder."""
+    """An exact rung needs a scheme whose coefficients are constant in space
+    (naming one that varies), and in a study a circulant ladder."""
 
 
 @dataclass
@@ -641,14 +642,50 @@ def _frequency_mesh(grid: TorusGrid):
     return np.meshgrid(*axes, indexing="ij")
 
 
-def _constant_value(values: np.ndarray, what: str) -> float:
-    values = np.asarray(values, dtype=float)
+def _multiplier(stencil: tuple, p: int, freq: list) -> np.ndarray | None:
+    """m_p = sum s p!/(p+k)! (i v . xi)^(p+k) on the angular frequencies
+    ``freq`` (:func:`_frequency_mesh`): the multiplier of the p-th
+    h-derivative at h = 0 of a stencil of ``(s, v, k)`` (see
+    :func:`_L_terms`), or None where it vanishes.  A shift and its mirror -v
+    share one power, their factors summed first, so an odd order of a
+    symmetric stencil vanishes exactly."""
+    factors = {}
+    for s, v, k in stencil:
+        n, mirror = p + k, v < tuple(-c for c in v)
+        if any(v) or not n:     # T_0 is the identity, free of h
+            v = tuple(-c for c in v) if mirror else v
+            factors[v, n] = factors.get((v, n), 0.0) + (
+                s * (-1) ** (n * mirror) * math.factorial(p) / math.factorial(n))
+    parts = []
+    for (v, n), factor in factors.items():
+        if factor:
+            iv_xi = 1j * sum((c * xi for c, xi in zip(v, freq) if c),
+                             np.zeros(freq[0].shape))
+            parts.append(factor * iv_xi ** n)
+    return sum(parts[1:], parts[0]) if parts else None
+
+
+def _limit_symbol(terms: list, freq: list) -> np.ndarray:
+    """The symbol of the h -> 0 limit of expansion ``terms`` whose
+    coefficients are numbers: sum coef m_0, term by term (:func:`_multiplier`)."""
+    symbol = np.zeros(freq[0].shape, dtype=complex)
+    for coef, stencil in terms:
+        m = _multiplier(stencil, 0, freq)
+        if m is not None:
+            symbol += coef * m
+    return symbol
+
+
+def _constant_value(values: np.ndarray, kind: str, key) -> float:
+    """The number of the scheme coefficient ``kind[key]`` from its ``values``
+    on a lattice; one that varies in space raises :class:`SpectralModeError`."""
     scale = max(1.0, float(np.max(np.abs(values))))
-    if values.size and float(np.ptp(values)) > 1e-12 * scale:
+    if float(np.ptp(values)) > 1e-12 * scale:
+        name = ", ".join(map(str, key if kind in "ab" else (key,)))
         raise SpectralModeError(
-            f"{what} varies in space; the spectral reference needs constant "
-            "coefficients (use the fine-grid mode instead)")
-    return float(values.flat[0]) if values.size else 0.0
+            f"{kind}[{name}] varies in space; the spectral reference needs "
+            "constant coefficients (use the fine-grid mode instead)")
+    return float(values.flat[0])
 
 
 def _hermitian(s: np.ndarray) -> np.ndarray:
@@ -667,9 +704,8 @@ class _LatticeOperators:
     real values in that form by the family's ``_transform``, a zero one as
     None, ``apply_M_values`` checks the driver of M^rho, and ``_finish``
     ends every solve, in the words ``_what[r]`` of each rung r; ``key`` is
-    a step's time key, and ``_per_key`` keeps what it fixes, such as a
-    rung's coefficient arrays (``_arrays``).  Each family supplies
-    ``_transform``, ``states`` (the real states), ``_apply_M`` and
+    a step's time key, and ``_per_key`` keeps what it fixes.  Each family
+    supplies ``_transform``, ``states`` (the real states), ``_apply_M`` and
     ``solve_values``.  The scheme is required: ``d1`` and the time key are
     its own.  ``exact`` counts the rungs on top that march the continuous
     operators, which only :class:`SpectralOperators` has.
@@ -702,11 +738,6 @@ class _LatticeOperators:
         if name not in self._store:
             self._store[name] = (key, make(i))
         return self._store[name][1]
-
-    def _arrays(self, r: int, i: int) -> dict:
-        """The scheme's coefficient arrays on rung r at step i, from the store."""
-        return self._per_key(("arrays", r), i, lambda i: _scheme_arrays(
-            self.scheme, self.grids[r], i))
 
     def _views(self, v: np.ndarray) -> list:
         """Each rung's ``state shape + v.shape[1:]`` view of the packed rows
@@ -772,23 +803,24 @@ class SpectralOperators(_LatticeOperators):
     ``I - tau L^h`` is a circulant, solved by its factorization into
     Fourier modes.  The lattices ``exact`` follow them as rungs of the
     symbols symL and symM_rho of the continuous L and M^rho, the reference
-    time scheme's (the problem's coefficients must be constant in space,
-    checked), and only these have them: a study's reference rides on its
-    ladder's march as one such rung, and the reference of
-    :func:`reference_marcher` and the corrector system is a ladder of no
-    lattice rung and one exact one.  ``exact`` is the number of those rungs
-    on top, whose failures say "spectral solve" where a scheme's rung says
-    "factorized solve".  Every element of the packed state goes through the
-    operations of its rung's own march, so each rung has that march's bits.
-    The solve multiplies by ``inv =
+    time scheme's: the h -> 0 limits of the same expansion, whose
+    coefficients must be constant in space (checked).  Only these rungs
+    have them: a study's reference rides on its ladder's march as one such
+    rung, and the reference of :func:`reference_marcher` and the corrector
+    system is a ladder of no lattice rung and one exact one.  ``exact`` is
+    the number of those rungs on top, whose failures say "spectral solve"
+    where a scheme's rung says "factorized solve".  Every element of the
+    packed state goes through the operations of its rung's own march, so
+    each rung has that march's bits.  The solve multiplies by ``inv =
     H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
     ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
     every full-spectrum product on its real part realizes, which keeps the
-    Nyquist lines of an even lattice real.  u0 and the free terms are
-    transformed where they are evaluated, and :meth:`states` transforms
-    back.  A rung whose ``1 - tau symL`` nearly vanishes fails its own
-    columns, and a non-finite solution aborts its column in that rung; the
-    other rungs march on.
+    Nyquist lines of an even lattice real; the store's ``"multipliers"``
+    makes them once per time key, from arrays it reads and does not keep.
+    u0 and the free terms are transformed where they are evaluated, and
+    :meth:`states` transforms back.  A rung whose ``1 - tau symL`` nearly
+    vanishes fails its own columns, and a non-finite solution aborts its
+    column in that rung; the others march on.
     """
 
     dtype = complex
@@ -809,41 +841,23 @@ class SpectralOperators(_LatticeOperators):
                 for g, half in zip(self.grids, self._views(v))]
 
     def symbols(self, i: int) -> list:
-        """(symL, [symM_rho]) per rung at step i, full-spectrum arrays."""
-        key, lattices = self.key(i), len(self.grids) - self.exact
-        return [self._lattice(r, i) if r < lattices else self._continuous(g, key)
-                for r, g in enumerate(self.grids)]
-
-    def _lattice(self, r: int, i: int) -> tuple:
-        arrays, grid = self._arrays(r, i), self.grids[r]
-        symbols = [np.conj(np.fft.fftn(_kernel(_shifts(terms, grid.h), grid.shape)))
-                   for terms in [_L_terms(arrays)] + _M_terms(arrays, self.d1)]
-        return symbols[0], symbols[1:]
-
-    def _continuous(self, grid: TorusGrid, key: int) -> tuple:
-        p, d, x, freq = self.problem, grid.dim, grid.coordinates, _frequency_mesh(grid)
-        symL = np.zeros(grid.shape, dtype=complex)
-        for al in range(1, d + 1):
-            for be in range(1, d + 1):
-                c = _constant_value(p.a_at(al, be, key, x), f"a[{al},{be}]")
-                if c:
-                    symL = symL - c * freq[al - 1] * freq[be - 1]
-        for al in range(1, d + 1):
-            c = (_constant_value(p.a_at(al, 0, key, x), f"a[{al},0]")
-                 + _constant_value(p.a_at(0, al, key, x), f"a[0,{al}]"))
-            if c:
-                symL = symL + 1j * c * freq[al - 1]
-        symL = symL + _constant_value(p.a_at(0, 0, key, x), "a[0,0]")
-        symM = []
-        for rho in range(1, p.d1 + 1):
-            s = np.zeros(grid.shape, dtype=complex)
-            for al in range(1, d + 1):
-                c = _constant_value(p.b_at(al, rho, key, x), f"b[{al},{rho}]")
-                if c:
-                    s = s + 1j * c * freq[al - 1]
-            s = s + _constant_value(p.b_at(0, rho, key, x), f"b[0,{rho}]")
-            symM.append(s)
-        return symL, symM
+        """(symL, [symM_rho]) per rung at step i, full-spectrum arrays, read
+        off the expansion of the scheme's coefficient arrays at step i: a
+        lattice rung's are the conjugate DFTs of their kernels, an exact
+        rung's those of the h -> 0 limit (:func:`_limit_symbol`), each
+        coefficient reduced to its number (:func:`_constant_value`)."""
+        lattices, symbols = len(self.grids) - self.exact, []
+        for r, grid in enumerate(self.grids):
+            arrays = _scheme_arrays(self.scheme, grid, i)
+            if r >= lattices:
+                arrays = {kind: {key: _constant_value(values, kind, key)
+                                 for key, values in arrays[kind].items()}
+                          for kind in arrays}
+            made = [np.conj(np.fft.fftn(_kernel(_shifts(terms, grid.h), grid.shape)))
+                    if r < lattices else _limit_symbol(terms, _frequency_mesh(grid))
+                    for terms in [_L_terms(arrays)] + _M_terms(arrays, self.d1)]
+            symbols.append((made[0], made[1:]))
+        return symbols
 
     def _multipliers(self, i: int) -> tuple:
         """inv and the m_rho at step i, packed, and the rungs where ``1 -
@@ -925,6 +939,11 @@ class FiniteDifferenceOperators(_LatticeOperators):
         self._direct = [r for r, m in enumerate(modes) if m == "direct"]
         self._gmres = [r for r, m in enumerate(modes) if m == "iterative"]
         self._orders = {}                   # rung -> its LU's column order
+
+    def _arrays(self, r: int, i: int) -> dict:
+        """The scheme's coefficient arrays on rung r at step i, from the store."""
+        return self._per_key(("arrays", r), i, lambda i: _scheme_arrays(
+            self.scheme, self.grids[r], i))
 
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
@@ -1042,7 +1061,7 @@ def lattice_operators(problem: DifferentialProblem, grids: list, tau: float,
     otherwise on :class:`FiniteDifferenceOperators` in ``mode``, each rung
     with the solver :func:`_solver_mode` reads off it.  Only a circulant
     ladder carries ``exact``: asked for on any other, it raises
-    :class:`SpectralModeError`, naming a coefficient of the problem that
+    :class:`SpectralModeError`, naming a coefficient of the scheme that
     varies in space where there is one."""
     _solver_mode(mode, grids[0])
     scheme = build_scheme_example1(problem) if scheme is None else scheme

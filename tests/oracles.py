@@ -182,3 +182,45 @@ def spectral_march(problem, grid, n, xi, u0=None, forcing=None):
         v = np.real(np.fft.ifftn(np.fft.fftn(rhs) / (1.0 - tau * symbols(i)[0])))
         out.append(v)
     return np.stack(out)
+
+
+def continuous_symbols(problem, grid, key):
+    """The full-spectrum symbols ``(symL, [symM_rho])`` on ``grid`` of the
+    continuous L and M^rho at time key ``key``, written out from the
+    problem's coefficients, each reduced to its number:
+
+        symL = -sum a^{ab} xi_a xi_b + i sum (a^{a0} + a^{0a}) xi_a + a^{00}
+        symM_rho = i sum b^{a rho} xi_a + b^{0 rho}
+
+    A coefficient that varies in space raises ``SpectralModeError``."""
+    from spdefd.stepper import SpectralModeError
+
+    d, x = grid.dim, grid.coordinates
+    freq = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(N) * N / P
+                         for N, P in zip(grid.shape, grid.periods)],
+                       indexing="ij")
+
+    def constant(values, what):
+        values = np.asarray(values, dtype=float)
+        if np.ptp(values) > 1e-12 * max(1.0, np.max(np.abs(values))):
+            raise SpectralModeError(f"{what} varies in space")
+        return float(values.flat[0])
+
+    symL = np.zeros(grid.shape, dtype=complex)
+    for al in range(1, d + 1):
+        for be in range(1, d + 1):
+            c = constant(problem.a_at(al, be, key, x), f"a[{al},{be}]")
+            symL = symL - c * freq[al - 1] * freq[be - 1]
+    for al in range(1, d + 1):
+        c = (constant(problem.a_at(al, 0, key, x), f"a[{al},0]")
+             + constant(problem.a_at(0, al, key, x), f"a[0,{al}]"))
+        symL = symL + 1j * c * freq[al - 1]
+    symL = symL + constant(problem.a_at(0, 0, key, x), "a[0,0]")
+    symM = []
+    for rho in range(1, problem.d1 + 1):
+        s = np.zeros(grid.shape, dtype=complex)
+        for al in range(1, d + 1):
+            c = constant(problem.b_at(al, rho, key, x), f"b[{al},{rho}]")
+            s = s + 1j * c * freq[al - 1]
+        symM.append(s + constant(problem.b_at(0, rho, key, x), f"b[0,{rho}]"))
+    return symL, symM

@@ -9,6 +9,7 @@ from spdefd.grids import GridError, make_torus_grid, subsample
 from spdefd.problems import (
     DifferentialProblem,
     DifferenceScheme,
+    PROBLEM_LIBRARY,
     build_scheme_example1,
     build_scheme_example2,
     make_problem,
@@ -22,6 +23,11 @@ from spdefd.stepper import (
     SpectralModeError,
     SpectralOperators,
     Trajectory,
+    _L_terms,
+    _frequency_mesh,
+    _kernel,
+    _multiplier,
+    _shifts,
     _solver_mode,
     apply_L,
     export_trajectory_binary,
@@ -55,7 +61,12 @@ def manual_increments(xi, tau):
     return BrownianIncrements(n=xi.shape[0], d1=xi.shape[1], tau=tau, seed=0, xi=xi)
 
 
-from oracles import dense_L_1d, dense_L_2d, dense_M_1d  # noqa: E402  (shared test oracles)
+from oracles import (  # noqa: E402  (shared test oracles)
+    continuous_symbols,
+    dense_L_1d,
+    dense_L_2d,
+    dense_M_1d,
+)
 
 
 def varcoef_scheme_2d():
@@ -774,6 +785,104 @@ class TestReferenceTimeScheme:
             run_reference_time_scheme(p, g, 4, mode="nope")
 
 
+def exact_rung_problem(name):
+    """A problem whose exact rung the continuous oracle checks: a library
+    problem by name, or one of the named cases here."""
+    if name == "custom":       # the six inline keys of a custom config
+        return DifferentialProblem(
+            d=1, d1=1, T=0.5, a={(0, 0): -0.2, (0, 1): 0.1, (1, 0): 0.05,
+                                 (1, 1): 0.07}, b={(0, 1): 0.3, (1, 1): 0.2},
+            constant_coefficients=True)
+    if name == "2d":
+        return gmres_2d_problem()
+    if name == "two-drivers":
+        return DifferentialProblem(
+            d=1, d1=2, T=0.25,
+            a={(1, 1): 0.07, (1, 0): 0.02, (0, 1): -0.01, (0, 0): -0.3},
+            b={(1, 1): 0.2, (0, 1): 0.1, (1, 2): -0.15, (0, 2): 0.05},
+            constant_coefficients=True)
+    if name == "time-dependent":
+        return time_dependent_problem()
+    return make_problem(name)
+
+
+class TestExactRungSymbols:
+    """An exact rung's symbols are the h -> 0 limit of the scheme's
+    expansion, read off it as the corrector operators are: the continuous
+    L and M^rho written out from the problem's coefficients are the
+    oracle, and each lattice symbol converges to them."""
+
+    CASES = [(name, 1) for name in sorted(PROBLEM_LIBRARY)] + [
+        ("custom", 1), ("2d", 1), ("two-drivers", 1), ("time-dependent", 1),
+        ("time-dependent", 3)]
+
+    @pytest.mark.parametrize("scheme_of", [build_scheme_example1,
+                                           build_scheme_example2])
+    @pytest.mark.parametrize("name, i", CASES)
+    def test_matches_continuous_oracle(self, name, i, scheme_of):
+        p = exact_rung_problem(name)
+        grid = (make_torus_grid(2, [1.0, 0.75], [16, 12]) if p.d == 2
+                else make_torus_grid(1, [1.0], [16]))
+        ops = SpectralOperators(p, [], p.T / 4, scheme_of(p), [grid])
+        if name == "var-coef1d":
+            with pytest.raises(SpectralModeError):
+                ops.symbols(i)
+            with pytest.raises(SpectralModeError):
+                continuous_symbols(p, grid, ops.key(i))
+            return
+        (symL, symM), = ops.symbols(i)
+        wantL, wantM = continuous_symbols(p, grid, ops.key(i))
+        assert len(symM) == len(wantM) == p.d1
+        for got, want in zip([symL] + symM, [wantL] + wantM):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    # (kind, key) of one coefficient, and the order at which its lattice
+    # symbol converges
+    STENCILS = {"centred": ("a", ((1,), (0,)), 2),
+                "second-order-1d": ("a", ((1,), (1,)), 2),
+                "mixed-2d": ("a", ((1, 0), (0, 1)), 2),
+                "one-sided": ("p", (1,), 1)}
+
+    @pytest.mark.parametrize("stencil_name", sorted(STENCILS))
+    def test_lattice_symbol_converges_to_limit(self, stencil_name):
+        kind, key, order = self.STENCILS[stencil_name]
+        arrays = {"a": {}, "p": {}, "q": {}}
+        arrays[kind][key] = 1.0
+        (_, stencil), = _L_terms(arrays)
+        dim = len(stencil[0][1])
+        errors = []
+        for N in (16, 32, 64, 128):
+            g = make_torus_grid(dim, [1.0] * dim, [N] * dim)
+            lattice = np.conj(np.fft.fftn(_kernel(_shifts([(1.0, stencil)], g.h),
+                                                  g.shape)))
+            limit = _multiplier(stencil, 0, _frequency_mesh(g))
+            mode = (1,) * dim
+            errors.append(abs(lattice[mode] - limit[mode]))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        np.testing.assert_allclose(orders, order, atol=0.1)
+
+    @pytest.mark.parametrize("case", ["var-coef1d", "b11", "cross"])
+    def test_error_names_varying_scheme_coefficient(self, case):
+        def wave(i, x):
+            return 0.1 + 0.05 * np.sin(2 * np.pi * x[..., 0])
+
+        p, scheme_of, name = {
+            "var-coef1d": (make_problem("var-coef1d"), build_scheme_example1,
+                           r"a\[\(1,\), \(1,\)\]"),
+            "b11": (DifferentialProblem(d=1, d1=1, T=0.5, a={(1, 1): 0.1},
+                                        b={(1, 1): wave}),
+                    build_scheme_example1, r"b\[\(1,\), 1\]"),
+            # the cross term becomes example2's p and q, which both vary
+            "cross": (DifferentialProblem(d=1, d1=0, T=0.5,
+                                          a={(1, 1): 0.1, (0, 1): wave}),
+                      build_scheme_example2, r"p\[\(1,\)\]"),
+        }[case]
+        grids = [make_torus_grid(1, [1.0], [N]) for N in (8, 16)]
+        with pytest.raises(SpectralModeError, match=f"^{name} varies in space"):
+            lattice_operators(p, grids, p.T / 4, scheme_of(p), exact=grids[-1:])
+
+
 def march_columns(marcher, n, factor=1):
     """Real states 0..n of a batched marcher on one lattice, restricted by
     ``factor`` per axis."""
@@ -924,7 +1033,8 @@ class TestBatchedMarcher:
         # rung: it names the coefficient that varies in space, if any
         grids = [make_torus_grid(1, [1.0], [N]) for N in (8, 16)]
         p = make_problem("var-coef1d")
-        with pytest.raises(SpectralModeError, match=r"^a\[1,1\] varies in space"):
+        with pytest.raises(SpectralModeError,
+                           match=r"^a\[\(1,\), \(1,\)\] varies in space"):
             lattice_operators(p, grids, p.T / 4, exact=grids[-1:])
         for p, mode in ((time_dependent_problem(), "auto"),
                         (make_problem("heat1d"), "iterative")):
@@ -1231,8 +1341,9 @@ class TestPerKeyStore:
         "iterative": ({"M": 1, "gmres": 1}, {"M": 4, "gmres": 4}),
     }
     # reads of the scheme's coefficient arrays, time-independent and
-    # time-dependent (keys 0..4); the continuous symbols read no scheme
-    READS = {"continuous": (0, 0), "lattice": (1, 5), "direct": (1, 5),
+    # time-dependent (keys 0..4); the continuous symbols read the scheme's
+    # expansion too
+    READS = {"continuous": (1, 5), "lattice": (1, 5), "direct": (1, 5),
              "iterative": (1, 5)}
 
     @pytest.mark.parametrize("family", sorted(BUILDS))
