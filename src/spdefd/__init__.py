@@ -18,13 +18,11 @@ from .grids import (
 from .problems import (
     DifferenceScheme,
     DifferentialProblem,
-    FactorizationError,
     ProblemError,
     build_scheme_example1,
     build_scheme_example2,
     check_consistency,
     check_degenerate_parabolicity,
-    factorize_psd,
     make_problem,
 )
 from .wiener import (

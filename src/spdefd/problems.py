@@ -27,10 +27,6 @@ class ProblemError(ValueError):
     """Invalid problem or scheme data."""
 
 
-class FactorizationError(ValueError):
-    """Matrix is indefinite beyond tolerance; no PSD factor exists."""
-
-
 class _Constant:
     """The evaluator of a plain-number coefficient or free term; it carries
     its value, so a caller can tell it will not change."""
@@ -318,46 +314,6 @@ def check_degenerate_parabolicity(problem: DifferentialProblem,
         if lam_min < -1e-10:
             failures.append((i, x, lam_min))
     return ParabolicityReport(worst, failures)
-
-
-def factorize_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Pivoted Cholesky factor of a positive semidefinite matrix.
-
-    Returns sigma with ``sigma @ sigma.T == M`` (to ``tol`` relative); the
-    factor has exact rank many leading columns and trailing zero columns.
-    Raises :class:`FactorizationError` when M is indefinite beyond tol.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ProblemError("factorize_psd needs a square matrix")
-    if not np.allclose(M, M.T, atol=1e-12 * (1.0 + np.max(np.abs(M)))):
-        raise ProblemError("factorize_psd needs a symmetric matrix")
-    n = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(M))) if n else 1.0)
-    A = M.copy()
-    L = np.zeros((n, n))
-    piv = np.arange(n)
-    for k in range(n):
-        diag = np.diag(A)[k:]
-        j = int(np.argmax(diag)) + k
-        if A[j, j] <= tol * scale:
-            if np.min(diag) < -tol * scale:
-                raise FactorizationError(
-                    f"matrix is indefinite: pivot {np.min(diag):.3e}")
-            break
-        if j != k:
-            A[[k, j], :] = A[[j, k], :]
-            A[:, [k, j]] = A[:, [j, k]]
-            L[[k, j], :] = L[[j, k], :]
-            piv[[k, j]] = piv[[j, k]]
-        L[k, k] = math.sqrt(A[k, k])
-        L[k + 1:, k] = A[k + 1:, k] / L[k, k]
-        A[k + 1:, k + 1:] -= np.outer(L[k + 1:, k], L[k + 1:, k])
-    sigma = np.zeros((n, n))
-    sigma[piv, :] = L
-    if np.max(np.abs(sigma @ sigma.T - M), initial=0.0) > tol * (1.0 + scale):
-        raise FactorizationError("matrix is indefinite beyond tolerance")
-    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ result holds a NaN or inf, and are never papered over by regularization.
 ``apply_L`` is a one-field wrapper over the assembled L^h.  scipy is
 imported only where the sparse LU and GMRES paths assemble, factor or
 iterate, so a march in Fourier space never loads it.  What a step's time
-key fixes, the symbols and the sparse LU included, is made once per key
-and kept for that key alone by ``_LatticeOperators._per_key``, the one
-store of the lattice operators.
+key fixes, the symbols and the sparse LU included, is one product of each
+family's ``_build``, made once per key from the coefficient arrays, which
+it does not keep; ``_LatticeOperators._at`` holds it for that key alone.
 
 The reference solution of the time-discretized PDE (:func:`reference_marcher`)
 is realized exactly per Fourier mode, on the symbols of the continuous
@@ -344,15 +344,15 @@ def _solver_mode(mode: str, grid: TorusGrid) -> str:
     return ("iterative" if large else "direct") if mode == "auto" else mode
 
 
-def _factors(matrix, step: int, **options):
+def _factors(matrix, **options):
     """The SuperLU factors of a CSC ``matrix``; a singular one raises a
-    :class:`SolveFailure` at ``step``."""
+    :class:`SolveFailure` that names no step."""
     import scipy.sparse.linalg as spla
     try:
         return spla.splu(matrix, **options)
     except RuntimeError as exc:
         raise SolveFailure(f"factorization failed ({exc}); "
-                           "tau may not be small enough", step=step) from exc
+                           "tau may not be small enough") from exc
 
 
 class ImplicitOperator:
@@ -704,11 +704,12 @@ class _LatticeOperators:
     real values in that form by the family's ``_transform``, a zero one as
     None, ``apply_M_values`` checks the driver of M^rho, and ``_finish``
     ends every solve, in the words ``_what[r]`` of each rung r; ``key`` is
-    a step's time key, and ``_per_key`` keeps what it fixes.  Each family
-    supplies ``_transform``, ``states`` (the real states), ``_apply_M`` and
-    ``solve_values``.  The scheme is required: ``d1`` and the time key are
-    its own.  ``exact`` counts the rungs on top that march the continuous
-    operators, which only :class:`SpectralOperators` has.
+    a step's time key, and ``_at`` keeps the one product of what it fixes.
+    Each family supplies ``_transform``, ``states`` (the real states),
+    ``_build`` (that product), ``_apply_M`` and ``solve_values``.  The
+    scheme is required: ``d1`` and the time key are its own.  ``exact``
+    counts the rungs on top that march the continuous operators, which
+    only :class:`SpectralOperators` has.
     """
 
     def __init__(self, problem, grids: list, tau: float, scheme, shapes: list,
@@ -720,7 +721,7 @@ class _LatticeOperators:
         starts = np.cumsum([0] + [math.prod(s) for s in shapes])
         self.shape = (int(starts[-1]),)
         self._rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
-        self._store = {}                     # name -> (time key, product)
+        self._product = None                 # (time key, its _build)
         self._what = (["factorized solve"] * (len(self.grids) - exact)
                       + ["spectral solve"] * exact)
 
@@ -728,16 +729,15 @@ class _LatticeOperators:
         """The time key of step i (:func:`_time_key`)."""
         return _time_key(self.scheme, i)
 
-    def _per_key(self, name, i: int, make):
-        """``make(i)``, made once per time key of step i, kept for that key
-        alone under ``name``: the product of another key is dropped before
-        ``make`` runs, so no product is held twice."""
+    def _at(self, i: int):
+        """The family's ``_build(i)``, made once per time key of step i and
+        kept for that key alone: the product of another key is dropped
+        before ``_build`` runs, so no two products are held at once."""
         key = self.key(i)
-        if name in self._store and self._store[name][0] != key:
-            del self._store[name]
-        if name not in self._store:
-            self._store[name] = (key, make(i))
-        return self._store[name][1]
+        if self._product is None or self._product[0] != key:
+            self._product = None
+            self._product = (key, self._build(i))
+        return self._product[1]
 
     def _views(self, v: np.ndarray) -> list:
         """Each rung's ``state shape + v.shape[1:]`` view of the packed rows
@@ -815,8 +815,8 @@ class SpectralOperators(_LatticeOperators):
     H(1/(1 - tau symL))`` and M^rho by ``m_rho = H(symM_rho)``, with
     ``H(s)(k) = (s(k) + conj s(-k)) / 2``: the multiplier that projecting
     every full-spectrum product on its real part realizes, which keeps the
-    Nyquist lines of an even lattice real; the store's ``"multipliers"``
-    makes them once per time key, from arrays it reads and does not keep.
+    Nyquist lines of an even lattice real; :meth:`_build` makes them once
+    per time key, from arrays it reads and does not keep.
     u0 and the free terms are transformed where they are evaluated, and
     :meth:`states` transforms back.  A rung whose ``1 - tau symL`` nearly
     vanishes fails its own columns, and a non-finite solution aborts its
@@ -859,12 +859,9 @@ class SpectralOperators(_LatticeOperators):
             symbols.append((made[0], made[1:]))
         return symbols
 
-    def _multipliers(self, i: int) -> tuple:
+    def _build(self, i: int) -> tuple:
         """inv and the m_rho at step i, packed, and the rungs where ``1 -
-        tau symL`` nearly vanishes (their inv is zero), from the store."""
-        return self._per_key("multipliers", i, self._build_multipliers)
-
-    def _build_multipliers(self, i: int) -> tuple:
+        tau symL`` nearly vanishes (their inv is zero)."""
         symbols, inv, singular = self.symbols(i), [], []
         for r, (symL, _) in enumerate(symbols):
             denom = 1.0 - self.tau * symL
@@ -881,7 +878,7 @@ class SpectralOperators(_LatticeOperators):
         """(I - tau L)^{-1} per column, exactly per Fourier mode, in place;
         the failures go into the marcher's record ``failures`` (see
         :class:`Marcher`)."""
-        inv, _, singular = self._multipliers(i)
+        inv, _, singular = self._at(i)
         for r in singular:
             _fail(failures[r], SolveFailure(
                 "spectral implicit operator is singular; tau may not be "
@@ -890,7 +887,7 @@ class SpectralOperators(_LatticeOperators):
         return self._finish(rhs, i, failures)
 
     def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        return self._multipliers(i)[1][rho - 1][:, None] * values
+        return self._at(i)[1][rho - 1][:, None] * values
 
 
 class FiniteDifferenceOperators(_LatticeOperators):
@@ -904,11 +901,13 @@ class FiniteDifferenceOperators(_LatticeOperators):
 
     A rung's state is its real ``grid.shape`` values (:meth:`states` gives
     the rungs' views), and M^{h,rho} acts on each rung's rows as one CSR
-    product.  The per-key store (``_per_key``) holds, for the current time
-    key, each rung's coefficient arrays, its M^{h,rho} matrices (from
-    :func:`_M_terms`), each GMRES rung's :class:`ImplicitOperator` and the
-    direct rungs' block LU (:meth:`_factor`), so a time-dependent scheme
-    refactors at every step and any other once per march.
+    product.  What a time key fixes is one product of :meth:`_build`, held
+    for the current key alone: each rung's M^{h,rho} matrices (from
+    :func:`_M_terms`), the direct rungs' block LU (:meth:`_factor`) and each
+    GMRES rung's :class:`ImplicitOperator`, all made from the rungs'
+    coefficient arrays, which are read once per key and not kept.  A
+    time-dependent scheme refactors at every key its march asks for, 0 to
+    n, and any other once per march.
 
     The direct-mode rungs solve together: one sparse LU of the block
     diagonal of their ``I - tau L^h`` serves the packed right-hand side.  A
@@ -925,9 +924,9 @@ class FiniteDifferenceOperators(_LatticeOperators):
     :class:`Marcher`), which is passed in since marchers may share one
     operators object; the factors are the same whichever marcher asks.  A
     rung whose factorization fails fails every column in its words, at
-    every solve.  A direct rung whose columns have all failed otherwise
-    stays in the block: its rows are solved, then zeroed.  A failed column
-    gets no GMRES solve.
+    every solve, which names its own step.  A direct rung whose columns
+    have all failed otherwise stays in the block: its rows are solved, then
+    zeroed.  A failed column gets no GMRES solve.
     """
 
     dtype = float
@@ -940,11 +939,6 @@ class FiniteDifferenceOperators(_LatticeOperators):
         self._gmres = [r for r, m in enumerate(modes) if m == "iterative"]
         self._orders = {}                   # rung -> its LU's column order
 
-    def _arrays(self, r: int, i: int) -> dict:
-        """The scheme's coefficient arrays on rung r at step i, from the store."""
-        return self._per_key(("arrays", r), i, lambda i: _scheme_arrays(
-            self.scheme, self.grids[r], i))
-
     @staticmethod
     def _transform(values: np.ndarray, axes) -> np.ndarray:
         return values
@@ -954,48 +948,58 @@ class FiniteDifferenceOperators(_LatticeOperators):
         of ``v``."""
         return self._views(v)
 
-    def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
-        matrices = self._per_key("M", i, lambda i: [
-            [_assemble(_shifts(terms, g.h), g.shape)
-             for terms in _M_terms(self._arrays(r, i), self.d1)]
-            for r, g in enumerate(self.grids)])
-        return np.concatenate([M[rho - 1] @ values[rows]
-                               for M, rows in zip(matrices, self._rows)])
+    def _build(self, i: int) -> tuple:
+        """What the time key of step i fixes, from each rung's coefficient
+        arrays, read here once and dropped on return: each rung's M^{h,rho}
+        matrices, the direct rungs' block LU (:meth:`_factor`) and each
+        GMRES rung's :class:`ImplicitOperator`, keyed by rung."""
+        arrays = [_scheme_arrays(self.scheme, g, i) for g in self.grids]
+        matrices = [[_assemble(_shifts(terms, g.h), g.shape)
+                     for terms in _M_terms(a, self.d1)]
+                    for a, g in zip(arrays, self.grids)]
+        gmres = {r: ImplicitOperator(self.scheme, self.grids[r], self.tau, i,
+                                     terms=_L_terms(arrays[r]))
+                 for r in self._gmres}
+        return matrices, self._factor(arrays), gmres
 
-    def _factor(self, i: int) -> tuple:
-        """The sparse LU at step i of the block diagonal of every direct
-        rung's ``I - tau L^h``, the store's ``"lu"`` product: ``(factors,
-        rows, columns, broken)``.  ``broken`` maps each rung whose
-        factorization failed to its failure; the others make the block.
-        ``factors`` is None when no rung is left; ``rows`` are the block's
-        packed rows, and row j of its solution is packed row
-        ``columns[j]``, or row j of ``rows`` when ``columns`` is None (a
-        block of one rung, that rung's own LU).  A singular block is
-        singular in a rung of its own, since its blocks have their rungs'
-        bits: each rung is then factored alone, and those that fail leave
-        the block, which is factored again."""
+    def _apply_M(self, values: np.ndarray, rho: int, i: int) -> np.ndarray:
+        return np.concatenate([M[rho - 1] @ values[rows]
+                               for M, rows in zip(self._at(i)[0], self._rows)])
+
+    def _factor(self, arrays: list) -> tuple:
+        """The sparse LU of the block diagonal of every direct rung's ``I -
+        tau L^h``, of each rung's coefficient ``arrays``: ``(factors, rows,
+        columns, broken)``.  ``broken`` maps each rung whose factorization
+        failed to its failure, which names no step: a key's product is made
+        at whichever step first asks for it, and the solve names its own.
+        The others make the block.  ``factors`` is None when no rung is
+        left; ``rows`` are the block's packed rows, and row j of its
+        solution is packed row ``columns[j]``, or row j of ``rows`` when
+        ``columns`` is None (a block of one rung, that rung's own LU).  A
+        singular block is singular in a rung of its own, since its blocks
+        have their rungs' bits: each rung is then factored alone, and those
+        that fail leave the block, which is factored again."""
         import scipy.sparse as sp
-        matrices = {r: _assemble(_shifts(_L_terms(self._arrays(r, i)),
-                                         self.grids[r].h),
+        matrices = {r: _assemble(_shifts(_L_terms(arrays[r]), self.grids[r].h),
                                  self.grids[r].shape, self.tau).tocsc()
                     for r in self._direct}
         lu, broken = None, {}
         while matrices and lu is None:
             try:
                 if len(matrices) == 1:
-                    lu = _factors(*matrices.values(), i)
+                    lu = _factors(*matrices.values())
                 else:
                     for r, m in matrices.items():
                         if r not in self._orders:
-                            self._orders[r] = np.argsort(_factors(m, i).perm_c)
+                            self._orders[r] = np.argsort(_factors(m).perm_c)
                     lu = _factors(sp.block_diag(
                         [m[:, self._orders[r]] for r, m in matrices.items()],
-                        format="csc"), i, permc_spec="NATURAL")
+                        format="csc"), permc_spec="NATURAL")
             except SolveFailure as exc:
                 failed = {}
                 for r, m in matrices.items() if len(matrices) > 1 else ():
                     try:
-                        _factors(m, i)
+                        _factors(m)
                     except SolveFailure as own:
                         failed[r] = own
                 # should no rung fail alone, the block's failure is theirs
@@ -1013,21 +1017,15 @@ class FiniteDifferenceOperators(_LatticeOperators):
             [self._rows[r].start + self._orders[r] for r in matrices])
         return lu, rows, columns, broken
 
-    def _iterative(self, r: int, i: int) -> ImplicitOperator:
-        """The GMRES operator of rung r at step i."""
-        return self._per_key(("gmres", r), i, lambda i: ImplicitOperator(
-            self.scheme, self.grids[r], self.tau, i,
-            terms=_L_terms(self._arrays(r, i))))
-
     def solve_values(self, rhs: np.ndarray, i: int, failures: list) -> np.ndarray:
         """Every rung's solve of its view of ``rhs``: the direct rungs' in
         one block solve, the others' column by column.  The failures go
         into the marcher's record ``failures``, and a failed column is
         zeroed."""
         width = rhs.shape[-1]
-        lu, block, columns, broken = self._per_key("lu", i, self._factor)
+        _, (lu, block, columns, broken), gmres = self._at(i)
         for r, exc in broken.items():
-            _fail(failures[r], exc, width)
+            _fail(failures[r], SolveFailure(str(exc), step=i), width)
         out = np.empty(rhs.shape)
         if lu is not None:
             y = lu.solve(rhs[block])
@@ -1035,8 +1033,8 @@ class FiniteDifferenceOperators(_LatticeOperators):
                 out = y                  # one rung, the whole state
             else:
                 out[block if columns is None else columns] = y
-        for r in self._gmres:
-            op, rows = self._iterative(r, i), self._rows[r]
+        for r, op in gmres.items():
+            rows = self._rows[r]
             for k in range(width):
                 if k in failures[r]:
                     continue

@@ -572,6 +572,19 @@ def time_dependent_problem():
         time_independent=False, constant_coefficients=True)
 
 
+def time_space_problem():
+    """Varies in time and, through a11, in space: a time-dependent scheme
+    that marches on the FD operators, with a drift term so that example2
+    has one-sided terms and v^(1) lives."""
+    return DifferentialProblem(
+        d=1, d1=1, T=0.5,
+        a={(1, 1): lambda i, x: (0.08 + 0.04 * np.cos(0.3 * i)
+                                 + 0.02 * np.sin(2 * np.pi * x[..., 0])),
+           (0, 1): lambda i, x: 0.1 + 0.05 * np.sin(0.4 * i) + 0.0 * x[..., 0]},
+        b={(1, 1): lambda i, x: 0.2 + 0.1 * np.sin(0.2 * i) + 0.0 * x[..., 0]},
+        u0=lambda x: np.cos(2 * np.pi * x[..., 0]), time_independent=False)
+
+
 def two_driver_increments(p, n, seed):
     """Driver 2 never moves; driver 1 skips every third step."""
     xi = sample_increments(n, 2, p.T / n, seed).xi.copy()
@@ -592,6 +605,13 @@ def pinned_config(name):
         p = time_dependent_problem()
         return (2, p, build_scheme_example2(p), g64, 16,
                 sample_increments(16, 1, p.T / 16, 7)), {}
+    if name == "fine-grid-time-dependent-k2":
+        # v^(0) and v^(1) march on one FD object, keyed at every step, and
+        # 20 steps cross a block
+        p = time_space_problem()
+        return (2, p, build_scheme_example2(p), g64, 20,
+                sample_increments(20, 1, p.T / 20, 7)), dict(
+                    reference_mode="fine-grid", refine=1)
     if name == "two-drivers-k2":
         p = DifferentialProblem(d=1, d1=2, T=0.5, a={(1, 1): 0.1},
                                 b={(1, 1): 0.2, (0, 2): 0.3}, g={2: 0.1},
@@ -640,6 +660,8 @@ PINNED_DIGESTS = {
                              "5ae85e40d22afdcd"],
     "time-dependent-k2": ["92e491ee9e4b54b4", "2bb5b7bd1d3ab2ca",
                           "47afa1a358e5edcc"],
+    "fine-grid-time-dependent-k2": ["809ed99c5fd1a0fc", "6cea8ecf8a7365fb",
+                                    "70e9eb89f7389618"],
     "two-drivers-k2": ["4050120103093690", "16cc39e093d21650",
                        "817402503d4071ea"],
     "stoch-transport-k4": ["c3543b48777d125a", "e8b31e302d11fbf7",
@@ -678,7 +700,8 @@ class TestCorrectorSystemBits:
                 [f.values for f in traj.fields]).tobytes()
 
     @pytest.mark.parametrize("name", ["late-forcing-89-k3-n37",
-                                      "fine-grid-varcoef-k2", "2d-k2"])
+                                      "fine-grid-varcoef-k2", "2d-k2",
+                                      "fine-grid-time-dependent-k2"])
     @pytest.mark.parametrize("rows", [1, 5])
     def test_block_size_keeps_pinned_digests(self, name, rows, monkeypatch):
         from spdefd import stepper
@@ -806,17 +829,18 @@ def _poison_step(step):
 
 def _singular_at(monkeypatch, step):
     """Make the spectral implicit operator singular on every rung at
-    ``step``, as ``_multipliers`` gives a rung whose ``1 - tau symL``
-    vanishes: a zero inverse, and the rung among the singular ones."""
-    original = SpectralOperators._multipliers
+    ``step``, as ``_build`` gives a rung whose ``1 - tau symL`` vanishes: a
+    zero inverse, and the rung among the singular ones.  ``_at`` is
+    patched, since it is asked at every step and ``_build`` once per key."""
+    original = SpectralOperators._at
 
-    def multipliers(self, i):
+    def at(self, i):
         inv, m, singular = original(self, i)
         if i == step:
             return np.zeros_like(inv), m, list(range(len(self.grids)))
         return inv, m, singular
 
-    monkeypatch.setattr(SpectralOperators, "_multipliers", multipliers)
+    monkeypatch.setattr(SpectralOperators, "_at", at)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -3,13 +3,11 @@ import pytest
 
 from spdefd.problems import (
     DifferentialProblem,
-    FactorizationError,
     ProblemError,
     build_scheme_example1,
     build_scheme_example2,
     check_consistency,
     check_degenerate_parabolicity,
-    factorize_psd,
     make_problem,
 )
 
@@ -152,51 +150,6 @@ class TestParabolicity:
         p = problem_1d(a11=0.5 * beta * beta + eps, b11=beta)
         report = check_degenerate_parabolicity(p, SAMPLE_1D)
         assert report.min_eigenvalue == pytest.approx(2.0 * eps, abs=1e-10)
-
-
-class TestFactorizePsd:
-    def test_zero_matrix(self):
-        sigma = factorize_psd(np.zeros((3, 3)))
-        np.testing.assert_array_equal(sigma, np.zeros((3, 3)))
-
-    def test_identity(self):
-        sigma = factorize_psd(np.eye(2))
-        # up to column permutation/sign; reconstruction is the contract
-        np.testing.assert_allclose(sigma @ sigma.T, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(np.abs(sigma), np.eye(2), atol=1e-12)
-
-    def test_rank_one(self):
-        M = np.array([[1.0, 1.0], [1.0, 1.0]])
-        sigma = factorize_psd(M)
-        np.testing.assert_allclose(sigma @ sigma.T, M, atol=1e-12)
-        nonzero_cols = np.sum(np.any(np.abs(sigma) > 1e-12, axis=0))
-        assert nonzero_cols == 1
-
-    def test_random_psd_reconstruction(self):
-        rng = np.random.default_rng(42)
-        for n in (2, 4, 7):
-            B = rng.standard_normal((n, n))
-            M = B @ B.T
-            sigma = factorize_psd(M)
-            norm = np.max(np.abs(M))
-            assert np.max(np.abs(sigma @ sigma.T - M)) <= 1e-10 * (1.0 + norm)
-
-    def test_rank_deficient_reconstruction(self):
-        rng = np.random.default_rng(7)
-        B = rng.standard_normal((5, 2))
-        M = B @ B.T
-        sigma = factorize_psd(M)
-        assert np.max(np.abs(sigma @ sigma.T - M)) <= 1e-10 * (1.0 + np.max(np.abs(M)))
-        nonzero_cols = np.sum(np.any(np.abs(sigma) > 1e-10, axis=0))
-        assert nonzero_cols == 2
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(FactorizationError):
-            factorize_psd(np.diag([1.0, -1.0]))
-
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(ProblemError):
-            factorize_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestLibrary:

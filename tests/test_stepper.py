@@ -429,7 +429,7 @@ class TestIterativeSolve:
         g = make_torus_grid(2, [1.0, 1.0], [16, 16])
         s, tau = cross_scheme_2d(), 0.01
         ops = FiniteDifferenceOperators(None, [g], tau, s, "iterative")
-        op = ops._iterative(0, 0)         # the operator the solve reuses
+        op = ops._at(0)[2][0]             # the operator the solve reuses
         product = op._product.fn
         op._product.fn = lambda x: calls.append("A") or product(x)
         rhs = np.random.default_rng(7).standard_normal(g.shape + (1,))
@@ -1312,12 +1312,12 @@ class TestFreeTerms:
 
 
 class TestPerKeyStore:
-    """The lattice operators build each per-key product once per time key
-    and keep it for the current key alone: a time-independent march builds
-    each once, a time-dependent one each time the requested key changes.
-    The scheme's coefficient arrays are one such product, read once per
-    key: the other products of a key share them.  The direct rungs' sparse
-    LU is another, so it has no store of its own."""
+    """The lattice operators build what a time key fixes as one product, once
+    per key, and keep it for the current key alone: a time-independent march
+    builds it once, a time-dependent one each time the requested key
+    changes.  The scheme's coefficient arrays are read once per key, inside
+    that build: every part of the product shares them.  The direct rungs'
+    sparse LU is one part, so it has no store of its own."""
 
     N = 4
 
@@ -1331,14 +1331,16 @@ class TestPerKeyStore:
             return SpectralOperators(problem, [g], tau, scheme)
         return FiniteDifferenceOperators(problem, [g], tau, scheme, family)
 
-    # time-independent, time-dependent.  A spectral step asks for M at i - 1
-    # and the solve at i, one product: keys 0, 1, 1, 2, 2, 3, 3, 4.  The FD
-    # M is asked for at 0..3, and each GMRES operator and LU at 1..4.
+    # time-independent, time-dependent.  A step asks for M at i - 1 and the
+    # solve at i, one product: keys 0, 1, 1, 2, 2, 3, 3, 4.  So an FD march
+    # builds its M and its LU or GMRES operator at keys 0..4, one of each
+    # more than it uses (M at 0..3, the solve at 1..4), as the spectral
+    # family builds its symbols.
     BUILDS = {
         "continuous": ({"symbols": 1}, {"symbols": 5}),
         "lattice": ({"symbols": 1}, {"symbols": 5}),
-        "direct": ({"M": 1, "lu": 1}, {"M": 4, "lu": 4}),
-        "iterative": ({"M": 1, "gmres": 1}, {"M": 4, "gmres": 4}),
+        "direct": ({"M": 1, "lu": 1}, {"M": 5, "lu": 5}),
+        "iterative": ({"M": 1, "gmres": 1}, {"M": 5, "gmres": 5}),
     }
     # reads of the scheme's coefficient arrays, time-independent and
     # time-dependent (keys 0..4); the continuous symbols read the scheme's
@@ -1346,16 +1348,11 @@ class TestPerKeyStore:
     READS = {"continuous": (1, 5), "lattice": (1, 5), "direct": (1, 5),
              "iterative": (1, 5)}
 
-    @pytest.mark.parametrize("family", sorted(BUILDS))
-    @pytest.mark.parametrize("time_dependent", [False, True])
-    def test_each_product_built_once_per_key(self, family, time_dependent,
-                                             monkeypatch):
+    @staticmethod
+    def counted(monkeypatch) -> tuple:
+        """Counters of the builds of each part of a key's product, and the
+        list of the steps at which the scheme's arrays are read."""
         from spdefd import stepper
-        p = time_dependent_problem() if time_dependent else DifferentialProblem(
-            d=1, d1=1, T=0.5, a={(1, 1): 0.1}, b={(1, 1): 0.2},
-            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
-            constant_coefficients=True)
-        ops = self.operators(family, p)
         builds = {"symbols": 0, "M": 0, "gmres": 0, "lu": 0}
         symbols, assemble = SpectralOperators.symbols, stepper._assemble
         factors = stepper._factors
@@ -1387,20 +1384,125 @@ class TestPerKeyStore:
         monkeypatch.setattr(stepper, "_factors", counting_factors)
         monkeypatch.setattr(ImplicitOperator, "__init__", counting_init)
         monkeypatch.setattr(stepper, "_scheme_arrays", counting_read)
+        return builds, reads
+
+    def march(self, ops) -> Marcher:
+        """A one-path marcher on ``ops``, marched to step N."""
+        p = ops.problem
         xi = increment_columns(p, self.N, [sample_increments(self.N, 1,
                                                              p.T / self.N, 3)])
         marcher = Marcher(xi, ops)
         marcher.march(self.N + 1)
-        assert not any(marcher.failures)
+        return marcher
+
+    @pytest.mark.parametrize("family", sorted(BUILDS))
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_each_product_built_once_per_key(self, family, time_dependent,
+                                             monkeypatch):
+        p = time_dependent_problem() if time_dependent else DifferentialProblem(
+            d=1, d1=1, T=0.5, a={(1, 1): 0.1}, b={(1, 1): 0.2},
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            constant_coefficients=True)
+        ops = self.operators(family, p)
+        builds, reads = self.counted(monkeypatch)
+        assert not any(self.march(ops).failures)
         want = {"symbols": 0, "M": 0, "gmres": 0, "lu": 0}
         want.update(self.BUILDS[family][time_dependent])
         assert builds == want
         assert len(reads) == self.READS[family][time_dependent]
         assert len(set(map(ops.key, reads))) == len(reads)
 
-    def test_stale_product_released_before_make(self):
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_one_build_makes_lu_and_gmres(self, time_dependent, monkeypatch):
+        # 64^2 solved directly and 128^2 by GMRES, in one operators object:
+        # each build of a key makes the M of both rungs, the LU of one and
+        # the GMRES operator of the other, from one read of each rung.  The
+        # coefficients are constant in space, so each GMRES solve takes one
+        # iteration
+        p = DifferentialProblem(
+            d=2, d1=1, T=0.25,
+            a={(1, 1): lambda i, x: (0.05 + 0.01 * np.sin(0.5 * i)
+                                     + 0.0 * x[..., 0]),
+               (2, 2): 0.05},
+            b={(1, 1): 0.2},
+            u0=lambda x: (np.cos(2 * np.pi * x[..., 0])
+                          * np.sin(2 * np.pi * x[..., 1])),
+            time_independent=not time_dependent)
+        grids = [make_torus_grid(2, [1.0, 1.0], [m, m]) for m in (64, 128)]
+        ops = FiniteDifferenceOperators(p, grids, p.T / self.N,
+                                        build_scheme_example1(p))
+        assert (ops._direct, ops._gmres) == ([0], [1])
+        calls, build = [], FiniteDifferenceOperators._build
+
+        def counting_build(self, i):
+            calls.append(self.key(i))
+            return build(self, i)
+
+        monkeypatch.setattr(FiniteDifferenceOperators, "_build", counting_build)
+        builds, reads = self.counted(monkeypatch)
+        assert not any(self.march(ops).failures)
+        keys = list(range(self.N + 1)) if time_dependent else [0]
+        assert calls == keys
+        assert builds == {"symbols": 0, "M": 2 * len(keys), "gmres": len(keys),
+                          "lu": len(keys)}
+        assert sorted(map(ops.key, reads)) == sorted(2 * keys)
+
+    @pytest.mark.parametrize("case", ["fd-ladder", "gmres-2d", "spectral"])
+    def test_no_coefficient_array_outlives_its_build(self, case, monkeypatch):
+        # the scheme's arrays are read inside a key's build and dropped when
+        # it returns: none is alive after a march, with its operators still
+        # alive, and none waits for the cyclic garbage collector
+        import weakref
+        from spdefd import stepper
+        read, refs = stepper._scheme_arrays, []
+
+        def tracked(scheme, grid, i):
+            arrays = read(scheme, grid, i)
+            refs.extend(weakref.ref(values) for kind in arrays.values()
+                        for values in kind.values())
+            return arrays
+
+        monkeypatch.setattr(stepper, "_scheme_arrays", tracked)
+        if case == "gmres-2d":
+            p = gmres_2d_problem()
+            ops = FiniteDifferenceOperators(
+                p, [make_torus_grid(2, [1.0, 1.0], [32, 32])], p.T / self.N,
+                build_scheme_example1(p), "iterative")
+        else:
+            p = (make_problem("var-coef1d") if case == "fd-ladder" else
+                 make_problem("stoch-transport", beta=0.3, extra_diffusion=0.05))
+            grids = [make_torus_grid(1, [1.0], [m]) for m in (16, 32)]
+            ops = lattice_operators(p, grids, p.T / self.N,
+                                    build_scheme_example1(p), exact=[
+                                        grids[-1]] if case == "spectral" else [])
+        assert isinstance(ops, SpectralOperators) == (case == "spectral")
+        assert not any(self.march(ops).failures)
+        alive = sum(ref() is not None for ref in refs)
+        assert refs and not alive, f"{alive} of {len(refs)} arrays alive"
+
+    @pytest.mark.parametrize("time_independent", [True, False])
+    def test_factorization_failure_names_its_solve(self, time_independent,
+                                                   monkeypatch):
+        # a stochastic march builds key 0's product for M at step 0, before
+        # the first solve; a failed factorization is still the first solve's
+        def failing_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", failing_splu)
+        p = DifferentialProblem(
+            d=1, d1=1, T=0.5, b={(1, 1): 0.2},
+            a={(1, 1): lambda i, x: 0.1 + 0.05 * np.sin(2 * np.pi * x[..., 0])},
+            u0=lambda x: np.cos(2 * np.pi * x[..., 0]),
+            time_independent=time_independent)
+        ops = FiniteDifferenceOperators(p, [make_torus_grid(1, [1.0], [16])],
+                                        p.T / self.N, build_scheme_example1(p))
+        assert [str(exc) for exc in self.march(ops).failures[0].values()] == [
+            "step 1: factorization failed (Factor is exactly singular); tau "
+            "may not be small enough"]
+
+    def test_stale_product_released_before_make(self, monkeypatch):
         # a product of the last key is gone by the time its successor is
-        # made, so the store never holds two at once
+        # built, so the operators never hold two at once
         import weakref
 
         class Product:
@@ -1409,14 +1511,15 @@ class TestPerKeyStore:
         ops = self.operators("direct", time_dependent_problem())
         made, stale_alive = [], []
 
-        def make(i):
+        def build(self, i):
             stale_alive.extend(ref() is not None for ref in made)
             product = Product()
             made.append(weakref.ref(product))
             return product
 
+        monkeypatch.setattr(FiniteDifferenceOperators, "_build", build)
         for i in (1, 2, 2, 3):
-            ops._per_key("probe", i, make)
+            ops._at(i)
         assert len(made) == 3
         assert stale_alive == [False, False, False]
 
