@@ -25,12 +25,7 @@ from .problems import (
     check_degenerate_parabolicity,
     make_problem,
 )
-from .wiener import (
-    BrownianIncrements,
-    load_increments,
-    sample_increments,
-    save_increments,
-)
+from .wiener import BrownianIncrements, sample_increments
 from .stepper import (
     ImplicitOperator,
     SolveFailure,

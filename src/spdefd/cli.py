@@ -48,9 +48,9 @@ from .experiments import (
 )
 from .richardson import ExtrapolationError
 from .stepper import (
+    TRAJECTORY_FORMATS,
     SolveFailure,
-    export_trajectory_binary,
-    export_trajectory_csv,
+    export_trajectory,
     run_space_time_scheme,
 )
 from .wiener import sample_increments
@@ -72,8 +72,9 @@ def _add_common(parser, config_required=True):
                         help="accepted for compatibility and validated (>= 1), "
                         "but has no effect: a study steps all its seeds "
                         "together in one thread (overrides the config)")
-    parser.add_argument("--format", choices=("csv", "binary"), default=None,
-                        help="trajectory output format (overrides the config)")
+    parser.add_argument("--format", choices=tuple(TRAJECTORY_FORMATS),
+                        default=None, help="trajectory output format "
+                        "(overrides the config)")
 
 
 def _load_spec(args):
@@ -109,12 +110,7 @@ def _cmd_solve(args) -> int:
     traj = run_space_time_scheme(problem, scheme, grid, spec.n, increments)
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    if spec.format == "binary":
-        path = out / "trajectory.bin"
-        export_trajectory_binary(traj, path)
-    else:
-        path = out / "trajectory.csv"
-        export_trajectory_csv(traj, path)
+    path = export_trajectory(traj, out / "trajectory", spec.format)
     print(f"solved {spec.problem} on {grid.shape} points, n={spec.n}; "
           f"wrote {path}")
     return EXIT_PASS

@@ -78,8 +78,7 @@ from .stepper import (
     _multiplier,
     _scheme_arrays,
     _time_key,
-    export_trajectory_binary,
-    export_trajectory_csv,
+    export_trajectory,
     increment_columns,
     lattice_operators,
     reference_marcher,
@@ -473,15 +472,5 @@ def export_corrector_set(cs: CorrectorSet, directory, basename: str,
     """Write one trajectory file per expansion order; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for j, traj in enumerate(cs.trajectories):
-        if fmt == "csv":
-            path = directory / f"{basename}_order{j}.csv"
-            export_trajectory_csv(traj, path)
-        elif fmt == "binary":
-            path = directory / f"{basename}_order{j}.bin"
-            export_trajectory_binary(traj, path)
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
-        paths.append(path)
-    return paths
+    return [export_trajectory(traj, directory / f"{basename}_order{j}", fmt)
+            for j, traj in enumerate(cs.trajectories)]

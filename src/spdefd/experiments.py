@@ -103,6 +103,7 @@ from .richardson import (
 )
 from .stepper import (
     BLOCK_ROWS,
+    TRAJECTORY_FORMATS,
     Marcher,
     SolveFailure,
     SpectralModeError,
@@ -252,7 +253,7 @@ def _validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
                           f"not {spec.base!r}")
     if spec.reference_mode not in ("auto", "spectral", "fine-grid"):
         raise ConfigError(f"unknown reference mode {spec.reference_mode!r}")
-    if spec.format not in ("csv", "binary"):
+    if spec.format not in TRAJECTORY_FORMATS:
         raise ConfigError(f"unknown output format {spec.format!r}")
     if spec.n < 1:
         raise ConfigError("need at least one time step")

@@ -185,14 +185,13 @@ def build_scheme_example2(problem: DifferentialProblem) -> DifferenceScheme:
     pair (p, q) via their positive/negative parts, so p - q reproduces the sum
     while both factors stay >= 0 pointwise.  Where both cross coefficients
     are plain numbers, so are p and q (a missing one counts as 0.0): the
-    scheme's operators are then circulants, as example1's are.
+    scheme's operators are then circulants, as example1's are.  The rest,
+    the stencil, b and the a-terms other than the cross ones, is example1's.
     """
     d = problem.d
-    a = {}
-    for (al, be), ev in problem.a.items():
-        if (al >= 1 and be >= 1) or (al == 0 and be == 0):
-            a[(_unit(d, al), _unit(d, be))] = ev
-    b = {(_unit(d, al), rho): ev for (al, rho), ev in problem.b.items()}
+    centred = build_scheme_example1(problem)
+    a = {(lam, mu): ev for (lam, mu), ev in centred.a.items()
+         if any(lam) == any(mu)}
     p = {}
     q = {}
     for al in range(1, d + 1):
@@ -211,7 +210,7 @@ def build_scheme_example2(problem: DifferentialProblem) -> DifferenceScheme:
         p[lam] = lambda i, x, _c=cross: np.maximum(_c(i, x), 0.0)
         q[lam] = lambda i, x, _c=cross: np.maximum(-_c(i, x), 0.0)
     return DifferenceScheme(
-        stencil=basis_stencil(d), d1=problem.d1, a=a, b=b, p=p, q=q,
+        stencil=centred.stencil, d1=problem.d1, a=a, b=centred.b, p=p, q=q,
         time_independent=problem.time_independent)
 
 

@@ -69,6 +69,9 @@ which gives the factor, as a marcher's operators give its problem.  A
 march in Fourier space keeps the ``rfftn`` half-spectrum of every column,
 so a step is pointwise; u0 and the free terms are transformed once when
 they are evaluated, and the real state once when it is read.
+
+A trajectory is written to a file by :func:`export_trajectory`, in one of
+the ``TRAJECTORY_FORMATS``.
 """
 
 import copy
@@ -77,6 +80,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -1154,6 +1158,22 @@ def export_trajectory_binary(traj: Trajectory, path) -> None:
         fh.write(struct.pack("<QQdd", grid.dim, traj.n, grid.h, traj.tau))
         fh.write(struct.pack(f"<{grid.dim}Q", *grid.shape))
         fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
+
+
+TRAJECTORY_FORMATS = {"csv": (".csv", export_trajectory_csv),
+                      "binary": (".bin", export_trajectory_binary)}
+"""The trajectory file formats, by name: each one's file suffix and writer."""
+
+
+def export_trajectory(traj: Trajectory, stem, fmt: str) -> Path:
+    """Write ``traj`` in format ``fmt`` to ``stem`` plus the format's suffix,
+    and return that path; an unknown format raises ``ValueError``."""
+    if fmt not in TRAJECTORY_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    suffix, write = TRAJECTORY_FORMATS[fmt]
+    path = Path(f"{stem}{suffix}")
+    write(traj, path)
+    return path
 
 
 def load_trajectory_binary(path) -> Trajectory:

@@ -10,17 +10,14 @@ cross-platform reproducibility.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class IncrementError(ValueError):
-    """Invalid increment parameters or corrupt dump file."""
+    """Invalid increment parameters."""
 
-
-_MAGIC = b"SPFDXI01"
 
 # SplitMix64 finalizer constants
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -125,41 +122,3 @@ def sample_increments(n: int, d1: int, tau: float, seed: int) -> BrownianIncreme
     else:
         xi = np.sqrt(tau) * normal_inverse_cdf(_uniforms(seed, n, d1))
     return BrownianIncrements(n=n, d1=d1, tau=float(tau), seed=int(seed), xi=xi)
-
-
-def save_increments(b: BrownianIncrements, path) -> None:
-    """Binary dump: magic, (n, d1, tau, seed) header, little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQdQ", b.n, b.d1, b.tau, b.seed % (1 << 64)))
-        fh.write(np.ascontiguousarray(b.xi, dtype="<f8").tobytes())
-
-
-def load_increments(path) -> BrownianIncrements:
-    """Read a dump of :func:`save_increments`.  A file that is cut short or
-    too long, or that holds what :func:`sample_increments` refuses (no
-    steps, a step size that is not positive and finite), more steps than an
-    array holds or a non-finite increment, raises :class:`IncrementError`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise IncrementError(f"not an increment dump: {path}")
-        header = fh.read(32)
-        if len(header) != 32:
-            raise IncrementError(f"truncated increment dump: {path}")
-        n, d1, tau, seed = struct.unpack("<QQdQ", header)
-        payload = fh.read()
-    expected = n * d1 * 8
-    if len(payload) != expected:
-        raise IncrementError(f"truncated increment dump: {path}")
-    _check_parameters(n, d1, tau)
-    values = np.frombuffer(payload, dtype="<f8").astype(float)
-    try:
-        xi = values.reshape(n, d1)
-    except ValueError as exc:       # with no drivers, no payload bounds n
-        raise IncrementError(f"corrupt increment dump: {n} steps is more than "
-                             f"an array can hold: {path}") from exc
-    if not np.isfinite(xi).all():
-        raise IncrementError(f"non-finite increments in dump: {path}")
-    return BrownianIncrements(n=int(n), d1=int(d1), tau=float(tau),
-                              seed=int(seed), xi=xi)

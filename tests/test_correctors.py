@@ -1256,3 +1256,33 @@ class TestResidualTimeGrid:
         cs = run_corrector_system(0, p, s, make_torus_grid(1, [3.0], [32]), 4)
         with pytest.raises(ValueError, match="by one factor on its torus"):
             expansion_residual(vh, cs)
+
+
+def _heat_set(k=1, n=4):
+    p = make_problem("heat1d")
+    return run_corrector_system(k, p, build_scheme_example1(p),
+                                make_torus_grid(1, [1.0], [64]), n)
+
+
+def _residual(k, n):
+    p = make_problem("heat1d")
+    vh = run_space_time_scheme(p, build_scheme_example1(p),
+                               make_torus_grid(1, [1.0], [8]), n)
+    return expansion_residual(vh, _heat_set(), k)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _heat_set(k=-1), "expansion order k must be >= 0",
+                 id="k"),
+    pytest.param(lambda: _heat_set(n=0), "need at least one time step",
+                 id="n"),
+    pytest.param(lambda: _residual(2, 4),
+                 "corrector set only carries orders up to 1", id="residual-k"),
+    pytest.param(lambda: _residual(1, 8),
+                 "trajectory and correctors use different time grids",
+                 id="residual-steps"),
+])
+def test_corrector_checks_reject(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

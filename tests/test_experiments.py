@@ -15,7 +15,9 @@ from spdefd.experiments import (
     REPORT_HEADER,
     ExperimentSpec,
     _check_periodic,
+    _parse_seeds,
     _replay_target,
+    _validate_spec,
     build_problem,
     emit_outputs,
     load_config,
@@ -1794,3 +1796,41 @@ class TestCli:
         for name in ("report.csv", "rung_16.csv", "rung_32.csv", "plot.gp"):
             assert (tmp_path / "o1" / name).read_bytes() == \
                 (tmp_path / "o2" / name).read_bytes()
+
+
+def _invalid(**overrides):
+    return lambda _tmp: _validate_spec(ExperimentSpec(problem="heat1d",
+                                                      **overrides))
+
+
+def _problem_value(tmp_path):
+    path = tmp_path / "spec.ini"
+    path.write_text("[problem]\nname = heat1d\nnu = fast\n")
+    return load_config(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(_invalid(scheme="example3"),
+                 "unknown scheme constructor 'example3'", id="scheme"),
+    pytest.param(_invalid(base="3"),
+                 "extrapolation base must be auto, 2, or 4, not '3'",
+                 id="base"),
+    pytest.param(_invalid(reference_mode="exact"),
+                 "unknown reference mode 'exact'", id="reference-mode"),
+    pytest.param(_invalid(n=0), "need at least one time step", id="n"),
+    pytest.param(_invalid(points0=1), "points0 must be >= 2", id="points0"),
+    pytest.param(_invalid(rungs=0), "rungs must be >= 1", id="rungs"),
+    pytest.param(_invalid(level=-1), "extrapolation level must be >= 0",
+                 id="level"),
+    pytest.param(_invalid(refine=-1), "refine must be >= 0", id="refine"),
+    pytest.param(lambda _tmp: _parse_seeds("1,x"), "bad seeds list '1,x'",
+                 id="seeds-token"),
+    pytest.param(lambda _tmp: _parse_seeds(" , "),
+                 "seeds list must not be empty", id="seeds-empty"),
+    pytest.param(_problem_value, "[problem] nu: expected a number, got 'fast'",
+                 id="problem-value"),
+])
+def test_config_checks_reject(tmp_path, call, message):
+    with pytest.raises(ConfigError) as info:
+        call(tmp_path)
+    assert str(info.value) == message

@@ -314,3 +314,40 @@ class TestGridField:
         assert fine.shape == (16,)
         assert fine.h == g.h / 2
         assert fine.periods == g.periods
+
+
+def _line(points=8):
+    return make_torus_grid(1, [1.0], [points])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: TorusGrid(0, 0.1, ()),
+                 "grid dimension must be >= 1", id="torus-dim"),
+    pytest.param(lambda: TorusGrid(2, 0.1, (4,)),
+                 "points-per-axis must have one entry per dimension",
+                 id="torus-shape"),
+    pytest.param(lambda: TorusGrid(1, 0.5, (1,)),
+                 "need at least 2 points per axis", id="torus-points"),
+    pytest.param(lambda: _line().refined(0),
+                 "refinement factor must be >= 1", id="refined"),
+    pytest.param(lambda: make_torus_grid(0, [], []),
+                 "grid dimension must be >= 1", id="make-dim"),
+    pytest.param(lambda: make_torus_grid(2, [1.0], [8]),
+                 "periods and points must each have d entries",
+                 id="make-axes"),
+    pytest.param(lambda: _line().zeros() - _line(16).zeros(),
+                 "fields live on different grids", id="subtract"),
+    pytest.param(lambda: Stencil(()), "stencil must be nonempty",
+                 id="stencil-empty"),
+    pytest.param(lambda: Stencil(((0,), (0, 1))),
+                 "stencil vectors must share one dimension", id="stencil-dim"),
+    pytest.param(lambda: forward_difference(_line().zeros(), (1, 0)),
+                 "stencil vector must have 1 components", id="vector-dim"),
+    pytest.param(lambda: forward_difference(_line().zeros(), (0.5,)),
+                 "stencil vectors must be integer-valued",
+                 id="vector-integer"),
+])
+def test_grid_checks_reject(call, message):
+    with pytest.raises(GridError) as info:
+        call()
+    assert str(info.value) == message

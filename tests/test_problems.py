@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from spdefd.grids import basis_stencil
 from spdefd.problems import (
+    DifferenceScheme,
     DifferentialProblem,
     ProblemError,
     build_scheme_example1,
@@ -199,3 +201,34 @@ class TestProblemValidation:
             DifferentialProblem(d=1, d1=0, T=1.0, a={(2, 1): 1.0})
         with pytest.raises(ProblemError):
             DifferentialProblem(d=1, d1=0, T=1.0, b={(1, 1): 1.0})
+
+
+def _scheme(**coefficients):
+    return lambda: DifferenceScheme(stencil=basis_stencil(1), d1=1,
+                                    **coefficients)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: DifferentialProblem(d=0, d1=0, T=1.0),
+                 "spatial dimension must be >= 1", id="problem-d"),
+    pytest.param(lambda: DifferentialProblem(d=1, d1=-1, T=1.0),
+                 "number of drivers must be >= 0", id="problem-d1"),
+    pytest.param(lambda: DifferentialProblem(d=1, d1=1, T=1.0, g={2: 0.1}),
+                 "g index 2 out of range", id="problem-g"),
+    pytest.param(_scheme(a={((2,), (0,)): 1.0}),
+                 "a key ((2,), (0,)) not in stencil", id="scheme-a"),
+    pytest.param(_scheme(b={((2,), 1): 1.0}), "b key (2,) not in stencil",
+                 id="scheme-b"),
+    pytest.param(_scheme(b={((1,), 2): 1.0}), "driver index 2 out of range",
+                 id="scheme-driver"),
+    pytest.param(_scheme(p={(0,): 1.0}),
+                 "p key (0,) must be a nonzero stencil vector", id="scheme-p"),
+    pytest.param(lambda: check_degenerate_parabolicity(make_problem("heat1d"),
+                                                       []),
+                 "parabolicity check needs a nonempty sample",
+                 id="parabolicity-sample"),
+])
+def test_problem_checks_reject(call, message):
+    with pytest.raises(ProblemError) as info:
+        call()
+    assert str(info.value) == message

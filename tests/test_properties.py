@@ -32,7 +32,7 @@ from spdefd.stepper import (
     run_reference_time_scheme,
     run_space_time_scheme,
 )
-from spdefd.wiener import load_increments, sample_increments, save_increments
+from spdefd.wiener import sample_increments
 from test_grids import centred_difference
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -122,17 +122,6 @@ def test_shifted_matches_roll(values, data):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert not np.shares_memory(got, values)
-
-
-@given(n=st.integers(1, 64), d1=st.integers(0, 4), tau=positive,
-       seed=st.integers(0, 2 ** 64 - 1))
-def test_increment_dump_round_trip(tmp_path_factory, n, d1, tau, seed):
-    b = sample_increments(n, d1, tau, seed)
-    path = tmp_path_factory.mktemp("increments") / "xi.bin"
-    save_increments(b, path)
-    loaded = load_increments(path)
-    assert (loaded.n, loaded.d1, loaded.tau, loaded.seed) == (n, d1, tau, seed)
-    assert loaded.xi.tobytes() == b.xi.tobytes()
 
 
 @st.composite

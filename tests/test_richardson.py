@@ -5,6 +5,7 @@ from spdefd.grids import make_torus_grid, subsample
 from spdefd.problems import make_problem, build_scheme_example1
 from spdefd.richardson import (
     ExtrapolationError,
+    RichardsonWeights,
     estimate_order,
     extrapolate_derivative,
     richardson_combine,
@@ -338,3 +339,18 @@ class TestAgainstReferenceSolution:
         err_plain = max(np.max(np.abs(a.values - b.values))
                         for a, b in zip(ladder[0].fields, ref.fields))
         assert err_comb < 0.02 * err_plain
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: RichardsonWeights(level=1, base=2, beta=np.ones(3)),
+                 "weight vector has wrong length", id="weights-length"),
+    pytest.param(lambda: vandermonde_weights(-1, 2),
+                 "extrapolation level must be >= 0", id="level"),
+    pytest.param(lambda: estimate_order([0.1], [0.01]),
+                 "need matching h and error lists, length >= 2",
+                 id="one-rung"),
+])
+def test_richardson_checks_reject(call, message):
+    with pytest.raises(ExtrapolationError) as info:
+        call()
+    assert str(info.value) == message

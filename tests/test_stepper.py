@@ -1734,3 +1734,56 @@ class TestTrajectoryExport:
         path.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
         with pytest.raises(GridError, match="non-finite"):
             load_trajectory_binary(path)
+
+
+
+def _stoch_run(n=4, path=None, **options):
+    """A stoch-transport run on 8 points, its Wiener path ``path(n, tau)``
+    made when the run starts."""
+    def run():
+        p = make_problem("stoch-transport")
+        increments = path(n, p.T / n) if path else None
+        return run_space_time_scheme(p, build_scheme_example1(p),
+                                     make_torus_grid(1, [1.0], [8]), n,
+                                     increments, **options)
+    return run
+
+
+def _heat_operator(tau=0.1):
+    return ImplicitOperator(build_scheme_example1(make_problem("heat1d")),
+                            make_torus_grid(1, [1.0], [8]), tau, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(_stoch_run(path=lambda n, tau: sample_increments(n + 1, 1,
+                                                                  tau, 1)),
+                 ValueError, "increments carry 5 steps, expected 4",
+                 id="increments-n"),
+    pytest.param(_stoch_run(path=lambda n, tau: sample_increments(n, 1,
+                                                                  2 * tau, 1)),
+                 ValueError,
+                 "increments were sampled for a different step size",
+                 id="increments-tau"),
+    pytest.param(_stoch_run(path=lambda n, tau: sample_increments(n, 0,
+                                                                  tau, 1)),
+                 ValueError, "increments carry 0 drivers, need 1",
+                 id="increments-drivers"),
+    pytest.param(_stoch_run(solver_mode="fast"), ValueError,
+                 "unknown solver mode 'fast'", id="solver-mode"),
+    pytest.param(_stoch_run(n=0), ValueError, "need at least one time step",
+                 id="space-time-n"),
+    pytest.param(lambda: run_reference_time_scheme(
+                     make_problem("heat1d"), make_torus_grid(1, [1.0], [8]),
+                     n=0),
+                 ValueError, "need at least one time step", id="reference-n"),
+    pytest.param(lambda: _heat_operator(tau=-0.1), SolveFailure,
+                 "tau must be nonnegative", id="negative-tau"),
+    pytest.param(lambda: _heat_operator().solve(
+                     make_torus_grid(1, [1.0], [16]).zeros()),
+                 GridError, "right-hand side lives on a different grid",
+                 id="solve-grid"),
+])
+def test_stepper_checks_reject(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -1,17 +1,12 @@
-import struct
-
 import numpy as np
 import pytest
 from scipy import stats
 
 from spdefd.wiener import (
-    _MAGIC,
     BrownianIncrements,
     IncrementError,
-    load_increments,
     normal_inverse_cdf,
     sample_increments,
-    save_increments,
 )
 
 
@@ -109,64 +104,7 @@ class TestPathSum:
         assert abs(np.var(sums) - T) <= 0.15 * T
 
 
-class TestDumpRoundTrip:
-    def test_round_trip(self, tmp_path):
-        b = sample_increments(17, 3, 0.05, seed=99)
-        path = tmp_path / "xi.bin"
-        save_increments(b, path)
-        loaded = load_increments(path)
-        assert (loaded.n, loaded.d1, loaded.tau, loaded.seed) == (17, 3, 0.05, 99)
-        np.testing.assert_array_equal(loaded.xi, b.xi)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"not an increment dump")
-        with pytest.raises(IncrementError):
-            load_increments(path)
-
-    def test_rejects_truncation(self, tmp_path):
-        b = sample_increments(4, 1, 0.1, seed=1)
-        path = tmp_path / "xi.bin"
-        save_increments(b, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(IncrementError):
-            load_increments(path)
-
-    @pytest.mark.parametrize("n, tau", [(0, 0.1), (2, float("nan")),
-                                        (2, -0.1), (2, float("inf"))])
-    def test_rejects_what_sampling_refuses(self, tmp_path, n, tau):
-        path = tmp_path / "xi.bin"
-        save_increments(BrownianIncrements(n=n, d1=1, tau=tau, seed=1,
-                                           xi=np.zeros((n, 1))), path)
-        with pytest.raises(IncrementError, match="number of steps|step size"):
-            load_increments(path)
-
-    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64 - 1])
-    def test_rejects_huge_step_count_without_drivers(self, tmp_path, n):
-        # with d1 = 0 the payload is empty whatever n claims
-        path = tmp_path / "xi.bin"
-        path.write_bytes(_MAGIC + struct.pack("<QQdQ", n, 0, 0.1, 1))
-        with pytest.raises(IncrementError, match="corrupt increment dump"):
-            load_increments(path)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_increments(self, tmp_path, bad):
-        path = tmp_path / "xi.bin"
-        xi = sample_increments(3, 2, 0.1, seed=7).xi.copy()
-        xi[1, 1] = bad
-        save_increments(BrownianIncrements(n=3, d1=2, tau=0.1, seed=7, xi=xi),
-                        path)
-        with pytest.raises(IncrementError, match="non-finite increments"):
-            load_increments(path)
-
-    def test_every_prefix_rejected(self, tmp_path):
-        path = tmp_path / "xi.bin"
-        save_increments(sample_increments(3, 2, 0.1, seed=7), path)
-        data = path.read_bytes()
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            message = ("truncated increment dump" if cut >= 8
-                       else "not an increment dump")
-            with pytest.raises(IncrementError, match=message):
-                load_increments(path)
+def test_rejects_a_matrix_of_another_shape():
+    with pytest.raises(IncrementError) as info:
+        BrownianIncrements(n=2, d1=1, tau=0.1, seed=1, xi=np.zeros((2, 2)))
+    assert str(info.value) == "increment matrix shape mismatch"
